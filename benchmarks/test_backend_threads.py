@@ -94,19 +94,23 @@ def _achieved_parallelism(body: bytes, threads: int) -> float:
     instrumentation is a lock-guarded accumulator, cheap but not free.
     """
     codec = GzipMTCodec(level=LEVEL, threads=threads)
-    inner = codec._compress_block
+    inner = codec._iter_map_blocks
     busy = [0.0]
     lock = threading.Lock()
 
-    def timed_block(block):
-        t0 = time.thread_time()
-        out = inner(block)
-        dt = time.thread_time() - t0
-        with lock:
-            busy[0] += dt
-        return out
+    def timed(fn):
+        def timed_block(block):
+            t0 = time.thread_time()
+            out = fn(block)
+            dt = time.thread_time() - t0
+            with lock:
+                busy[0] += dt
+            return out
 
-    codec._compress_block = timed_block  # instance-level override
+        return timed_block
+
+    # instance-level override: time every block the pool runs
+    codec._iter_map_blocks = lambda fn, blocks: inner(timed(fn), blocks)
     wall0 = time.perf_counter()
     codec.compress(body)
     wall = time.perf_counter() - wall0
@@ -182,7 +186,7 @@ def test_backend_thread_speedup():
                 f"gzip-mt bytes changed between thread counts 1 and {threads}"
             )
 
-    # pigz-style compatibility: stock gzip reads the multi-member stream
+    # pigz-style compatibility: stock gzip reads the stitched stream
     assert gzip.decompress(reference_blob) == body
     overhead_pct = 100.0 * (len(reference_blob) - len(serial_blob)) / len(serial_blob)
     registry.gauge("block_split_overhead_pct").set(overhead_pct)

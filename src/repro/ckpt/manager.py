@@ -123,9 +123,10 @@ def serialize_array_lossless(
 ) -> bytes:
     """Bit-exact serialization of any ndarray through a lossless codec.
 
-    The array is embedded via a zero-copy buffer view (no ``tobytes()``
-    materialization); ``threads``/``block_bytes`` reach the block-parallel
-    backends and are ignored by single-threaded ones.
+    The array is handed to the container as is (no ``tobytes()``
+    materialization; its item width selects the byte-plane layout);
+    ``threads``/``block_bytes`` reach the block-parallel backends and are
+    ignored by single-threaded ones.
     """
     a = np.ascontiguousarray(arr)
     header = {
@@ -133,7 +134,7 @@ def serialize_array_lossless(
         "shape": list(a.shape),
         "dtype": a.dtype.str,  # byte-order explicit, e.g. '<f8'
     }
-    body = container.write_body(header, {"data": memoryview(a).cast("B")})
+    body = container.write_body(header, {"data": a})
     return container.wrap_envelope(
         body, codec_name, level, threads=threads, block_bytes=block_bytes
     )
@@ -832,17 +833,23 @@ class CheckpointManager:
         return current
 
     def load_arrays(
-        self, step: int, *, repair: bool | None = None
+        self,
+        step: int,
+        *,
+        repair: bool | None = None,
+        manifest: CheckpointManifest | None = None,
     ) -> dict[str, np.ndarray]:
         """Decode every array of checkpoint ``step`` after verifying CRCs.
 
         ``repair`` controls parity reconstruction of corrupt-or-missing
         blobs; the default (``None``) enables it exactly when the manifest
         carries parity groups, so parity-enabled checkpoints heal
-        transparently and plain ones keep failing fast.
+        transparently and plain ones keep failing fast.  A caller that has
+        already read the step's ``manifest`` passes it in.
         """
         tracer = get_tracer()
-        manifest = self.read_manifest(step)
+        if manifest is None:
+            manifest = self.read_manifest(step)
         if repair is None:
             repair = bool(manifest.parity)
         blobs = self._collect_verified_blobs(step, manifest, repair=repair)
@@ -873,19 +880,22 @@ class CheckpointManager:
             step = self.latest_step()
             if step is None:
                 raise CheckpointNotFoundError("store holds no committed checkpoints")
-        elif int(step) not in self.steps():
+        elif not is_committed(self.store, int(step)):
+            # marker + manifest CRC: O(1) in the number of generations held
+            # (steps() walks them all) and stricter than a key listing
             raise CheckpointNotFoundError(
                 f"no committed checkpoint for step {step} (torn or absent)"
             )
+        manifest = self.read_manifest(step)
         with get_tracer().span("restore", step=step):
-            arrays = self.load_arrays(step, repair=repair)
+            arrays = self.load_arrays(step, repair=repair, manifest=manifest)
             self.registry.restore(arrays)
         if self._temporal_engine is not None:
             # The application rewound: future deltas must predict from the
             # generation it actually resumed, not from a later write.
             self._seed_temporal_engine(step, arrays)
         get_registry().counter("ckpt.restores").inc()
-        return self.read_manifest(step)
+        return manifest
 
     def verify(self, step: int, *, repair: bool = False) -> CheckpointManifest:
         """CRC-verify every blob of ``step`` without touching the registry.

@@ -326,6 +326,7 @@ class CountingStore(Store):
         self.puts = 0
         self.gets = 0
         self.deletes = 0
+        self.lists = 0
         self.syncs = 0
         self.bytes_written = 0
         self.bytes_read = 0
@@ -349,6 +350,7 @@ class CountingStore(Store):
         self.deletes += 1
 
     def list_keys(self, prefix: str = "") -> list[str]:
+        self.lists += 1
         return self.inner.list_keys(prefix)
 
     def sync(self) -> None:

@@ -22,6 +22,21 @@ Body::
     b"RPWC" | u16 version | u32 header length | header JSON | u32 n sections
     then per section: u8 name length | name | u64 payload length | u32 CRC32
     | payload
+
+Byte planes (format version 2)
+------------------------------
+A section whose payload arrives as 2-, 4- or 8-byte items (float64
+``rawvals``/``averages``, uint16 ``indices``, temporal int16/int32
+residuals, lossless float ``data``) is stored *byte-plane-transposed*: all
+first bytes of every item, then all second bytes, ...  The slowly varying
+sign/exponent bytes then form their own compressible runs instead of being
+buried between incompressible mantissa bytes, and the lossless stage can
+treat each plane on its merits (:mod:`repro.lossless.segments`).  The
+header JSON records ``"planes": {section name: item width}`` -- a key this
+module owns, adds on write and removes on read -- and the CRC32 covers the
+payload as stored.  :func:`read_body` hands back the original item order,
+so no caller ever sees a plane.  Version 1 bodies (no planes) decode
+forever; only version 2 is written.
 """
 
 from __future__ import annotations
@@ -31,19 +46,24 @@ import struct
 import zlib
 from typing import Any, Mapping
 
+import numpy as np
+
 from ..exceptions import ConfigurationError, FormatError, IntegrityError
 from ..lossless import get_codec
+from ..lossless.segments import byte_view
 
 __all__ = [
     "BODY_MAGIC",
     "CHUNK_MAGIC",
     "ENVELOPE_MAGIC",
     "FORMAT_VERSION",
+    "Body",
     "write_body",
     "read_body",
     "wrap_envelope",
     "unwrap_envelope",
     "peek_header",
+    "body_layout",
 ]
 
 BODY_MAGIC = b"RPWC"
@@ -51,7 +71,11 @@ ENVELOPE_MAGIC = b"RPZ1"
 # Multi-chunk streams (repro.core.chunked) carry their own magic; defined
 # here so the envelope parser can tell "chunked stream" apart from garbage.
 CHUNK_MAGIC = b"RPCK"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_READABLE_VERSIONS = (1, 2)
+#: Header key holding the plane table; reserved by this module.
+_PLANES_KEY = "planes"
+_PLANE_WIDTHS = (2, 4, 8)
 
 _U8 = struct.Struct("<B")
 _U16 = struct.Struct("<H")
@@ -59,9 +83,20 @@ _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 
 
-def _byte_view(payload: Any, name: str) -> memoryview:
+class Body(bytearray):
+    """What :func:`write_body` returns: the serialized body plus ``cuts``,
+    the offsets where its content changes character (every section payload
+    and every byte plane starts at one).  The lossless stage takes them as
+    a hint (``Codec.compress(body, body.cuts)``); the bytes alone are the
+    complete body, so a plain copy of them is just as valid."""
+
+    cuts: tuple[int, ...] = ()
+
+
+def _item_view(payload: Any, name: str) -> tuple[memoryview, int]:
     """A flat uint8 view over any buffer-protocol payload (no copy for
-    contiguous buffers -- bytes, bytearray, memoryview, NumPy arrays)."""
+    contiguous buffers -- bytes, bytearray, memoryview, NumPy arrays) and
+    the plane width its item size calls for (1 = stored as is)."""
     try:
         mv = memoryview(payload)
     except TypeError:
@@ -69,35 +104,45 @@ def _byte_view(payload: Any, name: str) -> memoryview:
             f"section {name!r} payload must support the buffer protocol, "
             f"got {type(payload).__name__}"
         ) from None
-    if mv.format != "B" or mv.ndim != 1:
-        try:
-            mv = mv.cast("B")
-        except TypeError:  # non-contiguous: fall back to one copy
-            mv = memoryview(bytes(mv))
-    return mv
+    width = mv.itemsize if mv.itemsize in _PLANE_WIDTHS else 1
+    return byte_view(mv), width
 
 
-def write_body(header: Mapping[str, Any], sections: Mapping[str, Any]) -> bytearray:
+def write_body(header: Mapping[str, Any], sections: Mapping[str, Any]) -> Body:
     """Serialize a header dict + named binary sections into a body blob.
 
     Section payloads may be any buffer-protocol object (``bytes``,
-    ``memoryview``, a contiguous NumPy array) and are copied exactly once,
-    into the single preallocated output buffer -- no per-section
-    ``tobytes()`` materialization.  The returned ``bytearray`` is
+    ``memoryview``, a NumPy array) and are copied exactly once, into the
+    single preallocated output buffer -- no per-section ``tobytes()``
+    materialization.  Pass arrays as arrays: a payload of 2-, 4- or 8-byte
+    items is laid down plane by plane by that one (strided) copy, a
+    byte-typed payload by a flat one.  The returned :class:`Body` is
     bytes-like everywhere downstream (codecs, :func:`read_body`, file
     writes) without a further copy.
     """
-    header_bytes = json.dumps(dict(header), sort_keys=True).encode("utf-8")
-    views: list[tuple[bytes, memoryview]] = []
-    total = 4 + _U16.size + _U32.size + len(header_bytes) + _U32.size
+    if _PLANES_KEY in header:
+        raise FormatError(
+            f"header key {_PLANES_KEY!r} is reserved for the container's plane table"
+        )
+    views: list[tuple[bytes, memoryview, int]] = []
+    planes: dict[str, int] = {}
     for name, payload in sections.items():
         name_bytes = name.encode("ascii")
         if not 0 < len(name_bytes) < 256:
             raise FormatError(f"section name must be 1..255 ascii bytes: {name!r}")
-        mv = _byte_view(payload, name)
-        views.append((name_bytes, mv))
+        mv, width = _item_view(payload, name)
+        if width > 1:
+            planes[name] = width
+        views.append((name_bytes, mv, width))
+    header_bytes = json.dumps(
+        {**header, _PLANES_KEY: planes}, sort_keys=True
+    ).encode("utf-8")
+    total = 4 + _U16.size + _U32.size + len(header_bytes) + _U32.size
+    for name_bytes, mv, _width in views:
         total += _U8.size + len(name_bytes) + _U64.size + _U32.size + mv.nbytes
-    buf = bytearray(total)
+    buf = Body(total)
+    flat = np.frombuffer(buf, dtype=np.uint8)
+    cuts: list[int] = []
     buf[0:4] = BODY_MAGIC
     offset = 4
     _U16.pack_into(buf, offset, FORMAT_VERSION)
@@ -108,17 +153,25 @@ def write_body(header: Mapping[str, Any], sections: Mapping[str, Any]) -> bytear
     offset += len(header_bytes)
     _U32.pack_into(buf, offset, len(views))
     offset += _U32.size
-    for name_bytes, mv in views:
+    for name_bytes, mv, width in views:
         _U8.pack_into(buf, offset, len(name_bytes))
         offset += _U8.size
         buf[offset : offset + len(name_bytes)] = name_bytes
         offset += len(name_bytes)
         _U64.pack_into(buf, offset, mv.nbytes)
         offset += _U64.size
-        _U32.pack_into(buf, offset, zlib.crc32(mv) & 0xFFFFFFFF)
+        crc_at = offset
         offset += _U32.size
-        buf[offset : offset + mv.nbytes] = mv
-        offset += mv.nbytes
+        end = offset + mv.nbytes
+        if mv.nbytes:
+            items = mv.nbytes // width
+            flat[offset:end].reshape(width, items)[...] = np.frombuffer(
+                mv, dtype=np.uint8
+            ).reshape(items, width).T
+            cuts += range(offset, end, items)
+        _U32.pack_into(buf, crc_at, zlib.crc32(flat[offset:end]))
+        offset = end
+    buf.cuts = tuple(cuts)
     return buf
 
 
@@ -129,8 +182,9 @@ def _need(blob: bytes, offset: int, count: int, what: str) -> int:
     return end
 
 
-def read_body(blob: bytes) -> tuple[dict[str, Any], dict[str, bytes]]:
-    """Parse :func:`write_body` output, verifying magic and every CRC."""
+def _read_prefix(blob: bytes) -> tuple[int, dict[str, Any], dict[str, int], int]:
+    """Parse magic, version and header JSON; returns ``(version, header
+    without the plane table, plane table, offset of the section count)``."""
     if len(blob) < 4:
         raise FormatError(
             f"body blob is only {len(blob)} bytes -- too short to hold the "
@@ -144,7 +198,7 @@ def read_body(blob: bytes) -> tuple[dict[str, Any], dict[str, bytes]]:
     end = _need(blob, offset, _U16.size, "version")
     (version,) = _U16.unpack_from(blob, offset)
     offset = end
-    if version != FORMAT_VERSION:
+    if version not in _READABLE_VERSIONS:
         raise FormatError(f"unsupported container version {version}")
     end = _need(blob, offset, _U32.size, "header length")
     (header_len,) = _U32.unpack_from(blob, offset)
@@ -159,7 +213,54 @@ def read_body(blob: bytes) -> tuple[dict[str, Any], dict[str, bytes]]:
             f"container header must be a JSON object, got "
             f"{type(header).__name__}"
         )
-    offset = end
+    return version, header, _pop_planes(header, version), end
+
+
+def _pop_planes(header: dict[str, Any], version: int) -> dict[str, int]:
+    """Remove and validate the plane table of a parsed header."""
+    if version == 1:
+        # a v1 writer never emitted the key; decoding its sections as
+        # planes would turn good doubles into noise
+        if _PLANES_KEY in header:
+            raise FormatError("plane table in a version-1 container")
+        return {}
+    planes = header.pop(_PLANES_KEY, None)
+    if not isinstance(planes, dict):
+        raise FormatError(
+            f"version-{version} container header lacks its plane table"
+        )
+    for name, width in planes.items():
+        if type(width) is not int or width not in _PLANE_WIDTHS:
+            raise FormatError(
+                f"plane width of section {name!r} must be one of "
+                f"{_PLANE_WIDTHS}, got {width!r}"
+            )
+    return planes
+
+
+def _from_planes(stored: memoryview, width: int) -> bytearray:
+    """Undo the writer's transposition: plane-major -> item-major bytes
+    (one new buffer, filled in place)."""
+    items = len(stored) // width
+    planes = np.frombuffer(stored, dtype=np.uint8).reshape(width, items)
+    out = bytearray(len(stored))
+    columns = np.frombuffer(out, dtype=np.uint8).reshape(items, width)
+    # plane by plane (contiguous reads) beats one transposed assignment
+    for k in range(width):
+        columns[:, k] = planes[k]
+    return out
+
+
+def read_body(blob: bytes) -> tuple[dict[str, Any], dict[str, bytes]]:
+    """Parse :func:`write_body` output, verifying magic and every CRC.
+
+    Sections come back in their original item order whichever format
+    version stored them, each in a buffer of its own (``bytes``, or a
+    ``bytearray`` where planes had to be undone): one copy per section
+    either way.
+    """
+    _version, header, planes, offset = _read_prefix(blob)
+    view = memoryview(blob)
     end = _need(blob, offset, _U32.size, "section count")
     (n_sections,) = _U32.unpack_from(blob, offset)
     offset = end
@@ -181,16 +282,31 @@ def read_body(blob: bytes) -> tuple[dict[str, Any], dict[str, bytes]]:
         (crc,) = _U32.unpack_from(blob, offset)
         offset = end
         end = _need(blob, offset, payload_len, f"section {name} payload")
-        payload = blob[offset:end]
-        offset = end
-        if (zlib.crc32(payload) & 0xFFFFFFFF) != crc:
+        stored = view[offset:end]
+        if (zlib.crc32(stored) & 0xFFFFFFFF) != crc:
             raise IntegrityError(
                 f"CRC mismatch in section {name!r}: the stored checkpoint is corrupt"
             )
-        sections[name] = payload
+        width = planes.get(name, 1)
+        if width == 1:
+            sections[name] = blob[offset:end]
+        elif payload_len % width:
+            raise FormatError(
+                f"section {name!r} of {payload_len} bytes is not a whole "
+                f"number of {width}-byte items"
+            )
+        else:
+            sections[name] = _from_planes(stored, width)
+        offset = end
     if offset != len(blob):
         raise FormatError(
             f"{len(blob) - offset} trailing bytes after the last section"
+        )
+    unknown = planes.keys() - sections.keys()
+    if unknown:
+        raise FormatError(
+            f"plane table names sections the container does not hold: "
+            f"{sorted(unknown)}"
         )
     return header, sections
 
@@ -205,8 +321,9 @@ def wrap_envelope(
 ) -> bytes:
     """Deflate ``body`` with the named backend and prepend the envelope.
 
-    ``body`` may be any bytes-like object (e.g. the ``bytearray`` returned
-    by :func:`write_body`).  ``threads`` and ``block_bytes`` reach the
+    ``body`` may be any bytes-like object; a :class:`Body` straight from
+    :func:`write_body` also hands the codec its ``cuts``.  ``threads`` and
+    ``block_bytes`` reach the
     block-parallel backends (``gzip-mt``/``zlib-mt``/``zstd``/``lz4``);
     single-threaded codecs ignore them.
     """
@@ -217,9 +334,8 @@ def wrap_envelope(
     name_bytes = backend.encode("ascii")
     if not 0 < len(name_bytes) < 256:
         raise FormatError(f"backend name must be 1..255 ascii bytes: {backend!r}")
-    return b"".join(
-        (ENVELOPE_MAGIC, _U8.pack(len(name_bytes)), name_bytes, codec.compress(body))
-    )
+    payload = codec.compress(body, getattr(body, "cuts", None))
+    return b"".join((ENVELOPE_MAGIC, _U8.pack(len(name_bytes)), name_bytes, payload))
 
 
 def unwrap_envelope(blob: bytes) -> tuple[bytes, str]:
@@ -276,3 +392,11 @@ def peek_header(blob: bytes) -> dict[str, Any]:
     body, _ = unwrap_envelope(blob)
     header, _ = read_body(body)
     return header
+
+
+def body_layout(body: bytes) -> dict[str, Any]:
+    """How an inflated body is laid out, without touching its sections:
+    the container format version and the plane width of every
+    byte-plane-transposed section."""
+    version, _header, planes, _offset = _read_prefix(body)
+    return {"container_version": version, "plane_widths": planes}

@@ -49,11 +49,6 @@ _SEC_INDICES = "indices"
 _SEC_RAW = "rawvals"
 
 
-def _section_view(arr: np.ndarray) -> memoryview:
-    """Zero-copy flat byte view of a (contiguous) section array."""
-    return memoryview(np.ascontiguousarray(arr)).cast("B")
-
-
 @dataclass
 class CompressionStats:
     """Sizes, counts and per-stage wall-clock timings of one compress call.
@@ -297,14 +292,14 @@ class WaveletCompressor:
                     "n_quantized": int(indices.size),
                     "index_dtype": str(payload.indices.dtype),
                 }
-                # Buffer-protocol views over the encoded streams: write_body
-                # copies each exactly once, into its single preallocated body
-                # buffer -- no .tobytes() materialization per section.
+                # The encoded streams go in as arrays: write_body copies
+                # each exactly once, into its single preallocated body
+                # buffer, and reads the item width off the dtype.
                 sections = {
-                    _SEC_BITMAP: _section_view(payload.bitmap),
-                    _SEC_AVERAGES: _section_view(payload.averages),
-                    _SEC_INDICES: _section_view(payload.indices),
-                    _SEC_RAW: _section_view(payload.raw_values),
+                    _SEC_BITMAP: payload.bitmap,
+                    _SEC_AVERAGES: payload.averages,
+                    _SEC_INDICES: payload.indices,
+                    _SEC_RAW: payload.raw_values,
                 }
                 body = container.write_body(header, sections)
             stats.formatted_bytes = len(body)
@@ -316,7 +311,12 @@ class WaveletCompressor:
                     threads=cfg.backend_threads,
                     block_bytes=cfg.backend_block_bytes,
                 )
-                compressed = codec.compress(body)
+                compressed = codec.compress(body, body.cuts)
+                # what codec and why: the deflate family reports how the
+                # body split between its two strategies
+                segments = getattr(codec, "last_segments", None)
+                if segments is not None:
+                    sp_backend.set(**segments.attrs())
                 name_bytes = cfg.backend.encode("ascii")
                 blob = b"".join(
                     (
@@ -444,12 +444,15 @@ def decompress(blob: bytes) -> np.ndarray:
 def inspect(blob: bytes) -> dict[str, Any]:
     """Container header of a compressed blob (no coefficient decoding).
 
-    Accepts both single pipeline blobs and chunked streams; the latter
-    report chunk-level metadata (chunk count, rows, per-chunk sizes and
+    Single pipeline blobs also report their ``layout`` (backend, container
+    format version, per-section plane widths); chunked streams report
+    chunk-level metadata (chunk count, rows, per-chunk sizes and
     the first chunk's self-describing header).
     """
     if blob[:4] == container.CHUNK_MAGIC:
         from .chunked import inspect_chunked  # here to avoid an import cycle
 
         return inspect_chunked(blob)
-    return container.peek_header(blob)
+    body, backend = container.unwrap_envelope(blob)
+    header, _sections = container.read_body(body)
+    return {**header, "layout": {"backend": backend, **container.body_layout(body)}}

@@ -10,7 +10,6 @@ from .modern import Lz4Codec, ZstdCodec, lz4_available, zstd_available
 from .parallel_deflate import GzipMTCodec, ZlibMTCodec
 from .pool import get_shared_pool, shutdown_shared_pool
 from .rle import RleCodec
-from .shuffle import ShuffleZlibCodec
 from .tempfile_gzip import TempfileGzipCodec
 from .zlib_codec import GzipCodec, ZlibCodec
 
@@ -25,7 +24,6 @@ __all__ = [
     "Lz4Codec",
     "TempfileGzipCodec",
     "RleCodec",
-    "ShuffleZlibCodec",
     "XorDeltaCodec",
     "available_codecs",
     "get_codec",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import inspect
 from abc import ABC, abstractmethod
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from ..exceptions import ConfigurationError
 
@@ -29,24 +29,31 @@ class Codec(ABC):
     name: str = ""
 
     @abstractmethod
-    def compress(self, data: bytes) -> bytes:
-        """Compress ``data``; must be invertible by :meth:`decompress`."""
+    def compress(self, data: bytes, cuts: Sequence[int] | None = None) -> bytes:
+        """Compress ``data``; must be invertible by :meth:`decompress`.
+
+        ``cuts`` are byte offsets into ``data`` where its content changes
+        character (the container's section and byte-plane boundaries).
+        They are a hint: the deflate family codes the stretches between
+        them independently (:mod:`repro.lossless.segments`), every other
+        codec ignores them, and the decoded bytes never depend on them.
+        """
 
     @abstractmethod
     def decompress(self, data: bytes) -> bytes:
         """Invert :meth:`compress`."""
 
-    def iter_compress(self, data) -> Iterator[bytes]:
+    def iter_compress(self, data, cuts: Sequence[int] | None = None) -> Iterator[bytes]:
         """Yield the compressed stream as in-order fragments.
 
-        ``b"".join(iter_compress(data))`` equals ``compress(data)`` for
-        every codec.  The base implementation yields the whole stream in
-        one piece; the block-parallel codecs override it to stream
-        length-bounded fragments as their pool finishes each block, so
-        consumers that write straight to storage never materialize the
-        full compressed body.
+        ``b"".join(iter_compress(data, cuts))`` equals
+        ``compress(data, cuts)`` for every codec.  The base implementation
+        yields the whole stream in one piece; the block-parallel codecs
+        override it to stream length-bounded fragments as their pool
+        finishes each block, so consumers that write straight to storage
+        never materialize the full compressed body.
         """
-        yield self.compress(data)
+        yield self.compress(data, cuts)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"
@@ -104,7 +111,7 @@ class NullCodec(Codec):
     def __init__(self, level: int = 0):
         self.level = level  # accepted for interface uniformity, unused
 
-    def compress(self, data: bytes) -> bytes:
+    def compress(self, data: bytes, cuts=None) -> bytes:
         return bytes(data)
 
     def decompress(self, data: bytes) -> bytes:

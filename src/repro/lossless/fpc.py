@@ -71,7 +71,7 @@ class XorDeltaCodec(Codec):
     def __init__(self, level: int = 0):
         self.level = level  # accepted for interface uniformity, unused
 
-    def compress(self, data: bytes) -> bytes:
+    def compress(self, data: bytes, cuts=None) -> bytes:
         n_doubles = len(data) // 8
         tail = data[n_doubles * 8 :]
         words = np.frombuffer(data, dtype="<u8", count=n_doubles).copy()

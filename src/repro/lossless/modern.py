@@ -45,7 +45,8 @@ from typing import Iterator
 
 from ..exceptions import DecompressionError
 from .base import register_codec
-from .parallel_deflate import BlockParallelCodec, _byte_view
+from .parallel_deflate import BlockParallelCodec
+from .segments import byte_view
 
 try:  # pragma: no cover - exercised only where the wheel is installed
     import zstandard as _zstandard
@@ -131,7 +132,7 @@ class _ModernBlockCodec(BlockParallelCodec):
 
     # -- codec interface ---------------------------------------------------
 
-    def iter_compress(self, data) -> Iterator[bytes]:
+    def iter_compress(self, data, cuts=None) -> Iterator[bytes]:
         """Stream the frame header then length-prefixed blocks in order."""
         self._reset_fallback()
         blocks = self._split(data)
@@ -142,14 +143,14 @@ class _ModernBlockCodec(BlockParallelCodec):
         for payload in self._iter_map_blocks(self._compress_block, blocks):
             yield _LEN.pack(len(payload)) + payload
 
-    def compress(self, data: bytes) -> bytes:
+    def compress(self, data: bytes, cuts=None) -> bytes:
         buf = bytearray()
         for part in self.iter_compress(data):
             buf += part
         return bytes(buf)
 
     def decompress(self, data: bytes) -> bytes:
-        blob = _byte_view(data)
+        blob = byte_view(data)
         if blob.nbytes < 4 or bytes(blob[:4]) != self.magic:
             raise DecompressionError(
                 f"not a {self.name} stream (bad magic); was this compressed "

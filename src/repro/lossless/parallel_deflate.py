@@ -4,19 +4,15 @@ The paper's Fig. 9 breakdown shows the final gzip pass dominating the whole
 compressor, and Section IV-D proposes in-memory zlib as the fix.  One step
 further: CPython's :mod:`zlib` releases the GIL while deflating, so the
 lossless tail parallelizes across *threads* -- no pickling, no worker
-processes, shared memory.  These codecs split the body into blocks,
-compress the blocks concurrently on the process-wide shared pool
-(:mod:`repro.lossless.pool`), and emit:
-
-``gzip-mt``
-    One complete gzip *member* per block, concatenated.  Multi-member
-    streams are part of RFC 1952, so stock :func:`gzip.decompress` (and
-    the plain ``gzip`` codec) decodes the output unchanged -- exactly how
-    ``pigz`` stays ``gunzip``-compatible.
-``zlib-mt``
-    One zlib stream per block behind a small frame header (see
-    ``Stream layout`` below), decoded -- also in parallel -- by this
-    codec's own reader.
+processes, shared memory.  ``gzip-mt`` and ``zlib-mt`` code the segments of
+a body (:mod:`repro.lossless.segments`: the container's section and
+byte-plane cuts, further split at the block size) concurrently on the
+process-wide shared pool (:mod:`repro.lossless.pool`) and stitch the
+raw-deflate pieces, in order, behind one gzip / zlib header and one
+CRC32 / Adler-32 trailer.  The output is a **single standard stream** --
+exactly how ``pigz`` stays ``gunzip``-compatible -- so stock
+:func:`gzip.decompress` / :func:`zlib.decompress` and the plain ``gzip`` /
+``zlib`` codecs decode it unchanged.
 
 Execution model (the fix for the flat scaling curve)
 ----------------------------------------------------
@@ -42,24 +38,35 @@ concurrent work.  Three changes undo that:
   pure function of the body length -- *never* of the thread count -- so
   the emitted stream stays byte-identical for every ``threads`` value.
 
-Both codecs are **deterministic**: block boundaries depend only on
-(``block_bytes``, ``auto_block``, body length), each block is compressed
-independently at a fixed level, and results are emitted in block order.
-When the shared pool cannot start (exotic sandboxes with thread limits)
-compression degrades to a serial loop over the same blocks -- same bytes,
-just slower -- recording why in :attr:`~BlockParallelCodec.fallback_reason`
-(a *thread-local* per-call value, so concurrent callers never observe each
-other's reason).
+A *block* is the unit of pool work: a run of consecutive segments adding
+up to at least the effective block size, so a body cut into many small
+byte planes does not pay one pool hand-off per plane (and a body below the
+block size stays on the calling thread, as it always did).  How segments
+are grouped into blocks never shows in the output -- every segment is
+coded on its own.
 
-Stream layout (``zlib-mt``)
----------------------------
-::
+Both codecs are **deterministic**: segment boundaries depend only on
+(``cuts``, ``block_bytes``, ``auto_block``, body length), each segment's
+strategy only on its own bytes and the level, and results are emitted in
+order.  When the shared pool cannot start (exotic sandboxes with thread
+limits) compression degrades to a serial loop over the same blocks -- same
+bytes, just slower -- recording why in
+:attr:`~BlockParallelCodec.fallback_reason` (a *thread-local* per-call
+value, so concurrent callers never observe each other's reason).
+
+Legacy streams (decode-only)
+----------------------------
+Before container format 2, ``gzip-mt`` wrote one gzip *member* per block
+(RFC 1952 multi-member, which :func:`gzip.decompress` still concatenates)
+and ``zlib-mt`` wrote its own frame::
 
     b"RPZM" | u8 version (=1) | u32 n_blocks
     then per block: u64 compressed length | zlib stream
 
-An empty input is written as zero blocks; ``gzip-mt`` writes one empty
-member instead so the stream stays stock-decodable.
+Both readers keep decoding those forever -- the ``RPZM`` blocks on the
+pool, as they always were -- and nothing writes them any more.  The single
+streams written now inflate serially: a deflate stream records no entry
+points (DESIGN.md section 7 has what that costs ``zlib-mt``).
 """
 
 from __future__ import annotations
@@ -77,6 +84,14 @@ from ..exceptions import DecompressionError
 from ..obs.trace import get_tracer
 from .base import Codec, register_codec
 from .pool import get_shared_pool
+from .segments import (
+    GZIP_FRAMING,
+    ZLIB_FRAMING,
+    Framing,
+    SegmentTally,
+    byte_view,
+    iter_stream,
+)
 
 __all__ = [
     "BlockParallelCodec",
@@ -116,18 +131,6 @@ def default_thread_count() -> int:
         return max(1, len(os.sched_getaffinity(0)))
     except (AttributeError, OSError):  # non-Linux / restricted platforms
         return max(1, os.cpu_count() or 1)
-
-
-def _byte_view(data) -> memoryview:
-    """A flat uint8 memoryview over any buffer-protocol object (no copy
-    for contiguous buffers)."""
-    mv = memoryview(data)
-    if mv.format != "B" or mv.ndim != 1:
-        try:
-            mv = mv.cast("B")
-        except TypeError:  # non-contiguous exotic buffer: copy once
-            mv = memoryview(bytes(mv))
-    return mv
 
 
 class BlockParallelCodec(Codec):
@@ -208,7 +211,7 @@ class BlockParallelCodec(Codec):
         return min(step, max(quantum, tuned))
 
     def _split(self, data) -> list[memoryview]:
-        mv = _byte_view(data)
+        mv = byte_view(data)
         step = self.effective_block_bytes(mv.nbytes)
         return [mv[start : start + step] for start in range(0, mv.nbytes, step)]
 
@@ -231,7 +234,7 @@ class BlockParallelCodec(Codec):
                 time.perf_counter(),
                 parent=_ctx,
                 codec=self.name,
-                in_bytes=memoryview(block).nbytes,
+                in_bytes=block.nbytes,
                 out_bytes=len(out),
             )
             return out
@@ -293,39 +296,49 @@ class BlockParallelCodec(Codec):
         return list(self._iter_map_blocks(fn, blocks))
 
 
-class GzipMTCodec(BlockParallelCodec):
-    """Multi-member gzip written block-parallel, readable by stock gzip.
+class _SegmentedMTCodec(BlockParallelCodec):
+    """Segment coder on the shared pool; subclasses pick the framing and
+    keep reading their legacy streams."""
 
-    Every block becomes an independent gzip member (``mtime`` pinned to 0
-    for determinism); :func:`gzip.decompress` concatenates the members per
-    RFC 1952, so blobs round-trip through the plain ``gzip`` codec too.
-    """
+    framing: Framing
+    #: Strategy split of this instance's last compress call.
+    last_segments: SegmentTally | None = None
 
-    name = "gzip-mt"
-
-    def _compress_block(self, block: memoryview) -> bytes:
-        return gzip.compress(block, compresslevel=self.level, mtime=0)
-
-    def iter_compress(self, data) -> Iterator[bytes]:
-        """Stream the compressed members in order (bounded memory).
+    def iter_compress(self, data, cuts: Sequence[int] | None = None) -> Iterator[bytes]:
+        """Stream header, pieces in order, then the trailer (bounded
+        memory).
 
         Consumers that write straight to storage never hold more than the
         in-flight window of compressed blocks; :meth:`compress` is the
         materialized join of exactly these fragments.
         """
         self._reset_fallback()
-        blocks = self._split(data)
-        if not blocks:
-            # A zero-member stream is not valid gzip; one empty member is.
-            yield gzip.compress(b"", compresslevel=self.level, mtime=0)
-            return
-        yield from self._iter_map_blocks(self._compress_block, blocks)
+        view = byte_view(data)
+        tally = SegmentTally()
+        yield from iter_stream(
+            view,
+            cuts,
+            self.level,
+            self.framing,
+            tally,
+            block_bytes=self.effective_block_bytes(view.nbytes),
+            map_blocks=self._iter_map_blocks,
+        )
+        self.last_segments = tally
 
-    def compress(self, data: bytes) -> bytes:
-        buf = bytearray()
-        for part in self.iter_compress(data):
-            buf += part
-        return bytes(buf)
+    def compress(self, data: bytes, cuts: Sequence[int] | None = None) -> bytes:
+        return b"".join(self.iter_compress(data, cuts))
+
+
+class GzipMTCodec(_SegmentedMTCodec):
+    """Gzip stream written block-parallel, readable by stock gzip.
+
+    Also reads the multi-member streams earlier versions wrote (one member
+    per block): :func:`gzip.decompress` concatenates members per RFC 1952.
+    """
+
+    name = "gzip-mt"
+    framing = GZIP_FRAMING
 
     def decompress(self, data: bytes) -> bytes:
         try:
@@ -334,43 +347,25 @@ class GzipMTCodec(BlockParallelCodec):
             raise DecompressionError(f"corrupt gzip-mt stream: {exc}") from exc
 
 
-class ZlibMTCodec(BlockParallelCodec):
-    """Framed zlib blocks, compressed and decompressed block-parallel.
+class ZlibMTCodec(_SegmentedMTCodec):
+    """zlib stream written block-parallel, readable by stock zlib.
 
-    Unlike ``gzip-mt`` the frame header records block boundaries, so the
-    *inflate* side fans out to threads as well.
+    Also reads the ``RPZM`` frames earlier versions wrote.
     """
 
     name = "zlib-mt"
-
-    def _compress_block(self, block: memoryview) -> bytes:
-        return zlib.compress(block, self.level)
-
-    @staticmethod
-    def _decompress_block(block: memoryview) -> bytes:
-        return zlib.decompress(block)
-
-    def iter_compress(self, data) -> Iterator[bytes]:
-        """Stream the frame header then length-prefixed blocks in order."""
-        self._reset_fallback()
-        blocks = self._split(data)
-        yield _MT_MAGIC + _MT_HEAD.pack(_MT_VERSION) + _MT_COUNT.pack(len(blocks))
-        for payload in self._iter_map_blocks(self._compress_block, blocks):
-            yield _MT_LEN.pack(len(payload)) + payload
-
-    def compress(self, data: bytes) -> bytes:
-        buf = bytearray()
-        for part in self.iter_compress(data):
-            buf += part
-        return bytes(buf)
+    framing = ZLIB_FRAMING
 
     def decompress(self, data: bytes) -> bytes:
-        blob = _byte_view(data)
-        if blob.nbytes < 4 or bytes(blob[:4]) != _MT_MAGIC:
-            raise DecompressionError(
-                "not a zlib-mt stream (bad magic); was this compressed with "
-                "a different backend?"
-            )
+        blob = byte_view(data)
+        if blob[:4] == _MT_MAGIC:
+            return self._decompress_legacy_frames(blob)
+        try:
+            return zlib.decompress(blob)
+        except zlib.error as exc:
+            raise DecompressionError(f"corrupt zlib-mt stream: {exc}") from exc
+
+    def _decompress_legacy_frames(self, blob: memoryview) -> bytes:
         offset = 4
         if blob.nbytes < offset + _MT_HEAD.size + _MT_COUNT.size:
             raise DecompressionError("zlib-mt stream truncated in its header")
@@ -395,13 +390,10 @@ class ZlibMTCodec(BlockParallelCodec):
                 f"{blob.nbytes - offset} trailing bytes after the last zlib-mt block"
             )
         self._reset_fallback()
-        buf = bytearray()
         try:
-            for part in self._iter_map_blocks(self._decompress_block, frames):
-                buf += part
+            return b"".join(self._iter_map_blocks(zlib.decompress, frames))
         except zlib.error as exc:
             raise DecompressionError(f"corrupt zlib-mt block: {exc}") from exc
-        return bytes(buf)
 
 
 register_codec(GzipMTCodec)

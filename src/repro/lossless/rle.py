@@ -29,7 +29,7 @@ class RleCodec(Codec):
     def __init__(self, level: int = 0):
         self.level = level  # accepted for interface uniformity, unused
 
-    def compress(self, data: bytes) -> bytes:
+    def compress(self, data: bytes, cuts=None) -> bytes:
         buf = np.frombuffer(data, dtype=np.uint8)
         if buf.size == 0:
             return _HEADER.pack(0)

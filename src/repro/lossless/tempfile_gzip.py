@@ -52,7 +52,7 @@ class TempfileGzipCodec(Codec):
     def _scratch_path(self, suffix: str) -> str:
         return os.path.join(self.scratch_dir, f"repro-{uuid.uuid4().hex}{suffix}")
 
-    def compress(self, data: bytes) -> bytes:
+    def compress(self, data: bytes, cuts=None) -> bytes:
         raw_path = self._scratch_path(".ckpt")
         gz_path = raw_path + ".gz"
         try:

@@ -13,7 +13,8 @@ from repro.ckpt.manager import (
 )
 from repro.ckpt.manifest import array_key
 from repro.ckpt.protocol import ArrayRegistry
-from repro.ckpt.store import MemoryStore
+from repro.ckpt.journal import commit_key
+from repro.ckpt.store import CountingStore, MemoryStore
 from repro.exceptions import (
     CheckpointError,
     CheckpointNotFoundError,
@@ -176,6 +177,37 @@ class TestRestore:
         manager.checkpoint(1)
         with pytest.raises(CheckpointNotFoundError):
             manager.restore(99)
+
+    def test_explicit_step_restore_never_lists_the_store(self, registry):
+        """restore(step) must cost the same with 3 generations as with
+        3000: it checks the step's own marker and manifest, it does not
+        walk every generation directory."""
+        store = CountingStore(MemoryStore())
+        manager = CheckpointManager(registry, store)
+        for step in (1, 2, 3):
+            manager.checkpoint(step)
+        store.lists = 0
+        manifest = manager.restore(2)
+        assert manifest.step == 2
+        assert store.lists == 0
+
+    @pytest.mark.parametrize("damage", ["absent", "no-marker", "torn-marker"])
+    def test_torn_or_absent_step_is_not_found(self, registry, damage):
+        store = MemoryStore()
+        manager = CheckpointManager(registry, store)
+        manager.checkpoint(1)
+        step = 1
+        if damage == "absent":
+            step = 7
+        elif damage == "no-marker":
+            store.delete(commit_key(1))
+        else:
+            store.put(commit_key(1), store.get(commit_key(1))[:-5])
+        with pytest.raises(
+            CheckpointNotFoundError,
+            match=rf"no committed checkpoint for step {step} \(torn or absent\)",
+        ):
+            manager.restore(step)
 
     def test_corruption_detected(self, manager):
         manager.checkpoint(1)

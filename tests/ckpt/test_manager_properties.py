@@ -47,7 +47,7 @@ def arbitrary_arrays(draw):
 class TestLosslessSerializationProperty:
     @SETTINGS
     @given(arr=arbitrary_arrays(), codec=st.sampled_from(
-        ["zlib", "gzip", "rle", "xor-delta", "shuffle-zlib", "none"]
+        ["zlib", "gzip", "rle", "xor-delta", "none"]
     ))
     def test_bit_exact_any_dtype_any_codec(self, arr, codec):
         out = deserialize_array(serialize_array_lossless(arr, codec))

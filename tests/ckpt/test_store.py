@@ -122,6 +122,7 @@ class TestCountingStore:
         assert store.puts == 2
         assert store.gets == 1
         assert store.deletes == 1
+        assert store.lists == 1
         assert store.bytes_written == 6
         assert store.bytes_read == 4
 

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core import container
 from repro.exceptions import FormatError, IntegrityError
+from repro.lossless import NullCodec
 
 
 HEADER = {"shape": [4, 2], "dtype": "float64", "n": 7}
@@ -104,6 +106,79 @@ class TestBody:
     def test_blob_shorter_than_magic(self, n_bytes):
         with pytest.raises(FormatError, match="too short"):
             container.read_body(b"\x52" * n_bytes)
+
+
+class TestBytePlanes:
+    """Sections handed in as 2/4/8-byte items are stored plane by plane;
+    nothing outside the container can tell."""
+
+    @pytest.mark.parametrize(
+        "dtype,width",
+        [("u1", 1), ("i2", 2), ("<u2", 2), ("f4", 4), ("i4", 4), ("f8", 8), ("u8", 8), ("c16", 1)],
+    )
+    @pytest.mark.parametrize("n_items", [0, 1, 5, 257])
+    def test_typed_sections_roundtrip(self, dtype, width, n_items):
+        arr = (np.arange(n_items) * 37 % 251).astype(dtype)
+        body = container.write_body(HEADER, {"typed": arr, "raw": b"tail"})
+        header, sections = container.read_body(body)
+        assert header == HEADER
+        assert sections == {"typed": arr.tobytes(), "raw": b"tail"}
+        stored = bytes(body)
+        if width > 1 and n_items > 1:
+            planes = arr.view(np.uint8).reshape(n_items, width).T.tobytes()
+            assert planes in stored and arr.tobytes() not in stored
+        else:
+            assert arr.tobytes() in stored
+
+    def test_multidimensional_and_strided_arrays(self):
+        arr = np.arange(60, dtype=np.float64).reshape(5, 12)
+        for payload in (arr, arr[:, ::2], np.asfortranarray(arr)):
+            _, sections = container.read_body(container.write_body({}, {"a": payload}))
+            assert sections["a"] == payload.tobytes()
+
+    def test_cuts_mark_every_section_and_plane_start(self):
+        values = np.linspace(0.0, 1.0, 10)  # 8 planes of 10 bytes
+        indices = np.arange(6, dtype=np.uint16)  # 2 planes of 6 bytes
+        body = container.write_body(
+            {}, {"bitmap": b"\x0f" * 3, "empty": b"", "values": values, "indices": indices}
+        )
+        raw = bytes(body)
+        bitmap_at = raw.index(b"\x0f\x0f\x0f")
+        values_at = raw.index(values.view(np.uint8).reshape(10, 8).T.tobytes())
+        indices_at = raw.index(indices.view(np.uint8).reshape(6, 2).T.tobytes())
+        assert body.cuts == (
+            bitmap_at,
+            *range(values_at, values_at + 80, 10),
+            indices_at, indices_at + 6,
+        )
+        assert isinstance(body, bytearray) and body.cuts[-1] < len(body)
+
+    def test_wrap_envelope_passes_the_cuts_down(self, monkeypatch):
+        seen = []
+
+        class Spy(NullCodec):
+            def compress(self, data, cuts=None):
+                seen.append(cuts)
+                return super().compress(data)
+
+        monkeypatch.setattr(container, "get_codec", lambda *a, **k: Spy())
+        body = container.write_body({}, {"v": np.arange(4, dtype=np.float32)})
+        container.wrap_envelope(body, "none")
+        container.wrap_envelope(bytes(body), "none")  # plain bytes carry no hint
+        assert seen == [body.cuts, None] and len(body.cuts) == 4
+
+    def test_layout_of_an_enveloped_blob(self):
+        body = container.write_body(
+            HEADER, {"values": np.zeros(3), "idx": np.zeros(3, np.uint16), "b": b"x"}
+        )
+        blob = container.wrap_envelope(body, "gzip")
+        assert container.peek_header(blob) == HEADER
+        inflated, backend = container.unwrap_envelope(blob)
+        assert backend == "gzip" and inflated == body
+        assert container.body_layout(inflated) == {
+            "container_version": 2,
+            "plane_widths": {"values": 8, "idx": 2},
+        }
 
 
 class TestEnvelope:

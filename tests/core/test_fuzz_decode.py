@@ -13,20 +13,25 @@ from __future__ import annotations
 
 import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
 
 from repro import CompressionConfig, WaveletCompressor
+from repro.ckpt.manager import deserialize_array, serialize_array_lossless
 from repro.core.chunked import chunked_compress, chunked_decompress, inspect_chunked
 from repro.core.container import (
+    BODY_MAGIC,
     peek_header,
     read_body,
     unwrap_envelope,
     wrap_envelope,
     write_body,
 )
-from repro.exceptions import DecompressionError
+from repro.exceptions import DecompressionError, FormatError, IntegrityError
+
+from .test_format_stability import GOLDEN_BLOB_B64, golden_v1_blob
 
 SEED = 20260806
 
@@ -111,6 +116,38 @@ class TestPipelineCorpus:
             )
 
 
+class TestPlaneSectionCorpora:
+    """The same matrices over blobs whose sections are stored as byte
+    planes of every width (8: rawvals/averages, 2: uint16 indices, 4:
+    lossless float32 data), and over a version-1 blob, which must keep
+    failing just as cleanly as it keeps decoding."""
+
+    def _corpus(self, decode, blob, seed, n=300):
+        expected = decode(blob)
+        rng = np.random.default_rng(seed)
+        outcomes = {"ok": 0, "rejected": 0}
+        for label, mutated in _mutations(blob, rng, n):
+            outcomes[_assert_taxonomy(decode, mutated, expected, label)] += 1
+        assert outcomes["rejected"] > 0
+
+    def test_uint16_index_planes(self):
+        rng = np.random.default_rng(SEED + 10)
+        arr = np.cumsum(rng.standard_normal((32, 24)), axis=0) * 30.0
+        config = CompressionConfig(quantizer="bounded", error_bound=0.05, levels=1)
+        blob = WaveletCompressor(config).compress(arr)
+        assert peek_header(blob)["index_dtype"] == "uint16"
+        self._corpus(WaveletCompressor.decompress, blob, SEED + 11)
+
+    def test_lossless_float32_planes(self):
+        rng = np.random.default_rng(SEED + 12)
+        arr = np.cumsum(rng.standard_normal((40, 9)), axis=0).astype(np.float32)
+        blob = serialize_array_lossless(arr, "gzip")
+        self._corpus(deserialize_array, blob, SEED + 13)
+
+    def test_version_1_blob(self):
+        self._corpus(WaveletCompressor.decompress, golden_v1_blob(GOLDEN_BLOB_B64), SEED + 14)
+
+
 class TestChunkedCorpus:
     def test_seeded_corpus(self, chunked_blob):
         arr, blob = chunked_blob
@@ -177,16 +214,13 @@ class TestCraftedContainers:
         return wrap_envelope(bytes(write_body(header, sections)), "zlib")
 
     def test_non_dict_json_header(self):
-        body = bytearray(write_body({}, {"payload": b"1234"}))
         # splice a JSON array in place of the header object
         raw = bytes(write_body({"x": 1}, {}))
-        lie = json.dumps([1, 2, 3]).encode()
-        good = json.dumps({"x": 1}, sort_keys=True).encode()
-        assert good in raw
-        forged = raw.replace(good, lie[: len(good)].ljust(len(good), b" "))
-        with pytest.raises(DecompressionError):
+        (hdr_len,) = struct.unpack_from("<I", raw, 6)
+        lie = json.dumps([1, 2, 3]).encode().ljust(hdr_len, b" ")
+        forged = raw[:10] + lie + raw[10 + hdr_len :]
+        with pytest.raises(DecompressionError, match="JSON object"):
             read_body(forged)
-        del body
 
     def test_header_length_lies(self):
         raw = bytes(write_body({"k": "v"}, {"s": b"abcd"}))
@@ -246,11 +280,105 @@ class TestCraftedContainers:
                     f"{label}: peek_header leaked {type(exc).__name__}: {exc}"
                 ) from exc
 
+    # -- the version-2 plane table ---------------------------------------------
+
+    @staticmethod
+    def _forge(version, header, sections) -> bytes:
+        """A body with exactly these header fields and stored payloads
+        (correct CRCs), whatever the writer would have made of them."""
+        hdr = json.dumps(header, sort_keys=True).encode()
+        out = [BODY_MAGIC, struct.pack("<HI", version, len(hdr)), hdr]
+        out.append(struct.pack("<I", len(sections)))
+        for name, stored in sections.items():
+            out.append(struct.pack("<B", len(name)) + name.encode("ascii"))
+            out.append(struct.pack("<QI", len(stored), zlib.crc32(stored)))
+            out.append(stored)
+        return b"".join(out)
+
+    def test_forged_body_matches_the_writer(self):
+        values = np.arange(6, dtype=np.float64)
+        written = bytes(write_body({"k": 1}, {"v": values, "b": b"xyz"}))
+        stored = values.view(np.uint8).reshape(6, 8).T.tobytes()
+        forged = self._forge(2, {"k": 1, "planes": {"v": 8}}, {"v": stored, "b": b"xyz"})
+        assert forged == written
+        header, sections = read_body(forged)
+        assert header == {"k": 1}  # the table never reaches the caller
+        assert sections == {"v": values.tobytes(), "b": b"xyz"}
+
+    @pytest.mark.parametrize(
+        "width", [0, 1, 3, 16, -8, "8", 8.0, True, None, [8]],
+        ids=lambda w: f"width={w!r}",
+    )
+    def test_plane_width_outside_2_4_8(self, width):
+        forged = self._forge(2, {"planes": {"v": width}}, {"v": bytes(16)})
+        with pytest.raises(FormatError, match="plane width"):
+            read_body(forged)
+
+    @pytest.mark.parametrize("width,nbytes", [(2, 7), (4, 10), (8, 12), (8, 1)])
+    def test_section_not_a_whole_number_of_items(self, width, nbytes):
+        forged = self._forge(2, {"planes": {"v": width}}, {"v": bytes(nbytes)})
+        with pytest.raises(FormatError, match="whole number"):
+            read_body(forged)
+
+    def test_plane_table_names_unknown_section(self):
+        forged = self._forge(2, {"planes": {"ghost": 8}}, {"v": bytes(16)})
+        with pytest.raises(FormatError, match="ghost"):
+            read_body(forged)
+
+    @pytest.mark.parametrize("table", [None, [], "rawvals", 8], ids=repr)
+    def test_version_2_without_a_table(self, table):
+        header = {} if table is None else {"planes": table}
+        with pytest.raises(FormatError, match="plane table"):
+            read_body(self._forge(2, header, {"v": bytes(16)}))
+
+    def test_plane_table_in_a_version_1_body(self):
+        # decoding a v1 writer's doubles as planes would be silent garbage
+        forged = self._forge(1, {"planes": {"v": 8}}, {"v": bytes(16)})
+        with pytest.raises(FormatError, match="version-1"):
+            read_body(forged)
+        assert read_body(self._forge(1, {}, {"v": bytes(16)}))[1] == {"v": bytes(16)}
+
+    def test_unknown_version_is_loud(self):
+        """What a pre-plane reader does with today's bodies, and what this
+        reader does with tomorrow's: refuse by version, never reinterpret."""
+        with pytest.raises(FormatError, match="unsupported container version 3"):
+            read_body(self._forge(3, {"planes": {}}, {}))
+
+    def test_crc_covers_the_stored_planes(self):
+        values = np.linspace(0.0, 1.0, 64)
+        raw = bytearray(write_body({}, {"v": values}))
+        raw[-5] ^= 0x10
+        with pytest.raises(IntegrityError, match="CRC mismatch"):
+            read_body(bytes(raw))
+
+    def test_writer_refuses_the_reserved_header_key(self):
+        with pytest.raises(FormatError, match="reserved"):
+            write_body({"planes": {}}, {})
+
+    def test_misaligned_typed_section_rejected_end_to_end(self):
+        """The pipeline-level twin of the table checks: a v2 blob whose
+        float64 section lost a byte dies as FormatError at read_body,
+        before any reshape could raise a raw ValueError."""
+        arr = np.cumsum(np.random.default_rng(SEED + 7).standard_normal((16, 8)), axis=0)
+        body, backend = unwrap_envelope(WaveletCompressor().compress(arr))
+        version, hdr_len = struct.unpack_from("<HI", body, 4)
+        assert version == 2
+        header = json.loads(body[10 : 10 + hdr_len])
+        _, sections = read_body(body)
+        stored = {
+            name: np.frombuffer(data, np.uint8)
+            .reshape(-1, header["planes"].get(name, 1)).T.tobytes()
+            for name, data in sections.items()
+        }
+        assert self._forge(2, header, stored) == bytes(body)
+        stored["rawvals"] = stored["rawvals"][:-1]
+        forged = wrap_envelope(self._forge(2, header, stored), backend)
+        with pytest.raises(FormatError, match="whole number"):
+            WaveletCompressor.decompress(forged)
+
     def test_frombuffer_misaligned_section_rejected(self):
         """A body whose section byte-length is not a whole number of items
         must be a FormatError, not a raw numpy ValueError."""
-        from repro.exceptions import FormatError
-
         arr = np.cumsum(np.random.default_rng(SEED + 6).standard_normal((16, 8)), axis=0)
         blob = WaveletCompressor().compress(arr)
         body, backend = unwrap_envelope(blob)

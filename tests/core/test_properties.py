@@ -139,13 +139,40 @@ class TestContainerProperties:
             max_size=5,
         ),
         header=st.dictionaries(
-            st.text(max_size=10), st.integers(-1000, 1000), max_size=5
+            # "planes" is the container's own key (it refuses it)
+            st.text(max_size=10).filter(lambda k: k != "planes"),
+            st.integers(-1000, 1000),
+            max_size=5,
         ),
     )
     def test_body_roundtrip(self, sections, header):
         body = container.write_body(header, sections)
         h, s = container.read_body(body)
         assert h == header and s == sections
+
+    @SETTINGS
+    @given(
+        arrays=st.dictionaries(
+            st.sampled_from(["a", "b", "c", "d"]),
+            st.sampled_from(["u1", "i2", "u2", "f4", "i4", "f8", "i8"]).flatmap(
+                lambda dt: hnp.arrays(
+                    dt,
+                    st.integers(0, 70),  # empty and 1-element sections included
+                    elements=st.integers(0, 100),
+                )
+            ),
+            max_size=4,
+        ),
+        backend=st.sampled_from(["zlib", "gzip", "zlib-mt", "gzip-mt", "none"]),
+    )
+    def test_typed_sections_roundtrip_through_the_envelope(self, arrays, backend):
+        """Whatever item width a section has, and however the backend cuts
+        the body up, the caller gets its bytes back in item order."""
+        body = container.write_body({"k": 1}, arrays)
+        blob = container.wrap_envelope(body, backend, threads=2, block_bytes=64)
+        h, s = container.read_body(container.unwrap_envelope(blob)[0])
+        assert h == {"k": 1}
+        assert s == {name: arr.tobytes() for name, arr in arrays.items()}
 
     @SETTINGS
     @given(payload=st.binary(max_size=2000), backend=st.sampled_from(
@@ -158,6 +185,36 @@ class TestContainerProperties:
 
 
 class TestPipelineProperties:
+    @SETTINGS
+    @given(
+        shape=st.lists(st.integers(0, 9), min_size=1, max_size=3).map(tuple),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        quantizer=st.sampled_from(["simple", "proposed", "bounded", "none"]),
+        backend=st.sampled_from(["gzip", "zlib", "gzip-mt", "zlib-mt"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_roundtrip_every_dtype_quantizer_backend(
+        self, shape, dtype, quantizer, backend, seed
+    ):
+        """Empty arrays, single elements, zero-length sections (quantizer
+        "none" leaves no indices/averages): every combination decodes to
+        the same array through every deflate backend."""
+        arr = np.random.default_rng(seed).normal(0.0, 50.0, shape).astype(dtype)
+        knobs = {"error_bound": 0.5} if quantizer == "bounded" else {"n_bins": 8}
+        config = CompressionConfig(
+            quantizer=quantizer, backend=backend, backend_threads=2,
+            backend_block_bytes=128, **knobs,
+        )
+        blob = WaveletCompressor(config).compress(arr)
+        out = WaveletCompressor.decompress(blob)
+        assert out.shape == arr.shape and out.dtype == arr.dtype
+        reference = WaveletCompressor.decompress(
+            WaveletCompressor(config.replace(backend="none")).compress(arr)
+        )
+        assert out.tobytes() == reference.tobytes()
+        if quantizer == "none":
+            np.testing.assert_allclose(out, arr, rtol=1e-5, atol=1e-4)
+
     @SETTINGS
     @given(
         arr=float_arrays(),

@@ -105,11 +105,24 @@ class TestGzipMTCompatibility:
         blob = GzipMTCodec(threads=4, block_bytes=3_000).compress(BODY)
         assert GzipCodec().decompress(blob) == BODY
 
-    def test_single_block_when_body_fits(self):
-        blob = GzipMTCodec(block_bytes=1 << 22).compress(BODY)
-        # Exactly one member: a second b"\x1f\x8b" magic never appears at
-        # a member boundary (members start right after the previous CRC).
-        assert gzip.decompress(blob) == BODY
+    def test_one_member_however_many_blocks(self):
+        """Blocks are stitched into a single gzip member: the first
+        member's trailer (CRC32 + length of the *whole* body) ends the
+        stream."""
+        blob = GzipMTCodec(threads=4, block_bytes=1_000).compress(BODY)
+        inflater = zlib.decompressobj(wbits=31)
+        assert inflater.decompress(blob) == BODY
+        assert inflater.eof and inflater.unused_data == b""
+        assert blob[-8:] == struct.pack("<II", zlib.crc32(BODY), len(BODY))
+
+    def test_decodes_legacy_multi_member_stream(self):
+        """Before format 2 every block was its own member; those blobs
+        are still in stores."""
+        legacy = b"".join(
+            gzip.compress(BODY[i : i + 3_000], mtime=0)
+            for i in range(0, len(BODY), 3_000)
+        )
+        assert GzipMTCodec().decompress(legacy) == BODY
 
     def test_empty_input_is_valid_gzip(self):
         blob = GzipMTCodec().compress(b"")
@@ -131,57 +144,90 @@ class TestGzipMTCompatibility:
             GzipMTCodec().decompress(b"plainly not gzip")
 
 
-class TestZlibMTFraming:
-    def test_magic(self):
-        blob = ZlibMTCodec().compress(BODY)
-        assert blob[:4] == b"RPZM"
+def legacy_zlib_mt_frames(body: bytes, block_bytes: int) -> bytes:
+    """What ``zlib-mt`` wrote before format 2: b"RPZM" | u8 version |
+    u32 n_blocks, then u64 length + zlib stream per block."""
+    blocks = [body[i : i + block_bytes] for i in range(0, len(body), block_bytes)]
+    out = [b"RPZM", struct.pack("<BI", 1, len(blocks))]
+    for block in blocks:
+        payload = zlib.compress(block, 6)
+        out.append(struct.pack("<Q", len(payload)) + payload)
+    return b"".join(out)
 
-    def test_bad_magic(self):
-        with pytest.raises(DecompressionError, match="magic"):
-            ZlibMTCodec().decompress(b"XXXX" + b"\x01" + bytes(4))
 
-    def test_plain_zlib_rejected(self):
-        with pytest.raises(DecompressionError, match="magic"):
-            ZlibMTCodec().decompress(zlib.compress(BODY))
+class TestZlibMTCompatibility:
+    def test_stock_zlib_decompress(self):
+        blob = ZlibMTCodec(threads=4, block_bytes=3_000).compress(BODY)
+        assert zlib.decompress(blob) == BODY
+        assert blob[-4:] == struct.pack(">I", zlib.adler32(BODY))
+
+    def test_plain_zlib_codec_decodes(self):
+        blob = ZlibMTCodec(threads=4, block_bytes=3_000).compress(BODY)
+        assert get_codec("zlib").decompress(blob) == BODY
+
+    def test_decodes_stock_zlib_output(self):
+        assert ZlibMTCodec().decompress(zlib.compress(BODY)) == BODY
+
+    def test_empty_input_is_valid_zlib(self):
+        assert zlib.decompress(ZlibMTCodec().compress(b"")) == b""
+
+    def test_corrupt_stream(self):
+        blob = bytearray(ZlibMTCodec(block_bytes=2_000).compress(BODY))
+        blob[len(blob) // 2] ^= 0xFF
+        with pytest.raises(DecompressionError, match="zlib-mt"):
+            ZlibMTCodec().decompress(bytes(blob))
+
+    def test_not_zlib_at_all(self):
+        with pytest.raises(DecompressionError, match="zlib-mt"):
+            ZlibMTCodec().decompress(b"plainly not zlib")
+
+
+class TestLegacyZlibMTFrames:
+    """The RPZM frame is decode-only now; every way it can be damaged
+    still has to surface as a DecompressionError."""
+
+    def test_roundtrip(self):
+        assert ZlibMTCodec().decompress(legacy_zlib_mt_frames(BODY, 2_000)) == BODY
+        assert ZlibMTCodec().decompress(legacy_zlib_mt_frames(b"", 2_000)) == b""
+
+    def test_frames_still_inflate_on_the_pool(self, monkeypatch):
+        """The frame records block boundaries, so blobs already in stores
+        keep their block-parallel restore."""
+        fanned_out = []
+        inner = ZlibMTCodec._iter_map_blocks
+
+        def spy(self, fn, blocks):
+            fanned_out.append(len(blocks))
+            return inner(self, fn, blocks)
+
+        monkeypatch.setattr(ZlibMTCodec, "_iter_map_blocks", spy)
+        blob = legacy_zlib_mt_frames(BODY, 2_000)
+        assert ZlibMTCodec(threads=4).decompress(blob) == BODY
+        assert fanned_out == [-(-len(BODY) // 2_000)]
 
     def test_truncated_header(self):
-        blob = ZlibMTCodec().compress(BODY)
         with pytest.raises(DecompressionError, match="truncated"):
-            ZlibMTCodec().decompress(blob[:6])
+            ZlibMTCodec().decompress(legacy_zlib_mt_frames(BODY, 2_000)[:6])
 
     def test_unsupported_version(self):
-        blob = bytearray(ZlibMTCodec().compress(BODY))
+        blob = bytearray(legacy_zlib_mt_frames(BODY, 2_000))
         blob[4] = 99
         with pytest.raises(DecompressionError, match="version 99"):
             ZlibMTCodec().decompress(bytes(blob))
 
     def test_truncated_before_block(self):
-        codec = ZlibMTCodec(block_bytes=2_000)
-        blob = codec.compress(BODY)
         with pytest.raises(DecompressionError, match="truncated"):
-            codec.decompress(blob[:-1])
+            ZlibMTCodec().decompress(legacy_zlib_mt_frames(BODY, 2_000)[:-1])
 
     def test_trailing_garbage(self):
-        blob = ZlibMTCodec().compress(BODY)
         with pytest.raises(DecompressionError, match="trailing"):
-            ZlibMTCodec().decompress(blob + b"junk")
+            ZlibMTCodec().decompress(legacy_zlib_mt_frames(BODY, 2_000) + b"junk")
 
     def test_corrupt_block_payload(self):
-        blob = bytearray(ZlibMTCodec(block_bytes=2_000).compress(BODY))
+        blob = bytearray(legacy_zlib_mt_frames(BODY, 2_000))
         blob[-3] ^= 0xFF  # inside the last zlib stream
         with pytest.raises(DecompressionError, match="zlib-mt"):
             ZlibMTCodec().decompress(bytes(blob))
-
-    def test_block_count_matches_split(self):
-        codec = ZlibMTCodec(block_bytes=1_000)
-        blob = codec.compress(BODY)
-        (n_blocks,) = struct.unpack_from("<I", blob, 5)
-        assert n_blocks == -(-len(BODY) // 1_000)
-
-    def test_empty_input_zero_blocks(self):
-        blob = ZlibMTCodec().compress(b"")
-        (n_blocks,) = struct.unpack_from("<I", blob, 5)
-        assert n_blocks == 0
 
 
 class TestBufferProtocolInputs:
@@ -385,13 +431,10 @@ class TestAutoBlockTuning:
             assert len(sizes) == 1
 
     def test_auto_block_off_restores_fixed_split(self):
-        import struct as _struct
-
         codec = ZlibMTCodec(block_bytes=1 << 20, auto_block=False)
-        body = bytes(3 << 20)
-        blob = codec.compress(body)
-        (n_blocks,) = _struct.unpack_from("<I", blob, 5)
-        assert n_blocks == 3
+        assert codec.effective_block_bytes(3 << 20) == 1 << 20
+        codec.compress(bytes(3 << 20))
+        assert codec.last_segments.attrs()["lz77_segments"] == 3
 
     @pytest.mark.parametrize("cls", MT_CLASSES, ids=MT_IDS)
     def test_auto_block_roundtrip_multiblock(self, cls):

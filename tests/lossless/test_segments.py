@@ -1,0 +1,389 @@
+"""Tests for the segmented, content-adaptive deflate behind gzip/zlib(-mt)."""
+
+from __future__ import annotations
+
+import gzip
+import hashlib
+import os
+import subprocess
+import sys
+import zlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import repro
+from repro.lossless import get_codec
+from repro.lossless.segments import (
+    HUFFMAN,
+    LZ77,
+    MIN_SEGMENT_BYTES,
+    PROBE_BYTES,
+    PROBE_STRIDE_BYTES,
+    WINDOW_BYTES,
+    SegmentTally,
+    deflate_segment,
+    plan_segments,
+)
+from repro.obs.metrics import get_registry
+
+DEFLATE_FAMILY = ["gzip", "zlib", "gzip-mt", "zlib-mt"]
+STOCK_INFLATE = {
+    "gzip": gzip.decompress,
+    "gzip-mt": gzip.decompress,
+    "zlib": zlib.decompress,
+    "zlib-mt": zlib.decompress,
+}
+
+RNG = np.random.default_rng(20260926)
+#: skewed histogram, no repeats: Huffman beats LZ77 (a quantized index stream)
+HUFFMAN_FRIENDLY = RNG.normal(0.0, 9.0, 60_000).astype(np.int8).tobytes()
+#: long repeats: LZ77 wins by a mile
+LZ77_FRIENDLY = (b"checkpoint generation " * 4_000)[:60_000]
+INCOMPRESSIBLE = RNG.bytes(30_000)
+
+
+def inflate_raw(pieces: bytes) -> bytes:
+    """Inflate flushed (not finished) raw-deflate pieces: append the final
+    empty block that would end their stream."""
+    return zlib.decompress(pieces + b"\x03\x00", wbits=-zlib.MAX_WBITS)
+
+
+class TestPlanSegments:
+    def test_no_cuts_is_one_segment(self):
+        assert plan_segments(10_000) == [(0, 10_000)]
+        assert plan_segments(10_000, []) == [(0, 10_000)]
+
+    def test_empty_body_is_one_empty_segment(self):
+        """There is always a last segment to end the stream."""
+        assert plan_segments(0) == [(0, 0)]
+        assert plan_segments(0, [0, 5], max_bytes=64) == [(0, 0)]
+
+    def test_cuts_become_boundaries(self):
+        assert plan_segments(10_000, [2_000, 6_000]) == [
+            (0, 2_000), (2_000, 6_000), (6_000, 10_000),
+        ]
+
+    def test_order_and_duplicates_do_not_matter(self):
+        assert plan_segments(10_000, [6_000, 2_000, 6_000]) == plan_segments(
+            10_000, [2_000, 6_000]
+        )
+
+    def test_short_segments_are_merged_forward(self):
+        """Eight 128-byte planes of an averages table become one segment;
+        the seam before the next big section survives."""
+        cuts = [4_000 + 128 * k for k in range(8)] + [4_000 + 1_024]
+        assert plan_segments(20_000, cuts) == [
+            (0, 4_000), (4_000, 5_024), (5_024, 20_000),
+        ]
+
+    def test_short_head_and_tail_are_absorbed(self):
+        n = 10_000
+        assert plan_segments(n, [10, n - 10]) == [(0, n)]
+        assert plan_segments(n, [MIN_SEGMENT_BYTES, n - MIN_SEGMENT_BYTES]) == [
+            (0, MIN_SEGMENT_BYTES),
+            (MIN_SEGMENT_BYTES, n - MIN_SEGMENT_BYTES),
+            (n - MIN_SEGMENT_BYTES, n),
+        ]
+
+    def test_offsets_outside_the_body_are_ignored(self):
+        assert plan_segments(5_000, [-3, 0, 5_000, 9_999]) == [(0, 5_000)]
+
+    def test_max_bytes_splits_long_segments_only(self):
+        assert plan_segments(10_000, [3_000], max_bytes=4_000) == [
+            (0, 3_000), (3_000, 7_000), (7_000, 10_000),
+        ]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        nbytes=st.integers(0, 50_000),
+        cuts=st.lists(st.integers(-10, 60_000), max_size=30),
+        max_bytes=st.one_of(st.none(), st.integers(1, 20_000)),
+    )
+    def test_segments_tile_the_body(self, nbytes, cuts, max_bytes):
+        spans = plan_segments(nbytes, cuts, max_bytes)
+        edges = [0] + [end for _, end in spans]
+        assert [start for start, _ in spans] == edges[:-1] and edges[-1] == nbytes
+        assert all(end > start for start, end in spans) or spans == [(0, 0)]
+        if max_bytes:
+            assert all(e - s <= max_bytes for s, e in spans)
+
+
+class TestStrategyChoice:
+    def _code(self, data: bytes, level: int = 6):
+        tally = SegmentTally()
+        piece = deflate_segment(memoryview(data), level, tally)
+        assert inflate_raw(piece) == data
+        return piece, tally.attrs()
+
+    def test_index_stream_goes_huffman_only(self):
+        piece, split = self._code(HUFFMAN_FRIENDLY)
+        assert split["huffman_segments"] == 1 and split["lz77_segments"] == 0
+        assert split["huffman_in_bytes"] == len(HUFFMAN_FRIENDLY)
+        assert split["huffman_out_bytes"] == len(piece)
+        # and it really is the smaller coding of this segment
+        assert len(piece) < len(zlib.compress(HUFFMAN_FRIENDLY, 6))
+
+    def test_repetitive_stream_keeps_lz77(self):
+        piece, split = self._code(LZ77_FRIENDLY)
+        assert split["lz77_segments"] == 1 and split["huffman_segments"] == 0
+        assert len(piece) < len(LZ77_FRIENDLY) // 50
+
+    def test_incompressible_tie_goes_to_the_cheaper_strategy(self):
+        _piece, split = self._code(INCOMPRESSIBLE)
+        assert split["huffman_segments"] == 1
+
+    @pytest.mark.parametrize("nbytes", [0, 1, 7, 100, PROBE_BYTES - 1, PROBE_BYTES])
+    @pytest.mark.parametrize("source", [HUFFMAN_FRIENDLY, LZ77_FRIENDLY])
+    def test_segment_shorter_than_the_probe_ships_the_smaller_coding(
+        self, nbytes, source
+    ):
+        """No estimate involved: the whole segment was coded both ways."""
+        data = source[:nbytes]
+        piece, _ = self._code(data)
+        both = [
+            c.compress(data) + c.flush(zlib.Z_FULL_FLUSH)
+            for c in (
+                zlib.compressobj(6, zlib.DEFLATED, -15, 8, strategy)
+                for strategy in (zlib.Z_DEFAULT_STRATEGY, zlib.Z_HUFFMAN_ONLY)
+            )
+        ]
+        assert len(piece) == min(map(len, both))
+
+    @pytest.mark.parametrize("level", [0, 1, 9])
+    def test_every_level_roundtrips(self, level):
+        for data in (HUFFMAN_FRIENDLY, LZ77_FRIENDLY, INCOMPRESSIBLE, b""):
+            self._code(data, level)
+
+    def test_final_segment_ends_the_stream(self):
+        piece = deflate_segment(memoryview(LZ77_FRIENDLY), 6, SegmentTally(), final=True)
+        assert zlib.decompress(piece, wbits=-zlib.MAX_WBITS) == LZ77_FRIENDLY
+
+    def test_one_lz77_segment_costs_what_plain_zlib_costs(self):
+        """Temporal deltas and other uncut bodies pay nothing for the
+        machinery: same bytes as ``zlib.compress``."""
+        for backend in ("zlib", "zlib-mt"):
+            assert get_codec(backend).compress(LZ77_FRIENDLY) == zlib.compress(
+                LZ77_FRIENDLY, 6
+            )
+
+    def test_choice_is_a_pure_function_of_bytes_and_level(self):
+        first = self._code(HUFFMAN_FRIENDLY + LZ77_FRIENDLY)
+        assert self._code(bytearray(HUFFMAN_FRIENDLY + LZ77_FRIENDLY)) == first
+
+
+class TestProbeSeesWhatTheRealPassSees:
+    """The probe slice is a few KiB, deflate's window is 32 KiB: LZ77 must
+    be judged with that window behind the slice, or every array whose rows
+    repeat further apart than the slice ships Huffman-only at 10-80x the
+    size.  Bound: within 5 % of stock ``zlib.compress`` (one LZ77 pass)."""
+
+    @staticmethod
+    def _rows(period: int, repeats: int) -> bytes:
+        return np.random.default_rng(period).bytes(period) * repeats
+
+    @pytest.mark.parametrize(
+        "period", [PROBE_BYTES + 1, 4_097, 6_000, 8_192, 20_000, WINDOW_BYTES - 300]
+    )
+    @pytest.mark.parametrize("backend", DEFLATE_FAMILY)
+    def test_flat_body_with_far_repeats(self, backend, period):
+        body = self._rows(period, 2_000_000 // period)
+        codec = get_codec(backend, threads=2)
+        blob = codec.compress(body)
+        assert STOCK_INFLATE[backend](blob) == body
+        # the threaded codecs start every block without history, as they
+        # always did: their yardstick is stock zlib over the same blocks
+        step = codec.effective_block_bytes(len(body)) if "-mt" in backend else len(body)
+        stock = sum(
+            len(zlib.compress(body[i : i + step], 6)) for i in range(0, len(body), step)
+        )
+        assert len(blob) <= 1.05 * stock
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int32, np.float64])
+    @pytest.mark.parametrize("backend", ["gzip", "zlib"])
+    def test_byte_plane_body_with_far_repeats(self, backend, dtype):
+        """Rows of 6000 items repeat 6000 bytes apart in every plane."""
+        from repro.ckpt.manager import deserialize_array, serialize_array_lossless
+
+        row = np.frombuffer(
+            np.random.default_rng(5).bytes(6_000 * np.dtype(dtype).itemsize), dtype
+        )
+        arr = np.tile(row, (200, 1))
+        blob = serialize_array_lossless(arr, backend)
+        assert np.array_equal(
+            deserialize_array(blob).view(np.uint8), arr.view(np.uint8)
+        )
+        assert len(blob) <= 1.05 * len(zlib.compress(arr.tobytes(), 6))
+        assert len(blob) < arr.nbytes // 10
+
+    def test_segment_that_changes_character_is_probed_all_along(self):
+        """Noise, then repeating rows, in one uncut segment: a single
+        mid-segment slice would see only one of the two."""
+        noise = np.random.default_rng(8).bytes(3 * PROBE_STRIDE_BYTES)
+        for body in (
+            noise + self._rows(8_192, 64),
+            self._rows(8_192, 64) + noise,
+            noise + self._rows(8_192, 64) + noise,
+        ):
+            blob = get_codec("zlib").compress(body)
+            assert zlib.decompress(blob) == body
+            assert len(blob) <= 1.05 * len(zlib.compress(body, 6))
+
+    def test_far_repeats_beyond_the_window_are_nobodys_to_find(self):
+        """Stock deflate cannot reach them either: still Huffman-only, and
+        no larger than the stock stream."""
+        body = self._rows(WINDOW_BYTES + 5_000, 30)
+        codec = get_codec("zlib")
+        blob = codec.compress(body)
+        assert codec.last_segments.attrs()["lz77_segments"] == 0
+        assert len(blob) <= len(zlib.compress(body, 6))
+
+
+BODIES = {
+    "all-huffman": (HUFFMAN_FRIENDLY, [20_000, 40_000]),
+    "all-lz77": (LZ77_FRIENDLY, [20_000, 40_000]),
+    "single-segment": (HUFFMAN_FRIENDLY + LZ77_FRIENDLY, None),
+    "mixed": (
+        LZ77_FRIENDLY + HUFFMAN_FRIENDLY + INCOMPRESSIBLE + LZ77_FRIENDLY[:5_000],
+        [60_000, 120_000, 150_000],
+    ),
+    "segments-shorter-than-the-probe": (
+        HUFFMAN_FRIENDLY[:1_800] + LZ77_FRIENDLY[:2_000] + INCOMPRESSIBLE[:1_500],
+        [1_800, 3_800],
+    ),
+    "empty": (b"", [0]),
+    "one-byte": (b"x", None),
+}
+
+
+@pytest.mark.parametrize("backend", DEFLATE_FAMILY)
+@pytest.mark.parametrize("body_id", sorted(BODIES))
+class TestOneStandardStream:
+    def test_stock_library_inflates_it(self, backend, body_id):
+        body, cuts = BODIES[body_id]
+        codec = get_codec(backend, threads=2, block_bytes=16_384)
+        blob = codec.compress(body, cuts)
+        assert STOCK_INFLATE[backend](blob) == body
+        assert codec.decompress(blob) == body
+
+    def test_strategy_split_matches_the_body(self, backend, body_id):
+        body, cuts = BODIES[body_id]
+        codec = get_codec(backend, threads=2, block_bytes=1 << 20)
+        codec.compress(body, cuts)
+        split = codec.last_segments.attrs()
+        assert split["lz77_in_bytes"] + split["huffman_in_bytes"] == len(body)
+        if body_id == "all-huffman":
+            assert split["lz77_segments"] == 0 and split["huffman_segments"] == 3
+        if body_id == "all-lz77":
+            assert split["huffman_segments"] == 0 and split["lz77_segments"] == 3
+        if body_id == "single-segment":
+            assert split["lz77_segments"] + split["huffman_segments"] == 1
+        if body_id == "mixed":
+            assert split["lz77_segments"] == 2 and split["huffman_segments"] == 2
+
+
+class TestCutsAreOnlyAHint:
+    def test_mixed_body_is_smaller_and_decodes_the_same(self):
+        body, cuts = BODIES["mixed"]
+        codec = get_codec("zlib")
+        with_cuts, without = codec.compress(body, cuts), codec.compress(body)
+        assert zlib.decompress(with_cuts) == zlib.decompress(without) == body
+        assert len(with_cuts) < len(without)
+
+    @pytest.mark.parametrize("backend", ["none", "rle", "xor-delta", "zstd", "lz4"])
+    def test_other_codecs_ignore_them(self, backend):
+        body, cuts = BODIES["mixed"]
+        codec = get_codec(backend)
+        assert codec.compress(body, cuts) == codec.compress(body)
+        assert b"".join(codec.iter_compress(body, cuts)) == codec.compress(body)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.binary(max_size=20_000),
+        cuts=st.lists(st.integers(0, 21_000), max_size=12),
+        backend=st.sampled_from(DEFLATE_FAMILY),
+        level=st.sampled_from([0, 1, 6, 9]),
+    )
+    def test_any_cuts_any_data_roundtrip(self, data, cuts, backend, level):
+        codec = get_codec(backend, level=level, threads=2, block_bytes=4_096)
+        blob = codec.compress(data, cuts)
+        assert STOCK_INFLATE[backend](blob) == data
+        assert b"".join(codec.iter_compress(data, cuts)) == blob
+
+
+class TestDeterminism:
+    @pytest.mark.parametrize("backend", ["gzip-mt", "zlib-mt"])
+    @pytest.mark.parametrize("block_bytes", [4_096, 1 << 20])
+    def test_bytes_identical_across_thread_counts(self, backend, block_bytes):
+        body, cuts = BODIES["mixed"]
+        blobs = {
+            get_codec(backend, threads=t, block_bytes=block_bytes).compress(body, cuts)
+            for t in (1, 2, 4)
+        }
+        assert len(blobs) == 1
+
+    def test_mt_and_serial_agree_when_nothing_is_split(self):
+        """Same segments, same per-segment coder: with the block size above
+        every segment the threaded codecs emit the serial codecs' bytes."""
+        body, cuts = BODIES["mixed"]
+        for serial, threaded in (("gzip", "gzip-mt"), ("zlib", "zlib-mt")):
+            assert get_codec(threaded, threads=4).compress(body, cuts) == get_codec(
+                serial
+            ).compress(body, cuts)
+
+    def test_bytes_identical_across_interpreter_processes(self):
+        """The probe reads no clock, no hash seed, no thread count: a
+        second interpreter (different PYTHONHASHSEED) emits the same
+        checkpoint bytes."""
+        script = (
+            "import hashlib, numpy as np\n"
+            "from repro import CompressionConfig, WaveletCompressor\n"
+            "x = np.arange(96 * 64, dtype=np.float64).reshape(96, 64)\n"
+            "arr = np.sin(x * 0.013) * 50 + np.cos(x * x * 1e-5) * 7\n"
+            "h = hashlib.sha256()\n"
+            "for backend in ('gzip', 'zlib', 'gzip-mt', 'zlib-mt'):\n"
+            "    cfg = CompressionConfig(backend=backend, backend_threads=2, n_bins=64)\n"
+            "    h.update(WaveletCompressor(cfg).compress(arr))\n"
+            "print(h.hexdigest())\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        digests = set()
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed}
+            out = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, timeout=120, check=True,
+            )
+            digests.add(out.stdout.strip())
+        assert len(digests) == 1
+        assert len(next(iter(digests))) == hashlib.sha256().digest_size * 2
+
+
+class TestObservability:
+    def test_counter_families_split_by_strategy(self):
+        registry = get_registry()
+
+        def snapshot():
+            return {
+                (name, strategy): registry.counter(name, strategy=strategy).value
+                for name in (
+                    "lossless.segments",
+                    "lossless.segment_in_bytes",
+                    "lossless.segment_out_bytes",
+                )
+                for strategy in (LZ77, HUFFMAN)
+            }
+
+        before = snapshot()
+        body, cuts = BODIES["mixed"]
+        codec = get_codec("gzip")
+        blob = codec.compress(body, cuts)
+        delta = {k: v - before[k] for k, v in snapshot().items()}
+        split = codec.last_segments.attrs()
+        for strategy in (LZ77, HUFFMAN):
+            assert delta[("lossless.segments", strategy)] == split[f"{strategy}_segments"]
+            assert delta[("lossless.segment_in_bytes", strategy)] == split[f"{strategy}_in_bytes"]
+            assert delta[("lossless.segment_out_bytes", strategy)] == split[f"{strategy}_out_bytes"]
+        pieces = split["lz77_out_bytes"] + split["huffman_out_bytes"]
+        assert pieces == len(blob) - 10 - 8  # gzip header, trailer

@@ -77,6 +77,27 @@ class TestPipelineSpans:
         assert all(b.parent_id == backend.span_id for b in blocks)
         assert all(b.attrs["codec"] == "gzip-mt" for b in blocks)
 
+    @pytest.mark.parametrize("backend", ["gzip", "zlib", "gzip-mt", "zlib-mt"])
+    def test_backend_span_says_which_strategy_coded_what(self, smooth2d, backend):
+        """What codec and why: the deflate family's LZ77 / Huffman-only
+        split of the body is on the pipeline's ``backend`` span."""
+        tracer = get_tracer()
+        tracer.enable()
+        config = CompressionConfig(backend=backend, backend_threads=2)
+        _blob, stats = WaveletCompressor(config).compress_with_stats(smooth2d)
+        (span,) = _by_name(tracer.spans, "backend")
+        attrs = span.attrs
+        assert attrs["lz77_segments"] + attrs["huffman_segments"] >= 1
+        assert attrs["lz77_in_bytes"] + attrs["huffman_in_bytes"] == stats.formatted_bytes
+        assert 0 < attrs["lz77_out_bytes"] + attrs["huffman_out_bytes"] < stats.compressed_bytes
+
+    def test_other_backends_report_no_strategy_split(self, smooth2d):
+        tracer = get_tracer()
+        tracer.enable()
+        WaveletCompressor(CompressionConfig(backend="rle")).compress(smooth2d)
+        (span,) = _by_name(tracer.spans, "backend")
+        assert "lz77_segments" not in span.attrs
+
     def test_disabled_tracer_records_nothing_but_stats_still_timed(self, smooth2d):
         tracer = get_tracer()
         assert not tracer.enabled
