@@ -78,6 +78,7 @@ from .temporal import (
     TemporalEngine,
     chain_closure,
     decode_delta,
+    filter_label,
 )
 
 __all__ = [
@@ -89,6 +90,8 @@ __all__ = [
 
 _LOSSLESS_KIND = "lossless-array"
 _FLOAT_DTYPES = (np.float32, np.float64)
+#: Manifest codecs whose blob is one self-describing pipeline blob.
+_PIPELINE_CODECS = ("wavelet-lossy", CODEC_KEYFRAME)
 
 
 @dataclass(frozen=True)
@@ -140,11 +143,20 @@ def serialize_array_lossless(
     )
 
 
-def deserialize_array(blob: bytes) -> np.ndarray:
+def deserialize_array(blob: bytes, codec: str | None = None) -> np.ndarray:
     """Decode a blob written by the lossy pipeline, the chunked container
-    or :func:`serialize_array_lossless` (dispatch on magic / header)."""
+    or :func:`serialize_array_lossless`.
+
+    ``codec`` is the manifest's codec name for the blob, when the caller
+    has one: a pipeline blob then goes straight to its decoder and every
+    blob is inflated and parsed once.  Without it the kind is read off the
+    magic and the container header, which costs pipeline blobs a second
+    inflate.
+    """
     if blob[:4] == CHUNK_MAGIC:
         return chunked_decompress(blob)
+    if codec in _PIPELINE_CODECS:
+        return WaveletCompressor.decompress(blob)
     body, _backend = container.unwrap_envelope(blob)
     header, sections = container.read_body(body)
     if header.get("kind") == _LOSSLESS_KIND:
@@ -338,12 +350,15 @@ class CheckpointManager:
             if e.codec in (CODEC_DELTA, CODEC_KEYFRAME)
         }
 
-    def _seed_temporal_engine(self, step: int, arrays: Mapping[str, np.ndarray]) -> None:
-        """Point the temporal predictor at committed generation ``step``."""
+    def _seed_temporal_engine(
+        self, manifest: CheckpointManifest, arrays: Mapping[str, np.ndarray]
+    ) -> None:
+        """Point the temporal predictor at the committed generation
+        ``manifest`` describes (``arrays`` is that generation, decoded)."""
         assert self._temporal_engine is not None
-        chain = self._temporal_chain_indices(self.read_manifest(step))
+        chain = self._temporal_chain_indices(manifest)
         self._temporal_engine.seed(
-            step, {n: arrays[n] for n in chain if n in arrays}, chain
+            manifest.step, {n: arrays[n] for n in chain if n in arrays}, chain
         )
         self._temporal_seeded = True
 
@@ -361,7 +376,10 @@ class CheckpointManager:
         latest = self.latest_step()
         if latest is None:
             return
-        self._seed_temporal_engine(latest, self.load_arrays(latest))
+        manifest = self.read_manifest(latest)
+        self._seed_temporal_engine(
+            manifest, self.load_arrays(latest, manifest=manifest)
+        )
 
     # -- write ---------------------------------------------------------------
 
@@ -448,6 +466,12 @@ class CheckpointManager:
                             temporal_reason=encoded.reason,
                             chain_index=encoded.chain_index,
                         )
+                        if encoded.filter is not None:
+                            sp_arr.set(filter=filter_label(encoded.filter))
+                            get_registry().counter(
+                                "ckpt.temporal.filter",
+                                kind=encoded.filter["kind"],
+                            ).inc()
                     elif mode == "lossy":
                         try:
                             if (
@@ -774,7 +798,11 @@ class CheckpointManager:
             raise self._corruption(step, name, bad[name])
 
     def _decode_temporal_chain(
-        self, step: int, entry: ArrayEntry, blob: bytes
+        self,
+        step: int,
+        entry: ArrayEntry,
+        blob: bytes,
+        manifests: dict[int, CheckpointManifest],
     ) -> np.ndarray:
         """Reconstruct a temporal-delta array by replaying its chain.
 
@@ -782,7 +810,9 @@ class CheckpointManager:
         nearest keyframe, CRC-verifying every ancestor blob, then replays
         the deltas forward.  Any missing or damaged link raises a pointed
         :class:`~repro.exceptions.CorruptionError` naming the broken
-        generation.
+        generation.  ``manifests`` holds the ancestor manifests read so
+        far for the generation being restored: its arrays share their
+        chains, so each ancestor is read once, not once per array.
         """
         name = entry.name
         chain: list[bytes] = [blob]
@@ -802,14 +832,17 @@ class CheckpointManager:
                     f"loops back to generation {base_step}"
                 )
             visited.add(base_step)
-            try:
-                base_manifest = self.read_manifest(base_step)
-            except CheckpointNotFoundError as exc:
-                raise CorruptionError(
-                    f"temporal chain of array {name!r} at checkpoint {step} "
-                    f"is broken: base generation {base_step} is missing "
-                    f"(pruned or never committed)"
-                ) from exc
+            base_manifest = manifests.get(base_step)
+            if base_manifest is None:
+                try:
+                    base_manifest = self.read_manifest(base_step)
+                except CheckpointNotFoundError as exc:
+                    raise CorruptionError(
+                        f"temporal chain of array {name!r} at checkpoint "
+                        f"{step} is broken: base generation {base_step} is "
+                        f"missing (pruned or never committed)"
+                    ) from exc
+                manifests[base_step] = base_manifest
             try:
                 base_entry = base_manifest.entry(name)
             except KeyError as exc:
@@ -826,7 +859,7 @@ class CheckpointManager:
                 chain.append(base_blob)
                 params = base_entry.codec_params
                 continue
-            current = deserialize_array(base_blob)
+            current = deserialize_array(base_blob, base_entry.codec)
             break
         for delta_blob in reversed(chain):
             current = decode_delta(delta_blob, current)
@@ -854,16 +887,17 @@ class CheckpointManager:
             repair = bool(manifest.parity)
         blobs = self._collect_verified_blobs(step, manifest, repair=repair)
         arrays: dict[str, np.ndarray] = {}
+        ancestors: dict[int, CheckpointManifest] = {}
         for entry in manifest.entries:
             with tracer.span(
                 "ckpt.array_load", array=entry.name, codec=entry.codec
             ):
                 if entry.codec == CODEC_DELTA:
                     arr = self._decode_temporal_chain(
-                        step, entry, blobs[entry.name]
+                        step, entry, blobs[entry.name], ancestors
                     )
                 else:
-                    arr = deserialize_array(blobs[entry.name])
+                    arr = deserialize_array(blobs[entry.name], entry.codec)
             if tuple(arr.shape) != entry.shape:
                 raise RestoreError(
                     f"array {entry.name!r} decoded to shape {arr.shape}, "
@@ -893,7 +927,7 @@ class CheckpointManager:
         if self._temporal_engine is not None:
             # The application rewound: future deltas must predict from the
             # generation it actually resumed, not from a later write.
-            self._seed_temporal_engine(step, arrays)
+            self._seed_temporal_engine(manifest, arrays)
         get_registry().counter("ckpt.restores").inc()
         return manifest
 

@@ -32,6 +32,20 @@ when any of these trips:
 * ``inflation``: the encoded delta would be at least as large as the raw
   array.
 
+Residual filter
+---------------
+The residual indices are still a smooth field in *space*, which a
+zeroth-order entropy coder cannot see.  Before they reach the container
+they may therefore pass a lossless spatial filter -- the first difference
+along one axis, in wrapping arithmetic of the index dtype (the Lorenzo
+predictor of SZ, PAPERS.md, cut down to one neighbour) -- after which the
+deflate stage's per-segment probe settles on Huffman-only coding by
+itself.  :func:`choose_filter` picks the axis (or none) per array from an
+entropy estimate over a fixed sample of the indices; the choice is
+recorded in the blob header and :func:`decode_delta` undoes it before
+prediction, so reconstructions are bit-for-bit those of the unfiltered
+path.  DESIGN.md section 13 has the measurements.
+
 Crash consistency
 -----------------
 :meth:`TemporalEngine.encode` never mutates committed predictor state; it
@@ -69,10 +83,12 @@ __all__ = [
     "DELTA_KIND",
     "CODEC_DELTA",
     "CODEC_KEYFRAME",
+    "FILTER_NONE",
     "EncodedGeneration",
     "TemporalEngine",
+    "choose_filter",
     "decode_delta",
-    "delta_base_step",
+    "filter_label",
     "predict",
 ]
 
@@ -84,6 +100,25 @@ CODEC_DELTA = "temporal-delta"
 CODEC_KEYFRAME = "temporal-keyframe"
 
 _INDEX_DTYPES = (np.dtype(np.int8), np.dtype(np.int16), np.dtype(np.int32))
+
+#: Section holding the residual indices as quantized.
+_SEC_INDICES = "indices"
+#: Section holding them after the spatial filter.  A different name, so a
+#: reader that predates the filter fails loudly ("missing its indices
+#: section") instead of reconstructing from differences.
+_SEC_FILTERED = "filtered"
+_FILTER_DELTA = "delta"
+#: The ``filter`` record of an unfiltered delta (manifest, spans; a blob
+#: header simply has no ``filter`` key).
+FILTER_NONE: dict[str, Any] = {"kind": "none"}
+
+#: :func:`choose_filter` estimates on this many runs of this many
+#: consecutive (C-order) indices, spread evenly over the array.
+_SAMPLE_RUNS = 64
+_SAMPLE_RUN_ITEMS = 128
+#: A filter must lower the estimate by more than this share to be worth
+#: its undo on every restore (and to stay clear of sampling noise).
+_FILTER_MIN_GAIN = 1.0 / 16.0
 
 
 def predict(prev_recon: np.ndarray, config: TemporalConfig) -> np.ndarray:
@@ -108,6 +143,99 @@ def _index_dtype_for(max_abs_index: float) -> np.dtype | None:
     return None
 
 
+def _coded_bits(sample: np.ndarray) -> float:
+    """Bits a Huffman coder needs for ``sample`` as the container stores
+    it: per byte plane, the zeroth-order entropy of its histogram, but
+    never under the one bit per symbol a Huffman code cannot go below."""
+    planes = sample.view(np.uint8).reshape(sample.size, sample.dtype.itemsize)
+    bits = 0.0
+    for k in range(planes.shape[1]):
+        counts = np.bincount(planes[:, k], minlength=256)
+        counts = counts[counts > 0]
+        entropy = float((counts * np.log2(sample.size / counts)).sum())
+        bits += max(entropy, float(sample.size))
+    return bits
+
+
+def choose_filter(q: np.ndarray) -> int | None:
+    """The axis whose first difference codes ``q`` smallest, or None.
+
+    Every candidate is costed by :func:`_coded_bits` on the same sample:
+    ``_SAMPLE_RUNS`` runs of ``_SAMPLE_RUN_ITEMS`` consecutive indices,
+    evenly spaced from the first to the last element (all of ``q`` when it
+    is no longer than that), each taken exactly as the filter would store
+    it.  Unfiltered wins unless an axis beats it by ``_FILTER_MIN_GAIN``;
+    among axes the lowest estimate, then the lowest axis.  A pure function
+    of ``q``: the emitted blob is reproducible across runs and processes.
+    """
+    flat = q.reshape(-1)
+    n = flat.size
+    sample_items = _SAMPLE_RUNS * _SAMPLE_RUN_ITEMS
+    position_dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    if n <= sample_items:
+        pos = np.arange(n, dtype=position_dtype)
+    else:
+        starts = np.arange(_SAMPLE_RUNS) * (n - _SAMPLE_RUN_ITEMS) // (_SAMPLE_RUNS - 1)
+        pos = (starts[:, None] + np.arange(_SAMPLE_RUN_ITEMS)).ravel()
+        pos = pos.astype(position_dtype)
+    here = flat[pos]
+    unfiltered = _coded_bits(here)
+    best, best_axis = unfiltered * (1.0 - _FILTER_MIN_GAIN), None
+    stride = n
+    for axis, length in enumerate(q.shape):
+        if length < 2:
+            continue  # nothing to difference (also keeps stride off 0 // 0)
+        stride //= length
+        # the first item along the axis is stored as is
+        has_neighbour = (pos // position_dtype(stride)) % position_dtype(length) > 0
+        filtered = here.copy()
+        filtered[has_neighbour] -= flat[pos[has_neighbour] - stride]
+        bits = _coded_bits(filtered)
+        if bits < best:
+            best, best_axis = bits, axis
+    return best_axis
+
+
+def _apply_filter(q: np.ndarray, axis: int) -> np.ndarray:
+    """First difference of ``q`` along ``axis`` in the wrapping arithmetic
+    of its dtype; the first item along the axis stays."""
+    lead = (slice(None),) * axis
+    out = q.copy()
+    np.subtract(
+        q[lead + (slice(1, None),)],
+        q[lead + (slice(None, -1),)],
+        out=out[lead + (slice(1, None),)],
+    )
+    return out
+
+
+def _undo_filter(filtered: np.ndarray, axis: int) -> np.ndarray:
+    """Inverse of :func:`_apply_filter`: a running sum in the same
+    wrapping arithmetic, so every wrap of the forward pass wraps back."""
+    return np.add.accumulate(filtered, axis=axis, dtype=filtered.dtype)
+
+
+def filter_label(spec: dict[str, Any]) -> str:
+    """A ``filter`` record as one word: ``"none"``, ``"delta:0"``."""
+    return spec["kind"] if "axis" not in spec else f"{spec['kind']}:{spec['axis']}"
+
+
+def _filter_axis(header: dict[str, Any], ndim: int) -> int | None:
+    """The axis a delta header says to undo (None: unfiltered blob)."""
+    spec = header.get("filter")
+    if spec is None:
+        return None
+    if not isinstance(spec, dict) or spec.get("kind") != _FILTER_DELTA:
+        raise FormatError(f"temporal delta names an unknown filter: {spec!r}")
+    axis = spec.get("axis")
+    if type(axis) is not int or not 0 <= axis < ndim:
+        raise FormatError(
+            f"temporal delta filter axis must be an int in [0, {ndim}), "
+            f"got {axis!r}"
+        )
+    return axis
+
+
 @dataclass(frozen=True)
 class EncodedGeneration:
     """What the engine produced for one array of one generation."""
@@ -120,6 +248,9 @@ class EncodedGeneration:
     reason: str  # why this kind was chosen (e.g. "delta", "chain-limit")
     chain_index: int  # 0 for keyframes, links since keyframe otherwise
     max_error: float  # measured |x - recon| over the array
+    #: residual filter of a delta (``FILTER_NONE`` or ``{"kind": "delta",
+    #: "axis": k}``); None for keyframes, which hold no residual
+    filter: dict[str, Any] | None = None
 
     @property
     def is_keyframe(self) -> bool:
@@ -132,12 +263,15 @@ def _encode_delta(
     base_step: int,
     chain_index: int,
     config: TemporalConfig,
-) -> tuple[bytes, np.ndarray, str, float] | tuple[None, None, str, float]:
+) -> (
+    tuple[bytes, np.ndarray, str, float, dict[str, Any]]
+    | tuple[None, None, str, float, None]
+):
     """Try to encode ``arr`` as a residual against ``prev_recon``.
 
-    Returns ``(blob, recon, "delta", max_error)`` on success, or
-    ``(None, None, fallback_reason, max_error)`` when a keyframe must be
-    written instead.
+    Returns ``(blob, recon, "delta", max_error, filter)`` on success, or
+    ``(None, None, fallback_reason, max_error, None)`` when a keyframe
+    must be written instead.
     """
     eb = float(config.error_bound)
     pred = predict(prev_recon, config)
@@ -146,7 +280,7 @@ def _encode_delta(
     max_q = float(np.abs(q).max()) if q.size else 0.0
     index_dtype = _index_dtype_for(max_q)
     if index_dtype is None:
-        return None, None, "overflow", float("inf")
+        return None, None, "overflow", float("inf"), None
     recon = (pred + q * (2.0 * eb)).astype(arr.dtype)
     max_error = (
         float(np.abs(arr.astype(np.float64) - recon.astype(np.float64)).max())
@@ -154,7 +288,7 @@ def _encode_delta(
         else 0.0
     )
     if max_error > eb * (1.0 + config.drift_slack):
-        return None, None, "drift", max_error
+        return None, None, "drift", max_error, None
     header = {
         "kind": DELTA_KIND,
         "shape": list(arr.shape),
@@ -166,24 +300,19 @@ def _encode_delta(
         "error_bound": eb,
         "index_dtype": index_dtype.str,
     }
-    body = container.write_body(
-        header, {"indices": np.ascontiguousarray(q.astype(index_dtype))}
-    )
+    indices = q.astype(index_dtype)
+    axis = choose_filter(indices)
+    if axis is None:
+        spec = dict(FILTER_NONE)  # lands in a manifest: never the shared one
+        sections = {_SEC_INDICES: indices}
+    else:
+        spec = header["filter"] = {"kind": _FILTER_DELTA, "axis": axis}
+        sections = {_SEC_FILTERED: _apply_filter(indices, axis)}
+    body = container.write_body(header, sections)
     blob = container.wrap_envelope(body, config.codec, config.codec_level)
     if len(blob) >= arr.nbytes:
-        return None, None, "inflation", max_error
-    return blob, recon, "delta", max_error
-
-
-def delta_base_step(blob: bytes) -> int:
-    """The generation a delta blob predicts from (header peek)."""
-    body, _ = container.unwrap_envelope(blob)
-    header, _ = container.read_body(body)
-    if header.get("kind") != DELTA_KIND:
-        raise FormatError(
-            f"not a temporal delta blob (kind={header.get('kind')!r})"
-        )
-    return int(header["base_step"])
+        return None, None, "inflation", max_error, None
+    return blob, recon, "delta", max_error, spec
 
 
 def decode_delta(blob: bytes, prev_recon: np.ndarray) -> np.ndarray:
@@ -212,8 +341,13 @@ def decode_delta(blob: bytes, prev_recon: np.ndarray) -> np.ndarray:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"temporal delta header is malformed: {exc}") from exc
-    if "indices" not in sections:
-        raise FormatError("temporal delta blob is missing its indices section")
+    axis = _filter_axis(header, len(shape))
+    section = _SEC_INDICES if axis is None else _SEC_FILTERED
+    if section not in sections:
+        raise FormatError(
+            f"temporal delta blob is missing its {section} section "
+            f"(holds {sorted(sections)})"
+        )
     prev = np.asarray(prev_recon)
     if tuple(prev.shape) != shape:
         raise FormatError(
@@ -221,7 +355,7 @@ def decode_delta(blob: bytes, prev_recon: np.ndarray) -> np.ndarray:
             f"previous generation decoded to {tuple(prev.shape)}"
         )
     try:
-        q = np.frombuffer(sections["indices"], dtype=index_dtype)
+        q = np.frombuffer(sections[section], dtype=index_dtype)
     except ValueError as exc:
         raise FormatError(
             f"temporal delta indices are not a whole number of "
@@ -235,8 +369,11 @@ def decode_delta(blob: bytes, prev_recon: np.ndarray) -> np.ndarray:
             f"temporal delta holds {q.size} indices, shape {shape} needs "
             f"{expected}"
         )
+    q = q.reshape(shape)
+    if axis is not None:
+        q = _undo_filter(q, axis)
     pred = predict(prev, config)
-    recon = pred + q.reshape(shape).astype(np.float64) * (2.0 * eb)
+    recon = pred + q.astype(np.float64) * (2.0 * eb)
     return recon.astype(dtype)
 
 
@@ -295,7 +432,7 @@ class TemporalEngine:
                 "the lossy pipeline's finite-data domain"
             )
         prev = self._state.get(name)
-        blob = recon = None
+        blob = recon = spec = None
         max_error = 0.0
         if prev is None:
             reason = "initial"
@@ -305,7 +442,7 @@ class TemporalEngine:
             reason = "chain-limit"
         else:
             base_step, base_chain, prev_recon = prev
-            blob, recon, reason, max_error = _encode_delta(
+            blob, recon, reason, max_error, spec = _encode_delta(
                 a, prev_recon, base_step, base_chain + 1, self.config
             )
         if blob is not None:
@@ -317,11 +454,12 @@ class TemporalEngine:
                 "error_bound": float(self.config.error_bound),
                 "predictor": self.config.predictor,
                 "lowband_levels": int(self.config.lowband_levels),
+                "filter": spec,
             }
             encoded = EncodedGeneration(
                 name=name, step=int(step), codec=CODEC_DELTA, params=params,
                 blob=blob, reason=reason, chain_index=chain_index,
-                max_error=max_error,
+                max_error=max_error, filter=spec,
             )
         else:
             blob = self._keyframe_compressor.compress(a)

@@ -699,9 +699,15 @@ def _cmd_decompress(args: argparse.Namespace) -> int:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
+    from .ckpt.temporal import DELTA_KIND, FILTER_NONE
+
     with open(args.input, "rb") as fh:
         blob = fh.read()
-    print(json.dumps(inspect_blob(blob), indent=2, sort_keys=True))
+    info = inspect_blob(blob)
+    if info.get("kind") == DELTA_KIND:
+        # an unfiltered delta carries no "filter" key; say so in words
+        info.setdefault("filter", FILTER_NONE)
+    print(json.dumps(info, indent=2, sort_keys=True))
     return 0
 
 

@@ -243,6 +243,77 @@ class TestRestore:
         np.testing.assert_array_equal(registry.get("counter"), before["counter"])
 
 
+def _count_calls(monkeypatch, owner, name: str) -> list[tuple]:
+    """Wrap ``owner.name`` so every call is appended to the returned list."""
+    calls: list[tuple] = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    wrapped = staticmethod(counting) if isinstance(
+        vars(owner).get(name), staticmethod
+    ) else counting
+    monkeypatch.setattr(owner, name, wrapped)
+    return calls
+
+
+class TestRestoreDecodesEveryBlobOnce:
+    """A restore knows every blob's codec from the manifest, so nothing is
+    inflated to find out what it is: one inflate, one parse per blob."""
+
+    LOSSY = ("pressure", "temperature", "wind_u", "wind_v", "wind_w")
+    LOSSLESS = ("modulator", "step")
+
+    @pytest.fixture
+    def climate_like(self, smooth3d):
+        """The benchmark's ``lib_independent`` layout: five lossy float
+        arrays, two lossless ones."""
+        reg = ArrayRegistry()
+        for i, name in enumerate(self.LOSSY):
+            reg.register(name, smooth3d + i)
+        reg.register("modulator", np.arange(3.0))
+        reg.register("step", np.array([41], dtype=np.int64))
+        manager = CheckpointManager(
+            reg, MemoryStore(), policy={n: "lossless" for n in self.LOSSLESS}
+        )
+        manager.checkpoint(1)
+        return manager
+
+    def test_one_inflate_and_one_parse_per_blob(self, climate_like, monkeypatch):
+        from repro.core import container
+        from repro.core.pipeline import WaveletCompressor
+        from repro.lossless.zlib_codec import GzipCodec, ZlibCodec
+
+        gzip_inflates = _count_calls(monkeypatch, GzipCodec, "decompress")
+        zlib_inflates = _count_calls(monkeypatch, ZlibCodec, "decompress")
+        unwraps = _count_calls(monkeypatch, container, "unwrap_envelope")
+        parses = _count_calls(monkeypatch, container, "read_body")
+        pipeline = _count_calls(monkeypatch, WaveletCompressor, "decompress")
+        climate_like.restore(1)
+        n_blobs = len(self.LOSSY) + len(self.LOSSLESS)
+        assert len(gzip_inflates) + len(zlib_inflates) == n_blobs  # was 12
+        assert len(unwraps) + len(parses) == 2 * n_blobs  # was 24
+        # lossy blobs still go through the pipeline's own entry point
+        assert len(pipeline) == len(self.LOSSY)
+
+    def test_external_callers_keep_the_header_peek(self, climate_like):
+        """``codec=None``: the kind comes from the blob itself."""
+        store = climate_like.store
+        manifest = climate_like.read_manifest(1)
+        for entry in manifest.entries:
+            blob = store.get(array_key(1, entry.name))
+            np.testing.assert_array_equal(
+                deserialize_array(blob), deserialize_array(blob, entry.codec)
+            )
+
+    def test_codec_that_contradicts_the_blob_is_a_typed_error(self, climate_like):
+        blob = climate_like.store.get(array_key(1, "step"))
+        with pytest.raises(FormatError):
+            deserialize_array(blob, "wavelet-lossy")
+
+
 class TestBackendThreadPlumbing:
     def test_constructor_overrides_config(self, registry):
         mgr = CheckpointManager(

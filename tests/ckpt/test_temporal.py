@@ -14,9 +14,18 @@ The claims under test:
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from repro.ckpt import temporal
 from repro.ckpt.faults import (
     CRASH_MODES,
     CrashInjectingStore,
@@ -24,19 +33,21 @@ from repro.ckpt.faults import (
     CrashPoint,
 )
 from repro.ckpt.manager import CheckpointManager, deserialize_array
-from repro.ckpt.manifest import array_key
+from repro.ckpt.manifest import MANIFEST_FILENAME, array_key
 from repro.ckpt.protocol import ArrayRegistry
 from repro.ckpt.recovery import recover
 from repro.ckpt.store import CountingStore, MemoryStore
 from repro.ckpt.temporal import (
     CODEC_DELTA,
     CODEC_KEYFRAME,
+    FILTER_NONE,
     TemporalEngine,
     chain_closure,
+    choose_filter,
     decode_delta,
-    delta_base_step,
     predict,
 )
+from repro.core import container
 from repro.config import TemporalConfig
 from repro.exceptions import (
     CheckpointError,
@@ -296,15 +307,9 @@ class TestDeltaFormat:
         base = eng.committed_recon("f")
         return eng.encode("f", steps[1], 1).blob, base, steps[1]
 
-    def test_delta_base_step_peeks_the_header(self):
-        blob, _, _ = self._delta()
-        assert delta_base_step(blob) == 0
-
     def test_keyframe_blob_is_not_a_delta(self):
         eng = _engine()
         kf = eng.encode("f", np.cumsum(np.ones(16)), 0)
-        with pytest.raises(FormatError, match="not a temporal delta"):
-            delta_base_step(kf.blob)
         with pytest.raises(FormatError, match="not a temporal delta"):
             decode_delta(kf.blob, np.zeros(16))
 
@@ -317,6 +322,183 @@ class TestDeltaFormat:
         blob, base, orig = self._delta(predictor="lowband")
         recon = decode_delta(blob, base)
         assert np.abs(orig - recon).max() <= EB * (1 + 1e-6)
+
+
+# -- residual filter ------------------------------------------------------------
+
+
+def _loop_filter(q: np.ndarray, axis: int) -> np.ndarray:
+    """Reference: the first difference item by item in Python ints,
+    wrapped into the dtype's range by hand."""
+    info = np.iinfo(q.dtype)
+    lo, span = int(info.min), int(info.max) - int(info.min) + 1
+    out = q.copy()
+    for idx in np.ndindex(q.shape):
+        if idx[axis]:
+            before = idx[:axis] + (idx[axis] - 1,) + idx[axis + 1 :]
+            out[idx] = (int(q[idx]) - int(q[before]) - lo) % span + lo
+    return out
+
+
+@st.composite
+def _indices_and_axis(draw, *, lowest_is_min: bool):
+    """An index array of 1 to 4 axes (length-1 axes included) whose values
+    crowd the ends of the dtype's range, and an axis to filter along."""
+    dtype = np.dtype(draw(st.sampled_from([np.int8, np.int16, np.int32])))
+    shape = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=4)))
+    info = np.iinfo(dtype)
+    lo = int(info.min) if lowest_is_min else -int(info.max)
+    hi = int(info.max)
+    elements = st.one_of(
+        st.sampled_from([lo, lo + 1, -1, 0, 1, hi - 1, hi]), st.integers(lo, hi)
+    )
+    q = draw(hnp.arrays(dtype, shape, elements=elements))
+    return q, draw(st.integers(0, len(shape) - 1))
+
+
+class TestResidualFilter:
+    @given(_indices_and_axis(lowest_is_min=True))
+    def test_filter_matches_the_loop_and_undoes_exactly(self, case):
+        q, axis = case
+        filtered = temporal._apply_filter(q, axis)
+        assert filtered.dtype == q.dtype  # the width never grows
+        np.testing.assert_array_equal(filtered, _loop_filter(q, axis))
+        restored = temporal._undo_filter(filtered, axis)
+        assert restored.dtype == q.dtype
+        np.testing.assert_array_equal(restored, q)
+
+    def test_wrap_boundary_by_hand(self):
+        q = np.array([127, -128, 127, 0], dtype=np.int8)
+        filtered = temporal._apply_filter(q, 0)
+        np.testing.assert_array_equal(filtered, np.array([127, 1, -1, -127], np.int8))
+        np.testing.assert_array_equal(temporal._undo_filter(filtered, 0), q)
+
+    @settings(deadline=None, max_examples=60)
+    @given(_indices_and_axis(lowest_is_min=False), st.data())
+    def test_filtered_blob_decodes_like_the_unfiltered_path(self, case, data):
+        """Whatever the indices, dtype and axis: a filtered blob decodes,
+        bit for bit, to what the same residual stored unfiltered decodes
+        to -- and to what the encoder staged."""
+        q, axis = case
+        # the encoder sizes the dtype by the largest |index|: pin it, with
+        # the two ends of the range side by side
+        flat = q.reshape(-1).copy()
+        flat[0] = np.iinfo(q.dtype).max
+        if flat.size > 1:
+            flat[1] = -np.iinfo(q.dtype).max
+        q = flat.reshape(q.shape)
+        # enough items that the header does not make the delta inflate
+        grow = data.draw(st.integers(0, q.ndim - 1))
+        q = np.concatenate([q] * -(-160 // q.size), axis=grow)
+        # 2 * eb == 1 and a zero prediction: the residual index *is* the value
+        config = TemporalConfig(error_bound=0.5)
+        prev = np.zeros(q.shape)
+        arr = q.astype(np.float64)
+        with mock.patch.object(temporal, "choose_filter", return_value=axis):
+            blob, recon, reason, _err, spec = temporal._encode_delta(
+                arr, prev, 0, 1, config
+            )
+        with mock.patch.object(temporal, "choose_filter", return_value=None):
+            plain, plain_recon, _reason, _err, plain_spec = temporal._encode_delta(
+                arr, prev, 0, 1, config
+            )
+        assert reason == "delta" and blob is not None and plain is not None
+        assert spec == {"kind": "delta", "axis": axis} and plain_spec == FILTER_NONE
+        header, sections = container.read_body(container.unwrap_envelope(blob)[0])
+        assert header["filter"] == spec and list(sections) == ["filtered"]
+        assert header["index_dtype"] == q.dtype.str
+        plain_header, plain_sections = container.read_body(
+            container.unwrap_envelope(plain)[0]
+        )
+        assert "filter" not in plain_header and list(plain_sections) == ["indices"]
+        decoded = decode_delta(blob, prev)
+        assert decoded.tobytes() == decode_delta(plain, prev).tobytes()
+        assert decoded.tobytes() == recon.tobytes() == plain_recon.tobytes()
+        assert decoded.tobytes() == arr.tobytes()
+
+
+def _smooth_indices(dtype=np.int8, shape=(64, 48)) -> np.ndarray:
+    """Indices that vary smoothly down axis 0 and jump from column to
+    column: only the axis-0 difference is small."""
+    scale = np.iinfo(dtype).max / 3
+    wave = np.sin(np.arange(shape[0]) / 9.0)[:, None]
+    jumps = np.random.default_rng(2).uniform(-1, 1, shape[1])[None, :]
+    return np.rint(scale * (wave + jumps)).astype(dtype)
+
+
+class TestFilterChoice:
+    def test_smooth_residual_is_differenced_along_its_smooth_axis(self):
+        assert choose_filter(_smooth_indices()) == 0
+        assert choose_filter(_smooth_indices().T.copy()) == 1
+        assert choose_filter(_smooth_indices(np.int16)) == 0
+
+    def test_white_noise_keeps_none(self):
+        rng = np.random.default_rng(5)
+        for dtype, spread in ((np.int8, 40), (np.int8, 127), (np.int16, 3000)):
+            q = rng.integers(-spread, spread + 1, size=(300, 40, 2)).astype(dtype)
+            assert choose_filter(q) is None, (dtype, spread)
+
+    def test_all_zero_residual_keeps_none(self):
+        assert choose_filter(np.zeros((200, 30), dtype=np.int8)) is None
+        assert choose_filter(np.zeros(5, dtype=np.int32)) is None
+
+    def test_sparse_residual_under_the_huffman_floor_keeps_none(self):
+        """Under one bit per index no Huffman code gets smaller: LZ77
+        codes such a plane, and differencing only breaks up its runs."""
+        q = np.zeros((400, 50), dtype=np.int8)
+        q[::7, ::5] = 1
+        q[3::11, 2::9] = -1
+        assert choose_filter(q) is None
+
+    def test_length_one_axes_are_never_chosen(self):
+        q = _smooth_indices()[:, None, :, None]
+        assert choose_filter(q) == 0
+        assert choose_filter(np.arange(100, dtype=np.int8).reshape(1, 100, 1)) == 1
+
+    def test_engine_records_the_choice(self):
+        eng = TemporalEngine(TemporalConfig(error_bound=0.5))
+        base = np.zeros((64, 48))
+        key = eng.encode("f", base, 0)
+        assert key.is_keyframe and key.filter is None
+        assert "filter" not in key.params
+        eng.commit(0)
+        recon = eng.committed_recon("f")
+        smooth = eng.encode("f", recon + _smooth_indices(), 1)
+        assert smooth.filter == smooth.params["filter"] == {"kind": "delta", "axis": 0}
+        rng = np.random.default_rng(1)
+        noise = eng.encode("f", recon + rng.integers(-9, 10, size=base.shape), 1)
+        assert noise.filter == noise.params["filter"] == FILTER_NONE
+
+    def test_choice_and_bytes_are_the_same_in_another_process(self):
+        """No clock, no hash order, no state: a child interpreter with a
+        different hash seed picks the same filters and emits the same
+        bytes."""
+        code = (
+            "import hashlib, numpy as np\n"
+            "from repro.ckpt.temporal import TemporalEngine, choose_filter\n"
+            "from repro.config import TemporalConfig\n"
+            "rng = np.random.default_rng(11)\n"
+            "walk = np.cumsum(rng.integers(-3, 4, size=(500, 37, 2)), axis=0)\n"
+            "print(choose_filter(walk.astype(np.int16)),\n"
+            "      choose_filter(np.swapaxes(walk, 0, 1).astype(np.int16).copy()),\n"
+            "      choose_filter(rng.integers(-5, 6, size=(90, 90)).astype(np.int8)))\n"
+            "eng = TemporalEngine(TemporalConfig(error_bound=0.5))\n"
+            "eng.encode('f', np.zeros(walk.shape), 0); eng.commit(0)\n"
+            "enc = eng.encode('f', eng.committed_recon('f') + walk, 1)\n"
+            "print(enc.filter, hashlib.sha256(enc.blob).hexdigest())\n"
+        )
+
+        def run(hash_seed: str) -> str:
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            done = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True,
+                text=True, timeout=120, check=True,
+            )
+            return done.stdout
+
+        first = run("1")
+        assert first == run("2")
+        assert first.startswith("0 1 None\n{'kind': 'delta', 'axis': 0}")
 
 
 # -- chain closure --------------------------------------------------------------
@@ -496,6 +678,66 @@ class TestManagerChains:
         np.testing.assert_array_equal(
             reader_reg.get("counter"), np.arange(3, dtype=np.int64)
         )
+
+
+class _KeyRecordingStore(CountingStore):
+    """CountingStore that also remembers which keys were read."""
+
+    def __init__(self, inner) -> None:
+        super().__init__(inner)
+        self.keys_read: list[str] = []
+
+    def get(self, key: str) -> bytes:
+        self.keys_read.append(key)
+        return super().get(key)
+
+
+class TestRestoreReadsEachManifestOnce:
+    N_ARRAYS = 4
+
+    def _store_with_chain(self, n_steps: int) -> MemoryStore:
+        store = MemoryStore()
+        series = {
+            f"f{i}": _drifting_arrays(n_steps, seed=10 + i)
+            for i in range(self.N_ARRAYS)
+        }
+        reg = ArrayRegistry()
+        for name, steps in series.items():
+            reg.register(name, steps[0].copy())
+        manager = _manager(reg, store)
+        for step in range(n_steps):
+            for name, steps in series.items():
+                np.copyto(reg.get(name), steps[step])
+            manager.checkpoint(step)
+        return store
+
+    @pytest.mark.parametrize("step, chain_length", [(0, 1), (1, 2), (3, 4), (5, 2)])
+    def test_manifest_reads_do_not_scale_with_the_array_count(
+        self, step, chain_length
+    ):
+        """All arrays of a generation share their ancestors: a restore
+        reads each ancestor manifest once (plus the commit check of its
+        own), not once per array."""
+        store = _KeyRecordingStore(self._store_with_chain(6))
+        reg = ArrayRegistry()
+        for i in range(self.N_ARRAYS):
+            reg.register(f"f{i}", np.zeros((12, 6)))
+        reader = _manager(reg, store)
+        reader.restore(step)
+        manifest_reads = [k for k in store.keys_read if k.endswith(MANIFEST_FILENAME)]
+        assert len(manifest_reads) <= chain_length + 1
+        # the blobs themselves: every link of every array, once
+        assert store.gets - len(manifest_reads) - 1 == self.N_ARRAYS * chain_length
+
+    def test_fresh_writer_seeds_from_one_read_of_the_latest_manifest(self):
+        store = _KeyRecordingStore(self._store_with_chain(3))
+        reg = ArrayRegistry()
+        for i in range(self.N_ARRAYS):
+            reg.register(f"f{i}", _drifting_arrays(4, seed=10 + i)[3])
+        _manager(reg, store)._seed_temporal_from_store()
+        manifest_reads = [k for k in store.keys_read if k.endswith(MANIFEST_FILENAME)]
+        assert sorted(manifest_reads) == sorted(set(manifest_reads))
+        assert len(manifest_reads) == 3  # generation 2 and its ancestors 1, 0
 
 
 class TestChainPruning:

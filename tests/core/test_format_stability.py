@@ -18,6 +18,11 @@ frozen blobs pin that down:
 The cases cover every kind of blob the system stores: a pipeline blob with
 uint8 and with uint16 indices, an ``RPCK`` chunked stream, a temporal
 delta (int16 residuals) and a lossless float array.
+
+Temporal deltas whose residual went through the spatial filter
+(``"filter"`` header key, ``filtered`` section) came after version 1, so
+they have version-2 goldens only: int8 and int16 residuals, decoder and
+encoder pinned alike.
 """
 
 from __future__ import annotations
@@ -73,6 +78,30 @@ def _temporal_pair() -> tuple[np.ndarray, bytes]:
     second = engine.encode("a", base + np.sin(base) * 0.9, 2)
     assert not second.is_keyframe, second.reason
     return engine.committed_recon("a"), second.blob
+
+
+def _filtered_temporal_pair(index_scale: float) -> tuple[np.ndarray, bytes, np.ndarray]:
+    """(decoded generation 1, delta blob of generation 2, the generation 2
+    the encoder staged) for a change that is smooth down axis 0 and jumps
+    from column to column, ``index_scale`` quantization steps high."""
+    eb = 1e-3
+    engine = TemporalEngine(TemporalConfig(error_bound=eb, keyframe_every=8))
+    engine.encode("a", rough_array(), 1)
+    engine.commit(1)
+    base = engine.committed_recon("a")
+    rows, cols = np.arange(24)[:, None], np.arange(16)[None, :]
+    steps = np.rint(index_scale * (np.sin(rows / 5.0) + ((cols * cols * 7) % 17 - 8) / 8.0))
+    second = engine.encode("a", base + steps * (2 * eb), 2)
+    assert not second.is_keyframe, second.reason
+    engine.commit(2)
+    return base, second.blob, engine.committed_recon("a")
+
+
+#: case -> (residual height in quantization steps, index dtype it needs)
+FILTERED_CASES = {
+    "temporal_delta_filtered_i8": (60.0, "|i1"),
+    "temporal_delta_filtered_i16": (9000.0, "<i2"),
+}
 
 
 #: case -> (encode with today's writer, decode)
@@ -505,6 +534,29 @@ V2_BLOBS_B64 = {
 }
 
 
+# base64(blob) of the filtered temporal deltas (no version-1 twin)
+V2_FILTERED_BLOBS_B64 = {
+    "temporal_delta_filtered_i8": (
+        "UlBaMQR6bGlieJyFj8FOwjAYxzcHUzYSbhwJ6RkMEGOM8eYLGC8ejFkKLaGhbss2EIMkPo"
+        "bv4Gv4FDwCF0PCZOo6/ArSmF38p/11379f/+2ur24uD7R3TdOmqItD6oQR9dF5vd2oo94A"
+        "M9dhLqGTX4dEjz6Fb3TRP0NQ0yDwAqfrjVwCbuu41ZJdfcYjGoAxRXjCQrkD7pBtmxChPM"
+        "JoBs422VGZT6yN/vRF9N73AsybuwOww72HLnaJw+mYchnbAdPn2KWymMpIP6CE9SJP3i6L"
+        "MfNGoTwbDvD2ltvOSaPePr2b6fDLR7uXUvIsK1B5+PL6llRrlUVzvlzOm4tKrVqWsstqgW"
+        "nbQAXLsm3LVihZVqkE3OMwJ7NYNM2iqWAUCoZRMBTgKbqu6QrZZpNlm0xBpKkQqVD4yinJ"
+        "6SOnGEYM3GP1j2IYMXCP3Vwp5POT9TpJ1onCZ07fOYksEyITCj/IrUWD"
+    ),
+    "temporal_delta_filtered_i16": (
+        "UlBaMQR6bGlieJyV0r9PAjEUB/AiKgwyMMpEupmgHBdDjDFx8B8wOjgYOAtXQuNxd7kriC"
+        "HEyf+AzTg7OTr5H7CxObi4GUYWVPBHe2g034X4mdrX1/deL3ewf7S3QKaEkA6tsJBboeQ+"
+        "3c4WcllarTPhWsK1efs7Ystzn6s13altUbXnQeAFVsVruraKGhuGobNqwpE8UIEOZW0R6h"
+        "MVPRVRErW5IxntqkhU2fqtKUz6J0/yhu8FzFmfXVAnjndWYa5tObzFHV3WVEHfYS4Po2az"
+        "vlzfNnV9X61FVXp6FL1pCa8Z6kJhnUUtj83NXLZQLHVj6v3Jn+skTiLXJ7u3D1f5Xn9QTh"
+        "SLifKg38tPwR1YA2VQAnnwBC7AKrgHEhwCBm4AzvMO0qABVsAzGAMDXILHSSqdHGWG4/Ew"
+        "M0qmU8v/tAQWQRzEAAGfAL8P/h8T8AZe53gB8/KxPsJ5cP4P8AV02QJ3"
+    ),
+}
+
+
 def v1_blob(case: str) -> bytes:
     if case == "pipeline_u8":
         return golden_v1_blob(GOLDEN_BLOB_B64)
@@ -600,6 +652,36 @@ class TestEncoderDeterminism:
         assert container.FORMAT_VERSION == 2
 
 
+@pytest.mark.parametrize("case", sorted(FILTERED_CASES))
+class TestFilteredTemporalGoldens:
+    def test_golden_decodes_bit_for_bit(self, case):
+        scale, _index_dtype = FILTERED_CASES[case]
+        base, _blob, staged = _filtered_temporal_pair(scale)
+        golden = base64.b64decode(V2_FILTERED_BLOBS_B64[case])
+        decoded = decode_delta(golden, base)
+        assert decoded.dtype == staged.dtype
+        assert decoded.tobytes() == staged.tobytes()
+
+    def test_encoder_matches_golden_blob(self, case):
+        scale, _index_dtype = FILTERED_CASES[case]
+        assert _filtered_temporal_pair(scale)[1] == base64.b64decode(
+            V2_FILTERED_BLOBS_B64[case]
+        ), (
+            "filtered temporal-delta bytes changed (filter choice, sample "
+            "layout or container); regenerate with test_generate_reference"
+        )
+
+    def test_header_and_layout(self, case):
+        _scale, index_dtype = FILTERED_CASES[case]
+        info = inspect(base64.b64decode(V2_FILTERED_BLOBS_B64[case]))
+        assert info["filter"] == {"kind": "delta", "axis": 0}
+        assert info["index_dtype"] == index_dtype
+        assert info["layout"]["container_version"] == 2
+        assert info["layout"]["plane_widths"] == (
+            {"filtered": 2} if index_dtype == "<i2" else {}
+        )
+
+
 STOCK_INFLATE = {
     "gzip": gzip.decompress,
     "gzip-mt": gzip.decompress,
@@ -639,3 +721,5 @@ class TestEnvelopePayloadIsAStandardStream:
 def test_generate_reference():  # pragma: no cover
     for case, (encode, _decode) in CASES.items():
         print(case, base64.b64encode(encode()).decode())
+    for case, (scale, _index_dtype) in FILTERED_CASES.items():
+        print(case, base64.b64encode(_filtered_temporal_pair(scale)[1]).decode())

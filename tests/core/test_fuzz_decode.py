@@ -389,3 +389,84 @@ class TestCraftedContainers:
         forged = wrap_envelope(bytes(write_body(header, sections)), backend)
         with pytest.raises(FormatError, match="whole number"):
             WaveletCompressor.decompress(forged)
+
+
+class TestCraftedTemporalDeltas:
+    """Delta blobs whose header and section disagree about the residual
+    filter: every combination the encoder never writes is a FormatError,
+    never a reconstruction from the wrong numbers."""
+
+    SHAPE = (6, 4)
+
+    def _delta(self, *, section: str, **header_extra) -> bytes:
+        header = {
+            "kind": "temporal-delta",
+            "shape": list(self.SHAPE),
+            "dtype": "<f8",
+            "base_step": 0,
+            "chain_index": 1,
+            "predictor": "previous",
+            "lowband_levels": 2,
+            "error_bound": 0.5,
+            "index_dtype": "<i2",
+            **header_extra,
+        }
+        indices = np.arange(24, dtype=np.int16).reshape(self.SHAPE)
+        return wrap_envelope(write_body(header, {section: indices}), "zlib")
+
+    def _decode(self, blob: bytes) -> np.ndarray:
+        from repro.ckpt.temporal import decode_delta
+
+        return decode_delta(blob, np.zeros(self.SHAPE))
+
+    def test_the_two_well_formed_blobs_decode(self):
+        plain = self._decode(self._delta(section="indices"))
+        np.testing.assert_array_equal(plain, np.arange(24.0).reshape(self.SHAPE))
+        summed = self._decode(
+            self._delta(section="filtered", filter={"kind": "delta", "axis": 1})
+        )
+        np.testing.assert_array_equal(summed, np.cumsum(plain, axis=1))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "lorenzo", "axis": 0},
+            {"kind": "none"},
+            {"axis": 0},
+            "delta",
+            ["delta", 0],
+            0,
+        ],
+        ids=repr,
+    )
+    def test_unknown_filter_kind(self, spec):
+        with pytest.raises(FormatError, match="unknown filter"):
+            self._decode(self._delta(section="filtered", filter=spec))
+
+    @pytest.mark.parametrize(
+        "axis", [2, -1, 17, 1.0, "0", True, None, [0]], ids=repr
+    )
+    def test_axis_out_of_range_or_not_an_int(self, axis):
+        with pytest.raises(FormatError, match="filter axis"):
+            self._decode(
+                self._delta(section="filtered", filter={"kind": "delta", "axis": axis})
+            )
+
+    def test_filter_on_a_blob_whose_section_is_indices(self):
+        with pytest.raises(FormatError, match="missing its filtered section"):
+            self._decode(
+                self._delta(section="indices", filter={"kind": "delta", "axis": 0})
+            )
+
+    def test_filtered_section_without_a_filter_key(self):
+        with pytest.raises(FormatError, match="missing its indices section"):
+            self._decode(self._delta(section="filtered"))
+
+    def test_seeded_corpus_over_a_filtered_blob(self):
+        """The generic taxonomy holds for filtered blobs too: a mutated
+        blob decodes bit-identically or raises from the typed family."""
+        blob = self._delta(section="filtered", filter={"kind": "delta", "axis": 0})
+        expected = self._decode(blob)
+        rng = np.random.default_rng(SEED + 13)
+        for label, mutated in _mutations(blob, rng, 300):
+            _assert_taxonomy(self._decode, mutated, expected, label)

@@ -304,3 +304,50 @@ class TestCheckpointSpans:
         assert snap["ckpt.raw_bytes"] == smooth2d.nbytes
         assert snap["ckpt.stored_bytes"] == manifest.total_stored_bytes
         assert snap["ckpt.restores"] == 1
+
+    def test_temporal_generation_says_which_filter_and_counts_it(self):
+        """What codec and why: a delta's ``ckpt.array`` span names the
+        residual filter next to ``temporal_reason``, and the
+        ``ckpt.temporal.filter{kind}`` family counts every delta written
+        (keyframes hold no residual and count nowhere)."""
+        from repro.ckpt.manager import CheckpointManager
+        from repro.ckpt.protocol import ArrayRegistry
+        from repro.ckpt.store import MemoryStore
+        from repro.config import TemporalConfig
+
+        rng = np.random.default_rng(3)
+        # smooth down the rows, a jump from every column to the next
+        smooth = np.rint(
+            np.sin(np.arange(60.0) / 7.0)[:, None] * 20 + rng.uniform(-40, 40, 30)
+        )
+        noise = rng.integers(-9, 10, size=(60, 30)).astype(float)
+        arrays = ArrayRegistry()
+        arrays.register("smooth", np.zeros((60, 30)))
+        arrays.register("noisy", np.zeros((60, 30)))
+        manager = CheckpointManager(
+            arrays, MemoryStore(), temporal=TemporalConfig(error_bound=0.5)
+        )
+        tracer = get_tracer()
+        tracer.enable()
+        manager.checkpoint(0)
+        for step in (1, 2):
+            np.copyto(arrays.get("smooth"), smooth * step)
+            np.copyto(arrays.get("noisy"), noise * step)
+            manager.checkpoint(step)
+        by_step: dict[str, list] = {"smooth": [], "noisy": []}
+        for span in _by_name(tracer.spans, "ckpt.array"):
+            by_step[span.attrs["array"]].append(span.attrs)
+        assert [a["temporal_reason"] for a in by_step["smooth"]] == [
+            "initial", "delta", "delta",
+        ]
+        assert "filter" not in by_step["smooth"][0]
+        assert [a["filter"] for a in by_step["smooth"][1:]] == ["delta:0"] * 2
+        assert [a["filter"] for a in by_step["noisy"][1:]] == ["none"] * 2
+        registry = get_registry()
+        assert registry.counter("ckpt.temporal.filter", kind="delta").value == 2
+        assert registry.counter("ckpt.temporal.filter", kind="none").value == 2
+        manifest = manager.read_manifest(2)
+        assert manifest.entry("smooth").codec_params["filter"] == {
+            "kind": "delta", "axis": 0,
+        }
+        assert manifest.entry("noisy").codec_params["filter"] == {"kind": "none"}

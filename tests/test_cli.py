@@ -91,6 +91,29 @@ class TestCompressDecompress:
         header = json.loads(capsys.readouterr().out)
         assert tuple(header["shape"]) == smooth2d.shape
 
+    def test_inspect_names_the_residual_filter_of_a_delta(self, tmp_path, capsys):
+        from repro.ckpt.temporal import TemporalEngine
+        from repro.config import TemporalConfig
+
+        engine = TemporalEngine(TemporalConfig(error_bound=0.5))
+        engine.encode("f", np.zeros((40, 30)), 0)
+        engine.commit(0)
+        base = engine.committed_recon("f")
+        rng = np.random.default_rng(0)
+        ramp = np.add.outer(np.arange(40.0) * 2, rng.integers(-40, 41, size=30))
+        noise = rng.integers(-9, 10, size=(40, 30))
+        for change, expected in (
+            (ramp, {"kind": "delta", "axis": 0}),
+            (noise, {"kind": "none"}),
+        ):
+            path = tmp_path / "delta.bin"
+            path.write_bytes(engine.encode("f", base + change, 1).blob)
+            capsys.readouterr()
+            assert main(["inspect", str(path)]) == 0
+            shown = json.loads(capsys.readouterr().out)
+            assert shown["kind"] == "temporal-delta"
+            assert shown["filter"] == expected
+
 
 class TestWorkers:
     def test_workers_roundtrip(self, tmp_path, npy, smooth2d, capsys):
