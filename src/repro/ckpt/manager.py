@@ -26,9 +26,15 @@ repair -> re-verify -> rewrite the healed blob -- falling back to
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
+import os
+import time
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-
-from typing import Any, Mapping
+from functools import partial
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -92,6 +98,37 @@ _LOSSLESS_KIND = "lossless-array"
 _FLOAT_DTYPES = (np.float32, np.float64)
 #: Manifest codecs whose blob is one self-describing pipeline blob.
 _PIPELINE_CODECS = ("wavelet-lossy", CODEC_KEYFRAME)
+#: Bodies under two deflate windows are sealed in place: the hand-off
+#: costs what their deflate does, and a step counter would hold one of the
+#: pipeline's two slots while the lane runs dry behind it.
+_DEFER_MIN_BYTES = 64 * 1024
+
+try:  # Linux only; the os module can set a thread's CPUs but not name its CPU
+    _sched_getcpu = ctypes.CDLL(None).sched_getcpu if hasattr(os, "sched_setaffinity") else None
+except (OSError, AttributeError):  # no libc handle, or none with the call
+    _sched_getcpu = None
+
+
+def _cpus_beside_caller() -> set[int] | None:
+    """The CPUs open to the calling thread other than the one it is on now
+    (None where the platform cannot tell, or there is no other)."""
+    if _sched_getcpu is None:
+        return None
+    return (os.sched_getaffinity(0) - {_sched_getcpu()}) or None
+
+
+def _run_on(cpus: set[int] | None) -> None:
+    """Confine the calling thread -- the backend lane -- to ``cpus``.
+
+    A scheduler that wakes the lane on the CPU of the thread that fed it
+    and leaves it there (the benchmark's 2-vCPU guest does, for whole
+    runs, with the other CPU idle) turns the pipeline serial: one run
+    takes the serial write's time, the next 0.7 of it (DESIGN 16)."""
+    try:
+        if cpus and os.sched_getaffinity(0) != cpus:
+            os.sched_setaffinity(0, cpus)
+    except OSError:  # cpuset shrank under us, or a sandbox forbids it
+        pass
 
 
 @dataclass(frozen=True)
@@ -131,16 +168,20 @@ def serialize_array_lossless(
     ``threads``/``block_bytes`` reach the block-parallel backends and are
     ignored by single-threaded ones.
     """
+    return container.wrap_envelope(
+        _lossless_body(arr), codec_name, level, threads=threads, block_bytes=block_bytes
+    )
+
+
+def _lossless_body(arr: np.ndarray) -> container.Body:
+    """The formatted body of :func:`serialize_array_lossless`."""
     a = np.ascontiguousarray(arr)
     header = {
         "kind": _LOSSLESS_KIND,
         "shape": list(a.shape),
         "dtype": a.dtype.str,  # byte-order explicit, e.g. '<f8'
     }
-    body = container.write_body(header, {"data": a})
-    return container.wrap_envelope(
-        body, codec_name, level, threads=threads, block_bytes=block_bytes
-    )
+    return container.write_body(header, {"data": a})
 
 
 def deserialize_array(blob: bytes, codec: str | None = None) -> np.ndarray:
@@ -186,8 +227,27 @@ def deserialize_array(blob: bytes, codec: str | None = None) -> np.ndarray:
     return WaveletCompressor.decompress(blob)
 
 
+@dataclass
+class _Pending:
+    """One array of a generation between its encode and its landing."""
+
+    name: str
+    arr: np.ndarray
+    span: Any  # the open ``ckpt.array`` span: encode -> landed
+    codec: str = ""
+    params: Any = None
+    sealed: Any = None  # the blob, or the backend lane's Future of it
+
+
 class CheckpointManager:
     """Write/restore checkpoints of a registry into a store.
+
+    A generation is written as a two-stage pipeline: the calling thread
+    runs every NumPy stage and formats each array's body, one backend-lane
+    thread (started on first use, stopped by :meth:`close`) deflates body
+    *i* while body *i+1* is being produced, and blobs land in registry
+    order on the calling thread -- bytes and store operations are those
+    of a serial write.  One manager still serves one caller at a time.
 
     Parameters
     ----------
@@ -308,6 +368,7 @@ class CheckpointManager:
         self.workers = workers
         self.chunk_rows = chunk_rows
         self._executor = None  # lazily-started pool, shared across writes
+        self._lane: ThreadPoolExecutor | None = None  # backend lane, lazy too
         if temporal is not None and not isinstance(temporal, TemporalConfig):
             raise CheckpointError(
                 f"temporal must be a TemporalConfig or None, got {temporal!r}"
@@ -329,10 +390,59 @@ class CheckpointManager:
         return self._executor
 
     def close(self) -> None:
-        """Shut down the worker pool, if one was started.  Idempotent."""
+        """Shut down the worker pool and the backend lane, whichever was
+        started (the next write restarts them).  Idempotent."""
         executor, self._executor = self._executor, None
         if executor is not None:
             executor.close()
+        lane, self._lane = self._lane, None
+        if lane is not None:
+            lane.shutdown(wait=True, cancel_futures=True)
+
+    def _defer(
+        self,
+        ctx: contextvars.Context,
+        codec: str,
+        body: container.Body,
+        seal: Callable[[container.Body], bytes],
+    ) -> Any:
+        """Run ``seal(body)`` -- one backend stage: ``wrap_envelope``/
+        ``Codec.compress``, no NumPy temporaries, no decisions -- on the
+        lane, in the caller's ``ctx``; returns the Future of the blob and
+        the seconds it took.
+
+        The lane is this manager's own thread, never the shared deflate
+        pool: a ``*-mt`` seal parks there waiting for block tasks that an
+        outer task on the same pool could starve.  ``workers > 1`` starts
+        none (the process pool forks lazily and must not fork a process
+        with a live thread) and a body under :data:`_DEFER_MIN_BYTES` is
+        sealed in place; where no thread can start every body is, counted
+        under ``fallbacks{kind=serial}``.  The lane keeps off the CPU its
+        caller is on at each hand-off (:func:`_run_on`).
+        """
+        if self.workers > 1 or len(body) < _DEFER_MIN_BYTES:
+            return seal(body)
+
+        beside = _cpus_beside_caller()
+
+        def run() -> tuple[bytes, float]:
+            _run_on(beside)
+            t0 = time.perf_counter()
+            return seal(body), time.perf_counter() - t0
+
+        registry = get_registry()
+        try:
+            if self._lane is None:
+                self._lane = ThreadPoolExecutor(
+                    max_workers=1, thread_name_prefix="repro-backend"
+                )
+            future = self._lane.submit(ctx.run, run)
+        except (RuntimeError, OSError):  # thread-limited sandbox
+            self.close()
+            registry.counter("fallbacks", kind="serial").inc()
+            return seal(body)
+        registry.counter("ckpt.pipeline.deferred", codec=codec).inc()
+        return future
 
     def __enter__(self) -> "CheckpointManager":
         return self
@@ -428,6 +538,67 @@ class CheckpointManager:
                 pass  # recovery will reap it at the next start
             raise
 
+    def _encode_array(
+        self, p: _Pending, step: int, defer: Callable[..., Any]
+    ) -> None:
+        """Everything of one array that runs on the calling thread: policy,
+        the NumPy stages, the formatted body.  A single-blob body goes to
+        ``defer`` for its backend stage; temporal arrays (the engine reads
+        the finished blob's length) and chunked ones are sealed here, at
+        their turn in the order."""
+        name, arr = p.name, p.arr
+        mode, how = self._resolve_policy(name, arr)
+        p.span.set(mode=mode)
+        try:
+            if (
+                mode == "lossy"
+                and self._temporal_engine is not None
+                and self._temporal_engine.eligible(arr)
+            ):
+                encoded = self._temporal_engine.encode(name, arr, step)
+                p.sealed, p.codec, p.params = encoded.blob, encoded.codec, encoded.params
+                p.span.set(
+                    temporal_reason=encoded.reason, chain_index=encoded.chain_index
+                )
+                if encoded.filter is not None:
+                    p.span.set(filter=filter_label(encoded.filter))
+                    get_registry().counter(
+                        "ckpt.temporal.filter", kind=encoded.filter["kind"]
+                    ).inc()
+            elif mode == "lossy" and self.workers > 1 and arr.ndim >= 1 and arr.shape[0] > 1:
+                p.sealed = chunked_compress(
+                    arr, how, chunk_rows=self.chunk_rows, executor=self._slab_executor()
+                )
+                p.codec = "wavelet-lossy-chunked"
+                p.params = dict(how.to_dict(), chunk_rows=self.chunk_rows)
+            elif mode == "lossy":
+                compressor = WaveletCompressor(how)
+                p.codec, p.params = "wavelet-lossy", how.to_dict()
+                p.sealed, _stats = compressor.compress_with_stats(
+                    arr,
+                    seal=lambda body, stats: defer(
+                        how.backend, body, partial(compressor.seal, stats=stats, parent=p.span)
+                    ),
+                )
+            else:
+                p.codec, p.params = f"lossless:{how}", {}
+                p.sealed = defer(
+                    how,
+                    _lossless_body(arr),
+                    partial(
+                        container.wrap_envelope,
+                        backend=how,
+                        level=self.config.backend_level,
+                        threads=self.config.backend_threads,
+                        block_bytes=self.config.backend_block_bytes,
+                    ),
+                )
+        except NonFiniteDataError as exc:
+            raise NonFiniteDataError(
+                f"array {name!r}: {exc} (pin it to the lossless path with "
+                f"policy={{{name!r}: 'lossless'}} if NaN/Inf are legitimate)"
+            ) from exc
+
     def _checkpoint_txn(
         self,
         txn: CommitTransaction,
@@ -437,94 +608,73 @@ class CheckpointManager:
     ) -> CheckpointManifest:
         entries: list[ArrayEntry] = []
         blob_by_name: dict[str, bytes] = {}
-        with tracer.span("checkpoint", step=step) as root:
-            for name in self.registry.names():
-                arr = np.asarray(self.registry.get(name))
-                mode, how = self._resolve_policy(name, arr)
-                with tracer.span(
-                    "ckpt.array", array=name, mode=mode, nbytes=int(arr.nbytes)
-                ) as sp_arr:
-                    if (
-                        mode == "lossy"
-                        and self._temporal_engine is not None
-                        and self._temporal_engine.eligible(arr)
-                    ):
-                        try:
-                            encoded = self._temporal_engine.encode(
-                                name, arr, step
-                            )
-                        except NonFiniteDataError as exc:
-                            raise NonFiniteDataError(
-                                f"array {name!r}: {exc} (pin it to the "
-                                f"lossless path with policy={{{name!r}: "
-                                f"'lossless'}} if NaN/Inf are legitimate)"
-                            ) from exc
-                        blob = encoded.blob
-                        codec = encoded.codec
-                        params = encoded.params
-                        sp_arr.set(
-                            temporal_reason=encoded.reason,
-                            chain_index=encoded.chain_index,
-                        )
-                        if encoded.filter is not None:
-                            sp_arr.set(filter=filter_label(encoded.filter))
-                            get_registry().counter(
-                                "ckpt.temporal.filter",
-                                kind=encoded.filter["kind"],
-                            ).inc()
-                    elif mode == "lossy":
-                        try:
-                            if (
-                                self.workers > 1
-                                and arr.ndim >= 1
-                                and arr.shape[0] > 1
-                            ):
-                                blob = chunked_compress(
-                                    arr,
-                                    how,
-                                    chunk_rows=self.chunk_rows,
-                                    executor=self._slab_executor(),
-                                )
-                                codec = "wavelet-lossy-chunked"
-                                params = dict(
-                                    how.to_dict(), chunk_rows=self.chunk_rows
-                                )
-                            else:
-                                compressor = WaveletCompressor(how)
-                                blob = compressor.compress(arr)
-                                codec = "wavelet-lossy"
-                                params = how.to_dict()
-                        except NonFiniteDataError as exc:
-                            raise NonFiniteDataError(
-                                f"array {name!r}: {exc} (pin it to the "
-                                f"lossless path with policy={{{name!r}: "
-                                f"'lossless'}} if NaN/Inf are legitimate)"
-                            ) from exc
-                    else:
-                        blob = serialize_array_lossless(
-                            arr,
-                            how,
-                            self.config.backend_level,
-                            threads=self.config.backend_threads,
-                            block_bytes=self.config.backend_block_bytes,
-                        )
-                        codec = f"lossless:{how}"
-                        params = {}
-                    txn.put_blob(array_key(step, name), blob)
-                    sp_arr.set(codec=codec, stored_bytes=len(blob))
-                blob_by_name[name] = blob
-                entries.append(
-                    ArrayEntry(
-                        name=name,
-                        shape=tuple(arr.shape),
-                        dtype=str(arr.dtype),
-                        codec=codec,
-                        codec_params=params,
-                        raw_bytes=int(arr.nbytes),
-                        stored_bytes=len(blob),
-                        crc32=ArrayEntry.checksum(blob),
-                    )
+        inflight: deque[_Pending] = deque()  # encoded, not landed
+        started = time.perf_counter()
+        busy = waited = 0.0  # the lane sealing; this thread blocked on it
+
+        def sealing(p: _Pending) -> bool:
+            return isinstance(p.sealed, Future) and not p.sealed.done()
+
+        def land(p: _Pending) -> None:
+            nonlocal busy, waited
+            with tracer.attached(p.span):
+                blob = p.sealed
+                if isinstance(blob, Future):
+                    t0 = time.perf_counter()
+                    blob, seal_s = blob.result()
+                    waited += time.perf_counter() - t0
+                    busy += seal_s
+                txn.put_blob(array_key(step, p.name), blob)
+            p.span.set(codec=p.codec, stored_bytes=len(blob))
+            tracer.finish(p.span)
+            blob_by_name[p.name] = blob
+            entries.append(
+                ArrayEntry(
+                    name=p.name,
+                    shape=tuple(p.arr.shape),
+                    dtype=str(p.arr.dtype),
+                    codec=p.codec,
+                    codec_params=p.params,
+                    raw_bytes=int(p.arr.nbytes),
+                    stored_bytes=len(blob),
+                    crc32=ArrayEntry.checksum(blob),
                 )
+            )
+
+        with tracer.span("checkpoint", step=step) as root:
+            # Copied here, not inside the encode call: what the lane runs
+            # belongs to the generation, which outlives every seal.
+            ctx = contextvars.copy_context()
+            try:
+                for name in self.registry.names():
+                    arr = np.asarray(self.registry.get(name))
+                    p = _Pending(name, arr, tracer.start(
+                        "ckpt.array", array=name, nbytes=int(arr.nbytes)
+                    ))
+                    inflight.append(p)
+                    with tracer.attached(p.span):
+                        self._encode_array(p, step, partial(self._defer, ctx))
+                    # Land what is sealed, in order.  Block on the oldest
+                    # seal only once a second body waits behind it: its
+                    # deflate then overlaps this put and, next turn, the
+                    # next array's NumPy stages.
+                    while inflight and (
+                        not sealing(inflight[0]) or sum(map(sealing, inflight)) > 1
+                    ):
+                        land(inflight.popleft())
+                while inflight:
+                    land(inflight.popleft())
+            except BaseException:
+                # cancel the seals that have not started, wait for the one
+                # that has; only then may the transaction be rolled back
+                # (the lane holds no store handle: a crash stays a crash)
+                seals = [p.sealed for p in inflight if isinstance(p.sealed, Future)]
+                for future in seals:
+                    future.cancel()
+                wait(seals)
+                for p in inflight:
+                    tracer.finish(p.span)
+                raise
             parity_entries = self._write_parity(txn, entries, blob_by_name)
             manifest = CheckpointManifest(
                 step=step, entries=tuple(entries), app_meta=meta,
@@ -538,12 +688,18 @@ class CheckpointManager:
                 # leaves the predictor on the last committed generation,
                 # exactly what recovery will find in the store.
                 self._temporal_engine.commit(step)
+            wall = time.perf_counter() - started
+            # 1 - wall / (stage seconds of both threads): 0 when serial
+            overlap = 1.0 - wall / (wall - waited + busy)
             root.set(
                 n_arrays=len(entries),
                 raw_bytes=sum(e.raw_bytes for e in entries),
                 stored_bytes=sum(e.stored_bytes for e in entries),
+                backend_lane_busy_s=busy,
+                overlap_share=overlap,
             )
         registry = get_registry()
+        registry.gauge("ckpt.pipeline.overlap_share").set(overlap)
         registry.counter("ckpt.checkpoints").inc()
         registry.counter("ckpt.arrays").inc(len(entries))
         registry.counter("ckpt.raw_bytes").inc(sum(e.raw_bytes for e in entries))

@@ -49,7 +49,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from ..exceptions import ConfigurationError, FormatError, IntegrityError
-from ..lossless import get_codec
+from ..lossless import Codec, get_codec
 from ..lossless.segments import byte_view
 
 __all__ = [
@@ -318,6 +318,7 @@ def wrap_envelope(
     *,
     threads: int | None = None,
     block_bytes: int | None = None,
+    codec: Codec | None = None,
 ) -> bytes:
     """Deflate ``body`` with the named backend and prepend the envelope.
 
@@ -325,12 +326,15 @@ def wrap_envelope(
     :func:`write_body` also hands the codec its ``cuts``.  ``threads`` and
     ``block_bytes`` reach the
     block-parallel backends (``gzip-mt``/``zlib-mt``/``zstd``/``lz4``);
-    single-threaded codecs ignore them.
+    single-threaded codecs ignore them.  A caller that reads the codec's
+    per-call reports afterwards passes the ``codec`` it built for
+    ``backend`` instead of the knobs.
     """
-    kwargs: dict[str, Any] = {"level": level, "threads": threads}
-    if block_bytes is not None:
-        kwargs["block_bytes"] = block_bytes
-    codec = get_codec(backend, **kwargs)
+    if codec is None:
+        kwargs: dict[str, Any] = {"level": level, "threads": threads}
+        if block_bytes is not None:
+            kwargs["block_bytes"] = block_bytes
+        codec = get_codec(backend, **kwargs)
     name_bytes = backend.encode("ascii")
     if not 0 < len(name_bytes) < 256:
         raise FormatError(f"backend name must be 1..255 ascii bytes: {backend!r}")

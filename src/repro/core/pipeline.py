@@ -12,7 +12,7 @@ metrics registry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -204,13 +204,21 @@ class WaveletCompressor:
         blob, _ = self.compress_with_stats(arr)
         return blob
 
-    def compress_with_stats(self, arr: np.ndarray) -> tuple[bytes, CompressionStats]:
+    def compress_with_stats(
+        self, arr: np.ndarray, *, seal: Callable[..., Any] | None = None
+    ) -> tuple[Any, CompressionStats]:
         """Compress and report sizes plus the per-stage cost breakdown.
 
         Each Fig. 9 stage runs inside its own tracing span (nested under
         one ``compress`` root); stage durations always reach
         ``stats.timings`` and the metrics registry, whether or not span
         *recording* is enabled.
+
+        ``seal(body, stats)`` runs the backend stage and its result is
+        returned in the blob's place.  The default is :meth:`seal` itself,
+        giving ``(blob, stats)``; a caller that overlaps the deflate with
+        other work hands :meth:`seal` to another thread and returns its
+        own handle, and ``stats`` is complete once that seal has run.
         """
         a = self._check_input(arr)
         cfg = self._config
@@ -304,58 +312,59 @@ class WaveletCompressor:
                 body = container.write_body(header, sections)
             stats.formatted_bytes = len(body)
 
-            with tracer.span("backend", backend=cfg.backend) as sp_backend:
-                codec = get_codec(
-                    cfg.backend,
-                    level=cfg.backend_level,
-                    threads=cfg.backend_threads,
-                    block_bytes=cfg.backend_block_bytes,
-                )
-                compressed = codec.compress(body, body.cuts)
-                # what codec and why: the deflate family reports how the
-                # body split between its two strategies
-                segments = getattr(codec, "last_segments", None)
-                if segments is not None:
-                    sp_backend.set(**segments.attrs())
-                name_bytes = cfg.backend.encode("ascii")
-                blob = b"".join(
-                    (
-                        container.ENVELOPE_MAGIC,
-                        bytes([len(name_bytes)]),
-                        name_bytes,
-                        compressed,
-                    )
-                )
-
-            stats.compressed_bytes = len(blob)
             stats.timings = {
                 "wavelet": sp_wavelet.duration,
                 "quantization": sp_quant.duration,
                 "encoding": sp_encode.duration,
                 "formatting": sp_format.duration,
-                "backend": sp_backend.duration,
             }
-            if isinstance(codec, TempfileGzipCodec):
-                stats.timings.update(codec.last_timings)
-                # Mirror the codec-internal split as sub-spans of the
-                # backend stage so traces carry both Fig. 9 backend bars.
-                if tracer.enabled:
-                    split = sp_backend.start + codec.last_timings["temp_write"]
-                    tracer.record(
-                        "temp_write", sp_backend.start, split, parent=sp_backend
-                    )
-                    tracer.record(
-                        "gzip",
-                        split,
-                        split + codec.last_timings["gzip"],
-                        parent=sp_backend,
-                    )
-            root.set(compressed_bytes=len(blob))
+            sealed = (seal if seal is not None else self.seal)(body, stats)
+        return sealed, stats
+
+    def seal(
+        self, body: container.Body, stats: CompressionStats, *, parent: Any = None
+    ) -> bytes:
+        """The backend stage: deflate a formatted ``body`` into the blob.
+
+        Completes ``stats`` (``compressed_bytes``, the ``backend`` timing
+        and the temp-file split) and folds it into the metrics registry.
+        Touches no compressor state, so it may run on another thread than
+        the stages before it; ``parent`` then names the span the
+        ``backend`` span belongs under (the tracer's stack is per thread).
+        """
+        cfg = self._config
+        tracer = get_tracer()
+        with tracer.span("backend", parent=parent, backend=cfg.backend) as sp_backend:
+            codec = get_codec(
+                cfg.backend,
+                level=cfg.backend_level,
+                threads=cfg.backend_threads,
+                block_bytes=cfg.backend_block_bytes,
+            )
+            blob = container.wrap_envelope(body, cfg.backend, codec=codec)
+            stats.compressed_bytes = len(blob)
+            # what codec and why: the deflate family reports how the
+            # body split between its two strategies
+            segments = getattr(codec, "last_segments", None)
+            if segments is not None:
+                sp_backend.set(**segments.attrs())
+            sp_backend.set(compressed_bytes=len(blob))
             rate = stats.compression_rate_percent
             if rate == rate:  # finite (empty inputs have no defined rate)
-                root.set(rate_percent=rate)
+                sp_backend.set(rate_percent=rate)
+        stats.timings["backend"] = sp_backend.duration
+        if isinstance(codec, TempfileGzipCodec):
+            stats.timings.update(codec.last_timings)
+            # Mirror the codec-internal split as sub-spans of the
+            # backend stage so traces carry both Fig. 9 backend bars.
+            if tracer.enabled:
+                split = sp_backend.start + codec.last_timings["temp_write"]
+                tracer.record("temp_write", sp_backend.start, split, parent=sp_backend)
+                tracer.record(
+                    "gzip", split, split + codec.last_timings["gzip"], parent=sp_backend
+                )
         stats.to_metrics()
-        return blob, stats
+        return blob
 
     # -- decompression -------------------------------------------------------
 

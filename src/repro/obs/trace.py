@@ -38,6 +38,7 @@ import itertools
 import os
 import threading
 import time
+from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Mapping, TypeVar
 
 __all__ = [
@@ -195,7 +196,7 @@ class _SpanContext:
         return self.span
 
     def __exit__(self, *exc_info: object) -> None:
-        self._tracer._finish(self.span)
+        self._tracer.finish(self.span)
 
 
 class Tracer:
@@ -248,7 +249,7 @@ class Tracer:
     @staticmethod
     def _parent_ids(parent: Any) -> tuple[str | None, str | None]:
         """Normalize a parent reference to ``(parent_id, trace_id)``."""
-        if parent is None:
+        if parent is None or isinstance(parent, _NullSpan):
             return None, None
         if isinstance(parent, Span):
             return parent.span_id, parent.trace_id
@@ -256,13 +257,14 @@ class Tracer:
             return parent.get("span_id"), parent.get("trace_id")
         return str(parent), None
 
-    def span(self, name: str, *, parent: Any = None, **attrs: Any):
-        """Open a span as a context manager.
-
-        Without ``parent`` the span nests under the thread's current span
-        (if any) and becomes a trace root otherwise.  ``parent`` accepts a
-        :class:`Span`, a :meth:`context` dict (for cross-thread /
-        cross-process propagation) or a bare span-id string.
+    def start(self, name: str, *, parent: Any = None, **attrs: Any):
+        """Open a span without making it the thread's current one -- for
+        work that outlives the block that opens it (a checkpoint array whose
+        deflate ends on another thread).  :meth:`attached` nests a block
+        under it, :meth:`finish` closes it.  ``parent`` is a :class:`Span`,
+        a :meth:`context` dict (cross-thread / cross-process propagation)
+        or a span-id string; without it the span nests under the thread's
+        current span, or becomes a trace root.
         """
         if not self.enabled:
             return _NullSpan()
@@ -275,13 +277,36 @@ class Tracer:
         span_id = self._next_id()
         if trace_id is None:
             trace_id = span_id if parent_id is None else None
-        span = Span(name, span_id, parent_id, trace_id, time.perf_counter(),
+        return Span(name, span_id, parent_id, trace_id, time.perf_counter(),
                     attrs=attrs or None)
-        stack.append(span)
+
+    def span(self, name: str, *, parent: Any = None, **attrs: Any):
+        """Open a span as a context manager: :meth:`start` it, make it
+        current for the block, :meth:`finish` it on exit."""
+        span = self.start(name, parent=parent, **attrs)
+        if isinstance(span, _NullSpan):
+            return span
+        self._stack().append(span)
         return _SpanContext(self, span)
 
-    def _finish(self, span: Span) -> None:
+    @contextmanager
+    def attached(self, span: Any):
+        """Make an open span current on this thread for the block (a
+        timing-only span from a disabled tracer is passed through)."""
+        recorded = isinstance(span, Span)
+        if recorded:
+            self._stack().append(span)
+        try:
+            yield span
+        finally:
+            if recorded and span in self._stack():
+                self._stack().remove(span)
+
+    def finish(self, span: Any) -> None:
+        """Close a span opened by :meth:`start` or :meth:`span`."""
         span.end = time.perf_counter()
+        if not isinstance(span, Span):
+            return
         stack = self._stack()
         if stack and stack[-1] is span:
             stack.pop()

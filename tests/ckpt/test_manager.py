@@ -126,6 +126,50 @@ class TestCheckpointWrite:
             CheckpointManager(registry, MemoryStore(), policy={"temperature": 42})
 
 
+class TestBackendLane:
+    """The write pipeline's thread, seen from the manager's public face
+    (its behaviour under load is in ``test_manager_pipeline.py``)."""
+
+    @staticmethod
+    def _lanes():
+        import threading
+
+        return [t for t in threading.enumerate() if t.name.startswith("repro-backend")]
+
+    @pytest.fixture
+    def big_registry(self, rng):
+        reg = ArrayRegistry()
+        reg.register("noise", rng.standard_normal((256, 64)))  # body > 64 KiB
+        reg.register("words", rng.integers(0, 2**62, size=16384))
+        return reg
+
+    def test_context_manager_stops_the_lane(self, big_registry):
+        with CheckpointManager(big_registry, MemoryStore()) as manager:
+            manager.checkpoint(0)
+            assert len(self._lanes()) == 1
+        assert self._lanes() == []
+        manager.close()  # idempotent
+        manager.checkpoint(1)  # and the next write starts it again
+        assert len(self._lanes()) == 1
+        manager.close()
+        assert self._lanes() == []
+
+    def test_small_arrays_never_start_it(self, manager):
+        manager.checkpoint(0)
+        assert self._lanes() == []
+
+    def test_deferred_lossless_blob_is_serialize_array_lossless(self, big_registry):
+        store = MemoryStore()
+        with CheckpointManager(
+            big_registry, store, lossless_codec="gzip-mt", backend_threads=2
+        ) as manager:
+            manager.checkpoint(0)
+        assert store.get(array_key(0, "words")) == serialize_array_lossless(
+            big_registry.get("words"), "gzip-mt", manager.config.backend_level,
+            threads=2, block_bytes=manager.config.backend_block_bytes,
+        )
+
+
 class TestRestore:
     def test_roundtrip_lossy_within_bound(self, manager, registry, smooth3d):
         manager.checkpoint(1)
