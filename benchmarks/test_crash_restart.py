@@ -30,10 +30,9 @@ from repro.apps.base import run_steps
 from repro.apps.heat import HeatDiffusionProxy
 from repro.ckpt.faults import (
     CRASH_AFTER,
-    CRASH_MODES,
-    CrashInjectingStore,
-    CrashPlan,
-    CrashPoint,
+    CRASH_KINDS,
+    FaultInjectingStore,
+    FaultPlan,
 )
 from repro.ckpt.manager import CheckpointManager
 from repro.ckpt.protocol import ArrayRegistry, registry_from_checkpointable
@@ -91,11 +90,11 @@ def _crash_matrix() -> list[dict[str, object]]:
     n_ops = _protocol_ops()
     outcomes: list[dict[str, object]] = []
     for op_index in range(n_ops):
-        for mode in CRASH_MODES:
+        for mode in CRASH_KINDS:
             inner = MemoryStore()
             _matrix_manager(inner, 1).checkpoint(1)
-            crashing = CrashInjectingStore(
-                inner, CrashPlan([CrashPoint(op_index, mode)], seed=op_index)
+            crashing = FaultInjectingStore(
+                inner, FaultPlan(schedule=[(op_index, mode)], seed=op_index)
             )
             crashed = False
             try:
@@ -150,12 +149,13 @@ def _reference_final() -> np.ndarray:
 
 def _mtbf_campaign(seed: int) -> dict[str, object]:
     inner = MemoryStore()
-    plan = CrashPlan.from_distribution(
+    plan = FaultPlan.from_distribution(
         ExponentialFailures(MTBF_OPS),
         horizon_ops=int(MTBF_OPS * 40),
+        kinds=CRASH_KINDS,
         seed=seed,
     )
-    crashing = CrashInjectingStore(inner, plan)
+    crashing = FaultInjectingStore(inner, plan)
 
     def manager_factory(app):
         return CheckpointManager(
@@ -249,7 +249,7 @@ def test_crash_restart_campaign():
 
     lines = [
         f"commit protocol: {n_ops} store ops -> crash matrix of "
-        f"{n_ops * len(CRASH_MODES)} cells (x2 determinism replay)",
+        f"{n_ops * len(CRASH_KINDS)} cells (x2 determinism replay)",
         f"matrix: every recovery left committed-only stores; "
         f"{torn_reaped_matrix} torn/orphaned generation(s) reaped; "
         f"1 cell committed by completing the marker put",
@@ -268,7 +268,7 @@ def test_crash_restart_campaign():
         "crash",
         {
             "protocol_ops": n_ops,
-            "matrix_cells": n_ops * len(CRASH_MODES),
+            "matrix_cells": n_ops * len(CRASH_KINDS),
             "matrix_torn_reaped": torn_reaped_matrix,
             "mtbf_seeds": list(MTBF_SEEDS),
             "mtbf_ops": MTBF_OPS,

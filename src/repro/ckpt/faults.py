@@ -4,8 +4,8 @@ The storage layer's resilience claims are only as good as the faults they
 were tested against, so this module makes faults first-class: a
 :class:`FaultPlan` decides -- deterministically, from a seed -- which store
 operations fail and how, and :class:`FaultInjectingStore` wraps any
-:class:`~repro.ckpt.store.Store` to act those failures out.  The taxonomy
-covers the four ways a checkpoint write or read goes wrong in practice:
+:class:`~repro.ckpt.store.Store` to act those failures out.  Four kinds
+model the storage *medium* misbehaving while the writer lives on:
 
 ``transient``
     The operation raises :class:`~repro.exceptions.TransientStorageError`
@@ -22,6 +22,24 @@ covers the four ways a checkpoint write or read goes wrong in practice:
     A ``put`` is silently dropped (the blob never lands); a ``get``
     spuriously reports the key absent once.
 
+Three more model the opposite -- the medium is fine but the writing
+*process* dies at a store operation, the Tsubame2.5 failure mode (paper
+SSV) that motivates checkpointing in the first place and exactly what the
+two-phase commit journal must survive.  Each raises
+:class:`~repro.exceptions.SimulatedCrash`, which no retry or repair layer
+catches, and can only be placed by an explicit schedule; together they
+put a death strictly before, inside, and strictly after any protocol
+step -- mid-blob, post-blob/pre-manifest, post-manifest/pre-marker:
+
+``crash-before``
+    The process dies before the operation touches the store.
+``crash-torn``
+    A ``put`` persists a deterministic prefix of the payload, then the
+    process dies; on a ``get`` it degrades to ``crash-before``.
+``crash-after``
+    The operation completes, then the process dies (a read's result dies
+    with it).
+
 Plans compose with the :mod:`repro.failure` machinery: build one from a
 :class:`~repro.failure.distributions.FailureDistribution` and the same
 MTBF model that drives the run simulator also drives which store ops die.
@@ -33,8 +51,9 @@ checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+import time
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -46,7 +65,7 @@ from ..exceptions import (
 )
 from ..failure.distributions import FailureDistribution
 from ..obs.metrics import get_registry
-from .store import Store
+from .store import Store, StoreWrapper
 
 __all__ = [
     "FAULT_TRANSIENT",
@@ -54,16 +73,13 @@ __all__ = [
     "FAULT_BITFLIP",
     "FAULT_MISSING",
     "FAULT_KINDS",
-    "FaultEvent",
-    "FaultPlan",
-    "FaultInjectingStore",
     "CRASH_BEFORE",
     "CRASH_TORN",
     "CRASH_AFTER",
-    "CRASH_MODES",
-    "CrashPoint",
-    "CrashPlan",
-    "CrashInjectingStore",
+    "CRASH_KINDS",
+    "FaultEvent",
+    "FaultPlan",
+    "FaultInjectingStore",
     "STORM_DOWN",
     "STORM_SLOW",
     "STORM_FLAKY",
@@ -79,16 +95,40 @@ FAULT_TORN = "torn"
 FAULT_BITFLIP = "bitflip"
 FAULT_MISSING = "missing"
 
-#: Canonical order; also the per-operation draw order of :class:`FaultPlan`.
+#: The rate-drawable kinds, in canonical order; also the per-operation draw
+#: order of :class:`FaultPlan`.  Crash kinds must never join this tuple:
+#: rate mode consumes one variate per entry per operation, so every seeded
+#: placement would move.
 FAULT_KINDS = (FAULT_TRANSIENT, FAULT_TORN, FAULT_BITFLIP, FAULT_MISSING)
 
-#: Which store operations each fault kind can hit.
-_ELIGIBLE: dict[str, tuple[str, ...]] = {
-    FAULT_TRANSIENT: ("put", "get"),
-    FAULT_TORN: ("put",),
-    FAULT_BITFLIP: ("put", "get"),
-    FAULT_MISSING: ("put", "get"),
-}
+CRASH_BEFORE = "crash-before"
+CRASH_TORN = "crash-torn"
+CRASH_AFTER = "crash-after"
+
+#: Process deaths: schedule-only kinds (never drawn by rate).
+CRASH_KINDS = (CRASH_BEFORE, CRASH_TORN, CRASH_AFTER)
+
+
+def _eligible(kind: str, op: str) -> bool:
+    """Every kind can hit both data operations, except that only a ``put``
+    can be ``torn`` (a ``crash-torn`` get still dies, untorn)."""
+    return op == "put" or kind != FAULT_TORN
+
+
+def _check_kinds(
+    kinds: Iterable[str], allowed: tuple[str, ...], noun: str = "fault"
+) -> None:
+    for kind in kinds:
+        if kind not in allowed:
+            raise ConfigurationError(
+                f"unknown {noun} kind {kind!r}; expected one of {allowed}"
+            )
+
+
+def _flip_bit(data: bytes, bit: int) -> bytes:
+    buf = bytearray(data)
+    buf[bit // 8] ^= 1 << (bit % 8)
+    return bytes(buf)
 
 
 @dataclass(frozen=True)
@@ -102,13 +142,7 @@ class FaultEvent:
     detail: dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "index": self.index,
-            "op": self.op,
-            "key": self.key,
-            "kind": self.kind,
-            "detail": dict(self.detail),
-        }
+        return asdict(self)
 
 
 class FaultPlan:
@@ -122,11 +156,16 @@ class FaultPlan:
       stream aligned with the operation sequence, so identical seeds give
       identical fault placements.
     * **Schedule mode** (``schedule=[(op_index, kind), ...]``): explicit
-      deterministic placements by global operation index; what
-      :meth:`from_distribution` builds from a failure-time distribution.
+      deterministic placements by global operation index (``put`` and
+      ``get`` share one counter), of any kind including
+      :data:`CRASH_KINDS` -- the crash-matrix tests enumerate every index
+      of the commit protocol; :meth:`from_distribution` builds one from a
+      failure-time distribution.  Each placement fires at most once.
 
     The two modes are mutually exclusive.  ``max_faults`` bounds the total
-    number of injections in either mode (``None`` = unbounded).
+    number of injections in either mode (``None`` = unbounded).  One plan
+    may drive several injecting stores: they then share its operation
+    counter.
     """
 
     def __init__(
@@ -145,10 +184,7 @@ class FaultPlan:
         self.seed = seed
         self._rates: dict[str, float] = {}
         for kind, p in dict(rates or {}).items():
-            if kind not in FAULT_KINDS:
-                raise ConfigurationError(
-                    f"unknown fault kind {kind!r}; expected one of {FAULT_KINDS}"
-                )
+            _check_kinds((kind,), FAULT_KINDS)
             if not 0.0 <= float(p) <= 1.0:
                 raise ConfigurationError(
                     f"fault rate for {kind!r} must be in [0, 1], got {p}"
@@ -156,16 +192,18 @@ class FaultPlan:
             self._rates[kind] = float(p)
         self._schedule: dict[int, str] = {}
         for op_index, kind in schedule or ():
-            if kind not in FAULT_KINDS:
+            _check_kinds((kind,), FAULT_KINDS + CRASH_KINDS)
+            if int(op_index) < 0:
                 raise ConfigurationError(
-                    f"unknown fault kind {kind!r}; expected one of {FAULT_KINDS}"
+                    f"scheduled op index must be >= 0, got {op_index}"
                 )
             self._schedule[int(op_index)] = kind
         if max_faults is not None and max_faults < 0:
             raise ConfigurationError(f"max_faults must be >= 0, got {max_faults}")
         self.max_faults = max_faults
-        self._injected = 0
-        self._op_index = -1  # advanced before each decision
+        self.injected = 0
+        #: index of the last decided operation (-1 before any)
+        self.op_index = -1
 
     @classmethod
     def from_distribution(
@@ -182,20 +220,14 @@ class FaultPlan:
 
         Each store operation advances a simulated clock by ``op_cost_sec``;
         a failure at time ``t`` hits operation ``floor(t / op_cost_sec)``.
-        The fault kind at each hit is drawn uniformly from ``kinds``.  This
-        is the composition hook with :mod:`repro.failure`: the same MTBF
-        model that schedules node deaths in the run simulator schedules
-        storage faults here.
+        The fault kind at each hit is drawn uniformly from ``kinds``
+        (pass :data:`CRASH_KINDS` for process deaths).
         """
         if horizon_ops < 0:
             raise ConfigurationError(f"horizon_ops must be >= 0, got {horizon_ops}")
         if op_cost_sec <= 0:
             raise ConfigurationError(f"op_cost_sec must be > 0, got {op_cost_sec}")
-        for kind in kinds:
-            if kind not in FAULT_KINDS:
-                raise ConfigurationError(
-                    f"unknown fault kind {kind!r}; expected one of {FAULT_KINDS}"
-                )
+        _check_kinds(kinds, FAULT_KINDS + CRASH_KINDS)
         rng = np.random.default_rng(seed)
         times = dist.failure_times(horizon_ops * op_cost_sec, rng)
         schedule = [
@@ -212,50 +244,53 @@ class FaultPlan:
         one uniform variate per fault kind regardless of the outcome, so
         the stream stays aligned with the op sequence.
         """
-        self._op_index += 1
-        if self.max_faults is not None and self._injected >= self.max_faults:
+        self.op_index += 1
+        hit: str | None = self._schedule.pop(self.op_index, None)
+        if self.max_faults is not None and self.injected >= self.max_faults:
             return None
-        hit: str | None = self._schedule.get(self._op_index)
-        if hit is not None and op not in _ELIGIBLE[hit]:
+        if hit is not None and not _eligible(hit, op):
             hit = None
         if self._rates:
             draws = {kind: float(self._rng.random()) for kind in FAULT_KINDS}
             for kind in FAULT_KINDS:
                 rate = self._rates.get(kind, 0.0)
-                if rate and op in _ELIGIBLE[kind] and draws[kind] < rate:
+                if rate and _eligible(kind, op) and draws[kind] < rate:
                     hit = kind
                     break
         if hit is not None:
-            self._injected += 1
+            self.injected += 1
         return hit
 
     def position(self, n: int) -> int:
-        """A deterministic position in ``[0, n)`` (bit/cut placement)."""
-        if n <= 0:
-            return 0
+        """A deterministic position in ``[0, n)``, ``n > 0`` (bit/cut placement)."""
         return int(self._rng.integers(0, n))
 
     @property
-    def op_index(self) -> int:
-        """Index of the last decided operation (-1 before any)."""
-        return self._op_index
-
-    @property
-    def injected(self) -> int:
-        return self._injected
+    def pending(self) -> int:
+        """Scheduled placements whose operation index is still ahead."""
+        return len(self._schedule)
 
 
-class FaultInjectingStore(Store):
+class FaultInjectingStore(StoreWrapper):
     """Store wrapper that acts out a :class:`FaultPlan` on ``put``/``get``.
 
-    Metadata operations (``exists``/``delete``/``list_keys``) pass through
-    untouched -- the interesting failure surface is the data path.  Every
-    injection is appended to :attr:`events` and counted in the global
-    metrics registry under ``store.faults.<kind>``.
+    Metadata operations (``exists``/``delete``/``list_keys``/``sync``)
+    pass through untouched -- the interesting failure surface is the data
+    path, and a directory listing cannot tear a commit.  A verified read
+    is a ``get``: it draws one decision and suffers the same effects, so
+    no caller reads around the injection.  Every injection is appended to
+    :attr:`events`; media faults are counted in the global metrics
+    registry under ``store.faults.<kind>``, process deaths under
+    ``store.crashes``.
+
+    Stacking order: media faults go *inside* a
+    :class:`~repro.ckpt.resilience.ResilientStore` (the retry layer is
+    what is under test), a plan of crash kinds *outermost*, inside only
+    the harness that models the scheduler restarting the job.
     """
 
     def __init__(self, inner: Store, plan: FaultPlan) -> None:
-        self.inner = inner
+        super().__init__(inner)
         self.plan = plan
         self.events: list[FaultEvent] = []
 
@@ -265,44 +300,49 @@ class FaultInjectingStore(Store):
                 index=self.plan.op_index, op=op, key=key, kind=kind, detail=detail
             )
         )
-        get_registry().counter(f"store.faults.{kind}").inc()
+        get_registry().counter(
+            "store.crashes" if kind in CRASH_KINDS else f"store.faults.{kind}"
+        ).inc()
 
-    @staticmethod
-    def _flip_bit(data: bytes, bit: int) -> bytes:
-        buf = bytearray(data)
-        buf[bit // 8] ^= 1 << (bit % 8)
-        return bytes(buf)
+    def _crash(self, op: str, key: str, kind: str) -> None:
+        index = self.plan.op_index
+        self._record(op, key, kind, op_index=index)
+        raise SimulatedCrash(
+            f"injected process death at store op {index} "
+            f"({kind.removeprefix('crash-')} {op} of {key!r})"
+        )
 
     def put(self, key: str, data: bytes) -> None:
         kind = self.plan.draw("put")
-        if kind is None:
-            self.inner.put(key, data)
-            return
+        if kind in CRASH_KINDS:
+            if kind == CRASH_TORN and len(data) > 0:
+                self.inner.put(key, data[: self.plan.position(len(data))])
+            elif kind == CRASH_AFTER:
+                self.inner.put(key, data)
+            self._crash("put", key, kind)
         if kind == FAULT_TRANSIENT:
             self._record("put", key, kind)
             raise TransientStorageError(
                 f"injected transient I/O error writing {key!r}"
             )
-        if kind == FAULT_TORN and len(data) > 0:
-            cut = self.plan.position(len(data))
-            self._record("put", key, kind, cut=cut, size=len(data))
-            self.inner.put(key, data[:cut])
-            return
-        if kind == FAULT_BITFLIP and len(data) > 0:
-            bit = self.plan.position(len(data) * 8)
-            self._record("put", key, kind, bit=bit)
-            self.inner.put(key, self._flip_bit(data, bit))
-            return
         if kind == FAULT_MISSING:
             self._record("put", key, kind)
             return  # dropped write: the blob never lands
-        # empty payloads cannot be torn or bit-flipped; write them intact
+        # empty payloads cannot be torn or bit-flipped; they land intact
+        if kind == FAULT_TORN and len(data) > 0:
+            cut = self.plan.position(len(data))
+            self._record("put", key, kind, cut=cut, size=len(data))
+            data = data[:cut]
+        elif kind == FAULT_BITFLIP and len(data) > 0:
+            bit = self.plan.position(len(data) * 8)
+            self._record("put", key, kind, bit=bit)
+            data = _flip_bit(data, bit)
         self.inner.put(key, data)
 
-    def get(self, key: str) -> bytes:
+    def _read(self, key: str, read: Callable[[], bytes]) -> bytes:
+        """``read`` is the inner ``get`` or verified read: one decision,
+        the same effects for both."""
         kind = self.plan.draw("get")
-        if kind is None:
-            return self.inner.get(key)
         if kind == FAULT_TRANSIENT:
             self._record("get", key, kind)
             raise TransientStorageError(
@@ -313,216 +353,16 @@ class FaultInjectingStore(Store):
             raise StorageError(
                 f"no object stored under key {key!r} (injected spurious miss)"
             )
-        data = self.inner.get(key)
+        if kind in (CRASH_BEFORE, CRASH_TORN):  # a read cannot tear
+            self._crash("get", key, kind)
+        data = read()
+        if kind == CRASH_AFTER:  # the read completes, its result dies with us
+            self._crash("get", key, kind)
         if kind == FAULT_BITFLIP and len(data) > 0:
             bit = self.plan.position(len(data) * 8)
             self._record("get", key, kind, bit=bit)
-            return self._flip_bit(data, bit)
+            return _flip_bit(data, bit)
         return data
-
-    def exists(self, key: str) -> bool:
-        return self.inner.exists(key)
-
-    def delete(self, key: str) -> None:
-        self.inner.delete(key)
-
-    def list_keys(self, prefix: str = "") -> list[str]:
-        return self.inner.list_keys(prefix)
-
-    def sync(self) -> None:
-        self.inner.sync()
-
-
-# -- process-death injection ---------------------------------------------------
-#
-# Faults above model the *storage medium* misbehaving while the writer
-# lives on.  Crash points model the opposite: the medium is fine but the
-# writing process dies at an arbitrary store operation -- the Tsubame2.5
-# failure mode (paper SSV) that motivates checkpointing in the first place,
-# and exactly what the two-phase commit journal must survive.
-
-CRASH_BEFORE = "before"  # die before the operation touches the store
-CRASH_TORN = "torn"  # a put persists only a prefix, then the process dies
-CRASH_AFTER = "after"  # the operation completes durably, then the process dies
-
-CRASH_MODES = (CRASH_BEFORE, CRASH_TORN, CRASH_AFTER)
-
-
-@dataclass(frozen=True)
-class CrashPoint:
-    """One scheduled process death, pinned to a global operation index.
-
-    ``op_index`` counts ``put``/``get`` operations (one shared counter, as
-    in :class:`FaultPlan`); ``mode`` decides what the store retains:
-    ``before`` leaves it untouched, ``torn`` persists a deterministic
-    prefix of the payload (puts only; on a get it degrades to ``before``),
-    ``after`` completes the operation first.  Together the three modes
-    place a death strictly before, inside, and strictly after any protocol
-    step -- mid-blob, post-blob/pre-manifest, post-manifest/pre-marker.
-    """
-
-    op_index: int
-    mode: str = CRASH_BEFORE
-
-    def __post_init__(self) -> None:
-        if int(self.op_index) < 0:
-            raise ConfigurationError(
-                f"crash op_index must be >= 0, got {self.op_index}"
-            )
-        if self.mode not in CRASH_MODES:
-            raise ConfigurationError(
-                f"unknown crash mode {self.mode!r}; expected one of {CRASH_MODES}"
-            )
-
-
-class CrashPlan:
-    """Seed-driven schedule of process deaths by store-operation index.
-
-    Built from explicit :class:`CrashPoint` placements (the crash-matrix
-    tests enumerate every index of the commit protocol) or from a
-    :class:`~repro.failure.distributions.FailureDistribution` via
-    :meth:`from_distribution` -- the same MTBF models that drive the run
-    simulator then decide *when* the process dies, with the crash mode
-    drawn from a seeded RNG.  Each point fires at most once; the plan is
-    exhausted when every point has fired.
-    """
-
-    def __init__(
-        self,
-        points: Iterable[CrashPoint | tuple[int, str]] = (),
-        *,
-        seed: int = 0,
-    ) -> None:
-        self._points: dict[int, CrashPoint] = {}
-        for p in points:
-            point = p if isinstance(p, CrashPoint) else CrashPoint(int(p[0]), str(p[1]))
-            self._points[int(point.op_index)] = point
-        self._rng = np.random.default_rng(seed)
-        self.seed = seed
-        self._op_index = -1
-        self.fired: list[CrashPoint] = []
-
-    @classmethod
-    def from_distribution(
-        cls,
-        dist: FailureDistribution,
-        *,
-        horizon_ops: int,
-        op_cost_sec: float = 1.0,
-        modes: tuple[str, ...] = CRASH_MODES,
-        seed: int = 0,
-    ) -> "CrashPlan":
-        """Schedule crashes from a failure-time distribution.
-
-        Mirrors :meth:`FaultPlan.from_distribution`: each store operation
-        advances a simulated clock by ``op_cost_sec``, a failure at time
-        ``t`` kills operation ``floor(t / op_cost_sec)``, and the crash
-        mode at each death is drawn uniformly from ``modes``.
-        """
-        if horizon_ops < 0:
-            raise ConfigurationError(f"horizon_ops must be >= 0, got {horizon_ops}")
-        if op_cost_sec <= 0:
-            raise ConfigurationError(f"op_cost_sec must be > 0, got {op_cost_sec}")
-        for mode in modes:
-            if mode not in CRASH_MODES:
-                raise ConfigurationError(
-                    f"unknown crash mode {mode!r}; expected one of {CRASH_MODES}"
-                )
-        rng = np.random.default_rng(seed)
-        times = dist.failure_times(horizon_ops * op_cost_sec, rng)
-        points = [
-            CrashPoint(int(t // op_cost_sec), str(rng.choice(modes))) for t in times
-        ]
-        return cls(points, seed=seed)
-
-    def draw(self, op: str) -> CrashPoint | None:
-        """The crash point for the next operation, or None to proceed."""
-        self._op_index += 1
-        point = self._points.pop(self._op_index, None)
-        if point is not None:
-            self.fired.append(point)
-        return point
-
-    def position(self, n: int) -> int:
-        """Deterministic torn-write cut position in ``[0, n)``."""
-        if n <= 0:
-            return 0
-        return int(self._rng.integers(0, n))
-
-    @property
-    def op_index(self) -> int:
-        return self._op_index
-
-    @property
-    def pending(self) -> int:
-        """Crash points that have not fired yet."""
-        return len(self._points)
-
-
-class CrashInjectingStore(Store):
-    """Store wrapper that kills the writer at scheduled :class:`CrashPoint`\\ s.
-
-    A firing point raises :class:`~repro.exceptions.SimulatedCrash` --
-    which no retry or repair layer catches -- after mutating the store
-    according to the point's mode.  Wrap this *outside* any
-    :class:`~repro.ckpt.resilience.ResilientStore` so a simulated death is
-    never retried away, and *inside* the test harness that models the
-    scheduler restarting the job.  Metadata operations pass through: a
-    directory listing cannot tear a commit.
-    """
-
-    def __init__(self, inner: Store, plan: CrashPlan) -> None:
-        self.inner = inner
-        self.plan = plan
-        self.events: list[FaultEvent] = []
-
-    def _crash(self, op: str, key: str, point: CrashPoint) -> None:
-        self.events.append(
-            FaultEvent(
-                index=self.plan.op_index,
-                op=op,
-                key=key,
-                kind=f"crash-{point.mode}",
-                detail={"op_index": point.op_index},
-            )
-        )
-        get_registry().counter("store.crashes").inc()
-        raise SimulatedCrash(
-            f"injected process death at store op {point.op_index} "
-            f"({point.mode} {op} of {key!r})"
-        )
-
-    def put(self, key: str, data: bytes) -> None:
-        point = self.plan.draw("put")
-        if point is None:
-            self.inner.put(key, data)
-            return
-        if point.mode == CRASH_TORN and len(data) > 0:
-            self.inner.put(key, data[: self.plan.position(len(data))])
-        elif point.mode == CRASH_AFTER:
-            self.inner.put(key, data)
-        self._crash("put", key, point)
-
-    def get(self, key: str) -> bytes:
-        point = self.plan.draw("get")
-        if point is None:
-            return self.inner.get(key)
-        if point.mode == CRASH_AFTER:
-            self.inner.get(key)  # the read completes, its result dies with us
-        self._crash("get", key, point)
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    def exists(self, key: str) -> bool:
-        return self.inner.exists(key)
-
-    def delete(self, key: str) -> None:
-        self.inner.delete(key)
-
-    def list_keys(self, prefix: str = "") -> list[str]:
-        return self.inner.list_keys(prefix)
-
-    def sync(self) -> None:
-        self.inner.sync()
 
 
 # -- shard-level fault storms ---------------------------------------------------
@@ -569,10 +409,7 @@ class StormWindow:
     delay: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in STORM_KINDS:
-            raise ConfigurationError(
-                f"unknown storm kind {self.kind!r}; expected one of {STORM_KINDS}"
-            )
+        _check_kinds((self.kind,), STORM_KINDS, "storm")
         if not self.end > self.start >= 0:
             raise ConfigurationError(
                 f"storm window needs 0 <= start < end, got [{self.start}, {self.end})"
@@ -607,12 +444,10 @@ class ShardStormPlan:
         seed: int = 0,
         clock=None,
     ) -> None:
-        import time as _time
-
         self.windows = sorted(windows, key=lambda w: (w.start, w.shard))
         self._rng = np.random.default_rng(seed)
         self.seed = seed
-        self._clock = clock if clock is not None else _time.monotonic
+        self._clock = clock if clock is not None else time.monotonic
         self._t0 = self._clock()
 
     @classmethod
@@ -631,11 +466,7 @@ class ShardStormPlan:
         shard_ids = sorted(shards)
         if not shard_ids:
             raise ConfigurationError("a storm plan needs at least one shard")
-        for kind in kinds:
-            if kind not in STORM_KINDS:
-                raise ConfigurationError(
-                    f"unknown storm kind {kind!r}; expected one of {STORM_KINDS}"
-                )
+        _check_kinds(kinds, STORM_KINDS, "storm")
         rng = np.random.default_rng(seed)
         windows = []
         for _ in range(int(storms)):
@@ -671,9 +502,7 @@ class ShardStormPlan:
         return float(self._rng.random()) < rate
 
     def position(self, n: int) -> int:
-        """A deterministic position in ``[0, n)`` (bitflip placement)."""
-        if n <= 0:
-            return 0
+        """A deterministic position in ``[0, n)``, ``n > 0`` (bitflip placement)."""
         return int(self._rng.integers(0, n))
 
     @property
@@ -682,7 +511,7 @@ class ShardStormPlan:
         return max((w.end for w in self.windows), default=0.0)
 
 
-class StormInjectingStore(Store):
+class StormInjectingStore(StoreWrapper):
     """Shard backend wrapper acting out a :class:`ShardStormPlan`.
 
     Wrap each shard of a :class:`~repro.service.sharded.ShardedStore`
@@ -697,16 +526,16 @@ class StormInjectingStore(Store):
     """
 
     def __init__(self, inner: Store, shard_id: str, plan: ShardStormPlan, *, sleep=None) -> None:
-        import time as _time
-
-        self.inner = inner
+        super().__init__(inner)
         self.shard_id = shard_id
         self.plan = plan
-        self._sleep = sleep if sleep is not None else _time.sleep
+        self._sleep = sleep if sleep is not None else time.sleep
         self.events: list[FaultEvent] = []
 
-    def _storm(self, op: str, key: str) -> None:
+    def _before(self, op: str, key: str) -> None:
         """Apply active windows; raises when the op must fail."""
+        if op == "sync":
+            return
         for w in self.plan.active(self.shard_id):
             if w.kind == STORM_DOWN:
                 self._note(op, key, STORM_DOWN)
@@ -731,33 +560,12 @@ class StormInjectingStore(Store):
             f"store.storms.{kind}", shard=self.shard_id
         ).inc()
 
-    def put(self, key: str, data: bytes) -> None:
-        self._storm("put", key)
-        self.inner.put(key, data)
-
-    def get(self, key: str) -> bytes:
-        self._storm("get", key)
-        data = self.inner.get(key)
+    def _read(self, key: str, read: Callable[[], bytes]) -> bytes:
+        self._before("get", key)
+        data = read()
         for w in self.plan.active(self.shard_id):
             if w.kind == STORM_BITFLIP and len(data) > 0 and self.plan.hit(w.rate):
                 bit = self.plan.position(len(data) * 8)
                 self._note("get", key, STORM_BITFLIP, bit=bit)
-                buf = bytearray(data)
-                buf[bit // 8] ^= 1 << (bit % 8)
-                return bytes(buf)
+                return _flip_bit(data, bit)
         return data
-
-    def exists(self, key: str) -> bool:
-        self._storm("exists", key)
-        return self.inner.exists(key)
-
-    def delete(self, key: str) -> None:
-        self._storm("delete", key)
-        self.inner.delete(key)
-
-    def list_keys(self, prefix: str = "") -> list[str]:
-        self._storm("list_keys", prefix)
-        return self.inner.list_keys(prefix)
-
-    def sync(self) -> None:
-        self.inner.sync()

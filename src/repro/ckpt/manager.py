@@ -808,15 +808,13 @@ class CheckpointManager:
     def _fetch_entry_blob(self, step: int, entry: ArrayEntry) -> bytes:
         """Read and CRC-verify one array blob.
 
-        A :class:`~repro.ckpt.resilience.ResilientStore` gets the verified
-        read (CRC mismatch triggers a backoff re-read before it counts as
-        corruption at rest); any other store reads once and verifies.
+        The CRC and length go down the store stack with the read, so
+        whichever layer can heal a mismatch does (a retrying store re-reads
+        before it counts as corruption at rest, a replicated one fails
+        over); a plain store reads once.
         """
         key = array_key(step, entry.name)
-        if isinstance(self.store, ResilientStore):
-            blob = self.store.get_verified(key, entry.crc32, entry.stored_bytes)
-        else:
-            blob = self.store.get(key)
+        blob = self.store.get_verified(key, entry.crc32, entry.stored_bytes)
         entry.verify(blob)
         return blob
 

@@ -26,7 +26,7 @@ import numpy as np
 from ..exceptions import ConfigurationError, IntegrityError, StorageError
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
-from .store import Store
+from .store import Store, StoreWrapper
 
 __all__ = ["RetryPolicy", "ResilientStore"]
 
@@ -97,15 +97,17 @@ class RetryPolicy:
         return out
 
 
-class ResilientStore(Store):
+class ResilientStore(StoreWrapper):
     """Store wrapper retrying failed operations under a :class:`RetryPolicy`.
 
     ``put`` and ``get`` (the data path) retry on any
     :class:`~repro.exceptions.StorageError`; metadata operations pass
     through fail-fast, matching the manager's usage where a failed
-    ``exists`` is advisory.  ``sleep`` is injectable so tests and
-    simulations substitute a recording stub for :func:`time.sleep`;
-    either way :attr:`slept_seconds` accumulates the backoff total.
+    ``exists`` is advisory, and so does ``sync``: a failed durability
+    barrier must fail the commit rather than be papered over.  ``sleep``
+    is injectable so tests and simulations substitute a recording stub
+    for :func:`time.sleep`; either way :attr:`slept_seconds` accumulates
+    the backoff total.
     """
 
     def __init__(
@@ -115,7 +117,7 @@ class ResilientStore(Store):
         *,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        self.inner = inner
+        super().__init__(inner)
         self.policy = policy if policy is not None else RetryPolicy()
         self._sleep = sleep
         self._rng = np.random.default_rng(self.policy.seed)
@@ -166,7 +168,7 @@ class ResilientStore(Store):
         """
 
         def read() -> bytes:
-            data = self.inner.get(key)
+            data = self.inner.get_verified(key, crc32, nbytes)
             if nbytes is not None and len(data) != nbytes:
                 get_registry().counter("store.retry.crc_rereads").inc()
                 raise _ReadMismatch(
@@ -188,20 +190,6 @@ class ResilientStore(Store):
                 f"{exc} after {self.policy.max_attempts} attempt(s); "
                 "the stored blob is corrupt"
             ) from None
-
-    def exists(self, key: str) -> bool:
-        return self.inner.exists(key)
-
-    def delete(self, key: str) -> None:
-        self.inner.delete(key)
-
-    def list_keys(self, prefix: str = "") -> list[str]:
-        return self.inner.list_keys(prefix)
-
-    def sync(self) -> None:
-        """Forwarded without retry: a failed durability barrier must fail
-        the commit rather than be papered over."""
-        self.inner.sync()
 
 
 class _ReadMismatch(StorageError):

@@ -13,6 +13,7 @@ import tempfile
 import threading
 import time
 from abc import ABC, abstractmethod
+from typing import Callable
 
 from ..exceptions import StorageError
 
@@ -20,6 +21,7 @@ __all__ = [
     "Store",
     "MemoryStore",
     "DirectoryStore",
+    "StoreWrapper",
     "CountingStore",
     "ThrottledStore",
     "LatencyStore",
@@ -36,6 +38,14 @@ class Store(ABC):
     @abstractmethod
     def get(self, key: str) -> bytes:
         """Read the blob under ``key``; raises :class:`StorageError` if absent."""
+
+    def get_verified(self, key: str, crc32: int, nbytes: int | None = None) -> bytes:
+        """Read ``key`` for a caller that knows the payload's CRC-32 (and
+        length).  A store that can do better than one read with that
+        knowledge -- re-read a transient mismatch, fail over to another
+        replica -- overrides this; the default is a plain :meth:`get`, so
+        the caller still verifies what comes back."""
+        return self.get(key)
 
     @abstractmethod
     def exists(self, key: str) -> bool: ...
@@ -302,7 +312,8 @@ class DirectoryStore(Store):
             with self._dirty_lock:
                 files, self._dirty_files = self._dirty_files, set()
                 dirs, self._dirty_dirs = self._dirty_dirs, set()
-            for path in sorted(files):
+            pending = sorted(files)
+            for i, path in enumerate(pending):
                 try:
                     fd = os.open(path, os.O_RDONLY)
                 except OSError:
@@ -310,6 +321,12 @@ class DirectoryStore(Store):
                 try:
                     os.fsync(fd)
                 except OSError as exc:
+                    # nothing from this file on is flushed: keep it all
+                    # dirty, or a retried barrier would report success
+                    # over data that never reached the medium
+                    with self._dirty_lock:
+                        self._dirty_files.update(pending[i:])
+                        self._dirty_dirs.update(dirs)
                     raise StorageError(f"sync of {path!r} failed: {exc}") from exc
                 finally:
                     os.close(fd)
@@ -318,11 +335,74 @@ class DirectoryStore(Store):
         _fsync_dir(self.root)
 
 
-class CountingStore(Store):
-    """Wrapper recording operation counts and byte totals (diagnostics)."""
+class StoreWrapper(Store):
+    """A store that forwards every operation to ``inner``.
+
+    The one place the forwarding is written.  A wrapper that only needs
+    to fail, delay or account operations overrides a hook and nothing
+    else: :meth:`_before` runs ahead of the inner call (raise to fail the
+    operation before it touches the store), :meth:`_after` once it has
+    succeeded, with the payload bytes it moved (0 for metadata
+    operations).  ``get`` and the verified read are one path,
+    :meth:`_read`, taking the inner reader -- both report as a ``get``,
+    and a wrapper that alters reads sees each exactly once.  A wrapper
+    that changes a key or a written payload overrides the method itself.
+    """
 
     def __init__(self, inner: Store) -> None:
         self.inner = inner
+
+    def _before(self, op: str, key: str) -> None:
+        pass
+
+    def _after(self, op: str, nbytes: int) -> None:
+        pass
+
+    def put(self, key: str, data: bytes) -> None:
+        self._before("put", key)
+        self.inner.put(key, data)
+        self._after("put", len(data))
+
+    def _read(self, key: str, read: Callable[[], bytes]) -> bytes:
+        self._before("get", key)
+        data = read()
+        self._after("get", len(data))
+        return data
+
+    def get(self, key: str) -> bytes:
+        return self._read(key, lambda: self.inner.get(key))
+
+    def get_verified(self, key: str, crc32: int, nbytes: int | None = None) -> bytes:
+        return self._read(key, lambda: self.inner.get_verified(key, crc32, nbytes))
+
+    def exists(self, key: str) -> bool:
+        self._before("exists", key)
+        found = self.inner.exists(key)
+        self._after("exists", 0)
+        return found
+
+    def delete(self, key: str) -> None:
+        self._before("delete", key)
+        self.inner.delete(key)
+        self._after("delete", 0)
+
+    def list_keys(self, prefix: str = "") -> list[str]:
+        self._before("list_keys", prefix)
+        keys = self.inner.list_keys(prefix)
+        self._after("list_keys", 0)
+        return keys
+
+    def sync(self) -> None:
+        self._before("sync", "")
+        self.inner.sync()
+        self._after("sync", 0)
+
+
+class CountingStore(StoreWrapper):
+    """Wrapper recording operation counts and byte totals (diagnostics)."""
+
+    def __init__(self, inner: Store) -> None:
+        super().__init__(inner)
         self.puts = 0
         self.gets = 0
         self.deletes = 0
@@ -331,43 +411,32 @@ class CountingStore(Store):
         self.bytes_written = 0
         self.bytes_read = 0
 
-    def put(self, key: str, data: bytes) -> None:
-        self.inner.put(key, data)
-        self.puts += 1
-        self.bytes_written += len(data)
-
-    def get(self, key: str) -> bytes:
-        data = self.inner.get(key)
-        self.gets += 1
-        self.bytes_read += len(data)
-        return data
-
-    def exists(self, key: str) -> bool:
-        return self.inner.exists(key)
-
-    def delete(self, key: str) -> None:
-        self.inner.delete(key)
-        self.deletes += 1
-
-    def list_keys(self, prefix: str = "") -> list[str]:
-        self.lists += 1
-        return self.inner.list_keys(prefix)
-
-    def sync(self) -> None:
-        self.inner.sync()
-        self.syncs += 1
+    def _after(self, op: str, nbytes: int) -> None:
+        if op == "put":
+            self.puts += 1
+            self.bytes_written += nbytes
+        elif op == "get":
+            self.gets += 1
+            self.bytes_read += nbytes
+        elif op == "delete":
+            self.deletes += 1
+        elif op == "list_keys":
+            self.lists += 1
+        elif op == "sync":
+            self.syncs += 1
 
 
-class ThrottledStore(Store):
+class ThrottledStore(StoreWrapper):
     """Wrapper that *accounts* simulated transfer time against a bandwidth.
 
     Stands in for the shared parallel filesystem of paper Section IV-D: no
     real sleeping happens, but every put/get accrues
     ``latency + nbytes / bandwidth`` seconds into :attr:`simulated_seconds`,
     which the scaling model and the failure simulator read.  Metadata
-    operations (``exists``/``delete``/``list_keys``) move no payload but
-    still cost a round trip, so each accrues ``latency`` seconds --
-    without it the Section IV-D model undercounts manifest traffic.
+    operations (``exists``/``delete``/``list_keys``/``sync``) move no
+    payload but still cost a round trip, so each accrues ``latency``
+    seconds -- without it the Section IV-D model undercounts manifest
+    traffic.
     """
 
     def __init__(
@@ -382,43 +451,16 @@ class ThrottledStore(Store):
             )
         if latency_sec < 0:
             raise StorageError(f"latency must be >= 0, got {latency_sec}")
-        self.inner = inner
+        super().__init__(inner)
         self.bandwidth = float(bandwidth_bytes_per_sec)
         self.latency = float(latency_sec)
         self.simulated_seconds = 0.0
 
-    def _account(self, nbytes: int) -> None:
+    def _after(self, op: str, nbytes: int) -> None:
         self.simulated_seconds += self.latency + nbytes / self.bandwidth
 
-    def put(self, key: str, data: bytes) -> None:
-        self.inner.put(key, data)
-        self._account(len(data))
 
-    def get(self, key: str) -> bytes:
-        data = self.inner.get(key)
-        self._account(len(data))
-        return data
-
-    def exists(self, key: str) -> bool:
-        found = self.inner.exists(key)
-        self.simulated_seconds += self.latency
-        return found
-
-    def delete(self, key: str) -> None:
-        self.inner.delete(key)
-        self.simulated_seconds += self.latency
-
-    def list_keys(self, prefix: str = "") -> list[str]:
-        keys = self.inner.list_keys(prefix)
-        self.simulated_seconds += self.latency
-        return keys
-
-    def sync(self) -> None:
-        self.inner.sync()
-        self.simulated_seconds += self.latency
-
-
-class LatencyStore(Store):
+class LatencyStore(StoreWrapper):
     """Wrapper that *really sleeps* to model a slower tier's latencies.
 
     Where :class:`ThrottledStore` only accounts simulated seconds (for the
@@ -450,46 +492,16 @@ class LatencyStore(Store):
             raise StorageError(
                 f"bandwidth must be positive, got {bandwidth_bytes_per_sec}"
             )
-        self.inner = inner
+        super().__init__(inner)
         self.op_latency = float(op_latency_sec)
         self.sync_latency = float(sync_latency_sec)
         self.bandwidth = bandwidth_bytes_per_sec
         self.slept_seconds = 0.0
 
-    def _sleep(self, seconds: float) -> None:
-        if seconds > 0:
-            time.sleep(seconds)
-            self.slept_seconds += seconds
-
-    def _transfer(self, nbytes: int) -> None:
-        cost = self.op_latency
+    def _after(self, op: str, nbytes: int) -> None:
+        cost = self.sync_latency if op == "sync" else self.op_latency
         if self.bandwidth is not None:
             cost += nbytes / self.bandwidth
-        self._sleep(cost)
-
-    def put(self, key: str, data: bytes) -> None:
-        self.inner.put(key, data)
-        self._transfer(len(data))
-
-    def get(self, key: str) -> bytes:
-        data = self.inner.get(key)
-        self._transfer(len(data))
-        return data
-
-    def exists(self, key: str) -> bool:
-        found = self.inner.exists(key)
-        self._sleep(self.op_latency)
-        return found
-
-    def delete(self, key: str) -> None:
-        self.inner.delete(key)
-        self._sleep(self.op_latency)
-
-    def list_keys(self, prefix: str = "") -> list[str]:
-        keys = self.inner.list_keys(prefix)
-        self._sleep(self.op_latency)
-        return keys
-
-    def sync(self) -> None:
-        self.inner.sync()
-        self._sleep(self.sync_latency)
+        if cost > 0:
+            time.sleep(cost)
+            self.slept_seconds += cost

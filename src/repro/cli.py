@@ -853,9 +853,8 @@ def _cmd_restart(args: argparse.Namespace) -> int:
     resilience = _resilience_from_args(args)
 
     store = DirectoryStore(args.directory)
-    plan = None
     if args.crash_mtbf_ops is not None:
-        from .ckpt.faults import CrashInjectingStore, CrashPlan
+        from .ckpt.faults import CRASH_KINDS, FaultInjectingStore, FaultPlan
         from .failure.distributions import ExponentialFailures
 
         if args.crash_mtbf_ops <= 0:
@@ -863,12 +862,13 @@ def _cmd_restart(args: argparse.Namespace) -> int:
                 f"--crash-mtbf-ops must be positive, got {args.crash_mtbf_ops}"
             )
         horizon = args.crash_horizon_ops or int(args.crash_mtbf_ops * 20)
-        plan = CrashPlan.from_distribution(
+        plan = FaultPlan.from_distribution(
             ExponentialFailures(args.crash_mtbf_ops),
             horizon_ops=horizon,
+            kinds=CRASH_KINDS,
             seed=args.crash_seed,
         )
-        store = CrashInjectingStore(store, plan)
+        store = FaultInjectingStore(store, plan)
 
     app_cls = HeatDiffusionProxy if args.app == "heat" else AdvectionProxy
 

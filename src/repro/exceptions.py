@@ -110,9 +110,10 @@ class TransientStorageError(StorageError):
 class SimulatedCrash(ReproError):
     """An injected process death (crash testing only).
 
-    Raised by :class:`repro.ckpt.faults.CrashInjectingStore` at a
-    scheduled :class:`~repro.ckpt.faults.CrashPoint` to model the writer
-    dying mid-commit.  Deliberately *not* a :class:`StorageError`: no
+    Raised by :class:`repro.ckpt.faults.FaultInjectingStore` at a
+    scheduled ``crash-*`` placement of its
+    :class:`~repro.ckpt.faults.FaultPlan` to model the writer dying
+    mid-commit.  Deliberately *not* a :class:`StorageError`: no
     retry/repair layer may absorb it -- the whole point is that everything
     above the store dies with the process and recovery happens on the next
     start.  Only the restart coordinator (and test harnesses standing in

@@ -45,7 +45,7 @@ import threading
 from typing import Any, Iterable, Mapping
 
 from ..ckpt.resilience import ResilientStore, RetryPolicy
-from ..ckpt.store import Store
+from ..ckpt.store import Store, StoreWrapper
 from ..exceptions import ConfigurationError, IntegrityError, StorageError
 from ..obs.metrics import get_registry
 from .hashring import DEFAULT_VNODES, HashRing
@@ -74,7 +74,7 @@ def placement_unit(key: str) -> str:
     return m.group("unit") if m else key
 
 
-class NamespacedStore(Store):
+class NamespacedStore(StoreWrapper):
     """A prefix-scoped view of an inner store (one tenant's namespace)."""
 
     def __init__(self, inner: Store, namespace: str) -> None:
@@ -82,7 +82,7 @@ class NamespacedStore(Store):
             raise ConfigurationError(
                 f"namespace must be a clean relative path, got {namespace!r}"
             )
-        self.inner = inner
+        super().__init__(inner)
         self.namespace = namespace
         self._prefix = namespace + "/"
 
@@ -96,13 +96,7 @@ class NamespacedStore(Store):
         return self.inner.get(self._k(key))
 
     def get_verified(self, key: str, crc32: int, nbytes: int | None = None) -> bytes:
-        """CRC-checked read with replica failover, when the inner store
-        supports it (a replicated :class:`ShardedStore`); otherwise a
-        plain read -- callers verify themselves."""
-        inner_verified = getattr(self.inner, "get_verified", None)
-        if inner_verified is None:
-            return self.inner.get(self._k(key))
-        return inner_verified(self._k(key), crc32, nbytes)
+        return self.inner.get_verified(self._k(key), crc32, nbytes)
 
     def exists(self, key: str) -> bool:
         return self.inner.exists(self._k(key))
@@ -113,9 +107,6 @@ class NamespacedStore(Store):
     def list_keys(self, prefix: str = "") -> list[str]:
         n = len(self._prefix)
         return [k[n:] for k in self.inner.list_keys(self._prefix + prefix)]
-
-    def sync(self) -> None:
-        self.inner.sync()
 
 
 class ShardedStore(Store):

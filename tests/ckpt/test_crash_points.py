@@ -13,10 +13,10 @@ import pytest
 
 from repro.ckpt.faults import (
     CRASH_AFTER,
-    CRASH_MODES,
-    CrashInjectingStore,
-    CrashPlan,
-    CrashPoint,
+    CRASH_BEFORE,
+    CRASH_KINDS,
+    FaultInjectingStore,
+    FaultPlan,
 )
 from repro.ckpt.manager import CheckpointManager
 from repro.ckpt.protocol import ArrayRegistry
@@ -61,7 +61,7 @@ def _ops_per_checkpoint(*, parity: bool) -> int:
 
 
 @pytest.mark.parametrize("parity", [False, True], ids=["plain", "parity"])
-@pytest.mark.parametrize("mode", CRASH_MODES)
+@pytest.mark.parametrize("mode", CRASH_KINDS)
 def test_crash_at_every_protocol_op(mode, parity):
     n_ops = _ops_per_checkpoint(parity=parity)
     assert n_ops >= 4  # blobs + manifest + marker at minimum
@@ -71,8 +71,8 @@ def test_crash_at_every_protocol_op(mode, parity):
         # generation 1 lands cleanly before the crash campaign
         _manager(_registry(1), inner, parity=parity).checkpoint(1)
 
-        crashing = CrashInjectingStore(
-            inner, CrashPlan([CrashPoint(op_index, mode)], seed=op_index)
+        crashing = FaultInjectingStore(
+            inner, FaultPlan(schedule=[(op_index, mode)], seed=op_index)
         )
         writer = _manager(_registry(2), crashing, parity=parity)
         with pytest.raises(SimulatedCrash):
@@ -124,11 +124,11 @@ def test_crash_matrix_outcome_is_deterministic():
         outcomes = []
         n_ops = _ops_per_checkpoint(parity=False)
         for op_index in range(n_ops):
-            for mode in CRASH_MODES:
+            for mode in CRASH_KINDS:
                 inner = MemoryStore()
                 _manager(_registry(1), inner).checkpoint(1)
-                crashing = CrashInjectingStore(
-                    inner, CrashPlan([CrashPoint(op_index, mode)], seed=7)
+                crashing = FaultInjectingStore(
+                    inner, FaultPlan(schedule=[(op_index, mode)], seed=7)
                 )
                 with pytest.raises(SimulatedCrash):
                     _manager(_registry(2), crashing).checkpoint(2)
@@ -145,14 +145,14 @@ def test_crash_during_recovery_reap_is_safe():
     _manager(_registry(1), inner).checkpoint(1)
     # produce a torn generation 2: die right before the marker put
     n_ops = _ops_per_checkpoint(parity=False)
-    crashing = CrashInjectingStore(
-        inner, CrashPlan([CrashPoint(n_ops - 1, "before")], seed=0)
+    crashing = FaultInjectingStore(
+        inner, FaultPlan(schedule=[(n_ops - 1, CRASH_BEFORE)], seed=0)
     )
     with pytest.raises(SimulatedCrash):
         _manager(_registry(2), crashing).checkpoint(2)
 
     # now crash during the reap itself: a store whose delete dies after
-    # removing one object (deletes pass through CrashInjectingStore
+    # removing one object (deletes pass through FaultInjectingStore
     # untouched, so the death is emulated directly)
     class DyingDeletes(MemoryStore):
         def __init__(self, src: MemoryStore) -> None:

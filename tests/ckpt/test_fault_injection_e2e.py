@@ -23,7 +23,8 @@ from repro.ckpt.faults import (
 from repro.ckpt.manager import CheckpointManager
 from repro.ckpt.manifest import array_key
 from repro.ckpt.protocol import ArrayRegistry
-from repro.ckpt.store import MemoryStore
+from repro.ckpt.resilience import ResilientStore, RetryPolicy
+from repro.ckpt.store import CountingStore, LatencyStore, MemoryStore, StoreWrapper
 from repro.config import ResilienceConfig
 from repro.exceptions import CorruptionError
 
@@ -191,3 +192,48 @@ class TestNoSilentCorruption:
         manager.checkpoint(1)
         with pytest.raises(CorruptionError):
             manager.load_arrays(1)
+
+
+class _ReadLog(StoreWrapper):
+    """Logs the (op, key) of every put/get, the ops a FaultPlan counts."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.ops = []
+
+    def _before(self, op, key):
+        if op in ("put", "get"):
+            self.ops.append((op, key))
+
+
+class TestVerifiedReadSurvivesAnyStackingOrder:
+    """One transient misread of a blob heals by re-read whatever sits on
+    top of the ResilientStore: callers never look into the stack."""
+
+    STACKS = {
+        "resilient": lambda r: r,
+        "counting-over-resilient": CountingStore,
+        "latency-over-resilient": LatencyStore,
+        "injector-over-resilient": lambda r: FaultInjectingStore(r, FaultPlan()),
+    }
+
+    @pytest.mark.parametrize("stack", sorted(STACKS))
+    def test_transient_read_bitflip_is_healed(self, stack):
+        media = MemoryStore()
+        CheckpointManager(build_registry(3), media).checkpoint(1)
+        log = _ReadLog(media)
+        CheckpointManager(build_registry(0), log).load_arrays(1)
+        blob_get = log.ops.index(("get", array_key(1, "alpha")))
+
+        faulty = FaultInjectingStore(
+            media, FaultPlan(seed=1, schedule=[(blob_get, FAULT_BITFLIP)])
+        )
+        resilient = ResilientStore(
+            faulty, RetryPolicy(max_attempts=3, base_delay=0.0), sleep=lambda _s: None
+        )
+        reader = CheckpointManager(build_registry(0), self.STACKS[stack](resilient))
+        restored = reader.load_arrays(1)
+
+        assert [e.kind for e in faulty.events] == [FAULT_BITFLIP]
+        assert resilient.retries == 1
+        assert_byte_identical(restored, CheckpointManager(build_registry(0), media).load_arrays(1))

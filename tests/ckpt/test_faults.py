@@ -5,6 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.ckpt.faults import (
+    CRASH_AFTER,
+    CRASH_BEFORE,
+    CRASH_KINDS,
+    CRASH_TORN,
     FAULT_BITFLIP,
     FAULT_KINDS,
     FAULT_MISSING,
@@ -16,6 +20,7 @@ from repro.ckpt.faults import (
 from repro.ckpt.store import MemoryStore
 from repro.exceptions import (
     ConfigurationError,
+    SimulatedCrash,
     StorageError,
     TransientStorageError,
 )
@@ -80,6 +85,102 @@ class TestFaultPlan:
         injected = [k for k in hits_a if k is not None]
         assert injected, "an MTBF of 10 ops over 200 ops should fault"
         assert set(injected) <= set(FAULT_KINDS)
+
+
+class TestCrashKinds:
+    def test_crash_kinds_are_schedule_only(self):
+        assert not set(CRASH_KINDS) & set(FAULT_KINDS)
+        with pytest.raises(ConfigurationError, match="unknown fault kind"):
+            FaultPlan(rates={CRASH_BEFORE: 0.5})
+
+    def test_negative_op_index_rejected(self):
+        with pytest.raises(ConfigurationError, match="op index"):
+            FaultPlan(schedule=[(-1, CRASH_BEFORE)])
+
+    def test_pending_counts_placements_not_reached_yet(self):
+        plan = FaultPlan(schedule=[(1, CRASH_BEFORE), (3, FAULT_TORN)])
+        assert plan.pending == 2
+        assert plan.draw("put") is None
+        assert plan.draw("put") == CRASH_BEFORE
+        assert plan.pending == 1
+        plan.draw("get")
+        plan.draw("get")  # op 3 is a get: torn is not eligible, still consumed
+        assert plan.pending == 0
+
+    def test_from_distribution_draws_the_requested_kinds(self):
+        plan = FaultPlan.from_distribution(
+            ExponentialFailures(mtbf=5.0), horizon_ops=200, kinds=CRASH_KINDS, seed=3
+        )
+        hits = [k for k in (plan.draw("put") for _ in range(200)) if k is not None]
+        assert hits and set(hits) <= set(CRASH_KINDS)
+
+    @pytest.mark.parametrize(
+        "kind, stored",
+        [(CRASH_BEFORE, None), (CRASH_AFTER, b"payload")],
+    )
+    def test_put_retains_what_the_kind_says(self, kind, stored):
+        inner = MemoryStore()
+        store = FaultInjectingStore(inner, FaultPlan(schedule=[(0, kind)]))
+        with pytest.raises(SimulatedCrash, match="injected process death at store op 0"):
+            store.put("k", b"payload")
+        assert (inner.get("k") if inner.exists("k") else None) == stored
+        assert [e.kind for e in store.events] == [kind]
+
+    def test_torn_put_persists_a_strict_prefix_then_dies(self):
+        inner = MemoryStore()
+        store = FaultInjectingStore(inner, FaultPlan(seed=5, schedule=[(0, CRASH_TORN)]))
+        with pytest.raises(SimulatedCrash):
+            store.put("k", b"0123456789")
+        assert b"0123456789".startswith(inner.get("k"))
+        assert len(inner.get("k")) < 10
+
+    def test_shared_plan_advances_one_counter(self):
+        plan = FaultPlan(schedule=[(2, CRASH_BEFORE)])
+        a = FaultInjectingStore(MemoryStore(), plan)
+        b = FaultInjectingStore(MemoryStore(), plan)
+        a.put("k", b"x")
+        b.put("k", b"x")
+        with pytest.raises(SimulatedCrash):
+            a.get("k")
+        assert plan.op_index == 2
+
+
+class TestVerifiedReadIsAGet:
+    """A verified read draws one ``get`` decision and suffers its effects:
+    nothing reads around the injection."""
+
+    def _store(self, kind):
+        inner = MemoryStore()
+        inner.put("k", b"payload")
+        return FaultInjectingStore(inner, FaultPlan(seed=2, schedule=[(0, kind)]))
+
+    def test_advances_the_op_index_by_exactly_one(self):
+        store = FaultInjectingStore(MemoryStore(), FaultPlan())
+        store.put("k", b"payload")
+        before = store.plan.op_index
+        assert store.get_verified("k", 0) == b"payload"
+        assert store.plan.op_index == before + 1
+
+    def test_transient(self):
+        with pytest.raises(TransientStorageError):
+            self._store(FAULT_TRANSIENT).get_verified("k", 0)
+
+    def test_missing(self):
+        with pytest.raises(StorageError, match="spurious miss"):
+            self._store(FAULT_MISSING).get_verified("k", 0)
+
+    def test_bitflip(self):
+        store = self._store(FAULT_BITFLIP)
+        assert store.get_verified("k", 0) != b"payload"
+        assert store.get_verified("k", 0) == b"payload"
+
+    @pytest.mark.parametrize("kind", CRASH_KINDS)
+    def test_crash_kinds(self, kind):
+        store = self._store(kind)
+        with pytest.raises(SimulatedCrash):
+            store.get_verified("k", 0)
+        assert store.events[0].op == "get" and store.events[0].kind == kind
+        assert store.get_verified("k", 0) == b"payload"
 
 
 class TestFaultInjectingStore:

@@ -13,35 +13,20 @@ from repro.ckpt.journal import (
     load_marker,
 )
 from repro.ckpt.manifest import ArrayEntry, CheckpointManifest, array_key
-from repro.ckpt.store import MemoryStore, Store
+from repro.ckpt.store import MemoryStore, Store, StoreWrapper
 from repro.exceptions import CommitError
 
 
-class SyncCountingStore(Store):
+class SyncCountingStore(StoreWrapper):
     """Counts sync() barriers; everything else delegates."""
 
     def __init__(self, inner: Store) -> None:
-        self.inner = inner
+        super().__init__(inner)
         self.syncs = 0
 
-    def put(self, key, data):
-        self.inner.put(key, data)
-
-    def get(self, key):
-        return self.inner.get(key)
-
-    def exists(self, key):
-        return self.inner.exists(key)
-
-    def delete(self, key):
-        self.inner.delete(key)
-
-    def list_keys(self, prefix=""):
-        return self.inner.list_keys(prefix)
-
-    def sync(self):
-        self.syncs += 1
-        self.inner.sync()
+    def _before(self, op, key):
+        if op == "sync":
+            self.syncs += 1
 
 
 def _write_generation(store: Store, step: int, payload: bytes) -> GroupSealItem:

@@ -22,7 +22,7 @@ import pytest
 import repro.ckpt.manager as manager_module
 from repro import CompressionConfig
 from repro.apps.climate import ClimateProxy
-from repro.ckpt.faults import CRASH_MODES
+from repro.ckpt.faults import CRASH_KINDS
 from repro.ckpt.manager import CheckpointManager
 from repro.ckpt.protocol import ArrayRegistry, registry_from_checkpointable
 from repro.ckpt.store import MemoryStore
@@ -174,7 +174,7 @@ class TestBytesAndOrder:
         assert store_digest(piped) == store_digest(serial)
 
     @pytest.mark.parametrize("parity", [False, True], ids=["plain", "parity"])
-    @pytest.mark.parametrize("mode", CRASH_MODES)
+    @pytest.mark.parametrize("mode", CRASH_KINDS)
     def test_crash_matrix_with_every_seal_on_the_lane(self, mode, parity):
         """The kill-at-every-op matrix of ``test_crash_points.py`` as it is;
         only the threshold that would seal its small arrays in place is

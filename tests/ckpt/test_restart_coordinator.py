@@ -7,7 +7,7 @@ import pytest
 
 from repro.apps.base import run_steps
 from repro.apps.heat import HeatDiffusionProxy
-from repro.ckpt.faults import CrashInjectingStore, CrashPlan
+from repro.ckpt.faults import CRASH_KINDS, FaultInjectingStore, FaultPlan
 from repro.ckpt.manager import CheckpointManager
 from repro.ckpt.protocol import registry_from_checkpointable
 from repro.ckpt.recovery import RestartCoordinator
@@ -69,12 +69,12 @@ class TestHappyPath:
 class TestCrashCampaign:
     def _run_crashy(self, points, *, total_steps=12, seed=0):
         inner = MemoryStore()
-        crashing = CrashInjectingStore(inner, CrashPlan(points, seed=seed))
+        crashing = FaultInjectingStore(inner, FaultPlan(schedule=points, seed=seed))
         coord = _coordinator(crashing, total_steps=total_steps)
         return coord, coord.run()
 
     def test_final_state_identical_to_uncrashed_run(self):
-        points = [(2, "torn"), (9, "before"), (17, "after")]
+        points = [(2, "crash-torn"), (9, "crash-before"), (17, "crash-after")]
         coord, report = self._run_crashy(points)
         assert report.completed
         assert report.final_step == 12
@@ -84,7 +84,7 @@ class TestCrashCampaign:
         )
 
     def test_rework_accounting(self):
-        coord, report = self._run_crashy([(6, "before")])
+        coord, report = self._run_crashy([(6, "crash-before")])
         crashed = [c for c in report.cycles if c.crashed]
         assert len(crashed) == 1
         expected = sum(
@@ -94,7 +94,7 @@ class TestCrashCampaign:
 
     def test_torn_generations_are_reaped_on_restart(self):
         # a torn put mid-commit leaves debris the next cycle must reap
-        coord, report = self._run_crashy([(5, "torn")])
+        coord, report = self._run_crashy([(5, "crash-torn")])
         assert report.completed
         reaped = [s for c in report.cycles for s in c.recovered_torn]
         assert reaped, "the torn generation was never reaped"
@@ -103,17 +103,20 @@ class TestCrashCampaign:
         )
 
     def test_campaign_is_deterministic(self):
-        points = [(3, "torn"), (11, "before"), (20, "after")]
+        points = [(3, "crash-torn"), (11, "crash-before"), (20, "crash-after")]
         _, first = self._run_crashy(points, seed=42)
         _, second = self._run_crashy(points, seed=42)
         assert first.to_dict() == second.to_dict()
 
     def test_mtbf_distribution_campaign(self):
         inner = MemoryStore()
-        plan = CrashPlan.from_distribution(
-            ExponentialFailures(mtbf=12.0), horizon_ops=200, seed=11
+        plan = FaultPlan.from_distribution(
+            ExponentialFailures(mtbf=12.0),
+            horizon_ops=200,
+            kinds=CRASH_KINDS,
+            seed=11,
         )
-        crashing = CrashInjectingStore(inner, plan)
+        crashing = FaultInjectingStore(inner, plan)
         coord = _coordinator(crashing, total_steps=15, max_restarts=200)
         report = coord.run()
         assert report.completed
@@ -123,9 +126,9 @@ class TestCrashCampaign:
         )
 
     def test_stuck_campaign_raises(self):
-        points = [(i, "before") for i in range(300)]
+        points = [(i, "crash-before") for i in range(300)]
         inner = MemoryStore()
-        crashing = CrashInjectingStore(inner, CrashPlan(points))
+        crashing = FaultInjectingStore(inner, FaultPlan(schedule=points))
         coord = _coordinator(crashing, max_restarts=3)
         with pytest.raises(CheckpointError, match="did not complete"):
             coord.run()

@@ -3,16 +3,29 @@
 from __future__ import annotations
 
 import os
+import time
+import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.ckpt.faults import (
+    FaultInjectingStore,
+    FaultPlan,
+    ShardStormPlan,
+    StormInjectingStore,
+)
+from repro.ckpt.resilience import ResilientStore, RetryPolicy
 from repro.ckpt.store import (
     CountingStore,
     DirectoryStore,
+    LatencyStore,
     MemoryStore,
     ThrottledStore,
 )
 from repro.exceptions import StorageError
+from repro.service.sharded import NamespacedStore
 
 
 @pytest.fixture(params=["memory", "directory"])
@@ -212,3 +225,116 @@ class TestThrottledStoreMetadataLatency:
         store.list_keys()
         store.delete("k")
         assert store.simulated_seconds == 0.0
+
+
+#: every wrapper in the configuration where it should change nothing
+NEUTRAL_WRAPPERS = {
+    "counting": CountingStore,
+    "throttled": lambda inner: ThrottledStore(inner, 1e9),
+    "latency": LatencyStore,
+    "resilient": lambda inner: ResilientStore(
+        inner, RetryPolicy(max_attempts=2, base_delay=0.0), sleep=lambda _s: None
+    ),
+    "namespaced": lambda inner: NamespacedStore(inner, "tenants/a"),
+    "fault-injecting": lambda inner: FaultInjectingStore(inner, FaultPlan()),
+    "storm-injecting": lambda inner: StormInjectingStore(inner, "s0", ShardStormPlan()),
+}
+
+_KEYS = st.sampled_from(["a", "b/x", "b/y", "c/d/e", ""])  # "" is rejected
+_OPS = st.one_of(
+    st.tuples(st.just("put"), _KEYS, st.binary(max_size=16)),
+    st.tuples(
+        st.sampled_from(["get", "get_verified", "exists", "delete"]), _KEYS
+    ),
+    st.tuples(st.just("list_keys"), st.sampled_from(["", "b/", "c", "zz"])),
+    st.tuples(st.just("sync")),
+)
+
+
+def _apply(store, op, stored):
+    """Run one scripted op; the outcome is its result or exception type."""
+    name, *args = op
+    if name == "get_verified":
+        # the caller of a verified read knows the CRC of what it wrote
+        data = stored.get(args[0], b"")
+        args = [args[0], zlib.crc32(data) & 0xFFFFFFFF, len(data)]
+    try:
+        return getattr(store, name)(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+class TestWrapperTransparency:
+    @pytest.mark.parametrize("wrapper", sorted(NEUTRAL_WRAPPERS))
+    @settings(max_examples=60, deadline=None)
+    @given(script=st.lists(_OPS, max_size=25))
+    def test_neutral_wrapper_behaves_like_the_bare_store(self, wrapper, script):
+        bare = MemoryStore()
+        wrapped = NEUTRAL_WRAPPERS[wrapper](MemoryStore())
+        stored: dict[str, bytes] = {}
+        for op in script:
+            assert _apply(wrapped, op, stored) == _apply(bare, op, stored), op
+            if op[0] == "put" and op[1]:
+                stored[op[1]] = op[2]
+        assert {k: wrapped.get(k) for k in wrapped.list_keys()} == {
+            k: bare.get(k) for k in bare.list_keys()
+        }
+
+
+def _accounting_script(store):
+    store.put("a/x", b"12345")
+    store.put("a/y", b"0" * 1000)
+    store.put("b", b"")
+    store.get("a/x")
+    store.get("a/y")
+    store.exists("a/x")
+    store.exists("nope")
+    store.list_keys("a/")
+    store.list_keys()
+    store.sync()
+    store.delete("a/x")
+    store.delete("nope")
+    store.sync()
+    store.get("b")
+
+
+class TestWrapperAccounting:
+    """Values recorded on this script before the wrappers shared a base."""
+
+    def test_counting_store(self):
+        store = CountingStore(MemoryStore())
+        _accounting_script(store)
+        assert (store.puts, store.gets, store.deletes, store.lists, store.syncs) == (
+            3, 3, 2, 2, 2,
+        )
+        assert (store.bytes_written, store.bytes_read) == (1005, 1005)
+
+    def test_throttled_store(self):
+        store = ThrottledStore(MemoryStore(), 1000.0, 0.25)
+        _accounting_script(store)
+        assert store.simulated_seconds == 5.51
+
+    def test_latency_store(self, monkeypatch):
+        sleeps: list[float] = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        store = LatencyStore(
+            MemoryStore(),
+            op_latency_sec=0.001,
+            sync_latency_sec=0.01,
+            bandwidth_bytes_per_sec=1e6,
+        )
+        _accounting_script(store)
+        assert store.slept_seconds == sum(sleeps) == 0.034010000000000006
+        assert len(sleeps) == 14
+
+    def test_a_verified_read_is_accounted_as_a_get(self, monkeypatch):
+        monkeypatch.setattr(time, "sleep", lambda _s: None)
+        counting = CountingStore(MemoryStore())
+        throttled = ThrottledStore(MemoryStore(), 100.0, 0.5)
+        latency = LatencyStore(MemoryStore(), op_latency_sec=0.5)
+        for store in (counting, throttled, latency):
+            store.inner.put("k", b"x" * 200)
+            assert store.get_verified("k", 0) == b"x" * 200
+        assert (counting.gets, counting.bytes_read) == (1, 200)
+        assert throttled.simulated_seconds == 2.5
+        assert latency.slept_seconds == 0.5

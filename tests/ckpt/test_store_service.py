@@ -124,6 +124,37 @@ class TestDirectoryStoreBatchDurability:
         assert not store.exists("gone")
 
 
+    def test_failed_sync_keeps_the_unflushed_files_dirty(self, tmp_path, monkeypatch):
+        # a retried group commit must not publish a COMMIT marker over
+        # blobs the failed barrier never flushed
+        store = DirectoryStore(str(tmp_path), durability="batch")
+        for name in ("a", "b", "c"):
+            store.put(f"gen/{name}", name.encode())
+        inode = {os.stat(p).st_ino: p for p in (
+            *(os.path.join(store.root, "gen", n) for n in "abc"),
+            os.path.join(store.root, "gen"),
+        )}
+        real_fsync = os.fsync
+        failures = [OSError(5, "Input/output error")]
+        flushed: list[str] = []
+
+        def flaky_fsync(fd):
+            if failures:
+                raise failures.pop()
+            flushed.append(inode.get(os.fstat(fd).st_ino))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", flaky_fsync)
+        with pytest.raises(StorageError, match="sync of"):
+            store.sync()
+        flushed.clear()
+        store.sync()
+        assert set(inode.values()) <= set(flushed)
+        flushed.clear()
+        store.sync()  # everything landed: only the root is left to flush
+        assert flushed == [None]
+
+
 class TestLatencyStore:
     def test_validation(self):
         with pytest.raises(StorageError, match="latencies"):

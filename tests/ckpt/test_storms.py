@@ -93,6 +93,7 @@ class TestDownStorm:
         for op in (
             lambda: store.put("k2", b"v"),
             lambda: store.get("k"),
+            lambda: store.get_verified("k", 0),  # a storm sees every read
             lambda: store.exists("k"),
             lambda: store.list_keys(""),
             lambda: store.delete("k"),
@@ -149,6 +150,7 @@ class TestBitflipStorm:
         got = store.get("k")
         assert got != payload
         assert len(got) == len(payload)
+        assert store.get_verified("k", 0) != payload  # no reading around it
         assert inner.get("k") == payload  # read-side only: rest intact
 
     def test_writes_never_corrupted(self):

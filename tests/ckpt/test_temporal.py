@@ -26,12 +26,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.ckpt import temporal
-from repro.ckpt.faults import (
-    CRASH_MODES,
-    CrashInjectingStore,
-    CrashPlan,
-    CrashPoint,
-)
+from repro.ckpt.faults import CRASH_KINDS, FaultInjectingStore, FaultPlan
 from repro.ckpt.manager import CheckpointManager, deserialize_array
 from repro.ckpt.manifest import MANIFEST_FILENAME, array_key
 from repro.ckpt.protocol import ArrayRegistry
@@ -687,9 +682,9 @@ class _KeyRecordingStore(CountingStore):
         super().__init__(inner)
         self.keys_read: list[str] = []
 
-    def get(self, key: str) -> bytes:
-        self.keys_read.append(key)
-        return super().get(key)
+    def _before(self, op: str, key: str) -> None:
+        if op == "get":
+            self.keys_read.append(key)
 
 
 class TestRestoreReadsEachManifestOnce:
@@ -805,7 +800,7 @@ def _ops_per_delta_commit() -> int:
 
 
 class TestCrashMatrix:
-    @pytest.mark.parametrize("mode", CRASH_MODES)
+    @pytest.mark.parametrize("mode", CRASH_KINDS)
     def test_crash_mid_delta_commit_preserves_the_committed_chain(self, mode):
         n_ops = _ops_per_delta_commit()
         steps = _drifting_arrays(3)
@@ -816,8 +811,8 @@ class TestCrashMatrix:
                 _registry(np.zeros_like(steps[0])), inner
             ).load_arrays(1)["field"]
 
-            crashing = CrashInjectingStore(
-                inner, CrashPlan([CrashPoint(op_index, mode)], seed=op_index)
+            crashing = FaultInjectingStore(
+                inner, FaultPlan(schedule=[(op_index, mode)], seed=op_index)
             )
             writer = _manager(_registry(steps[2]), crashing)
             with pytest.raises(SimulatedCrash):

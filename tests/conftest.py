@@ -33,3 +33,12 @@ def smooth1d(rng) -> np.ndarray:
 def nicam_small() -> dict[str, np.ndarray]:
     """The five NICAM-like variables at a test-friendly shape."""
     return nicam_like_variables((72, 20, 2), rng=7)
+
+
+def pytest_make_parametrize_id(config, val, argname):
+    """Crash kinds parametrize under their bare mode name (``before``,
+    ``torn``, ``after``): the crash-matrix test ids predate the
+    ``crash-`` prefix and CI history is keyed on them."""
+    if isinstance(val, str) and val.startswith("crash-"):
+        return val.removeprefix("crash-")
+    return None

@@ -3,71 +3,41 @@
 from __future__ import annotations
 
 import asyncio
+import time
 
 import pytest
 
-from repro.ckpt.store import MemoryStore, Store
+from repro.ckpt.store import MemoryStore, Store, StoreWrapper
 from repro.exceptions import ConfigurationError, SimulatedCrash, StorageError
 from repro.service import BurstDrain
 
 
-class SlowStore(Store):
+class SlowStore(StoreWrapper):
     """Store whose puts really take wall-clock time (models the PFS)."""
 
     def __init__(self, inner: Store, delay: float) -> None:
-        self.inner = inner
+        super().__init__(inner)
         self.delay = delay
 
-    def put(self, key, data):
-        import time
-
-        time.sleep(self.delay)
-        self.inner.put(key, data)
-
-    def get(self, key):
-        return self.inner.get(key)
-
-    def exists(self, key):
-        return self.inner.exists(key)
-
-    def delete(self, key):
-        self.inner.delete(key)
-
-    def list_keys(self, prefix=""):
-        return self.inner.list_keys(prefix)
-
-    def sync(self):
-        self.inner.sync()
+    def _before(self, op, key):
+        if op == "put":
+            time.sleep(self.delay)
 
 
-class CrashOnPut(Store):
+class CrashOnPut(StoreWrapper):
     """Raises SimulatedCrash on the Nth put."""
 
     def __init__(self, inner: Store, crash_at: int) -> None:
-        self.inner = inner
+        super().__init__(inner)
         self.crash_at = crash_at
         self.puts = 0
 
-    def put(self, key, data):
+    def _before(self, op, key):
+        if op != "put":
+            return
         self.puts += 1
         if self.puts >= self.crash_at:
             raise SimulatedCrash(f"injected death at put #{self.puts}")
-        self.inner.put(key, data)
-
-    def get(self, key):
-        return self.inner.get(key)
-
-    def exists(self, key):
-        return self.inner.exists(key)
-
-    def delete(self, key):
-        self.inner.delete(key)
-
-    def list_keys(self, prefix=""):
-        return self.inner.list_keys(prefix)
-
-    def sync(self):
-        self.inner.sync()
 
 
 def test_absorb_then_drain_moves_blob_to_slow_tier():
@@ -130,8 +100,6 @@ def test_backpressure_bounds_buffer_and_engages():
 
 def test_ingest_does_not_block_on_slow_tier():
     async def run():
-        import time
-
         fast = MemoryStore()
         slow = SlowStore(MemoryStore(), delay=0.02)
         drain = BurstDrain(fast, slow, capacity_bytes=1 << 20, drain_workers=2)
@@ -190,34 +158,20 @@ def test_crash_wakes_backpressured_absorbers():
     asyncio.run(run())
 
 
-class FlakyStore(Store):
+class FlakyStore(StoreWrapper):
     """Fails the first N puts with a transient (non-crash) StorageError."""
 
     def __init__(self, inner: Store, fail_first: int) -> None:
-        self.inner = inner
+        super().__init__(inner)
         self.fail_first = fail_first
         self.puts = 0
 
-    def put(self, key, data):
+    def _before(self, op, key):
+        if op != "put":
+            return
         self.puts += 1
         if self.puts <= self.fail_first:
             raise StorageError(f"transient put failure #{self.puts}")
-        self.inner.put(key, data)
-
-    def get(self, key):
-        return self.inner.get(key)
-
-    def exists(self, key):
-        return self.inner.exists(key)
-
-    def delete(self, key):
-        self.inner.delete(key)
-
-    def list_keys(self, prefix=""):
-        return self.inner.list_keys(prefix)
-
-    def sync(self):
-        self.inner.sync()
 
 
 def test_transient_drain_failure_returns_capacity():

@@ -15,7 +15,7 @@ import asyncio
 
 import pytest
 
-from repro.ckpt.faults import CRASH_AFTER, CRASH_BEFORE, CrashInjectingStore, CrashPlan
+from repro.ckpt.faults import CRASH_AFTER, CRASH_BEFORE, FaultInjectingStore, FaultPlan
 from repro.ckpt.journal import is_committed
 from repro.ckpt.recovery import GEN_COMMITTED, scan_generations
 from repro.ckpt.store import DirectoryStore
@@ -100,8 +100,8 @@ def _check_invariants(tmp_path, acked):
 @pytest.mark.parametrize("mode", [CRASH_BEFORE, CRASH_AFTER])
 def test_crash_sweep_sequential(tmp_path, crash_op, mode):
     async def run():
-        plan = CrashPlan([(crash_op, mode)])
-        store = CrashInjectingStore(_sharded(tmp_path), plan)
+        plan = FaultPlan(schedule=[(crash_op, mode)])
+        store = FaultInjectingStore(_sharded(tmp_path), plan)
         service = CheckpointIngestService(
             store, _registry(), drain_workers=1, max_batch=4
         )
@@ -119,8 +119,8 @@ def test_crash_mid_concurrent_batch(tmp_path):
     """Kill the store while many submits share one group-commit batch."""
 
     async def run():
-        plan = CrashPlan([(60, CRASH_BEFORE)])
-        store = CrashInjectingStore(_sharded(tmp_path), plan)
+        plan = FaultPlan(schedule=[(60, CRASH_BEFORE)])
+        store = FaultInjectingStore(_sharded(tmp_path), plan)
         service = CheckpointIngestService(
             store, _registry(), max_batch=32, max_batch_delay=0.01
         )
@@ -154,8 +154,8 @@ def test_crash_between_commit_barriers_keeps_marked_generations(tmp_path):
     async def run():
         # many puts happen per generation (2 blobs + manifest + marker +
         # placement records); crash deep enough that some markers landed
-        plan = CrashPlan([(38, CRASH_BEFORE)])
-        store = CrashInjectingStore(_sharded(tmp_path), plan)
+        plan = FaultPlan(schedule=[(38, CRASH_BEFORE)])
+        store = FaultInjectingStore(_sharded(tmp_path), plan)
         service = CheckpointIngestService(store, _registry(), drain_workers=1)
         async with service:
             acked, _ = await _ingest_until_crash(service, n_steps=6)

@@ -2,7 +2,7 @@
 
 The crash matrix is the PR's atomicity proof, the same shape as the
 commit-journal matrix: wrap every backend (shards *and* the placement
-store) in CrashInjectingStores sharing one CrashPlan, kill the worker at
+store) in FaultInjectingStores sharing one FaultPlan, kill the worker at
 every global store-operation index in every crash mode, and after each
 death assert that **every generation is readable with identical bytes
 from either its old or new location** -- then re-run the worker and
@@ -15,8 +15,8 @@ from repro.ckpt.faults import (
     CRASH_AFTER,
     CRASH_BEFORE,
     CRASH_TORN,
-    CrashInjectingStore,
-    CrashPlan,
+    FaultInjectingStore,
+    FaultPlan,
 )
 from repro.ckpt.store import MemoryStore
 from repro.exceptions import ConfigurationError, SimulatedCrash, StorageError
@@ -136,9 +136,9 @@ class TestRebalance:
 def _wrap_all(shards, placement, plan):
     """Crash-wrapped views over the same underlying stores."""
     wrapped_shards = {
-        sid: CrashInjectingStore(s, plan) for sid, s in shards.items()
+        sid: FaultInjectingStore(s, plan) for sid, s in shards.items()
     }
-    return wrapped_shards, CrashInjectingStore(placement, plan)
+    return wrapped_shards, FaultInjectingStore(placement, plan)
 
 
 def _count_ops(action, n=3, replication=2, add_shard=False, units=3):
@@ -149,7 +149,7 @@ def _count_ops(action, n=3, replication=2, add_shard=False, units=3):
     _populate(setup, units=units)
     if add_shard:
         shards["s9"] = MemoryStore()
-    plan = CrashPlan()
+    plan = FaultPlan()
     wrapped, wplacement = _wrap_all(shards, placement, plan)
     store = ShardedStore(wrapped, placement=wplacement, replication=replication)
     action(MigrationWorker(store))
@@ -178,7 +178,7 @@ class TestDrainCrashMatrix:
                 )
                 data = _populate(setup)
 
-                plan = CrashPlan([(k, mode)])
+                plan = FaultPlan(schedule=[(k, mode)])
                 wrapped, wplacement = _wrap_all(shards, placement, plan)
                 crashing = ShardedStore(
                     wrapped, placement=wplacement, replication=2
@@ -216,7 +216,7 @@ class TestRebalanceCrashMatrix:
             data = _populate(setup, units=12)
             shards["s9"] = MemoryStore()
 
-            plan = CrashPlan([(k, CRASH_TORN)])
+            plan = FaultPlan(schedule=[(k, CRASH_TORN)])
             wrapped, wplacement = _wrap_all(shards, placement, plan)
             crashing = ShardedStore(
                 wrapped, placement=wplacement, replication=1

@@ -5,7 +5,8 @@ import zlib
 
 import pytest
 
-from repro.ckpt.store import MemoryStore, Store
+from repro.ckpt.faults import FaultInjectingStore, FaultPlan
+from repro.ckpt.store import MemoryStore, StoreWrapper
 from repro.exceptions import IntegrityError, StorageError
 from repro.service.health import ShardHealth
 from repro.service.replication import (
@@ -15,45 +16,22 @@ from repro.service.replication import (
     repair_debt,
     repair_unit,
 )
-from repro.service.sharded import ShardedStore
+from repro.service.sharded import NamespacedStore, ShardedStore
 
 KEY = "tenants/a/ckpt/0000000001/u.bin"
 UNIT = "tenants/a/ckpt/0000000001"
 
 
-class BreakableStore(Store):
+class BreakableStore(StoreWrapper):
     """MemoryStore that can be switched to fail every data operation."""
 
     def __init__(self) -> None:
-        self.inner = MemoryStore()
+        super().__init__(MemoryStore())
         self.down = False
 
-    def _check(self) -> None:
-        if self.down:
+    def _before(self, op, key):
+        if self.down and op != "sync":
             raise StorageError("shard is down (test)")
-
-    def put(self, key, data):
-        self._check()
-        self.inner.put(key, data)
-
-    def get(self, key):
-        self._check()
-        return self.inner.get(key)
-
-    def exists(self, key):
-        self._check()
-        return self.inner.exists(key)
-
-    def delete(self, key):
-        self._check()
-        self.inner.delete(key)
-
-    def list_keys(self, prefix=""):
-        self._check()
-        return self.inner.list_keys(prefix)
-
-    def sync(self):
-        self.inner.sync()
 
 
 class FakeClock:
@@ -185,6 +163,21 @@ class TestVerifiedReads:
         shards[victim].inner.put(KEY, b"corrupted-at-rest")
         assert store.get_verified(KEY, crc, len(payload)) == payload
         assert health.available(victim)
+
+
+    def test_failover_and_repair_survive_wrappers_above_the_sharded_store(self):
+        # a tenant view over an injector over the shards: the verified
+        # read must still reach ShardedStore.get_verified
+        store, shards = _fresh(replication=2)
+        payload = b"payload-bytes"
+        crc = zlib.crc32(payload) & 0xFFFFFFFF
+        view = NamespacedStore(FaultInjectingStore(store, FaultPlan()), "tenants/a")
+        key = KEY.removeprefix("tenants/a/")
+        view.put(key, payload)
+        victim = _holders(shards, KEY)[0]
+        shards[victim].inner.put(KEY, b"corrupted-at-rest")
+        assert view.get_verified(key, crc, len(payload)) == payload
+        assert shards[victim].inner.get(KEY) == payload
 
 
 class TestDegradedWrites:
