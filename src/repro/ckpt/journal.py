@@ -205,6 +205,11 @@ class CommitTransaction:
                 f"key {key!r} is reserved for the commit protocol; "
                 f"blobs may not impersonate the manifest or marker"
             )
+        if key in self.blob_keys:
+            raise CommitError(
+                f"blob key {key!r} was already written by this transaction; "
+                f"a second put would overwrite bytes the manifest records"
+            )
         self.store.put(key, data)
         self.blob_keys.append(key)
 

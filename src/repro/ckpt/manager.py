@@ -284,9 +284,6 @@ class CheckpointManager:
         with ``workers`` (process-level slab parallelism) -- each worker
         process compresses its own slab body with this many threads.
         Output bytes are identical for every value.
-    backend_block_bytes:
-        When set, overrides ``config.backend_block_bytes`` (the threaded
-        backends' block-size cap; changes the emitted bytes for them).
     resilience:
         Fault-tolerance knobs (see :class:`~repro.config.ResilienceConfig`).
         ``retries > 0`` wraps the store in a
@@ -319,7 +316,6 @@ class CheckpointManager:
         workers: int = 1,
         chunk_rows: int = 256,
         backend_threads: int | None = None,
-        backend_block_bytes: int | None = None,
         resilience: ResilienceConfig | None = None,
         temporal: TemporalConfig | None = None,
     ) -> None:
@@ -331,22 +327,14 @@ class CheckpointManager:
                 RetryPolicy(
                     max_attempts=self.resilience.retries + 1,
                     base_delay=self.resilience.retry_base_delay,
-                    max_delay=self.resilience.retry_max_delay,
-                    jitter=self.resilience.retry_jitter,
-                    seed=self.resilience.retry_seed,
                 ),
             )
         self.store = store
         self.journal = CommitJournal(self.store)
         self.repair_log: list[RepairEvent] = []
         self.config = config if config is not None else CompressionConfig()
-        overrides: dict[str, Any] = {}
         if backend_threads is not None:
-            overrides["backend_threads"] = backend_threads
-        if backend_block_bytes is not None:
-            overrides["backend_block_bytes"] = backend_block_bytes
-        if overrides:
-            self.config = self.config.replace(**overrides)
+            self.config = self.config.replace(backend_threads=backend_threads)
         self.lossless_codec = lossless_codec
         get_codec(lossless_codec)  # fail fast on unknown codec
         self.policy = dict(policy or {})

@@ -23,7 +23,8 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
-from ..exceptions import ConfigurationError, IntegrityError, StorageError
+from ..config import knob, validate_knobs
+from ..exceptions import IntegrityError, StorageError
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from .store import Store, StoreWrapper
@@ -57,34 +58,15 @@ class RetryPolicy:
         an int reproduces exactly (tests, CI fault matrix).
     """
 
-    max_attempts: int = 3
-    base_delay: float = 0.05
-    multiplier: float = 2.0
-    max_delay: float = 2.0
-    jitter: float = 0.1
-    seed: int | None = 0
+    max_attempts: int = knob(3, int, ge=1)
+    base_delay: float = knob(0.05, float, ge=0)
+    multiplier: float = knob(2.0, float, ge=1)
+    max_delay: float = knob(2.0, float, ge=0)
+    jitter: float = knob(0.1, float, ge=0, le=1)
+    seed: int | None = knob(0, int, optional=True)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.max_attempts, int) or isinstance(
-            self.max_attempts, bool
-        ) or self.max_attempts < 1:
-            raise ConfigurationError(
-                f"max_attempts must be an int >= 1, got {self.max_attempts!r}"
-            )
-        if self.base_delay < 0:
-            raise ConfigurationError(
-                f"base_delay must be >= 0, got {self.base_delay}"
-            )
-        if self.multiplier < 1:
-            raise ConfigurationError(
-                f"multiplier must be >= 1, got {self.multiplier}"
-            )
-        if self.max_delay < 0:
-            raise ConfigurationError(f"max_delay must be >= 0, got {self.max_delay}")
-        if not 0 <= self.jitter <= 1:
-            raise ConfigurationError(
-                f"jitter must be in [0, 1], got {self.jitter}"
-            )
+        validate_knobs(self)
 
     def delays(self, rng: np.random.Generator) -> list[float]:
         """The sleep before each retry (length ``max_attempts - 1``)."""
@@ -169,17 +151,13 @@ class ResilientStore(StoreWrapper):
 
         def read() -> bytes:
             data = self.inner.get_verified(key, crc32, nbytes)
-            if nbytes is not None and len(data) != nbytes:
+            got = (zlib.crc32(data) & 0xFFFFFFFF, len(data))
+            want = (crc32 & 0xFFFFFFFF, len(data) if nbytes is None else nbytes)
+            if got != want:
                 get_registry().counter("store.retry.crc_rereads").inc()
                 raise _ReadMismatch(
-                    f"blob {key!r} is {len(data)} bytes, expected {nbytes}"
-                )
-            crc = zlib.crc32(data) & 0xFFFFFFFF
-            if crc != crc32 & 0xFFFFFFFF:
-                get_registry().counter("store.retry.crc_rereads").inc()
-                raise _ReadMismatch(
-                    f"blob {key!r} read back CRC {crc:#010x}, "
-                    f"expected {crc32 & 0xFFFFFFFF:#010x}"
+                    f"blob {key!r} read back CRC {got[0]:#010x} over {got[1]} "
+                    f"bytes, expected CRC {want[0]:#010x} over {want[1]} bytes"
                 )
             return data
 

@@ -91,9 +91,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import sys
-from typing import Iterator
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -102,7 +103,9 @@ from .config import (
     CompressionConfig,
     ObservabilityConfig,
     ResilienceConfig,
+    ServiceConfig,
     TemporalConfig,
+    parse_size,
 )
 from .core.chunked import CHUNK_MAGIC, chunked_compress_with_stats, chunked_decompress
 from .core.errors import error_report
@@ -110,7 +113,7 @@ from .core.pipeline import WaveletCompressor, inspect as inspect_blob
 from .core.tuning import tune_for_tolerance
 from .exceptions import ReproError, ServiceUnavailableError
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "add_flags", "from_flags"]
 
 
 def _add_trace_arg(parser: argparse.ArgumentParser) -> None:
@@ -122,22 +125,23 @@ def _add_trace_arg(parser: argparse.ArgumentParser) -> None:
 
 
 @contextlib.contextmanager
-def _tracing(args: argparse.Namespace) -> Iterator[None]:
-    """Enable tracing for the span of one command when ``--trace`` is set.
+def _tracing(args: argparse.Namespace) -> Iterator[Any]:
+    """Enable tracing for the span of one command when ``--trace`` is set,
+    yielding the trace sink (``None`` without ``--trace``).
 
     The global metrics registry is snapshotted into the trace file on the
     way out, so ``repro report`` sees both spans and counters.
     """
     trace_path = getattr(args, "trace", None)
     if not trace_path:
-        yield
+        yield None
         return
     from .obs import configure, get_registry, get_tracer
 
     tracer = get_tracer()
     sink = configure(ObservabilityConfig(enabled=True, trace_path=trace_path))
     try:
-        yield
+        yield sink
     finally:
         tracer.disable()
         if sink is not None:
@@ -148,142 +152,101 @@ def _tracing(args: argparse.Namespace) -> Iterator[None]:
         print(f"trace written: {trace_path}", file=sys.stderr)
 
 
-def _add_config_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--n-bins", type=int, default=128, metavar="N",
-        help="division number n (paper Fig. 4), 1-256 [default: 128]",
-    )
-    parser.add_argument(
-        "--quantizer", choices=("simple", "proposed", "bounded", "none"),
-        default="proposed",
-        help="quantization method [default: proposed]",
-    )
-    parser.add_argument(
-        "--spike-partitions", type=int, default=64, metavar="D",
-        help="spike-detection partition count d [default: 64]",
-    )
-    parser.add_argument(
-        "--levels", default="3", metavar="L",
-        help="wavelet recursion depth (int or 'max') [default: 3]",
-    )
-    parser.add_argument(
-        "--backend", default="zlib",
-        help="lossless backend applied to the container; 'gzip-mt'/'zlib-mt'/"
-             "'zstd'/'lz4' compress blocks on a shared thread pool (zstd/lz4 "
-             "fall back to zlib block bodies when the native library is "
-             "missing) [default: zlib]",
-    )
-    parser.add_argument(
-        "--backend-level", type=int, default=6, metavar="LVL",
-        help="backend compression level 0-9 [default: 6]",
-    )
-    parser.add_argument(
-        "--backend-threads", type=int, default=None, metavar="T",
-        help="thread count for the block-parallel backends "
-             "(gzip-mt/zlib-mt/zstd/lz4); output bytes are identical for "
-             "every T [default: one per effective core]",
-    )
-    parser.add_argument(
-        "--backend-block-bytes", type=int, default=None, metavar="B",
-        help="block-size cap the threaded backends split the body into; "
-             "large bodies auto-tune below the cap deterministically "
-             "[default: 1 MiB]",
-    )
-    parser.add_argument(
-        "--error-bound", type=float, default=None, metavar="E",
-        help="guaranteed max absolute element error (quantizer 'bounded' only)",
-    )
-    parser.add_argument(
-        "--wavelet", choices=("haar", "cdf53"), default="haar",
-        help="transform family: the paper's haar or JPEG 2000 cdf53 [default: haar]",
-    )
+def _flags(config_cls: type, prefix: str) -> Iterator[tuple[dataclasses.Field, str]]:
+    """Each field of ``config_cls`` that declares a CLI option, with its
+    ``--flag`` (``prefix`` tells two configs on one subcommand apart)."""
+    for f in dataclasses.fields(config_cls):
+        if "help" in f.metadata:
+            name = f.metadata.get("flag", f.name.replace("_", "-"))
+            yield f, f"--{prefix}{name}"
 
 
-def _add_resilience_args(parser: argparse.ArgumentParser, *, parity: bool) -> None:
-    if parity:
+def add_flags(
+    parser: argparse.ArgumentParser,
+    config_cls: type,
+    names: Sequence[str] | None = None,
+    *,
+    prefix: str = "",
+) -> None:
+    """Add the options of ``config_cls``'s knobs (only the fields in
+    ``names`` when given) to ``parser``.  Type, choices, default, metavar
+    and help all come from the field declaration (:func:`repro.config.knob`);
+    a bool knob becomes a ``store_true`` switch."""
+    for f, flag in _flags(config_cls, prefix):
+        if names is not None and f.name not in names:
+            continue
+        meta, kind = f.metadata, f.metadata.get("kind")
+        if kind is bool:
+            parser.add_argument(flag, action="store_true", help=meta["help"])
+            continue
+        default = meta.get("text", f.default)
+        shown = "" if default is None else f" [default: {default}]"
         parser.add_argument(
-            "--parity", action="store_true",
-            help="write an XOR-parity blob per array group; restore/verify "
-                 "can then reconstruct any single corrupt-or-missing blob",
+            flag,
+            # a knob whose parser reads strings takes the raw text
+            type=kind if kind in (int, float) and "text" not in meta else None,
+            choices=meta.get("choices"),
+            default=None if meta["sparse"] else default,
+            metavar=meta.get("metavar"),
+            help=meta["help"] + shown,
         )
-        parser.add_argument(
-            "--parity-group-size", type=int, default=None, metavar="G",
-            help="arrays per parity group [default: all arrays in one group]",
-        )
-    parser.add_argument(
-        "--retries", type=int, default=0, metavar="N",
-        help="extra attempts per store operation after a failure, with "
-             "exponential backoff + jitter [default: 0 = fail fast]",
-    )
-    parser.add_argument(
-        "--retry-base-delay", type=float, default=0.05, metavar="S",
-        help="backoff before the first retry, in seconds; doubles per "
-             "retry [default: 0.05]",
-    )
 
 
-def _add_temporal_args(parser: argparse.ArgumentParser) -> None:
+def from_flags(config_cls: type, args: argparse.Namespace, *, prefix: str = "") -> Any:
+    """Build a ``config_cls`` from what :func:`add_flags` parsed.  A flag
+    the subcommand does not have, or one left unset, leaves its field at
+    the field's default; a field's ``parse`` maps the flag value first."""
+    values = {}
+    for f, flag in _flags(config_cls, prefix):
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is not None:
+            parse = f.metadata.get("parse")
+            values[f.name] = parse(value) if parse else value
+    return config_cls(**values)
+
+
+def _config_from_args(args: argparse.Namespace) -> CompressionConfig:
+    return from_flags(CompressionConfig, args)
+
+
+def _add_temporal_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--temporal", action="store_true",
         help="encode lossy float arrays as temporal deltas against the "
              "previous committed generation (periodic keyframes bound the "
              "restore chain; restores replay the chain transparently)",
     )
-    parser.add_argument(
-        "--temporal-bound", type=float, default=1e-3, metavar="E",
-        help="guaranteed max absolute element error of the temporal path "
-             "[default: 1e-3]",
-    )
-    parser.add_argument(
-        "--temporal-predictor", choices=("previous", "lowband"),
-        default="previous",
-        help="predict generation N from the previous reconstruction "
-             "verbatim, or from its wavelet low band [default: previous]",
-    )
-    parser.add_argument(
-        "--temporal-keyframe-every", type=int, default=8, metavar="K",
-        help="force a self-contained keyframe after K generations "
-             "[default: 8]",
-    )
+    add_flags(parser, TemporalConfig, prefix="temporal-")
 
 
-def _temporal_from_args(args: argparse.Namespace) -> TemporalConfig | None:
-    if not getattr(args, "temporal", False):
+def _temporal_from_flags(args: argparse.Namespace) -> TemporalConfig | None:
+    if not args.temporal:
         return None
-    return TemporalConfig(
-        error_bound=args.temporal_bound,
-        predictor=args.temporal_predictor,
-        keyframe_every=args.temporal_keyframe_every,
+    return from_flags(TemporalConfig, args, prefix="temporal-")
+
+
+def _add_worker_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--workers", type=int, default=1, metavar="N",
+        help="compress leading-axis slabs in N worker processes (chunked "
+             "stream format; 1 = single-blob pipeline) [default: %(default)s]",
+    )
+    parser.add_argument(
+        "--chunk-rows", type=int, default=256, metavar="R",
+        help="slab height for --workers > 1 [default: %(default)s]",
     )
 
 
-def _resilience_from_args(args: argparse.Namespace) -> ResilienceConfig:
-    return ResilienceConfig(
-        retries=args.retries,
-        retry_base_delay=args.retry_base_delay,
-        parity=getattr(args, "parity", False),
-        parity_group_size=getattr(args, "parity_group_size", None),
+def _add_restore_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--repair", action="store_true",
+        help="force parity repair of corrupt-or-missing blobs during a "
+             "restore (default: repair exactly when the manifest has parity)",
     )
-
-
-def _config_from_args(args: argparse.Namespace) -> CompressionConfig:
-    levels: int | str = args.levels
-    if levels != "max":
-        levels = int(levels)
-    extra = {}
-    if args.backend_block_bytes is not None:
-        extra["backend_block_bytes"] = args.backend_block_bytes
-    return CompressionConfig(
-        n_bins=args.n_bins,
-        quantizer=args.quantizer,
-        spike_partitions=args.spike_partitions,
-        levels=levels,
-        backend=args.backend,
-        backend_level=args.backend_level,
-        error_bound=args.error_bound,
-        wavelet=args.wavelet,
-        backend_threads=args.backend_threads,
-        **extra,
+    parser.add_argument(
+        "--fallback", type=int, default=None, metavar="N",
+        help="a restore tries at most N older committed generations when "
+             "the newest fails [default: all older generations]",
     )
 
 
@@ -301,16 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compress", help="compress a .npy array into a .rpz blob")
     p.add_argument("input", help="input .npy file (float32/float64 array)")
     p.add_argument("output", help="output .rpz file")
-    _add_config_args(p)
-    p.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="compress leading-axis slabs in N worker processes (writes the "
-             "chunked stream format; 1 = single-blob pipeline) [default: 1]",
-    )
-    p.add_argument(
-        "--chunk-rows", type=int, default=256, metavar="R",
-        help="slab height for --workers > 1 [default: 256]",
-    )
+    add_flags(p, CompressionConfig)
+    _add_worker_flags(p)
     _add_trace_arg(p)
 
     p = sub.add_parser("decompress", help="decode a .rpz blob into a .npy array")
@@ -325,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
         "evaluate", help="report compression rate and errors for an array"
     )
     p.add_argument("input", help="input .npy file")
-    _add_config_args(p)
+    add_flags(p, CompressionConfig)
 
     p = sub.add_parser(
         "tune", help="find the smallest n meeting an error tolerance"
@@ -353,17 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--name", default="array", metavar="NAME",
         help="registry name the array is stored under [default: array]",
     )
-    _add_config_args(p)
-    p.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="compress leading-axis slabs in N worker processes [default: 1]",
-    )
-    p.add_argument(
-        "--chunk-rows", type=int, default=256, metavar="R",
-        help="slab height for --workers > 1 [default: 256]",
-    )
-    _add_temporal_args(p)
-    _add_resilience_args(p, parity=True)
+    add_flags(p, CompressionConfig)
+    _add_worker_flags(p)
+    _add_temporal_flags(p)
+    add_flags(p, ResilienceConfig)
     _add_trace_arg(p)
 
     p = sub.add_parser(
@@ -375,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="parity-reconstruct any single corrupt-or-missing blob per "
              "group, rewrite the healed bytes, and report the store clean",
     )
-    _add_resilience_args(p, parity=False)
+    add_flags(p, ResilienceConfig, ("retries", "retry_base_delay"))
 
     p = sub.add_parser(
         "restore",
@@ -387,21 +335,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--step", type=int, default=None, metavar="S",
         help="restore this step instead of the newest committed generation",
     )
-    p.add_argument(
-        "--repair", action="store_true",
-        help="force parity repair of corrupt-or-missing blobs during the "
-             "restore (default: repair exactly when the manifest has parity)",
-    )
-    p.add_argument(
-        "--fallback", type=int, default=None, metavar="N",
-        help="try at most N older committed generations when the newest "
-             "fails to restore [default: all older generations]",
-    )
+    _add_restore_flags(p)
     p.add_argument(
         "--no-fallback", action="store_true",
         help="never fall back: restore the requested/newest generation or fail",
     )
-    _add_resilience_args(p, parity=False)
+    add_flags(p, ResilienceConfig, ("retries", "retry_base_delay"))
     _add_trace_arg(p)
 
     p = sub.add_parser(
@@ -447,18 +386,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-restarts", type=int, default=100, metavar="R",
         help="give up after R crash/restart cycles [default: 100]",
     )
-    p.add_argument(
-        "--fallback", type=int, default=None, metavar="N",
-        help="restore may try at most N older committed generations "
-             "[default: all]",
-    )
-    p.add_argument(
-        "--repair", action="store_true",
-        help="force parity repair during restores",
-    )
-    _add_config_args(p)
-    _add_temporal_args(p)
-    _add_resilience_args(p, parity=True)
+    _add_restore_flags(p)
+    add_flags(p, CompressionConfig)
+    _add_temporal_flags(p)
+    add_flags(p, ResilienceConfig)
     _add_trace_arg(p)
 
     p = sub.add_parser(
@@ -488,14 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--scale", type=int, default=1, metavar="X",
         help="multiply the apps' leading dimension [default: 1]",
     )
-    p.add_argument(
-        "--predictor", choices=("previous", "lowband"), default="previous",
-        help="temporal predictor to sweep with [default: previous]",
-    )
-    p.add_argument(
-        "--keyframe-every", type=int, default=8, metavar="K",
-        help="temporal chain length bound [default: 8]",
-    )
+    add_flags(p, TemporalConfig, ("predictor", "keyframe_every"))
     p.add_argument(
         "--out", default=None, metavar="PATH",
         help="also write the full sweep as JSON (BENCH_quality.json shape)",
@@ -539,52 +463,10 @@ def build_parser() -> argparse.ArgumentParser:
              "per tenant (e.g. --tenant alice:512m:20 --tenant bob)",
     )
     p.add_argument(
-        "--shards", type=int, default=4, metavar="N",
-        help="backend store shards under the service root [default: 4]",
-    )
-    p.add_argument(
-        "--replication", type=int, default=1, metavar="R",
-        help="distinct shards each generation is written to; 2 survives "
-             "any single shard loss [default: 1]",
-    )
-    p.add_argument(
-        "--buffer-bytes", default="64m", metavar="B",
-        help="burst-buffer absorb capacity (suffixes k/m/g) [default: 64m]",
-    )
-    p.add_argument(
-        "--drain-workers", type=int, default=2, metavar="W",
-        help="background drain workers [default: 2]",
-    )
-    p.add_argument(
-        "--max-batch", type=int, default=32, metavar="G",
-        help="most generations one group commit may seal (1 = no "
-             "batching) [default: 32]",
-    )
-    p.add_argument(
-        "--durability", choices=("batch", "always"), default="batch",
-        help="shard fsync mode: 'batch' defers fsyncs to commit barriers, "
-             "'always' fsyncs every put [default: batch]",
-    )
-    p.add_argument(
         "--once", action="store_true",
         help="exit after the first client disconnects (tests/smoke runs)",
     )
-    p.add_argument(
-        "--slo-p99", type=float, default=1.0, metavar="SEC",
-        help="ingest-latency objective in seconds (submits slower than "
-             "this burn the error budget); 0 disables SLO tracking "
-             "[default: 1.0]",
-    )
-    p.add_argument(
-        "--slo-objective", type=float, default=0.995, metavar="FRAC",
-        help="target good fraction, 1-FRAC is the error budget "
-             "[default: 0.995]",
-    )
-    p.add_argument(
-        "--metrics-interval", type=float, default=0.0, metavar="SEC",
-        help="emit metric snapshots to the --trace sink every SEC seconds "
-             "while serving (0 = only at shutdown) [default: 0]",
-    )
+    add_flags(p, ServiceConfig)
     _add_trace_arg(p)
 
     p = sub.add_parser(
@@ -666,10 +548,8 @@ def _load_array(path: str) -> np.ndarray:
 def _cmd_compress(args: argparse.Namespace) -> int:
     arr = _load_array(args.input)
     config = _config_from_args(args)
-    if args.workers < 1:
-        raise ReproError(f"--workers must be >= 1, got {args.workers}")
     with _tracing(args):
-        if args.workers > 1:
+        if args.workers != 1:  # the chunked path checks the count
             blob, stats = chunked_compress_with_stats(
                 arr, config, chunk_rows=args.chunk_rows, workers=args.workers
             )
@@ -750,7 +630,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     manager = CheckpointManager(
         ArrayRegistry(),
         store,
-        resilience=_resilience_from_args(args),
+        resilience=from_flags(ResilienceConfig, args),
     )
     uncommitted = [
         g for g in scan_generations(store) if g.state != GEN_COMMITTED
@@ -820,7 +700,7 @@ def _cmd_restore(args: argparse.Namespace) -> int:
     manager = CheckpointManager(
         registry,
         DirectoryStore(args.directory),
-        resilience=_resilience_from_args(args),
+        resilience=from_flags(ResilienceConfig, args),
     )
     max_fallback = 0 if args.no_fallback else args.fallback
     with _tracing(args):
@@ -850,7 +730,7 @@ def _cmd_restart(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ReproError(f"--shape must be X,Y,Z integers: {exc}") from exc
     config = _config_from_args(args)
-    resilience = _resilience_from_args(args)
+    resilience = from_flags(ResilienceConfig, args)
 
     store = DirectoryStore(args.directory)
     if args.crash_mtbf_ops is not None:
@@ -875,7 +755,7 @@ def _cmd_restart(args: argparse.Namespace) -> int:
     def app_factory():
         return app_cls(shape, args.seed)
 
-    temporal = _temporal_from_args(args)
+    temporal = _temporal_from_flags(args)
 
     def manager_factory(app):
         return CheckpointManager(
@@ -926,8 +806,6 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
 
     arr = _load_array(args.input)
     config = _config_from_args(args)
-    if args.workers < 1:
-        raise ReproError(f"--workers must be >= 1, got {args.workers}")
     registry = ArrayRegistry()
     registry.register(args.name, arr)
     with _tracing(args):
@@ -937,8 +815,8 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
             config=config,
             workers=args.workers,
             chunk_rows=args.chunk_rows,
-            resilience=_resilience_from_args(args),
-            temporal=_temporal_from_args(args),
+            resilience=from_flags(ResilienceConfig, args),
+            temporal=_temporal_from_flags(args),
         ) as manager:
             manifest = manager.checkpoint(args.step)
     parity_note = (
@@ -954,7 +832,6 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
 
 def _cmd_quality(args: argparse.Namespace) -> int:
     from .analysis.quality import default_quality_apps, rate_distortion_sweep
-    from .config import TemporalConfig
 
     try:
         bounds = [float(tok) for tok in args.bounds.split(",") if tok.strip()]
@@ -972,15 +849,12 @@ def _cmd_quality(args: argparse.Namespace) -> int:
                 f"choose from {', '.join(sorted(apps))}"
             )
         apps = {name: apps[name] for name in wanted}
-    temporal = TemporalConfig(
-        predictor=args.predictor, keyframe_every=args.keyframe_every
-    )
     results = rate_distortion_sweep(
         apps,
         bounds,
         generations=args.generations,
         steps_per_generation=args.steps_per_generation,
-        temporal=temporal,
+        temporal=from_flags(TemporalConfig, args),
     )
 
     header = (
@@ -1044,19 +918,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_size(text: str) -> int:
-    """``"512m"`` -> bytes; bare ints pass through."""
-    text = str(text).strip().lower()
-    mult = 1
-    if text and text[-1] in "kmg":
-        mult = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30}[text[-1]]
-        text = text[:-1]
-    try:
-        return int(text) * mult
-    except ValueError as exc:
-        raise ReproError(f"cannot parse size {text!r}: {exc}") from exc
-
-
 def _parse_tenant_spec(spec: str):
     from .service import TenantSpec
 
@@ -1066,7 +927,7 @@ def _parse_tenant_spec(spec: str):
             f"tenant spec {spec!r} has too many fields; "
             f"expected NAME[:BYTES[:RATE]]"
         )
-    byte_quota = _parse_size(parts[1]) if len(parts) > 1 and parts[1] else None
+    byte_quota = parse_size(parts[1]) if len(parts) > 1 and parts[1] else None
     rate_quota = float(parts[2]) if len(parts) > 2 and parts[2] else None
     return TenantSpec(parts[0], byte_quota=byte_quota, rate_quota=rate_quota)
 
@@ -1075,37 +936,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import os
 
-    from .config import ServiceConfig
     from .service import ServiceServer, TenantRegistry
     from .service.ingest import build_service
 
     registry = TenantRegistry([_parse_tenant_spec(s) for s in args.tenant])
-    config = ServiceConfig(
-        shards=args.shards,
-        replication=args.replication,
-        buffer_capacity_bytes=_parse_size(args.buffer_bytes),
-        drain_workers=args.drain_workers,
-        max_batch=args.max_batch,
-        durability=args.durability,
-        slo_latency_p99=args.slo_p99 if args.slo_p99 > 0 else None,
-        slo_objective=args.slo_objective,
-        metrics_flush_interval=args.metrics_interval,
-    )
+    config = from_flags(ServiceConfig, args)
     socket_path = args.socket or os.path.join(args.directory, "service.sock")
     if os.path.exists(socket_path):
         os.unlink(socket_path)
 
-    # The serve command opens its trace sink directly (instead of going
-    # through _tracing) so the service's background flusher can emit
-    # periodic metric snapshots into the same file.
-    trace_path = getattr(args, "trace", None)
-    sink = None
-    if trace_path:
-        from .obs import configure
-
-        sink = configure(ObservabilityConfig(enabled=True, trace_path=trace_path))
-
-    async def _run() -> int:
+    async def _run(sink: Any) -> int:
         service = build_service(args.directory, registry, config, flush_sink=sink)
         reports = await asyncio.to_thread(service.recover_tenants)
         for name, rep in reports.items():
@@ -1146,19 +986,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             )
         return 0
 
-    try:
-        return asyncio.run(_run())
-    finally:
-        if trace_path:
-            from .obs import get_registry, get_tracer
-
-            get_tracer().disable()
-            if sink is not None:
-                snapshot = get_registry().snapshot()
-                if snapshot:
-                    sink.emit_metrics(snapshot)
-                sink.close()
-            print(f"trace written: {trace_path}", file=sys.stderr)
+    # the service's background flusher emits periodic metric snapshots
+    # into the same sink the command's spans go to
+    with _tracing(args) as sink:
+        return asyncio.run(_run(sink))
 
 
 def _cmd_svc_put(args: argparse.Namespace) -> int:

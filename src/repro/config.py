@@ -5,13 +5,19 @@ described in the paper (wavelet transform -> quantization -> encoding ->
 formatting + gzip).  The object is immutable, validates itself eagerly and
 serializes to/from a plain dict so it can be embedded in container headers
 and checkpoint manifests.
+
+Every knob is declared once, by :func:`knob` on its dataclass field;
+:func:`validate_knobs` and ``repro.cli.add_flags`` are driven by that
+declaration, and only rules relating two fields are written by hand.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
+import operator
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .exceptions import ConfigurationError
 
@@ -27,6 +33,9 @@ __all__ = [
     "QUANTIZER_BOUNDED",
     "QUANTIZER_NONE",
     "MAX_LEVELS",
+    "knob",
+    "validate_knobs",
+    "parse_size",
 ]
 
 #: Quantizer that bins *every* high-frequency coefficient (paper SIII-B1).
@@ -43,19 +52,144 @@ _QUANTIZERS = (QUANTIZER_SIMPLE, QUANTIZER_PROPOSED, QUANTIZER_BOUNDED, QUANTIZE
 #: Sentinel accepted by ``levels`` meaning "recurse until no axis can halve".
 MAX_LEVELS = "max"
 
-_BACKENDS_HINT = (
-    "known backends are registered in repro.lossless (e.g. 'zlib', 'gzip', "
-    "'gzip-mt', 'zlib-mt', 'zstd', 'lz4', 'tempfile-gzip', 'rle', "
-    "'xor-delta', 'none')"
-)
-
 #: Default block size of the thread-parallel backends (1 MiB), mirrored
 #: from :mod:`repro.lossless.parallel_deflate` to avoid an import cycle.
 DEFAULT_BACKEND_BLOCK_BYTES = 1 << 20
 
 
+def knob(
+    default: Any,
+    kind: type | None = None,
+    *,
+    ge: float | None = None,
+    gt: float | None = None,
+    le: float | None = None,
+    lt: float | None = None,
+    choices: tuple[str, ...] | None = None,
+    optional: bool = False,
+    serialized: bool = True,
+    sparse: bool = False,
+    help: str | None = None,
+    flag: str | None = None,
+    metavar: str | None = None,
+    parse: Callable[[Any], Any] | None = None,
+) -> Any:
+    """Declare one configuration knob as a dataclass field.
+
+    :func:`validate_knobs` enforces ``kind`` (``int``, ``float``, ``bool``
+    or ``str``), the bounds ``ge``/``gt``/``le``/``lt``, ``choices`` and
+    ``optional`` (``None`` allowed); a knob without ``kind`` is checked by
+    its class.  ``serialized=False`` keeps the knob out of ``to_dict``;
+    ``sparse`` records it -- in ``to_dict`` and on the command line -- only
+    when it differs from its default.  A knob with ``help`` gets the CLI
+    option ``--<flag>`` (default: the field name, dashed) showing
+    ``metavar``; the option's value goes through ``parse`` to the field.
+    When ``parse`` reads strings the default is spelled as the string a
+    user would type (``"64m"``), so option and field cannot disagree.
+    """
+    meta = {k: v for k, v in locals().items() if v is not None and k != "default"}
+    if parse is not None and isinstance(default, str):
+        meta["text"] = default
+        default = parse(default)
+    return dataclasses.field(default=default, metadata=meta)
+
+
+_KIND_NAMES = {int: "an int", float: "a finite number", bool: "a bool",
+               str: "a non-empty str"}
+_BOUNDS = (("ge", ">=", operator.ge), ("gt", ">", operator.gt),
+           ("le", "<=", operator.le), ("lt", "<", operator.lt))
+
+
+def _fits(value: Any, kind: type, meta: Mapping[str, Any]) -> bool:
+    if value is None:
+        return meta["optional"]
+    if kind is bool or kind is str:
+        ok = isinstance(value, kind) and value != ""
+    else:  # a bool is an int to isinstance, and never a count or a delay
+        ok = isinstance(value, int if kind is int else (int, float))
+        ok = ok and not isinstance(value, bool)
+        ok = ok and (isinstance(value, int) or math.isfinite(value))
+    if "choices" in meta:
+        return ok and value in meta["choices"]
+    return ok and all(op(value, meta[key]) for key, _, op in _BOUNDS if key in meta)
+
+
+def validate_knobs(obj: Any) -> None:
+    """Check every :func:`knob` of dataclass instance ``obj`` against its
+    declaration; the first misfit raises :class:`ConfigurationError`
+    naming the field, what it accepts and what it got."""
+    for f in dataclasses.fields(obj):
+        meta, value = f.metadata, getattr(obj, f.name)
+        kind = meta.get("kind")
+        if kind is None or _fits(value, kind, meta):
+            continue
+        if "choices" in meta:
+            accepts = f"one of {meta['choices']}"
+        else:
+            bounds = [f"{sym} {meta[key]}" for key, sym, _ in _BOUNDS if key in meta]
+            accepts = " ".join([_KIND_NAMES[kind], " and ".join(bounds)]).rstrip()
+        if meta["optional"]:
+            accepts += " or None"
+        raise ConfigurationError(f"{f.name} must be {accepts}, got {value!r}")
+
+
+def parse_size(text: str) -> int:
+    """``"512m"`` -> bytes; bare ints pass through."""
+    text = str(text).strip().lower()
+    mult = 1
+    if text and text[-1] in "kmg":
+        mult = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30}[text[-1]]
+        text = text[:-1]
+    try:
+        return int(text) * mult
+    except ValueError as exc:
+        raise ConfigurationError(f"cannot parse size {text!r}: {exc}") from exc
+
+
+class _Config:
+    """What the config dataclasses share: eager validation and dict I/O."""
+
+    def __post_init__(self) -> None:
+        validate_knobs(self)
+
+    def replace(self, **changes: Any) -> Any:
+        """Return a copy with ``changes`` applied (validates eagerly)."""
+        return dataclasses.replace(self, **changes)
+
+    def to_dict(self) -> dict[str, Any]:
+        """Return a JSON-compatible dict describing this configuration.
+
+        A knob declared ``serialized=False`` is *never* included: it is a
+        pure execution knob that cannot change the emitted stream, and
+        serializing it into container headers would make otherwise-
+        identical blobs differ by it.  A ``sparse`` knob (which *does*
+        shape the output) is included only when it differs from its
+        default, so default-valued configs serialize exactly as they did
+        before such a field existed -- container headers (and the
+        golden-blob format test) remain byte-stable.
+        """
+        return {
+            f.name: getattr(self, f.name)
+            for f in dataclasses.fields(self)
+            if f.metadata["serialized"]
+            and not (f.metadata["sparse"] and getattr(self, f.name) == f.default)
+        }
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> Any:
+        """Rebuild a config from :meth:`to_dict` output.
+
+        Unknown keys are rejected so stale container headers fail loudly
+        instead of silently dropping parameters.
+        """
+        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
+        if unknown:
+            raise ConfigurationError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+        return cls(**dict(data))
+
+
 @dataclass(frozen=True)
-class CompressionConfig:
+class CompressionConfig(_Config):
     """Parameters of the wavelet lossy compression pipeline.
 
     Parameters
@@ -90,7 +224,7 @@ class CompressionConfig:
         one thread per effective core and single-threaded backends ignore
         it.  Purely an execution knob: the emitted stream is
         byte-identical for every thread count, so it is never recorded in
-        headers/manifests (see :meth:`to_dict`).
+        headers/manifests (see :meth:`_Config.to_dict`).
     backend_block_bytes:
         Block-size *cap* the thread-parallel backends split the formatted
         body into (default 1 MiB; bodies over 1 MiB auto-tune the block
@@ -114,142 +248,73 @@ class CompressionConfig:
         rate -- see the wavelet ablation bench).
     """
 
-    n_bins: int = 128
-    quantizer: str = QUANTIZER_PROPOSED
-    spike_partitions: int = 64
-    levels: int | str = 3
-    backend: str = "zlib"
-    backend_level: int = 6
-    error_bound: float | None = None
-    wavelet: str = "haar"
-    backend_threads: int | None = None
-    backend_block_bytes: int = DEFAULT_BACKEND_BLOCK_BYTES
+    n_bins: int = knob(
+        128, int, ge=1, le=256, metavar="N",
+        help="division number n (paper Fig. 4), 1-256, one byte per index",
+    )
+    quantizer: str = knob(
+        QUANTIZER_PROPOSED, str, choices=_QUANTIZERS, help="quantization method"
+    )
+    spike_partitions: int = knob(
+        64, int, ge=1, metavar="D", help="spike-detection partition count d"
+    )
+    levels: int | str = knob(
+        "3", metavar="L", help="wavelet recursion depth (int or 'max')",
+        # text that is no integer reaches __post_init__ as it is
+        parse=lambda text: int(text) if text.lstrip("-").isdigit() else text,
+    )
+    backend: str = knob(
+        "zlib", str,
+        help="lossless backend applied to the container; 'gzip-mt'/'zlib-mt'/"
+             "'zstd'/'lz4' compress blocks on a shared thread pool (zstd/lz4 "
+             "fall back to zlib block bodies when the native library is missing)",
+    )
+    backend_level: int = knob(
+        6, int, ge=0, le=9, metavar="LVL", help="backend compression level 0-9"
+    )
+    error_bound: float | None = knob(
+        None, float, gt=0, optional=True, metavar="E",
+        help="guaranteed max absolute element error (quantizer 'bounded' only)",
+    )
+    wavelet: str = knob(
+        "haar", str, choices=("haar", "cdf53"),
+        help="transform family: the paper's haar or JPEG 2000 cdf53",
+    )
+    backend_threads: int | None = knob(
+        None, int, ge=1, optional=True, serialized=False, metavar="T",
+        help="thread count for the block-parallel backends "
+             "(gzip-mt/zlib-mt/zstd/lz4); output bytes are identical for "
+             "every T; unset = one per effective core",
+    )
+    backend_block_bytes: int = knob(
+        DEFAULT_BACKEND_BLOCK_BYTES, int, ge=1, sparse=True, metavar="B",
+        help="block-size cap the threaded backends split the body into; "
+             "large bodies auto-tune below the cap deterministically",
+    )
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_bins, int) or isinstance(self.n_bins, bool):
+        super().__post_init__()
+        depth = {"ge": 1, "optional": False}
+        if self.levels != MAX_LEVELS and not _fits(self.levels, int, depth):
             raise ConfigurationError(
-                f"n_bins must be an int, got {type(self.n_bins).__name__}"
-            )
-        if not 1 <= self.n_bins <= 256:
-            raise ConfigurationError(
-                f"n_bins must be in [1, 256] (one byte per index), got {self.n_bins}"
-            )
-        if self.quantizer not in _QUANTIZERS:
-            raise ConfigurationError(
-                f"unknown quantizer {self.quantizer!r}; expected one of {_QUANTIZERS}"
-            )
-        if not isinstance(self.spike_partitions, int) or isinstance(
-            self.spike_partitions, bool
-        ):
-            raise ConfigurationError(
-                "spike_partitions must be an int, got "
-                f"{type(self.spike_partitions).__name__}"
-            )
-        if self.spike_partitions < 1:
-            raise ConfigurationError(
-                f"spike_partitions must be >= 1, got {self.spike_partitions}"
-            )
-        if self.levels != MAX_LEVELS:
-            if not isinstance(self.levels, int) or isinstance(self.levels, bool):
-                raise ConfigurationError(
-                    f"levels must be an int or 'max', got {self.levels!r}"
-                )
-            if self.levels < 1:
-                raise ConfigurationError(f"levels must be >= 1, got {self.levels}")
-        if not isinstance(self.backend, str) or not self.backend:
-            raise ConfigurationError(f"backend must be a non-empty str; {_BACKENDS_HINT}")
-        if not isinstance(self.backend_level, int) or isinstance(
-            self.backend_level, bool
-        ):
-            raise ConfigurationError("backend_level must be an int")
-        if not 0 <= self.backend_level <= 9:
-            raise ConfigurationError(
-                f"backend_level must be in [0, 9], got {self.backend_level}"
-            )
-        if self.backend_threads is not None:
-            if (
-                not isinstance(self.backend_threads, int)
-                or isinstance(self.backend_threads, bool)
-                or self.backend_threads < 1
-            ):
-                raise ConfigurationError(
-                    "backend_threads must be an int >= 1 or None (auto), "
-                    f"got {self.backend_threads!r}"
-                )
-        if (
-            not isinstance(self.backend_block_bytes, int)
-            or isinstance(self.backend_block_bytes, bool)
-            or self.backend_block_bytes < 1
-        ):
-            raise ConfigurationError(
-                f"backend_block_bytes must be an int >= 1, got "
-                f"{self.backend_block_bytes!r}"
+                f"levels must be an int >= 1 or 'max', got {self.levels!r}"
             )
         if self.quantizer == QUANTIZER_BOUNDED:
-            if not isinstance(self.error_bound, (int, float)) or isinstance(
-                self.error_bound, bool
-            ) or not self.error_bound > 0:
+            if self.error_bound is None:
                 raise ConfigurationError(
-                    "quantizer='bounded' requires a positive error_bound, "
-                    f"got {self.error_bound!r}"
+                    "quantizer='bounded' requires a positive error_bound, got None"
+                )
+            if self.wavelet != "haar":
+                raise ConfigurationError(
+                    "quantizer='bounded' requires wavelet='haar': the error "
+                    "guarantee is derived from Haar's unit-weight synthesis, "
+                    "which the CDF 5/3 lifting steps do not have"
                 )
         elif self.error_bound is not None:
             raise ConfigurationError(
                 f"error_bound only applies to quantizer='bounded', not "
                 f"{self.quantizer!r}"
             )
-        if self.wavelet not in ("haar", "cdf53"):
-            raise ConfigurationError(
-                f"unknown wavelet {self.wavelet!r}; expected 'haar' (the "
-                "paper's transform) or 'cdf53' (JPEG 2000 LeGall lifting)"
-            )
-        if self.quantizer == QUANTIZER_BOUNDED and self.wavelet != "haar":
-            raise ConfigurationError(
-                "quantizer='bounded' requires wavelet='haar': the error "
-                "guarantee is derived from Haar's unit-weight synthesis, "
-                "which the CDF 5/3 lifting steps do not have"
-            )
-
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> dict[str, Any]:
-        """Return a JSON-compatible dict describing this configuration.
-
-        ``backend_threads`` is *never* included: it is a pure execution
-        knob that cannot change the emitted stream, and serializing it
-        into container headers would make otherwise-identical blobs differ
-        by thread count.  ``backend_block_bytes`` (which *does* shape the
-        threaded backends' output) is included only when it differs from
-        the default, so default-valued configs serialize exactly as they
-        did before these fields existed -- container headers (and the
-        golden-blob format test) remain byte-stable.
-        """
-        data = dataclasses.asdict(self)
-        del data["backend_threads"]
-        if self.backend_block_bytes == DEFAULT_BACKEND_BLOCK_BYTES:
-            del data["backend_block_bytes"]
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CompressionConfig":
-        """Rebuild a config from :meth:`to_dict` output.
-
-        Unknown keys are rejected so stale container headers fail loudly
-        instead of silently dropping parameters.
-        """
-        fields = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - fields
-        if unknown:
-            raise ConfigurationError(
-                f"unknown CompressionConfig keys: {sorted(unknown)}"
-            )
-        return cls(**dict(data))
-
-    # -- convenience -------------------------------------------------------
-
-    def replace(self, **changes: Any) -> "CompressionConfig":
-        """Return a copy with ``changes`` applied (validates eagerly)."""
-        return dataclasses.replace(self, **changes)
 
     @property
     def lossless(self) -> bool:
@@ -267,7 +332,7 @@ _PREDICTORS = (PREDICTOR_PREVIOUS, PREDICTOR_LOWBAND)
 
 
 @dataclass(frozen=True)
-class TemporalConfig:
+class TemporalConfig(_Config):
     """How checkpoints exploit correlation *across* generations.
 
     Consumed by :class:`repro.ckpt.temporal.TemporalEngine` and, through
@@ -306,70 +371,23 @@ class TemporalConfig:
         Compression level forwarded to ``codec``.
     """
 
-    error_bound: float = 1e-3
-    predictor: str = PREDICTOR_PREVIOUS
-    lowband_levels: int = 2
-    keyframe_every: int = 8
-    drift_slack: float = 1e-6
-    codec: str = "zlib"
-    codec_level: int = 6
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.error_bound, (int, float)) or isinstance(
-            self.error_bound, bool
-        ) or not self.error_bound > 0:
-            raise ConfigurationError(
-                f"error_bound must be a positive number, got {self.error_bound!r}"
-            )
-        if self.predictor not in _PREDICTORS:
-            raise ConfigurationError(
-                f"unknown predictor {self.predictor!r}; expected one of "
-                f"{_PREDICTORS}"
-            )
-        if not isinstance(self.lowband_levels, int) or isinstance(
-            self.lowband_levels, bool
-        ) or self.lowband_levels < 1:
-            raise ConfigurationError(
-                f"lowband_levels must be an int >= 1, got {self.lowband_levels!r}"
-            )
-        if not isinstance(self.keyframe_every, int) or isinstance(
-            self.keyframe_every, bool
-        ) or self.keyframe_every < 1:
-            raise ConfigurationError(
-                f"keyframe_every must be an int >= 1, got {self.keyframe_every!r}"
-            )
-        if self.drift_slack < 0:
-            raise ConfigurationError(
-                f"drift_slack must be >= 0, got {self.drift_slack}"
-            )
-        if not isinstance(self.codec, str) or not self.codec:
-            raise ConfigurationError(
-                f"codec must be a non-empty str; {_BACKENDS_HINT}"
-            )
-        if not isinstance(self.codec_level, int) or isinstance(
-            self.codec_level, bool
-        ) or not 0 <= self.codec_level <= 9:
-            raise ConfigurationError(
-                f"codec_level must be an int in [0, 9], got {self.codec_level!r}"
-            )
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-compatible dict (embedded in manifests and bench output)."""
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TemporalConfig":
-        fields = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - fields
-        if unknown:
-            raise ConfigurationError(
-                f"unknown TemporalConfig keys: {sorted(unknown)}"
-            )
-        return cls(**dict(data))
-
-    def replace(self, **changes: Any) -> "TemporalConfig":
-        """Return a copy with ``changes`` applied (validates eagerly)."""
-        return dataclasses.replace(self, **changes)
+    error_bound: float = knob(
+        1e-3, float, gt=0, flag="bound", metavar="E",
+        help="guaranteed max absolute element error of the temporal path",
+    )
+    predictor: str = knob(
+        PREDICTOR_PREVIOUS, str, choices=_PREDICTORS,
+        help="predict generation N from the previous reconstruction "
+             "verbatim, or from its wavelet low band",
+    )
+    lowband_levels: int = knob(2, int, ge=1)
+    keyframe_every: int = knob(
+        8, int, ge=1, metavar="K",
+        help="force a self-contained keyframe after K generations",
+    )
+    drift_slack: float = knob(1e-6, float, ge=0)
+    codec: str = knob("zlib", str)
+    codec_level: int = knob(6, int, ge=0, le=9)
 
     def keyframe_config(self) -> "CompressionConfig":
         """The bounded-quantizer pipeline configuration keyframes use."""
@@ -383,7 +401,7 @@ class TemporalConfig:
 
 
 @dataclass(frozen=True)
-class ResilienceConfig:
+class ResilienceConfig(_Config):
     """How the checkpoint storage path survives faults.
 
     Bundles the two independent remedies of the self-healing store: bounded
@@ -401,14 +419,7 @@ class ResilienceConfig:
         (``0`` keeps the old fail-fast behaviour).  Always bounded.
     retry_base_delay:
         Backoff before the first retry, in seconds; doubles per retry up
-        to ``retry_max_delay``.
-    retry_max_delay:
-        Cap on any single backoff sleep.
-    retry_jitter:
-        Jitter fraction added to each delay (deterministic under
-        ``retry_seed``).
-    retry_seed:
-        Seed of the jitter RNG; ``None`` draws fresh entropy.
+        to the cap of :class:`~repro.ckpt.resilience.RetryPolicy`.
     parity:
         Write one XOR-parity blob per array group at checkpoint time and
         use it to reconstruct any single corrupt-or-missing blob on
@@ -421,70 +432,31 @@ class ResilienceConfig:
     repair_rewrite:
         After a successful parity reconstruction, write the healed blob
         back to the store so the next reader finds it intact.
-    fallback_generations:
-        How many *older* committed generations
-        :func:`repro.ckpt.recovery.restore_with_fallback` may try after
-        the newest one fails restore despite retry and parity repair.
-        ``None`` walks the whole ladder; ``0`` pins restore to the newest
-        committed generation only.
     """
 
-    retries: int = 0
-    retry_base_delay: float = 0.05
-    retry_max_delay: float = 2.0
-    retry_jitter: float = 0.1
-    retry_seed: int | None = 0
-    parity: bool = False
-    parity_group_size: int | None = None
-    repair_rewrite: bool = True
-    fallback_generations: int | None = None
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.retries, int) or isinstance(self.retries, bool) \
-                or self.retries < 0:
-            raise ConfigurationError(
-                f"retries must be an int >= 0, got {self.retries!r}"
-            )
-        if self.retry_base_delay < 0:
-            raise ConfigurationError(
-                f"retry_base_delay must be >= 0, got {self.retry_base_delay}"
-            )
-        if self.retry_max_delay < 0:
-            raise ConfigurationError(
-                f"retry_max_delay must be >= 0, got {self.retry_max_delay}"
-            )
-        if not 0 <= self.retry_jitter <= 1:
-            raise ConfigurationError(
-                f"retry_jitter must be in [0, 1], got {self.retry_jitter}"
-            )
-        if self.parity_group_size is not None:
-            if (
-                not isinstance(self.parity_group_size, int)
-                or isinstance(self.parity_group_size, bool)
-                or self.parity_group_size < 1
-            ):
-                raise ConfigurationError(
-                    "parity_group_size must be an int >= 1 or None, got "
-                    f"{self.parity_group_size!r}"
-                )
-        if self.fallback_generations is not None:
-            if (
-                not isinstance(self.fallback_generations, int)
-                or isinstance(self.fallback_generations, bool)
-                or self.fallback_generations < 0
-            ):
-                raise ConfigurationError(
-                    "fallback_generations must be an int >= 0 or None, got "
-                    f"{self.fallback_generations!r}"
-                )
-
-    def replace(self, **changes: Any) -> "ResilienceConfig":
-        """Return a copy with ``changes`` applied (validates eagerly)."""
-        return dataclasses.replace(self, **changes)
+    retries: int = knob(
+        0, int, ge=0, metavar="N",
+        help="extra attempts per store operation after a failure, with "
+             "exponential backoff + jitter (0 = fail fast)",
+    )
+    retry_base_delay: float = knob(
+        0.05, float, ge=0, metavar="S",
+        help="backoff before the first retry, in seconds; doubles per retry",
+    )
+    parity: bool = knob(
+        False, bool,
+        help="write an XOR-parity blob per array group; restore/verify "
+             "can then reconstruct any single corrupt-or-missing blob",
+    )
+    parity_group_size: int | None = knob(
+        None, int, ge=1, optional=True, metavar="G",
+        help="arrays per parity group; unset = all arrays in one group",
+    )
+    repair_rewrite: bool = knob(True, bool)
 
 
 @dataclass(frozen=True)
-class ServiceConfig:
+class ServiceConfig(_Config):
     """Sizing of the multi-tenant checkpoint ingest service.
 
     Consumed by :func:`repro.service.ingest.build_service` and the
@@ -531,83 +503,54 @@ class ServiceConfig:
         walk).  ``1`` keeps the pre-replication single-copy behavior;
         ``2`` survives any single shard loss.  Clamped by the number of
         shards actually present.
-    health_failure_threshold:
-        Consecutive failures that open a shard's circuit breaker (reads
-        fail over, writes degrade around it).
-    health_open_seconds:
-        How long an open breaker skips a shard before admitting a
-        half-open probe.
     """
 
-    shards: int = 4
-    vnodes: int = 128
-    buffer_capacity_bytes: int = 64 * 1024 * 1024
-    drain_workers: int = 2
-    max_batch: int = 32
-    max_batch_delay: float = 0.002
-    rate_max_wait: float = 0.5
-    durability: str = "batch"
-    slo_latency_p99: float | None = 1.0
-    slo_objective: float = 0.995
-    metrics_flush_interval: float = 0.0
-    replication: int = 1
-    health_failure_threshold: int = 3
-    health_open_seconds: float = 5.0
-
-    def __post_init__(self) -> None:
-        for name, minimum in (
-            ("shards", 1),
-            ("vnodes", 1),
-            ("buffer_capacity_bytes", 1),
-            ("drain_workers", 1),
-            ("max_batch", 1),
-            ("replication", 1),
-            ("health_failure_threshold", 1),
-        ):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) \
-                    or value < minimum:
-                raise ConfigurationError(
-                    f"{name} must be an int >= {minimum}, got {value!r}"
-                )
-        if self.max_batch_delay < 0:
-            raise ConfigurationError(
-                f"max_batch_delay must be >= 0, got {self.max_batch_delay}"
-            )
-        if self.rate_max_wait < 0:
-            raise ConfigurationError(
-                f"rate_max_wait must be >= 0, got {self.rate_max_wait}"
-            )
-        if self.durability not in ("always", "batch"):
-            raise ConfigurationError(
-                f"durability must be 'always' or 'batch', got {self.durability!r}"
-            )
-        if self.slo_latency_p99 is not None and not self.slo_latency_p99 > 0:
-            raise ConfigurationError(
-                f"slo_latency_p99 must be > 0 or None, got {self.slo_latency_p99!r}"
-            )
-        if not 0.0 < self.slo_objective < 1.0:
-            raise ConfigurationError(
-                f"slo_objective must be in (0, 1), got {self.slo_objective!r}"
-            )
-        if self.metrics_flush_interval < 0:
-            raise ConfigurationError(
-                f"metrics_flush_interval must be >= 0, "
-                f"got {self.metrics_flush_interval}"
-            )
-        if not self.health_open_seconds > 0:
-            raise ConfigurationError(
-                f"health_open_seconds must be > 0, "
-                f"got {self.health_open_seconds!r}"
-            )
-
-    def replace(self, **changes: Any) -> "ServiceConfig":
-        """Return a copy with ``changes`` applied (validates eagerly)."""
-        return dataclasses.replace(self, **changes)
+    shards: int = knob(
+        4, int, ge=1, metavar="N", help="backend store shards under the service root"
+    )
+    vnodes: int = knob(128, int, ge=1)
+    buffer_capacity_bytes: int = knob(
+        "64m", int, ge=1, flag="buffer-bytes", metavar="B", parse=parse_size,
+        help="burst-buffer absorb capacity (suffixes k/m/g)",
+    )
+    drain_workers: int = knob(
+        2, int, ge=1, metavar="W", help="background drain workers"
+    )
+    max_batch: int = knob(
+        32, int, ge=1, metavar="G",
+        help="most generations one group commit may seal (1 = no batching)",
+    )
+    max_batch_delay: float = knob(0.002, float, ge=0)
+    rate_max_wait: float = knob(0.5, float, ge=0)
+    durability: str = knob(
+        "batch", str, choices=("batch", "always"),
+        help="shard fsync mode: 'batch' defers fsyncs to commit barriers, "
+             "'always' fsyncs every put",
+    )
+    slo_latency_p99: float | None = knob(
+        1.0, float, gt=0, optional=True, flag="slo-p99", metavar="SEC",
+        parse=lambda seconds: seconds if seconds > 0 else None,
+        help="ingest-latency objective in seconds (submits slower than "
+             "this burn the error budget); 0 disables SLO tracking",
+    )
+    slo_objective: float = knob(
+        0.995, float, gt=0, lt=1, metavar="FRAC",
+        help="target good fraction, 1-FRAC is the error budget",
+    )
+    metrics_flush_interval: float = knob(
+        0.0, float, ge=0, flag="metrics-interval", metavar="SEC",
+        help="emit metric snapshots to the --trace sink every SEC seconds "
+             "while serving (0 = only at shutdown)",
+    )
+    replication: int = knob(
+        1, int, ge=1, metavar="R",
+        help="distinct shards each generation is written to; 2 survives "
+             "any single shard loss",
+    )
 
 
 @dataclass(frozen=True)
-class ObservabilityConfig:
+class ObservabilityConfig(_Config):
     """How a run reports on itself (see :mod:`repro.obs`).
 
     Unlike :class:`CompressionConfig`, nothing here can change emitted
@@ -627,18 +570,13 @@ class ObservabilityConfig:
         ``enabled=True``.
     """
 
-    enabled: bool = False
-    trace_path: str | None = None
+    enabled: bool = knob(False, bool)
+    trace_path: str | None = knob(None, str, optional=True)
 
     def __post_init__(self) -> None:
-        if self.trace_path is not None:
-            if not isinstance(self.trace_path, str) or not self.trace_path:
-                raise ConfigurationError(
-                    f"trace_path must be a non-empty str or None, "
-                    f"got {self.trace_path!r}"
-                )
-            if not self.enabled:
-                raise ConfigurationError(
-                    "trace_path is set but observability is disabled; pass "
-                    "enabled=True to record a trace"
-                )
+        super().__post_init__()
+        if self.trace_path is not None and not self.enabled:
+            raise ConfigurationError(
+                "trace_path is set but observability is disabled; pass "
+                "enabled=True to record a trace"
+            )

@@ -49,6 +49,7 @@ from ..ckpt.manifest import (
 )
 from ..ckpt.recovery import RecoveryReport, recover
 from ..ckpt.store import MemoryStore, Store
+from ..config import ServiceConfig
 from ..exceptions import (
     CheckpointNotFoundError,
     CommitError,
@@ -61,6 +62,7 @@ from ..exceptions import (
 from ..obs import MetricsFlusher, SLOTracker, get_registry, get_tracer
 from .sharded import NamespacedStore, ShardedStore, TENANT_PREFIX
 from .buffer import BurstDrain
+from .health import ShardHealth
 from .tenants import TenantRegistry
 
 __all__ = ["CheckpointIngestService", "IngestAck", "build_service"]
@@ -152,11 +154,11 @@ class CheckpointIngestService:
         store: Store,
         tenants: TenantRegistry,
         *,
-        buffer_capacity_bytes: int = 64 * 1024 * 1024,
-        drain_workers: int = 2,
-        max_batch: int = 32,
-        max_batch_delay: float = 0.002,
-        rate_max_wait: float = 0.5,
+        buffer_capacity_bytes: int = ServiceConfig.buffer_capacity_bytes,
+        drain_workers: int = ServiceConfig.drain_workers,
+        max_batch: int = ServiceConfig.max_batch,
+        max_batch_delay: float = ServiceConfig.max_batch_delay,
+        rate_max_wait: float = ServiceConfig.rate_max_wait,
         slo: SLOTracker | None = None,
         flush_sink: Any = None,
         flush_interval: float = 0.0,
@@ -647,7 +649,7 @@ class CheckpointIngestService:
 def build_service(
     root: str,
     tenants: TenantRegistry,
-    config: "ServiceConfig | None" = None,
+    config: ServiceConfig | None = None,
     *,
     flush_sink: Any = None,
 ) -> CheckpointIngestService:
@@ -662,7 +664,6 @@ def build_service(
     import os
 
     from ..ckpt.store import DirectoryStore
-    from ..config import ServiceConfig
 
     if config is None:
         config = ServiceConfig()
@@ -675,18 +676,12 @@ def build_service(
     placement = DirectoryStore(
         os.path.join(root, "_placement"), durability=config.durability
     )
-    from .health import ShardHealth
-
-    health = ShardHealth(
-        failure_threshold=config.health_failure_threshold,
-        open_seconds=config.health_open_seconds,
-    )
     store = ShardedStore(
         shards,
         placement=placement,
         vnodes=config.vnodes,
         replication=config.replication,
-        health=health,
+        health=ShardHealth(),
     )
     slo = None
     if config.slo_latency_p99 is not None:

@@ -107,6 +107,15 @@ class TestCommitProtocol:
         with pytest.raises(CommitError):
             txn.put_blob("ckpt/0000000001/late.bin", b"z")
 
+    def test_second_put_of_one_key_rejected(self):
+        store = MemoryStore()
+        txn = CommitJournal(store).begin(1)
+        txn.put_blob("ckpt/0000000001/a.bin", b"first")
+        with pytest.raises(CommitError, match="already written"):
+            txn.put_blob("ckpt/0000000001/a.bin", b"second")
+        assert store.get("ckpt/0000000001/a.bin") == b"first"
+        assert txn.blob_keys == ["ckpt/0000000001/a.bin"]
+
     def test_blob_outside_generation_rejected(self):
         txn = CommitJournal(MemoryStore()).begin(1)
         with pytest.raises(CommitError, match="outside"):

@@ -363,9 +363,8 @@ class TestBackendThreadPlumbing:
         mgr = CheckpointManager(
             registry,
             MemoryStore(),
-            config=CompressionConfig(backend="gzip-mt"),
+            config=CompressionConfig(backend="gzip-mt", backend_block_bytes=4_096),
             backend_threads=2,
-            backend_block_bytes=4_096,
         )
         assert mgr.config.backend_threads == 2
         assert mgr.config.backend_block_bytes == 4_096
@@ -380,10 +379,11 @@ class TestBackendThreadPlumbing:
         mgr = CheckpointManager(
             registry,
             MemoryStore(),
-            config=CompressionConfig(quantizer="none", backend="gzip-mt"),
+            config=CompressionConfig(
+                quantizer="none", backend="gzip-mt", backend_block_bytes=8_192
+            ),
             lossless_codec="gzip-mt",
             backend_threads=2,
-            backend_block_bytes=8_192,
         )
         before = registry.snapshot()
         mgr.checkpoint(1)

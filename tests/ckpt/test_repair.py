@@ -10,7 +10,7 @@ from repro.ckpt.manifest import array_key, parity_key
 from repro.ckpt.protocol import ArrayRegistry
 from repro.ckpt.store import MemoryStore
 from repro.config import ResilienceConfig
-from repro.exceptions import CorruptionError, FormatError
+from repro.exceptions import CommitError, CorruptionError, FormatError
 
 
 @pytest.fixture
@@ -53,6 +53,27 @@ class TestParityWrite:
         assert [pe.members for pe in manifest.parity] == [
             ("counter", "temperature"), ("velocity",),
         ]
+
+    def test_array_named_like_a_parity_blob_is_refused(self, registry):
+        """``array_key(step, "parity-0000")`` *is* ``parity_key(step, 0)``:
+        the parity put used to overwrite the array blob, committing a
+        generation its own ``verify`` called corrupt."""
+        registry.register("parity-0000", np.arange(32, dtype=np.float64))
+        assert array_key(1, "parity-0000") == parity_key(1, 0)
+        with pytest.raises(CommitError, match="already written"):
+            make_manager(registry).checkpoint(1)
+        # without parity the name is an array name like any other
+        plain = make_manager(registry, parity=False)
+        plain.checkpoint(1)
+        plain.verify(1)
+
+    def test_refused_generation_is_reaped(self, registry):
+        registry.register("parity-0000", np.arange(32, dtype=np.float64))
+        manager = make_manager(registry)
+        with pytest.raises(CommitError):
+            manager.checkpoint(1)
+        assert manager.steps() == []
+        assert manager.store.list_keys("ckpt/") == []
 
     def test_parity_off_writes_nothing_extra(self, registry):
         manager = make_manager(registry, parity=False)

@@ -132,3 +132,44 @@ class TestReplace:
         assert other.n_bins == 8 and cfg.n_bins == 128
         with pytest.raises(ConfigurationError):
             cfg.replace(n_bins=0)
+
+
+def _numeric_and_bool_fields():
+    import dataclasses
+
+    from repro.ckpt.resilience import RetryPolicy
+    from repro.config import (
+        ObservabilityConfig,
+        ResilienceConfig,
+        ServiceConfig,
+        TemporalConfig,
+    )
+
+    nan, inf = float("nan"), float("inf")
+    wrong = {
+        "int": (nan, "1", True, inf, -inf),
+        "float": (nan, "1", True, inf, -inf),
+        "bool": (nan, "no", 1),
+    }
+    for cls in (
+        CompressionConfig, TemporalConfig, ResilienceConfig, ServiceConfig,
+        ObservabilityConfig, RetryPolicy,
+    ):
+        for f in dataclasses.fields(cls):
+            for bad in wrong.get(f.type.split(" | ")[0], ()):
+                yield pytest.param(cls, f.name, bad, id=f"{cls.__name__}.{f.name}={bad!r}")
+
+
+class TestEveryKnobChecksItsType:
+    """One validator for all six classes: an int knob refuses a bool, a
+    float knob refuses NaN and infinities (an infinite "guaranteed" error
+    bound guarantees nothing), a bool knob refuses truthy strings."""
+
+    @pytest.mark.parametrize("cls,name,bad", _numeric_and_bool_fields())
+    def test_wrong_value_names_the_field(self, cls, name, bad):
+        with pytest.raises(ConfigurationError, match=name):
+            cls(**{name: bad})
+
+    def test_every_class_is_covered(self):
+        covered = {p.values[0].__name__ for p in _numeric_and_bool_fields()}
+        assert len(covered) == 6
