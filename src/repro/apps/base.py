@@ -12,6 +12,7 @@ from typing import TYPE_CHECKING, Any, Mapping, Protocol, runtime_checkable
 
 import numpy as np
 
+from ..ckpt.journal import is_committed
 from ..exceptions import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -72,7 +73,7 @@ def run_with_checkpoints(
         app.step()
         s = int(app.step_index)
         due = s % interval == 0 or (final and s == total_steps)
-        if due and s not in manager.steps():
+        if due and not is_committed(manager.store, s):
             manager.checkpoint(s, app_meta)
             written.append(s)
     return written

@@ -22,18 +22,28 @@ A crash at any instant leaves either a committed generation (marker
 present and matching) or a torn one (anything else) -- and torn
 generations are garbage, reaped by :mod:`repro.ckpt.recovery` at the next
 start.  There is no intermediate state a restore could half-trust.
+
+The reader side of that contract lives here too, once: :func:`classify`
+is the only definition of *committed*, and :func:`is_committed`,
+:func:`scan_generations`, :func:`committed_steps` and
+:func:`load_committed` are views of it.  Nothing outside this module
+lists ``ckpt/`` or parses a step number out of a key.
 """
 
 from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Any
 
 from ..exceptions import (
     CheckpointNotFoundError,
     CommitError,
     FormatError,
+    IntegrityError,
+    StorageError,
 )
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
@@ -49,7 +59,16 @@ __all__ = [
     "CommitTransaction",
     "CommitJournal",
     "load_marker",
+    "GEN_COMMITTED",
+    "GEN_TORN",
+    "GEN_ORPHANED",
+    "GenerationInfo",
+    "classify",
     "is_committed",
+    "scan_generations",
+    "committed_steps",
+    "published_steps",
+    "load_committed",
     "GroupSealItem",
     "group_seal",
 ]
@@ -149,24 +168,157 @@ def load_marker(store: Store, step: int) -> CommitMarker:
     return CommitMarker.from_json(store.get(key))
 
 
-def is_committed(store: Store, step: int) -> bool:
-    """Whether generation ``step`` is fully committed.
+GEN_COMMITTED = "committed"
+GEN_TORN = "torn"
+GEN_ORPHANED = "orphaned"
 
-    True iff a parseable marker exists, it names ``step``, and the
-    manifest it seals is present with matching length and CRC32.  Anything
-    else -- absent marker, torn marker bytes, missing or substituted
-    manifest -- is not committed.
+
+@dataclass(frozen=True)
+class GenerationInfo:
+    """Classification of one on-store generation."""
+
+    step: int
+    state: str  # GEN_COMMITTED | GEN_TORN | GEN_ORPHANED
+    reason: str  # why it landed in that state (diagnostics)
+    n_keys: int  # objects under the generation prefix (0 for a point check)
+    #: the manifest the marker seals -- set exactly when ``state`` is committed
+    manifest: CheckpointManifest | None = field(default=None, compare=False, repr=False)
+
+    def to_dict(self) -> dict[str, Any]:
+        return {
+            "step": self.step,
+            "state": self.state,
+            "reason": self.reason,
+            "n_keys": self.n_keys,
+        }
+
+
+def classify(store: Store, step: int, keys: list[str] | None = None) -> GenerationInfo:
+    """The one definition of *committed*, with the reason attached.
+
+    Committed iff a parseable marker exists, names ``step``, and the
+    manifest it seals is present, matches the sealed CRC32 and length,
+    and parses.  The manifest is read through ``get_verified`` with the
+    CRC the marker records, so it heals the way array blobs do: a
+    retrying store re-reads, a replicated one fails over and repairs the
+    bad copy.  Anything else is torn (the metadata phase started) or
+    orphaned (blobs only) -- garbage either way.
+
+    ``keys`` is the listing of the generation's prefix when the caller
+    holds one (a scan).  Without it this is a point check, O(1) in the
+    generations held: it probes the marker, lists nothing, and reports a
+    step without one as torn whatever else is under the prefix.
     """
+    step = int(step)
+    ckey, mkey = commit_key(step), manifest_key(step)
+    listed = keys is not None
+    n_keys = len(keys) if listed else 0
+    torn = partial(GenerationInfo, step, GEN_TORN, n_keys=n_keys)
+    if not (ckey in keys if listed else store.exists(ckey)):
+        if listed and mkey not in keys:
+            return GenerationInfo(
+                step, GEN_ORPHANED, "blobs without manifest or commit marker", n_keys
+            )
+        return torn("no commit marker was published")
     try:
-        marker = load_marker(store, step)
-    except (CheckpointNotFoundError, FormatError):
-        return False
-    if marker.step != int(step):
-        return False
-    mkey = manifest_key(step)
-    if not store.exists(mkey):
-        return False
-    return marker.matches(store.get(mkey))
+        marker = CommitMarker.from_json(store.get(ckey))
+    except (FormatError, StorageError) as exc:
+        return torn(f"commit marker is unreadable: {exc}")
+    if marker.step != step:
+        return torn(f"commit marker names step {marker.step}, found under step {step}")
+    if listed and mkey not in keys:
+        return torn("commit marker present but manifest is missing")
+    try:
+        payload = store.get_verified(
+            mkey, marker.manifest_crc32, marker.manifest_bytes
+        )
+    except (StorageError, IntegrityError) as exc:
+        return torn(f"manifest is unreadable: {exc}")
+    if not marker.matches(payload):
+        return torn(
+            "manifest does not match the CRC/length sealed by the commit marker"
+        )
+    try:
+        manifest = CheckpointManifest.from_json(payload)
+    except FormatError as exc:
+        # CRC matched, so the *marker itself* sealed garbage -- a protocol
+        # bug rather than a crash, but still not restorable.
+        return torn(f"sealed manifest does not parse: {exc}")
+    return GenerationInfo(
+        step, GEN_COMMITTED, "marker seals manifest", n_keys, manifest
+    )
+
+
+def _generations(store: Store) -> dict[int, list[str]]:
+    """The one listing of ``ckpt/``: each generation's keys, ascending by step.
+
+    Prefixes that do not parse as a zero-padded step number are ignored --
+    they were never written by the journal and reaping them could destroy
+    foreign data sharing the store.
+    """
+    by_step: dict[int, list[str]] = {}
+    for key in store.list_keys("ckpt/"):
+        parts = key.split("/")
+        if len(parts) < 3:
+            continue
+        try:
+            step = int(parts[1])
+        except ValueError:
+            continue
+        by_step.setdefault(step, []).append(key)
+    return dict(sorted(by_step.items()))
+
+
+def is_committed(store: Store, step: int) -> bool:
+    """Whether generation ``step`` is fully committed (see :func:`classify`)."""
+    return classify(store, step).state == GEN_COMMITTED
+
+
+def scan_generations(store: Store) -> list[GenerationInfo]:
+    """Classify every generation under ``ckpt/``, ascending by step."""
+    return [classify(store, step, keys) for step, keys in _generations(store).items()]
+
+
+def committed_steps(store: Store) -> list[int]:
+    """Steps of every committed generation, ascending (one manifest alive
+    at a time, however many generations the store holds)."""
+    return [
+        step
+        for step, keys in _generations(store).items()
+        if classify(store, step, keys).state == GEN_COMMITTED
+    ]
+
+
+def published_steps(store: Store) -> list[int]:
+    """Steps holding a commit marker key, ascending, from the listing alone.
+
+    Whether each *is* committed stays :func:`classify`'s call: the
+    fallback ladder walks these so that an acked generation damaged after
+    its seal is diagnosed and skipped, not silently invisible.
+    """
+    return [s for s, keys in _generations(store).items() if commit_key(s) in keys]
+
+
+def load_committed(store: Store, step: int | None = None) -> CheckpointManifest:
+    """The manifest of committed generation ``step`` (default: the newest
+    one, found by classifying newest-first).
+
+    Raises :class:`CheckpointNotFoundError`, carrying the classification
+    reason when ``step`` was named and is anything but committed.
+    """
+    if step is not None:
+        info = classify(store, step)
+        if info.manifest is None:
+            raise CheckpointNotFoundError(
+                f"no committed checkpoint for step {step} (torn or absent): "
+                f"{info.reason}"
+            )
+        return info.manifest
+    for newest, keys in reversed(_generations(store).items()):
+        manifest = classify(store, newest, keys).manifest
+        if manifest is not None:
+            return manifest
+    raise CheckpointNotFoundError("store holds no committed checkpoints")
 
 
 class CommitTransaction:

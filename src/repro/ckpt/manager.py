@@ -57,15 +57,15 @@ from ..lossless import get_codec
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from .journal import (
-    COMMIT_FILENAME,
     COMMIT_FORMAT_VERSION,
     CommitJournal,
     CommitTransaction,
+    committed_steps,
     is_committed,
+    load_committed,
     reap_generation,
 )
 from .manifest import (
-    MANIFEST_FILENAME,
     ArrayEntry,
     CheckpointManifest,
     ParityEntry,
@@ -471,12 +471,12 @@ class CheckpointManager:
         if self._temporal_engine is None or self._temporal_seeded:
             return
         self._temporal_seeded = True
-        latest = self.latest_step()
-        if latest is None:
+        try:
+            manifest = load_committed(self.store)
+        except CheckpointNotFoundError:
             return
-        manifest = self.read_manifest(latest)
         self._seed_temporal_engine(
-            manifest, self.load_arrays(latest, manifest=manifest)
+            manifest, self.load_arrays(manifest.step, manifest=manifest)
         )
 
     # -- write ---------------------------------------------------------------
@@ -759,31 +759,19 @@ class CheckpointManager:
     def steps(self) -> list[int]:
         """Steps of every *committed* checkpoint, ascending.
 
-        Committed means both the manifest and the journal's COMMIT marker
-        are present -- a cheap key-listing check.  Torn generations (a
-        crash killed the commit before the marker) never appear here;
-        :func:`repro.ckpt.recovery.recover` classifies and reaps them with
-        full marker/manifest cross-checks.
+        Committed is :func:`repro.ckpt.journal.classify`'s definition --
+        the marker parses, names its step and seals the manifest actually
+        present -- the same one :meth:`restore` and startup recovery
+        apply, so a step listed here is a step ``restore(step)`` accepts.
+        Torn generations never appear.
         """
-        manifests: set[int] = set()
-        markers: set[int] = set()
-        for key in self.store.list_keys("ckpt/"):
-            parts = key.split("/")
-            if len(parts) != 3:
-                continue
-            try:
-                step = int(parts[1])
-            except ValueError:
-                continue
-            if parts[2] == MANIFEST_FILENAME:
-                manifests.add(step)
-            elif parts[2] == COMMIT_FILENAME:
-                markers.add(step)
-        return sorted(manifests & markers)
+        return committed_steps(self.store)
 
     def latest_step(self) -> int | None:
-        steps = self.steps()
-        return steps[-1] if steps else None
+        try:
+            return load_committed(self.store).step
+        except CheckpointNotFoundError:
+            return None
 
     def read_manifest(self, step: int) -> CheckpointManifest:
         key = manifest_key(step)
@@ -1052,17 +1040,10 @@ class CheckpointManager:
         self, step: int | None = None, *, repair: bool | None = None
     ) -> CheckpointManifest:
         """Load checkpoint ``step`` (default: latest) into the registry."""
-        if step is None:
-            step = self.latest_step()
-            if step is None:
-                raise CheckpointNotFoundError("store holds no committed checkpoints")
-        elif not is_committed(self.store, int(step)):
-            # marker + manifest CRC: O(1) in the number of generations held
-            # (steps() walks them all) and stricter than a key listing
-            raise CheckpointNotFoundError(
-                f"no committed checkpoint for step {step} (torn or absent)"
-            )
-        manifest = self.read_manifest(step)
+        # marker + sealed manifest in one pass; for a named step O(1) in the
+        # number of generations held (steps() classifies them all)
+        manifest = load_committed(self.store, step)
+        step = manifest.step
         with get_tracer().span("restore", step=step):
             arrays = self.load_arrays(step, repair=repair, manifest=manifest)
             self.registry.restore(arrays)
@@ -1073,7 +1054,13 @@ class CheckpointManager:
         get_registry().counter("ckpt.restores").inc()
         return manifest
 
-    def verify(self, step: int, *, repair: bool = False) -> CheckpointManifest:
+    def verify(
+        self,
+        step: int,
+        *,
+        repair: bool = False,
+        manifest: CheckpointManifest | None = None,
+    ) -> CheckpointManifest:
         """CRC-verify every blob of ``step`` without touching the registry.
 
         With ``repair=True``, any single corrupt-or-missing member per
@@ -1081,9 +1068,11 @@ class CheckpointManager:
         store, and a damaged parity blob is re-encoded from its (verified)
         members; only unrepairable damage raises
         :class:`~repro.exceptions.CorruptionError`.  Healed blobs are
-        recorded in :attr:`repair_log`.
+        recorded in :attr:`repair_log`.  A caller that has already read the
+        step's ``manifest`` passes it in.
         """
-        manifest = self.read_manifest(step)
+        if manifest is None:
+            manifest = self.read_manifest(step)
         blobs = self._collect_verified_blobs(step, manifest, repair=repair)
         registry = get_registry()
         for pe in manifest.parity:

@@ -6,7 +6,8 @@ reader side that enforces it on the next start:
 
 ``committed``
     A parseable commit marker whose CRC/length pin the manifest that is
-    actually present.  The only state a restore may touch.
+    actually present.  The only state a restore may touch.  What exactly
+    that means is written once, in :func:`repro.ckpt.journal.classify`.
 ``torn``
     The commit protocol started its metadata phase but died before the
     marker matched the manifest: a manifest with no (or a damaged, or a
@@ -41,8 +42,16 @@ from ..exceptions import (
 )
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
-from .journal import CommitMarker, commit_key, generation_prefix, reap_generation
-from .manifest import CheckpointManifest, manifest_key
+from .journal import (  # the GEN_* states and GenerationInfo are re-exported
+    GEN_COMMITTED,
+    GEN_ORPHANED,
+    GEN_TORN,
+    GenerationInfo,
+    published_steps,
+    reap_generation,
+    scan_generations,
+)
+from .manifest import CheckpointManifest
 from .store import Store
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -63,109 +72,6 @@ __all__ = [
     "RestartReport",
     "RestartCoordinator",
 ]
-
-GEN_COMMITTED = "committed"
-GEN_TORN = "torn"
-GEN_ORPHANED = "orphaned"
-
-
-@dataclass(frozen=True)
-class GenerationInfo:
-    """Classification of one on-store generation."""
-
-    step: int
-    state: str  # GEN_COMMITTED | GEN_TORN | GEN_ORPHANED
-    reason: str  # why it landed in that state (diagnostics)
-    n_keys: int  # objects under the generation prefix at scan time
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "step": self.step,
-            "state": self.state,
-            "reason": self.reason,
-            "n_keys": self.n_keys,
-        }
-
-
-def _classify(store: Store, step: int, keys: list[str]) -> GenerationInfo:
-    """Classify generation ``step`` (whose prefix currently holds ``keys``)."""
-    n = len(keys)
-    mkey = manifest_key(step)
-    ckey = commit_key(step)
-    has_manifest = mkey in keys
-    has_marker = ckey in keys
-
-    if not has_marker and not has_manifest:
-        return GenerationInfo(
-            step, GEN_ORPHANED, "blobs without manifest or commit marker", n
-        )
-    if not has_marker:
-        return GenerationInfo(
-            step,
-            GEN_TORN,
-            "manifest present but no commit marker was published",
-            n,
-        )
-    try:
-        marker = CommitMarker.from_json(store.get(ckey))
-    except (FormatError, StorageError) as exc:
-        return GenerationInfo(
-            step, GEN_TORN, f"commit marker is unreadable: {exc}", n
-        )
-    if marker.step != step:
-        return GenerationInfo(
-            step,
-            GEN_TORN,
-            f"commit marker names step {marker.step}, found under step {step}",
-            n,
-        )
-    if not has_manifest:
-        return GenerationInfo(
-            step, GEN_TORN, "commit marker present but manifest is missing", n
-        )
-    try:
-        payload = store.get(mkey)
-    except StorageError as exc:
-        return GenerationInfo(
-            step, GEN_TORN, f"manifest is unreadable: {exc}", n
-        )
-    if not marker.matches(payload):
-        return GenerationInfo(
-            step,
-            GEN_TORN,
-            "manifest does not match the CRC/length sealed by the commit marker",
-            n,
-        )
-    try:
-        CheckpointManifest.from_json(payload)
-    except FormatError as exc:
-        # CRC matched, so the *marker itself* sealed garbage -- a protocol
-        # bug rather than a crash, but still not restorable.
-        return GenerationInfo(
-            step, GEN_TORN, f"sealed manifest does not parse: {exc}", n
-        )
-    return GenerationInfo(step, GEN_COMMITTED, "marker seals manifest", n)
-
-
-def scan_generations(store: Store) -> list[GenerationInfo]:
-    """Classify every generation under ``ckpt/``, ascending by step.
-
-    Prefixes that do not parse as a zero-padded step number are ignored --
-    they were never written by the journal and reaping them could destroy
-    foreign data sharing the store.
-    """
-    by_step: dict[int, list[str]] = {}
-    for key in store.list_keys("ckpt/"):
-        parts = key.split("/")
-        if len(parts) < 3:
-            continue
-        try:
-            step = int(parts[1])
-        except ValueError:
-            continue
-        by_step.setdefault(step, []).append(key)
-    return [_classify(store, step, keys) for step, keys in sorted(by_step.items())]
-
 
 @dataclass
 class RecoveryReport:
@@ -272,10 +178,13 @@ def restore_with_fallback(
 ) -> FallbackResult:
     """Restore the newest committed generation that actually works.
 
-    Starts at ``step`` (default: the newest committed generation) and
-    walks down the ladder of older committed generations whenever a
-    restore fails even after the retry/CRC-re-read/parity-repair remedies
-    -- each skip is recorded with its reason.  ``max_fallback`` bounds how
+    Starts at ``step`` (default: the newest generation holding a commit
+    marker) and walks down the ladder of older ones whenever a restore
+    fails even after the retry/CRC-re-read/parity-repair remedies, or the
+    generation turns out not to be committed after all (marker or
+    manifest damaged after the seal) -- each skip is recorded with its
+    reason.  A generation no marker was ever published for is not a
+    candidate and not a skip.  ``max_fallback`` bounds how
     many *older* generations may be tried after the first (``None`` tries
     them all).  Raises :class:`RestoreError` carrying the full per-step
     diagnosis when every candidate fails, and
@@ -285,7 +194,7 @@ def restore_with_fallback(
     an injected process death must kill the whole restore, not slide it
     down the ladder.
     """
-    steps = manager.steps()
+    steps = published_steps(manager.store)
     if step is not None:
         steps = [s for s in steps if s <= int(step)]
         if int(step) not in steps:
@@ -306,7 +215,13 @@ def restore_with_fallback(
             repairs_before = len(manager.repair_log)
             try:
                 manifest = manager.restore(s, repair=repair)
-            except (RestoreError, FormatError, IntegrityError, StorageError) as exc:
+            except (
+                CheckpointNotFoundError,  # published, then damaged: not committed
+                RestoreError,
+                FormatError,
+                IntegrityError,
+                StorageError,
+            ) as exc:
                 skipped.append((s, str(exc)))
                 registry.counter("ckpt.fallback.rollbacks").inc()
                 continue

@@ -107,16 +107,10 @@ def reconstruct_member(group: ParityGroup, lost_index: int) -> bytes:
     than one simultaneous loss is impossible with single parity by
     construction (the limit the related work accepts).
     """
-    if not 0 <= lost_index < group.size:
-        raise RestoreError(
-            f"lost index {lost_index} out of range for group of {group.size}"
-        )
-    acc = np.frombuffer(group.parity, dtype=np.uint8).copy()
-    for i, member in enumerate(group.members):
-        if i == lost_index:
-            continue
-        np.bitwise_xor(acc, np.frombuffer(member, dtype=np.uint8), out=acc)
-    return _unpad_block(acc.tobytes())
+    survivors = {
+        i: _unpad_block(m) for i, m in enumerate(group.members) if i != lost_index
+    }
+    return rebuild_member(group.parity, survivors, group.size, lost_index)
 
 
 # -- store-level parity ------------------------------------------------------

@@ -632,13 +632,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         store,
         resilience=from_flags(ResilienceConfig, args),
     )
-    uncommitted = [
-        g for g in scan_generations(store) if g.state != GEN_COMMITTED
-    ]
+    # one scan names the torn generations and reads each committed manifest
+    generations = scan_generations(store)
+    committed = [g for g in generations if g.state == GEN_COMMITTED]
+    uncommitted = [g for g in generations if g.state != GEN_COMMITTED]
     for gen in uncommitted:
         print(f"step {gen.step:10d}: {gen.state.upper()} ({gen.reason})")
-    steps = manager.steps()
-    if not steps:
+    if not committed:
         if uncommitted:
             print(
                 f"no committed checkpoints; {len(uncommitted)} torn/orphaned "
@@ -648,26 +648,26 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print("no checkpoints found")
         return 0
     failures = 0
-    for step in steps:
+    for gen in committed:
         healed_before = len(manager.repair_log)
         try:
-            manifest = manager.verify(step, repair=args.repair)
+            manifest = manager.verify(gen.step, repair=args.repair, manifest=gen.manifest)
         except ReproError as exc:
             failures += 1
-            print(f"step {step:10d}: CORRUPT ({exc})")
+            print(f"step {gen.step:10d}: CORRUPT ({exc})")
             continue
         healed = manager.repair_log[healed_before:]
         status = "ok" if not healed else (
             "healed " + ", ".join(e.name for e in healed)
         )
         print(
-            f"step {step:10d}: {len(manifest.entries)} arrays, "
+            f"step {gen.step:10d}: {len(manifest.entries)} arrays, "
             f"{manifest.total_stored_bytes} bytes, "
             f"rate {manifest.compression_rate_percent:.1f} % ... {status}"
         )
     if failures:
         print(
-            f"error: {failures} of {len(steps)} committed generation(s) "
+            f"error: {failures} of {len(committed)} committed generation(s) "
             f"failed verification",
             file=sys.stderr,
         )

@@ -87,6 +87,10 @@ class CommitError(CheckpointError):
 class CheckpointNotFoundError(CheckpointError, KeyError):
     """The requested checkpoint step does not exist in the store."""
 
+    # KeyError prints its argument's repr; the CLI and the fallback ladder's
+    # skip reasons want the message as written
+    __str__ = Exception.__str__
+
 
 class RestoreError(CheckpointError):
     """A checkpoint exists but could not be restored into the application."""

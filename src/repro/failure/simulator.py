@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from ..ckpt.journal import is_committed
 from ..ckpt.manager import CheckpointManager
 from ..exceptions import ConfigurationError
 from .injector import FailureSchedule
@@ -245,7 +246,7 @@ def run_app_with_failures(
     n_failures = 0
     restored_from: list[int] = []
     start_step = app.step_index
-    if app.step_index not in manager.steps():
+    if not is_committed(manager.store, app.step_index):
         manager.checkpoint(app.step_index, {"reason": "entry"})
 
     while app.step_index < total_steps:
@@ -261,7 +262,7 @@ def run_app_with_failures(
         if (
             at % checkpoint_interval == 0
             and at < total_steps
-            and at not in manager.steps()
+            and not is_committed(manager.store, at)
         ):
             manager.checkpoint(at, {"reason": "interval"})
 

@@ -38,8 +38,10 @@ from typing import Any, Mapping
 from ..ckpt.journal import (
     COMMIT_FORMAT_VERSION,
     GroupSealItem,
+    committed_steps,
     group_seal,
     is_committed,
+    load_committed,
 )
 from ..ckpt.manifest import (
     ArrayEntry,
@@ -51,7 +53,6 @@ from ..ckpt.recovery import RecoveryReport, recover
 from ..ckpt.store import MemoryStore, Store
 from ..config import ServiceConfig
 from ..exceptions import (
-    CheckpointNotFoundError,
     CommitError,
     ConfigurationError,
     QuotaExceededError,
@@ -539,35 +540,16 @@ class CheckpointIngestService:
 
     def committed_steps(self, tenant: str) -> list[int]:
         """Committed generation numbers of one tenant, ascending."""
-        view = self.view(tenant)
-        steps = set()
-        for key in view.list_keys("ckpt/"):
-            parts = key.split("/")
-            if len(parts) >= 3:
-                try:
-                    steps.add(int(parts[1]))
-                except ValueError:
-                    continue
-        return [s for s in sorted(steps) if is_committed(view, s)]
+        return committed_steps(self.view(tenant))
 
     def restore_blobs(self, tenant: str, step: int | None = None) -> dict[str, bytes]:
         """Read back one committed generation, CRC-verified, as raw blobs."""
         view = self.view(tenant)
-        if step is None:
-            steps = self.committed_steps(tenant)
-            if not steps:
-                raise CheckpointNotFoundError(
-                    f"tenant {tenant!r} has no committed checkpoints"
-                )
-            step = steps[-1]
-        step = int(step)
-        if not is_committed(view, step):
-            raise CheckpointNotFoundError(
-                f"tenant {tenant!r} has no committed checkpoint at step {step}"
-            )
-        from ..ckpt.manifest import manifest_key
-
-        manifest = CheckpointManifest.from_json(view.get(manifest_key(step)))
+        # the manifest is read by the CRC its marker seals, so a replica
+        # holding a damaged copy of it fails over and is repaired, exactly
+        # like the blobs below
+        manifest = load_committed(view, step)
+        step = manifest.step
         out: dict[str, bytes] = {}
         for entry in manifest.entries:
             # get_verified routes the CRC down into the sharded store, so a

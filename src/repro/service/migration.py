@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..exceptions import ConfigurationError, StorageError
+from ..exceptions import ConfigurationError
 from ..obs.metrics import get_registry
 from .sharded import ShardedStore, placement_unit
 
@@ -83,17 +83,11 @@ class MigrationWorker:
         for key in keys:
             data = sharded.replica_get(key)
             for sid in targets:
-                store = sharded.shards[sid]
-                if store.exists(key) and store.get(key) == data:
-                    continue  # already converged (a re-run after a crash)
-                store.put(key, data)
-                if store.get(key) != data:
-                    raise StorageError(
-                        f"migration copy of {key!r} to {sid!r} read back "
-                        f"differently; aborting before the record switch"
-                    )
-                copied += 1
-                nbytes += len(data)
+                # False: already converged (a re-run after a crash); a copy
+                # that reads back differently raises before the record switch
+                if sharded.copy_verified(sid, key, data):
+                    copied += 1
+                    nbytes += len(data)
         for sid in targets:
             sharded.shards[sid].sync()
         # 3: the atomic switch -- one placement-record write.

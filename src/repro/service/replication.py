@@ -143,29 +143,22 @@ def repair_unit(
             # The shard left the ring while in debt; nothing to repay.
             repaired.add(target)
             continue
-        if sharded.health is not None and not sharded.health.available(target):
+        if not sharded._available(target):
             failed.add(target)
             continue
         ok = True
         for key in keys:
             try:
                 data = sharded.replica_get(key, exclude={target})
-                if not store.exists(key) or store.get(key) != data:
-                    store.put(key, data)
-                    if store.get(key) != data:
-                        raise StorageError(
-                            f"repair of {key!r} on {target!r} read back differently"
-                        )
+                if sharded.copy_verified(target, key, data):
                     copied += 1
                     bytes_copied += len(data)
             except StorageError as exc:
-                if sharded.health is not None:
-                    sharded.health.record_failure(target, str(exc))
+                sharded._note_failure(target, exc)
                 ok = False
                 break
         if ok:
-            if sharded.health is not None:
-                sharded.health.record_success(target)
+            sharded._note_success(target)
             repaired.add(target)
             get_registry().counter("service.replica_repairs", shard=target).inc()
         else:

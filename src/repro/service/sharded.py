@@ -42,9 +42,9 @@ from __future__ import annotations
 
 import re
 import threading
-from typing import Any, Iterable, Mapping
+import zlib
+from typing import Any, Callable, Iterable, Mapping
 
-from ..ckpt.resilience import ResilientStore, RetryPolicy
 from ..ckpt.store import Store, StoreWrapper
 from ..exceptions import ConfigurationError, IntegrityError, StorageError
 from ..obs.metrics import get_registry
@@ -136,9 +136,6 @@ class ShardedStore(Store):
         goes into replication debt) and reads try live replicas first,
         falling back to open-breaker shards only when no live replica
         holds the data.
-    retry_policy:
-        Per-replica retry/CRC policy for :meth:`get_verified` (defaults
-        to one CRC-aware re-read with no backoff sleep).
     """
 
     def __init__(
@@ -149,7 +146,6 @@ class ShardedStore(Store):
         vnodes: int = DEFAULT_VNODES,
         replication: int = 1,
         health: ShardHealth | None = None,
-        retry_policy: RetryPolicy | None = None,
     ) -> None:
         if not shards:
             raise ConfigurationError("ShardedStore needs at least one shard")
@@ -164,10 +160,6 @@ class ShardedStore(Store):
         self.replication = replication
         self.health = health
         self.debt = ReplicationDebt()
-        self._retry_policy = retry_policy if retry_policy is not None else RetryPolicy(
-            max_attempts=2, base_delay=0.0, jitter=0.0
-        )
-        self._verified: dict[str, ResilientStore] = {}
         self._cache: dict[str, tuple[str, ...]] = {}
         self._put_bytes: dict[str, int] = {sid: 0 for sid in self.shards}
         self._lock = threading.Lock()
@@ -202,7 +194,6 @@ class ShardedStore(Store):
             )
         self.ring.remove(shard_id)
         del self.shards[shard_id]
-        self._verified.pop(shard_id, None)
         for unit, replicas in self.placement_map().items():
             if shard_id not in replicas:
                 continue
@@ -264,10 +255,6 @@ class ShardedStore(Store):
             unit, self.replication, exclude=set(recorded)
         )
         return recorded + tuple(extra[: self.replication - len(recorded)])
-
-    def shard_for(self, key: str) -> str:
-        """The shard id a read of ``key`` should try first."""
-        return self.replicas_for(key)[0]
 
     def replicas_for(self, key: str) -> list[str]:
         """The ordered replica set a read of ``key`` should walk."""
@@ -343,20 +330,23 @@ class ShardedStore(Store):
 
     def replica_get(self, key: str, *, exclude: set[str] = frozenset()) -> bytes:
         """Read ``key`` from any replica not in ``exclude`` (repair source)."""
-        candidates, probes = self._read_order(key)
-        last: StorageError | None = None
-        for sid in [*candidates, *probes]:
-            if sid in exclude:
-                continue
-            store = self.shards[sid]
-            try:
-                if store.exists(key):
-                    return store.get(key)
-            except StorageError as exc:
-                last = exc
-        if last is not None:
-            raise last
-        raise StorageError(f"no object stored under key {key!r}")
+        return self._read(key, skip=exclude)
+
+    def copy_verified(self, sid: str, key: str, data: bytes) -> bool:
+        """Make shard ``sid`` hold ``data`` under ``key``, and prove it.
+
+        The one verify-before-trust copy (repair and migration): an
+        already identical copy is left alone, anything else is put, read
+        back and compared.  Returns whether bytes were written; a copy
+        that reads back differently raises and never counts.
+        """
+        store = self.shards[sid]
+        if store.exists(key) and store.get(key) == data:
+            return False
+        store.put(key, data)
+        if store.get(key) != data:
+            raise StorageError(f"copy of {key!r} to {sid!r} read back differently")
+        return True
 
     def _available(self, sid: str) -> bool:
         return self.health is None or self.health.available(sid)
@@ -422,115 +412,82 @@ class ShardedStore(Store):
         for sid in wrote:
             metrics.counter("service.shard_put_bytes", shard=sid).inc(len(data))
 
-    def get(self, key: str) -> bytes:
-        candidates, probes = self._read_order(key)
-        live = [sid for sid in candidates if self._available(sid)]
-        skipped = [sid for sid in candidates if sid not in live]
-        missing: list[str] = []
-        failed = False
-        # Live replicas first; shards with open breakers only as a last
-        # resort (they may hold the only copy of a degraded write); the
-        # full probe sweep last (lost placement map).
-        for tier, order in (("replica", live), ("open", skipped), ("probe", probes)):
-            for i, sid in enumerate(order):
-                store = self.shards[sid]
-                try:
-                    if not store.exists(key):
-                        if tier == "replica":
-                            missing.append(sid)
-                        continue
-                    data = store.get(key)
-                except StorageError as exc:
-                    self._note_failure(sid, exc)
-                    failed = True
-                    get_registry().counter(
-                        "service.failover_reads", shard=sid
-                    ).inc()
-                    continue
-                self._note_success(sid)
-                if tier == "replica":
-                    # Sweep the replicas we did not need to read so a
-                    # copy lost *behind* the serving one is noticed and
-                    # repaired too, not only copies ahead of it.
-                    for other in order[i + 1:]:
-                        try:
-                            if not self.shards[other].exists(key):
-                                missing.append(other)
-                        except StorageError as exc:
-                            self._note_failure(other, exc)
-                if missing:
-                    self._read_repair(key, data, missing, reason="missing")
-                if failed and tier != "replica":
-                    get_registry().counter("service.failover_served").inc()
-                return data
-        raise StorageError(f"no object stored under key {key!r}")
+    def _read(
+        self,
+        key: str,
+        accept: Callable[[bytes], bool] | None = None,
+        skip: set[str] = frozenset(),
+    ) -> bytes:
+        """The replica read ladder, written once.
 
-    def get_verified(self, key: str, crc32: int, nbytes: int | None = None) -> bytes:
-        """CRC-checked read that fails over *and repairs* across replicas.
-
-        Each replica is read through the
-        :class:`~repro.ckpt.resilience.ResilientStore` verify machinery
-        (CRC-aware re-read under the configured retry policy).  A replica
-        whose bytes still mismatch is corrupt at rest *on that replica
-        only*: the next replica is tried, and the first good copy is
+        Live replicas first; shards with open breakers only as a last
+        resort (they may hold the only copy of a degraded write); the
+        full probe sweep last (lost placement map).  Shards in ``skip``
+        are left out of every tier.  ``accept`` is the test a copy must
+        pass to be served (``None``: any copy that reads).  A copy that
+        fails it is re-read once -- a misread is cheaper to rule out than
+        a failover -- and if it fails again it is corrupt at rest *on
+        that replica only*: the walk moves on, and the first good copy is
         written back over every corrupt or missing one (read-repair).
-        Raises :class:`~repro.exceptions.IntegrityError` only when every
+        Raises :class:`~repro.exceptions.IntegrityError` when every
         replica that holds the key is corrupt.
         """
-        candidates, probes = self._read_order(key)
+        candidates, probes = (
+            [sid for sid in tier if sid not in skip] for tier in self._read_order(key)
+        )
         live = [sid for sid in candidates if self._available(sid)]
         skipped = [sid for sid in candidates if sid not in live]
         corrupt: list[str] = []
         missing: list[str] = []
-        for tier, order in (("replica", live), ("open", skipped), ("probe", probes)):
+        failed = False
+        metrics = get_registry()
+        for order in (live, skipped, probes):
             for i, sid in enumerate(order):
                 store = self.shards[sid]
                 try:
                     if not store.exists(key):
-                        if tier == "replica":
+                        if order is live:
                             missing.append(sid)
                         continue
+                    data = store.get(key)
+                    good = accept is None or accept(data)
+                    if not good:
+                        metrics.counter("store.retry.crc_rereads").inc()
+                        data = store.get(key)
+                        good = accept(data)
                 except StorageError as exc:
                     self._note_failure(sid, exc)
+                    failed = True
+                    metrics.counter("service.failover_reads", shard=sid).inc()
                     continue
-                verified = self._verified.get(sid)
-                if verified is None:
-                    verified = self._verified[sid] = ResilientStore(
-                        store, self._retry_policy, sleep=lambda _s: None
-                    )
-                try:
-                    data = verified.get_verified(key, crc32, nbytes)
-                except IntegrityError:
+                if not good:
+                    # data corruption on one replica, not shard
+                    # unavailability: the breaker is not told
                     corrupt.append(sid)
-                    get_registry().counter(
-                        "service.failover_reads", shard=sid
-                    ).inc()
-                    continue
-                except StorageError as exc:
-                    self._note_failure(sid, exc)
-                    get_registry().counter(
-                        "service.failover_reads", shard=sid
-                    ).inc()
+                    metrics.counter("service.failover_reads", shard=sid).inc()
                     continue
                 self._note_success(sid)
-                if tier == "replica":
-                    # Audit the replicas behind the serving one: this is
-                    # the restore path, where paying one extra read per
-                    # replica to catch silent corruption-at-rest (and
-                    # heal it while a good copy provably exists) is the
-                    # whole point of keeping replicas.
+                if order is live:
+                    # Audit the replicas behind the serving one, so a copy
+                    # lost or silently corrupted *behind* it is healed
+                    # while a good copy provably exists.  Comparing bytes
+                    # costs a read per replica: paid only where the caller
+                    # brought a test that says which copy is right.
                     for other in order[i + 1:]:
                         try:
                             if not self.shards[other].exists(key):
                                 missing.append(other)
-                            elif self.shards[other].get(key) != data:
+                            elif (
+                                accept is not None
+                                and self.shards[other].get(key) != data
+                            ):
                                 corrupt.append(other)
                         except StorageError as exc:
                             self._note_failure(other, exc)
-                if corrupt:
-                    self._read_repair(key, data, corrupt, reason="crc")
-                if missing:
-                    self._read_repair(key, data, missing, reason="missing")
+                self._read_repair(key, data, corrupt, reason="crc")
+                self._read_repair(key, data, missing, reason="missing")
+                if failed and order is not live:
+                    metrics.counter("service.failover_served").inc()
                 return data
         if corrupt:
             raise IntegrityError(
@@ -538,6 +495,18 @@ class ShardedStore(Store):
                 f"({sorted(corrupt)})"
             )
         raise StorageError(f"no object stored under key {key!r}")
+
+    def get(self, key: str) -> bytes:
+        return self._read(key)
+
+    def get_verified(self, key: str, crc32: int, nbytes: int | None = None) -> bytes:
+        """CRC-checked read that fails over *and repairs* across replicas
+        (:meth:`_read` with the CRC and length as the acceptance test)."""
+        want = crc32 & 0xFFFFFFFF
+        return self._read(
+            key,
+            lambda data: nbytes in (None, len(data)) and zlib.crc32(data) == want,
+        )
 
     def exists(self, key: str) -> bool:
         candidates, probes = self._read_order(key)
@@ -631,13 +600,3 @@ class ShardedStore(Store):
         if self.health is not None:
             out["health"] = self.health.snapshot()
         return out
-
-
-def iter_tenant_namespaces(store: Store) -> Iterable[str]:
-    """Tenant names that have any object under ``tenants/`` in ``store``."""
-    seen: set[str] = set()
-    for key in store.list_keys(TENANT_PREFIX + "/"):
-        parts = key.split("/")
-        if len(parts) >= 2 and parts[1] not in seen:
-            seen.add(parts[1])
-            yield parts[1]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.ckpt.journal import (
     CommitMarker,
     commit_key,
     generation_prefix,
+    is_committed,
 )
 from repro.ckpt.manager import CheckpointManager
 from repro.ckpt.manifest import array_key, manifest_key
@@ -55,6 +58,35 @@ def _state_of(store, step: int) -> str:
     raise AssertionError(f"no generation {step} on store")
 
 
+# -- damage to a generation *after* its seal ------------------------------------
+# (also driven through the CLI by tests/test_cli_restore_restart.py)
+
+
+def _flip_manifest_byte(store, step: int) -> None:
+    payload = bytearray(store.get(manifest_key(step)))
+    payload[len(payload) // 2] ^= 0x01
+    store.put(manifest_key(step), bytes(payload))
+
+
+def _truncate_marker(store, step: int) -> None:
+    store.put(commit_key(step), store.get(commit_key(step))[:7])
+
+
+def _misname_marker(store, step: int) -> None:
+    marker = CommitMarker.from_json(store.get(commit_key(step)))
+    store.put(
+        commit_key(step), dataclasses.replace(marker, step=step + 1).to_json()
+    )
+
+
+#: damage kind -> (how to inflict it, what the classification reason says)
+DAMAGE_AFTER_SEAL = {
+    "manifest-byte-flipped": (_flip_manifest_byte, "does not match"),
+    "marker-truncated": (_truncate_marker, "unreadable"),
+    "marker-names-another-step": (_misname_marker, "names step"),
+}
+
+
 class TestClassification:
     def test_clean_commit_is_committed(self):
         store = MemoryStore()
@@ -85,10 +117,33 @@ class TestClassification:
     def test_torn_marker_bytes(self):
         store = MemoryStore()
         _commit(store, 1)
-        store.put(commit_key(1), store.get(commit_key(1))[:7])
+        _truncate_marker(store, 1)
         gen = scan_generations(store)[0]
         assert gen.state == GEN_TORN
         assert "unreadable" in gen.reason
+
+    @pytest.mark.parametrize("damage", DAMAGE_AFTER_SEAL)
+    def test_every_reader_agrees_on_a_generation_damaged_after_its_seal(self, damage):
+        """One definition of committed: the listing, the point check, the
+        scan and both restores name the same generations."""
+        inflict, reason = DAMAGE_AFTER_SEAL[damage]
+        store = MemoryStore()
+        _commit(store, 1)
+        _commit(store, 2)
+        inflict(store, 2)
+        reg = _registry(0)
+        mgr = CheckpointManager(reg, store, policy={"field": "lossless"})
+        gens = {g.step: g for g in scan_generations(store)}
+        assert (gens[1].state, gens[2].state) == (GEN_COMMITTED, GEN_TORN)
+        assert reason in gens[2].reason
+        assert mgr.steps() == [1]
+        assert mgr.latest_step() == 1
+        assert is_committed(store, 1) and not is_committed(store, 2)
+        with pytest.raises(CheckpointNotFoundError, match=reason):
+            mgr.restore(2)
+        assert mgr.restore().step == 1
+        np.testing.assert_array_equal(reg.get("field"), _value(1))
+        assert recover(store).reaped == [2]
 
     def test_marker_naming_wrong_step(self):
         store = MemoryStore()
@@ -259,6 +314,25 @@ class TestFallbackLadder:
         msg = str(excinfo.value)
         assert "2 committed generation(s)" in msg
         assert "step 2:" in msg and "step 1:" in msg
+
+    @pytest.mark.parametrize("damage", DAMAGE_AFTER_SEAL)
+    def test_falls_back_past_a_generation_damaged_after_its_seal(self, damage):
+        """No recovery pass ran: the ladder itself must diagnose the
+        published-then-damaged generation, record the skip and go on."""
+        inflict, reason = DAMAGE_AFTER_SEAL[damage]
+        store = self._store_with_generations((1, 2))
+        inflict(store, 2)
+        reg = _registry(0)
+        mgr = CheckpointManager(reg, store, policy={"field": "lossless"})
+        result = restore_with_fallback(mgr)
+        assert result.step == 1
+        assert [s for s, _ in result.skipped] == [2]
+        assert reason in result.skipped[0][1]
+        np.testing.assert_array_equal(reg.get("field"), _value(1))
+        # naming the damaged step starts the same ladder there
+        assert restore_with_fallback(mgr, step=2).step == 1
+        with pytest.raises(RestoreError, match="step 2"):
+            restore_with_fallback(mgr, max_fallback=0)
 
     def test_torn_generations_are_invisible_to_the_ladder(self):
         store = self._store_with_generations((1, 2))

@@ -1,13 +1,22 @@
 """Replicated placement: successor-walk writes, failover reads,
 read-repair, degraded writes and the replication-debt ledger."""
 
+import asyncio
 import zlib
 
+import numpy as np
 import pytest
 
 from repro.ckpt.faults import FaultInjectingStore, FaultPlan
-from repro.ckpt.store import MemoryStore, StoreWrapper
-from repro.exceptions import IntegrityError, StorageError
+from repro.ckpt.journal import CommitMarker, commit_key
+from repro.ckpt.manager import CheckpointManager
+from repro.ckpt.manifest import MANIFEST_FILENAME, array_key, manifest_key
+from repro.ckpt.protocol import ArrayRegistry
+from repro.ckpt.store import CountingStore, MemoryStore, StoreWrapper
+from repro.config import ResilienceConfig
+from repro.exceptions import CheckpointNotFoundError, IntegrityError, StorageError
+from repro.obs.metrics import get_registry
+from repro.service import CheckpointIngestService, TenantRegistry, TenantSpec
 from repro.service.health import ShardHealth
 from repro.service.replication import (
     ReplicationDebt,
@@ -55,6 +64,13 @@ def _fresh(n=4, replication=2, health=None):
 
 def _holders(shards, key):
     return sorted(sid for sid, s in shards.items() if s.inner.exists(key))
+
+
+def _flip(shard, key):
+    """Corrupt ``key`` at rest on one shard, behind the sharded store's back."""
+    data = bytearray(shard.inner.get(key))
+    data[len(data) // 2] ^= 0x01
+    shard.inner.put(key, bytes(data))
 
 
 class TestReplicaCodec:
@@ -178,6 +194,161 @@ class TestVerifiedReads:
         shards[victim].inner.put(KEY, b"corrupted-at-rest")
         assert view.get_verified(key, crc, len(payload)) == payload
         assert shards[victim].inner.get(KEY) == payload
+
+
+class TestManifestFailsOverLikeABlob:
+    """The manifest is read by the CRC its marker seals, so one bad replica
+    of it is a read-repair, not a lost generation."""
+
+    BLOBS = {"u": b"u-payload" * 50, "v": bytes(range(256))}
+
+    def _acked(self):
+        store, shards = _fresh(replication=2)
+        service = CheckpointIngestService(store, TenantRegistry([TenantSpec("a")]))
+
+        async def submit():
+            async with service:
+                await service.submit("a", 1, self.BLOBS)
+
+        asyncio.run(submit())
+        return service, store, shards
+
+    def test_manifest_corrupt_on_the_first_replica_only(self):
+        service, store, shards = self._acked()
+        mkey = "tenants/a/" + manifest_key(1)
+        first = store.replicas_for(mkey)[0]
+        _flip(shards[first], mkey)
+        repairs = get_registry().counter(
+            "service.read_repairs", shard=first, reason="crc"
+        )
+        before = repairs.value
+        assert service.committed_steps("a") == [1]
+        assert service.restore_blobs("a", 1) == self.BLOBS
+        assert service.restore_blobs("a") == self.BLOBS
+        assert repairs.value == before + 1
+        # a fresh incarnation's recovery reaps nothing ...
+        fresh = CheckpointIngestService(store, TenantRegistry([TenantSpec("a")]))
+        assert fresh.recover_tenants()["a"].reaped == []
+        # ... and both replicas hold the manifest the marker seals again
+        marker = CommitMarker.from_json(store.get("tenants/a/" + commit_key(1)))
+        for sid in store.replicas_for(mkey):
+            assert marker.matches(shards[sid].inner.get(mkey))
+
+    def test_manifest_corrupt_on_every_replica_is_still_torn_and_reaped(self):
+        service, store, shards = self._acked()
+        mkey = "tenants/a/" + manifest_key(1)
+        for sid in store.replicas_for(mkey):
+            _flip(shards[sid], mkey)
+        assert service.committed_steps("a") == []
+        with pytest.raises(CheckpointNotFoundError, match="corrupt on every replica"):
+            service.restore_blobs("a", 1)
+        fresh = CheckpointIngestService(store, TenantRegistry([TenantSpec("a")]))
+        report = fresh.recover_tenants()["a"]
+        assert report.torn == [1] and report.reaped == [1]
+        assert store.list_keys("tenants/a/") == []
+
+
+class TestStoreStackHealsBeforeParity:
+    """Two repair ladders, one order (ROADMAP collapse item 4): the store
+    stack heals what it can -- CRC re-read, replica failover -- and XOR
+    parity sees only what no store layer could heal."""
+
+    def _checkpointed(self):
+        store, shards = _fresh(replication=2)
+        registry = ArrayRegistry()
+        for name in ("a", "b", "c"):
+            registry.register(name, np.arange(64, dtype=np.int64) * (ord(name) - 90))
+        manager = CheckpointManager(
+            registry, store, resilience=ResilienceConfig(parity=True)
+        )
+        manager.checkpoint(1)
+        want = {n: registry.get(n).copy() for n in registry.names()}
+        for name in want:
+            registry.get(name)[:] = -1
+        return manager, store, shards, want
+
+    def _assert_restored(self, manager, want):
+        manager.restore(1)
+        for name, arr in want.items():
+            np.testing.assert_array_equal(manager.registry.get(name), arr)
+
+    def test_one_corrupt_replica_is_healed_by_failover_not_parity(self):
+        manager, store, shards, want = self._checkpointed()
+        key = array_key(1, "b")
+        first, second = store.replicas_for(key)
+        _flip(shards[first], key)
+        self._assert_restored(manager, want)
+        assert manager.repair_log == []
+        assert shards[first].inner.get(key) == shards[second].inner.get(key)
+
+    def test_both_replicas_corrupt_is_healed_by_parity(self):
+        manager, store, shards, want = self._checkpointed()
+        key = array_key(1, "b")
+        for sid in store.replicas_for(key):
+            _flip(shards[sid], key)
+        self._assert_restored(manager, want)
+        assert [(e.kind, e.name) for e in manager.repair_log] == [("member", "b")]
+        # the rewrite went through the sharded put: both replicas hold it again
+        manager.repair_log.clear()
+        self._assert_restored(manager, want)
+        assert manager.repair_log == []
+
+
+class _RestoreOps(CountingStore):
+    """Counts what ``CountingStore`` does not: ``exists`` probes, and
+    which of the ``gets`` were manifest reads."""
+
+    def __init__(self) -> None:
+        super().__init__(MemoryStore())
+        self.exists_calls = 0
+        self.manifest_reads = 0
+
+    def _before(self, op, key):
+        if op == "exists":
+            self.exists_calls += 1
+        elif op == "get" and key.endswith(MANIFEST_FILENAME):
+            self.manifest_reads += 1
+
+
+class TestRestorePathCost:
+    # (gets, exists, manifest reads) reaching the backends for
+    # ``restore(2)`` of three 3-array generations, measured at the parent
+    # commit (8b3402a), which read the manifest twice.
+    PARENT = {"plain": (6, 3, 2), "sharded": (6, 9, 2), "replicated": (9, 15, 2)}
+
+    @pytest.mark.parametrize("stack", PARENT)
+    def test_explicit_step_restore_reads_the_manifest_once(self, stack):
+        if stack == "plain":
+            backends = [_RestoreOps()]
+            store = backends[0]
+        else:
+            shards = {f"s{i}": _RestoreOps() for i in range(4)}
+            backends = list(shards.values())
+            store = NamespacedStore(
+                ShardedStore(
+                    shards,
+                    placement=MemoryStore(),
+                    replication=2 if stack == "replicated" else 1,
+                ),
+                "tenants/a",
+            )
+        registry = ArrayRegistry()
+        for name in ("a", "b", "c"):
+            registry.register(name, np.arange(32, dtype=np.int64))
+        manager = CheckpointManager(registry, store)
+        for step in (1, 2, 3):
+            manager.checkpoint(step)
+        for ops in backends:
+            ops.gets = ops.exists_calls = ops.manifest_reads = 0
+        assert manager.restore(2).step == 2
+        gets, exists, manifest_reads = (
+            sum(getattr(ops, field) for ops in backends)
+            for field in ("gets", "exists_calls", "manifest_reads")
+        )
+        parent_gets, parent_exists, _ = self.PARENT[stack]
+        assert gets <= parent_gets and exists <= parent_exists
+        # one read serves it; a second replica costs that copy's audit read
+        assert manifest_reads == (2 if stack == "replicated" else 1)
 
 
 class TestDegradedWrites:

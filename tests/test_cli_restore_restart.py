@@ -17,6 +17,8 @@ from repro.ckpt.manifest import array_key
 from repro.ckpt.protocol import ArrayRegistry
 from repro.ckpt.store import DirectoryStore
 
+from .ckpt.test_recovery import DAMAGE_AFTER_SEAL
+
 
 def _field(tag: int) -> np.ndarray:
     return np.cumsum(
@@ -90,6 +92,26 @@ class TestRestore:
         rc = main(["restore", str(tmp_path / "nope"), str(tmp_path / "x.npz")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", DAMAGE_AFTER_SEAL)
+    def test_falls_back_past_a_generation_damaged_after_its_seal(
+        self, damage, ckpt_dir, tmp_path, capsys
+    ):
+        # no recovery pass runs first: the CLI must diagnose the acked,
+        # then damaged, generation 3 itself, say so, and use 2
+        DAMAGE_AFTER_SEAL[damage][0](DirectoryStore(str(ckpt_dir)), 3)
+        out_npz = tmp_path / "state.npz"
+        assert main(["restore", str(ckpt_dir), str(out_npz)]) == 0
+        line = capsys.readouterr().out.strip()
+        assert "restored generation 2" in line
+        assert "skipped 1 newer generation(s): 3" in line
+        with np.load(out_npz) as data:
+            assert data["field"].shape == (16, 12)
+        # verify calls it torn, once, and does not also try to verify it
+        assert main(["verify", str(ckpt_dir)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("TORN") == 1
+        assert out.count("ok") == 2
 
     def test_torn_generation_is_not_a_candidate(self, ckpt_dir, tmp_path, capsys):
         # deleting the marker tears generation 3: restore must use 2
