@@ -97,7 +97,8 @@ __all__ = [
 _LOSSLESS_KIND = "lossless-array"
 _FLOAT_DTYPES = (np.float32, np.float64)
 #: Manifest codecs whose blob is one self-describing pipeline blob.
-_PIPELINE_CODECS = ("wavelet-lossy", CODEC_KEYFRAME)
+_LOSSY_CODEC = "wavelet-lossy"
+_PIPELINE_CODECS = (_LOSSY_CODEC, CODEC_KEYFRAME)
 #: Bodies under two deflate windows are sealed in place: the hand-off
 #: costs what their deflate does, and a step counter would hold one of the
 #: pipeline's two slots while the lane runs dry behind it.
@@ -129,6 +130,19 @@ def _run_on(cpus: set[int] | None) -> None:
             os.sched_setaffinity(0, cpus)
     except OSError:  # cpuset shrank under us, or a sandbox forbids it
         pass
+
+
+def _settle(handles: list[Any], spans: list[Any]) -> None:
+    """A generation failed on the calling thread: cancel the lane tasks
+    among ``handles`` that have not started, wait for the one that has,
+    close the arrays' open ``spans``.  Nothing runs on the lane once the
+    error leaves."""
+    futures = [h for h in handles if isinstance(h, Future)]
+    for future in futures:
+        future.cancel()
+    wait(futures)
+    for span in spans:
+        get_tracer().finish(span)
 
 
 @dataclass(frozen=True)
@@ -390,33 +404,35 @@ class CheckpointManager:
     def _defer(
         self,
         ctx: contextvars.Context,
+        counter: str,
         codec: str,
-        body: container.Body,
-        seal: Callable[[container.Body], bytes],
-    ) -> Any:
-        """Run ``seal(body)`` -- one backend stage: ``wrap_envelope``/
-        ``Codec.compress``, no NumPy temporaries, no decisions -- on the
-        lane, in the caller's ``ctx``; returns the Future of the blob and
-        the seconds it took.
+        data: Any,
+        stage: Callable[[Any], Any],
+    ) -> Future | None:
+        """Run ``stage(data)`` -- one backend stage: ``wrap_envelope``/
+        ``Codec.compress`` of a body on a write, ``WaveletCompressor.unseal``
+        of a blob on a restore; no decisions -- on the lane, in the caller's
+        ``ctx``; returns the Future of the result and the seconds it took,
+        or None where the caller runs the stage itself, at its turn.
 
         The lane is this manager's own thread, never the shared deflate
         pool: a ``*-mt`` seal parks there waiting for block tasks that an
         outer task on the same pool could starve.  ``workers > 1`` starts
         none (the process pool forks lazily and must not fork a process
-        with a live thread) and a body under :data:`_DEFER_MIN_BYTES` is
-        sealed in place; where no thread can start every body is, counted
-        under ``fallbacks{kind=serial}``.  The lane keeps off the CPU its
-        caller is on at each hand-off (:func:`_run_on`).
+        with a live thread) and ``data`` under :data:`_DEFER_MIN_BYTES` is
+        not worth the hand-off; where no thread can start nothing is,
+        counted under ``fallbacks{kind=serial}``.  The lane keeps off the
+        CPU its caller is on at each hand-off (:func:`_run_on`).
         """
-        if self.workers > 1 or len(body) < _DEFER_MIN_BYTES:
-            return seal(body)
+        if self.workers > 1 or len(data) < _DEFER_MIN_BYTES:
+            return None
 
         beside = _cpus_beside_caller()
 
-        def run() -> tuple[bytes, float]:
+        def run() -> tuple[Any, float]:
             _run_on(beside)
             t0 = time.perf_counter()
-            return seal(body), time.perf_counter() - t0
+            return stage(data), time.perf_counter() - t0
 
         registry = get_registry()
         try:
@@ -428,8 +444,8 @@ class CheckpointManager:
         except (RuntimeError, OSError):  # thread-limited sandbox
             self.close()
             registry.counter("fallbacks", kind="serial").inc()
-            return seal(body)
-        registry.counter("ckpt.pipeline.deferred", codec=codec).inc()
+            return None
+        registry.counter(counter, codec=codec).inc()
         return future
 
     def __enter__(self) -> "CheckpointManager":
@@ -561,7 +577,7 @@ class CheckpointManager:
                 p.params = dict(how.to_dict(), chunk_rows=self.chunk_rows)
             elif mode == "lossy":
                 compressor = WaveletCompressor(how)
-                p.codec, p.params = "wavelet-lossy", how.to_dict()
+                p.codec, p.params = _LOSSY_CODEC, how.to_dict()
                 p.sealed, _stats = compressor.compress_with_stats(
                     arr,
                     seal=lambda body, stats: defer(
@@ -633,6 +649,11 @@ class CheckpointManager:
             # Copied here, not inside the encode call: what the lane runs
             # belongs to the generation, which outlives every seal.
             ctx = contextvars.copy_context()
+
+            def defer(codec: str, body: container.Body, seal: Callable) -> Any:
+                future = self._defer(ctx, "ckpt.pipeline.deferred", codec, body, seal)
+                return seal(body) if future is None else future
+
             try:
                 for name in self.registry.names():
                     arr = np.asarray(self.registry.get(name))
@@ -641,7 +662,7 @@ class CheckpointManager:
                     ))
                     inflight.append(p)
                     with tracer.attached(p.span):
-                        self._encode_array(p, step, partial(self._defer, ctx))
+                        self._encode_array(p, step, defer)
                     # Land what is sealed, in order.  Block on the oldest
                     # seal only once a second body waits behind it: its
                     # deflate then overlaps this put and, next turn, the
@@ -653,15 +674,9 @@ class CheckpointManager:
                 while inflight:
                     land(inflight.popleft())
             except BaseException:
-                # cancel the seals that have not started, wait for the one
-                # that has; only then may the transaction be rolled back
-                # (the lane holds no store handle: a crash stays a crash)
-                seals = [p.sealed for p in inflight if isinstance(p.sealed, Future)]
-                for future in seals:
-                    future.cancel()
-                wait(seals)
-                for p in inflight:
-                    tracer.finish(p.span)
+                # only then may the transaction be rolled back (the lane
+                # holds no store handle: a crash stays a crash)
+                _settle([p.sealed for p in inflight], [p.span for p in inflight])
                 raise
             parity_entries = self._write_parity(txn, entries, blob_by_name)
             manifest = CheckpointManifest(
@@ -1010,7 +1025,22 @@ class CheckpointManager:
         transparently and plain ones keep failing fast.  A caller that has
         already read the step's ``manifest`` passes it in.
         """
+        return self._load(step, repair, manifest, None)
+
+    def _load(
+        self, step: int, repair: bool | None, manifest: CheckpointManifest | None, root: Any
+    ) -> dict[str, np.ndarray]:
+        """:meth:`load_arrays`, reporting the overlap on the span ``root``.
+
+        Once every blob is verified (and healed), the write pipeline
+        mirrored: the lane inflates the next single-blob array while this
+        thread runs the NumPy stages of the current one, in manifest order,
+        so two inflated bodies exist at most.  Temporal entries (a chain
+        is a store walk) and chunked blobs decode here, at their turn.
+        """
         tracer = get_tracer()
+        started = time.perf_counter()
+        busy = waited = 0.0  # the lane inflating; this thread blocked on it
         if manifest is None:
             manifest = self.read_manifest(step)
         if repair is None:
@@ -1018,22 +1048,69 @@ class CheckpointManager:
         blobs = self._collect_verified_blobs(step, manifest, repair=repair)
         arrays: dict[str, np.ndarray] = {}
         ancestors: dict[int, CheckpointManifest] = {}
-        for entry in manifest.entries:
-            with tracer.span(
-                "ckpt.array_load", array=entry.name, codec=entry.codec
-            ):
-                if entry.codec == CODEC_DELTA:
-                    arr = self._decode_temporal_chain(
-                        step, entry, blobs[entry.name], ancestors
-                    )
-                else:
-                    arr = deserialize_array(blobs[entry.name], entry.codec)
-            if tuple(arr.shape) != entry.shape:
-                raise RestoreError(
-                    f"array {entry.name!r} decoded to shape {arr.shape}, "
-                    f"manifest records {entry.shape}"
+        ctx = contextvars.copy_context()
+        # The temporal path stays whole on this thread, as on the write:
+        # chain replay inflates keyframes here anyway, and a lane for the
+        # all-keyframe generations only adds its allocator arena to that.
+        single = iter([
+            e for e in manifest.entries
+            if e.codec == _LOSSY_CODEC and blobs[e.name][:4] != CHUNK_MAGIC
+        ])
+        ahead: dict[str, tuple[Any, Future | None]] = {}  # opened, not decoded
+
+        def open_next() -> None:
+            entry = next(single, None)
+            if entry is not None:
+                span = tracer.start("ckpt.array_load", array=entry.name, codec=entry.codec)
+                ahead[entry.name] = span, self._defer(
+                    ctx, "ckpt.pipeline.prefetched", str(entry.codec_params.get("backend")),
+                    blobs[entry.name], partial(WaveletCompressor.unseal, parent=span),
                 )
-            arrays[entry.name] = arr
+
+        def inflated(_blob: bytes) -> tuple[dict, dict]:
+            nonlocal busy, waited
+            t0 = time.perf_counter()
+            body, inflate_s = front.result()
+            waited += time.perf_counter() - t0
+            busy += inflate_s
+            return body
+
+        open_next()
+        try:
+            for entry in manifest.entries:
+                blob = blobs[entry.name]
+                prefetched = entry.name in ahead
+                if not prefetched:
+                    ahead[entry.name] = tracer.start(
+                        "ckpt.array_load", array=entry.name, codec=entry.codec
+                    ), None
+                span, front = ahead[entry.name]
+                if prefetched:
+                    open_next()  # inflates while this one is decoded
+                with tracer.attached(span):
+                    if entry.codec == CODEC_DELTA:
+                        arr = self._decode_temporal_chain(step, entry, blob, ancestors)
+                    elif front is not None:
+                        arr = WaveletCompressor.decompress(blob, unseal=inflated)
+                    else:
+                        arr = deserialize_array(blob, entry.codec)
+                    if tuple(arr.shape) != entry.shape:
+                        raise RestoreError(
+                            f"array {entry.name!r} decoded to shape {arr.shape}, "
+                            f"manifest records {entry.shape}"
+                        )
+                del ahead[entry.name]
+                tracer.finish(span)
+                arrays[entry.name] = arr
+        except BaseException:
+            _settle([f for _span, f in ahead.values()], [s for s, _front in ahead.values()])
+            raise
+        if root is not None:
+            wall = time.perf_counter() - started
+            root.set(
+                backend_lane_busy_s=busy,
+                overlap_share=1.0 - wall / (wall - waited + busy),
+            )
         return arrays
 
     def restore(
@@ -1044,8 +1121,8 @@ class CheckpointManager:
         # number of generations held (steps() classifies them all)
         manifest = load_committed(self.store, step)
         step = manifest.step
-        with get_tracer().span("restore", step=step):
-            arrays = self.load_arrays(step, repair=repair, manifest=manifest)
+        with get_tracer().span("restore", step=step) as root:
+            arrays = self._load(step, repair, manifest, root)
             self.registry.restore(arrays)
         if self._temporal_engine is not None:
             # The application rewound: future deltas must predict from the

@@ -158,9 +158,9 @@ class DirectoryStore(Store):
     ``durability`` selects when writes are flushed to the medium:
 
     ``"always"`` (default)
-        Every ``put`` fsyncs its file and parent directory before
-        returning -- ``put`` is durable on return, ``sync`` only flushes
-        the root's entry table.  The historic behaviour.
+        Every ``put`` fsyncs its file, its directory and the parent of
+        every directory it had to create before returning -- ``put`` is
+        durable on return, ``sync`` only flushes the root's entry table.
     ``"batch"``
         ``put`` writes and renames but defers every fsync; dirty files
         and directories are tracked and flushed together by the next
@@ -222,9 +222,15 @@ class DirectoryStore(Store):
         path = self._path(key)
         self._collision_guard(key, path)
         deferred = self.durability == "batch"
+        # the file's directory, then the parent of every directory this put
+        # has to create (a new generation's entry in ``ckpt/``): each gains
+        # an entry that only a flush of that directory makes durable
+        flush = [os.path.dirname(path)]
+        while not os.path.isdir(flush[-1]):
+            flush.append(os.path.dirname(flush[-1]))
         try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".tmp-")
+            os.makedirs(flush[0], exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=flush[0], prefix=".tmp-")
             try:
                 with os.fdopen(fd, "wb") as fh:
                     fh.write(data)
@@ -237,9 +243,10 @@ class DirectoryStore(Store):
                 if deferred:
                     with self._dirty_lock:
                         self._dirty_files.add(path)
-                        self._dirty_dirs.add(os.path.dirname(path))
+                        self._dirty_dirs.update(flush)
                 else:
-                    _fsync_dir(os.path.dirname(path))
+                    for directory in flush:
+                        _fsync_dir(directory)
             except BaseException:
                 try:
                     os.unlink(tmp)
@@ -301,9 +308,11 @@ class DirectoryStore(Store):
     def sync(self) -> None:
         """Durability barrier.
 
-        In ``"always"`` mode every ``put`` already fsynced its file and
-        parent directory, so the barrier only needs the root's own entry
-        table flushed (covers freshly created generation directories).
+        In ``"always"`` mode every ``put`` already fsynced its file, its
+        directory and the parent of each directory it created (that, not
+        this barrier, is what makes a fresh generation directory's entry
+        durable: it is a child of ``ckpt/``, not of the root), so only
+        the root's own entry table is left to flush.
         In ``"batch"`` mode this is where the deferred flushes happen:
         every dirty file, then every dirty directory, then the root --
         data before the directory entries that reference it.

@@ -128,6 +128,6 @@ def decode_coefficients(payload: EncodedPayload) -> np.ndarray:
     if n_q and (payload.averages.size == 0 or int(payload.indices.max()) >= payload.averages.size):
         raise DecompressionError("index stream references beyond the average table")
     flat = np.empty(size, dtype=np.float64)
-    flat[~mask] = payload.raw_values
-    flat[mask] = payload.averages[payload.indices]
+    flat[mask] = payload.averages.take(payload.indices)
+    flat[np.logical_not(mask, out=mask)] = payload.raw_values  # mask is ours
     return flat

@@ -369,18 +369,33 @@ class WaveletCompressor:
     # -- decompression -------------------------------------------------------
 
     @staticmethod
-    def decompress(blob: bytes) -> np.ndarray:
+    def decompress(
+        blob: bytes, *, unseal: Callable[[bytes], tuple[dict, dict]] | None = None
+    ) -> np.ndarray:
         """Decode a blob produced by any :class:`WaveletCompressor`.
 
         The blob is self-describing, so this is a static method: the
         configuration used for compression is read from the header.
+
+        ``unseal(blob)`` yields the blob's ``(header, sections)``.  The
+        default is :meth:`unseal` itself; a caller that inflated the blob
+        on another thread while this one decoded its predecessor hands in
+        that result (the mirror of ``compress_with_stats(seal=)``).
         """
         tracer = get_tracer()
         with tracer.span("decompress", nbytes=len(blob)):
-            with tracer.span("backend_inverse"):
-                body, _backend = container.unwrap_envelope(blob)
-                header, sections = container.read_body(body)
+            header, sections = (unseal or WaveletCompressor.unseal)(blob)
             return WaveletCompressor._decode_body(header, sections, tracer)
+
+    @staticmethod
+    def unseal(blob: bytes, *, parent: Any = None) -> tuple[dict, dict]:
+        """The backend stage inverted: inflate ``blob`` and split its body
+        into ``(header, sections)``.  Touches no shared state, so it may
+        run on another thread than the decode; ``parent`` then names the
+        span the ``backend_inverse`` span belongs under."""
+        with get_tracer().span("backend_inverse", parent=parent):
+            body, _backend = container.unwrap_envelope(blob)
+            return container.read_body(body)
 
     @staticmethod
     def _decode_body(header, sections, tracer) -> np.ndarray:

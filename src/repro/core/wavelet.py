@@ -203,6 +203,37 @@ def _resolve_scratch(
     return s
 
 
+#: Longest smallest-stride axis worth peeling off (see :func:`_transform_axis`).
+_PEEL_MAX = 3
+
+
+def _transform_axis(kernel, src: np.ndarray, ax: int, dst: np.ndarray) -> None:
+    """``kernel(src, ax, out=dst)``, peeled where NumPy would loop over 2.
+
+    A ufunc's inner loop runs along the smallest-stride axis.  When that
+    axis is tiny and the transform axis sits directly above it, the
+    kernels' stride-2 slices keep the two from coalescing and every inner
+    loop is 2-3 elements long (axis 1 of a ``(1156, 82, 2)`` block).  One
+    kernel call per index of the tiny axis loops along the transform axis
+    instead: the same ufuncs on the same elements, bit-identical.  Any
+    other axis above the tiny one coalesces with it into one long run and
+    is left alone (peeling axis 0 of that block costs half again); from 4
+    elements on, the per-index passes over every cache line cost more
+    than the short loops do.
+    """
+    # axes longer than 1, smallest stride first
+    order = sorted(
+        (abs(s), i) for i, (s, n) in enumerate(zip(dst.strides, dst.shape)) if n > 1
+    )
+    tiny = order[0][1] if len(order) > 1 and order[1][1] == ax else None
+    if tiny is None or dst.shape[tiny] > _PEEL_MAX:
+        kernel(src, ax, out=dst)
+        return
+    for j in range(dst.shape[tiny]):
+        sub = (slice(None),) * tiny + (j,)
+        kernel(src[sub], ax - (tiny < ax), out=dst[sub])
+
+
 def wavelet_forward(
     arr: np.ndarray,
     levels: int | str = 1,
@@ -269,7 +300,7 @@ def wavelet_forward(
             dst, dst_in_out = b_view, False
         for ax in range(a.ndim):
             if region[ax] >= 2:
-                forward_axis(cur, ax, out=dst)
+                _transform_axis(forward_axis, cur, ax, dst)
                 cur, cur_in_out = dst, dst_in_out
                 dst, dst_in_out = (b_view, False) if cur_in_out else (o_view, True)
         if not cur_in_out:  # the level's result lives in the scratch view
@@ -313,7 +344,7 @@ def wavelet_inverse(
         in_scratch = False
         for ax in reversed(range(a.ndim)):
             if region[ax] >= 2:
-                inverse_axis(src, ax, out=dst)
+                _transform_axis(inverse_axis, src, ax, dst)
                 src, dst = dst, src
                 in_scratch = not in_scratch
         if in_scratch:

@@ -29,7 +29,7 @@ from repro.ckpt.store import MemoryStore
 from repro.config import ResilienceConfig, TemporalConfig
 from repro.core import container
 from repro.core.pipeline import WaveletCompressor
-from repro.exceptions import CompressionError, NonFiniteDataError
+from repro.exceptions import CompressionError, NonFiniteDataError, ReproError
 from repro.lossless.zlib_codec import GzipCodec
 from repro.obs import get_registry, get_tracer
 
@@ -508,3 +508,269 @@ class TestObservability:
         manager.close()
         report = TraceReport([s.to_dict() for s in tracer.spans])
         assert report.orphans() == []
+
+
+# -- the restore side ------------------------------------------------------------
+
+
+def written(registry=None, **manager_kwargs):
+    """A manager over a fresh store holding generation 0 of ``registry``."""
+    manager = CheckpointManager(
+        registry if registry is not None else float_registry(5),
+        MemoryStore(),
+        **manager_kwargs,
+    )
+    manager.checkpoint(0)
+    get_registry().reset()
+    return manager
+
+
+def prefetched(backend: str = CompressionConfig().backend) -> float:
+    return get_registry().counter("ckpt.pipeline.prefetched", codec=backend).value
+
+
+class TestRestoreLane:
+    def test_restore_equals_the_restore_without_a_lane(self, monkeypatch):
+        registry = float_registry(5)
+        registry.register("a_counts", np.arange(4096, dtype=np.int64))
+        with written(registry) as manager:
+            piped = manager.load_arrays(0)
+            assert prefetched() == 5
+            assert get_registry().counter("fallbacks", kind="serial").value == 0
+            manager.close()  # the next hand-off has a thread to start
+            monkeypatch.setattr(manager_module, "ThreadPoolExecutor", refuse_threads)
+            serial = manager.load_arrays(0)
+            assert get_registry().counter("fallbacks", kind="serial").value == 5
+            assert prefetched() == 5
+        assert list(piped) == list(serial) == registry.names()
+        for name in piped:
+            np.testing.assert_array_equal(piped[name], serial[name])
+
+    def test_next_blob_is_inflated_while_this_one_is_decoded(self, monkeypatch):
+        """The lane parks in array 1's inflate until array 0's decode has
+        seen it there; ``read_body`` calls minus finished decodes is the
+        number of inflated bodies alive, never above two."""
+        import repro.core.pipeline as pipeline_module
+
+        entered, release = threading.Event(), threading.Event()
+        original_decompress = GzipCodec.decompress
+        original_read_body = container.read_body
+        original_decode = pipeline_module.decode_coefficients
+        seen = {"inflates": 0, "bodies": 0, "decoded": 0, "alive": 0, "overlapped": False}
+
+        def blocking_decompress(self, data):
+            seen["inflates"] += 1
+            if seen["inflates"] == 2:
+                entered.set()
+                assert release.wait(30), "nobody released the lane"
+            return original_decompress(self, data)
+
+        def counting_read_body(body):
+            seen["bodies"] += 1
+            return original_read_body(body)
+
+        def watching_decode(payload):
+            if seen["decoded"] == 0:
+                assert entered.wait(30), "the lane never reached array 1"
+                seen["overlapped"] = not release.is_set()
+                release.set()
+            seen["alive"] = max(seen["alive"], seen["bodies"] - seen["decoded"])
+            flat = original_decode(payload)
+            seen["decoded"] += 1
+            return flat
+
+        with written(config=CompressionConfig(backend="gzip")) as manager:
+            monkeypatch.setattr(GzipCodec, "decompress", blocking_decompress)
+            monkeypatch.setattr(container, "read_body", counting_read_body)
+            monkeypatch.setattr(pipeline_module, "decode_coefficients", watching_decode)
+            manager.restore(0)
+        assert seen["overlapped"]
+        assert seen["bodies"] == seen["decoded"] == 5
+        assert 1 <= seen["alive"] <= 2
+
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_corrupted_body_raises_what_the_serial_path_raises(self, k, monkeypatch):
+        """Array ``k``'s deflate stream rots after the CRC check: the lane's
+        failure surfaces at that array's turn, typed and worded as the
+        serial path's, and nothing is left running."""
+        collect = CheckpointManager._collect_verified_blobs
+
+        def rotten(self, step, manifest, *, repair):
+            blobs = collect(self, step, manifest, repair=repair)
+            blob = bytearray(blobs[f"f{k}"])
+            blob[len(blob) // 2] ^= 0xFF
+            blobs[f"f{k}"] = bytes(blob)
+            return blobs
+
+        monkeypatch.setattr(CheckpointManager, "_collect_verified_blobs", rotten)
+        manager = written()
+        with pytest.raises(ReproError) as piped:
+            manager.restore(0)
+        assert prefetched() >= 1
+        started = time.monotonic()
+        manager.close()
+        manager.close()
+        assert time.monotonic() - started < 5 and lane_threads() == []
+        monkeypatch.setattr(manager_module, "ThreadPoolExecutor", refuse_threads)
+        with pytest.raises(ReproError) as serial:
+            manager.restore(0)
+        assert type(piped.value) is type(serial.value)
+        assert str(piped.value) == str(serial.value)
+
+    def test_failure_cancels_the_front_behind_it(self, monkeypatch):
+        """A decode fails while the next array's front sits on the lane:
+        the error leaves only after that front is done, and no later one
+        is ever started."""
+        import repro.core.pipeline as pipeline_module
+
+        inflates = []
+        original_decompress = GzipCodec.decompress
+
+        def counting_decompress(self, data):
+            inflates.append(threading.current_thread().name)
+            return original_decompress(self, data)
+
+        def failing_inverse(coeffs, applied, wavelet, **kwargs):
+            if len(inflates) >= 2:
+                raise RuntimeError("inverse fell over")
+            return original_inverse(coeffs, applied, wavelet, **kwargs)
+
+        original_inverse = pipeline_module.wavelet_inverse
+        with written(config=CompressionConfig(backend="gzip")) as manager:
+            monkeypatch.setattr(GzipCodec, "decompress", counting_decompress)
+            monkeypatch.setattr(pipeline_module, "wavelet_inverse", failing_inverse)
+            with pytest.raises(RuntimeError, match="fell over"):
+                manager.restore(0)
+            assert 2 <= len(inflates) <= 3
+            assert all(name.startswith(LANE_PREFIX) for name in inflates)
+            settled = len(inflates)
+            time.sleep(0.05)
+            assert len(inflates) == settled  # nothing still running behind the error
+
+    def test_workers_2_starts_no_lane_on_restore(self):
+        store = MemoryStore()
+        with CheckpointManager(float_registry(3), store) as writer:
+            writer.checkpoint(0)
+        get_registry().reset()
+        with CheckpointManager(float_registry(3), store, workers=2) as reader:
+            reader.restore(0)
+            assert lane_threads() == []
+        assert prefetched() == 0
+        assert get_registry().counter("fallbacks", kind="serial").value == 0
+
+    def test_small_blobs_are_inflated_in_place(self, monkeypatch):
+        monkeypatch.setattr(manager_module, "_DEFER_MIN_BYTES", 64 * 1024)
+        with written() as manager:
+            manager.close()
+            manager.restore(0)
+            assert lane_threads() == []
+        assert prefetched() == 0
+
+    def test_parity_repaired_blob_is_decoded_from_the_repaired_bytes(self):
+        from repro.ckpt.manifest import array_key
+
+        with written(resilience=ResilienceConfig(parity=True, repair_rewrite=False)) as manager:
+            reference = manager.load_arrays(0)
+            key = array_key(0, "f2")
+            blob = bytearray(manager.store.get(key))
+            blob[len(blob) // 2] ^= 0xFF
+            manager.store.put(key, bytes(blob))
+            get_registry().reset()
+            healed = manager.load_arrays(0)
+            assert [event.name for event in manager.repair_log] == ["f2"]
+            assert manager.store.get(key) == bytes(blob)  # still rotten at rest
+            assert prefetched() == 5
+        for name in reference:
+            np.testing.assert_array_equal(healed[name], reference[name])
+
+    def test_temporal_generations_restore_unchanged(self):
+        """Keyframes and deltas decode on the calling thread, as they did
+        and as they are written: a temporal manager starts no thread."""
+        registry = float_registry(3)
+        manager = CheckpointManager(
+            registry, MemoryStore(), temporal=TemporalConfig(error_bound=1e-3, keyframe_every=4)
+        )
+        written_states = []
+        for step in range(3):
+            for name in registry.names():
+                registry.get(name)[...] += 0.01 * (step + 1)
+            written_states.append({n: registry.get(n).copy() for n in registry.names()})
+            manager.checkpoint(step)
+        get_registry().reset()
+        for step in range(3):
+            arrays = manager.load_arrays(step)
+            for name in registry.names():
+                assert np.abs(arrays[name] - written_states[step][name]).max() <= 1e-3
+        assert lane_threads() == []
+        assert prefetched() == 0
+        assert get_registry().counter("fallbacks", kind="serial").value == 0
+
+    def test_chunked_generation_restores_unchanged(self):
+        from repro.core.chunked import chunked_decompress
+        from repro.ckpt.manifest import array_key
+
+        store = MemoryStore()
+        with CheckpointManager(float_registry(2), store, workers=2, chunk_rows=16) as writer:
+            writer.checkpoint(0)
+        get_registry().reset()
+        with CheckpointManager(float_registry(2), store) as reader:
+            arrays = reader.load_arrays(0)
+            assert lane_threads() == [] and prefetched() == 0
+        for name, arr in arrays.items():
+            np.testing.assert_array_equal(arr, chunked_decompress(store.get(array_key(0, name))))
+
+
+class TestRestoreObservability:
+    def test_restore_span_reports_the_overlap(self):
+        tracer = get_tracer()
+        with written(config=CompressionConfig(backend="gzip")) as manager:
+            tracer.enable()
+            manager.restore(0)
+        (root,) = [s for s in tracer.spans if s.name == "restore"]
+        assert root.attrs["backend_lane_busy_s"] > 0.0
+        assert 0.0 <= root.attrs["overlap_share"] < 0.5
+        assert prefetched("gzip") == 5
+        # every inflate ran on the lane, under its array's span, which
+        # covers hand-off -> decoded
+        loads = {s.span_id: s for s in tracer.spans if s.name == "ckpt.array_load"}
+        fronts = [s for s in tracer.spans if s.name == "backend_inverse"]
+        assert len(loads) == len(fronts) == 5
+        for span in fronts:
+            parent = loads[span.parent_id]
+            assert span.tid != parent.tid
+            assert parent.start <= span.start and span.end <= parent.end
+            assert parent.parent_id == root.span_id
+
+    def test_serial_restore_overlaps_nothing(self, no_lane):
+        tracer = get_tracer()
+        manager = written()
+        tracer.enable()
+        manager.restore(0)
+        (root,) = [s for s in tracer.spans if s.name == "restore"]
+        assert root.attrs["backend_lane_busy_s"] == 0.0
+        assert root.attrs["overlap_share"] == 0.0
+        assert get_registry().counter("fallbacks", kind="serial").value == 5
+        assert prefetched() == 0
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_traced_restore_has_no_orphan_spans(self, fails, monkeypatch):
+        import repro.core.pipeline as pipeline_module
+        from repro.obs.report import TraceReport
+
+        tracer = get_tracer()
+        manager = written()
+        if fails:
+            def failing_decode(payload):
+                raise RuntimeError("decode fell over")
+
+            monkeypatch.setattr(pipeline_module, "decode_coefficients", failing_decode)
+        tracer.enable()
+        if fails:
+            with pytest.raises(RuntimeError, match="fell over"):
+                manager.restore(0)
+        else:
+            manager.restore(0)
+        manager.close()
+        report = TraceReport([s.to_dict() for s in tracer.spans])
+        assert report.orphans() == []
+        assert {s.name for s in tracer.spans} >= {"restore", "ckpt.array_load", "backend_inverse"}

@@ -200,7 +200,38 @@ class TestDirectoryStoreDurability:
         )
         store = DirectoryStore(str(tmp_path))
         store.put("deep/key", b"x")
-        assert synced == [os.path.join(store.root, "deep")]
+        # ``deep`` is new: its own entry lives in the root, flushed as well
+        assert synced == [os.path.join(store.root, "deep"), store.root]
+
+    @pytest.mark.parametrize("durability", ["always", "batch"])
+    def test_a_new_generation_directory_gets_its_entry_flushed(
+        self, tmp_path, monkeypatch, durability
+    ):
+        """The directory that receives a new generation directory's entry
+        is ``ckpt/``, not the root: the put that creates the generation
+        flushes it (at the barrier in batch mode), a second put into the
+        same generation flushes nothing extra."""
+        from repro.ckpt import store as store_mod
+
+        synced: list[str] = []
+        monkeypatch.setattr(store_mod, "_fsync_dir", synced.append)
+        store = DirectoryStore(str(tmp_path / "s"), durability=durability)
+        root = store.root
+        ckpt = os.path.join(root, "ckpt")
+        gen1, gen2 = os.path.join(ckpt, "1"), os.path.join(ckpt, "2")
+
+        def flushed_by_put(key: str) -> list[str]:
+            synced.clear()
+            store.put(key, b"x")
+            if durability == "batch":
+                assert synced == []  # nothing before the barrier
+                store.sync()
+                assert synced.pop() == root  # the barrier's own root flush
+            return sorted(synced)
+
+        assert flushed_by_put("ckpt/1/a.bin") == [root, ckpt, gen1]
+        assert flushed_by_put("ckpt/1/b.bin") == [gen1]
+        assert flushed_by_put("ckpt/2/a.bin") == [ckpt, gen2]
 
     def test_fsync_dir_is_best_effort(self, tmp_path):
         from repro.ckpt.store import _fsync_dir

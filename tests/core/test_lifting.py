@@ -13,6 +13,8 @@ from repro.core.lifting import cdf53_forward_axis, cdf53_inverse_axis
 from repro.core.wavelet import available_wavelets, wavelet_forward, wavelet_inverse
 from repro.exceptions import CompressionError, ConfigurationError
 
+from .test_wavelet import PEEL_SHAPES, check_peeled_equals_unpeeled, kernel_calls
+
 RT_KW = dict(rtol=1e-12, atol=1e-12)
 
 
@@ -145,3 +147,26 @@ class TestPipelineIntegration:
     def test_unknown_wavelet_in_config(self):
         with pytest.raises(ConfigurationError):
             CompressionConfig(wavelet="db9")
+
+
+class TestPeeledAxisKernels:
+    """``cdf53`` goes through the same peeling helper as Haar (DESIGN 16)."""
+
+    @pytest.mark.parametrize("shape", PEEL_SHAPES)
+    def test_peeled_equals_unpeeled(self, monkeypatch, rng, shape):
+        check_peeled_equals_unpeeled(monkeypatch, rng, "cdf53", shape)
+
+    def test_benchmark_shape_peels_axis_1_and_only_axis_1(self, monkeypatch, rng):
+        import repro.core.lifting as lifting_module
+
+        a = rng.standard_normal((1156, 82, 2))
+        whole, half = (1156, 82, 2), (1156, 82)
+        calls = kernel_calls(
+            monkeypatch, lifting_module, ["cdf53_forward_axis", "cdf53_inverse_axis"],
+            lambda: wavelet_inverse(*wavelet_forward(a, 1, "cdf53"), "cdf53"),
+        )
+        fwd, inv = "cdf53_forward_axis", "cdf53_inverse_axis"
+        assert calls == [
+            (fwd, whole, 0), (fwd, half, 1), (fwd, half, 1), (fwd, whole, 2),
+            (inv, whole, 2), (inv, half, 1), (inv, half, 1), (inv, whole, 0),
+        ]

@@ -295,3 +295,102 @@ class TestAxisOutParameter:
         a = rng.standard_normal(8)
         with pytest.raises(ValueError, match="share memory"):
             haar_forward_axis(a, 0, out=a)
+
+
+# -- peeled axis kernels -------------------------------------------------------
+
+#: trailing axes of 1..5 (1, 4 and 5 must not peel), odd lengths, 2-D and 4-D
+PEEL_SHAPES = [(40, 9, 1), (40, 9, 2), (41, 11, 3), (12, 7, 4), (12, 7, 5), (9, 2), (6, 5, 4, 2)]
+
+
+def input_variants(rng, shape):
+    """One field in the memory layouts a caller can hand in."""
+    a = rng.standard_normal(shape)
+    wide = rng.standard_normal(tuple(2 * s for s in shape))
+    yield "c", a
+    yield "float32", a.astype(np.float32)
+    yield "fortran", np.asfortranarray(a)
+    yield "strided", wide[tuple(slice(None, None, 2) for _ in shape)]
+    yield "transposed", np.ascontiguousarray(a.T).T
+
+
+def check_peeled_equals_unpeeled(monkeypatch, rng, wavelet, shape):
+    """Both directions, levels 1..max, with and without a caller's scratch:
+    the peeled kernels produce the very bits of the whole-block ones."""
+    import repro.core.wavelet as wavelet_module
+
+    def unpeeled(fn, *args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(wavelet_module, "_PEEL_MAX", 0)
+            return fn(*args, **kwargs)
+
+    natural = plan_levels(shape, "max")
+    for label, a in input_variants(rng, shape):
+        for levels in [*range(1, natural + 1), "max"]:
+            for scratch in (None, np.empty(shape, dtype=np.float64)):
+                ref, applied = unpeeled(wavelet_forward, a, levels, wavelet, scratch=scratch)
+                coeffs, got = wavelet_forward(a, levels, wavelet, scratch=scratch)
+                assert got == applied
+                np.testing.assert_array_equal(coeffs, ref, err_msg=f"{label} fwd {levels}")
+                # the inverse keeps its input's layout (copy=True is order "K")
+                for given in (coeffs, np.asfortranarray(coeffs)):
+                    back_ref = unpeeled(
+                        wavelet_inverse, given, applied, wavelet, scratch=scratch
+                    )
+                    back = wavelet_inverse(given, applied, wavelet, scratch=scratch)
+                    np.testing.assert_array_equal(
+                        back, back_ref, err_msg=f"{label} inv {levels}"
+                    )
+
+
+def kernel_calls(monkeypatch, module, names, run):
+    """``(kernel name, operand shape, axis)`` of every axis-kernel call
+    ``run()`` makes."""
+    calls = []
+
+    def counting(name, kernel):
+        def wrapper(arr, axis, out=None):
+            calls.append((name, np.shape(arr), axis))
+            return kernel(arr, axis, out=out)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    run()
+    return calls
+
+
+class TestPeeledAxisKernels:
+    @pytest.mark.parametrize("shape", PEEL_SHAPES)
+    def test_peeled_equals_unpeeled(self, monkeypatch, rng, shape):
+        check_peeled_equals_unpeeled(monkeypatch, rng, "haar", shape)
+
+    def test_benchmark_shape_peels_axis_1_and_only_axis_1(self, monkeypatch, rng):
+        import repro.core.wavelet as wavelet_module
+
+        a = rng.standard_normal((1156, 82, 2))
+        whole, half, deep = (1156, 82, 2), (1156, 82), (578, 41, 1)
+        calls = kernel_calls(
+            monkeypatch, wavelet_module, ["haar_forward_axis", "haar_inverse_axis"],
+            lambda: wavelet_inverse(*wavelet_forward(a, 2)),
+        )
+        fwd, inv = "haar_forward_axis", "haar_inverse_axis"
+        assert calls == [
+            (fwd, whole, 0), (fwd, half, 1), (fwd, half, 1), (fwd, whole, 2),
+            (fwd, deep, 0), (fwd, deep, 1),  # trailing axis of 1: nothing to peel
+            (inv, deep, 1), (inv, deep, 0),
+            (inv, whole, 2), (inv, half, 1), (inv, half, 1), (inv, whole, 0),
+        ]
+
+    @pytest.mark.parametrize("trailing, peels", [(1, False), (2, True), (3, True), (4, False), (5, False)])
+    def test_only_a_trailing_axis_of_2_or_3_peels(self, monkeypatch, rng, trailing, peels):
+        import repro.core.wavelet as wavelet_module
+
+        a = rng.standard_normal((12, 10, trailing))
+        calls = kernel_calls(
+            monkeypatch, wavelet_module, ["haar_forward_axis"],
+            lambda: wavelet_forward(a, 1),
+        )
+        on_axis_1 = [shape for _name, shape, axis in calls if axis == 1]
+        assert on_axis_1 == ([(12, 10)] * trailing if peels else [(12, 10, trailing)])
