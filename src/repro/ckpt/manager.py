@@ -34,7 +34,7 @@ from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -103,6 +103,11 @@ _PIPELINE_CODECS = (_LOSSY_CODEC, CODEC_KEYFRAME)
 #: costs what their deflate does, and a step counter would hold one of the
 #: pipeline's two slots while the lane runs dry behind it.
 _DEFER_MIN_BYTES = 64 * 1024
+#: A delta link is handed to the lane from this many *compressed* bytes on:
+#: 28 KB of it inflate for ~0.9 ms, the hand-off costs ~0.05.
+_PREFETCH_MIN_BYTES = 4 * 1024
+#: Links a restore keeps inflated (or inflating) ahead of the one it decodes.
+_LOOKAHEAD = 3
 
 try:  # Linux only; the os module can set a thread's CPUs but not name its CPU
     _sched_getcpu = ctypes.CDLL(None).sched_getcpu if hasattr(os, "sched_setaffinity") else None
@@ -135,14 +140,16 @@ def _run_on(cpus: set[int] | None) -> None:
 def _settle(handles: list[Any], spans: list[Any]) -> None:
     """A generation failed on the calling thread: cancel the lane tasks
     among ``handles`` that have not started, wait for the one that has,
-    close the arrays' open ``spans``.  Nothing runs on the lane once the
-    error leaves."""
+    close the arrays' open ``spans`` (the links of one chain name their
+    array's span once each).  Nothing runs on the lane once the error
+    leaves."""
     futures = [h for h in handles if isinstance(h, Future)]
     for future in futures:
         future.cancel()
     wait(futures)
     for span in spans:
-        get_tracer().finish(span)
+        if span.end is None:
+            get_tracer().finish(span)
 
 
 @dataclass(frozen=True)
@@ -251,6 +258,18 @@ class _Pending:
     codec: str = ""
     params: Any = None
     sealed: Any = None  # the blob, or the backend lane's Future of it
+
+
+@dataclass
+class _Link:
+    """One blob of a restore between its chain walk and its decode."""
+
+    array: ArrayEntry  # the entry being rebuilt (``entry`` at its last link)
+    span: Any  # that array's open ``ckpt.array_load`` span
+    entry: ArrayEntry  # the manifest entry of ``blob``
+    blob: bytes = b""
+    front: Future | None = None  # the lane's Future of the inflated body
+    error: Exception | None = None  # the walk failed: raised at this turn
 
 
 class CheckpointManager:
@@ -408,10 +427,11 @@ class CheckpointManager:
         codec: str,
         data: Any,
         stage: Callable[[Any], Any],
+        min_bytes: int,
     ) -> Future | None:
         """Run ``stage(data)`` -- one backend stage: ``wrap_envelope``/
         ``Codec.compress`` of a body on a write, ``WaveletCompressor.unseal``
-        of a blob on a restore; no decisions -- on the lane, in the caller's
+        of a link's blob on a restore; no decisions -- on the lane, in the caller's
         ``ctx``; returns the Future of the result and the seconds it took,
         or None where the caller runs the stage itself, at its turn.
 
@@ -419,12 +439,12 @@ class CheckpointManager:
         pool: a ``*-mt`` seal parks there waiting for block tasks that an
         outer task on the same pool could starve.  ``workers > 1`` starts
         none (the process pool forks lazily and must not fork a process
-        with a live thread) and ``data`` under :data:`_DEFER_MIN_BYTES` is
-        not worth the hand-off; where no thread can start nothing is,
+        with a live thread) and ``data`` under ``min_bytes`` is not worth
+        the hand-off; where no thread can start nothing is,
         counted under ``fallbacks{kind=serial}``.  The lane keeps off the
         CPU its caller is on at each hand-off (:func:`_run_on`).
         """
-        if self.workers > 1 or len(data) < _DEFER_MIN_BYTES:
+        if self.workers > 1 or len(data) < min_bytes:
             return None
 
         beside = _cpus_beside_caller()
@@ -548,8 +568,8 @@ class CheckpointManager:
         """Everything of one array that runs on the calling thread: policy,
         the NumPy stages, the formatted body.  A single-blob body goes to
         ``defer`` for its backend stage; temporal arrays (the engine reads
-        the finished blob's length) and chunked ones are sealed here, at
-        their turn in the order."""
+        the finished blob's length; their *restore* does use the lane) and
+        chunked ones are sealed here, at their turn in the order."""
         name, arr = p.name, p.arr
         mode, how = self._resolve_policy(name, arr)
         p.span.set(mode=mode)
@@ -651,7 +671,9 @@ class CheckpointManager:
             ctx = contextvars.copy_context()
 
             def defer(codec: str, body: container.Body, seal: Callable) -> Any:
-                future = self._defer(ctx, "ckpt.pipeline.deferred", codec, body, seal)
+                future = self._defer(
+                    ctx, "ckpt.pipeline.deferred", codec, body, seal, _DEFER_MIN_BYTES
+                )
                 return seal(body) if future is None else future
 
             try:
@@ -942,29 +964,30 @@ class CheckpointManager:
             name = sorted(unassigned)[0]
             raise self._corruption(step, name, bad[name])
 
-    def _decode_temporal_chain(
+    def _chain(
         self,
         step: int,
         entry: ArrayEntry,
         blob: bytes,
         manifests: dict[int, CheckpointManifest],
-    ) -> np.ndarray:
-        """Reconstruct a temporal-delta array by replaying its chain.
+    ) -> list[tuple[ArrayEntry, bytes]]:
+        """The ``(manifest entry, verified blob)`` links that rebuild
+        ``entry``, oldest first: the blob itself, or for a temporal delta
+        its keyframe followed by the deltas up to it.
 
         Walks ``base_step`` links (manifest ``codec_params``) back to the
-        nearest keyframe, CRC-verifying every ancestor blob, then replays
-        the deltas forward.  Any missing or damaged link raises a pointed
-        :class:`~repro.exceptions.CorruptionError` naming the broken
-        generation.  ``manifests`` holds the ancestor manifests read so
-        far for the generation being restored: its arrays share their
-        chains, so each ancestor is read once, not once per array.
+        nearest keyframe, CRC-verifying every ancestor blob; store reads
+        only, nothing is inflated here.  Any missing or damaged link
+        raises a pointed :class:`~repro.exceptions.CorruptionError` naming
+        the broken generation.  ``manifests`` holds the ancestor manifests
+        read so far for the generation being restored: its arrays share
+        their chains, so each ancestor is read once, not once per array.
         """
         name = entry.name
-        chain: list[bytes] = [blob]
-        params = entry.codec_params
+        chain = [(entry, blob)]
         visited = {int(step)}
-        while True:
-            base_step = params.get("base_step")
+        while chain[-1][0].codec == CODEC_DELTA:
+            base_step = chain[-1][0].codec_params.get("base_step")
             if base_step is None:
                 raise CorruptionError(
                     f"delta entry {name!r} of checkpoint {step} records no "
@@ -1000,15 +1023,8 @@ class CheckpointManager:
                 base_blob = self._fetch_entry_blob(base_step, base_entry)
             except (StorageError, FormatError, IntegrityError) as exc:
                 raise self._corruption(base_step, name, exc)
-            if base_entry.codec == CODEC_DELTA:
-                chain.append(base_blob)
-                params = base_entry.codec_params
-                continue
-            current = deserialize_array(base_blob, base_entry.codec)
-            break
-        for delta_blob in reversed(chain):
-            current = decode_delta(delta_blob, current)
-        return current
+            chain.append((base_entry, base_blob))
+        return chain[::-1]
 
     def load_arrays(
         self,
@@ -1027,16 +1043,42 @@ class CheckpointManager:
         """
         return self._load(step, repair, manifest, None)
 
+    def _links(
+        self, step: int, manifest: CheckpointManifest, blobs: Mapping[str, bytes]
+    ) -> Iterator[_Link]:
+        """A restore as one ordered stream: per manifest entry the blobs it
+        inflates, oldest first.  An array's span opens and its chain is
+        walked when the consumer's look-ahead pulls its first link.  A
+        walk that fails ends the stream with a link carrying the error:
+        it belongs to that array's turn, and the serial path reads no
+        store key past it."""
+        tracer = get_tracer()
+        ancestors: dict[int, CheckpointManifest] = {}
+        for array in manifest.entries:
+            span = tracer.start("ckpt.array_load", array=array.name, codec=array.codec)
+            try:
+                with tracer.attached(span):
+                    chain = self._chain(step, array, blobs[array.name], ancestors)
+            except Exception as exc:  # noqa: BLE001 - re-raised by _load, in order
+                yield _Link(array, span, array, error=exc)
+                return
+            span.set(chain_links=len(chain))
+            for entry, blob in chain:
+                yield _Link(array, span, entry, blob)
+
     def _load(
         self, step: int, repair: bool | None, manifest: CheckpointManifest | None, root: Any
     ) -> dict[str, np.ndarray]:
         """:meth:`load_arrays`, reporting the overlap on the span ``root``.
 
-        Once every blob is verified (and healed), the write pipeline
-        mirrored: the lane inflates the next single-blob array while this
-        thread runs the NumPy stages of the current one, in manifest order,
-        so two inflated bodies exist at most.  Temporal entries (a chain
-        is a store walk) and chunked blobs decode here, at their turn.
+        Once the generation's own blobs are verified (and healed), the
+        write pipeline mirrored: the lane inflates the next links of
+        :meth:`_links` -- pipeline blobs and deltas; at most
+        :data:`_LOOKAHEAD` bodies ahead -- while this thread runs the NumPy
+        stages of the current one, in order.  A link's inflate needs
+        nothing of the generation before it, only its ``pred + q * 2eb``
+        does, so a chain replays at the speed of the slower of the two.
+        Lossless and chunked blobs decode here, at their turn.
         """
         tracer = get_tracer()
         started = time.perf_counter()
@@ -1047,63 +1089,61 @@ class CheckpointManager:
             repair = bool(manifest.parity)
         blobs = self._collect_verified_blobs(step, manifest, repair=repair)
         arrays: dict[str, np.ndarray] = {}
-        ancestors: dict[int, CheckpointManifest] = {}
         ctx = contextvars.copy_context()
-        # The temporal path stays whole on this thread, as on the write:
-        # chain replay inflates keyframes here anyway, and a lane for the
-        # all-keyframe generations only adds its allocator arena to that.
-        single = iter([
-            e for e in manifest.entries
-            if e.codec == _LOSSY_CODEC and blobs[e.name][:4] != CHUNK_MAGIC
-        ])
-        ahead: dict[str, tuple[Any, Future | None]] = {}  # opened, not decoded
+        stream = self._links(step, manifest, blobs)
+        ahead: deque[_Link] = deque()  # [0] is being decoded, the rest inflate
 
-        def open_next() -> None:
-            entry = next(single, None)
-            if entry is not None:
-                span = tracer.start("ckpt.array_load", array=entry.name, codec=entry.codec)
-                ahead[entry.name] = span, self._defer(
-                    ctx, "ckpt.pipeline.prefetched", str(entry.codec_params.get("backend")),
-                    blobs[entry.name], partial(WaveletCompressor.unseal, parent=span),
-                )
+        def look_ahead() -> None:
+            while len(ahead) <= _LOOKAHEAD and (link := next(stream, None)) is not None:
+                ahead.append(link)
+                codec, params = link.entry.codec, link.entry.codec_params
+                if codec == CODEC_DELTA or (
+                    codec in _PIPELINE_CODECS and link.blob[:4] != CHUNK_MAGIC
+                ):
+                    link.front = self._defer(
+                        ctx,
+                        "ckpt.pipeline.prefetched",
+                        str(params.get("backend")) if codec == _LOSSY_CODEC else codec,
+                        link.blob,
+                        partial(WaveletCompressor.unseal, parent=link.span),
+                        _PREFETCH_MIN_BYTES if codec == CODEC_DELTA else _DEFER_MIN_BYTES,
+                    )
 
         def inflated(_blob: bytes) -> tuple[dict, dict]:
             nonlocal busy, waited
             t0 = time.perf_counter()
-            body, inflate_s = front.result()
+            body, inflate_s = ahead[0].front.result()
             waited += time.perf_counter() - t0
             busy += inflate_s
             return body
 
-        open_next()
         try:
-            for entry in manifest.entries:
-                blob = blobs[entry.name]
-                prefetched = entry.name in ahead
-                if not prefetched:
-                    ahead[entry.name] = tracer.start(
-                        "ckpt.array_load", array=entry.name, codec=entry.codec
-                    ), None
-                span, front = ahead[entry.name]
-                if prefetched:
-                    open_next()  # inflates while this one is decoded
-                with tracer.attached(span):
-                    if entry.codec == CODEC_DELTA:
-                        arr = self._decode_temporal_chain(step, entry, blob, ancestors)
-                    elif front is not None:
-                        arr = WaveletCompressor.decompress(blob, unseal=inflated)
+            look_ahead()
+            while ahead:
+                link = ahead[0]
+                last = link.entry is link.array  # its own blob ends an array's chain
+                unseal = inflated if link.front is not None else None
+                with tracer.attached(link.span):
+                    if link.error is not None:
+                        raise link.error
+                    if link.entry.codec == CODEC_DELTA:
+                        arr = decode_delta(link.blob, arr, unseal=unseal)
+                    elif unseal is not None:
+                        arr = WaveletCompressor.decompress(link.blob, unseal=unseal)
                     else:
-                        arr = deserialize_array(blob, entry.codec)
-                    if tuple(arr.shape) != entry.shape:
+                        arr = deserialize_array(link.blob, link.entry.codec)
+                    if last and tuple(arr.shape) != link.array.shape:
                         raise RestoreError(
-                            f"array {entry.name!r} decoded to shape {arr.shape}, "
-                            f"manifest records {entry.shape}"
+                            f"array {link.array.name!r} decoded to shape {arr.shape}, "
+                            f"manifest records {link.array.shape}"
                         )
-                del ahead[entry.name]
-                tracer.finish(span)
-                arrays[entry.name] = arr
+                ahead.popleft()
+                if last:
+                    tracer.finish(link.span)
+                    arrays[link.array.name] = arr
+                look_ahead()  # outside the span: the next array's is its sibling
         except BaseException:
-            _settle([f for _span, f in ahead.values()], [s for s, _front in ahead.values()])
+            _settle([link.front for link in ahead], [link.span for link in ahead])
             raise
         if root is not None:
             wall = time.perf_counter() - started

@@ -59,7 +59,7 @@ recovery will find in the store.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -126,10 +126,12 @@ def predict(prev_recon: np.ndarray, config: TemporalConfig) -> np.ndarray:
 
     Pure function of the previous reconstruction and the config, so the
     encoder and every future decoder compute bit-identical predictions.
+    Read-only for the caller: with ``predictor="previous"`` and a float64
+    ``prev_recon`` the prediction *is* that array, not a copy of it.
     """
     prev = np.asarray(prev_recon, dtype=np.float64)
     if config.predictor == PREDICTOR_PREVIOUS:
-        return prev.copy()
+        return prev
     assert config.predictor == PREDICTOR_LOWBAND
     coeffs, applied = wavelet_forward(prev, config.lowband_levels, "haar")
     coeffs[high_band_mask(coeffs.shape, applied)] = 0.0
@@ -275,15 +277,15 @@ def _encode_delta(
     """
     eb = float(config.error_bound)
     pred = predict(prev_recon, config)
-    residual = arr.astype(np.float64, copy=False) - pred
-    q = np.rint(residual / (2.0 * eb))
+    arr64 = arr.astype(np.float64, copy=False)
+    q = np.rint((arr64 - pred) / (2.0 * eb))
     max_q = float(np.abs(q).max()) if q.size else 0.0
     index_dtype = _index_dtype_for(max_q)
     if index_dtype is None:
         return None, None, "overflow", float("inf"), None
     recon = (pred + q * (2.0 * eb)).astype(arr.dtype)
     max_error = (
-        float(np.abs(arr.astype(np.float64) - recon.astype(np.float64)).max())
+        float(np.abs(arr64 - recon.astype(np.float64, copy=False)).max())
         if arr.size
         else 0.0
     )
@@ -315,16 +317,23 @@ def _encode_delta(
     return blob, recon, "delta", max_error, spec
 
 
-def decode_delta(blob: bytes, prev_recon: np.ndarray) -> np.ndarray:
+def decode_delta(
+    blob: bytes,
+    prev_recon: np.ndarray,
+    *,
+    unseal: Callable[[bytes], tuple[dict, dict]] | None = None,
+) -> np.ndarray:
     """Reconstruct a generation from its delta blob and the decoded
     previous generation.
 
     Bit-identical to the reconstruction the encoder staged: both sides
     run :func:`predict` on the same decoded previous generation and the
-    same deterministic float64 arithmetic.
+    same deterministic float64 arithmetic.  ``unseal(blob)`` yields the
+    blob's ``(header, sections)``, as for ``WaveletCompressor.decompress``:
+    a link's inflate needs nothing of the previous generation, so a caller
+    may have run it elsewhere while that one was still being decoded.
     """
-    body, _ = container.unwrap_envelope(blob)
-    header, sections = container.read_body(body)
+    header, sections = (unseal or WaveletCompressor.unseal)(blob)
     if header.get("kind") != DELTA_KIND:
         raise FormatError(
             f"not a temporal delta blob (kind={header.get('kind')!r})"
@@ -341,6 +350,8 @@ def decode_delta(blob: bytes, prev_recon: np.ndarray) -> np.ndarray:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"temporal delta header is malformed: {exc}") from exc
+    if index_dtype not in _INDEX_DTYPES:
+        raise FormatError(f"unsupported temporal delta index dtype {index_dtype}")
     axis = _filter_axis(header, len(shape))
     section = _SEC_INDICES if axis is None else _SEC_FILTERED
     if section not in sections:
@@ -353,6 +364,11 @@ def decode_delta(blob: bytes, prev_recon: np.ndarray) -> np.ndarray:
         raise FormatError(
             f"temporal delta was encoded against shape {shape}, but the "
             f"previous generation decoded to {tuple(prev.shape)}"
+        )
+    if prev.dtype != dtype:  # the encoder writes a keyframe on any dtype change
+        raise FormatError(
+            f"temporal delta was encoded against dtype {dtype}, but the "
+            f"previous generation decoded to {prev.dtype}"
         )
     try:
         q = np.frombuffer(sections[section], dtype=index_dtype)
@@ -372,9 +388,12 @@ def decode_delta(blob: bytes, prev_recon: np.ndarray) -> np.ndarray:
     q = q.reshape(shape)
     if axis is not None:
         q = _undo_filter(q, axis)
-    pred = predict(prev, config)
-    recon = pred + q.astype(np.float64) * (2.0 * eb)
-    return recon.astype(dtype)
+    # q * 2eb + pred in one float64 buffer: the encoder's operations in its
+    # order (IEEE addition commutes), without its full-array temporaries
+    recon = q.astype(np.float64)
+    recon *= 2.0 * eb
+    recon += predict(prev, config)
+    return recon.astype(dtype, copy=False)
 
 
 class TemporalEngine:

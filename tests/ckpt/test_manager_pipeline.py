@@ -55,6 +55,7 @@ def lane_threads() -> list[str]:
 def every_body_is_deferred(monkeypatch):
     """Test arrays are small; send their bodies through the lane anyway."""
     monkeypatch.setattr(manager_module, "_DEFER_MIN_BYTES", 0)
+    monkeypatch.setattr(manager_module, "_PREFETCH_MIN_BYTES", 0)
     get_registry().reset()
     yield
     get_tracer().reset()
@@ -549,7 +550,8 @@ class TestRestoreLane:
     def test_next_blob_is_inflated_while_this_one_is_decoded(self, monkeypatch):
         """The lane parks in array 1's inflate until array 0's decode has
         seen it there; ``read_body`` calls minus finished decodes is the
-        number of inflated bodies alive, never above two."""
+        number of inflated bodies alive, never above the look-ahead plus
+        the one being decoded."""
         import repro.core.pipeline as pipeline_module
 
         entered, release = threading.Event(), threading.Event()
@@ -586,7 +588,7 @@ class TestRestoreLane:
             manager.restore(0)
         assert seen["overlapped"]
         assert seen["bodies"] == seen["decoded"] == 5
-        assert 1 <= seen["alive"] <= 2
+        assert 1 <= seen["alive"] <= manager_module._LOOKAHEAD + 1
 
     @pytest.mark.parametrize("k", [0, 2, 4])
     def test_corrupted_body_raises_what_the_serial_path_raises(self, k, monkeypatch):
@@ -618,9 +620,9 @@ class TestRestoreLane:
         assert str(piped.value) == str(serial.value)
 
     def test_failure_cancels_the_front_behind_it(self, monkeypatch):
-        """A decode fails while the next array's front sits on the lane:
-        the error leaves only after that front is done, and no later one
-        is ever started."""
+        """A decode fails while the fronts of the arrays behind it sit on
+        the lane: the error leaves only after the running one is done, and
+        none past the look-ahead is ever started."""
         import repro.core.pipeline as pipeline_module
 
         inflates = []
@@ -641,7 +643,8 @@ class TestRestoreLane:
             monkeypatch.setattr(pipeline_module, "wavelet_inverse", failing_inverse)
             with pytest.raises(RuntimeError, match="fell over"):
                 manager.restore(0)
-            assert 2 <= len(inflates) <= 3
+            # array 1 fails at the latest; by then 1 + _LOOKAHEAD are handed over
+            assert 2 <= len(inflates) <= manager_module._LOOKAHEAD + 2
             assert all(name.startswith(LANE_PREFIX) for name in inflates)
             settled = len(inflates)
             time.sleep(0.05)
@@ -684,8 +687,9 @@ class TestRestoreLane:
             np.testing.assert_array_equal(healed[name], reference[name])
 
     def test_temporal_generations_restore_unchanged(self):
-        """Keyframes and deltas decode on the calling thread, as they did
-        and as they are written: a temporal manager starts no thread."""
+        """A temporal manager starts no thread on *writes* (the engine reads
+        each finished blob's length); its restores prefetch one link per
+        array and chain position, the keyframe included."""
         registry = float_registry(3)
         manager = CheckpointManager(
             registry, MemoryStore(), temporal=TemporalConfig(error_bound=1e-3, keyframe_every=4)
@@ -696,14 +700,19 @@ class TestRestoreLane:
                 registry.get(name)[...] += 0.01 * (step + 1)
             written_states.append({n: registry.get(n).copy() for n in registry.names()})
             manager.checkpoint(step)
+        assert lane_threads() == []
         get_registry().reset()
         for step in range(3):
             arrays = manager.load_arrays(step)
             for name in registry.names():
                 assert np.abs(arrays[name] - written_states[step][name]).max() <= 1e-3
-        assert lane_threads() == []
+        assert len(lane_threads()) == 1
+        # generation k replays k + 1 links per array: 1 + 2 + 3 chains of 3
+        assert prefetched("temporal-keyframe") == 3 * 3
+        assert prefetched("temporal-delta") == 3 * (0 + 1 + 2)
         assert prefetched() == 0
         assert get_registry().counter("fallbacks", kind="serial").value == 0
+        manager.close()
 
     def test_chunked_generation_restores_unchanged(self):
         from repro.core.chunked import chunked_decompress
@@ -718,6 +727,179 @@ class TestRestoreLane:
             assert lane_threads() == [] and prefetched() == 0
         for name, arr in arrays.items():
             np.testing.assert_array_equal(arr, chunked_decompress(store.get(array_key(0, name))))
+
+
+# -- temporal chains: one link stream ---------------------------------------------
+
+CYCLE = 4  # keyframe_every of the stores below: generation 7's chains are 4 links
+
+
+def temporal_manager(predictor: str = "previous", generations: int = 2 * CYCLE):
+    """A manager over a fresh store holding two keyframe cycles of three
+    drifting fields."""
+    registry = float_registry(3)
+    manager = CheckpointManager(
+        registry,
+        MemoryStore(),
+        temporal=TemporalConfig(error_bound=1e-3, keyframe_every=CYCLE, predictor=predictor),
+    )
+    rows = np.arange(48)[:, None]
+    for step in range(generations):
+        for i, name in enumerate(registry.names()):
+            registry.get(name)[...] += 0.02 * np.sin(rows / 7.0 + step + i)
+        manager.checkpoint(step)
+    get_registry().reset()
+    return manager
+
+
+def rot(blob: bytes) -> bytes:
+    damaged = bytearray(blob)
+    damaged[len(damaged) // 2] ^= 0xFF
+    return bytes(damaged)
+
+
+def rot_after_verification(monkeypatch, *links: tuple[int, str]) -> None:
+    """The blobs of ``(step, array)`` rot between CRC check and inflate."""
+    fetch = CheckpointManager._fetch_entry_blob
+
+    def fetch_then_rot(self, step, entry):
+        blob = fetch(self, step, entry)
+        return rot(blob) if (step, entry.name) in links else blob
+
+    monkeypatch.setattr(CheckpointManager, "_fetch_entry_blob", fetch_then_rot)
+
+
+def serial_failure(manager, step, monkeypatch) -> ReproError:
+    manager.close()
+    with monkeypatch.context() as patch:
+        patch.setattr(manager_module, "ThreadPoolExecutor", refuse_threads)
+        with pytest.raises(ReproError) as serial:
+            manager.restore(step)
+    return serial.value
+
+
+class TestTemporalRestoreLane:
+    @pytest.mark.parametrize(
+        "predictor, axis",
+        [("previous", None), ("previous", 0), ("lowband", None)],
+        ids=["unfiltered", "filtered", "lowband"],
+    )
+    def test_two_keyframe_cycles_equal_the_restores_without_a_lane(
+        self, predictor, axis, monkeypatch
+    ):
+        import repro.ckpt.temporal as temporal_module
+
+        monkeypatch.setattr(temporal_module, "choose_filter", lambda q: axis)
+        manager = temporal_manager(predictor)
+        filters = {
+            (manager.read_manifest(step).entry("f0").codec_params.get("filter") or {}).get("kind")
+            for step in range(2 * CYCLE)
+        }
+        assert filters == {None, "none" if axis is None else "delta"}
+        piped = [manager.load_arrays(step) for step in range(2 * CYCLE)]
+        links = 3 * 2 * sum(range(1, CYCLE + 1))
+        assert prefetched("temporal-keyframe") + prefetched("temporal-delta") == links
+        assert prefetched("temporal-keyframe") == 3 * 2 * CYCLE
+        assert get_registry().counter("fallbacks", kind="serial").value == 0
+        manager.close()
+        monkeypatch.setattr(manager_module, "ThreadPoolExecutor", refuse_threads)
+        serial = [manager.load_arrays(step) for step in range(2 * CYCLE)]
+        assert get_registry().counter("fallbacks", kind="serial").value == links
+        assert lane_threads() == []
+        for with_lane, without in zip(piped, serial):
+            assert list(with_lane) == list(without) == ["f0", "f1", "f2"]
+            for name in with_lane:
+                np.testing.assert_array_equal(with_lane[name], without[name])
+
+    @pytest.mark.parametrize("position", [0, 2, CYCLE - 1], ids=["keyframe", "middle", "last"])
+    def test_link_rotten_after_its_crc_check_fails_as_the_serial_path_does(
+        self, position, monkeypatch
+    ):
+        from repro.obs.report import TraceReport
+
+        rot_after_verification(monkeypatch, (CYCLE + position, "f1"))
+        manager = temporal_manager()
+        tracer = get_tracer()
+        opened, start = [], tracer.start
+
+        def recording_start(name, **kwargs):
+            opened.append(start(name, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(tracer, "start", recording_start)
+        tracer.enable()
+        with pytest.raises(ReproError) as piped:
+            manager.restore(2 * CYCLE - 1)
+        assert prefetched("temporal-delta") >= 1
+        assert [s.name for s in opened if s.end is None] == []
+        assert TraceReport([s.to_dict() for s in tracer.spans]).orphans() == []
+        tracer.disable()
+        started = time.monotonic()
+        manager.close()
+        assert time.monotonic() - started < 5 and lane_threads() == []
+        serial = serial_failure(manager, 2 * CYCLE - 1, monkeypatch)
+        assert type(piped.value) is type(serial)
+        assert str(piped.value) == str(serial)
+
+    def test_two_broken_arrays_report_the_first_in_manifest_order(self, monkeypatch):
+        """``f2``'s chain is found broken by the look-ahead, while ``f1`` is
+        still being replayed; ``f1``'s rotten link is found later and is
+        the one reported.  With both chains broken in the walk, likewise."""
+        from repro.ckpt.manifest import array_key
+        from repro.exceptions import CorruptionError
+
+        manager = temporal_manager()
+        manager.store.delete(array_key(CYCLE + 1, "f2"))
+        with pytest.raises(CorruptionError, match="'f2'"):
+            manager.restore(2 * CYCLE - 1)
+        with monkeypatch.context() as patch:
+            rot_after_verification(patch, (2 * CYCLE - 1, "f1"))
+            with pytest.raises(ReproError) as piped:
+                manager.restore(2 * CYCLE - 1)
+            assert not isinstance(piped.value, CorruptionError)
+            serial = serial_failure(manager, 2 * CYCLE - 1, patch)
+            assert (type(piped.value), str(piped.value)) == (type(serial), str(serial))
+        manager.store.delete(array_key(CYCLE + 2, "f1"))
+        with pytest.raises(CorruptionError, match="'f1'"):
+            manager.restore(2 * CYCLE - 1)
+        manager.close()
+
+    def test_inflated_bodies_alive_stay_within_the_look_ahead(self, monkeypatch):
+        """Bodies the (patched) ``unseal`` has produced minus links decoded:
+        the one being decoded plus ``_LOOKAHEAD``, across chain and array
+        boundaries, with a decode slow enough for the lane to run as far
+        ahead as it is let."""
+        seen = {"unsealed": 0, "decoded": 0, "alive": 0}
+        lock = threading.Lock()
+        unseal = WaveletCompressor.unseal
+
+        def counting_unseal(blob, *, parent=None):
+            body = unseal(blob, parent=parent)
+            with lock:
+                seen["unsealed"] += 1
+                seen["alive"] = max(seen["alive"], seen["unsealed"] - seen["decoded"])
+            return body
+
+        def counting(decode):
+            def decoder(*args, **kwargs):
+                time.sleep(0.01)
+                arr = decode(*args, **kwargs)
+                with lock:
+                    seen["decoded"] += 1
+                return arr
+
+            return decoder
+
+        manager = temporal_manager()
+        monkeypatch.setattr(WaveletCompressor, "unseal", staticmethod(counting_unseal))
+        monkeypatch.setattr(manager_module, "decode_delta", counting(manager_module.decode_delta))
+        monkeypatch.setattr(
+            WaveletCompressor, "decompress", staticmethod(counting(WaveletCompressor.decompress))
+        )
+        with manager:
+            manager.restore(2 * CYCLE - 1)
+        assert seen["unsealed"] == seen["decoded"] == 3 * CYCLE
+        assert 2 <= seen["alive"] <= manager_module._LOOKAHEAD + 1
 
 
 class TestRestoreObservability:
@@ -740,6 +922,33 @@ class TestRestoreObservability:
             assert span.tid != parent.tid
             assert parent.start <= span.start and span.end <= parent.end
             assert parent.parent_id == root.span_id
+
+    def test_temporal_restore_is_attributed_link_by_link(self):
+        from repro.obs.report import TraceReport
+
+        tracer = get_tracer()
+        with temporal_manager() as manager:
+            tracer.enable()
+            manager.restore(CYCLE)
+            manager.restore(2 * CYCLE - 1)
+        keyframes, chains = [s for s in tracer.spans if s.name == "restore"]
+        assert chains.attrs["backend_lane_busy_s"] > 0.0
+        assert 0.0 <= chains.attrs["overlap_share"] < 0.5
+        assert prefetched("temporal-keyframe") == 3 + 3
+        assert prefetched("temporal-delta") == 3 * (CYCLE - 1)
+        assert prefetched() == 0
+        loads = {s.span_id: s for s in tracer.spans if s.name == "ckpt.array_load"}
+        assert [s.attrs["chain_links"] for s in loads.values()] == [1] * 3 + [CYCLE] * 3
+        # every link of every chain was inflated on the lane, under the
+        # span of the array it rebuilds
+        fronts = [s for s in tracer.spans if s.name == "backend_inverse"]
+        assert len(fronts) == 3 + 3 * CYCLE
+        for span in fronts:
+            parent = loads[span.parent_id]
+            assert span.tid != parent.tid
+            assert parent.start <= span.start and span.end <= parent.end
+            assert parent.parent_id in (keyframes.span_id, chains.span_id)
+        assert TraceReport([s.to_dict() for s in tracer.spans]).orphans() == []
 
     def test_serial_restore_overlaps_nothing(self, no_lane):
         tracer = get_tracer()

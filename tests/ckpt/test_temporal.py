@@ -121,11 +121,14 @@ class TestPredict:
         assert out.dtype == np.float64
         np.testing.assert_array_equal(out, prev.astype(np.float64))
 
-    def test_previous_returns_a_copy(self):
+    def test_previous_of_float64_is_the_input_not_a_copy(self):
+        """Neither coder writes to the prediction; a 1.5 MB pass per array
+        and generation is not spent on guarding against it."""
         prev = np.zeros(8)
-        out = predict(prev, TemporalConfig(predictor="previous"))
-        out += 1.0
-        assert prev.sum() == 0.0
+        assert predict(prev, TemporalConfig(predictor="previous")) is prev
+        narrow = np.zeros(8, dtype=np.float32)
+        out = predict(narrow, TemporalConfig(predictor="previous"))
+        assert out.dtype == np.float64 and not np.shares_memory(out, narrow)
 
     def test_lowband_smooths_high_frequency(self):
         rng = np.random.default_rng(0)
@@ -312,6 +315,46 @@ class TestDeltaFormat:
         blob, base, _ = self._delta()
         with pytest.raises(FormatError, match="shape"):
             decode_delta(blob, base.ravel())
+
+    def test_decode_rejects_a_previous_generation_of_another_dtype(self):
+        """The encoder forces a keyframe on any dtype change, so no chain
+        it wrote ever asks for this."""
+        blob, base, _ = self._delta()
+        with pytest.raises(FormatError, match="dtype"):
+            decode_delta(blob, base.astype(np.float32))
+
+    @pytest.mark.parametrize("forged", ["|u1", "|b1"])
+    def test_decode_rejects_an_index_dtype_the_encoder_never_writes(self, forged):
+        """Same item size as the ``|i1`` written, so nothing else notices:
+        the parent decoded these to ~500x the bound."""
+        blob, base, _ = self._delta()
+        body, backend = container.unwrap_envelope(blob)
+        header, sections = container.read_body(body)
+        assert header["index_dtype"] == "|i1"
+        header["index_dtype"] = forged
+        rewritten = container.wrap_envelope(container.write_body(header, sections), backend)
+        with pytest.raises(FormatError, match="index dtype"):
+            decode_delta(rewritten, base)
+
+    @pytest.mark.parametrize(
+        "case", ["temporal_delta", "temporal_delta_filtered_i8", "temporal_delta_filtered_i16"]
+    )
+    def test_decode_from_a_body_inflated_elsewhere_is_the_decode(self, case):
+        """``unseal=`` moves the inflate, nothing else: against the frozen
+        delta blobs of ``test_format_stability.py``."""
+        from ..core import test_format_stability as goldens
+
+        if case == "temporal_delta":
+            base, blob = goldens._temporal_pair()[0], goldens.v2_blob(case)
+        else:
+            base = goldens._filtered_temporal_pair(goldens.FILTERED_CASES[case][0])[0]
+            blob = goldens.base64.b64decode(goldens.V2_FILTERED_BLOBS_B64[case])
+        body = container.read_body(container.unwrap_envelope(blob)[0])
+        handed = []
+        decoded = decode_delta(blob, base, unseal=lambda b: handed.append(b) or body)
+        assert handed == [blob]
+        plain = decode_delta(blob, base)
+        assert decoded.dtype == plain.dtype and decoded.tobytes() == plain.tobytes()
 
     def test_lowband_delta_roundtrips(self):
         blob, base, orig = self._delta(predictor="lowband")

@@ -462,6 +462,20 @@ class TestCraftedTemporalDeltas:
         with pytest.raises(FormatError, match="missing its indices section"):
             self._decode(self._delta(section="filtered"))
 
+    @pytest.mark.parametrize("index_dtype", ["<u2", "<f2", "<i8", "|b1", "<U1"])
+    def test_index_dtype_the_encoder_never_writes(self, index_dtype):
+        """``<u2`` has the item size of the ``<i2`` written: without the
+        check it decodes, silently, to numbers far over the bound."""
+        with pytest.raises(FormatError, match="index dtype"):
+            self._decode(self._delta(section="indices", index_dtype=index_dtype))
+
+    def test_previous_generation_of_another_dtype(self):
+        from repro.ckpt.temporal import decode_delta
+
+        blob = self._delta(section="indices")
+        with pytest.raises(FormatError, match="dtype float64.*decoded to float32"):
+            decode_delta(blob, np.zeros(self.SHAPE, dtype=np.float32))
+
     def test_seeded_corpus_over_a_filtered_blob(self):
         """The generic taxonomy holds for filtered blobs too: a mutated
         blob decodes bit-identically or raises from the typed family."""
