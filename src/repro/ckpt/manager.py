@@ -34,7 +34,7 @@ from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from ..exceptions import (
     FormatError,
     IntegrityError,
     NonFiniteDataError,
+    ReproError,
     RestoreError,
     SimulatedCrash,
     StorageError,
@@ -64,13 +65,13 @@ from .journal import (
     is_committed,
     load_committed,
     reap_generation,
+    scan_generations,
 )
 from .manifest import (
     ArrayEntry,
     CheckpointManifest,
     ParityEntry,
     array_key,
-    manifest_key,
     parity_key,
     validate_app_meta,
 )
@@ -532,7 +533,12 @@ class CheckpointManager:
     def checkpoint(
         self, step: int, app_meta: Mapping[str, Any] | None = None
     ) -> CheckpointManifest:
-        """Write one complete checkpoint for logical ``step``."""
+        """Write one complete checkpoint for logical ``step``.
+
+        A live failure up to the seal reaps the pending generation; nothing
+        after it undoes a committed one -- a retention prune that fails is
+        counted (``ckpt.prune.failures``) and left for the next write's.
+        """
         if not isinstance(step, (int, np.integer)) or isinstance(step, bool):
             raise CheckpointError(f"step must be an int, got {step!r}")
         step = int(step)
@@ -545,22 +551,15 @@ class CheckpointManager:
             )
         meta = validate_app_meta(app_meta)
         self._seed_temporal_from_store()
-        tracer = get_tracer()
-        txn = self.journal.begin(step)
-        try:
-            return self._checkpoint_txn(txn, step, meta, tracer)
-        except SimulatedCrash:
-            raise  # the process "died"; nothing may clean up after it
-        except BaseException:
-            # a live failure (bad input, compression error, full store):
-            # reap the pending generation so no orphan outlives the attempt
-            if self._temporal_engine is not None:
-                self._temporal_engine.rollback()
+        manifest = self._checkpoint_txn(self.journal.begin(step), step, meta)
+        if self.retention is not None:
             try:
-                txn.abort()
-            except StorageError:
-                pass  # recovery will reap it at the next start
-            raise
+                self._prune()
+            except SimulatedCrash:
+                raise  # the process "died" mid-prune: recovery finds the rest
+            except ReproError:
+                get_registry().counter("ckpt.prune.failures").inc()
+        return manifest
 
     def _encode_array(
         self, p: _Pending, step: int, defer: Callable[..., Any]
@@ -624,12 +623,9 @@ class CheckpointManager:
             ) from exc
 
     def _checkpoint_txn(
-        self,
-        txn: CommitTransaction,
-        step: int,
-        meta: dict[str, Any],
-        tracer: Any,
+        self, txn: CommitTransaction, step: int, meta: dict[str, Any]
     ) -> CheckpointManifest:
+        tracer = get_tracer()
         entries: list[ArrayEntry] = []
         blob_by_name: dict[str, bytes] = {}
         inflight: deque[_Pending] = deque()  # encoded, not landed
@@ -695,18 +691,28 @@ class CheckpointManager:
                         land(inflight.popleft())
                 while inflight:
                     land(inflight.popleft())
-            except BaseException:
-                # only then may the transaction be rolled back (the lane
-                # holds no store handle: a crash stays a crash)
+                parity_entries = self._write_parity(txn, entries, blob_by_name)
+                manifest = CheckpointManifest(
+                    step=step, entries=tuple(entries), app_meta=meta,
+                    format_version=COMMIT_FORMAT_VERSION,
+                    parity=parity_entries,
+                )
+                txn.seal(manifest)
+            except BaseException as exc:
+                # only once the lane is settled may the transaction be
+                # rolled back (the lane holds no store handle)
                 _settle([p.sealed for p in inflight], [p.span for p in inflight])
+                if not isinstance(exc, SimulatedCrash):
+                    # a live failure (bad input, compression error, full
+                    # store): reap the pending generation so no orphan
+                    # outlives the attempt; a crash stays a crash
+                    if self._temporal_engine is not None:
+                        self._temporal_engine.rollback()
+                    try:
+                        txn.abort()
+                    except StorageError:
+                        pass  # recovery will reap it at the next start
                 raise
-            parity_entries = self._write_parity(txn, entries, blob_by_name)
-            manifest = CheckpointManifest(
-                step=step, entries=tuple(entries), app_meta=meta,
-                format_version=COMMIT_FORMAT_VERSION,
-                parity=parity_entries,
-            )
-            txn.seal(manifest)
             if self._temporal_engine is not None:
                 # The generation is durably committed; only now may the
                 # engine predict from it.  A crash before this point
@@ -731,20 +737,20 @@ class CheckpointManager:
         registry.counter("ckpt.stored_bytes").inc(
             sum(e.stored_bytes for e in entries)
         )
-        if self.retention is not None:
-            self._prune()
         return manifest
 
     def _prune(self) -> None:
-        steps = self.steps()
+        committed = {g.step: g.manifest for g in scan_generations(self.store) if g.manifest}
+        steps = list(committed)
         retained = steps[max(0, len(steps) - self.retention) :]
         candidates = steps[: max(0, len(steps) - self.retention)]
         if not candidates:
             return
         # Chain-aware: a retained delta generation's restore must walk its
         # chain back to a keyframe, so the base-link closure of every
-        # retained step is off-limits regardless of age.
-        needed = chain_closure(self.read_manifest, retained)
+        # retained step is off-limits regardless of age.  The manifests are
+        # the scan's; a base it did not find committed is asked for its reason.
+        needed = chain_closure(lambda s: committed.get(s) or self.read_manifest(s), retained)
         for step in candidates:
             if step not in needed:
                 self.delete(step)
@@ -811,158 +817,148 @@ class CheckpointManager:
             return None
 
     def read_manifest(self, step: int) -> CheckpointManifest:
-        key = manifest_key(step)
-        if not self.store.exists(key):
-            raise CheckpointNotFoundError(f"no checkpoint for step {step}")
-        return CheckpointManifest.from_json(self.store.get(key))
+        """The manifest of committed generation ``step``, read the one way
+        every generation is opened (:func:`~repro.ckpt.journal.load_committed`,
+        which raises with the classification reason for any other step)."""
+        return load_committed(self.store, step)
 
     # -- read ------------------------------------------------------------------
 
-    def _fetch_entry_blob(self, step: int, entry: ArrayEntry) -> bytes:
-        """Read and CRC-verify one array blob.
+    def _collect_verified_blobs(
+        self,
+        step: int,
+        manifest: CheckpointManifest,
+        entries: Iterable[ArrayEntry],
+        *,
+        repair: bool | None,
+    ) -> dict[str, bytes]:
+        """Verified blob per entry of ``entries`` (entries of generation
+        ``step``'s ``manifest``), parity-healing the fixable failures.
 
-        The CRC and length go down the store stack with the read, so
-        whichever layer can heal a mismatch does (a retrying store re-reads
-        before it counts as corruption at rest, a replicated one fails
-        over); a plain store reads once.
+        The one detect-retry-repair ladder, for the generation restored and
+        for every ancestor its delta chains run through: each blob is read
+        (retried and CRC-re-read by a resilient store), failures are
+        collected rather than aborting the loop, and -- when ``repair`` is
+        on (``None``: exactly when this manifest carries parity) -- each
+        parity group reconstructs its single bad member from its survivors,
+        read only now if they were not asked for, re-verifies the healed
+        bytes against the manifest and rewrites them.  Anything beyond that
+        raises :class:`~repro.exceptions.CorruptionError`.
         """
-        key = array_key(step, entry.name)
-        blob = self.store.get_verified(key, entry.crc32, entry.stored_bytes)
-        entry.verify(blob)
-        return blob
+        blobs: dict[str, bytes] = {}
+        bad: dict[str, Exception] = {}
 
-    @staticmethod
-    def _corruption(
-        step: int, name: str, exc: Exception, *, repairable: bool = False
-    ) -> CorruptionError:
-        """A pointed unrecoverable-damage error for one array blob.
+        def fetch(entries: Iterable[ArrayEntry]) -> None:
+            # The CRC and length go down the store stack with the read, so
+            # whichever layer can heal a mismatch does (a retrying store
+            # re-reads before it counts as corruption at rest, a replicated
+            # one fails over); a plain store reads once.
+            for entry in entries:
+                if entry.name not in blobs and entry.name not in bad:
+                    key = array_key(step, entry.name)
+                    try:
+                        blob = self.store.get_verified(key, entry.crc32, entry.stored_bytes)
+                        entry.verify(blob)
+                        blobs[entry.name] = blob
+                    except (StorageError, FormatError, IntegrityError) as exc:
+                        bad[entry.name] = exc
 
-        ``repairable`` distinguishes "the manifest has parity but repair
-        was not requested" (point the user at it) from "nothing can heal
-        this".
-        """
+        fetch(entries)
+        if repair is None:
+            repair = bool(manifest.parity)
+        for pe in manifest.parity if bad and repair else ():
+            if not bad.keys().isdisjoint(pe.members):
+                fetch(map(manifest.entry, pe.members))  # survivors nobody asked for
+                self._repair_member(step, manifest, pe, blobs, bad)
+        lost = sorted(bad.keys() - blobs.keys())  # in no parity group, or not repaired
+        if not lost:
+            return blobs
+        name, exc = lost[0], bad[lost[0]]
+        # point the user at parity the manifest has but was not asked to use
         hint = (
             "parity repair was not attempted (pass --repair / repair=True)"
-            if repairable
+            if manifest.parity and not repair
             else "no parity repair is available"
         )
         if isinstance(exc, StorageError):
-            return CorruptionError(
+            raise CorruptionError(
                 f"checkpoint {step} is missing blob for array {name!r} and "
                 f"{hint}: {exc}"
             )
-        return CorruptionError(
+        raise CorruptionError(
             f"array {name!r} of checkpoint {step} is corrupt and "
             f"{hint}: {exc}"
         )
 
-    def _collect_verified_blobs(
-        self, step: int, manifest: CheckpointManifest, *, repair: bool
-    ) -> dict[str, bytes]:
-        """Verified blob per array, parity-healing the fixable failures.
-
-        The detect-retry-repair ladder: every blob is read (retried and
-        CRC-re-read by a resilient store), failures are collected rather
-        than aborting the loop, and -- when ``repair`` is on and the
-        manifest carries parity -- each parity group reconstructs its
-        single bad member, re-verifies the healed bytes against the
-        manifest and rewrites them.  Anything beyond that raises
-        :class:`~repro.exceptions.CorruptionError`.
-        """
-        blobs: dict[str, bytes] = {}
-        bad: dict[str, Exception] = {}
-        for entry in manifest.entries:
-            try:
-                blobs[entry.name] = self._fetch_entry_blob(step, entry)
-            except (StorageError, FormatError, IntegrityError) as exc:
-                bad[entry.name] = exc
-        if not bad:
-            return blobs
-        if not repair or not manifest.parity:
-            name = sorted(bad)[0]
-            raise self._corruption(
-                step, name, bad[name], repairable=bool(manifest.parity)
-            )
-        self._repair_members(step, manifest, blobs, bad)
-        return blobs
-
-    def _repair_members(
+    def _repair_member(
         self,
         step: int,
         manifest: CheckpointManifest,
+        pe: ParityEntry,
         blobs: dict[str, bytes],
         bad: dict[str, Exception],
     ) -> None:
-        """Heal every failed array blob in ``bad`` through its parity group
-        (mutates ``blobs``); raises when any failure is unrepairable."""
-        registry = get_registry()
-        tracer = get_tracer()
-        unassigned = set(bad)
-        for pe in manifest.parity:
-            lost = [n for n in pe.members if n in bad]
-            unassigned -= set(lost)
-            if not lost:
-                continue
-            if len(lost) > 1:
-                detail = "; ".join(f"{n}: {bad[n]}" for n in sorted(lost))
-                raise CorruptionError(
-                    f"checkpoint {step}: parity group {pe.key!r} can repair "
-                    f"one member, but {sorted(lost)} are all corrupt or "
-                    f"missing ({detail})"
-                )
-            name = lost[0]
-            try:
-                pblob = self.store.get(pe.key)
-                pe.verify(pblob)
-            except (StorageError, FormatError) as exc:
-                raise CorruptionError(
-                    f"checkpoint {step}: cannot repair array {name!r}: parity "
-                    f"blob {pe.key!r} is itself corrupt or missing ({exc}); "
-                    f"original fault: {bad[name]}"
-                ) from bad[name]
-            lost_index = pe.members.index(name)
-            survivors = {
-                i: blobs[n] for i, n in enumerate(pe.members) if i != lost_index
-            }
-            entry = manifest.entry(name)
-            with tracer.span(
-                "ckpt.repair", step=step, array=name, parity=pe.key
-            ) as sp:
-                try:
-                    healed = rebuild_member(
-                        pblob, survivors, len(pe.members), lost_index
-                    )
-                    entry.verify(healed)
-                except (RestoreError, FormatError) as exc:
-                    raise CorruptionError(
-                        f"checkpoint {step}: parity reconstruction of array "
-                        f"{name!r} did not produce the recorded bytes ({exc}); "
-                        f"original fault: {bad[name]}"
-                    ) from exc
-                rewritten = False
-                if self.resilience.repair_rewrite:
-                    try:
-                        self.store.put(array_key(step, name), healed)
-                        rewritten = True
-                    except StorageError:
-                        pass  # the restore still succeeds from the healed copy
-                sp.set(reason=str(bad[name]), rewritten=rewritten)
-            blobs[name] = healed
-            self.repair_log.append(
-                RepairEvent(
-                    step=step,
-                    kind="member",
-                    name=name,
-                    reason=str(bad[name]),
-                    rewritten=rewritten,
-                )
+        """Heal the one failed member of parity group ``pe`` from its
+        survivors (into ``blobs``); raises when the group cannot."""
+        lost = [n for n in pe.members if n in bad]
+        if len(lost) > 1:
+            detail = "; ".join(f"{n}: {bad[n]}" for n in sorted(lost))
+            raise CorruptionError(
+                f"checkpoint {step}: parity group {pe.key!r} can repair "
+                f"one member, but {sorted(lost)} are all corrupt or "
+                f"missing ({detail})"
             )
-            registry.counter("ckpt.repair.healed").inc()
-            if rewritten:
-                registry.counter("ckpt.repair.rewrites").inc()
-        if unassigned:
-            name = sorted(unassigned)[0]
-            raise self._corruption(step, name, bad[name])
+        name = lost[0]
+        try:
+            pblob = self.store.get(pe.key)
+            pe.verify(pblob)
+        except (StorageError, FormatError) as exc:
+            raise CorruptionError(
+                f"checkpoint {step}: cannot repair array {name!r}: parity "
+                f"blob {pe.key!r} is itself corrupt or missing ({exc}); "
+                f"original fault: {bad[name]}"
+            ) from bad[name]
+        lost_index = pe.members.index(name)
+        survivors = {
+            i: blobs[n] for i, n in enumerate(pe.members) if i != lost_index
+        }
+        entry = manifest.entry(name)
+        with get_tracer().span(
+            "ckpt.repair", step=step, array=name, parity=pe.key
+        ) as sp:
+            try:
+                healed = rebuild_member(
+                    pblob, survivors, len(pe.members), lost_index
+                )
+                entry.verify(healed)
+            except (RestoreError, FormatError) as exc:
+                raise CorruptionError(
+                    f"checkpoint {step}: parity reconstruction of array "
+                    f"{name!r} did not produce the recorded bytes ({exc}); "
+                    f"original fault: {bad[name]}"
+                ) from exc
+            rewritten = False
+            if self.resilience.repair_rewrite:
+                try:
+                    self.store.put(array_key(step, name), healed)
+                    rewritten = True
+                except StorageError:
+                    pass  # the restore still succeeds from the healed copy
+            sp.set(reason=str(bad[name]), rewritten=rewritten)
+        blobs[name] = healed
+        self.repair_log.append(
+            RepairEvent(
+                step=step,
+                kind="member",
+                name=name,
+                reason=str(bad[name]),
+                rewritten=rewritten,
+            )
+        )
+        registry = get_registry()
+        registry.counter("ckpt.repair.healed").inc()
+        if rewritten:
+            registry.counter("ckpt.repair.rewrites").inc()
 
     def _chain(
         self,
@@ -970,60 +966,57 @@ class CheckpointManager:
         entry: ArrayEntry,
         blob: bytes,
         manifests: dict[int, CheckpointManifest],
+        repair: bool | None,
     ) -> list[tuple[ArrayEntry, bytes]]:
         """The ``(manifest entry, verified blob)`` links that rebuild
         ``entry``, oldest first: the blob itself, or for a temporal delta
         its keyframe followed by the deltas up to it.
 
-        Walks ``base_step`` links (manifest ``codec_params``) back to the
-        nearest keyframe, CRC-verifying every ancestor blob; store reads
-        only, nothing is inflated here.  Any missing or damaged link
-        raises a pointed :class:`~repro.exceptions.CorruptionError` naming
-        the broken generation.  ``manifests`` holds the ancestor manifests
-        read so far for the generation being restored: its arrays share
-        their chains, so each ancestor is read once, not once per array.
+        Follows ``base_step`` links (manifest ``codec_params``) back to the
+        nearest keyframe; store reads only, nothing is inflated here.  Each
+        ancestor is opened as the generation restored is: its manifest
+        through :func:`~repro.ckpt.journal.load_committed`, its blob through
+        :meth:`_collect_verified_blobs` with the restore's ``repair``.  Any
+        broken link raises a pointed :class:`~repro.exceptions.CorruptionError`
+        naming the broken generation.  ``manifests`` holds the ancestor
+        manifests read so far for the generation being restored: its arrays
+        share their chains, so each ancestor is read once, not once per array.
         """
-        name = entry.name
+        name, gen = entry.name, int(step)
         chain = [(entry, blob)]
-        visited = {int(step)}
-        while chain[-1][0].codec == CODEC_DELTA:
-            base_step = chain[-1][0].codec_params.get("base_step")
+        visited = {gen}
+        while entry.codec == CODEC_DELTA:
+            base_step = entry.codec_params.get("base_step")
             if base_step is None:
                 raise CorruptionError(
-                    f"delta entry {name!r} of checkpoint {step} records no "
+                    f"delta entry {name!r} of checkpoint {gen} records no "
                     "base_step; the manifest is inconsistent"
                 )
-            base_step = int(base_step)
-            if base_step in visited:
+            gen = int(base_step)
+            if gen in visited:
                 raise CorruptionError(
                     f"temporal chain of array {name!r} at checkpoint {step} "
-                    f"loops back to generation {base_step}"
+                    f"loops back to generation {gen}"
                 )
-            visited.add(base_step)
-            base_manifest = manifests.get(base_step)
-            if base_manifest is None:
+            visited.add(gen)
+            if gen not in manifests:
                 try:
-                    base_manifest = self.read_manifest(base_step)
+                    manifests[gen] = self.read_manifest(gen)
                 except CheckpointNotFoundError as exc:
                     raise CorruptionError(
                         f"temporal chain of array {name!r} at checkpoint "
-                        f"{step} is broken: base generation {base_step} is "
-                        f"missing (pruned or never committed)"
+                        f"{step} is broken at base generation {gen}: {exc}"
                     ) from exc
-                manifests[base_step] = base_manifest
             try:
-                base_entry = base_manifest.entry(name)
+                entry = manifests[gen].entry(name)
             except KeyError as exc:
                 raise CorruptionError(
                     f"temporal chain of array {name!r} at checkpoint {step} "
-                    f"is broken: generation {base_step} does not record "
+                    f"is broken: generation {gen} does not record "
                     f"that array"
                 ) from exc
-            try:
-                base_blob = self._fetch_entry_blob(base_step, base_entry)
-            except (StorageError, FormatError, IntegrityError) as exc:
-                raise self._corruption(base_step, name, exc)
-            chain.append((base_entry, base_blob))
+            blobs = self._collect_verified_blobs(gen, manifests[gen], [entry], repair=repair)
+            chain.append((entry, blobs[name]))
         return chain[::-1]
 
     def load_arrays(
@@ -1036,15 +1029,21 @@ class CheckpointManager:
         """Decode every array of checkpoint ``step`` after verifying CRCs.
 
         ``repair`` controls parity reconstruction of corrupt-or-missing
-        blobs; the default (``None``) enables it exactly when the manifest
-        carries parity groups, so parity-enabled checkpoints heal
-        transparently and plain ones keep failing fast.  A caller that has
-        already read the step's ``manifest`` passes it in.
+        blobs, of this generation and of every ancestor its delta chains
+        run through; the default (``None``) enables it per generation,
+        exactly when that generation's manifest carries parity groups, so
+        parity-enabled checkpoints heal transparently and plain ones keep
+        failing fast.  A caller that has already read the step's
+        ``manifest`` passes it in.
         """
         return self._load(step, repair, manifest, None)
 
     def _links(
-        self, step: int, manifest: CheckpointManifest, blobs: Mapping[str, bytes]
+        self,
+        step: int,
+        manifest: CheckpointManifest,
+        blobs: Mapping[str, bytes],
+        repair: bool | None,
     ) -> Iterator[_Link]:
         """A restore as one ordered stream: per manifest entry the blobs it
         inflates, oldest first.  An array's span opens and its chain is
@@ -1058,7 +1057,7 @@ class CheckpointManager:
             span = tracer.start("ckpt.array_load", array=array.name, codec=array.codec)
             try:
                 with tracer.attached(span):
-                    chain = self._chain(step, array, blobs[array.name], ancestors)
+                    chain = self._chain(step, array, blobs[array.name], ancestors, repair)
             except Exception as exc:  # noqa: BLE001 - re-raised by _load, in order
                 yield _Link(array, span, array, error=exc)
                 return
@@ -1085,12 +1084,10 @@ class CheckpointManager:
         busy = waited = 0.0  # the lane inflating; this thread blocked on it
         if manifest is None:
             manifest = self.read_manifest(step)
-        if repair is None:
-            repair = bool(manifest.parity)
-        blobs = self._collect_verified_blobs(step, manifest, repair=repair)
+        blobs = self._collect_verified_blobs(step, manifest, manifest.entries, repair=repair)
         arrays: dict[str, np.ndarray] = {}
         ctx = contextvars.copy_context()
-        stream = self._links(step, manifest, blobs)
+        stream = self._links(step, manifest, blobs, repair)
         ahead: deque[_Link] = deque()  # [0] is being decoded, the rest inflate
 
         def look_ahead() -> None:
@@ -1190,7 +1187,7 @@ class CheckpointManager:
         """
         if manifest is None:
             manifest = self.read_manifest(step)
-        blobs = self._collect_verified_blobs(step, manifest, repair=repair)
+        blobs = self._collect_verified_blobs(step, manifest, manifest.entries, repair=repair)
         registry = get_registry()
         for pe in manifest.parity:
             try:

@@ -74,6 +74,7 @@ from ..core.pipeline import WaveletCompressor
 from ..core.wavelet import wavelet_forward, wavelet_inverse
 from ..exceptions import (
     CheckpointError,
+    CheckpointNotFoundError,
     CorruptionError,
     FormatError,
     NonFiniteDataError,
@@ -564,10 +565,12 @@ def chain_closure(
 ) -> set[int]:
     """Every generation the delta chains of ``steps`` depend on.
 
-    ``read_manifest`` is a callable mapping a step to its
-    :class:`~repro.ckpt.manifest.CheckpointManifest`.  Used by retention
-    pruning: a retained generation's restore must be able to walk its
-    chain back to a keyframe, so the closure is off-limits.
+    ``read_manifest`` is a callable mapping a step to its committed
+    :class:`~repro.ckpt.manifest.CheckpointManifest`, raising
+    :class:`~repro.exceptions.CheckpointNotFoundError` for a step that is
+    not committed.  Used by retention pruning: a retained generation's
+    restore must be able to walk its chain back to a keyframe, so the
+    closure is off-limits.
     """
     needed: set[int] = set()
     frontier = [int(s) for s in steps]
@@ -578,7 +581,7 @@ def chain_closure(
         needed.add(step)
         try:
             manifest = read_manifest(step)
-        except Exception as exc:  # pragma: no cover - defensive
+        except CheckpointNotFoundError as exc:
             raise CorruptionError(
                 f"cannot read manifest of generation {step} while resolving "
                 f"delta chains: {exc}"

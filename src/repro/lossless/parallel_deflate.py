@@ -46,7 +46,7 @@ are grouped into blocks never shows in the output -- every segment is
 coded on its own.
 
 Both codecs are **deterministic**: segment boundaries depend only on
-(``cuts``, ``block_bytes``, ``auto_block``, body length), each segment's
+(``cuts``, ``block_bytes``, body length), each segment's
 strategy only on its own bytes and the level, and results are emitted in
 order.  When the shared pool cannot start (exotic sandboxes with thread
 limits) compression degrades to a serial loop over the same blocks -- same
@@ -145,7 +145,6 @@ class BlockParallelCodec(Codec):
         level: int = 6,
         threads: int | None = None,
         block_bytes: int = DEFAULT_BLOCK_BYTES,
-        auto_block: bool = True,
     ):
         if not isinstance(level, int) or isinstance(level, bool) or not 0 <= level <= 9:
             raise ValueError(f"{self.name} level must be an int in [0, 9], got {level!r}")
@@ -161,14 +160,9 @@ class BlockParallelCodec(Codec):
             raise ValueError(
                 f"{self.name} block_bytes must be an int >= 1, got {block_bytes!r}"
             )
-        if not isinstance(auto_block, bool):
-            raise ValueError(
-                f"{self.name} auto_block must be a bool, got {auto_block!r}"
-            )
         self.level = level
         self.threads = threads
         self.block_bytes = block_bytes
-        self.auto_block = auto_block
         self._local = threading.local()
 
     # -- per-call fallback bookkeeping ------------------------------------
@@ -195,15 +189,15 @@ class BlockParallelCodec(Codec):
     def effective_block_bytes(self, nbytes: int) -> int:
         """The block size actually used for a body of ``nbytes``.
 
-        ``block_bytes`` is the *cap*; when ``auto_block`` is on, bodies
-        smaller than ``AUTO_TARGET_BLOCKS x block_bytes`` are split finer
+        ``block_bytes`` is the *cap*; bodies smaller than
+        ``AUTO_TARGET_BLOCKS x block_bytes`` are split finer
         (down to :data:`MIN_AUTO_BLOCK_BYTES`, rounded up to a 64 KiB
         quantum) so the pool has enough blocks to saturate every core.
         Depends only on the body length -- not on ``threads`` -- keeping
         the stream byte-identical across thread counts.
         """
         step = self.block_bytes
-        if not self.auto_block or nbytes <= step:
+        if nbytes <= step:
             return step
         quantum = MIN_AUTO_BLOCK_BYTES
         target = -(-nbytes // AUTO_TARGET_BLOCKS)  # ceil

@@ -133,11 +133,17 @@ def replay(store, backend="gzip", generations=12, **manager_kwargs) -> None:
             manager.checkpoint(step)
 
 
-def float_registry(n: int = 5, bad: int | None = None) -> ArrayRegistry:
+#: Rows of the fields whose restore must show a non-negative overlap: at 48
+#: rows an inflate takes less than handing it to the lane and back, and the
+#: share reads below zero in a third of the runs on a 2-vCPU guest.
+OVERLAP_ROWS = 2048
+
+
+def float_registry(n: int = 5, bad: int | None = None, n_rows: int = 48) -> ArrayRegistry:
     rng = np.random.default_rng(5)
     registry = ArrayRegistry()
     for i in range(n):
-        field = np.cumsum(rng.standard_normal((48, 16)), axis=0)
+        field = np.cumsum(rng.standard_normal((n_rows, 16)), axis=0)
         if i == bad:
             field[3, 3] = np.nan
         registry.register(f"f{i}", field)
@@ -597,8 +603,8 @@ class TestRestoreLane:
         serial path's, and nothing is left running."""
         collect = CheckpointManager._collect_verified_blobs
 
-        def rotten(self, step, manifest, *, repair):
-            blobs = collect(self, step, manifest, repair=repair)
+        def rotten(self, step, manifest, entries, *, repair):
+            blobs = collect(self, step, manifest, entries, repair=repair)
             blob = bytearray(blobs[f"f{k}"])
             blob[len(blob) // 2] ^= 0xFF
             blobs[f"f{k}"] = bytes(blob)
@@ -734,16 +740,18 @@ class TestRestoreLane:
 CYCLE = 4  # keyframe_every of the stores below: generation 7's chains are 4 links
 
 
-def temporal_manager(predictor: str = "previous", generations: int = 2 * CYCLE):
+def temporal_manager(
+    predictor: str = "previous", generations: int = 2 * CYCLE, n_rows: int = 48
+):
     """A manager over a fresh store holding two keyframe cycles of three
     drifting fields."""
-    registry = float_registry(3)
+    registry = float_registry(3, n_rows=n_rows)
     manager = CheckpointManager(
         registry,
         MemoryStore(),
         temporal=TemporalConfig(error_bound=1e-3, keyframe_every=CYCLE, predictor=predictor),
     )
-    rows = np.arange(48)[:, None]
+    rows = np.arange(n_rows)[:, None]
     for step in range(generations):
         for i, name in enumerate(registry.names()):
             registry.get(name)[...] += 0.02 * np.sin(rows / 7.0 + step + i)
@@ -760,13 +768,13 @@ def rot(blob: bytes) -> bytes:
 
 def rot_after_verification(monkeypatch, *links: tuple[int, str]) -> None:
     """The blobs of ``(step, array)`` rot between CRC check and inflate."""
-    fetch = CheckpointManager._fetch_entry_blob
+    collect = CheckpointManager._collect_verified_blobs
 
-    def fetch_then_rot(self, step, entry):
-        blob = fetch(self, step, entry)
-        return rot(blob) if (step, entry.name) in links else blob
+    def collect_then_rot(self, step, manifest, entries, *, repair):
+        blobs = collect(self, step, manifest, entries, repair=repair)
+        return {n: rot(b) if (step, n) in links else b for n, b in blobs.items()}
 
-    monkeypatch.setattr(CheckpointManager, "_fetch_entry_blob", fetch_then_rot)
+    monkeypatch.setattr(CheckpointManager, "_collect_verified_blobs", collect_then_rot)
 
 
 def serial_failure(manager, step, monkeypatch) -> ReproError:
@@ -905,7 +913,8 @@ class TestTemporalRestoreLane:
 class TestRestoreObservability:
     def test_restore_span_reports_the_overlap(self):
         tracer = get_tracer()
-        with written(config=CompressionConfig(backend="gzip")) as manager:
+        registry = float_registry(5, n_rows=OVERLAP_ROWS)
+        with written(registry, config=CompressionConfig(backend="gzip")) as manager:
             tracer.enable()
             manager.restore(0)
         (root,) = [s for s in tracer.spans if s.name == "restore"]
@@ -927,7 +936,7 @@ class TestRestoreObservability:
         from repro.obs.report import TraceReport
 
         tracer = get_tracer()
-        with temporal_manager() as manager:
+        with temporal_manager(n_rows=OVERLAP_ROWS) as manager:
             tracer.enable()
             manager.restore(CYCLE)
             manager.restore(2 * CYCLE - 1)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,7 +31,10 @@ from repro.exceptions import (
     CheckpointError,
     CheckpointNotFoundError,
     RestoreError,
+    SimulatedCrash,
+    StorageError,
 )
+from repro.obs.metrics import get_registry
 
 
 def _value(tag: int) -> np.ndarray:
@@ -85,6 +89,12 @@ DAMAGE_AFTER_SEAL = {
     "marker-truncated": (_truncate_marker, "unreadable"),
     "marker-names-another-step": (_misname_marker, "names step"),
 }
+#: ... plus a marker never published: every reader refuses that generation
+#: the same way (the fallback ladder does not even try it)
+TORN = {
+    **DAMAGE_AFTER_SEAL,
+    "marker-missing": (lambda store, step: store.delete(commit_key(step)), "no commit marker"),
+}
 
 
 class TestClassification:
@@ -122,11 +132,12 @@ class TestClassification:
         assert gen.state == GEN_TORN
         assert "unreadable" in gen.reason
 
-    @pytest.mark.parametrize("damage", DAMAGE_AFTER_SEAL)
+    @pytest.mark.parametrize("damage", TORN)
     def test_every_reader_agrees_on_a_generation_damaged_after_its_seal(self, damage):
         """One definition of committed: the listing, the point check, the
-        scan and both restores name the same generations."""
-        inflict, reason = DAMAGE_AFTER_SEAL[damage]
+        scan, both restores and every reader of one generation name the
+        same generations."""
+        inflict, reason = TORN[damage]
         store = MemoryStore()
         _commit(store, 1)
         _commit(store, 2)
@@ -139,8 +150,9 @@ class TestClassification:
         assert mgr.steps() == [1]
         assert mgr.latest_step() == 1
         assert is_committed(store, 1) and not is_committed(store, 2)
-        with pytest.raises(CheckpointNotFoundError, match=reason):
-            mgr.restore(2)
+        for read in (mgr.restore, mgr.load_arrays, mgr.verify, mgr.read_manifest):
+            with pytest.raises(CheckpointNotFoundError, match=reason):
+                read(2)
         assert mgr.restore().step == 1
         np.testing.assert_array_equal(reg.get("field"), _value(1))
         assert recover(store).reaped == [2]
@@ -237,6 +249,42 @@ class TestRecover:
         assert doc["committed"] == [1]
         assert doc["reaped"] == []
         assert doc["generations"][0]["state"] == GEN_COMMITTED
+
+
+class TestCommitBoundary:
+    """The seal commits a generation; what runs after it -- the retention
+    prune -- can fail without taking the commit back."""
+
+    def _manager(self, store) -> CheckpointManager:
+        return CheckpointManager(
+            _registry(0), store, policy={"field": "lossless"}, retention=2
+        )
+
+    def test_failed_prune_is_counted_and_retried_by_the_next_write(self, monkeypatch):
+        store = MemoryStore()
+        mgr = self._manager(store)
+        mgr.checkpoint(1)
+        mgr.checkpoint(2)
+        failures = get_registry().counter("ckpt.prune.failures")
+        before = failures.value
+        with monkeypatch.context() as patch:
+            patch.setattr(store, "delete", mock.Mock(side_effect=StorageError("read-only")))
+            assert mgr.checkpoint(3).step == 3
+        assert mgr.steps() == [1, 2, 3]
+        assert failures.value == before + 1
+        mgr.checkpoint(4)
+        assert mgr.steps() == [3, 4]
+        assert failures.value == before + 1
+
+    def test_a_crash_mid_prune_still_propagates(self, monkeypatch):
+        store = MemoryStore()
+        mgr = self._manager(store)
+        mgr.checkpoint(1)
+        mgr.checkpoint(2)
+        monkeypatch.setattr(store, "delete", mock.Mock(side_effect=SimulatedCrash("killed")))
+        with pytest.raises(SimulatedCrash):
+            mgr.checkpoint(3)
+        assert is_committed(store, 3)
 
 
 class TestFallbackLadder:

@@ -8,8 +8,10 @@ import pytest
 from repro.ckpt.manager import CheckpointManager
 from repro.ckpt.manifest import array_key, parity_key
 from repro.ckpt.protocol import ArrayRegistry
-from repro.ckpt.store import MemoryStore
-from repro.config import ResilienceConfig
+from repro.ckpt.recovery import restore_with_fallback
+from repro.ckpt.store import MemoryStore, StoreWrapper
+from repro.ckpt.temporal import CODEC_DELTA, CODEC_KEYFRAME
+from repro.config import ResilienceConfig, TemporalConfig
 from repro.exceptions import CommitError, CorruptionError, FormatError
 
 
@@ -35,6 +37,18 @@ def corrupt(store, key, offset=7):
     blob = bytearray(store.get(key))
     blob[offset % len(blob)] ^= 0xFF
     store.put(key, bytes(blob))
+
+
+class KeyRecordingStore(StoreWrapper):
+    """Remembers the key of every read, in order."""
+
+    def __init__(self, inner) -> None:
+        super().__init__(inner)
+        self.keys_read: list[str] = []
+
+    def _before(self, op: str, key: str) -> None:
+        if op == "get":
+            self.keys_read.append(key)
 
 
 class TestParityWrite:
@@ -198,6 +212,72 @@ class TestRepairOnRestore:
         healed = manager.load_arrays(1)
         for name in reference:
             np.testing.assert_array_equal(healed[name], reference[name])
+
+
+def temporal_chain(smooth2d, **res_kwargs) -> CheckpointManager:
+    """Steps 1-4 of two drifting fields: keyframe 1, deltas 2-4 chained
+    back to it, each generation with its own parity group."""
+    reg = ArrayRegistry()
+    reg.register("u", smooth2d.copy())
+    reg.register("v", smooth2d[::-1].copy())
+    res_kwargs.setdefault("parity", True)
+    manager = CheckpointManager(
+        reg,
+        MemoryStore(),
+        temporal=TemporalConfig(error_bound=1e-3, keyframe_every=8),
+        resilience=ResilienceConfig(**res_kwargs),
+    )
+    for step in range(1, 5):
+        for name in reg.names():
+            reg.get(name)[...] += 0.01 * np.sin(np.arange(32) / 5.0 + step)
+        manager.checkpoint(step)
+    return manager
+
+
+class TestRepairAlongTemporalChains:
+    """An ancestor blob goes through the same ladder as the generation
+    restored: retry, CRC re-read, then parity repair."""
+
+    def test_damaged_ancestor_is_healed_and_the_newest_step_restored(self, smooth2d):
+        manager = temporal_chain(smooth2d)
+        assert [manager.read_manifest(s).entry("u").codec for s in (1, 2, 3, 4)] == [
+            CODEC_KEYFRAME, CODEC_DELTA, CODEC_DELTA, CODEC_DELTA,
+        ]
+        reference = manager.load_arrays(4)
+        key = array_key(2, "u")
+        corrupt(manager.store, key)
+        result = restore_with_fallback(manager)
+        assert (result.step, result.skipped, result.repairs) == (4, (), 1)
+        (event,) = manager.repair_log
+        assert (event.step, event.kind, event.name, event.rewritten) == (2, "member", "u", True)
+        manager.read_manifest(2).entry("u").verify(manager.store.get(key))  # healed at rest
+        for name, arr in reference.items():
+            np.testing.assert_array_equal(manager.registry.get(name), arr)
+
+    def test_repair_false_reaches_the_ancestors(self, smooth2d):
+        manager = temporal_chain(smooth2d)
+        corrupt(manager.store, array_key(2, "u"))
+        with pytest.raises(CorruptionError, match="checkpoint 2 .*not attempted"):
+            manager.restore(4, repair=False)
+        assert manager.repair_log == []
+
+    def test_survivors_are_read_only_for_a_repair(self, smooth2d):
+        """Healthy chains read each ancestor blob once and no parity blob;
+        a damaged ancestor adds exactly its group's parity blob and the
+        survivor nothing else had asked for yet."""
+        manager = temporal_chain(smooth2d)
+        manager.store = recording = KeyRecordingStore(manager.store)
+        manager.load_arrays(4)
+        healthy = list(recording.keys_read)
+        assert len(healthy) == len(set(healthy))
+        assert not any("parity" in key for key in healthy)
+        corrupt(recording.inner, array_key(2, "u"))
+        recording.keys_read.clear()
+        manager.load_arrays(4)
+        extra = list(recording.keys_read)
+        for key in healthy:
+            extra.remove(key)
+        assert sorted(extra) == sorted([array_key(2, "v"), parity_key(2, 0)])
 
 
 class TestRepairCounters:

@@ -15,6 +15,7 @@ The claims under test:
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from unittest import mock
@@ -27,8 +28,9 @@ from hypothesis.extra import numpy as hnp
 
 from repro.ckpt import temporal
 from repro.ckpt.faults import CRASH_KINDS, FaultInjectingStore, FaultPlan
+from repro.ckpt.journal import COMMIT_FILENAME
 from repro.ckpt.manager import CheckpointManager, deserialize_array
-from repro.ckpt.manifest import MANIFEST_FILENAME, array_key
+from repro.ckpt.manifest import MANIFEST_FILENAME, array_key, manifest_key
 from repro.ckpt.protocol import ArrayRegistry
 from repro.ckpt.recovery import recover
 from repro.ckpt.store import CountingStore, MemoryStore
@@ -46,6 +48,7 @@ from repro.core import container
 from repro.config import TemporalConfig
 from repro.exceptions import (
     CheckpointError,
+    CheckpointNotFoundError,
     ConfigurationError,
     CorruptionError,
     FormatError,
@@ -569,6 +572,15 @@ class TestChainClosure:
         with pytest.raises(CorruptionError, match="base_step"):
             chain_closure(manifests.__getitem__, [5])
 
+    def test_uncommitted_base_is_corruption(self):
+        def read_manifest(step):
+            if step == 4:
+                raise CheckpointNotFoundError("no committed checkpoint for step 4")
+            return _FakeManifest(_FakeEntry("f", CODEC_DELTA, {"base_step": 4}))
+
+        with pytest.raises(CorruptionError, match="generation 4 .*step 4"):
+            chain_closure(read_manifest, [5])
+
 
 # -- manager integration --------------------------------------------------------
 
@@ -754,18 +766,22 @@ class TestRestoreReadsEachManifestOnce:
         self, step, chain_length
     ):
         """All arrays of a generation share their ancestors: a restore
-        reads each ancestor manifest once (plus the commit check of its
-        own), not once per array."""
+        opens each generation of the chain once -- its commit marker and
+        its sealed manifest, the ancestors exactly as the generation
+        restored -- not once per array."""
         store = _KeyRecordingStore(self._store_with_chain(6))
         reg = ArrayRegistry()
         for i in range(self.N_ARRAYS):
             reg.register(f"f{i}", np.zeros((12, 6)))
         reader = _manager(reg, store)
         reader.restore(step)
+        markers = [k for k in store.keys_read if k.endswith(COMMIT_FILENAME)]
         manifest_reads = [k for k in store.keys_read if k.endswith(MANIFEST_FILENAME)]
-        assert len(manifest_reads) <= chain_length + 1
+        assert len(markers) == len(set(markers)) == chain_length
+        assert len(manifest_reads) == len(set(manifest_reads)) == chain_length
         # the blobs themselves: every link of every array, once
-        assert store.gets - len(manifest_reads) - 1 == self.N_ARRAYS * chain_length
+        blobs = len(store.keys_read) - len(markers) - len(manifest_reads)
+        assert blobs == self.N_ARRAYS * chain_length
 
     def test_fresh_writer_seeds_from_one_read_of_the_latest_manifest(self):
         store = _KeyRecordingStore(self._store_with_chain(3))
@@ -817,6 +833,36 @@ class TestChainCorruption:
         reader = _manager(_registry(np.zeros_like(steps[0])), store)
         with pytest.raises(CorruptionError, match="chain.*broken"):
             reader.restore(2)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda payload: bytes([payload[0] ^ 0x01]) + payload[1:],
+            # still a manifest that parses, just not the one the marker sealed
+            lambda payload: re.sub(
+                rb'("crc32": \d*)(\d)',
+                lambda m: m[1] + b"%d" % ((int(m[2]) + 1) % 10),
+                payload,
+                count=1,
+            ),
+        ],
+        ids=["first-byte-flipped", "crc-digit-changed"],
+    )
+    def test_damaged_base_manifest_breaks_the_chain_there(self, damage):
+        """A base generation whose manifest no longer matches its marker is
+        not committed: the chain is reported broken at it, with the
+        classification's reason, and no intact blob is blamed."""
+        steps = _drifting_arrays(4)
+        store = MemoryStore()
+        manager = _write_chain(store, steps)
+        store.put(manifest_key(2), damage(store.get(manifest_key(2))))
+        assert manager.steps() == [0, 1, 3]
+        reader = _manager(_registry(np.zeros_like(steps[0])), store)
+        with pytest.raises(CorruptionError) as excinfo:
+            reader.restore(3)
+        message = str(excinfo.value)
+        assert "broken at base generation 2" in message
+        assert "does not match the CRC/length sealed by the commit marker" in message
 
     def test_corrupt_base_blob_names_the_broken_generation(self):
         steps = _drifting_arrays(3)

@@ -430,21 +430,11 @@ class TestAutoBlockTuning:
             }
             assert len(sizes) == 1
 
-    def test_auto_block_off_restores_fixed_split(self):
-        codec = ZlibMTCodec(block_bytes=1 << 20, auto_block=False)
-        assert codec.effective_block_bytes(3 << 20) == 1 << 20
-        codec.compress(bytes(3 << 20))
-        assert codec.last_segments.attrs()["lz77_segments"] == 3
-
     @pytest.mark.parametrize("cls", MT_CLASSES, ids=MT_IDS)
     def test_auto_block_roundtrip_multiblock(self, cls):
         body = np.random.default_rng(11).bytes(3 << 20)
         codec = cls(threads=4)
         assert codec.decompress(codec.compress(body)) == body
-
-    def test_auto_block_validation(self):
-        with pytest.raises(ValueError, match="auto_block"):
-            GzipMTCodec(auto_block="yes")
 
 
 class TestStreamingCompress:
