@@ -32,6 +32,7 @@ import os
 import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Iterable, Iterator, Mapping
@@ -82,6 +83,7 @@ from .store import Store
 from .temporal import (
     CODEC_DELTA,
     CODEC_KEYFRAME,
+    EncodedGeneration,
     TemporalEngine,
     chain_closure,
     decode_delta,
@@ -151,6 +153,18 @@ def _settle(handles: list[Any], spans: list[Any]) -> None:
     for span in spans:
         if span.end is None:
             get_tracer().finish(span)
+
+
+@contextmanager
+def _lossless_hint(name: str) -> Iterator[None]:
+    """Point a non-finite array at the policy that stores it as it is."""
+    try:
+        yield
+    except NonFiniteDataError as exc:
+        raise NonFiniteDataError(
+            f"array {name!r}: {exc} (pin it to the lossless path with "
+            f"policy={{{name!r}: 'lossless'}} if NaN/Inf are legitimate)"
+        ) from exc
 
 
 @dataclass(frozen=True)
@@ -258,7 +272,8 @@ class _Pending:
     span: Any  # the open ``ckpt.array`` span: encode -> landed
     codec: str = ""
     params: Any = None
-    sealed: Any = None  # the blob, or the backend lane's Future of it
+    #: the blob, a temporal EncodedGeneration, or the lane's Future of either
+    sealed: Any = None
 
 
 @dataclass
@@ -281,7 +296,9 @@ class CheckpointManager:
     thread (started on first use, stopped by :meth:`close`) deflates body
     *i* while body *i+1* is being produced, and blobs land in registry
     order on the calling thread -- bytes and store operations are those
-    of a serial write.  One manager still serves one caller at a time.
+    of a serial write.  A temporal delta is encoded whole, on the lane
+    when it is idle and on the calling thread otherwise; keyframes on the
+    calling thread.  One manager still serves one caller at a time.
 
     Parameters
     ----------
@@ -430,9 +447,10 @@ class CheckpointManager:
         stage: Callable[[Any], Any],
         min_bytes: int,
     ) -> Future | None:
-        """Run ``stage(data)`` -- one backend stage: ``wrap_envelope``/
-        ``Codec.compress`` of a body on a write, ``WaveletCompressor.unseal``
-        of a link's blob on a restore; no decisions -- on the lane, in the caller's
+        """Run ``stage(data)`` -- on a write the backend stage of a body
+        (``wrap_envelope``/``Codec.compress``) or a temporal array's whole
+        ``TemporalEngine.encode``, on a restore ``WaveletCompressor.unseal``
+        of a link's blob; no decisions -- on the lane, in the caller's
         ``ctx``; returns the Future of the result and the seconds it took,
         or None where the caller runs the stage itself, at its turn.
 
@@ -440,12 +458,12 @@ class CheckpointManager:
         pool: a ``*-mt`` seal parks there waiting for block tasks that an
         outer task on the same pool could starve.  ``workers > 1`` starts
         none (the process pool forks lazily and must not fork a process
-        with a live thread) and ``data`` under ``min_bytes`` is not worth
+        with a live thread) and ``data`` of under ``min_bytes`` is not worth
         the hand-off; where no thread can start nothing is,
         counted under ``fallbacks{kind=serial}``.  The lane keeps off the
         CPU its caller is on at each hand-off (:func:`_run_on`).
         """
-        if self.workers > 1 or len(data) < min_bytes:
+        if self.workers > 1 or memoryview(data).nbytes < min_bytes:
             return None
 
         beside = _cpus_beside_caller()
@@ -564,31 +582,30 @@ class CheckpointManager:
     def _encode_array(
         self, p: _Pending, step: int, defer: Callable[..., Any]
     ) -> None:
-        """Everything of one array that runs on the calling thread: policy,
-        the NumPy stages, the formatted body.  A single-blob body goes to
-        ``defer`` for its backend stage; temporal arrays (the engine reads
-        the finished blob's length; their *restore* does use the lane) and
-        chunked ones are sealed here, at their turn in the order."""
+        """Policy and encode of one array, at its turn in the order.  A
+        temporal delta goes to ``defer`` whole -- the engine's finished
+        ``EncodedGeneration`` is its unit, blob and all -- and a keyframe
+        is encoded here; a single-blob body goes to it after the NumPy
+        stages ran here, for its backend stage; a chunked stream is sealed
+        here."""
         name, arr = p.name, p.arr
         mode, how = self._resolve_policy(name, arr)
         p.span.set(mode=mode)
-        try:
-            if (
-                mode == "lossy"
-                and self._temporal_engine is not None
-                and self._temporal_engine.eligible(arr)
-            ):
-                encoded = self._temporal_engine.encode(name, arr, step)
-                p.sealed, p.codec, p.params = encoded.blob, encoded.codec, encoded.params
-                p.span.set(
-                    temporal_reason=encoded.reason, chain_index=encoded.chain_index
-                )
-                if encoded.filter is not None:
-                    p.span.set(filter=filter_label(encoded.filter))
-                    get_registry().counter(
-                        "ckpt.temporal.filter", kind=encoded.filter["kind"]
-                    ).inc()
-            elif mode == "lossy" and self.workers > 1 and arr.ndim >= 1 and arr.shape[0] > 1:
+        engine = self._temporal_engine
+        if mode == "lossy" and engine is not None and engine.eligible(arr):
+            def encode(a: np.ndarray) -> EncodedGeneration:
+                with get_tracer().attached(p.span), _lossless_hint(name):
+                    return engine.encode(name, a, step)
+
+            # A keyframe (one generation in keyframe_every) is encoded here:
+            # its working set is ~2.6x a delta's and the lane's arena keeps it
+            if engine.keyframe_reason(name, arr) is None:
+                p.sealed = defer(self.temporal.codec, arr, encode, idle_only=True)
+            else:
+                p.sealed = encode(arr)
+            return
+        with _lossless_hint(name):
+            if mode == "lossy" and self.workers > 1 and arr.ndim >= 1 and arr.shape[0] > 1:
                 p.sealed = chunked_compress(
                     arr, how, chunk_rows=self.chunk_rows, executor=self._slab_executor()
                 )
@@ -616,11 +633,6 @@ class CheckpointManager:
                         block_bytes=self.config.backend_block_bytes,
                     ),
                 )
-        except NonFiniteDataError as exc:
-            raise NonFiniteDataError(
-                f"array {name!r}: {exc} (pin it to the lossless path with "
-                f"policy={{{name!r}: 'lossless'}} if NaN/Inf are legitimate)"
-            ) from exc
 
     def _checkpoint_txn(
         self, txn: CommitTransaction, step: int, meta: dict[str, Any]
@@ -635,8 +647,14 @@ class CheckpointManager:
         def sealing(p: _Pending) -> bool:
             return isinstance(p.sealed, Future) and not p.sealed.done()
 
-        def land(p: _Pending) -> None:
+        def held(p: _Pending) -> bool:
+            """Holds one of the pipeline's two slots: on the lane, or a
+            whole temporal encode this thread ran while the lane was busy."""
+            return sealing(p) or isinstance(p.sealed, EncodedGeneration)
+
+        def land() -> None:
             nonlocal busy, waited
+            p = inflight[0]  # popped once landed: a failure closes its span
             with tracer.attached(p.span):
                 blob = p.sealed
                 if isinstance(blob, Future):
@@ -644,7 +662,17 @@ class CheckpointManager:
                     blob, seal_s = blob.result()
                     waited += time.perf_counter() - t0
                     busy += seal_s
+                if isinstance(blob, EncodedGeneration):
+                    p.codec, p.params = blob.codec, blob.params
+                    p.span.set(temporal_reason=blob.reason, chain_index=blob.chain_index)
+                    if blob.filter is not None:
+                        p.span.set(filter=filter_label(blob.filter))
+                        get_registry().counter(
+                            "ckpt.temporal.filter", kind=blob.filter["kind"]
+                        ).inc()
+                    blob = blob.blob
                 txn.put_blob(array_key(step, p.name), blob)
+            inflight.popleft()
             p.span.set(codec=p.codec, stored_bytes=len(blob))
             tracer.finish(p.span)
             blob_by_name[p.name] = blob
@@ -666,11 +694,15 @@ class CheckpointManager:
             # belongs to the generation, which outlives every seal.
             ctx = contextvars.copy_context()
 
-            def defer(codec: str, body: container.Body, seal: Callable) -> Any:
-                future = self._defer(
-                    ctx, "ckpt.pipeline.deferred", codec, body, seal, _DEFER_MIN_BYTES
-                )
-                return seal(body) if future is None else future
+            def defer(codec: str, data: Any, stage: Callable, idle_only: bool = False) -> Any:
+                # ``idle_only``: a whole encode never queues behind the lane's
+                # work -- while the lane is busy this thread is the free one
+                future = None
+                if not (idle_only and any(map(sealing, inflight))):
+                    future = self._defer(
+                        ctx, "ckpt.pipeline.deferred", codec, data, stage, _DEFER_MIN_BYTES
+                    )
+                return stage(data) if future is None else future
 
             try:
                 for name in self.registry.names():
@@ -679,18 +711,25 @@ class CheckpointManager:
                         "ckpt.array", array=name, nbytes=int(arr.nbytes)
                     ))
                     inflight.append(p)
-                    with tracer.attached(p.span):
-                        self._encode_array(p, step, defer)
+                    try:
+                        with tracer.attached(p.span):
+                            self._encode_array(p, step, defer)
+                    except Exception:
+                        # a serial write raises an earlier array's failure first
+                        for q in inflight:
+                            if isinstance(q.sealed, Future):
+                                q.sealed.result()
+                        raise
                     # Land what is sealed, in order.  Block on the oldest
-                    # seal only once a second body waits behind it: its
-                    # deflate then overlaps this put and, next turn, the
-                    # next array's NumPy stages.
+                    # seal only once a second array holds a slot behind it:
+                    # its stage then overlaps this put and, next turn, the
+                    # next array's encode.
                     while inflight and (
-                        not sealing(inflight[0]) or sum(map(sealing, inflight)) > 1
+                        not sealing(inflight[0]) or sum(map(held, inflight)) > 1
                     ):
-                        land(inflight.popleft())
+                        land()
                 while inflight:
-                    land(inflight.popleft())
+                    land()
                 parity_entries = self._write_parity(txn, entries, blob_by_name)
                 manifest = CheckpointManifest(
                     step=step, entries=tuple(entries), app_meta=meta,

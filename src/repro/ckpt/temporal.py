@@ -279,17 +279,21 @@ def _encode_delta(
     eb = float(config.error_bound)
     pred = predict(prev_recon, config)
     arr64 = arr.astype(np.float64, copy=False)
-    q = np.rint((arr64 - pred) / (2.0 * eb))
-    max_q = float(np.abs(q).max()) if q.size else 0.0
+    # One float64 buffer holds q, then (in place, once the indices are
+    # taken) the reconstruction: the decoder's operations in its order.
+    q = arr64 - pred
+    q /= 2.0 * eb
+    np.rint(q, out=q)
+    max_q = float(max(q.max(), -q.min())) if q.size else 0.0
     index_dtype = _index_dtype_for(max_q)
     if index_dtype is None:
         return None, None, "overflow", float("inf"), None
-    recon = (pred + q * (2.0 * eb)).astype(arr.dtype)
-    max_error = (
-        float(np.abs(arr64 - recon.astype(np.float64, copy=False)).max())
-        if arr.size
-        else 0.0
-    )
+    indices = q.astype(index_dtype)
+    q *= 2.0 * eb
+    q += pred
+    recon = q.astype(arr.dtype, copy=False)
+    err = arr64 - recon.astype(np.float64, copy=False)
+    max_error = float(np.abs(err, out=err).max()) if arr.size else 0.0
     if max_error > eb * (1.0 + config.drift_slack):
         return None, None, "drift", max_error, None
     header = {
@@ -303,7 +307,6 @@ def _encode_delta(
         "error_bound": eb,
         "index_dtype": index_dtype.str,
     }
-    indices = q.astype(index_dtype)
     axis = choose_filter(indices)
     if axis is None:
         spec = dict(FILTER_NONE)  # lands in a manifest: never the shared one
@@ -404,6 +407,8 @@ class TemporalEngine:
     array name, the reconstruction and chain position of the last
     *committed* generation.  ``encode`` stages; ``commit`` promotes;
     anything staged for a generation that never commits is discarded.
+    ``encode`` calls for distinct names may run concurrently on different
+    threads; ``commit``, ``rollback`` and ``seed`` run when none is.
     """
 
     def __init__(self, config: TemporalConfig) -> None:
@@ -412,7 +417,7 @@ class TemporalEngine:
                 f"config must be a TemporalConfig, got {type(config).__name__}"
             )
         self.config = config
-        self._keyframe_compressor = WaveletCompressor(config.keyframe_config())
+        self._keyframe_config = config.keyframe_config()
         # name -> (step, chain_index, recon) of the last committed generation
         self._state: dict[str, tuple[int, int, np.ndarray]] = {}
         # name -> (step, chain_index, recon) staged by encode()
@@ -437,6 +442,18 @@ class TemporalEngine:
 
     # -- write -----------------------------------------------------------------
 
+    def keyframe_reason(self, name: str, arr: np.ndarray) -> str | None:
+        """Why :meth:`encode` writes ``arr`` as a keyframe whatever its
+        values, or None where it tries a delta first."""
+        prev = self._state.get(name)
+        if prev is None:
+            return "initial"
+        if prev[2].shape != arr.shape or prev[2].dtype != arr.dtype:
+            return "shape-changed"
+        if prev[1] + 1 >= self.config.keyframe_every:
+            return "chain-limit"
+        return None
+
     def encode(self, name: str, arr: np.ndarray, step: int) -> EncodedGeneration:
         """Encode one array for generation ``step`` (staged, not committed)."""
         a = np.ascontiguousarray(arr)
@@ -454,13 +471,8 @@ class TemporalEngine:
         prev = self._state.get(name)
         blob = recon = spec = None
         max_error = 0.0
-        if prev is None:
-            reason = "initial"
-        elif prev[2].shape != a.shape or prev[2].dtype != a.dtype:
-            reason = "shape-changed"
-        elif prev[1] + 1 >= self.config.keyframe_every:
-            reason = "chain-limit"
-        else:
+        reason = self.keyframe_reason(name, a)
+        if reason is None:
             base_step, base_chain, prev_recon = prev
             blob, recon, reason, max_error, spec = _encode_delta(
                 a, prev_recon, base_step, base_chain + 1, self.config
@@ -482,7 +494,9 @@ class TemporalEngine:
                 max_error=max_error, filter=spec,
             )
         else:
-            blob = self._keyframe_compressor.compress(a)
+            # a compressor per keyframe: its wavelet scratch is not shared
+            # with an encode of another array running on another thread
+            blob = WaveletCompressor(self._keyframe_config).compress(a)
             # Reconstruct through the *decode* path so the staged state is
             # bit-identical to what any future restore will produce.
             recon = WaveletCompressor.decompress(blob)

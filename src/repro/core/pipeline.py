@@ -168,10 +168,11 @@ class WaveletCompressor:
     def __init__(self, config: CompressionConfig | None = None, **overrides: Any):
         base = config if config is not None else CompressionConfig()
         self._config = base.replace(**overrides) if overrides else base
-        # Wavelet work buffer, reused across same-shaped compress calls
-        # (e.g. the slabs of a chunked stream).  Because of it a single
-        # compressor instance is not safe for concurrent use from multiple
-        # threads; worker *processes* each hold their own instance.
+        # Wavelet work buffer, reused across same-shaped compress calls of
+        # one thread (the slabs of ``SerialExecutor``, the analysis sweeps).
+        # Because of it an instance is not safe for concurrent use from
+        # multiple threads: build one per thread, as worker *processes* and
+        # temporal keyframes (one per encode) do.
         self._scratch: np.ndarray | None = None
 
     @property

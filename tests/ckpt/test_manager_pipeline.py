@@ -26,6 +26,7 @@ from repro.ckpt.faults import CRASH_KINDS
 from repro.ckpt.manager import CheckpointManager
 from repro.ckpt.protocol import ArrayRegistry, registry_from_checkpointable
 from repro.ckpt.store import MemoryStore
+from repro.ckpt.temporal import TemporalEngine
 from repro.config import ResilienceConfig, TemporalConfig
 from repro.core import container
 from repro.core.pipeline import WaveletCompressor
@@ -34,6 +35,7 @@ from repro.lossless.zlib_codec import GzipCodec
 from repro.obs import get_registry, get_tracer
 
 from . import test_crash_points as crash_points
+from . import test_temporal
 
 LANE_PREFIX = "repro-backend"
 
@@ -181,6 +183,51 @@ class TestBytesAndOrder:
         assert store_digest(piped) == store_digest(serial)
 
     @pytest.mark.parametrize("parity", [False, True], ids=["plain", "parity"])
+    @pytest.mark.parametrize("axis", [None, 0], ids=["unfiltered", "filtered"])
+    def test_temporal_write_is_the_serial_write(self, axis, parity, monkeypatch):
+        """Two keyframe cycles of three fields, each encoded whole on the
+        lane or here: every object and every ``(op, key)`` the store sees
+        are those of the write that cannot start a thread."""
+        import repro.ckpt.temporal as temporal_module
+
+        monkeypatch.setattr(temporal_module, "choose_filter", lambda q: axis)
+        resilience = ResilienceConfig(parity=parity)
+        piped = RecordingStore()
+        temporal_writes(piped, resilience=resilience).close()
+        assert deferred("zlib") > 0
+        assert get_registry().counter("fallbacks", kind="serial").value == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(manager_module, "ThreadPoolExecutor", refuse_threads)
+            serial = RecordingStore()
+            manager = temporal_writes(serial, resilience=resilience)
+        assert get_registry().counter("fallbacks", kind="serial").value > 0
+        assert piped.ops == serial.ops
+        assert store_digest(piped) == store_digest(serial)
+        filters = {
+            (manager.read_manifest(step).entry("f0").codec_params.get("filter") or {}).get("kind")
+            for step in range(2 * CYCLE)
+        }
+        assert filters == {None, "none" if axis is None else "delta"}
+
+    @pytest.mark.parametrize("mode", CRASH_KINDS)
+    def test_temporal_crash_matrix_with_encodes_on_the_lane(self, mode, monkeypatch):
+        """``TestCrashMatrix`` of ``test_temporal.py`` as it is, over two
+        fields, so one array's encode runs on the lane while the other's
+        runs here, at every store operation a crash can hit."""
+
+        def two_fields(arr, name="field"):
+            registry = ArrayRegistry()
+            registry.register(name, arr.copy())
+            registry.register(f"{name}_b", 2.0 * arr + 1.0)
+            return registry
+
+        monkeypatch.setattr(test_temporal, "_registry", two_fields)
+        test_temporal.TestCrashMatrix().test_crash_mid_delta_commit_preserves_the_committed_chain(
+            mode
+        )
+        assert deferred("zlib") > 0
+
+    @pytest.mark.parametrize("parity", [False, True], ids=["plain", "parity"])
     @pytest.mark.parametrize("mode", CRASH_KINDS)
     def test_crash_matrix_with_every_seal_on_the_lane(self, mode, parity):
         """The kill-at-every-op matrix of ``test_crash_points.py`` as it is;
@@ -226,6 +273,61 @@ class TestOverlap:
         assert seen["bodies"] == 5
         assert seen["max_in_flight"] == 2
 
+    def test_temporal_array_is_encoded_on_the_lane_while_the_next_is_encoded_here(
+        self, monkeypatch
+    ):
+        """Keyframes are encoded here.  In the delta generation after them
+        the lane parks in ``f0``'s encode until ``f1``'s has run on the
+        calling thread; encodes started minus arrays landed never exceeds
+        two, so ``f2`` waits for ``f0`` to land."""
+        entered, release = threading.Event(), threading.Event()
+        lock = threading.Lock()
+        original = TemporalEngine.encode
+        store = RecordingStore()
+        seen = {"encodes": 0, "max_in_flight": 0, "overlapped": False, "threads": {}}
+        registry = float_registry(5)
+        manager = CheckpointManager(
+            registry, store, temporal=TemporalConfig(error_bound=1e-3)
+        )
+        manager.checkpoint(0)
+        assert deferred("zlib") == 0  # keyframes
+        store.ops.clear()
+
+        def watching_encode(self, name, arr, step):
+            with lock:
+                seen["threads"][name] = threading.current_thread().name
+                seen["encodes"] += 1
+                landed = sum(op == "put" and key.endswith(".bin") for op, key in store.ops)
+                seen["max_in_flight"] = max(seen["max_in_flight"], seen["encodes"] - landed)
+            if name == "f0":
+                entered.set()
+                assert release.wait(30), "nobody released the lane"
+                time.sleep(0.05)  # still busy when f1 is done: f2 must wait
+            elif name == "f1":
+                assert entered.wait(30), "the lane never reached f0"
+                seen["overlapped"] = not release.is_set()
+                try:
+                    return original(self, name, arr, step)
+                finally:
+                    release.set()
+            return original(self, name, arr, step)
+
+        drift(registry)
+        monkeypatch.setattr(TemporalEngine, "encode", watching_encode)
+        with manager:
+            manager.checkpoint(1)
+            restored = manager.load_arrays(1)
+            codecs = {entry.codec for entry in manager.read_manifest(1).entries}
+        assert codecs == {"temporal-delta"}
+        assert seen["overlapped"]
+        assert seen["threads"]["f0"].startswith(LANE_PREFIX)
+        assert seen["threads"]["f1"] == threading.current_thread().name
+        assert seen["encodes"] == 5
+        assert seen["max_in_flight"] == 2
+        assert 1 <= deferred("zlib") <= 4  # f1 never
+        for name in registry.names():
+            assert np.abs(restored[name] - registry.get(name)).max() <= 1e-3
+
     def test_small_bodies_are_sealed_in_place(self, monkeypatch):
         monkeypatch.setattr(manager_module, "_DEFER_MIN_BYTES", 64 * 1024)
         registry = ArrayRegistry()
@@ -236,22 +338,111 @@ class TestOverlap:
         assert get_registry().counter("fallbacks", kind="serial").value == 0
 
 
+def opened_spans(monkeypatch) -> list:
+    """Every span the (enabled) tracer starts from here on."""
+    tracer = get_tracer()
+    opened, start = [], tracer.start
+
+    def recording_start(name, **kwargs):
+        opened.append(start(name, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(tracer, "start", recording_start)
+    tracer.enable()
+    return opened
+
+
+def drift(registry: ArrayRegistry) -> None:
+    for name in registry.names():
+        if registry.get(name).dtype.kind == "f":
+            registry.get(name)[...] += 0.01
+
+
+def serial_checkpoint_failure(manager, step, monkeypatch) -> ReproError:
+    manager.close()
+    with monkeypatch.context() as patch:
+        patch.setattr(manager_module, "ThreadPoolExecutor", refuse_threads)
+        with pytest.raises(ReproError) as serial:
+            manager.checkpoint(step)
+    return serial.value
+
+
 class TestFailureDrainsTheLane:
     @pytest.mark.parametrize("temporal", [None, TemporalConfig(error_bound=1e-3)])
-    def test_non_finite_third_array(self, temporal):
-        registry = float_registry(5, bad=2)
+    def test_non_finite_third_array(self, temporal, monkeypatch):
+        """Wherever ``f2``'s encode ran, its failure leaves as the serial
+        write's does -- hint included -- with nothing stored, staged,
+        running or open behind it."""
+        from repro.obs.report import TraceReport
+
+        registry = float_registry(5)
         registry.register("a_counts", np.arange(4096, dtype=np.int64))
         store = MemoryStore()
         manager = CheckpointManager(registry, store, temporal=temporal)
-        with pytest.raises(NonFiniteDataError, match="f2"):
-            manager.checkpoint(0)
-        assert store.list_keys("") == []
+        manager.checkpoint(0)  # temporal: keyframes, so generation 1 is deltas
+        committed = store.list_keys("")
+        get_registry().reset()
+        drift(registry)
+        registry.get("f2")[3, 3] = np.nan
+        opened = opened_spans(monkeypatch)
+        with pytest.raises(NonFiniteDataError, match="f2") as piped:
+            manager.checkpoint(1)
+        assert "pin it to the lossless path with policy={'f2': 'lossless'}" in str(piped.value)
+        assert [s.name for s in opened if s.end is None] == []
+        assert TraceReport([s.to_dict() for s in get_tracer().spans]).orphans() == []
+        get_tracer().disable()
+        assert store.list_keys("") == committed
         if temporal is not None:
+            assert deferred("zlib") > 0
             assert manager._temporal_engine._pending == {}
+        serial = serial_checkpoint_failure(manager, 1, monkeypatch)
+        assert (type(piped.value), str(piped.value)) == (type(serial), str(serial))
         registry.get("f2")[3, 3] = 0.0
-        manager.checkpoint(0)
-        manager.restore(0)
+        manager.checkpoint(1)
+        manager.restore(1)
         manager.close()
+
+    def test_lane_failure_before_a_caller_failure_is_the_one_raised(self, monkeypatch):
+        """``f0`` fails on the lane, ``f1`` -- encoded here while ``f0``
+        still runs -- fails too: the serial write meets ``f0`` first, so
+        that is the error, and the generation leaves nothing behind."""
+        from repro.obs.report import TraceReport
+
+        f1_started = threading.Event()
+        original = TemporalEngine.encode
+        threads = {}
+
+        def ordered_encode(self, name, arr, step):
+            threads[name] = threading.current_thread().name
+            if name == "f0":
+                assert f1_started.wait(30), "f1 was never encoded beside f0"
+            else:
+                f1_started.set()
+            return original(self, name, arr, step)
+
+        registry = float_registry(2)
+        store = MemoryStore()
+        manager = CheckpointManager(registry, store, temporal=TemporalConfig(error_bound=1e-3))
+        manager.checkpoint(0)  # keyframes: generation 1 is deltas
+        committed = store.list_keys("")
+        drift(registry)
+        registry.get("f0")[3, 3] = np.nan
+        registry.get("f1")[5, 5] = np.inf
+        opened = opened_spans(monkeypatch)
+        with monkeypatch.context() as patch:
+            patch.setattr(TemporalEngine, "encode", ordered_encode)
+            with pytest.raises(NonFiniteDataError, match="'f0'") as piped:
+                manager.checkpoint(1)
+        assert threads["f0"].startswith(LANE_PREFIX)
+        assert threads["f1"] == threading.current_thread().name
+        assert [s.name for s in opened if s.end is None] == []
+        assert TraceReport([s.to_dict() for s in get_tracer().spans]).orphans() == []
+        get_tracer().disable()
+        assert store.list_keys("") == committed
+        assert manager._temporal_engine._pending == {}
+        assert manager._lane._work_queue.empty()
+        serial = serial_checkpoint_failure(manager, 1, monkeypatch)
+        assert (type(piped.value), str(piped.value)) == (type(serial), str(serial))
 
     def test_seal_that_raises(self, monkeypatch):
         original = GzipCodec.compress
@@ -288,14 +479,6 @@ class TestLifecycle:
         manager.checkpoint(1)
         assert len(lane_threads()) == 1
         manager.close()
-
-    def test_temporal_only_manager_starts_no_thread(self):
-        manager = CheckpointManager(
-            float_registry(3), MemoryStore(), temporal=TemporalConfig(error_bound=1e-3)
-        )
-        manager.checkpoint(0)
-        manager.checkpoint(1)
-        assert lane_threads() == []
 
     def test_no_lane_before_the_process_pool_forks(self, monkeypatch):
         from repro.parallel.executor import MultiprocessExecutor
@@ -491,7 +674,7 @@ class TestObservability:
         from repro.obs.sink import JsonlSink
 
         path = str(tmp_path / "trace.jsonl")
-        registry = float_registry(1)
+        registry = float_registry(3)
         registry.register("a_counts", np.arange(4096, dtype=np.int64))
         tracer = get_tracer()
         sink = JsonlSink(path)
@@ -499,9 +682,17 @@ class TestObservability:
         try:
             with CheckpointManager(registry, MemoryStore()) as manager:
                 manager.checkpoint(0)
+            # keyframes then deltas, encoded on the lane and here
+            with CheckpointManager(
+                registry, MemoryStore(), temporal=TemporalConfig(error_bound=1e-3)
+            ) as manager:
+                manager.checkpoint(0)
+                registry.get("f0")[...] += 0.01
+                manager.checkpoint(1)
         finally:
             tracer.disable()
             sink.close()
+        assert deferred("zlib") > 0
         assert main(["report", path, "--check-parentage"]) == 0
 
     def test_failed_generation_leaves_no_orphan_spans(self):
@@ -530,6 +721,10 @@ def written(registry=None, **manager_kwargs):
     manager.checkpoint(0)
     get_registry().reset()
     return manager
+
+
+def deferred(codec: str) -> float:
+    return get_registry().counter("ckpt.pipeline.deferred", codec=codec).value
 
 
 def prefetched(backend: str = CompressionConfig().backend) -> float:
@@ -693,9 +888,9 @@ class TestRestoreLane:
             np.testing.assert_array_equal(healed[name], reference[name])
 
     def test_temporal_generations_restore_unchanged(self):
-        """A temporal manager starts no thread on *writes* (the engine reads
-        each finished blob's length); its restores prefetch one link per
-        array and chain position, the keyframe included."""
+        """A temporal manager's restores prefetch one link per array and
+        chain position, the keyframe included, on the lane its writes
+        already started for whole-array encodes."""
         registry = float_registry(3)
         manager = CheckpointManager(
             registry, MemoryStore(), temporal=TemporalConfig(error_bound=1e-3, keyframe_every=4)
@@ -706,7 +901,7 @@ class TestRestoreLane:
                 registry.get(name)[...] += 0.01 * (step + 1)
             written_states.append({n: registry.get(n).copy() for n in registry.names()})
             manager.checkpoint(step)
-        assert lane_threads() == []
+        assert len(lane_threads()) == 1 and deferred("zlib") > 0
         get_registry().reset()
         for step in range(3):
             arrays = manager.load_arrays(step)
@@ -740,22 +935,32 @@ class TestRestoreLane:
 CYCLE = 4  # keyframe_every of the stores below: generation 7's chains are 4 links
 
 
-def temporal_manager(
-    predictor: str = "previous", generations: int = 2 * CYCLE, n_rows: int = 48
+def temporal_writes(
+    store, predictor: str = "previous", generations: int = 2 * CYCLE, n_rows: int = 48,
+    **manager_kwargs,
 ):
-    """A manager over a fresh store holding two keyframe cycles of three
-    drifting fields."""
+    """A manager that has written two keyframe cycles of three drifting
+    fields into ``store``."""
     registry = float_registry(3, n_rows=n_rows)
     manager = CheckpointManager(
         registry,
-        MemoryStore(),
+        store,
         temporal=TemporalConfig(error_bound=1e-3, keyframe_every=CYCLE, predictor=predictor),
+        **manager_kwargs,
     )
     rows = np.arange(n_rows)[:, None]
     for step in range(generations):
         for i, name in enumerate(registry.names()):
             registry.get(name)[...] += 0.02 * np.sin(rows / 7.0 + step + i)
         manager.checkpoint(step)
+    return manager
+
+
+def temporal_manager(
+    predictor: str = "previous", generations: int = 2 * CYCLE, n_rows: int = 48
+):
+    """:func:`temporal_writes` over a fresh store, counters reset after."""
+    manager = temporal_writes(MemoryStore(), predictor, generations, n_rows)
     get_registry().reset()
     return manager
 

@@ -18,6 +18,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -45,6 +46,7 @@ from repro.ckpt.temporal import (
     predict,
 )
 from repro.core import container
+from repro.core.pipeline import WaveletCompressor
 from repro.config import TemporalConfig
 from repro.exceptions import (
     CheckpointError,
@@ -292,6 +294,43 @@ class TestEngineTransactions:
         eng = _engine()
         eng.seed(0, {"i": np.arange(3)}, {"i": 0})
         assert eng.committed_recon("i") is None
+
+    def test_keyframes_of_two_names_encode_concurrently(self):
+        """Two threads keyframe two same-shape arrays at once, 50 times:
+        the bytes are the serial encode's and each staged reconstruction
+        is the decode of its own blob."""
+        fields = {
+            "a": np.cumsum(np.random.default_rng(1).standard_normal((256, 128)), axis=0),
+            "b": np.cumsum(np.random.default_rng(2).standard_normal((256, 128)), axis=1),
+        }
+        serial = {name: _engine().encode(name, arr, 0).blob for name, arr in fields.items()}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(50):
+                eng = _engine()
+                both = threading.Barrier(2)
+                out: dict[str, object] = {}
+
+                def encode(name: str) -> None:
+                    both.wait()
+                    try:
+                        out[name] = eng.encode(name, fields[name], 0).blob
+                    except Exception as exc:  # noqa: BLE001 - compared below
+                        out[name] = exc
+
+                threads = [threading.Thread(target=encode, args=(n,)) for n in fields]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(60)
+                assert out == serial
+                for name, blob in out.items():
+                    np.testing.assert_array_equal(
+                        eng._pending[name][2], WaveletCompressor.decompress(blob)
+                    )
+        finally:
+            sys.setswitchinterval(interval)
 
 
 # -- blob format ----------------------------------------------------------------
