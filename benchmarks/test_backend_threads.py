@@ -5,9 +5,9 @@ compression time, and its Section IV-D proposes in-memory zlib as the
 remedy.  The ``gzip-mt`` backend goes one step further -- CPython's zlib
 releases the GIL, so blocks deflate concurrently on a shared thread
 pool.  This benchmark compresses the same formatted body with the plain
-``gzip`` codec, with ``gzip-mt`` at several thread counts, and with the
-``zstd``/``lz4`` block backends, reports MB/s and the compressed-size
-overhead of the block split, and checks the pigz-style compatibility
+``gzip`` codec and with ``gzip-mt`` at several thread counts, reports MB/s
+and the compressed-size overhead of the block split, and checks the
+pigz-style compatibility
 guarantees (stock ``gzip.decompress`` reads the output; bytes do not
 depend on the thread count).
 
@@ -43,7 +43,7 @@ import time
 
 import numpy as np
 
-from repro.lossless import GzipCodec, GzipMTCodec, Lz4Codec, ZstdCodec
+from repro.lossless import get_codec
 from repro.obs import JsonlSink, MetricsRegistry, TraceReport, get_tracer
 
 from _util import FAST, RESULTS_DIR, save_and_print, write_bench_json
@@ -93,7 +93,7 @@ def _achieved_parallelism(body: bytes, threads: int) -> float:
     phantom parallelism.  Runs outside the timed regions -- the per-block
     instrumentation is a lock-guarded accumulator, cheap but not free.
     """
-    codec = GzipMTCodec(level=LEVEL, threads=threads)
+    codec = get_codec("gzip-mt", level=LEVEL, threads=threads)
     inner = codec._iter_map_blocks
     busy = [0.0]
     lock = threading.Lock()
@@ -126,7 +126,7 @@ def _write_trace(body: bytes, registry: MetricsRegistry) -> None:
     tracer.enable(sink)
     try:
         with tracer.span("backend", codec="gzip-mt", threads=MT_THREADS):
-            GzipMTCodec(level=LEVEL, threads=MT_THREADS).compress(body)
+            get_codec("gzip-mt", level=LEVEL, threads=MT_THREADS).compress(body)
         sink.emit_metrics(registry.snapshot())
     finally:
         tracer.disable()
@@ -147,7 +147,7 @@ def test_backend_thread_speedup():
     eff_cores = effective_cpu_count()
     registry = MetricsRegistry()
 
-    serial_codec = GzipCodec(LEVEL)
+    serial_codec = get_codec("gzip", level=LEVEL)
     serial_codec.compress(body[: 1 << 20])  # warm up outside the timed region
     serial_s, serial_blob = _time_compress(serial_codec, body)
     serial_mb_s = mb / serial_s
@@ -165,7 +165,7 @@ def test_backend_thread_speedup():
     reference_blob = None
     mt_mb_s = {}
     for threads in THREAD_COUNTS:
-        codec = GzipMTCodec(level=LEVEL, threads=threads)
+        codec = get_codec("gzip-mt", level=LEVEL, threads=threads)
         codec.compress(body[: 1 << 20])
         mt_s, mt_blob = _time_compress(codec, body)
         mt_mb_s[threads] = mb / mt_s
@@ -195,24 +195,6 @@ def test_backend_thread_speedup():
         "stock gzip.decompress reads gzip-mt output: yes",
         "bytes identical across thread counts: yes",
     ]
-
-    # Modern block backends (zstd / lz4 fall back to zlib block bodies
-    # when the native wheel is absent; the inner coder is recorded so the
-    # numbers are never compared across different inner coders).
-    for cls in (ZstdCodec, Lz4Codec):
-        codec = cls(threads=MT_THREADS)
-        codec.compress(body[: 1 << 20])
-        c_s, c_blob = _time_compress(codec, body)
-        c_mb_s = mb / c_s
-        assert codec.decompress(c_blob) == body
-        key = cls.name
-        registry.gauge(f"{key}.seconds").set(c_s)
-        registry.gauge(f"{key}.mb_s").set(c_mb_s)
-        registry.gauge(f"{key}.bytes").set(len(c_blob))
-        lines.append(
-            f"{key:7s} t={MT_THREADS:2d}   : {c_s:8.2f} s   {c_mb_s:8.1f} MB/s   "
-            f"{len(c_blob)} B   (inner={codec.inner_codec})"
-        )
 
     # Achieved parallelism of the pooled pass, measured -- not inferred
     # from the thread knob.  On a one-core runner this lands near 1.0 no

@@ -331,7 +331,7 @@ class CheckpointManager:
         When set, overrides ``config.backend_threads`` for the default
         lossy configuration and the lossless path: the final deflate pass
         of each blob runs block-parallel on that many threads when the
-        backend is ``gzip-mt``/``zlib-mt``/``zstd``/``lz4``.  Composes
+        backend is ``gzip-mt``/``zlib-mt``.  Composes
         with ``workers`` (process-level slab parallelism) -- each worker
         process compresses its own slab body with this many threads.
         Output bytes are identical for every value.

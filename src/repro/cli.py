@@ -6,9 +6,9 @@ compress
     Compress a ``.npy`` array into a ``.rpz`` blob.  ``--workers N``
     compresses leading-axis slabs in ``N`` worker processes (chunked
     stream format, byte-identical to the serial stream);
-    ``--backend gzip-mt --backend-threads T`` (likewise ``zlib-mt``,
-    ``zstd``, ``lz4``) additionally compresses each body block-parallel
-    on ``T`` threads of a shared pool (composes with ``--workers``).
+    ``--backend gzip-mt --backend-threads T`` (likewise ``zlib-mt``)
+    additionally compresses each body block-parallel on ``T`` threads
+    of a shared pool (composes with ``--workers``).
 decompress
     Decode a ``.rpz`` blob back into a ``.npy`` array (single pipeline
     blobs and chunked streams are auto-detected).

@@ -53,7 +53,7 @@ _QUANTIZERS = (QUANTIZER_SIMPLE, QUANTIZER_PROPOSED, QUANTIZER_BOUNDED, QUANTIZE
 MAX_LEVELS = "max"
 
 #: Default block size of the thread-parallel backends (1 MiB), mirrored
-#: from :mod:`repro.lossless.parallel_deflate` to avoid an import cycle.
+#: from :mod:`repro.lossless.deflate` to avoid an import cycle.
 DEFAULT_BACKEND_BLOCK_BYTES = 1 << 20
 
 
@@ -216,11 +216,12 @@ class CompressionConfig(_Config):
         Name of the lossless codec applied to the formatted container
         (paper SIII-D applies gzip).  ``"zlib"`` deflates in memory;
         ``"tempfile-gzip"`` reproduces the paper's measured temp-file path.
+        ``"zstd"`` and ``"lz4"`` are retired: they only read old blobs.
     backend_level:
         Compression level forwarded to the backend when it supports one.
     backend_threads:
         Thread count for the block-parallel backends (``gzip-mt`` /
-        ``zlib-mt`` / ``zstd`` / ``lz4``); ``None`` lets the codec pick
+        ``zlib-mt``); ``None`` lets the codec pick
         one thread per effective core and single-threaded backends ignore
         it.  Purely an execution knob: the emitted stream is
         byte-identical for every thread count, so it is never recorded in
@@ -265,9 +266,9 @@ class CompressionConfig(_Config):
     )
     backend: str = knob(
         "zlib", str,
-        help="lossless backend applied to the container; 'gzip-mt'/'zlib-mt'/"
-             "'zstd'/'lz4' compress blocks on a shared thread pool (zstd/lz4 "
-             "fall back to zlib block bodies when the native library is missing)",
+        help="lossless backend applied to the container; 'gzip-mt'/'zlib-mt' "
+             "compress blocks on a shared thread pool ('zstd'/'lz4' are "
+             "retired: they read old blobs and refuse to write)",
     )
     backend_level: int = knob(
         6, int, ge=0, le=9, metavar="LVL", help="backend compression level 0-9"
@@ -283,7 +284,7 @@ class CompressionConfig(_Config):
     backend_threads: int | None = knob(
         None, int, ge=1, optional=True, serialized=False, metavar="T",
         help="thread count for the block-parallel backends "
-             "(gzip-mt/zlib-mt/zstd/lz4); output bytes are identical for "
+             "(gzip-mt/zlib-mt); output bytes are identical for "
              "every T; unset = one per effective core",
     )
     backend_block_bytes: int = knob(

@@ -14,9 +14,9 @@ runs fan out to worker processes.  The pipeline is deterministic, so the
 emitted stream is byte-identical regardless of the worker count.
 
 Process-level slab parallelism composes with the thread-parallel block
-backends (``backend="gzip-mt"``/``"zlib-mt"``/``"zstd"``/``"lz4"`` with
-``backend_threads``): each worker process compresses its own slab body
-block-parallel on a shared thread pool, so an N-process x T-thread run
+backends (``backend="gzip-mt"``/``"zlib-mt"`` with ``backend_threads``):
+each worker process compresses its own slab body block-parallel on a
+shared thread pool, so an N-process x T-thread run
 exercises up to ``N * T`` cores while still emitting exactly the serial
 bytes.
 

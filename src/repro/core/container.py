@@ -325,7 +325,7 @@ def wrap_envelope(
     ``body`` may be any bytes-like object; a :class:`Body` straight from
     :func:`write_body` also hands the codec its ``cuts``.  ``threads`` and
     ``block_bytes`` reach the
-    block-parallel backends (``gzip-mt``/``zlib-mt``/``zstd``/``lz4``);
+    block-parallel backends (``gzip-mt``/``zlib-mt``);
     single-threaded codecs ignore them.  A caller that reads the codec's
     per-call reports afterwards passes the ``codec`` it built for
     ``backend`` instead of the knobs.

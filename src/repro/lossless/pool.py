@@ -13,7 +13,7 @@ This module owns exactly one process-wide executor, created lazily on
 first use and reused by every codec call afterwards.  The pool is sized
 for the machine (not for any single codec): per-call concurrency is
 bounded by each codec's *in-flight window* (see
-:meth:`~repro.lossless.parallel_deflate.BlockParallelCodec._map_blocks`),
+:meth:`~repro.lossless.deflate.DeflateCodec._iter_map_blocks`),
 so a ``threads=2`` codec occupies at most two workers even though the
 shared pool may hold more, and concurrent callers (chunked slab workers,
 :class:`~repro.ckpt.manager.CheckpointManager`) multiplex onto the same

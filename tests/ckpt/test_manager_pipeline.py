@@ -31,7 +31,7 @@ from repro.config import ResilienceConfig, TemporalConfig
 from repro.core import container
 from repro.core.pipeline import WaveletCompressor
 from repro.exceptions import CompressionError, NonFiniteDataError, ReproError
-from repro.lossless.zlib_codec import GzipCodec
+from repro.lossless import DeflateCodec
 from repro.obs import get_registry, get_tracer
 
 from . import test_crash_points as crash_points
@@ -240,7 +240,7 @@ class TestBytesAndOrder:
 class TestOverlap:
     def test_next_body_is_formatted_while_the_lane_deflates(self, monkeypatch):
         entered, release = threading.Event(), threading.Event()
-        original_compress = GzipCodec.compress
+        original_compress = DeflateCodec.compress
         original_write_body = container.write_body
         store = RecordingStore()
         seen = {"overlapped": False, "bodies": 0, "max_in_flight": 0}
@@ -262,7 +262,7 @@ class TestOverlap:
             seen["max_in_flight"] = max(seen["max_in_flight"], seen["bodies"] - landed)
             return body
 
-        monkeypatch.setattr(GzipCodec, "compress", blocking_compress)
+        monkeypatch.setattr(DeflateCodec, "compress", blocking_compress)
         monkeypatch.setattr(container, "write_body", counting_write_body)
         with CheckpointManager(
             float_registry(5), store, config=CompressionConfig(backend="gzip")
@@ -445,7 +445,7 @@ class TestFailureDrainsTheLane:
         assert (type(piped.value), str(piped.value)) == (type(serial), str(serial))
 
     def test_seal_that_raises(self, monkeypatch):
-        original = GzipCodec.compress
+        original = DeflateCodec.compress
         calls = {"n": 0}
 
         def failing_compress(self, data, cuts=None):
@@ -454,7 +454,7 @@ class TestFailureDrainsTheLane:
                 raise CompressionError("deflate fell over")
             return original(self, data, cuts)
 
-        monkeypatch.setattr(GzipCodec, "compress", failing_compress)
+        monkeypatch.setattr(DeflateCodec, "compress", failing_compress)
         store = MemoryStore()
         manager = CheckpointManager(
             float_registry(5), store, config=CompressionConfig(backend="gzip")
@@ -756,7 +756,7 @@ class TestRestoreLane:
         import repro.core.pipeline as pipeline_module
 
         entered, release = threading.Event(), threading.Event()
-        original_decompress = GzipCodec.decompress
+        original_decompress = DeflateCodec.decompress
         original_read_body = container.read_body
         original_decode = pipeline_module.decode_coefficients
         seen = {"inflates": 0, "bodies": 0, "decoded": 0, "alive": 0, "overlapped": False}
@@ -783,7 +783,7 @@ class TestRestoreLane:
             return flat
 
         with written(config=CompressionConfig(backend="gzip")) as manager:
-            monkeypatch.setattr(GzipCodec, "decompress", blocking_decompress)
+            monkeypatch.setattr(DeflateCodec, "decompress", blocking_decompress)
             monkeypatch.setattr(container, "read_body", counting_read_body)
             monkeypatch.setattr(pipeline_module, "decode_coefficients", watching_decode)
             manager.restore(0)
@@ -827,7 +827,7 @@ class TestRestoreLane:
         import repro.core.pipeline as pipeline_module
 
         inflates = []
-        original_decompress = GzipCodec.decompress
+        original_decompress = DeflateCodec.decompress
 
         def counting_decompress(self, data):
             inflates.append(threading.current_thread().name)
@@ -840,7 +840,7 @@ class TestRestoreLane:
 
         original_inverse = pipeline_module.wavelet_inverse
         with written(config=CompressionConfig(backend="gzip")) as manager:
-            monkeypatch.setattr(GzipCodec, "decompress", counting_decompress)
+            monkeypatch.setattr(DeflateCodec, "decompress", counting_decompress)
             monkeypatch.setattr(pipeline_module, "wavelet_inverse", failing_inverse)
             with pytest.raises(RuntimeError, match="fell over"):
                 manager.restore(0)

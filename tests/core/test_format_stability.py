@@ -557,6 +557,61 @@ V2_FILTERED_BLOBS_B64 = {
 }
 
 
+# base64(blob) written by the retired ``zstd`` / ``lz4`` encoders (zlib
+# blocks in their private frames; their native wheels were never
+# installed); decode-only: nothing writes these frames any more.
+RETIRED_BACKEND_BLOBS_B64 = {
+    # GOLDEN_CONFIG with backend="zstd" over golden_array(): one block
+    "zstd": (
+        "UlBaMQR6c3RkUlBaUwECAQAAAFICAAAAAAAAeJwLCgh3ZmLwYmRgqFZKLCjIyUxNic9JLUvN"
+        "KVayUjDSUVBKzs9Ly0wHcqqVkhKTs1PzUoBsparikhQloCxUCKIFKGEGFEstKsovik/KLwUr"
+        "zSvNyQEKopiZF5+UmQfiGILUF5Ym5pVkVqUWgQwuKMovyC9OBRteXJCZnRpfkFhUklmSmQ/W"
+        "YAEULk8EGpVaAlKdkZhYpFQLFEspqSxIBYmk5eQnlpiZgLRn5qWkVsTDZUoz80oslMC2J+en"
+        "pqVlJmem5pWADDWxAIvC3AFytTHImQU5iXmpxWCvA60sSkxPhTmhKLG8LBHsHQuQ7cUZiWA7"
+        "ooHesYitZWFgYGBLyizJTSxgY4CApw5KFvb29f78/BwwoxqgUn0b1/RlMzRsBTKvJjj0HmBo"
+        "SHBYxLDi/7o/FUv3xizXUS005VVn+FLzVcX9H8/R8H3nbs0oS2Dwkr7HqbuT+cdvCw+VhFdO"
+        "DFY5ZTeL9+n6reN943n65UmGMx96k9bHuH5tW8dqasj8juHJg8vHF526cu/Ji/efvv7cz7Af"
+        "COzhgB0YVpnJqcUKUDdJ+cbvY2ZlYePg4uNmYWZi4ufg5eLiZOcESjHzcLGzsLBz8bBDAwHm"
+        "D5s9Xi4f1q/Z4LPAw+SAxA2GGccOfLCznJsVsfgez38u0R4joZdVM6N3ntGz/8junvbk1BYW"
+        "VT97r+IjndJhgpVTKmZFZWZp/O/q6vVa6H56Q03EFdXAfXHyTQIfE89M5jyRXVv2IrbTIDIy"
+        "MlyIR1CWS0pBXl5BksMBBA4AERCAmAAymfUE"
+    ),
+    # serialize_array_lossless(rough_array().astype(np.float32), "lz4",
+    # block_bytes=1024): two blocks
+    "lz4": (
+        "UlBaMQNsejRSUEw0AQICAAAACwQAAAAAAAB4nAEABP/7UlBXQwIAVAAAAHsiZHR5cGUiOiAi"
+        "PGY0IiwgImtpbmQiOiAibG9zc2xlc3MtYXJyYXkiLCAicGxhbmVzIjogeyJkYXRhIjogNH0s"
+        "ICJzaGFwZSI6IFsyNCwgMTZdfQEAAAAEZGF0YQAGAAAAAAAAFeV6XwA4Dnjo6yxZHtQcYdlT"
+        "gPMy7d46ubsv/u5t4UYtcyuqGT1l3xWw+O7YX9dbQk41n+A8OghFkSGTFlyQiHNnTIHqtjA8"
+        "wuzL11paaRu0rV9py6RNwcBcops07pkMyE6v3NPAED5BsVrcB6BgisHQZv4y4tlGMwuWxS/E"
+        "3Sz8LIqj9UezqIpqSlv0w51gSuPHzWdy4INvWVHpC7K2I2myAKnj8EDeoYNGn1/1sp8GdQVY"
+        "32vyWip9eF/doNQaXI0omDuSwhjPuRYAveJeCikUHtI9i2ZbBbCyZ0xmqJ5C3Vahcp8PvrJN"
+        "O0Kb9JzdZPMnQmmZQhjaO6AKmVWHVaXYfdaggZZzJlazUx0Uf+M1nSnwD6b7M3cNPzNauyfz"
+        "gk3PXn6LvqyPxYsQTC/pl/aV2nWejXnCns2LRbaz8wc+o98E29CBOROyVKO7kk+UpuX9um8v"
+        "sXD5dx1CYhlbiFjSJOp6XtVzG3aZwM5NaMYDEXqOA+3+VX9cEchdLq519bkuiQDaytLlC7ar"
+        "PpWotmupD6uWrVihHkDrNMah3T9f4gyFfVwgvEMxRjixn4jXaWbhmTM4kjszNrssPfvXUiwf"
+        "wYRl/twW9BTEw5dJK7afNZD8CjFhXgqqqFZk9mO+JLpwhtr5OvreNSGNjpZCG8ZbA3ecFGCE"
+        "Tn1gL2CSFt3MGFGV9mX9/SPXOXs8JHKTvX29lNYdfNyuzhKzX15dv+IdU4+V0ZaELng3B6a0"
+        "X6NGN/YiNgkRZJ+Kb5BDKbLiat/iQZuBQp9TGj3fvmzVvwG6GyREs2EdWZBHJjAorKimiSO2"
+        "Y4zsA1CdyeD+ZnjyCeo7zInBR1I6OvzNiJzVm8Dr21df5FN94ptpKU068314vn/P447e1d0P"
+        "0ZcW2lNz24ovut1/M+LCUM5ndMsbdn/R2829wI6qhAyCStgbRj1xW1I5yHtSByRNwyRbb48Q"
+        "tKpAdOwA7jkRQBe2QxJvlU/me5w4VkE54Zh8Y46+GGeeIHv5rIvFBXfE5VF/NrC+fidGrsgd"
+        "T3KAelsp0gMd0Bs7RjkXxQEk4i1SWDbdGMxGfHg3n9vK8sOBdModL9+/I2E2tzCZ/LZLRV8D"
+        "VK4d2YM7DnDeXC4XrS+3PnjRHQnJ1hIk/oH+L+JXHd5QYkLA8awFaYF976tKOObNTOTgeA7a"
+        "fP3XQRrKaY/0BrM3cHBudtHrm8JZboEkQQaBAXFA8Umf3fLdAQAAAAAAAHics9xyzUmRdUXo"
+        "1ohw/luM/h2RX5+9DItycAyQ3GkR2H+Or6NxOivLAs27zslJ4jacn3lmGCUH84tNMm729MkR"
+        "ta2bPndrhbSPkNoRFk8L96rL6pGrfYJ8tpXzaXu/N/9WstPAZU+Tts6NsllMMte5+TJKLLfK"
+        "BXZX+we0bb37dH9Yf9s3RX0VpkWnHvTsO7HCn1V6yRPGP+cbK4VXvudgPhshNk/IPS3DW7D5"
+        "4G39QF+VY9dYWvtzXEuOCWlxSh0MLLHbFPfFyIFbuyF8rcBLfzv2Sv+p9/Zf1XE37DsaKMu3"
+        "61ZiakTWVIV48f6YNC+WUz8OPT3sFm3Nz7irzdEJAhwdDx48BAIHDzqCxRwdwPyDDo5gABQ4"
+        "AJYFAkeweifHgyD+oUMOjg4OMAEg/+CBgwdBPCegTjD/4CEHhwNgeaAl9kA9h/YfBJkIEnA4"
+        "eADIP3jI8aATRODAfjD/AFQEqANoyCGwCrACJ6eDIGsOAVU4OIGsBQoc3AdSAHTHAUewwAGw"
+        "sw7agV0KdjrIFSAhMB/ml0MH9zsiwH6I/w8egHjY4SDY6QcPQNQ7HoCEDig8oKEDAYcgpgIF"
+        "7B0dwTyHfQcPgAUcYQHk6GgPcYgDxGGgIIY6/QAABAojSw=="
+    ),
+}
+
+
 def v1_blob(case: str) -> bytes:
     if case == "pipeline_u8":
         return golden_v1_blob(GOLDEN_BLOB_B64)
@@ -715,6 +770,25 @@ class TestEnvelopePayloadIsAStandardStream:
         body = STOCK_INFLATE[backend](self._payload(blob, backend))
         _header, sections = container.read_body(body)
         assert sections["data"] == arr.tobytes()
+
+
+class TestRetiredBackendGoldens:
+    """What the retired ``zstd`` / ``lz4`` encoders wrote still restores,
+    exactly as its ``zlib`` / ``float32`` twin does."""
+
+    def test_zstd_pipeline_blob(self):
+        blob = base64.b64decode(RETIRED_BACKEND_BLOBS_B64["zstd"])
+        expected = WaveletCompressor.decompress(
+            WaveletCompressor(GOLDEN_CONFIG).compress(golden_array())
+        )
+        assert WaveletCompressor.decompress(blob).tobytes() == expected.tobytes()
+        assert inspect(blob)["config"]["backend"] == "zstd"
+
+    def test_lz4_lossless_blob(self):
+        blob = base64.b64decode(RETIRED_BACKEND_BLOBS_B64["lz4"])
+        arr = rough_array().astype(np.float32)
+        decoded = deserialize_array(blob)
+        assert decoded.dtype == arr.dtype and decoded.tobytes() == arr.tobytes()
 
 
 @pytest.mark.skip(reason="utility: run manually to regenerate the v2 golden blobs")

@@ -1,10 +1,11 @@
-"""Tests for the block-parallel deflate codecs (gzip-mt / zlib-mt)."""
+"""Tests for the block-parallel deflate names (gzip-mt / zlib-mt)."""
 
 from __future__ import annotations
 
 import gzip
 import struct
 import zlib
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,14 +13,13 @@ import pytest
 from repro.config import CompressionConfig
 from repro.core.pipeline import WaveletCompressor
 from repro.exceptions import DecompressionError
-from repro.lossless import GzipCodec, GzipMTCodec, ZlibMTCodec, get_codec
-from repro.lossless.parallel_deflate import (
-    DEFAULT_BLOCK_BYTES,
-    default_thread_count,
-)
+from repro.lossless import DeflateCodec, get_codec
+from repro.lossless.deflate import DEFAULT_BLOCK_BYTES, default_thread_count
 
 BODY = np.random.default_rng(7).bytes(10_000) + bytes(5_000) + b"tail" * 500
-MT_CLASSES = [GzipMTCodec, ZlibMTCodec]
+gzip_mt = partial(DeflateCodec, "gzip-mt")
+zlib_mt = partial(DeflateCodec, "zlib-mt")
+MT_CLASSES = [gzip_mt, zlib_mt]
 MT_IDS = ["gzip-mt", "zlib-mt"]
 
 
@@ -49,6 +49,10 @@ class TestConstruction:
             cls(threads="4")
         with pytest.raises(ValueError, match="threads"):
             cls(threads=True)
+
+    def test_name_validation(self):
+        with pytest.raises(ValueError, match="no deflate codec"):
+            DeflateCodec("brotli")
 
     @pytest.mark.parametrize("cls", MT_CLASSES, ids=MT_IDS)
     def test_block_bytes_validation(self, cls):
@@ -98,18 +102,18 @@ class TestGzipMTCompatibility:
     """gzip-mt output must stay decodable by everything that reads gzip."""
 
     def test_stock_gzip_decompress(self):
-        blob = GzipMTCodec(threads=4, block_bytes=3_000).compress(BODY)
+        blob = gzip_mt(threads=4, block_bytes=3_000).compress(BODY)
         assert gzip.decompress(blob) == BODY
 
     def test_plain_gzip_codec_decodes(self):
-        blob = GzipMTCodec(threads=4, block_bytes=3_000).compress(BODY)
-        assert GzipCodec().decompress(blob) == BODY
+        blob = gzip_mt(threads=4, block_bytes=3_000).compress(BODY)
+        assert get_codec("gzip").decompress(blob) == BODY
 
     def test_one_member_however_many_blocks(self):
         """Blocks are stitched into a single gzip member: the first
         member's trailer (CRC32 + length of the *whole* body) ends the
         stream."""
-        blob = GzipMTCodec(threads=4, block_bytes=1_000).compress(BODY)
+        blob = gzip_mt(threads=4, block_bytes=1_000).compress(BODY)
         inflater = zlib.decompressobj(wbits=31)
         assert inflater.decompress(blob) == BODY
         assert inflater.eof and inflater.unused_data == b""
@@ -122,26 +126,26 @@ class TestGzipMTCompatibility:
             gzip.compress(BODY[i : i + 3_000], mtime=0)
             for i in range(0, len(BODY), 3_000)
         )
-        assert GzipMTCodec().decompress(legacy) == BODY
+        assert gzip_mt().decompress(legacy) == BODY
 
     def test_empty_input_is_valid_gzip(self):
-        blob = GzipMTCodec().compress(b"")
+        blob = gzip_mt().compress(b"")
         assert gzip.decompress(blob) == b""
 
     def test_decodes_stock_gzip_output(self):
         # Symmetric compatibility: the mt reader accepts plain gzip blobs.
         blob = gzip.compress(BODY, compresslevel=6)
-        assert GzipMTCodec().decompress(blob) == BODY
+        assert gzip_mt().decompress(blob) == BODY
 
     def test_corrupt_stream(self):
-        blob = bytearray(GzipMTCodec(block_bytes=2_000).compress(BODY))
+        blob = bytearray(gzip_mt(block_bytes=2_000).compress(BODY))
         blob[len(blob) // 2] ^= 0xFF
         with pytest.raises(DecompressionError, match="gzip-mt"):
-            GzipMTCodec().decompress(bytes(blob))
+            gzip_mt().decompress(bytes(blob))
 
     def test_not_gzip_at_all(self):
         with pytest.raises(DecompressionError):
-            GzipMTCodec().decompress(b"plainly not gzip")
+            gzip_mt().decompress(b"plainly not gzip")
 
 
 def legacy_zlib_mt_frames(body: bytes, block_bytes: int) -> bytes:
@@ -157,29 +161,29 @@ def legacy_zlib_mt_frames(body: bytes, block_bytes: int) -> bytes:
 
 class TestZlibMTCompatibility:
     def test_stock_zlib_decompress(self):
-        blob = ZlibMTCodec(threads=4, block_bytes=3_000).compress(BODY)
+        blob = zlib_mt(threads=4, block_bytes=3_000).compress(BODY)
         assert zlib.decompress(blob) == BODY
         assert blob[-4:] == struct.pack(">I", zlib.adler32(BODY))
 
     def test_plain_zlib_codec_decodes(self):
-        blob = ZlibMTCodec(threads=4, block_bytes=3_000).compress(BODY)
+        blob = zlib_mt(threads=4, block_bytes=3_000).compress(BODY)
         assert get_codec("zlib").decompress(blob) == BODY
 
     def test_decodes_stock_zlib_output(self):
-        assert ZlibMTCodec().decompress(zlib.compress(BODY)) == BODY
+        assert zlib_mt().decompress(zlib.compress(BODY)) == BODY
 
     def test_empty_input_is_valid_zlib(self):
-        assert zlib.decompress(ZlibMTCodec().compress(b"")) == b""
+        assert zlib.decompress(zlib_mt().compress(b"")) == b""
 
     def test_corrupt_stream(self):
-        blob = bytearray(ZlibMTCodec(block_bytes=2_000).compress(BODY))
+        blob = bytearray(zlib_mt(block_bytes=2_000).compress(BODY))
         blob[len(blob) // 2] ^= 0xFF
         with pytest.raises(DecompressionError, match="zlib-mt"):
-            ZlibMTCodec().decompress(bytes(blob))
+            zlib_mt().decompress(bytes(blob))
 
     def test_not_zlib_at_all(self):
         with pytest.raises(DecompressionError, match="zlib-mt"):
-            ZlibMTCodec().decompress(b"plainly not zlib")
+            zlib_mt().decompress(b"plainly not zlib")
 
 
 class TestLegacyZlibMTFrames:
@@ -187,47 +191,47 @@ class TestLegacyZlibMTFrames:
     still has to surface as a DecompressionError."""
 
     def test_roundtrip(self):
-        assert ZlibMTCodec().decompress(legacy_zlib_mt_frames(BODY, 2_000)) == BODY
-        assert ZlibMTCodec().decompress(legacy_zlib_mt_frames(b"", 2_000)) == b""
+        assert zlib_mt().decompress(legacy_zlib_mt_frames(BODY, 2_000)) == BODY
+        assert zlib_mt().decompress(legacy_zlib_mt_frames(b"", 2_000)) == b""
 
     def test_frames_still_inflate_on_the_pool(self, monkeypatch):
         """The frame records block boundaries, so blobs already in stores
         keep their block-parallel restore."""
         fanned_out = []
-        inner = ZlibMTCodec._iter_map_blocks
+        inner = DeflateCodec._iter_map_blocks
 
         def spy(self, fn, blocks):
             fanned_out.append(len(blocks))
             return inner(self, fn, blocks)
 
-        monkeypatch.setattr(ZlibMTCodec, "_iter_map_blocks", spy)
+        monkeypatch.setattr(DeflateCodec, "_iter_map_blocks", spy)
         blob = legacy_zlib_mt_frames(BODY, 2_000)
-        assert ZlibMTCodec(threads=4).decompress(blob) == BODY
+        assert zlib_mt(threads=4).decompress(blob) == BODY
         assert fanned_out == [-(-len(BODY) // 2_000)]
 
     def test_truncated_header(self):
         with pytest.raises(DecompressionError, match="truncated"):
-            ZlibMTCodec().decompress(legacy_zlib_mt_frames(BODY, 2_000)[:6])
+            zlib_mt().decompress(legacy_zlib_mt_frames(BODY, 2_000)[:6])
 
     def test_unsupported_version(self):
         blob = bytearray(legacy_zlib_mt_frames(BODY, 2_000))
         blob[4] = 99
         with pytest.raises(DecompressionError, match="version 99"):
-            ZlibMTCodec().decompress(bytes(blob))
+            zlib_mt().decompress(bytes(blob))
 
     def test_truncated_before_block(self):
         with pytest.raises(DecompressionError, match="truncated"):
-            ZlibMTCodec().decompress(legacy_zlib_mt_frames(BODY, 2_000)[:-1])
+            zlib_mt().decompress(legacy_zlib_mt_frames(BODY, 2_000)[:-1])
 
     def test_trailing_garbage(self):
         with pytest.raises(DecompressionError, match="trailing"):
-            ZlibMTCodec().decompress(legacy_zlib_mt_frames(BODY, 2_000) + b"junk")
+            zlib_mt().decompress(legacy_zlib_mt_frames(BODY, 2_000) + b"junk")
 
     def test_corrupt_block_payload(self):
         blob = bytearray(legacy_zlib_mt_frames(BODY, 2_000))
         blob[-3] ^= 0xFF  # inside the last zlib stream
         with pytest.raises(DecompressionError, match="zlib-mt"):
-            ZlibMTCodec().decompress(bytes(blob))
+            zlib_mt().decompress(bytes(blob))
 
 
 class TestBufferProtocolInputs:
@@ -272,7 +276,7 @@ class TestPipelineIntegration:
 
     def test_get_codec_integration(self):
         codec = get_codec("gzip-mt", level=1, threads=2, block_bytes=2_048)
-        assert isinstance(codec, GzipMTCodec)
+        assert isinstance(codec, DeflateCodec) and codec.name == "gzip-mt"
         assert codec.decompress(codec.compress(BODY)) == BODY
 
 
@@ -284,19 +288,37 @@ class TestSerialFallback:
             raise RuntimeError("can't start new thread")
 
         monkeypatch.setattr(
-            "repro.lossless.parallel_deflate.get_shared_pool", exploding_pool
+            "repro.lossless.deflate.get_shared_pool", exploding_pool
         )
-        codec = GzipMTCodec(threads=4, block_bytes=1_000)
+        codec = gzip_mt(threads=4, block_bytes=1_000)
         blob = codec.compress(BODY)
         assert codec.fallback_reason is not None
         assert "thread pool unavailable" in codec.fallback_reason
         assert gzip.decompress(blob) == BODY
         # Fallback bytes == threaded bytes (determinism survives fallback).
         monkeypatch.undo()
-        fresh = GzipMTCodec(threads=4, block_bytes=1_000)
+        fresh = gzip_mt(threads=4, block_bytes=1_000)
         assert fresh.compress(BODY) == blob
         assert fresh.fallback_reason is None
         assert pool_mod.shared_pool_size() is not None  # pool really ran
+
+    def test_fallback_is_counted(self, monkeypatch):
+        """A serial degradation is never silent: it counts under the
+        same ``fallbacks{kind=serial}`` as the checkpoint lane's."""
+        from repro.obs.metrics import get_registry
+
+        def exploding_pool():
+            raise RuntimeError("can't start new thread")
+
+        counter = get_registry().counter("fallbacks", kind="serial")
+        before = counter.value
+        zlib_mt(threads=4, block_bytes=1_000).compress(BODY)
+        assert counter.value == before
+        monkeypatch.setattr("repro.lossless.deflate.get_shared_pool", exploding_pool)
+        for name in ("zlib-mt", "gzip-mt"):
+            get_codec(name, threads=4, block_bytes=1_000).compress(BODY)
+        get_codec("zlib-mt", threads=4).decompress(legacy_zlib_mt_frames(BODY, 2_000))
+        assert counter.value == before + 3
 
     def test_mid_stream_pool_rejection_finishes_serially(self):
         """A pool that dies mid-call (shutdown race) must not lose blocks."""
@@ -316,9 +338,9 @@ class TestSerialFallback:
                 f.set_result(fn(*args))
                 return f
 
-        import repro.lossless.parallel_deflate as pd
+        import repro.lossless.deflate as pd
 
-        codec = GzipMTCodec(threads=4, block_bytes=1_000)
+        codec = gzip_mt(threads=4, block_bytes=1_000)
         reference = codec.compress(BODY)
         original = pd.get_shared_pool
         pd.get_shared_pool = lambda: DyingPool(limit=3)
@@ -336,9 +358,9 @@ class TestSerialFallback:
         of ``fallback_reason`` on the same codec object."""
         import threading
 
-        import repro.lossless.parallel_deflate as pd
+        import repro.lossless.deflate as pd
 
-        codec = GzipMTCodec(threads=4, block_bytes=1_000)
+        codec = gzip_mt(threads=4, block_bytes=1_000)
         started = threading.Event()
         release = threading.Event()
         seen = {}
@@ -379,7 +401,7 @@ class TestSharedPool:
 
         pool_mod.shutdown_shared_pool()
         first = pool_mod.get_shared_pool()
-        codec = GzipMTCodec(threads=2, block_bytes=1_000)
+        codec = gzip_mt(threads=2, block_bytes=1_000)
         codec.compress(BODY)
         codec.compress(BODY)
         assert pool_mod.get_shared_pool() is first
@@ -388,7 +410,7 @@ class TestSharedPool:
         from repro.lossless import pool as pool_mod
 
         pool_mod.shutdown_shared_pool()
-        codec = GzipMTCodec(threads=2, block_bytes=1_000)
+        codec = gzip_mt(threads=2, block_bytes=1_000)
         blob = codec.compress(BODY)
         assert codec.fallback_reason is None
         pool_mod.shutdown_shared_pool()
@@ -402,20 +424,20 @@ class TestSharedPool:
 
 class TestAutoBlockTuning:
     def test_cap_never_exceeded(self):
-        codec = GzipMTCodec(block_bytes=1_000)
+        codec = gzip_mt(block_bytes=1_000)
         assert codec.effective_block_bytes(50_000_000) == 1_000
 
     def test_small_bodies_keep_requested_block(self):
-        codec = GzipMTCodec()  # default 1 MiB cap
+        codec = gzip_mt()  # default 1 MiB cap
         assert codec.effective_block_bytes(1 << 20) == 1 << 20
 
     def test_large_bodies_split_finer(self):
-        from repro.lossless.parallel_deflate import (
+        from repro.lossless.deflate import (
             AUTO_TARGET_BLOCKS,
             MIN_AUTO_BLOCK_BYTES,
         )
 
-        codec = GzipMTCodec()
+        codec = gzip_mt()
         eff = codec.effective_block_bytes(8 << 20)
         assert MIN_AUTO_BLOCK_BYTES <= eff < codec.block_bytes
         n_blocks = -(-(8 << 20) // eff)
@@ -425,7 +447,7 @@ class TestAutoBlockTuning:
         """The invariant that keeps streams byte-identical across T."""
         for nbytes in (1_000, 1 << 20, 8 << 20, 1 << 28):
             sizes = {
-                GzipMTCodec(threads=t).effective_block_bytes(nbytes)
+                gzip_mt(threads=t).effective_block_bytes(nbytes)
                 for t in (1, 2, 4, 16)
             }
             assert len(sizes) == 1
@@ -451,7 +473,7 @@ class TestStreamingCompress:
         import tracemalloc
 
         body = np.random.default_rng(5).bytes(8 << 20)  # incompressible
-        codec = GzipMTCodec(threads=2)
+        codec = gzip_mt(threads=2)
         codec.compress(body[: 1 << 20])  # warm the pool outside the window
         total = 0
         tracemalloc.start()
