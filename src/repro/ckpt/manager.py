@@ -83,6 +83,7 @@ from .store import Store
 from .temporal import (
     CODEC_DELTA,
     CODEC_KEYFRAME,
+    ChainLink,
     EncodedGeneration,
     TemporalEngine,
     chain_closure,
@@ -286,6 +287,9 @@ class _Link:
     blob: bytes = b""
     front: Future | None = None  # the lane's Future of the inflated body
     error: Exception | None = None  # the walk failed: raised at this turn
+    #: the temporal engine's reconstruction of the chain up to this link:
+    #: nothing to decode, nothing to write into
+    recon: np.ndarray | None = None
 
 
 class CheckpointManager:
@@ -397,6 +401,19 @@ class CheckpointManager:
                     f"policy for {name!r} must be 'lossy', 'lossless' or a "
                     f"CompressionConfig, got {spec!r}"
                 )
+        if temporal is not None and not isinstance(temporal, TemporalConfig):
+            raise CheckpointError(
+                f"temporal must be a TemporalConfig or None, got {temporal!r}"
+            )
+        # a compression or temporal backend that cannot write (unknown, or
+        # retired to decode-only) fails here, with the error its first write
+        # would raise; lossless_codec may name a retired one a reader needs
+        for backend in dict.fromkeys([
+            self.config.backend,
+            *(s.backend for s in self.policy.values() if isinstance(s, CompressionConfig)),
+            *([temporal.codec] if temporal is not None else []),
+        ]):
+            get_codec(backend).check_writable()
         if retention is not None and retention < 1:
             raise CheckpointError(f"retention must be >= 1 or None, got {retention}")
         self.retention = retention
@@ -408,10 +425,6 @@ class CheckpointManager:
         self.chunk_rows = chunk_rows
         self._executor = None  # lazily-started pool, shared across writes
         self._lane: ThreadPoolExecutor | None = None  # backend lane, lazy too
-        if temporal is not None and not isinstance(temporal, TemporalConfig):
-            raise CheckpointError(
-                f"temporal must be a TemporalConfig or None, got {temporal!r}"
-            )
         self.temporal = temporal
         self._temporal_engine = (
             TemporalEngine(temporal) if temporal is not None else None
@@ -504,14 +517,18 @@ class CheckpointManager:
         }
 
     def _seed_temporal_engine(
-        self, manifest: CheckpointManifest, arrays: Mapping[str, np.ndarray]
+        self,
+        manifest: CheckpointManifest,
+        arrays: Mapping[str, np.ndarray],
+        chains: Mapping[str, tuple[ChainLink, ...]],
     ) -> None:
         """Point the temporal predictor at the committed generation
-        ``manifest`` describes (``arrays`` is that generation, decoded)."""
+        ``manifest`` describes (``arrays`` is that generation, decoded from
+        the links ``chains`` name)."""
         assert self._temporal_engine is not None
         chain = self._temporal_chain_indices(manifest)
         self._temporal_engine.seed(
-            manifest.step, {n: arrays[n] for n in chain if n in arrays}, chain
+            manifest.step, {n: arrays[n] for n in chain if n in arrays}, chain, chains
         )
         self._temporal_seeded = True
 
@@ -531,7 +548,7 @@ class CheckpointManager:
         except CheckpointNotFoundError:
             return
         self._seed_temporal_engine(
-            manifest, self.load_arrays(manifest.step, manifest=manifest)
+            manifest, *self._load(manifest.step, None, manifest, None)
         )
 
     # -- write ---------------------------------------------------------------
@@ -757,7 +774,9 @@ class CheckpointManager:
                 # engine predict from it.  A crash before this point
                 # leaves the predictor on the last committed generation,
                 # exactly what recovery will find in the store.
-                self._temporal_engine.commit(step)
+                self._temporal_engine.commit(
+                    step, {e.name: (e.crc32, e.stored_bytes) for e in entries}
+                )
             wall = time.perf_counter() - started
             # 1 - wall / (stage seconds of both threads): 0 when serial
             overlap = 1.0 - wall / (wall - waited + busy)
@@ -1006,10 +1025,10 @@ class CheckpointManager:
         blob: bytes,
         manifests: dict[int, CheckpointManifest],
         repair: bool | None,
-    ) -> list[tuple[ArrayEntry, bytes]]:
-        """The ``(manifest entry, verified blob)`` links that rebuild
-        ``entry``, oldest first: the blob itself, or for a temporal delta
-        its keyframe followed by the deltas up to it.
+    ) -> list[tuple[int, ArrayEntry, bytes]]:
+        """The ``(generation, manifest entry, verified blob)`` links that
+        rebuild ``entry``, oldest first: the blob itself, or for a temporal
+        delta its keyframe followed by the deltas up to it.
 
         Follows ``base_step`` links (manifest ``codec_params``) back to the
         nearest keyframe; store reads only, nothing is inflated here.  Each
@@ -1022,7 +1041,7 @@ class CheckpointManager:
         share their chains, so each ancestor is read once, not once per array.
         """
         name, gen = entry.name, int(step)
-        chain = [(entry, blob)]
+        chain = [(gen, entry, blob)]
         visited = {gen}
         while entry.codec == CODEC_DELTA:
             base_step = entry.codec_params.get("base_step")
@@ -1055,7 +1074,7 @@ class CheckpointManager:
                     f"that array"
                 ) from exc
             blobs = self._collect_verified_blobs(gen, manifests[gen], [entry], repair=repair)
-            chain.append((entry, blobs[name]))
+            chain.append((gen, entry, blobs[name]))
         return chain[::-1]
 
     def load_arrays(
@@ -1075,7 +1094,7 @@ class CheckpointManager:
         failing fast.  A caller that has already read the step's
         ``manifest`` passes it in.
         """
-        return self._load(step, repair, manifest, None)
+        return self._load(step, repair, manifest, None)[0]
 
     def _links(
         self,
@@ -1083,14 +1102,22 @@ class CheckpointManager:
         manifest: CheckpointManifest,
         blobs: Mapping[str, bytes],
         repair: bool | None,
+        chains: dict[str, tuple[ChainLink, ...]],
     ) -> Iterator[_Link]:
         """A restore as one ordered stream: per manifest entry the blobs it
         inflates, oldest first.  An array's span opens and its chain is
         walked when the consumer's look-ahead pulls its first link.  A
         walk that fails ends the stream with a link carrying the error:
         it belongs to that array's turn, and the serial path reads no
-        store key past it."""
+        store key past it.
+
+        Every link is read and verified; where the temporal engine holds
+        the reconstruction of a leading part of the chain, that part is
+        one link carrying it, and only the links past it are inflated and
+        decoded.  ``chains`` receives each array's ``(generation, crc32,
+        stored_bytes)`` links, what the engine records when seeded."""
         tracer = get_tracer()
+        engine = self._temporal_engine
         ancestors: dict[int, CheckpointManifest] = {}
         for array in manifest.entries:
             span = tracer.start("ckpt.array_load", array=array.name, codec=array.codec)
@@ -1100,14 +1127,22 @@ class CheckpointManager:
             except Exception as exc:  # noqa: BLE001 - re-raised by _load, in order
                 yield _Link(array, span, array, error=exc)
                 return
-            span.set(chain_links=len(chain))
-            for entry, blob in chain:
+            links = chains[array.name] = tuple(
+                (gen, entry.crc32, entry.stored_bytes) for gen, entry, _blob in chain
+            )
+            reused, recon = (0, None) if engine is None else engine.resume_point(array.name, links)
+            span.set(chain_links=len(chain), links_decoded=len(chain) - reused)
+            if recon is not None:
+                get_registry().counter("ckpt.restore.links_reused").inc(reused)
+                yield _Link(array, span, chain[reused - 1][1], recon=recon)
+            for _gen, entry, blob in chain[reused:]:
                 yield _Link(array, span, entry, blob)
 
     def _load(
         self, step: int, repair: bool | None, manifest: CheckpointManifest | None, root: Any
-    ) -> dict[str, np.ndarray]:
-        """:meth:`load_arrays`, reporting the overlap on the span ``root``.
+    ) -> tuple[dict[str, np.ndarray], dict[str, tuple[ChainLink, ...]]]:
+        """:meth:`load_arrays`, reporting the overlap on the span ``root``,
+        and the links each array was rebuilt from (see :meth:`_links`).
 
         Once the generation's own blobs are verified (and healed), the
         write pipeline mirrored: the lane inflates the next links of
@@ -1125,16 +1160,18 @@ class CheckpointManager:
             manifest = self.read_manifest(step)
         blobs = self._collect_verified_blobs(step, manifest, manifest.entries, repair=repair)
         arrays: dict[str, np.ndarray] = {}
+        chains: dict[str, tuple[ChainLink, ...]] = {}
         ctx = contextvars.copy_context()
-        stream = self._links(step, manifest, blobs, repair)
+        stream = self._links(step, manifest, blobs, repair, chains)
         ahead: deque[_Link] = deque()  # [0] is being decoded, the rest inflate
 
         def look_ahead() -> None:
             while len(ahead) <= _LOOKAHEAD and (link := next(stream, None)) is not None:
                 ahead.append(link)
                 codec, params = link.entry.codec, link.entry.codec_params
-                if codec == CODEC_DELTA or (
-                    codec in _PIPELINE_CODECS and link.blob[:4] != CHUNK_MAGIC
+                if link.recon is None and (
+                    codec == CODEC_DELTA
+                    or (codec in _PIPELINE_CODECS and link.blob[:4] != CHUNK_MAGIC)
                 ):
                     link.front = self._defer(
                         ctx,
@@ -1162,7 +1199,10 @@ class CheckpointManager:
                 with tracer.attached(link.span):
                     if link.error is not None:
                         raise link.error
-                    if link.entry.codec == CODEC_DELTA:
+                    if link.recon is not None:
+                        # what leaves the restore is never the engine's buffer
+                        arr = link.recon.copy() if last else link.recon
+                    elif link.entry.codec == CODEC_DELTA:
                         arr = decode_delta(link.blob, arr, unseal=unseal)
                     elif unseal is not None:
                         arr = WaveletCompressor.decompress(link.blob, unseal=unseal)
@@ -1187,7 +1227,7 @@ class CheckpointManager:
                 backend_lane_busy_s=busy,
                 overlap_share=1.0 - wall / (wall - waited + busy),
             )
-        return arrays
+        return arrays, chains
 
     def restore(
         self, step: int | None = None, *, repair: bool | None = None
@@ -1198,12 +1238,12 @@ class CheckpointManager:
         manifest = load_committed(self.store, step)
         step = manifest.step
         with get_tracer().span("restore", step=step) as root:
-            arrays = self._load(step, repair, manifest, root)
+            arrays, chains = self._load(step, repair, manifest, root)
             self.registry.restore(arrays)
         if self._temporal_engine is not None:
             # The application rewound: future deltas must predict from the
             # generation it actually resumed, not from a later write.
-            self._seed_temporal_engine(manifest, arrays)
+            self._seed_temporal_engine(manifest, arrays, chains)
         get_registry().counter("ckpt.restores").inc()
         return manifest
 

@@ -54,12 +54,22 @@ called by the manager *after* the two-phase commit journal publishes the
 generation -- promotes it.  A crash mid-commit therefore leaves the
 engine predicting from the last *committed* generation, matching what
 recovery will find in the store.
+
+Restore start point
+-------------------
+The engine records, with every reconstruction it holds, the chain it came
+from: ``(step, crc32, stored_bytes)`` of each link from its keyframe on.
+A restore whose walked chain starts with that chain
+(:meth:`TemporalEngine.resume_point`) decodes only the links past it;
+every link is still read and verified.  The engine owns its buffers:
+:meth:`TemporalEngine.seed` copies, so an application that keeps and
+mutates what a restore handed it cannot move the predictor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -85,6 +95,7 @@ __all__ = [
     "CODEC_DELTA",
     "CODEC_KEYFRAME",
     "FILTER_NONE",
+    "ChainLink",
     "EncodedGeneration",
     "TemporalEngine",
     "choose_filter",
@@ -120,6 +131,11 @@ _SAMPLE_RUN_ITEMS = 128
 #: A filter must lower the estimate by more than this share to be worth
 #: its undo on every restore (and to stay clear of sampling noise).
 _FILTER_MIN_GAIN = 1.0 / 16.0
+
+
+#: One link of a delta chain as the store holds it: ``(step, crc32,
+#: stored_bytes)`` of its blob.  A chain lists its links keyframe first.
+ChainLink = tuple[int, int, int]
 
 
 def predict(prev_recon: np.ndarray, config: TemporalConfig) -> np.ndarray:
@@ -400,15 +416,28 @@ def decode_delta(
     return recon.astype(dtype, copy=False)
 
 
+class _Held(NamedTuple):
+    """The engine's state of one array: a generation's reconstruction."""
+
+    step: int
+    chain_index: int
+    recon: np.ndarray
+    #: the links ``recon`` decodes from, keyframe first (None: not known).
+    #: Staged, only the links before this generation's own blob.
+    chain: tuple[ChainLink, ...] | None
+
+
 class TemporalEngine:
     """Per-array temporal delta encoder with staged (transactional) state.
 
     One engine serves one checkpoint stream: it remembers, for every
-    array name, the reconstruction and chain position of the last
-    *committed* generation.  ``encode`` stages; ``commit`` promotes;
-    anything staged for a generation that never commits is discarded.
-    ``encode`` calls for distinct names may run concurrently on different
-    threads; ``commit``, ``rollback`` and ``seed`` run when none is.
+    array name, the reconstruction, chain position and chain of the last
+    *committed* (or restored) generation.  ``encode`` stages; ``commit``
+    promotes; anything staged for a generation that never commits is
+    discarded.  ``encode`` calls for distinct names may run concurrently
+    on different threads; ``commit``, ``rollback`` and ``seed`` run when
+    none is.  The held reconstructions are the engine's own buffers:
+    callers read them and never write into them.
     """
 
     def __init__(self, config: TemporalConfig) -> None:
@@ -418,10 +447,10 @@ class TemporalEngine:
             )
         self.config = config
         self._keyframe_config = config.keyframe_config()
-        # name -> (step, chain_index, recon) of the last committed generation
-        self._state: dict[str, tuple[int, int, np.ndarray]] = {}
-        # name -> (step, chain_index, recon) staged by encode()
-        self._pending: dict[str, tuple[int, int, np.ndarray]] = {}
+        # name -> the last committed generation
+        self._state: dict[str, _Held] = {}
+        # name -> the generation staged by encode()
+        self._pending: dict[str, _Held] = {}
 
     # -- eligibility -----------------------------------------------------------
 
@@ -448,9 +477,9 @@ class TemporalEngine:
         prev = self._state.get(name)
         if prev is None:
             return "initial"
-        if prev[2].shape != arr.shape or prev[2].dtype != arr.dtype:
+        if prev.recon.shape != arr.shape or prev.recon.dtype != arr.dtype:
             return "shape-changed"
-        if prev[1] + 1 >= self.config.keyframe_every:
+        if prev.chain_index + 1 >= self.config.keyframe_every:
             return "chain-limit"
         return None
 
@@ -473,15 +502,15 @@ class TemporalEngine:
         max_error = 0.0
         reason = self.keyframe_reason(name, a)
         if reason is None:
-            base_step, base_chain, prev_recon = prev
             blob, recon, reason, max_error, spec = _encode_delta(
-                a, prev_recon, base_step, base_chain + 1, self.config
+                a, prev.recon, prev.step, prev.chain_index + 1, self.config
             )
         if blob is not None:
             assert prev is not None and recon is not None
-            chain_index = prev[1] + 1
+            chain_index = prev.chain_index + 1
+            base_chain = prev.chain
             params = {
-                "base_step": int(prev[0]),
+                "base_step": int(prev.step),
                 "chain_index": chain_index,
                 "error_bound": float(self.config.error_bound),
                 "predictor": self.config.predictor,
@@ -518,14 +547,26 @@ class TemporalEngine:
                 name=name, step=int(step), codec=CODEC_KEYFRAME, params=params,
                 blob=blob, reason=reason, chain_index=0, max_error=max_error,
             )
-        self._pending[name] = (int(step), encoded.chain_index, recon)
+            base_chain = ()
+        self._pending[name] = _Held(int(step), encoded.chain_index, recon, base_chain)
         return encoded
 
-    def commit(self, step: int) -> None:
-        """Promote everything staged for ``step``; drop stale stagings."""
-        for name, (s, chain_index, recon) in list(self._pending.items()):
-            if s == int(step):
-                self._state[name] = (s, chain_index, recon)
+    def commit(
+        self, step: int, landed: Mapping[str, tuple[int, int]] | None = None
+    ) -> None:
+        """Promote everything staged for ``step``; drop stale stagings.
+
+        ``landed`` maps a name to the ``(crc32, stored_bytes)`` of the blob
+        that landed for it: its link closes the chain the promoted state
+        records (a name it lacks is promoted with no chain).
+        """
+        landed = landed or {}
+        for name, held in self._pending.items():
+            if held.step == int(step):
+                chain = None
+                if held.chain is not None and name in landed:
+                    chain = (*held.chain, (held.step, *landed[name]))
+                self._state[name] = held._replace(chain=chain)
         self._pending.clear()
 
     def rollback(self) -> None:
@@ -535,8 +576,9 @@ class TemporalEngine:
     # -- seeding ---------------------------------------------------------------
 
     def seed(
-        self, step: int, arrays: dict[str, np.ndarray],
-        chain_indices: dict[str, int],
+        self, step: int, arrays: Mapping[str, np.ndarray],
+        chain_indices: Mapping[str, int],
+        chains: Mapping[str, tuple[ChainLink, ...]] | None = None,
     ) -> None:
         """Adopt committed generation ``step`` as the prediction base.
 
@@ -544,18 +586,27 @@ class TemporalEngine:
         chain, and after ``restore()`` rewinds the application: arrays
         are the *decoded* generation (exactly the reconstructions the
         encoder would have staged), chain positions come from the
-        manifest so ``keyframe_every`` keeps counting correctly.
+        manifest so ``keyframe_every`` keeps counting correctly, and
+        ``chains`` are the links each array was decoded from.  The arrays
+        are copied (the caller keeps its own); a name whose chain is the
+        one already held keeps the held buffer, which holds those values.
         """
         self._pending.clear()
-        self._state = {
-            name: (
-                int(step),
-                int(chain_indices.get(name, 0)),
-                np.ascontiguousarray(arr),
+        chains = chains or {}
+        held, self._state = self._state, {}
+        for name, arr in arrays.items():
+            if not self.eligible(arr):
+                continue
+            chain = chains.get(name)
+            kept = held.pop(name, None)
+            if kept is not None and chain is not None and kept.chain == chain:
+                recon = kept.recon
+            else:
+                del kept  # free it before the copy is made
+                recon = np.array(arr, order="C")
+            self._state[name] = _Held(
+                int(step), int(chain_indices.get(name, 0)), recon, chain
             )
-            for name, arr in arrays.items()
-            if self.eligible(arr)
-        }
 
     def reset(self) -> None:
         """Forget all state: the next generation writes keyframes."""
@@ -565,13 +616,26 @@ class TemporalEngine:
     def chain_index(self, name: str) -> int | None:
         """Committed chain position of ``name`` (None before the first)."""
         entry = self._state.get(name)
-        return None if entry is None else entry[1]
+        return None if entry is None else entry.chain_index
 
     def committed_recon(self, name: str) -> np.ndarray | None:
         """The committed reconstruction of ``name`` -- bit-identical to
         what a chained restore of the last committed generation decodes."""
         entry = self._state.get(name)
-        return None if entry is None else entry[2]
+        return None if entry is None else entry.recon
+
+    def resume_point(
+        self, name: str, chain: tuple[ChainLink, ...]
+    ) -> tuple[int, np.ndarray | None]:
+        """Where a restore of ``name`` through ``chain`` (its links,
+        keyframe first) may start: how many leading links the held
+        reconstruction already decodes, and that reconstruction -- ``(0,
+        None)`` unless the held chain is a prefix of ``chain``.  The array
+        is the engine's: read it, never write into it."""
+        entry = self._state.get(name)
+        if entry is None or not entry.chain or chain[: len(entry.chain)] != entry.chain:
+            return 0, None
+        return len(entry.chain), entry.recon
 
 
 def chain_closure(

@@ -43,6 +43,10 @@ class Codec(ABC):
     def decompress(self, data: bytes) -> bytes:
         """Invert :meth:`compress`."""
 
+    def check_writable(self) -> None:
+        """Raise :class:`~repro.exceptions.ConfigurationError` -- the one
+        :meth:`compress` would -- where this codec only decodes."""
+
     def iter_compress(self, data, cuts: Sequence[int] | None = None) -> Iterator[bytes]:
         """Yield the compressed stream as in-order fragments.
 

@@ -298,6 +298,14 @@ class DeflateCodec(Codec):
 
     # -- codec interface ---------------------------------------------------
 
+    def check_writable(self) -> None:
+        if self.framing is None:
+            raise ConfigurationError(
+                f"the {self.name!r} backend is retired: it only ever wrote "
+                f"zlib blocks in a private frame, which it still reads; "
+                f"write with 'zlib' or 'zlib-mt' instead"
+            )
+
     def iter_compress(self, data, cuts: Sequence[int] | None = None) -> Iterator[bytes]:
         """Stream header, pieces in order, then the trailer (bounded
         memory).
@@ -306,12 +314,7 @@ class DeflateCodec(Codec):
         in-flight window of compressed blocks; :meth:`compress` is the
         materialized join of exactly these fragments.
         """
-        if self.framing is None:
-            raise ConfigurationError(
-                f"the {self.name!r} backend is retired: it only ever wrote "
-                f"zlib blocks in a private frame, which it still reads; "
-                f"write with 'zlib' or 'zlib-mt' instead"
-            )
+        self.check_writable()
         self._reset_fallback()
         view = byte_view(data)
         tally = SegmentTally()

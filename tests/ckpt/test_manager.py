@@ -15,11 +15,14 @@ from repro.ckpt.manifest import array_key
 from repro.ckpt.protocol import ArrayRegistry
 from repro.ckpt.journal import commit_key
 from repro.ckpt.store import CountingStore, MemoryStore
+from repro.config import TemporalConfig
 from repro.exceptions import (
     CheckpointError,
     CheckpointNotFoundError,
+    ConfigurationError,
     FormatError,
 )
+from repro.lossless import get_codec
 
 
 @pytest.fixture
@@ -124,6 +127,26 @@ class TestCheckpointWrite:
     def test_bad_policy_value(self, registry):
         with pytest.raises(CheckpointError, match="policy"):
             CheckpointManager(registry, MemoryStore(), policy={"temperature": 42})
+
+    @pytest.mark.parametrize(
+        "kwargs, backend",
+        [
+            ({"config": CompressionConfig(backend="lz4")}, "lz4"),
+            ({"policy": {"temperature": CompressionConfig(backend="lz4")}}, "lz4"),
+            ({"temporal": TemporalConfig(codec="zstd")}, "zstd"),
+            ({"config": CompressionConfig(backend="no-such-codec")}, "no-such-codec"),
+        ],
+        ids=["config", "policy", "temporal", "unknown"],
+    )
+    def test_backend_that_cannot_write_is_refused_at_construction(
+        self, registry, kwargs, backend
+    ):
+        """Refused with the error a write through that backend raises."""
+        with pytest.raises(ConfigurationError) as written:
+            get_codec(backend).compress(b"x")
+        with pytest.raises(ConfigurationError) as built:
+            CheckpointManager(registry, MemoryStore(), **kwargs)
+        assert str(built.value) == str(written.value)
 
 
 class TestBackendLane:

@@ -903,6 +903,8 @@ class TestRestoreLane:
             manager.checkpoint(step)
         assert len(lane_threads()) == 1 and deferred("zlib") > 0
         get_registry().reset()
+        # an engine holding generation 2 decodes none of its links: forget it
+        manager._temporal_engine.reset()
         for step in range(3):
             arrays = manager.load_arrays(step)
             for name in registry.names():
@@ -959,8 +961,16 @@ def temporal_writes(
 def temporal_manager(
     predictor: str = "previous", generations: int = 2 * CYCLE, n_rows: int = 48
 ):
-    """:func:`temporal_writes` over a fresh store, counters reset after."""
-    manager = temporal_writes(MemoryStore(), predictor, generations, n_rows)
+    """A fresh manager over a store :func:`temporal_writes` filled,
+    counters reset after: its engine holds no chain, so a restore inflates
+    and decodes every link."""
+    store = MemoryStore()
+    temporal_writes(store, predictor, generations, n_rows).close()
+    manager = CheckpointManager(
+        float_registry(3, n_rows=n_rows),
+        store,
+        temporal=TemporalConfig(error_bound=1e-3, keyframe_every=CYCLE, predictor=predictor),
+    )
     get_registry().reset()
     return manager
 
@@ -1144,6 +1154,9 @@ class TestRestoreObservability:
         with temporal_manager(n_rows=OVERLAP_ROWS) as manager:
             tracer.enable()
             manager.restore(CYCLE)
+            # the engine now holds generation CYCLE, the keyframe of the
+            # next chain: forget it so that chain is decoded whole
+            manager._temporal_engine.reset()
             manager.restore(2 * CYCLE - 1)
         keyframes, chains = [s for s in tracer.spans if s.name == "restore"]
         assert chains.attrs["backend_lane_busy_s"] > 0.0
