@@ -1130,10 +1130,14 @@ class CheckpointManager:
             links = chains[array.name] = tuple(
                 (gen, entry.crc32, entry.stored_bytes) for gen, entry, _blob in chain
             )
-            reused, recon = (0, None) if engine is None else engine.resume_point(array.name, links)
-            span.set(chain_links=len(chain), links_decoded=len(chain) - reused)
+            reused, recon, source = (
+                (0, None, "none") if engine is None else engine.resume_point(array.name, links)
+            )
+            span.set(chain_links=len(chain), links_decoded=len(chain) - reused, resumed_from=source)
             if recon is not None:
                 get_registry().counter("ckpt.restore.links_reused").inc(reused)
+                if source == "root":
+                    get_registry().counter("ckpt.restore.roots_reused").inc()
                 yield _Link(array, span, chain[reused - 1][1], recon=recon)
             for _gen, entry, blob in chain[reused:]:
                 yield _Link(array, span, entry, blob)

@@ -59,7 +59,10 @@ Restore start point
 -------------------
 The engine records, with every reconstruction it holds, the chain it came
 from: ``(step, crc32, stored_bytes)`` of each link from its keyframe on.
-A restore whose walked chain starts with that chain
+Next to it the engine keeps the **chain root**, the reconstruction of the
+last keyframe it held: it stays while later deltas move the held
+generation on, and goes before the next keyframe of that array is
+compressed.  A restore whose walked chain starts with either chain
 (:meth:`TemporalEngine.resume_point`) decodes only the links past it;
 every link is still read and verified.  The engine owns its buffers:
 :meth:`TemporalEngine.seed` copies, so an application that keeps and
@@ -89,6 +92,7 @@ from ..exceptions import (
     FormatError,
     NonFiniteDataError,
 )
+from ..obs.metrics import get_registry
 
 __all__ = [
     "DELTA_KIND",
@@ -153,6 +157,26 @@ def predict(prev_recon: np.ndarray, config: TemporalConfig) -> np.ndarray:
     coeffs, applied = wavelet_forward(prev, config.lowband_levels, "haar")
     coeffs[high_band_mask(coeffs.shape, applied)] = 0.0
     return wavelet_inverse(coeffs, applied, "haar")
+
+
+#: :func:`_max_abs_error` measures this many items at a time.
+_ERR_BLOCK_ITEMS = 1 << 15
+
+
+def _max_abs_error(x: np.ndarray, recon: np.ndarray) -> float:
+    """``max |x - recon|`` in float64, bit for bit what
+    ``np.abs(x.astype(np.float64) - recon.astype(np.float64)).max()``
+    gives (0.0 for an empty array), through one block-sized scratch buffer
+    instead of three full-array temporaries."""
+    xs, rs = x.reshape(-1), recon.reshape(-1)
+    scratch = np.empty(min(xs.size, _ERR_BLOCK_ITEMS), dtype=np.float64)
+    peak = 0.0
+    for start in range(0, xs.size, _ERR_BLOCK_ITEMS):
+        block = scratch[: min(_ERR_BLOCK_ITEMS, xs.size - start)]
+        end = start + block.size
+        np.subtract(xs[start:end], rs[start:end], out=block, dtype=np.float64)
+        peak = float(np.maximum(peak, np.abs(block, out=block).max()))  # NaN wins
+    return peak
 
 
 def _index_dtype_for(max_abs_index: float) -> np.dtype | None:
@@ -308,8 +332,7 @@ def _encode_delta(
     q *= 2.0 * eb
     q += pred
     recon = q.astype(arr.dtype, copy=False)
-    err = arr64 - recon.astype(np.float64, copy=False)
-    max_error = float(np.abs(err, out=err).max()) if arr.size else 0.0
+    max_error = _max_abs_error(arr, recon)
     if max_error > eb * (1.0 + config.drift_slack):
         return None, None, "drift", max_error, None
     header = {
@@ -432,9 +455,9 @@ class TemporalEngine:
 
     One engine serves one checkpoint stream: it remembers, for every
     array name, the reconstruction, chain position and chain of the last
-    *committed* (or restored) generation.  ``encode`` stages; ``commit``
-    promotes; anything staged for a generation that never commits is
-    discarded.  ``encode`` calls for distinct names may run concurrently
+    *committed* (or restored) generation, and of the last keyframe it
+    held.  ``encode`` stages; ``commit`` promotes; anything staged for a
+    generation that never commits is discarded.  ``encode`` calls for distinct names may run concurrently
     on different threads; ``commit``, ``rollback`` and ``seed`` run when
     none is.  The held reconstructions are the engine's own buffers:
     callers read them and never write into them.
@@ -451,6 +474,8 @@ class TemporalEngine:
         self._state: dict[str, _Held] = {}
         # name -> the generation staged by encode()
         self._pending: dict[str, _Held] = {}
+        # name -> the last keyframe held (its chain is that one link)
+        self._roots: dict[str, _Held] = {}
 
     # -- eligibility -----------------------------------------------------------
 
@@ -523,21 +548,15 @@ class TemporalEngine:
                 max_error=max_error, filter=spec,
             )
         else:
+            # the old root goes first: a keyframe write holds no extra array
+            self._roots.pop(name, None)
             # a compressor per keyframe: its wavelet scratch is not shared
             # with an encode of another array running on another thread
             blob = WaveletCompressor(self._keyframe_config).compress(a)
             # Reconstruct through the *decode* path so the staged state is
             # bit-identical to what any future restore will produce.
             recon = WaveletCompressor.decompress(blob)
-            max_error = (
-                float(
-                    np.abs(
-                        a.astype(np.float64) - recon.astype(np.float64)
-                    ).max()
-                )
-                if a.size
-                else 0.0
-            )
+            max_error = _max_abs_error(a, recon)
             params = {
                 "chain_index": 0,
                 "error_bound": float(self.config.error_bound),
@@ -566,8 +585,19 @@ class TemporalEngine:
                 chain = None
                 if held.chain is not None and name in landed:
                     chain = (*held.chain, (held.step, *landed[name]))
-                self._state[name] = held._replace(chain=chain)
+                self._hold(name, held._replace(chain=chain))
         self._pending.clear()
+        self._report()
+
+    def _hold(self, name: str, held: _Held) -> None:
+        self._state[name] = held
+        if held.chain is not None and len(held.chain) == 1:
+            self._roots[name] = held  # a keyframe: the same buffer, not a copy
+
+    def _report(self) -> None:
+        """Gauge ``ckpt.temporal.held_bytes``: every buffer held, once."""
+        held = {id(h.recon): h.recon.nbytes for h in (*self._state.values(), *self._roots.values())}
+        get_registry().gauge("ckpt.temporal.held_bytes").set(sum(held.values()))
 
     def rollback(self) -> None:
         """Discard staged state (the generation did not commit)."""
@@ -589,7 +619,8 @@ class TemporalEngine:
         manifest so ``keyframe_every`` keeps counting correctly, and
         ``chains`` are the links each array was decoded from.  The arrays
         are copied (the caller keeps its own); a name whose chain is the
-        one already held keeps the held buffer, which holds those values.
+        one already held, or its root's, keeps that buffer, which holds
+        those values.  A keyframe becomes the name's root.
         """
         self._pending.clear()
         chains = chains or {}
@@ -598,20 +629,21 @@ class TemporalEngine:
             if not self.eligible(arr):
                 continue
             chain = chains.get(name)
-            kept = held.pop(name, None)
-            if kept is not None and chain is not None and kept.chain == chain:
-                recon = kept.recon
-            else:
-                del kept  # free it before the copy is made
-                recon = np.array(arr, order="C")
-            self._state[name] = _Held(
-                int(step), int(chain_indices.get(name, 0)), recon, chain
-            )
+            # the old held buffer is freed before any copy is made
+            kept = [
+                h.recon for h in (held.pop(name, None), self._roots.get(name))
+                if h is not None and chain is not None and h.chain == chain
+            ]
+            recon = kept[0] if kept else np.array(arr, order="C")
+            self._hold(name, _Held(int(step), int(chain_indices.get(name, 0)), recon, chain))
+        self._report()
 
     def reset(self) -> None:
         """Forget all state: the next generation writes keyframes."""
         self._state.clear()
         self._pending.clear()
+        self._roots.clear()
+        self._report()
 
     def chain_index(self, name: str) -> int | None:
         """Committed chain position of ``name`` (None before the first)."""
@@ -626,16 +658,19 @@ class TemporalEngine:
 
     def resume_point(
         self, name: str, chain: tuple[ChainLink, ...]
-    ) -> tuple[int, np.ndarray | None]:
+    ) -> tuple[int, np.ndarray | None, str]:
         """Where a restore of ``name`` through ``chain`` (its links,
-        keyframe first) may start: how many leading links the held
-        reconstruction already decodes, and that reconstruction -- ``(0,
-        None)`` unless the held chain is a prefix of ``chain``.  The array
-        is the engine's: read it, never write into it."""
-        entry = self._state.get(name)
-        if entry is None or not entry.chain or chain[: len(entry.chain)] != entry.chain:
-            return 0, None
-        return len(entry.chain), entry.recon
+        keyframe first) may start: how many leading links a reconstruction
+        the engine holds already decodes, that reconstruction, and which
+        one it is -- the longer prefix of ``chain`` of the ``"held"``
+        generation's chain and the ``"root"``'s, or ``(0, None, "none")``.
+        The array is the engine's: read it, never write into it."""
+        best: tuple[int, np.ndarray | None, str] = (0, None, "none")
+        for source, entry in (("held", self._state.get(name)), ("root", self._roots.get(name))):
+            links = 0 if entry is None or entry.chain is None else len(entry.chain)
+            if links > best[0] and chain[:links] == entry.chain:
+                best = (links, entry.recon, source)
+        return best
 
 
 def chain_closure(

@@ -333,6 +333,37 @@ class TestEngineTransactions:
             sys.setswitchinterval(interval)
 
 
+class TestMaxAbsError:
+    """The blockwise error measure is the full-array float64 expression it
+    replaced, bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "shape", [(0,), (1,), (7, 3), (temporal._ERR_BLOCK_ITEMS,), (3, temporal._ERR_BLOCK_ITEMS // 2 + 5)]
+    )
+    def test_equals_the_full_array_expression(self, dtype, shape):
+        rng = np.random.default_rng(sum(shape))
+        x = (np.cumsum(rng.standard_normal(shape), axis=-1) * 1e3).astype(dtype)
+        recon = (x + rng.uniform(-1e-3, 1e-3, shape)).astype(dtype)
+        old = (
+            float(np.abs(x.astype(np.float64) - recon.astype(np.float64)).max())
+            if x.size else 0.0
+        )
+        got = temporal._max_abs_error(x, recon)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(old).tobytes()
+
+    def test_of_an_engine_keyframe_and_delta(self):
+        steps = _drifting_arrays(2, shape=(300, 250))
+        eng = _engine()
+        for step, arr in enumerate(steps):
+            enc = eng.encode("f", arr, step)
+            recon = eng._pending["f"].recon
+            assert enc.max_error == float(np.abs(arr - recon.astype(np.float64)).max())
+            eng.commit(step)
+        assert not enc.is_keyframe
+
+
 # -- blob format ----------------------------------------------------------------
 
 
