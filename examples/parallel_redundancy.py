@@ -25,7 +25,7 @@ import repro
 from repro import CompressionConfig
 from repro.analysis.tables import format_bytes, render_table
 from repro.apps.climate import ClimateProxy
-from repro.ckpt.redundancy import encode_parity_group, reconstruct_member
+from repro.ckpt.redundancy import encode_parity, rebuild_member
 from repro.core.pipeline import WaveletCompressor
 from repro.iomodel.storage import PAPER_PFS
 from repro.parallel import parallel_checkpoint, reassemble
@@ -61,23 +61,26 @@ def main() -> None:
         f"(vs {result.io_seconds_without * 1e6:.1f} us uncompressed)"
     )
 
-    # --- parity group over the *compressed* blobs --------------------------
-    group = encode_parity_group([r.blob for r in result.ranks])
+    # --- parity block over the *compressed* blobs --------------------------
+    blobs = [r.blob for r in result.ranks]
+    parity = encode_parity(blobs)
+    payload = sum(len(b) for b in blobs)
     print(
-        f"\nparity group: {group.size} members + parity, "
-        f"{format_bytes(group.stored_bytes)} total "
-        f"({group.overhead_fraction * 100:.1f} % redundancy overhead over the "
+        f"\nparity group: {len(blobs)} members + one parity block of "
+        f"{format_bytes(len(parity))} "
+        f"({len(parity) / payload * 100:.1f} % redundancy overhead over the "
         "compressed payload)"
     )
-    raw_parity_cost = (N_RANKS + 1) * (field.nbytes // N_RANKS + 8)
+    raw_parity_cost = field.nbytes // N_RANKS + 8
     print(
-        f"the same parity scheme over *uncompressed* slabs would store "
+        f"the same parity block over *uncompressed* slabs would be "
         f"{format_bytes(raw_parity_cost)}"
     )
 
     # --- lose a rank, reconstruct, restore ---------------------------------
     lost = 5
-    rebuilt = reconstruct_member(group, lost)
+    survivors = {i: b for i, b in enumerate(blobs) if i != lost}
+    rebuilt = rebuild_member(parity, survivors, N_RANKS, lost)
     assert rebuilt == result.ranks[lost].blob
     blocks = [
         WaveletCompressor.decompress(rebuilt if i == lost else result.ranks[i].blob)

@@ -20,7 +20,8 @@ is wrapped in a :class:`~repro.ckpt.resilience.ResilientStore`), and with
 ``parity=True`` every checkpoint additionally writes one XOR-parity blob
 per array group so a restore or ``verify(repair=True)`` transparently
 reconstructs any single corrupt-or-missing blob -- CRC mismatch -> parity
-repair -> re-verify -> rewrite the healed blob -- falling back to
+repair -> re-verify -> rewrite the healed blob, all in
+:func:`repro.ckpt.redundancy.heal` -- falling back to
 :class:`~repro.exceptions.CorruptionError` only when repair is impossible.
 """
 
@@ -71,13 +72,11 @@ from .journal import (
 from .manifest import (
     ArrayEntry,
     CheckpointManifest,
-    ParityEntry,
     array_key,
-    parity_key,
     validate_app_meta,
 )
 from .protocol import ArrayRegistry
-from .redundancy import encode_parity, rebuild_member
+from .redundancy import RepairEvent, heal, write_parity
 from .resilience import ResilientStore, RetryPolicy
 from .store import Store
 from .temporal import (
@@ -156,6 +155,11 @@ def _settle(handles: list[Any], spans: list[Any]) -> None:
             get_tracer().finish(span)
 
 
+def _is_count(value: Any) -> bool:
+    """An int >= 1; ``True`` is an int to Python, not a count."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 @contextmanager
 def _lossless_hint(name: str) -> Iterator[None]:
     """Point a non-finite array at the policy that stores it as it is."""
@@ -166,28 +170,6 @@ def _lossless_hint(name: str) -> Iterator[None]:
             f"array {name!r}: {exc} (pin it to the lossless path with "
             f"policy={{{name!r}: 'lossless'}} if NaN/Inf are legitimate)"
         ) from exc
-
-
-@dataclass(frozen=True)
-class RepairEvent:
-    """One successful parity reconstruction, recorded in
-    :attr:`CheckpointManager.repair_log` (and the fault-injection CI
-    artifact)."""
-
-    step: int
-    kind: str  # "member" (an array blob) or "parity" (a parity blob)
-    name: str  # array name, or the parity blob's store key
-    reason: str  # what was wrong before the repair
-    rewritten: bool  # healed bytes were written back to the store
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "step": self.step,
-            "kind": self.kind,
-            "name": self.name,
-            "reason": self.reason,
-            "rewritten": self.rewritten,
-        }
 
 
 def serialize_array_lossless(
@@ -414,13 +396,13 @@ class CheckpointManager:
             *([temporal.codec] if temporal is not None else []),
         ]):
             get_codec(backend).check_writable()
-        if retention is not None and retention < 1:
-            raise CheckpointError(f"retention must be >= 1 or None, got {retention}")
+        # a float or bool count fails here, not in _prune after a commit
+        if retention is not None and not _is_count(retention):
+            raise CheckpointError(f"retention must be an int >= 1 or None, got {retention!r}")
         self.retention = retention
-        if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-            raise CheckpointError(f"workers must be an int >= 1, got {workers!r}")
-        if chunk_rows < 1:
-            raise CheckpointError(f"chunk_rows must be >= 1, got {chunk_rows}")
+        for knob, value in (("workers", workers), ("chunk_rows", chunk_rows)):
+            if not _is_count(value):
+                raise CheckpointError(f"{knob} must be an int >= 1, got {value!r}")
         self.workers = workers
         self.chunk_rows = chunk_rows
         self._executor = None  # lazily-started pool, shared across writes
@@ -747,7 +729,9 @@ class CheckpointManager:
                         land()
                 while inflight:
                     land()
-                parity_entries = self._write_parity(txn, entries, blob_by_name)
+                parity_entries = write_parity(
+                    txn, entries, blob_by_name, self.resilience.parity_group_size
+                ) if self.resilience.parity else ()
                 manifest = CheckpointManifest(
                     step=step, entries=tuple(entries), app_meta=meta,
                     format_version=COMMIT_FORMAT_VERSION,
@@ -813,48 +797,6 @@ class CheckpointManager:
             if step not in needed:
                 self.delete(step)
 
-    # -- parity ----------------------------------------------------------------
-
-    def _write_parity(
-        self,
-        txn: CommitTransaction,
-        entries: list[ArrayEntry],
-        blob_by_name: Mapping[str, bytes],
-    ) -> tuple[ParityEntry, ...]:
-        """Encode and store one XOR-parity blob per array group."""
-        if not self.resilience.parity or not entries:
-            return ()
-        step = txn.step
-        group_size = self.resilience.parity_group_size or len(entries)
-        parity_entries: list[ParityEntry] = []
-        registry = get_registry()
-        with get_tracer().span("ckpt.parity_write", step=step) as sp:
-            for g, start in enumerate(range(0, len(entries), group_size)):
-                members = tuple(
-                    e.name for e in entries[start : start + group_size]
-                )
-                blob = encode_parity([blob_by_name[n] for n in members])
-                key = parity_key(step, g)
-                txn.put_blob(key, blob)
-                parity_entries.append(
-                    ParityEntry(
-                        key=key,
-                        members=members,
-                        block_len=len(blob),
-                        stored_bytes=len(blob),
-                        crc32=ArrayEntry.checksum(blob),
-                    )
-                )
-            sp.set(
-                n_groups=len(parity_entries),
-                parity_bytes=sum(p.stored_bytes for p in parity_entries),
-            )
-        registry.counter("ckpt.parity.blobs").inc(len(parity_entries))
-        registry.counter("ckpt.parity.bytes").inc(
-            sum(p.stored_bytes for p in parity_entries)
-        )
-        return tuple(parity_entries)
-
     # -- enumerate -------------------------------------------------------------
 
     def steps(self) -> list[int]:
@@ -898,10 +840,10 @@ class CheckpointManager:
         (retried and CRC-re-read by a resilient store), failures are
         collected rather than aborting the loop, and -- when ``repair`` is
         on (``None``: exactly when this manifest carries parity) -- each
-        parity group reconstructs its single bad member from its survivors,
-        read only now if they were not asked for, re-verifies the healed
-        bytes against the manifest and rewrites them.  Anything beyond that
-        raises :class:`~repro.exceptions.CorruptionError`.
+        parity group with a bad member heals it
+        (:func:`~repro.ckpt.redundancy.heal`) from its survivors, read only
+        now if they were not asked for.  Anything beyond that raises
+        :class:`~repro.exceptions.CorruptionError`.
         """
         blobs: dict[str, bytes] = {}
         bad: dict[str, Exception] = {}
@@ -927,7 +869,10 @@ class CheckpointManager:
         for pe in manifest.parity if bad and repair else ():
             if not bad.keys().isdisjoint(pe.members):
                 fetch(map(manifest.entry, pe.members))  # survivors nobody asked for
-                self._repair_member(step, manifest, pe, blobs, bad)
+                self.repair_log.append(heal(
+                    self.store, step, manifest, pe, blobs, bad,
+                    rewrite=self.resilience.repair_rewrite,
+                ))
         lost = sorted(bad.keys() - blobs.keys())  # in no parity group, or not repaired
         if not lost:
             return blobs
@@ -947,76 +892,6 @@ class CheckpointManager:
             f"array {name!r} of checkpoint {step} is corrupt and "
             f"{hint}: {exc}"
         )
-
-    def _repair_member(
-        self,
-        step: int,
-        manifest: CheckpointManifest,
-        pe: ParityEntry,
-        blobs: dict[str, bytes],
-        bad: dict[str, Exception],
-    ) -> None:
-        """Heal the one failed member of parity group ``pe`` from its
-        survivors (into ``blobs``); raises when the group cannot."""
-        lost = [n for n in pe.members if n in bad]
-        if len(lost) > 1:
-            detail = "; ".join(f"{n}: {bad[n]}" for n in sorted(lost))
-            raise CorruptionError(
-                f"checkpoint {step}: parity group {pe.key!r} can repair "
-                f"one member, but {sorted(lost)} are all corrupt or "
-                f"missing ({detail})"
-            )
-        name = lost[0]
-        try:
-            pblob = self.store.get(pe.key)
-            pe.verify(pblob)
-        except (StorageError, FormatError) as exc:
-            raise CorruptionError(
-                f"checkpoint {step}: cannot repair array {name!r}: parity "
-                f"blob {pe.key!r} is itself corrupt or missing ({exc}); "
-                f"original fault: {bad[name]}"
-            ) from bad[name]
-        lost_index = pe.members.index(name)
-        survivors = {
-            i: blobs[n] for i, n in enumerate(pe.members) if i != lost_index
-        }
-        entry = manifest.entry(name)
-        with get_tracer().span(
-            "ckpt.repair", step=step, array=name, parity=pe.key
-        ) as sp:
-            try:
-                healed = rebuild_member(
-                    pblob, survivors, len(pe.members), lost_index
-                )
-                entry.verify(healed)
-            except (RestoreError, FormatError) as exc:
-                raise CorruptionError(
-                    f"checkpoint {step}: parity reconstruction of array "
-                    f"{name!r} did not produce the recorded bytes ({exc}); "
-                    f"original fault: {bad[name]}"
-                ) from exc
-            rewritten = False
-            if self.resilience.repair_rewrite:
-                try:
-                    self.store.put(array_key(step, name), healed)
-                    rewritten = True
-                except StorageError:
-                    pass  # the restore still succeeds from the healed copy
-            sp.set(reason=str(bad[name]), rewritten=rewritten)
-        blobs[name] = healed
-        self.repair_log.append(
-            RepairEvent(
-                step=step,
-                kind="member",
-                name=name,
-                reason=str(bad[name]),
-                rewritten=rewritten,
-            )
-        )
-        registry = get_registry()
-        registry.counter("ckpt.repair.healed").inc()
-        if rewritten:
-            registry.counter("ckpt.repair.rewrites").inc()
 
     def _chain(
         self,
@@ -1271,11 +1146,9 @@ class CheckpointManager:
         if manifest is None:
             manifest = self.read_manifest(step)
         blobs = self._collect_verified_blobs(step, manifest, manifest.entries, repair=repair)
-        registry = get_registry()
         for pe in manifest.parity:
             try:
-                pblob = self.store.get(pe.key)
-                pe.verify(pblob)
+                pe.verify(self.store.get(pe.key))
                 continue
             except (StorageError, FormatError) as exc:
                 if not repair:
@@ -1283,30 +1156,11 @@ class CheckpointManager:
                         f"checkpoint {step}: parity blob {pe.key!r} is "
                         f"corrupt or missing: {exc}"
                     ) from exc
-                reason = str(exc)
-            with get_tracer().span(
-                "ckpt.repair", step=step, parity=pe.key, kind="parity"
-            ):
-                fresh = encode_parity([blobs[n] for n in pe.members])
-                try:
-                    pe.verify(fresh)
-                except FormatError as exc:
-                    raise CorruptionError(
-                        f"checkpoint {step}: re-encoded parity for "
-                        f"{pe.key!r} does not match the manifest record "
-                        f"({exc}); the manifest itself is inconsistent"
-                    ) from exc
-                self.store.put(pe.key, fresh)
-            self.repair_log.append(
-                RepairEvent(
-                    step=step,
-                    kind="parity",
-                    name=pe.key,
-                    reason=reason,
-                    rewritten=True,
-                )
-            )
-            registry.counter("ckpt.repair.parity_rebuilt").inc()
+                fault = exc
+            self.repair_log.append(heal(
+                self.store, step, manifest, pe, blobs, {pe.key: fault},
+                rewrite=self.resilience.repair_rewrite,
+            ))
         return manifest
 
     def delete(self, step: int) -> None:

@@ -1,45 +1,49 @@
-"""XOR-parity redundancy for in-memory checkpoint groups.
+"""XOR parity over a checkpoint's blobs: the block format, the group
+layout a checkpoint writes, and the one routine that heals a group.
 
 Related work the paper positions against (Section V, refs. [27][28]):
 in-memory checkpointing with "an RAID-5 technique" keeps checkpoints in
 the memory of peer nodes and tolerates single-node loss through parity.
-This module implements the encoding: a parity group over N rank blobs;
-any *single* missing member is reconstructible by XOR-ing the survivors
-with the parity block.
+A parity group is N member blobs plus one parity block, the XOR of the
+members' padded blocks; any *single* bad block of the N + 1 is the XOR of
+the other N.
 
 Composes naturally with the compressor -- parity is computed over the
-compressed rank blobs, so the redundancy overhead also shrinks by the
+compressed blobs, so the redundancy overhead also shrinks by the
 compression rate (one of the "combine with other efforts" directions the
 paper's conclusion names).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from typing import Mapping
-
-from ..exceptions import CheckpointError, RestoreError
+from ..exceptions import CheckpointError, CorruptionError, FormatError, RestoreError, StorageError
+from ..obs.metrics import get_registry
+from ..obs.trace import get_tracer
+from .journal import CommitTransaction
+from .manifest import ArrayEntry, CheckpointManifest, ParityEntry, array_key, parity_key
+from .store import Store
 
 __all__ = [
-    "ParityGroup",
-    "encode_parity_group",
-    "reconstruct_member",
+    "RepairEvent",
     "encode_parity",
     "rebuild_member",
+    "write_parity",
+    "heal",
 ]
 
 _LEN_BYTES = 8  # each member is length-prefixed inside its padded block
 
 
-def _pad_block(blob: bytes, block_len: int) -> bytes:
-    header = len(blob).to_bytes(_LEN_BYTES, "little")
-    padded = np.zeros(block_len, dtype=np.uint8)
-    payload = np.frombuffer(header + blob, dtype=np.uint8)
-    padded[: payload.size] = payload
-    return padded.tobytes()
+def _frame(blob: bytes) -> np.ndarray:
+    """A member's block, up to its last payload byte: the length prefix
+    and the blob.  Zero padding to the block length is an XOR no-op."""
+    return np.frombuffer(len(blob).to_bytes(_LEN_BYTES, "little") + blob, dtype=np.uint8)
 
 
 def _unpad_block(block: bytes) -> bytes:
@@ -49,92 +53,25 @@ def _unpad_block(block: bytes) -> bytes:
     return block[_LEN_BYTES : _LEN_BYTES + length]
 
 
-@dataclass(frozen=True)
-class ParityGroup:
-    """N padded member blocks plus their XOR parity (all equal length)."""
-
-    members: tuple[bytes, ...]
-    parity: bytes
-    block_len: int
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    def blob(self, index: int) -> bytes:
-        """The original (unpadded) blob of one member."""
-        if not 0 <= index < self.size:
-            raise RestoreError(
-                f"member index {index} out of range for group of {self.size}"
-            )
-        return _unpad_block(self.members[index])
-
-    def blobs(self) -> list[bytes]:
-        return [self.blob(i) for i in range(self.size)]
-
-    @property
-    def stored_bytes(self) -> int:
-        """Total stored including parity."""
-        return (self.size + 1) * self.block_len
-
-    @property
-    def overhead_fraction(self) -> float:
-        """Extra storage relative to the raw member payloads."""
-        payload = sum(len(self.blob(i)) for i in range(self.size))
-        if payload == 0:
-            return float("inf")
-        return self.stored_bytes / payload - 1.0
+# A padded empty blob is all zeros (length prefix 0), an XOR no-op: a group
+# of a single member is its own padded replica, and reconstruction never
+# needs to know the group was short.
 
 
-def encode_parity_group(blobs: list[bytes]) -> ParityGroup:
-    """Build the parity group of a set of rank checkpoint blobs."""
-    if len(blobs) < 2:
-        raise CheckpointError(
-            f"a parity group needs >= 2 members, got {len(blobs)}"
-        )
-    block_len = _LEN_BYTES + max(len(b) for b in blobs)
-    members = tuple(_pad_block(b, block_len) for b in blobs)
-    parity = np.zeros(block_len, dtype=np.uint8)
-    for block in members:
-        np.bitwise_xor(parity, np.frombuffer(block, dtype=np.uint8), out=parity)
-    return ParityGroup(members=members, parity=parity.tobytes(), block_len=block_len)
-
-
-def reconstruct_member(group: ParityGroup, lost_index: int) -> bytes:
-    """Rebuild one lost member's blob from the survivors plus parity.
-
-    Simulates the single-node-loss recovery of the RAID-5 scheme; more
-    than one simultaneous loss is impossible with single parity by
-    construction (the limit the related work accepts).
-    """
-    survivors = {
-        i: _unpad_block(m) for i, m in enumerate(group.members) if i != lost_index
-    }
-    return rebuild_member(group.parity, survivors, group.size, lost_index)
-
-
-# -- store-level parity ------------------------------------------------------
-#
-# The checkpoint manager persists only the parity *bytes* next to the member
-# blobs it already stores, so repair works from raw material: the parity
-# block plus whichever members survived.  A padded empty blob is all zeros
-# (length prefix 0), i.e. an XOR no-op -- groups of a single real member are
-# therefore encoded by padding the member list with b"" sentinels, and
-# reconstruction never needs to know they exist.
-
-
-def encode_parity(blobs: list[bytes]) -> bytes:
+def encode_parity(blobs: Sequence[bytes]) -> bytes:
     """XOR parity block over raw blobs, for storing next to them.
 
-    Unlike :func:`encode_parity_group` this accepts a single-member list
-    (the parity degenerates to a padded replica) and returns only the
-    parity bytes; the block length is ``len(result)`` and each member's
-    padded block is implied by its raw bytes.
+    The block length is ``len(result)``, 8 bytes more than the longest
+    member; each member's padded block is implied by its raw bytes.  A
+    single member gives its own padded replica.
     """
     if not blobs:
         raise CheckpointError("a parity block needs >= 1 member, got 0")
-    padded = list(blobs) + [b""] * max(0, 2 - len(blobs))
-    return encode_parity_group(padded).parity
+    parity = np.zeros(_LEN_BYTES + max(len(b) for b in blobs), dtype=np.uint8)
+    for blob in blobs:
+        frame = _frame(blob)
+        parity[: frame.size] ^= frame
+    return parity.tobytes()
 
 
 def rebuild_member(
@@ -171,9 +108,151 @@ def rebuild_member(
                 f"survivor member {index} is {len(blob)} bytes, larger than "
                 f"the parity block of {block_len} bytes allows"
             )
-        np.bitwise_xor(
-            acc,
-            np.frombuffer(_pad_block(blob, block_len), dtype=np.uint8),
-            out=acc,
-        )
+        frame = _frame(blob)
+        acc[: frame.size] ^= frame
     return _unpad_block(acc.tobytes())
+
+
+# -- a checkpoint's parity groups ---------------------------------------------
+
+
+@dataclass(frozen=True)
+class RepairEvent:
+    """One successful parity reconstruction, recorded in
+    :attr:`~repro.ckpt.manager.CheckpointManager.repair_log` (and the
+    fault-injection CI artifact)."""
+
+    step: int
+    kind: str  # "member" (an array blob) or "parity" (a parity blob)
+    name: str  # array name, or the parity blob's store key
+    reason: str  # what was wrong before the repair
+    rewritten: bool  # healed bytes were written back to the store
+
+    def to_dict(self) -> dict[str, Any]:
+        return asdict(self)
+
+
+def write_parity(
+    txn: CommitTransaction,
+    entries: Sequence[ArrayEntry],
+    blobs: Mapping[str, bytes],
+    group_size: int | None,
+) -> tuple[ParityEntry, ...]:
+    """Put one parity blob per run of ``group_size`` consecutive entries
+    (``None``: one group of all) into the pending generation ``txn``."""
+    if not entries:
+        return ()
+    step = txn.step
+    group_size = group_size or len(entries)
+    parity_entries: list[ParityEntry] = []
+    with get_tracer().span("ckpt.parity_write", step=step) as sp:
+        for g, start in enumerate(range(0, len(entries), group_size)):
+            members = tuple(e.name for e in entries[start : start + group_size])
+            blob = encode_parity([blobs[n] for n in members])
+            key = parity_key(step, g)
+            txn.put_blob(key, blob)
+            parity_entries.append(
+                ParityEntry(
+                    key=key,
+                    members=members,
+                    block_len=len(blob),
+                    stored_bytes=len(blob),
+                    crc32=ArrayEntry.checksum(blob),
+                )
+            )
+        parity_bytes = sum(p.stored_bytes for p in parity_entries)
+        sp.set(n_groups=len(parity_entries), parity_bytes=parity_bytes)
+    registry = get_registry()
+    registry.counter("ckpt.parity.blobs").inc(len(parity_entries))
+    registry.counter("ckpt.parity.bytes").inc(parity_bytes)
+    return tuple(parity_entries)
+
+
+def heal(
+    store: Store,
+    step: int,
+    manifest: CheckpointManifest,
+    pe: ParityEntry,
+    blobs: dict[str, bytes],
+    faults: Mapping[str, Exception],
+    *,
+    rewrite: bool,
+) -> RepairEvent:
+    """Rebuild the single bad block of parity group ``pe`` of generation
+    ``step`` from the group's other N blocks, and write it back.
+
+    The group's N + 1 blocks are its members, in manifest order, then the
+    parity blob.  ``blobs`` holds the verified members by name and
+    receives the healed block; ``faults`` says what is wrong with the bad
+    blocks, by array name or, for the parity blob, by its key.  A bad
+    member is rebuilt from the other members and the parity blob, read
+    only now; a bad parity blob is re-encoded from the members.  Either
+    must match its manifest record (:class:`ArrayEntry` or
+    :class:`ParityEntry`) before it is used.
+
+    Write-back follows the kind of block.  A member is written back when
+    ``rewrite``, best effort: its reader has the healed copy, and a failed
+    put only leaves the event's ``rewritten`` false.  A parity blob is
+    rebuilt only to repair the store, so it is always written back and a
+    failed put raises.  A group that cannot heal raises
+    :class:`~repro.exceptions.CorruptionError`.
+    """
+    lost = [n for n in pe.members if n in faults]
+    if len(lost) > 1:
+        detail = "; ".join(f"{n}: {faults[n]}" for n in sorted(lost))
+        raise CorruptionError(
+            f"checkpoint {step}: parity group {pe.key!r} can repair one "
+            f"member, but {sorted(lost)} are all corrupt or missing ({detail})"
+        )
+    member = bool(lost)
+    if member:  # rebuilt from the other members and the parity blob, read only now
+        (name,) = lost
+        fault = faults[name]
+        try:
+            parity = store.get(pe.key)
+            pe.verify(parity)
+        except (StorageError, FormatError) as exc:
+            raise CorruptionError(
+                f"checkpoint {step}: cannot repair array {name!r}: parity "
+                f"blob {pe.key!r} is itself corrupt or missing ({exc}); "
+                f"original fault: {fault}"
+            ) from fault
+        index = pe.members.index(name)
+        survivors = {i: blobs[n] for i, n in enumerate(pe.members) if i != index}
+        rebuild = partial(rebuild_member, parity, survivors, len(pe.members), index)
+        record, key, attrs = manifest.entry(name), array_key(step, name), {"array": name}
+        what = f"parity reconstruction of array {name!r} did not produce the recorded bytes"
+        why = f"original fault: {fault}"
+    else:  # the parity blob, re-encoded from the members
+        name, fault = pe.key, faults[pe.key]
+        rebuild = partial(encode_parity, [blobs[n] for n in pe.members])
+        record, key, attrs = pe, pe.key, {"kind": "parity"}
+        what = f"re-encoded parity for {pe.key!r} does not match the manifest record"
+        why = "the manifest itself is inconsistent"
+    with get_tracer().span("ckpt.repair", step=step, parity=pe.key, **attrs) as sp:
+        try:
+            healed = rebuild()
+            record.verify(healed)
+        except (RestoreError, FormatError) as exc:
+            raise CorruptionError(f"checkpoint {step}: {what} ({exc}); {why}") from exc
+        rewritten = rewrite or not member
+        if rewritten:
+            try:
+                store.put(key, healed)
+            except StorageError:
+                if not member:
+                    raise
+                rewritten = False
+        sp.set(reason=str(fault), rewritten=rewritten)
+    blobs[name] = healed
+    registry = get_registry()
+    registry.counter("ckpt.repair.healed" if member else "ckpt.repair.parity_rebuilt").inc()
+    if member and rewritten:
+        registry.counter("ckpt.repair.rewrites").inc()
+    return RepairEvent(
+        step=step,
+        kind="member" if member else "parity",
+        name=name,
+        reason=str(fault),
+        rewritten=rewritten,
+    )

@@ -31,8 +31,9 @@ verify
     CRC-verify every checkpoint in a checkpoint directory.  With
     ``--repair``, reconstruct any single corrupt-or-missing blob per
     parity group, rewrite the healed bytes, and exit 0 once the store
-    verifies clean.  Torn and orphaned generations (crash debris the
-    commit journal never published) are reported but do not fail the run.
+    verifies clean (a blob healed but not written back still fails).
+    Torn and orphaned generations (crash debris the commit journal never
+    published) are reported but do not fail the run.
 restore
     Restore the newest committed checkpoint (or ``--step``) from a
     directory store into a ``.npz`` file, walking the fallback ladder of
@@ -657,9 +658,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(f"step {gen.step:10d}: CORRUPT ({exc})")
             continue
         healed = manager.repair_log[healed_before:]
-        status = "ok" if not healed else (
-            "healed " + ", ".join(e.name for e in healed)
+        status = "ok" if not healed else "healed " + ", ".join(
+            e.name if e.rewritten else f"{e.name} (not written back)" for e in healed
         )
+        if not all(e.rewritten for e in healed):
+            failures += 1  # healed in memory only: still damaged at rest
         print(
             f"step {gen.step:10d}: {len(manifest.entries)} arrays, "
             f"{manifest.total_stored_bytes} bytes, "

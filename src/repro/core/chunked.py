@@ -123,8 +123,8 @@ def chunked_compress_with_stats(
     a = np.asarray(arr)
     if a.ndim == 0:
         raise CompressionError("cannot chunk a 0-dimensional array")
-    if chunk_rows < 1:
-        raise CompressionError(f"chunk_rows must be >= 1, got {chunk_rows}")
+    if not isinstance(chunk_rows, int) or isinstance(chunk_rows, bool) or chunk_rows < 1:
+        raise CompressionError(f"chunk_rows must be an int >= 1, got {chunk_rows!r}")
     from ..parallel.executor import aggregate_stats, resolve_executor
 
     cfg = config if config is not None else CompressionConfig()

@@ -120,6 +120,14 @@ class TestCheckpointWrite:
         with pytest.raises(CheckpointError):
             CheckpointManager(registry, MemoryStore(), retention=0)
 
+    @pytest.mark.parametrize("value", [2.5, True, 0, -1])
+    @pytest.mark.parametrize("knob", ["retention", "workers", "chunk_rows"])
+    def test_counts_must_be_ints_at_construction(self, registry, knob, value):
+        """``retention=2.5`` used to commit a generation and then raise a
+        TypeError from the prune; ``True`` kept one, or cut 1-row slabs."""
+        with pytest.raises(CheckpointError, match=f"{knob} must be an int >= 1"):
+            CheckpointManager(registry, MemoryStore(), **{knob: value})
+
     def test_unknown_codec_fails_fast(self, registry):
         with pytest.raises(Exception):
             CheckpointManager(registry, MemoryStore(), lossless_codec="bogus")

@@ -5,11 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ckpt.redundancy import (
-    ParityGroup,
-    encode_parity_group,
-    reconstruct_member,
-)
+from repro.ckpt.redundancy import encode_parity, rebuild_member
 from repro.exceptions import CheckpointError, RestoreError
 
 
@@ -19,54 +15,50 @@ def blobs(rng):
     return [rng.bytes(n) for n in (100, 73, 120, 99)]
 
 
+def survivors_of(blobs, lost):
+    return {i: b for i, b in enumerate(blobs) if i != lost}
+
+
+def reference_parity(blobs):
+    """XOR of every member's 8-byte little-endian length prefix plus its
+    bytes, zero-padded to the longest: the block format, written out."""
+    block = bytearray(8 + max(len(b) for b in blobs))
+    for blob in blobs:
+        for i, byte in enumerate(len(blob).to_bytes(8, "little") + blob):
+            block[i] ^= byte
+    return bytes(block)
+
+
 class TestEncode:
     def test_members_recoverable_intact(self, blobs):
-        group = encode_parity_group(blobs)
-        assert group.blobs() == blobs
+        # a one-member group's parity is that member's padded block
+        for blob in blobs:
+            assert rebuild_member(encode_parity([blob]), {}, 1, 0) == blob
 
     def test_block_len_covers_longest(self, blobs):
-        group = encode_parity_group(blobs)
-        assert group.block_len == 8 + max(len(b) for b in blobs)
-        assert all(len(m) == group.block_len for m in group.members)
-        assert len(group.parity) == group.block_len
-
-    def test_needs_two_members(self):
-        with pytest.raises(CheckpointError):
-            encode_parity_group([b"only-one"])
-
-    def test_overhead_accounting(self, blobs):
-        group = encode_parity_group(blobs)
-        assert group.stored_bytes == 5 * group.block_len
-        assert group.overhead_fraction > 0
+        assert len(encode_parity(blobs)) == 8 + max(len(b) for b in blobs)
 
     def test_empty_blobs_allowed(self):
-        group = encode_parity_group([b"", b"data"])
-        assert group.blob(0) == b""
+        parity = encode_parity([b"", b"data"])
+        assert rebuild_member(parity, {1: b"data"}, 2, 0) == b""
 
 
 class TestReconstruct:
     @pytest.mark.parametrize("lost", [0, 1, 2, 3])
     def test_any_single_loss_recoverable(self, blobs, lost):
-        group = encode_parity_group(blobs)
-        assert reconstruct_member(group, lost) == blobs[lost]
+        parity = encode_parity(blobs)
+        assert rebuild_member(parity, survivors_of(blobs, lost), 4, lost) == blobs[lost]
 
     def test_lost_index_validated(self, blobs):
-        group = encode_parity_group(blobs)
-        with pytest.raises(RestoreError):
-            reconstruct_member(group, 4)
-        with pytest.raises(RestoreError):
-            group.blob(-1)
+        parity = encode_parity(blobs)
+        for lost in (4, -1):
+            with pytest.raises(RestoreError, match="out of range"):
+                rebuild_member(parity, dict(enumerate(blobs)), 4, lost)
 
     def test_corrupt_length_prefix_detected(self, blobs):
-        group = encode_parity_group(blobs)
-        bad_member = b"\xff" * group.block_len
-        bad = ParityGroup(
-            members=(bad_member,) + group.members[1:],
-            parity=group.parity,
-            block_len=group.block_len,
-        )
+        bad_block = b"\xff" * len(encode_parity(blobs))
         with pytest.raises(RestoreError, match="length prefix"):
-            bad.blob(0)
+            rebuild_member(bad_block, {}, 1, 0)
 
 
 class TestWithCompressor:
@@ -77,9 +69,10 @@ class TestWithCompressor:
         from repro.core.pipeline import WaveletCompressor
 
         result = parallel_checkpoint(smooth3d, 4)
-        group = encode_parity_group([r.blob for r in result.ranks])
+        rank_blobs = [r.blob for r in result.ranks]
+        parity = encode_parity(rank_blobs)
         # lose rank 2's checkpoint, rebuild it, decode the full array
-        rebuilt = reconstruct_member(group, 2)
+        rebuilt = rebuild_member(parity, survivors_of(rank_blobs, 2), 4, 2)
         blocks = []
         for i, rank_ckpt in enumerate(result.ranks):
             blob = rebuilt if i == 2 else rank_ckpt.blob
@@ -87,7 +80,7 @@ class TestWithCompressor:
         restored = reassemble(result.decomposition, blocks)
         assert restored.shape == smooth3d.shape
         # redundancy cost is ~1/N of the *compressed* size, far below raw
-        assert group.stored_bytes < smooth3d.nbytes
+        assert (len(rank_blobs) + 1) * len(parity) < smooth3d.nbytes
 
 
 class TestReconstructEdgeCases:
@@ -96,96 +89,73 @@ class TestReconstructEdgeCases:
 
     def test_wildly_unequal_member_sizes(self, rng):
         blobs = [b"x", rng.bytes(4096), b"ab", rng.bytes(1)]
-        group = encode_parity_group(blobs)
+        parity = encode_parity(blobs)
         for lost in range(4):
-            assert reconstruct_member(group, lost) == blobs[lost]
+            assert rebuild_member(parity, survivors_of(blobs, lost), 4, lost) == blobs[lost]
 
     @pytest.mark.parametrize("lost", [0, 1, 2])
     def test_empty_members_reconstruct_to_empty(self, rng, lost):
         blobs = [b"", rng.bytes(50), b""]
-        group = encode_parity_group(blobs)
-        assert reconstruct_member(group, lost) == blobs[lost]
+        parity = encode_parity(blobs)
+        assert rebuild_member(parity, survivors_of(blobs, lost), 3, lost) == blobs[lost]
 
     def test_parity_block_itself_is_reconstructible(self, blobs):
         """Losing the *parity* blob is recoverable too: XOR of all padded
         members reproduces it exactly (what verify --repair relies on)."""
-        group = encode_parity_group(blobs)
-        acc = np.zeros(group.block_len, dtype=np.uint8)
-        for member in group.members:
-            np.bitwise_xor(
-                acc, np.frombuffer(member, dtype=np.uint8), out=acc
-            )
-        assert acc.tobytes() == group.parity
-        from repro.ckpt.redundancy import encode_parity
-
-        assert encode_parity(list(blobs)) == group.parity
+        assert encode_parity(blobs) == reference_parity(blobs)
 
     def test_corrupted_length_prefix_raises_restore_error(self, blobs):
         """A bit flip inside the 8-byte length prefix must surface as
         RestoreError, never as silently truncated/expanded data."""
-        group = encode_parity_group(blobs)
-        bad_parity = bytearray(group.parity)
+        bad_parity = bytearray(encode_parity(blobs))
         bad_parity[0] ^= 0xFF  # low byte of the XORed length prefixes
-        bad = ParityGroup(
-            members=group.members,
-            parity=bytes(bad_parity),
-            block_len=group.block_len,
-        )
         with pytest.raises(RestoreError, match="length prefix"):
-            reconstruct_member(bad, 2)
+            rebuild_member(bytes(bad_parity), survivors_of(blobs, 2), 4, 2)
 
 
 class TestStoreLevelParity:
     """encode_parity / rebuild_member: the raw-bytes API the manager uses."""
 
     def test_round_trip_any_single_loss(self, blobs):
-        from repro.ckpt.redundancy import encode_parity, rebuild_member
-
         parity = encode_parity(blobs)
         for lost in range(len(blobs)):
-            survivors = {
-                i: b for i, b in enumerate(blobs) if i != lost
-            }
-            assert rebuild_member(parity, survivors, len(blobs), lost) == blobs[lost]
+            assert rebuild_member(parity, survivors_of(blobs, lost), len(blobs), lost) == blobs[lost]
 
     def test_single_member_degenerates_to_replica(self, rng):
-        from repro.ckpt.redundancy import encode_parity, rebuild_member
-
         blob = rng.bytes(37)
         parity = encode_parity([blob])
         assert rebuild_member(parity, {}, 1, 0) == blob
 
-    def test_empty_list_rejected(self):
-        from repro.ckpt.redundancy import encode_parity
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equals_xor_of_padded_members(self, seed):
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(0, 200, size=int(rng.integers(1, 6)))
+        sizes[rng.integers(0, sizes.size)] = 0  # every group has an empty member
+        blobs = [rng.bytes(int(n)) for n in sizes]
+        for group in (blobs, blobs[:1], [b""], [blobs[-1]]):
+            assert encode_parity(group) == reference_parity(group)
 
+    def test_empty_list_rejected(self):
         with pytest.raises(CheckpointError, match=">= 1 member"):
             encode_parity([])
 
     def test_two_losses_rejected(self, blobs):
-        from repro.ckpt.redundancy import encode_parity, rebuild_member
-
         parity = encode_parity(blobs)
         survivors = {i: b for i, b in enumerate(blobs) if i not in (1, 2)}
         with pytest.raises(RestoreError, match="also unavailable"):
             rebuild_member(parity, survivors, len(blobs), 1)
 
     def test_lost_index_out_of_range(self, blobs):
-        from repro.ckpt.redundancy import encode_parity, rebuild_member
-
         parity = encode_parity(blobs)
         with pytest.raises(RestoreError, match="out of range"):
             rebuild_member(parity, dict(enumerate(blobs)), len(blobs), 9)
 
     def test_oversized_survivor_rejected(self):
-        from repro.ckpt.redundancy import encode_parity, rebuild_member
-
         parity = encode_parity([b"ab", b"cd"])
         with pytest.raises(RestoreError, match="larger than"):
             rebuild_member(parity, {0: b"way too long" * 10}, 2, 1)
 
     def test_corrupt_prefix_from_damaged_survivor(self, rng):
-        from repro.ckpt.redundancy import encode_parity, rebuild_member
-
         blobs = [rng.bytes(40), rng.bytes(40)]
         parity = encode_parity(blobs)
         # survivor damaged to the full block length: its bytes land in the

@@ -201,6 +201,11 @@ class TestValidation:
         with pytest.raises(CompressionError):
             chunked_compress(smooth2d, chunk_rows=0)
 
+    @pytest.mark.parametrize("chunk_rows", [2.5, True, 0])
+    def test_chunk_rows_must_be_an_int(self, smooth2d, chunk_rows):
+        with pytest.raises(CompressionError, match="chunk_rows must be an int >= 1"):
+            chunked_compress(smooth2d, chunk_rows=chunk_rows)
+
     def test_bad_magic(self):
         with pytest.raises(FormatError):
             chunked_decompress(b"XXXX" + bytes(20))

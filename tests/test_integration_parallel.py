@@ -14,7 +14,7 @@ import pytest
 import repro
 from repro import CompressionConfig
 from repro.apps.climate import ClimateProxy
-from repro.ckpt.redundancy import encode_parity_group, reconstruct_member
+from repro.ckpt.redundancy import encode_parity, rebuild_member
 from repro.core.pipeline import WaveletCompressor
 from repro.iomodel.storage import StorageModel
 from repro.parallel import parallel_checkpoint, parallel_restore, reassemble
@@ -49,14 +49,12 @@ class TestParallelClimatePipeline:
         result = parallel_checkpoint(
             evolved_field, 6, config=CompressionConfig(n_bins=128)
         )
-        group = encode_parity_group([r.blob for r in result.ranks])
+        rank_blobs = [r.blob for r in result.ranks]
+        parity = encode_parity(rank_blobs)
         lost = 3
-        blocks = [
-            WaveletCompressor.decompress(
-                reconstruct_member(group, i) if i == lost else result.ranks[i].blob
-            )
-            for i in range(6)
-        ]
+        survivors = {i: b for i, b in enumerate(rank_blobs) if i != lost}
+        rank_blobs[lost] = rebuild_member(parity, survivors, 6, lost)
+        blocks = [WaveletCompressor.decompress(b) for b in rank_blobs]
         restored = reassemble(result.decomposition, blocks)
         direct = parallel_restore(result)
         np.testing.assert_array_equal(restored, direct)
