@@ -103,14 +103,17 @@ _FLOAT_DTYPES = (np.float32, np.float64)
 _LOSSY_CODEC = "wavelet-lossy"
 _PIPELINE_CODECS = (_LOSSY_CODEC, CODEC_KEYFRAME)
 #: Bodies under two deflate windows are sealed in place: the hand-off
-#: costs what their deflate does, and a step counter would hold one of the
-#: pipeline's two slots while the lane runs dry behind it.
+#: costs what their deflate does, and a step counter would hold a slot of
+#: the pipeline while the lane runs dry behind it.
 _DEFER_MIN_BYTES = 64 * 1024
 #: A delta link is handed to the lane from this many *compressed* bytes on:
 #: 28 KB of it inflate for ~0.9 ms, the hand-off costs ~0.05.
 _PREFETCH_MIN_BYTES = 4 * 1024
 #: Links a restore keeps inflated (or inflating) ahead of the one it decodes.
 _LOOKAHEAD = 3
+#: Bodies a write lets be unsealed (queued or deflating) behind the array
+#: it encodes; past that it claims the newest one the lane has not started.
+_UNSEALED_MAX = 3
 
 try:  # Linux only; the os module can set a thread's CPUs but not name its CPU
     _sched_getcpu = ctypes.CDLL(None).sched_getcpu if hasattr(os, "sched_setaffinity") else None
@@ -127,7 +130,7 @@ def _cpus_beside_caller() -> set[int] | None:
 
 
 def _run_on(cpus: set[int] | None) -> None:
-    """Confine the calling thread -- the backend lane -- to ``cpus``.
+    """Confine the calling thread -- the backend lane -- to ``cpus`` (if any).
 
     A scheduler that wakes the lane on the CPU of the thread that fed it
     and leaves it there (the benchmark's 2-vCPU guest does, for whole
@@ -140,13 +143,43 @@ def _run_on(cpus: set[int] | None) -> None:
         pass
 
 
+class _Handoff:
+    """A stage handed to the lane (:meth:`CheckpointManager._defer`), which
+    the calling thread may :meth:`claim` while the lane has not started it."""
+
+    def __init__(self, future: Future, here: Callable[[], Any], counter: str, codec: str) -> None:
+        self.future, self._here, self._counter, self._codec = future, here, counter, codec
+        self.claimed = False
+
+    def claim(self) -> bool:
+        """Run the stage here if the lane has not started it, as the lane would."""
+        if not self.future.cancel():
+            return False
+        future: Future = Future()
+        try:
+            future.set_result(self._here())
+        except Exception as exc:  # noqa: BLE001
+            future.set_exception(exc)
+        self.future, self.claimed = future, True
+        get_registry().counter("ckpt.pipeline.claimed", codec=self._codec).inc()
+        return True
+
+    def result(self) -> tuple[Any, float]:
+        """The stage's result (or error) and the seconds the lane ran it."""
+        self._here = None  # a stage may refer back to its array: no cycle past here
+        if not self.claimed:
+            get_registry().counter(self._counter, codec=self._codec).inc()
+        value, seconds = self.future.result()
+        return value, 0.0 if self.claimed else seconds
+
+
 def _settle(handles: list[Any], spans: list[Any]) -> None:
     """A generation failed on the calling thread: cancel the lane tasks
     among ``handles`` that have not started, wait for the one that has,
     close the arrays' open ``spans`` (the links of one chain name their
     array's span once each).  Nothing runs on the lane once the error
     leaves."""
-    futures = [h for h in handles if isinstance(h, Future)]
+    futures = [h.future for h in handles if isinstance(h, _Handoff)]
     for future in futures:
         future.cancel()
     wait(futures)
@@ -255,8 +288,9 @@ class _Pending:
     span: Any  # the open ``ckpt.array`` span: encode -> landed
     codec: str = ""
     params: Any = None
-    #: the blob, a temporal EncodedGeneration, or the lane's Future of either
+    #: the blob, a temporal EncodedGeneration, or the lane's _Handoff of either
     sealed: Any = None
+    body: bool = False  # a body's backend stage, not a whole encode
 
 
 @dataclass
@@ -267,7 +301,7 @@ class _Link:
     span: Any  # that array's open ``ckpt.array_load`` span
     entry: ArrayEntry  # the manifest entry of ``blob``
     blob: bytes = b""
-    front: Future | None = None  # the lane's Future of the inflated body
+    front: _Handoff | None = None  # the inflate handed to the lane
     error: Exception | None = None  # the walk failed: raised at this turn
     #: the temporal engine's reconstruction of the chain up to this link:
     #: nothing to decode, nothing to write into
@@ -279,12 +313,13 @@ class CheckpointManager:
 
     A generation is written as a two-stage pipeline: the calling thread
     runs every NumPy stage and formats each array's body, one backend-lane
-    thread (started on first use, stopped by :meth:`close`) deflates body
-    *i* while body *i+1* is being produced, and blobs land in registry
-    order on the calling thread -- bytes and store operations are those
-    of a serial write.  A temporal delta is encoded whole, on the lane
-    when it is idle and on the calling thread otherwise; keyframes on the
-    calling thread.  One manager still serves one caller at a time.
+    thread (started on first use, stopped by :meth:`close`) deflates the
+    bodies queued behind it while the next are produced -- the calling
+    thread deflates those the lane has not started rather than wait -- and
+    blobs land in registry order on the calling thread: bytes and store
+    operations are those of a serial write.  A temporal delta is encoded
+    whole, on the lane when it is idle and on the calling thread otherwise;
+    keyframes on the calling thread.  One manager serves one caller at a time.
 
     Parameters
     ----------
@@ -434,19 +469,14 @@ class CheckpointManager:
             lane.shutdown(wait=True, cancel_futures=True)
 
     def _defer(
-        self,
-        ctx: contextvars.Context,
-        counter: str,
-        codec: str,
-        data: Any,
-        stage: Callable[[Any], Any],
-        min_bytes: int,
-    ) -> Future | None:
+        self, ctx: contextvars.Context, counter: str, codec: str, data: Any,
+        stage: Callable[[Any], Any], min_bytes: int, span: Any,
+    ) -> _Handoff | None:
         """Run ``stage(data)`` -- on a write the backend stage of a body
         (``wrap_envelope``/``Codec.compress``) or a temporal array's whole
         ``TemporalEngine.encode``, on a restore ``WaveletCompressor.unseal``
         of a link's blob; no decisions -- on the lane, in the caller's
-        ``ctx``; returns the Future of the result and the seconds it took,
+        ``ctx`` under the array's ``span``; returns its :class:`_Handoff`,
         or None where the caller runs the stage itself, at its turn.
 
         The lane is this manager's own thread, never the shared deflate
@@ -463,24 +493,23 @@ class CheckpointManager:
 
         beside = _cpus_beside_caller()
 
-        def run() -> tuple[Any, float]:
-            _run_on(beside)
+        def run(cpus: set[int] | None) -> tuple[Any, float]:
+            _run_on(cpus)
             t0 = time.perf_counter()
-            return stage(data), time.perf_counter() - t0
+            with get_tracer().attached(span):
+                return stage(data), time.perf_counter() - t0
 
-        registry = get_registry()
         try:
             if self._lane is None:
                 self._lane = ThreadPoolExecutor(
                     max_workers=1, thread_name_prefix="repro-backend"
                 )
-            future = self._lane.submit(ctx.run, run)
+            future = self._lane.submit(ctx.run, run, beside)
         except (RuntimeError, OSError):  # thread-limited sandbox
             self.close()
-            registry.counter("fallbacks", kind="serial").inc()
+            get_registry().counter("fallbacks", kind="serial").inc()
             return None
-        registry.counter(counter, codec=codec).inc()
-        return future
+        return _Handoff(future, lambda: ctx.copy().run(run, None), counter, codec)
 
     def __enter__(self) -> "CheckpointManager":
         return self
@@ -641,23 +670,19 @@ class CheckpointManager:
         blob_by_name: dict[str, bytes] = {}
         inflight: deque[_Pending] = deque()  # encoded, not landed
         started = time.perf_counter()
-        busy = waited = 0.0  # the lane sealing; this thread blocked on it
+        busy, waited, claimed = 0.0, 0.0, 0  # lane sealing; blocked on it; claimed
 
         def sealing(p: _Pending) -> bool:
-            return isinstance(p.sealed, Future) and not p.sealed.done()
-
-        def held(p: _Pending) -> bool:
-            """Holds one of the pipeline's two slots: on the lane, or a
-            whole temporal encode this thread ran while the lane was busy."""
-            return sealing(p) or isinstance(p.sealed, EncodedGeneration)
+            return isinstance(p.sealed, _Handoff) and not p.sealed.future.done()
 
         def land() -> None:
-            nonlocal busy, waited
+            nonlocal busy, waited, claimed
             p = inflight[0]  # popped once landed: a failure closes its span
             with tracer.attached(p.span):
                 blob = p.sealed
-                if isinstance(blob, Future):
+                if isinstance(blob, _Handoff):
                     t0 = time.perf_counter()
+                    claimed += blob.claimed
                     blob, seal_s = blob.result()
                     waited += time.perf_counter() - t0
                     busy += seal_s
@@ -696,12 +721,32 @@ class CheckpointManager:
             def defer(codec: str, data: Any, stage: Callable, idle_only: bool = False) -> Any:
                 # ``idle_only``: a whole encode never queues behind the lane's
                 # work -- while the lane is busy this thread is the free one
-                future = None
+                p, handoff = inflight[-1], None  # the array being encoded
                 if not (idle_only and any(map(sealing, inflight))):
-                    future = self._defer(
-                        ctx, "ckpt.pipeline.deferred", codec, data, stage, _DEFER_MIN_BYTES
+                    handoff = self._defer(
+                        ctx, "ckpt.pipeline.deferred", codec, data, stage, _DEFER_MIN_BYTES, p.span
                     )
-                return stage(data) if future is None else future
+                p.body = not idle_only
+                return stage(data) if handoff is None else handoff
+
+            def settle_up(final: bool) -> None:
+                # Land what is sealed, in order.  Until the registry ends the
+                # oldest seal may overlap the next encode: a body until a
+                # fourth is unsealed, a whole temporal encode until a second
+                # array holds a slot.  Claim the newest unstarted body first.
+                while inflight:
+                    head = inflight[0]
+                    if sealing(head) and not final and (
+                        sum(q.body and sealing(q) for q in inflight) <= _UNSEALED_MAX
+                        if head.body
+                        else sum(sealing(q) or isinstance(q.sealed, EncodedGeneration)
+                                 for q in inflight) <= 1
+                    ):
+                        return
+                    if not (sealing(head) and any(
+                        q.sealed.claim() for q in reversed(inflight) if q.body and sealing(q)
+                    )):
+                        land()
 
             try:
                 for name in self.registry.names():
@@ -716,19 +761,11 @@ class CheckpointManager:
                     except Exception:
                         # a serial write raises an earlier array's failure first
                         for q in inflight:
-                            if isinstance(q.sealed, Future):
+                            if isinstance(q.sealed, _Handoff):
                                 q.sealed.result()
                         raise
-                    # Land what is sealed, in order.  Block on the oldest
-                    # seal only once a second array holds a slot behind it:
-                    # its stage then overlaps this put and, next turn, the
-                    # next array's encode.
-                    while inflight and (
-                        not sealing(inflight[0]) or sum(map(held, inflight)) > 1
-                    ):
-                        land()
-                while inflight:
-                    land()
+                    settle_up(final=False)
+                settle_up(final=True)
                 parity_entries = write_parity(
                     txn, entries, blob_by_name, self.resilience.parity_group_size
                 ) if self.resilience.parity else ()
@@ -770,6 +807,7 @@ class CheckpointManager:
                 stored_bytes=sum(e.stored_bytes for e in entries),
                 backend_lane_busy_s=busy,
                 overlap_share=overlap,
+                claimed=claimed,
             )
         registry = get_registry()
         registry.gauge("ckpt.pipeline.overlap_share").set(overlap)
@@ -1059,6 +1097,7 @@ class CheckpointManager:
                         link.blob,
                         partial(WaveletCompressor.unseal, parent=link.span),
                         _PREFETCH_MIN_BYTES if codec == CODEC_DELTA else _DEFER_MIN_BYTES,
+                        link.span,
                     )
 
         def inflated(_blob: bytes) -> tuple[dict, dict]:

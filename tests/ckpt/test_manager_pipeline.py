@@ -239,39 +239,47 @@ class TestBytesAndOrder:
 
 class TestOverlap:
     def test_next_body_is_formatted_while_the_lane_deflates(self, monkeypatch):
+        """The lane parks in array 0's deflate while this thread formats the
+        bodies behind it.  Bodies formatted and not yet deflated, counted as
+        the next one is formatted, reach ``_UNSEALED_MAX`` and no more: past
+        it this thread deflates the newest body itself."""
+        caller = threading.current_thread()
         entered, release = threading.Event(), threading.Event()
         original_compress = DeflateCodec.compress
         original_write_body = container.write_body
-        store = RecordingStore()
-        seen = {"overlapped": False, "bodies": 0, "max_in_flight": 0}
+        seen = {"overlapped": False, "bodies": 0, "deflated": 0, "max_in_flight": 0}
 
         def blocking_compress(self, data, cuts=None):
-            entered.set()
-            assert release.wait(30), "nobody released the lane"
-            return original_compress(self, data, cuts)
+            here = threading.current_thread() is caller
+            if not here:
+                entered.set()
+                assert release.wait(30), "nobody released the lane"
+            out = original_compress(self, data, cuts)
+            seen["deflated"] += 1
+            if here and seen["deflated"] == 4:  # every body but array 0's
+                release.set()
+            return out
 
         def counting_write_body(header, sections):
             if seen["bodies"] == 1:
                 # array 0's seal is parked in the codec; this is array 1
                 assert entered.wait(30), "the lane never reached the codec"
                 seen["overlapped"] = not release.is_set()
-                release.set()
-            body = original_write_body(header, sections)
+            seen["max_in_flight"] = max(seen["max_in_flight"], seen["bodies"] - seen["deflated"])
             seen["bodies"] += 1
-            landed = sum(op == "put" for op, _ in store.ops)
-            seen["max_in_flight"] = max(seen["max_in_flight"], seen["bodies"] - landed)
-            return body
+            return original_write_body(header, sections)
 
         monkeypatch.setattr(DeflateCodec, "compress", blocking_compress)
         monkeypatch.setattr(container, "write_body", counting_write_body)
         with CheckpointManager(
-            float_registry(5), store, config=CompressionConfig(backend="gzip")
+            float_registry(5), RecordingStore(), config=CompressionConfig(backend="gzip")
         ) as manager:
             manager.checkpoint(0)
             manager.restore(0)
         assert seen["overlapped"]
         assert seen["bodies"] == 5
-        assert seen["max_in_flight"] == 2
+        assert seen["max_in_flight"] == manager_module._UNSEALED_MAX == 3
+        assert (deferred("gzip"), claimed("gzip")) == (1, 4)
 
     def test_temporal_array_is_encoded_on_the_lane_while_the_next_is_encoded_here(
         self, monkeypatch
@@ -467,6 +475,161 @@ class TestFailureDrainsTheLane:
         manager.close()
 
 
+class ParkedLane:
+    """Forces claims: the lane parks in the first deflate of every
+    generation until the calling thread has deflated every other body of
+    it (one per registry array), which it can only do by claiming them.
+    ``fail`` maps ``"lane"``/``"here"`` to a backend name whose deflate
+    raises on that thread."""
+
+    def __init__(self, monkeypatch, fail=None):
+        self.fail = fail or {}
+        self.caller = threading.current_thread()
+        compress, write_body = DeflateCodec.compress, container.write_body
+        checkpoint = CheckpointManager.checkpoint
+
+        def parked_compress(codec, data, cuts=None):
+            here = threading.current_thread() is self.caller
+            if not here:
+                self.entered.set()
+                assert self.release.wait(30), "the caller never claimed the other bodies"
+            where = "here" if here else "lane"
+            try:
+                if self.fail.get(where) == codec.name:
+                    raise CompressionError(f"{codec.name} deflate failed ({where})")
+                return compress(codec, data, cuts)
+            finally:
+                if here:
+                    self.here += 1
+                    if self.here == self.bodies - 1:
+                        self.release.set()
+
+        def waiting_write_body(header, sections):
+            self.formatted += 1
+            if self.formatted == 2:  # body 0 is on the lane before any claim
+                assert self.entered.wait(30), "the lane never reached the codec"
+            return write_body(header, sections)
+
+        def generation(manager, step, *args, **kwargs):
+            self.bodies = len(manager.registry.names())
+            self.entered, self.release = threading.Event(), threading.Event()
+            self.here = self.formatted = 0
+            return checkpoint(manager, step, *args, **kwargs)
+
+        monkeypatch.setattr(DeflateCodec, "compress", parked_compress)
+        monkeypatch.setattr(container, "write_body", waiting_write_body)
+        monkeypatch.setattr(CheckpointManager, "checkpoint", generation)
+
+
+class TestClaims:
+    """The caller claims every body the parked lane has not started."""
+
+    @pytest.mark.parametrize(
+        "case, backend, kwargs",
+        [
+            ("gzip", "gzip", {}),
+            ("zlib", "zlib", {}),
+            ("gzip-mt", "gzip-mt", {"backend_threads": 4}),
+            ("gzip+parity", "gzip", {"resilience": ResilienceConfig(parity=True)}),
+        ],
+    )
+    def test_every_object_is_the_parent_commits(self, case, backend, kwargs, monkeypatch):
+        ParkedLane(monkeypatch)
+        store = MemoryStore()
+        replay(store, backend, **kwargs)
+        # per generation the modulator on the lane, the six arrays after it here
+        assert claimed(backend) + claimed("zlib") * (backend != "zlib") == 12 * 6
+        assert store_digest(store) == PARENT_STORE_DIGESTS[case]
+
+    def test_claims_racing_the_lane_lose_and_repeat_no_body(self):
+        """No parking: with the interpreter switching threads every
+        microsecond, claims race the lane for every body.  Each body is
+        deflated exactly once -- by the lane or by its claim -- and the
+        store holds what the parent commit wrote."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            store = MemoryStore()
+            replay(store, "gzip")
+        finally:
+            sys.setswitchinterval(interval)
+        handed_off = sum(deferred(c) + claimed(c) for c in ("gzip", "zlib"))
+        assert handed_off == 12 * 7  # generations x arrays
+        assert store_digest(store) == PARENT_STORE_DIGESTS["gzip"]
+
+    @pytest.mark.parametrize("parity", [False, True])
+    def test_store_sees_the_serial_op_sequence(self, parity, monkeypatch):
+        kwargs = {"resilience": ResilienceConfig(parity=parity), "retention": 3}
+        with monkeypatch.context() as patch:
+            ParkedLane(patch)
+            piped = RecordingStore()
+            replay(piped, generations=5, **kwargs)
+        assert claimed("gzip") > 0
+        with monkeypatch.context() as patch:
+            patch.setattr(manager_module, "ThreadPoolExecutor", refuse_threads)
+            serial = RecordingStore()
+            replay(serial, generations=5, **kwargs)
+        assert piped.ops == serial.ops
+        assert store_digest(piped) == store_digest(serial)
+
+    @pytest.mark.parametrize(
+        "fail, raised",
+        [
+            ({"here": "zlib"}, "zlib deflate failed (here)"),
+            ({"here": "zlib", "lane": "gzip"}, "gzip deflate failed (lane)"),
+        ],
+        ids=["claimed-alone", "claimed-behind-lane"],
+    )
+    def test_failure_is_raised_at_its_arrays_turn(self, fail, raised, monkeypatch):
+        """``f3`` (zlib) fails where this thread claimed it; with ``f0``
+        (gzip) failing on the lane too, ``f0``'s error is the one raised, as
+        the serial write meets it first.  Either way the lane is drained and
+        the generation leaves no key and no open span."""
+        from repro.obs.report import TraceReport
+
+        policy = {"f3": CompressionConfig(backend="zlib")}
+        store = MemoryStore()
+        manager = CheckpointManager(
+            float_registry(5), store, config=CompressionConfig(backend="gzip"), policy=policy
+        )
+        manager.checkpoint(0)
+        committed = store.list_keys("")
+        get_registry().reset()
+        opened = opened_spans(monkeypatch)
+        with monkeypatch.context() as patch:
+            ParkedLane(patch, fail)
+            with pytest.raises(CompressionError) as piped:
+                manager.checkpoint(1)
+        assert str(piped.value) == raised
+        assert claimed("zlib") == 1
+        assert [s.name for s in opened if s.end is None] == []
+        assert TraceReport([s.to_dict() for s in get_tracer().spans]).orphans() == []
+        get_tracer().disable()
+        assert store.list_keys("") == committed
+        assert manager._lane._work_queue.empty()
+        if "lane" not in fail:  # the serial write fails on f3 the same way
+            compress = DeflateCodec.compress
+
+            def failing(codec, data, cuts=None):
+                if codec.name == "zlib":
+                    raise CompressionError("zlib deflate failed (here)")
+                return compress(codec, data, cuts)
+
+            monkeypatch.setattr(DeflateCodec, "compress", failing)
+            serial = serial_checkpoint_failure(manager, 1, monkeypatch)
+            assert (type(piped.value), str(piped.value)) == (type(serial), str(serial))
+        manager.close()
+
+    @pytest.mark.parametrize("parity", [False, True], ids=["plain", "parity"])
+    @pytest.mark.parametrize("mode", CRASH_KINDS)
+    def test_crash_matrix_with_claims_forced(self, mode, parity, monkeypatch):
+        """The kill-at-every-op matrix of ``test_crash_points.py`` as it is,
+        with the second body of every generation claimed."""
+        ParkedLane(monkeypatch)
+        crash_points.test_crash_at_every_protocol_op(mode, parity)
+        assert claimed("zlib") > 0
+
+
 class TestLifecycle:
     def test_lane_is_lazy_closed_and_restarted(self):
         manager = CheckpointManager(float_registry(2), MemoryStore())
@@ -590,11 +753,11 @@ class TestLanePlacement:
         store = MemoryStore()
         with CheckpointManager(float_registry(2), store) as manager:
             manager.checkpoint(0)
-            deferred = get_registry().counter(
-                "ckpt.pipeline.deferred", codec=CompressionConfig().backend
-            )
-            assert deferred.value == 2
+            # a body this thread claimed is one the lane never started
+            backend = CompressionConfig().backend
+            assert deferred(backend) + claimed(backend) == 2
             manager.restore(0)
+            assert prefetched() == 2  # a restore claims nothing
 
     def test_without_sched_getcpu_the_lane_goes_where_it_is_put(self, monkeypatch):
         monkeypatch.setattr(manager_module, "_sched_getcpu", None)
@@ -645,18 +808,24 @@ class TestObservability:
         assert registry.gauge("ckpt.pipeline.overlap_share").value == pytest.approx(
             root.attrs["overlap_share"]
         )
-        assert registry.counter("ckpt.pipeline.deferred", codec="gzip").value == 4
-        # every backend span ran on the lane, under its array's span, and
-        # that span covers encode -> landed
+        # every body was deflated on the lane or claimed by this thread
+        assert deferred("gzip") + claimed("gzip") == 4
+        assert root.attrs["claimed"] == claimed("gzip")
+        assert (root.attrs["backend_lane_busy_s"] > 0.0) == (deferred("gzip") > 0)
+        # every backend span ran under its array's span, on the lane when
+        # deferred and here when claimed, and that span covers encode -> landed
         arrays = {s.span_id: s for s in tracer.spans if s.name == "ckpt.array"}
         backends = [s for s in tracer.spans if s.name == "backend"]
         assert len(backends) == 4
         for span in backends:
             parent = arrays[span.parent_id]
-            assert span.tid != parent.tid
             assert parent.start <= span.start and span.end <= parent.end
             assert parent.attrs["codec"] == "wavelet-lossy"
             assert parent.attrs["stored_bytes"] == span.attrs["compressed_bytes"]
+        on_lane = [s.tid != arrays[s.parent_id].tid for s in backends]
+        assert (sum(on_lane), len(on_lane) - sum(on_lane)) == (
+            deferred("gzip"), claimed("gzip")
+        )
 
     def test_serial_fallback_is_counted_and_overlaps_nothing(self, no_lane):
         tracer = get_tracer()
@@ -725,6 +894,10 @@ def written(registry=None, **manager_kwargs):
 
 def deferred(codec: str) -> float:
     return get_registry().counter("ckpt.pipeline.deferred", codec=codec).value
+
+
+def claimed(codec: str) -> float:
+    return get_registry().counter("ckpt.pipeline.claimed", codec=codec).value
 
 
 def prefetched(backend: str = CompressionConfig().backend) -> float:
