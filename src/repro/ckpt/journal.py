@@ -1,4 +1,4 @@
-"""Two-phase checkpoint commit: blobs, barrier, manifest, commit marker.
+"""Two-phase checkpoint commit: blobs, manifest, barrier, marker, barrier.
 
 The paper's premise (SSI, SSV) is that processes die at arbitrary moments,
 which includes *while a checkpoint is being written*.  A generation is
@@ -10,13 +10,19 @@ SCR and FTI use for multi-level checkpointing:
 1. **Blob phase** -- every array and parity blob is written under the
    generation prefix ``ckpt/<step>/``.  The generation is *pending*: a
    reader must ignore it.
-2. **Barrier** -- :meth:`~repro.ckpt.store.Store.sync` flushes the blob
-   fan-out so nothing in later phases can be reordered before the data.
-3. **Manifest phase** -- the manifest (format_version
-   :data:`COMMIT_FORMAT_VERSION`) is written, then a second barrier.
+2. **Manifest phase** -- the manifest (format_version
+   :data:`COMMIT_FORMAT_VERSION`) is written; without a marker it is
+   still pending.
+3. **Barrier** -- :meth:`~repro.ckpt.store.Store.sync` makes the blobs and
+   the manifest durable before anything can promise them.
 4. **Publish** -- a :class:`CommitMarker` recording the manifest's CRC32
-   and length lands at ``ckpt/<step>/COMMIT`` in a single atomic put.
-   Only now is the generation *committed*.
+   and length lands at ``ckpt/<step>/COMMIT`` in a single atomic put, and
+   a second barrier makes it durable.  Only now is the generation
+   *committed*, and only now may the writer say so.
+
+Phases 2-4 are one routine, :func:`_publish`, whether it seals one
+generation (:meth:`CommitTransaction.seal`) or a batch
+(:func:`group_seal`).
 
 A crash at any instant leaves either a committed generation (marker
 present and matching) or a torn one (anything else) -- and torn
@@ -36,7 +42,7 @@ import json
 import zlib
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any
+from typing import Any, Sequence
 
 from ..exceptions import (
     CheckpointNotFoundError,
@@ -47,7 +53,13 @@ from ..exceptions import (
 )
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
-from .manifest import CheckpointManifest, manifest_key
+from .manifest import (
+    COMMIT_FILENAME,
+    CheckpointManifest,
+    commit_key,
+    generation_prefix,
+    manifest_key,
+)
 from .store import Store
 
 __all__ = [
@@ -73,24 +85,10 @@ __all__ = [
     "group_seal",
 ]
 
-COMMIT_FILENAME = "COMMIT"
-
 #: Manifest ``format_version`` written by the journal.  Version 1 manifests
 #: predate commit markers; version >= 2 promises that a marker was published,
 #: so a v2 manifest *without* a valid marker is evidence of a torn commit.
 COMMIT_FORMAT_VERSION = 2
-
-_STEP_WIDTH = 10  # keep in lockstep with repro.ckpt.manifest
-
-
-def generation_prefix(step: int) -> str:
-    """Store-key prefix owning every object of generation ``step``."""
-    return f"ckpt/{int(step):0{_STEP_WIDTH}d}/"
-
-
-def commit_key(step: int) -> str:
-    """Store key of the commit marker for ``step``."""
-    return generation_prefix(step) + COMMIT_FILENAME
 
 
 @dataclass(frozen=True)
@@ -366,7 +364,7 @@ class CommitTransaction:
         self.blob_keys.append(key)
 
     def seal(self, manifest: CheckpointManifest) -> CommitMarker:
-        """Phases 2-4: barrier, manifest, barrier, atomic marker publish."""
+        """Phases 2-4: :func:`_publish` for this one generation."""
         if self._sealed:
             raise CommitError(f"transaction for step {self.step} is already sealed")
         if int(manifest.step) != self.step:
@@ -374,33 +372,12 @@ class CommitTransaction:
                 f"manifest is for step {manifest.step}, transaction owns "
                 f"step {self.step}"
             )
-        if manifest.format_version < COMMIT_FORMAT_VERSION:
-            raise CommitError(
-                f"journal commits require manifest format_version >= "
-                f"{COMMIT_FORMAT_VERSION}, got {manifest.format_version}"
-            )
-        tracer = get_tracer()
-        with tracer.span(
+        item = GroupSealItem(self.store, manifest)
+        with get_tracer().span(
             "ckpt.commit", step=self.step, n_blobs=len(self.blob_keys)
         ) as sp:
-            # barrier: the blob fan-out must be durable before any metadata
-            # that references it can land
-            self.store.sync()
-            payload = manifest.to_json()
-            with tracer.span("ckpt.manifest_write"):
-                self.store.put(manifest_key(self.step), payload)
-            # barrier: the manifest must be durable before the marker that
-            # promises it exists
-            self.store.sync()
-            marker = CommitMarker(
-                step=self.step,
-                manifest_crc32=zlib.crc32(payload) & 0xFFFFFFFF,
-                manifest_bytes=len(payload),
-                n_entries=len(manifest.entries),
-                n_parity=len(manifest.parity),
-            )
-            self.store.put(commit_key(self.step), marker.to_json())
-            sp.set(manifest_bytes=len(payload), n_entries=len(manifest.entries))
+            (marker,) = _publish((item,), self.store)
+            sp.set(manifest_bytes=marker.manifest_bytes, n_entries=marker.n_entries)
         self._sealed = True
         get_registry().counter("ckpt.commits").inc()
         return marker
@@ -444,7 +421,8 @@ def reap_generation(store: Store, step: int) -> int:
 
 
 class GroupSealItem:
-    """One generation awaiting the batched seal of :func:`group_seal`.
+    """One generation awaiting :func:`_publish`: in a :func:`group_seal`
+    batch, or alone in :meth:`CommitTransaction.seal`.
 
     ``store`` is the (possibly namespaced) store the generation's blobs
     were written under -- manifest and marker keys are built relative to
@@ -457,7 +435,7 @@ class GroupSealItem:
     def __init__(self, store: Store, manifest: CheckpointManifest) -> None:
         if manifest.format_version < COMMIT_FORMAT_VERSION:
             raise CommitError(
-                f"group commits require manifest format_version >= "
+                f"commits require manifest format_version >= "
                 f"{COMMIT_FORMAT_VERSION}, got {manifest.format_version}"
             )
         self.store = store
@@ -469,6 +447,36 @@ class GroupSealItem:
         return int(self.manifest.step)
 
 
+def _publish(items: Sequence[GroupSealItem], barrier: Store) -> list[CommitMarker]:
+    """Phases 2-4 for every item: manifests, barrier, markers, barrier.
+
+    The one place a :class:`CommitMarker` is built and published.  A crash
+    between the barriers can leave a subset of markers durable: those
+    generations are committed *and complete* (their data cleared the
+    first barrier); the rest are torn and reaped.  Markers come back in
+    item order and are also stored on each item.
+    """
+    tracer = get_tracer()
+    payloads: list[bytes] = []
+    for item in items:
+        payload = item.manifest.to_json()
+        with tracer.span("ckpt.manifest_write", step=item.step):
+            item.store.put(manifest_key(item.step), payload)
+        payloads.append(payload)
+    barrier.sync()
+    for item, payload in zip(items, payloads):
+        item.marker = CommitMarker(
+            step=item.step,
+            manifest_crc32=zlib.crc32(payload) & 0xFFFFFFFF,
+            manifest_bytes=len(payload),
+            n_entries=len(item.manifest.entries),
+            n_parity=len(item.manifest.parity),
+        )
+        item.store.put(commit_key(item.step), item.marker.to_json())
+    barrier.sync()
+    return [item.marker for item in items]
+
+
 def group_seal(
     items: list[GroupSealItem] | tuple[GroupSealItem, ...],
     *,
@@ -477,32 +485,16 @@ def group_seal(
 ) -> list[CommitMarker]:
     """Seal many pending generations with two shared sync barriers.
 
-    The group-commit path: where :meth:`CommitTransaction.seal` pays two
-    durability barriers *per generation*, this pays two *per batch* --
-    the fsync amortization that lets a multi-tenant ingest service
-    coalesce concurrent commits.  ``barrier`` is the physical store whose
-    :meth:`~Store.sync` makes every item durable (for namespaced views
-    over one sharded store, the shared underlying store).
-
-    Per-generation atomicity is preserved: the protocol per item is still
-    blobs -> manifest -> marker with each marker published in one atomic
-    ``put``, and the barrier ordering guarantees a marker can never be
-    durable while the manifest and blobs it seals are not:
-
-    1. every manifest is written (blobs were put earlier, e.g. by the
-       burst-buffer drain);
-    2. one barrier makes *all* blobs and manifests durable -- a crash up
-       to here leaves only torn/orphaned generations, which recovery
-       reaps;
-    3. every marker is written;
-    4. a second barrier makes the markers durable.  Only after it returns
-       may any generation in the batch be acknowledged as committed.  A
-       crash mid-barrier can leave a subset of markers durable: those
-       generations are committed *and complete* (their data cleared the
-       first barrier); the rest are torn and reaped.  Either way no
-       acknowledged commit is ever lost and no half-trusted state exists.
-
-    Markers are returned in item order and also stored on each item.
+    The group-commit path: :func:`_publish` over a batch, so the two
+    durability barriers a :meth:`CommitTransaction.seal` pays for one
+    generation are paid once for all of them -- the fsync amortization
+    that lets a multi-tenant ingest service coalesce concurrent commits.
+    ``barrier`` is the physical store whose :meth:`~Store.sync` makes
+    every item durable (for namespaced views over one sharded store, the
+    shared underlying store).  Per-generation atomicity is unchanged:
+    each marker is published in one atomic ``put``, and only after the
+    second barrier returns may any generation in the batch be
+    acknowledged as committed.
     """
     if not items:
         return []
@@ -514,38 +506,14 @@ def group_seal(
                 f"group seal holds step {item.step} twice for the same store"
             )
         seen.add(ident)
-    tracer = get_tracer()
     # ``parent`` threads the submitting request's trace context into this
     # worker thread, whose own span stack is empty (spans here would
     # otherwise surface as orphan roots in a stitched trace).
-    with tracer.span(
+    with get_tracer().span(
         "ckpt.group_commit", parent=parent, n_generations=len(items)
     ) as sp:
-        payloads: list[bytes] = []
-        for item in items:
-            payload = item.manifest.to_json()
-            with tracer.span("ckpt.manifest_write", step=item.step):
-                item.store.put(manifest_key(item.step), payload)
-            payloads.append(payload)
-        # barrier 1: every blob fan-out and manifest in the batch is
-        # durable before any marker that promises them can land
-        barrier.sync()
-        markers: list[CommitMarker] = []
-        for item, payload in zip(items, payloads):
-            marker = CommitMarker(
-                step=item.step,
-                manifest_crc32=zlib.crc32(payload) & 0xFFFFFFFF,
-                manifest_bytes=len(payload),
-                n_entries=len(item.manifest.entries),
-                n_parity=len(item.manifest.parity),
-            )
-            item.store.put(commit_key(item.step), marker.to_json())
-            item.marker = marker
-            markers.append(marker)
-        # barrier 2: the markers themselves; after this every generation
-        # in the batch is durably committed and may be acknowledged
-        barrier.sync()
-        sp.set(manifest_bytes=sum(len(p) for p in payloads))
+        markers = _publish(items, barrier)
+        sp.set(manifest_bytes=sum(m.manifest_bytes for m in markers))
     registry = get_registry()
     registry.counter("ckpt.commits").inc(len(items))
     registry.counter("ckpt.group_commits").inc()
@@ -572,7 +540,7 @@ class CommitJournal:
             raise CommitError(f"step must be >= 0, got {step}")
         if is_committed(self.store, step):
             raise CommitError(
-                f"step {step} already holds a committed checkpoint; "
+                f"checkpoint for step {step} already exists (committed); "
                 f"delete it before rewriting"
             )
         stale = self.store.list_keys(generation_prefix(step))

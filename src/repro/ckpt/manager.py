@@ -6,11 +6,13 @@ pipeline, everything else to a lossless codec, with per-array overrides.
 
 The write protocol is crash-consistent via the two-phase commit journal
 (:mod:`repro.ckpt.journal`): array and parity blobs land under a pending
-generation prefix, a sync barrier makes them durable, the manifest follows,
-and a tiny commit marker -- published in one atomic put -- makes the
-generation visible.  :meth:`CheckpointManager.steps` only ever reports
-committed generations, so a crash at any instant leaves nothing a restore
-could half-trust; :mod:`repro.ckpt.recovery` reaps the debris at startup.
+generation prefix, the manifest follows, a sync barrier makes them durable,
+and a tiny commit marker -- published in one atomic put and made durable by
+a second barrier before :meth:`CheckpointManager.checkpoint` returns --
+makes the generation visible.  :meth:`CheckpointManager.steps` only ever
+reports committed generations, so a crash at any instant leaves nothing a
+restore could half-trust; :mod:`repro.ckpt.recovery` reaps the debris at
+startup.
 Every restore verifies blob sizes and CRC32s against the manifest before
 any data reaches the application.
 
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import contextvars
 import ctypes
+import math
 import os
 import time
 from collections import deque
@@ -64,7 +67,6 @@ from .journal import (
     CommitJournal,
     CommitTransaction,
     committed_steps,
-    is_committed,
     load_committed,
     reap_generation,
     scan_generations,
@@ -241,10 +243,9 @@ def deserialize_array(blob: bytes, codec: str | None = None) -> np.ndarray:
     or :func:`serialize_array_lossless`.
 
     ``codec`` is the manifest's codec name for the blob, when the caller
-    has one: a pipeline blob then goes straight to its decoder and every
-    blob is inflated and parsed once.  Without it the kind is read off the
-    magic and the container header, which costs pipeline blobs a second
-    inflate.
+    has one: a pipeline blob then goes straight to its decoder.  Without
+    it the kind is read off the magic and the container header.  Either
+    way every blob is inflated and parsed once.
     """
     if blob[:4] == CHUNK_MAGIC:
         return chunked_decompress(blob)
@@ -255,28 +256,15 @@ def deserialize_array(blob: bytes, codec: str | None = None) -> np.ndarray:
     if header.get("kind") == _LOSSLESS_KIND:
         try:
             shape = tuple(int(s) for s in header["shape"])
+            if min(shape, default=0) < 0:
+                raise ValueError(f"negative dimension in shape {shape}")
             dtype = np.dtype(header["dtype"])
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"lossless array header is malformed: {exc}") from exc
-        if "data" not in sections:
-            raise FormatError("lossless array container is missing its data section")
-        try:
-            data = np.frombuffer(sections["data"], dtype=dtype)
-        except ValueError as exc:
-            raise FormatError(
-                f"lossless array payload of {len(sections['data'])} bytes is "
-                f"not a whole number of {dtype} items: {exc}"
-            ) from exc
-        expected = 1
-        for s in shape:
-            expected *= s
-        if data.size != expected:
-            raise FormatError(
-                f"lossless array payload holds {data.size} items, "
-                f"shape {shape} needs {expected}"
-            )
-        return data.reshape(shape).copy()
-    return WaveletCompressor.decompress(blob)
+        return container.section_array(
+            sections, "data", dtype, what="lossless array", count=math.prod(shape)
+        ).reshape(shape).copy()
+    return WaveletCompressor.decompress(blob, unseal=lambda _blob: (header, sections))
 
 
 @dataclass
@@ -588,16 +576,10 @@ class CheckpointManager:
         if not isinstance(step, (int, np.integer)) or isinstance(step, bool):
             raise CheckpointError(f"step must be an int, got {step!r}")
         step = int(step)
-        if step < 0:
-            raise CheckpointError(f"step must be >= 0, got {step}")
-        if is_committed(self.store, step):
-            raise CheckpointError(
-                f"checkpoint for step {step} already exists (committed); "
-                f"delete it before rewriting"
-            )
         meta = validate_app_meta(app_meta)
+        txn = self.journal.begin(step)  # refuses a negative or committed step
         self._seed_temporal_from_store()
-        manifest = self._checkpoint_txn(self.journal.begin(step), step, meta)
+        manifest = self._checkpoint_txn(txn, step, meta)
         if self.retention is not None:
             try:
                 self._prune()

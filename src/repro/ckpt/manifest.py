@@ -19,29 +19,43 @@ __all__ = [
     "ArrayEntry",
     "ParityEntry",
     "CheckpointManifest",
+    "generation_prefix",
     "manifest_key",
+    "commit_key",
     "array_key",
     "parity_key",
     "MANIFEST_FILENAME",
+    "COMMIT_FILENAME",
 ]
 
 MANIFEST_FILENAME = "manifest.json"
+COMMIT_FILENAME = "COMMIT"
 _STEP_WIDTH = 10  # zero-padded so lexicographic key order == numeric order
+
+
+def generation_prefix(step: int) -> str:
+    """Store-key prefix owning every object of generation ``step``."""
+    return f"ckpt/{int(step):0{_STEP_WIDTH}d}/"
 
 
 def manifest_key(step: int) -> str:
     """Store key of the manifest for ``step``."""
-    return f"ckpt/{int(step):0{_STEP_WIDTH}d}/{MANIFEST_FILENAME}"
+    return generation_prefix(step) + MANIFEST_FILENAME
+
+
+def commit_key(step: int) -> str:
+    """Store key of the commit marker for ``step``."""
+    return generation_prefix(step) + COMMIT_FILENAME
 
 
 def array_key(step: int, name: str) -> str:
     """Store key of one array blob inside checkpoint ``step``."""
-    return f"ckpt/{int(step):0{_STEP_WIDTH}d}/{name}.bin"
+    return f"{generation_prefix(step)}{name}.bin"
 
 
 def parity_key(step: int, group: int) -> str:
     """Store key of one parity blob inside checkpoint ``step``."""
-    return f"ckpt/{int(step):0{_STEP_WIDTH}d}/parity-{int(group):04d}.bin"
+    return f"{generation_prefix(step)}parity-{int(group):04d}.bin"
 
 
 @dataclass(frozen=True)

@@ -71,6 +71,7 @@ mutates what a restore handed it cannot move the predictor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, NamedTuple
 
@@ -396,12 +397,6 @@ def decode_delta(
     if index_dtype not in _INDEX_DTYPES:
         raise FormatError(f"unsupported temporal delta index dtype {index_dtype}")
     axis = _filter_axis(header, len(shape))
-    section = _SEC_INDICES if axis is None else _SEC_FILTERED
-    if section not in sections:
-        raise FormatError(
-            f"temporal delta blob is missing its {section} section "
-            f"(holds {sorted(sections)})"
-        )
     prev = np.asarray(prev_recon)
     if tuple(prev.shape) != shape:
         raise FormatError(
@@ -413,22 +408,10 @@ def decode_delta(
             f"temporal delta was encoded against dtype {dtype}, but the "
             f"previous generation decoded to {prev.dtype}"
         )
-    try:
-        q = np.frombuffer(sections[section], dtype=index_dtype)
-    except ValueError as exc:
-        raise FormatError(
-            f"temporal delta indices are not a whole number of "
-            f"{index_dtype} items: {exc}"
-        ) from exc
-    expected = 1
-    for s in shape:
-        expected *= s
-    if q.size != expected:
-        raise FormatError(
-            f"temporal delta holds {q.size} indices, shape {shape} needs "
-            f"{expected}"
-        )
-    q = q.reshape(shape)
+    q = container.section_array(
+        sections, _SEC_INDICES if axis is None else _SEC_FILTERED, index_dtype,
+        what="temporal delta", count=math.prod(shape),
+    ).reshape(shape)
     if axis is not None:
         q = _undo_filter(q, axis)
     # q * 2eb + pred in one float64 buffer: the encoder's operations in its

@@ -108,7 +108,7 @@ from .config import (
     TemporalConfig,
     parse_size,
 )
-from .core.chunked import CHUNK_MAGIC, chunked_compress_with_stats, chunked_decompress
+from .core.chunked import chunked_compress_with_stats
 from .core.errors import error_report
 from .core.pipeline import WaveletCompressor, inspect as inspect_blob
 from .core.tuning import tune_for_tolerance
@@ -567,13 +567,12 @@ def _cmd_compress(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompress(args: argparse.Namespace) -> int:
+    from .ckpt.manager import deserialize_array
+
     with open(args.input, "rb") as fh:
         blob = fh.read()
     with _tracing(args):
-        if blob[:4] == CHUNK_MAGIC:
-            arr = chunked_decompress(blob)
-        else:
-            arr = WaveletCompressor.decompress(blob)
+        arr = deserialize_array(blob)
     np.save(args.output, arr)
     print(f"{args.output}: shape {arr.shape}, dtype {arr.dtype}")
     return 0

@@ -60,6 +60,7 @@ __all__ = [
     "Body",
     "write_body",
     "read_body",
+    "section_array",
     "wrap_envelope",
     "unwrap_envelope",
     "peek_header",
@@ -309,6 +310,44 @@ def read_body(blob: bytes) -> tuple[dict[str, Any], dict[str, bytes]]:
             f"{sorted(unknown)}"
         )
     return header, sections
+
+
+def section_array(
+    sections: Mapping[str, Any],
+    name: str,
+    dtype: Any,
+    *,
+    what: str,
+    count: int | None = None,
+) -> np.ndarray:
+    """Section ``name`` of a :func:`read_body` result as a flat ``dtype``
+    view (no copy).
+
+    The one reader of typed sections, so a section that is missing, is not
+    a whole number of items, or -- given ``count`` -- holds another number
+    of items than the header's shape needs is a :class:`FormatError`
+    naming ``what`` was being decoded, never a raw NumPy error.
+    """
+    try:
+        payload = sections[name]
+    except KeyError:
+        raise FormatError(
+            f"{what} is missing its {name} section (holds {sorted(sections)})"
+        ) from None
+    dtype = np.dtype(dtype)
+    try:
+        items = np.frombuffer(payload, dtype=dtype)
+    except ValueError as exc:
+        raise FormatError(
+            f"{what} section {name!r} of {len(payload)} bytes is not a whole "
+            f"number of {dtype} items: {exc}"
+        ) from exc
+    if count is not None and items.size != count:
+        raise FormatError(
+            f"{what} section {name!r} holds {items.size} items, its shape "
+            f"needs {count}"
+        )
+    return items
 
 
 def wrap_envelope(

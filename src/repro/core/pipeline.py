@@ -11,6 +11,7 @@ metrics registry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
@@ -411,35 +412,21 @@ class WaveletCompressor:
             raise FormatError(f"container header is missing fields: {exc}") from exc
         if index_dtype not in (np.dtype(np.uint8), np.dtype(np.uint16)):
             raise FormatError(f"unsupported index dtype {index_dtype}")
-        expected_size = 1
-        for s in shape:
-            expected_size *= s
+        expected_size = math.prod(shape)
         if expected_size != size:
             raise DecompressionError(
                 f"header shape {shape} implies {expected_size} coefficients, "
                 f"header records {size}"
             )
-        missing = {_SEC_BITMAP, _SEC_AVERAGES, _SEC_INDICES, _SEC_RAW} - set(sections)
-        if missing:
-            raise FormatError(f"container is missing sections: {sorted(missing)}")
-        def _section_array(name: str, dt: np.dtype) -> np.ndarray:
-            # a length-lying container can leave a section that is not a
-            # whole number of items; frombuffer's ValueError must surface
-            # as a format problem, not leak to the caller
-            try:
-                return np.frombuffer(sections[name], dtype=dt)
-            except ValueError as exc:
-                raise FormatError(
-                    f"section {name!r} of {len(sections[name])} bytes is not "
-                    f"a whole number of {dt} items: {exc}"
-                ) from exc
+        def section(name: str, dt: Any) -> np.ndarray:
+            return container.section_array(sections, name, dt, what="container")
 
         with tracer.span("decoding"):
             payload = EncodedPayload(
-                bitmap=_section_array(_SEC_BITMAP, np.dtype(np.uint8)),
-                averages=_section_array(_SEC_AVERAGES, np.dtype(np.float64)),
-                indices=_section_array(_SEC_INDICES, index_dtype),
-                raw_values=_section_array(_SEC_RAW, np.dtype(np.float64)),
+                bitmap=section(_SEC_BITMAP, np.uint8),
+                averages=section(_SEC_AVERAGES, np.float64),
+                indices=section(_SEC_INDICES, index_dtype),
+                raw_values=section(_SEC_RAW, np.float64),
                 size=size,
             )
             flat = decode_coefficients(payload)

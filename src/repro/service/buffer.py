@@ -30,18 +30,15 @@ from typing import Any
 from ..ckpt.store import Store
 from ..exceptions import ConfigurationError, SimulatedCrash
 from ..obs import get_registry, get_tracer
+from .sharded import TENANT_PREFIX
 
 __all__ = ["BurstDrain", "DrainStats"]
-
-_TENANT_KEY_PREFIX = "tenants/"
 
 
 def _tenant_of(key: str) -> str:
     """Tenant label value for a buffered key (``""`` for shared keys)."""
-    if key.startswith(_TENANT_KEY_PREFIX):
-        rest = key[len(_TENANT_KEY_PREFIX):]
-        return rest.partition("/")[0]
-    return ""
+    root, _, rest = key.partition("/")
+    return rest.partition("/")[0] if root == TENANT_PREFIX else ""
 
 
 class DrainStats:

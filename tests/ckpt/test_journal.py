@@ -18,7 +18,7 @@ from repro.ckpt.journal import (
     reap_generation,
 )
 from repro.ckpt.manifest import ArrayEntry, CheckpointManifest, manifest_key
-from repro.ckpt.store import CountingStore, MemoryStore
+from repro.ckpt.store import CountingStore, DirectoryStore, MemoryStore, StoreWrapper
 from repro.exceptions import (
     CheckpointNotFoundError,
     CommitError,
@@ -78,10 +78,50 @@ class TestCommitProtocol:
         marker = txn.seal(_manifest(7, blob))
         assert is_committed(store, 7)
         assert load_marker(store, 7) == marker
-        # two sync barriers: post-blobs and post-manifest
+        # two sync barriers: post-manifest (blobs and manifest durable) and
+        # post-marker (the commit durable before seal returns)
         assert store.syncs == 2
         # blob + manifest + marker
         assert store.puts == 3
+
+    def test_seal_publishes_marker_then_syncs(self):
+        """The library seal runs the group seal's order for one generation:
+        the marker is durable before the caller hears "committed"."""
+
+        class Recording(StoreWrapper):
+            def __init__(self, inner):
+                super().__init__(inner)
+                self.ops = []
+
+            def _before(self, op, key):
+                self.ops.append((op, key))
+
+        store = Recording(MemoryStore())
+        txn = CommitJournal(store).begin(3)
+        txn.put_blob("ckpt/0000000003/a.bin", b"x" * 16)
+        store.ops.clear()
+        txn.seal(_manifest(3))
+        assert store.ops == [
+            ("put", manifest_key(3)),
+            ("sync", ""),
+            ("put", commit_key(3)),
+            ("sync", ""),
+        ]
+
+    def test_batch_durability_checkpoint_leaves_nothing_dirty(self, tmp_path):
+        """A batch-durability store defers every flush to ``sync()``; when
+        ``checkpoint()`` returns, the marker and its directory are flushed."""
+        from repro.ckpt import ArrayRegistry, CheckpointManager
+
+        registry = ArrayRegistry()
+        registry.register("field", np.linspace(0.0, 1.0, 64).reshape(8, 8))
+        registry.register("counts", np.arange(10, dtype=np.int64))
+        store = DirectoryStore(str(tmp_path), durability="batch")
+        with CheckpointManager(registry, store) as manager:
+            manager.checkpoint(0)
+            assert store._dirty_files == set()
+            assert store._dirty_dirs == set()
+        assert is_committed(store, 0)
 
     def test_marker_records_manifest_identity(self):
         store = MemoryStore()

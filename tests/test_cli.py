@@ -64,6 +64,28 @@ class TestCompressDecompress:
         restored = np.load(out_npy)
         assert restored.shape == smooth2d.shape
 
+    def test_decompress_blobs_of_a_checkpoint(self, tmp_path, smooth2d):
+        """``decompress`` reads each single-blob kind the manager writes: a
+        lossless int64 array bit for bit, a lossy field as a restore does."""
+        from repro.ckpt import ArrayRegistry, CheckpointManager, DirectoryStore
+
+        counts = np.arange(60, dtype=np.int64).reshape(6, 10)
+        registry = ArrayRegistry()
+        registry.register("counts", counts)
+        registry.register("field", smooth2d)
+        with CheckpointManager(registry, DirectoryStore(str(tmp_path / "ck"))) as mgr:
+            mgr.checkpoint(0)
+            restored = mgr.load_arrays(0)
+        for name, original in (("counts", counts), ("field", smooth2d)):
+            blob = tmp_path / "ck" / "ckpt" / "0000000000" / f"{name}.bin"
+            out = str(tmp_path / f"{name}.npy")
+            assert main(["decompress", str(blob), out]) == 0
+            decoded = np.load(out)
+            assert decoded.dtype == original.dtype
+            np.testing.assert_array_equal(decoded, restored[name])
+            np.testing.assert_allclose(decoded, original, rtol=1e-2)
+        np.testing.assert_array_equal(np.load(str(tmp_path / "counts.npy")), counts)
+
     def test_mt_backend_roundtrip_via_files(self, tmp_path, npy, smooth2d):
         rpz = str(tmp_path / "field.rpz")
         out_npy = str(tmp_path / "restored.npy")
