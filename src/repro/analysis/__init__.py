@@ -1,12 +1,5 @@
 """Experiment drivers and reporting helpers."""
 
-from .conservation import (
-    adjust_energy,
-    adjust_mean,
-    adjust_sum,
-    conservation_report,
-    symmetrize,
-)
 from .distribution import (
     BandDistribution,
     high_band_distribution,
@@ -29,11 +22,6 @@ from .random_walk import SqrtFit, expected_random_walk_error, fit_sqrt_growth
 from .tables import format_bytes, render_bars, render_series, render_table
 
 __all__ = [
-    "adjust_sum",
-    "adjust_mean",
-    "adjust_energy",
-    "symmetrize",
-    "conservation_report",
     "BandDistribution",
     "high_band_distribution",
     "render_histogram",

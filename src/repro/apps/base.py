@@ -2,7 +2,7 @@
 
 A *proxy app* is a small, deterministic time-stepping simulation exposing
 the :class:`~repro.ckpt.protocol.Checkpointable` protocol plus a step
-counter.  The drift experiment (paper Fig. 10) and the failure simulator
+counter.  The drift experiment (paper Fig. 10) and the restart coordinator
 drive any of them interchangeably.
 """
 

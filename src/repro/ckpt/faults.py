@@ -40,9 +40,9 @@ step -- mid-blob, post-blob/pre-manifest, post-manifest/pre-marker:
     The operation completes, then the process dies (a read's result dies
     with it).
 
-Plans compose with the :mod:`repro.failure` machinery: build one from a
-:class:`~repro.failure.distributions.FailureDistribution` and the same
-MTBF model that drives the run simulator also drives which store ops die.
+Plans compose with the :mod:`repro.failure` models: build one from a
+:class:`~repro.failure.distributions.FailureDistribution` and an MTBF model
+decides which store ops die (``repro-ckpt restart --crash-mtbf-ops``).
 All randomness flows through one seeded :class:`numpy.random.Generator`
 with a fixed draw discipline, so a given seed and operation sequence
 always produce the same faults -- the property the CI determinism job

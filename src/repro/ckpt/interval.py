@@ -3,8 +3,9 @@
 
 Compression changes the checkpoint cost ``C`` (it shrinks the I/O but adds
 compute), which moves the optimal interval and the expected-runtime curve.
-These models quantify that coupling; the failure simulator
-(:mod:`repro.failure.simulator`) validates them by Monte Carlo.
+These models quantify that coupling; the interval tests check
+:func:`expected_runtime` against a Monte Carlo run of sampled exponential
+failures.
 
 All times are in consistent units (seconds throughout the library).
 """

@@ -254,10 +254,8 @@ def deserialize_array(blob: bytes, codec: str | None = None) -> np.ndarray:
     body, _backend = container.unwrap_envelope(blob)
     header, sections = container.read_body(body)
     if header.get("kind") == _LOSSLESS_KIND:
+        shape = container.header_shape(header, what="lossless array")
         try:
-            shape = tuple(int(s) for s in header["shape"])
-            if min(shape, default=0) < 0:
-                raise ValueError(f"negative dimension in shape {shape}")
             dtype = np.dtype(header["dtype"])
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"lossless array header is malformed: {exc}") from exc
@@ -459,6 +457,7 @@ class CheckpointManager:
     def _defer(
         self, ctx: contextvars.Context, counter: str, codec: str, data: Any,
         stage: Callable[[Any], Any], min_bytes: int, span: Any,
+        unentered: contextvars.Context | None = None,
     ) -> _Handoff | None:
         """Run ``stage(data)`` -- on a write the backend stage of a body
         (``wrap_envelope``/``Codec.compress``) or a temporal array's whole
@@ -466,6 +465,9 @@ class CheckpointManager:
         of a link's blob; no decisions -- on the lane, in the caller's
         ``ctx`` under the array's ``span``; returns its :class:`_Handoff`,
         or None where the caller runs the stage itself, at its turn.
+        A claim runs in a copy of ``unentered`` (default ``ctx``): a copy
+        of ``ctx`` taken while the lane runs in it would carry what the
+        lane's stage set there, such as its open span.
 
         The lane is this manager's own thread, never the shared deflate
         pool: a ``*-mt`` seal parks there waiting for block tasks that an
@@ -497,7 +499,8 @@ class CheckpointManager:
             self.close()
             get_registry().counter("fallbacks", kind="serial").inc()
             return None
-        return _Handoff(future, lambda: ctx.copy().run(run, None), counter, codec)
+        claim_ctx = ctx if unentered is None else unentered
+        return _Handoff(future, lambda: claim_ctx.copy().run(run, None), counter, codec)
 
     def __enter__(self) -> "CheckpointManager":
         return self
@@ -697,8 +700,9 @@ class CheckpointManager:
 
         with tracer.span("checkpoint", step=step) as root:
             # Copied here, not inside the encode call: what the lane runs
-            # belongs to the generation, which outlives every seal.
-            ctx = contextvars.copy_context()
+            # belongs to the generation, which outlives every seal.  The lane
+            # enters ``ctx``; a claim runs in a copy of ``unentered``.
+            ctx, unentered = contextvars.copy_context(), contextvars.copy_context()
 
             def defer(codec: str, data: Any, stage: Callable, idle_only: bool = False) -> Any:
                 # ``idle_only``: a whole encode never queues behind the lane's
@@ -706,7 +710,8 @@ class CheckpointManager:
                 p, handoff = inflight[-1], None  # the array being encoded
                 if not (idle_only and any(map(sealing, inflight))):
                     handoff = self._defer(
-                        ctx, "ckpt.pipeline.deferred", codec, data, stage, _DEFER_MIN_BYTES, p.span
+                        ctx, "ckpt.pipeline.deferred", codec, data, stage, _DEFER_MIN_BYTES,
+                        p.span, unentered,
                     )
                 p.body = not idle_only
                 return stage(data) if handoff is None else handoff

@@ -441,7 +441,7 @@ class ThrottledStore(StoreWrapper):
     Stands in for the shared parallel filesystem of paper Section IV-D: no
     real sleeping happens, but every put/get accrues
     ``latency + nbytes / bandwidth`` seconds into :attr:`simulated_seconds`,
-    which the scaling model and the failure simulator read.  Metadata
+    for a caller to read as modelled transfer time.  Metadata
     operations (``exists``/``delete``/``list_keys``/``sync``) move no
     payload but still cost a round trip, so each accrues ``latency``
     seconds -- without it the Section IV-D model undercounts manifest

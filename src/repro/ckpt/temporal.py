@@ -382,8 +382,8 @@ def decode_delta(
         raise FormatError(
             f"not a temporal delta blob (kind={header.get('kind')!r})"
         )
+    shape = container.header_shape(header, what="temporal delta")
     try:
-        shape = tuple(int(s) for s in header["shape"])
         dtype = np.dtype(header["dtype"])
         index_dtype = np.dtype(header["index_dtype"])
         eb = float(header["error_bound"])

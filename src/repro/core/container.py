@@ -42,6 +42,7 @@ forever; only version 2 is written.
 from __future__ import annotations
 
 import json
+import operator
 import struct
 import zlib
 from typing import Any, Mapping
@@ -61,6 +62,7 @@ __all__ = [
     "write_body",
     "read_body",
     "section_array",
+    "header_shape",
     "wrap_envelope",
     "unwrap_envelope",
     "peek_header",
@@ -348,6 +350,23 @@ def section_array(
             f"needs {count}"
         )
     return items
+
+
+def header_shape(header: Mapping[str, Any], *, what: str) -> tuple[int, ...]:
+    """The ``shape`` of a :func:`read_body` header as a tuple of ints.
+
+    The one parser of stored shapes, so a shape that is missing or has a
+    dimension that is not a non-negative integer is a :class:`FormatError`
+    naming ``what`` was being decoded.  NumPy would read one negative
+    dimension as "infer this one" and raise its own error on two.
+    """
+    try:
+        shape = tuple(operator.index(dim) for dim in header["shape"])
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"{what} header is malformed: no integer shape ({exc!r})") from exc
+    if min(shape, default=0) < 0:
+        raise FormatError(f"{what} header is malformed: negative dimension in shape {shape}")
+    return shape
 
 
 def wrap_envelope(

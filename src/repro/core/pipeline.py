@@ -401,8 +401,8 @@ class WaveletCompressor:
 
     @staticmethod
     def _decode_body(header, sections, tracer) -> np.ndarray:
+        shape = container.header_shape(header, what="container")
         try:
-            shape = tuple(int(s) for s in header["shape"])
             dtype = np.dtype(header["dtype"])
             applied = int(header["applied_levels"])
             size = int(header["n_coefficients"])

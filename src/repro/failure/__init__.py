@@ -1,35 +1,19 @@
-"""Failure models, schedules and run-with-failures simulation."""
+"""Failure models and their exascale projection."""
 
 from .distributions import ExponentialFailures, FailureDistribution, WeibullFailures
-from .injector import FailureSchedule
 from .projection import (
     EfficiencyPoint,
     efficiency_at,
     efficiency_sweep,
     mtbf_at_scale,
 )
-from .simulator import (
-    ExecutedRun,
-    RunEvent,
-    RunResult,
-    monte_carlo_expected_runtime,
-    run_app_with_failures,
-    simulate_run,
-)
 
 __all__ = [
     "FailureDistribution",
     "ExponentialFailures",
     "WeibullFailures",
-    "FailureSchedule",
     "EfficiencyPoint",
     "efficiency_at",
     "efficiency_sweep",
     "mtbf_at_scale",
-    "RunEvent",
-    "RunResult",
-    "simulate_run",
-    "monte_carlo_expected_runtime",
-    "ExecutedRun",
-    "run_app_with_failures",
 ]

@@ -2,10 +2,10 @@
 
 The paper's motivation is the shrinking MTBF of exascale systems ("a few
 hours", ref. [4]).  These distributions generate inter-failure times for
-the run simulator: the memoryless exponential model standard in
-checkpointing theory (it underlies Young/Daly), plus a Weibull model whose
-``shape < 1`` captures the infant-mortality behaviour real failure logs
-show (refs. [1]-[3]).
+fault plans (:meth:`repro.ckpt.faults.FaultPlan.from_distribution`): the
+memoryless exponential model standard in checkpointing theory (it
+underlies Young/Daly), plus a Weibull model whose ``shape < 1`` captures
+the infant-mortality behaviour real failure logs show (refs. [1]-[3]).
 """
 
 from __future__ import annotations

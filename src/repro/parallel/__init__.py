@@ -1,13 +1,5 @@
-"""Rank-parallel checkpointing over domain-decomposed global arrays."""
+"""Slab compression across worker processes."""
 
-from .decomposition import BlockDecomposition, decompose, reassemble
-from .driver import (
-    ParallelCheckpointResult,
-    RankCheckpoint,
-    SimulatedComm,
-    parallel_checkpoint,
-    parallel_restore,
-)
 from .executor import (
     MultiprocessExecutor,
     SerialExecutor,
@@ -18,14 +10,6 @@ from .executor import (
 )
 
 __all__ = [
-    "BlockDecomposition",
-    "decompose",
-    "reassemble",
-    "SimulatedComm",
-    "RankCheckpoint",
-    "ParallelCheckpointResult",
-    "parallel_checkpoint",
-    "parallel_restore",
     "SlabExecutor",
     "SerialExecutor",
     "MultiprocessExecutor",

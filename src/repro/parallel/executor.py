@@ -2,9 +2,9 @@
 
 The paper's scaling argument (Section IV-D, Fig. 9) rests on every rank
 compressing its slab independently -- "compression of checkpoints of each
-process can be done in an embarrassingly parallel fashion".  The simulated
-driver *models* that parallelism (total time = max over ranks) but executes
-sequentially.  This module makes the parallelism real on one node: a
+process can be done in an embarrassingly parallel fashion".  The I/O model
+(:mod:`repro.iomodel.scaling`) *models* that parallelism as a constant
+per-process cost.  This module makes the parallelism real on one node: a
 :class:`SlabExecutor` maps a list of slabs through the wavelet pipeline and
 returns ``(blob, CompressionStats)`` per slab, either in-process
 (:class:`SerialExecutor`) or fanned out to worker processes

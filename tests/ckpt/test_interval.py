@@ -79,6 +79,39 @@ class TestExpectedRuntime:
             expected_runtime(10, 10, -1, 1, 100)
 
 
+def sampled_runtime(work, tau, c, r, mtbf, *, trials, seed):
+    """Mean wall clock of ``trials`` sampled runs under exponential
+    failures: each segment of ``tau`` work plus a checkpoint ``c`` is
+    retried whenever a failure strikes it, after a restart ``r`` that a
+    failure during it starts over.  Memorylessness lets every attempt draw
+    a fresh time to failure."""
+    rng = np.random.default_rng(seed)
+    total = 0.0
+    for _ in range(trials):
+        wall, done = 0.0, 0.0
+        while done < work:
+            segment = min(tau, work - done)
+            while (failure := rng.exponential(mtbf)) < segment + c:
+                wall += failure
+                while (failure := rng.exponential(mtbf)) < r:
+                    wall += failure
+                wall += r
+            wall += segment + c
+            done += segment
+        total += wall
+    return total / trials
+
+
+class TestMonteCarloAgreement:
+    def test_matches_daly_model(self):
+        """Sampled failures and the analytic expectation agree (an
+        independent check of Daly's model as implemented)."""
+        work, tau, c, r, m = 2000.0, 120.0, 10.0, 20.0, 600.0
+        analytic = expected_runtime(work, tau, c, r, m)
+        mc = sampled_runtime(work, tau, c, r, m, trials=150, seed=42)
+        assert mc == pytest.approx(analytic, rel=0.15)
+
+
 class TestOverheadFraction:
     def test_formula(self):
         assert checkpoint_overhead_fraction(100.0, 10.0, 1000.0) == pytest.approx(

@@ -8,6 +8,7 @@ here is the manager's own inline fallback (a lane that cannot start).
 
 from __future__ import annotations
 
+import contextvars
 import faulthandler
 import gc
 import hashlib
@@ -619,6 +620,29 @@ class TestClaims:
             serial = serial_checkpoint_failure(manager, 1, monkeypatch)
             assert (type(piped.value), str(piped.value)) == (type(serial), str(serial))
         manager.close()
+
+    def test_claim_does_not_see_what_the_lane_set(self, monkeypatch):
+        """A claimed body runs in the generation's context as it was before
+        any hand-off, not in a copy of the one the lane is running in: a
+        context variable the lane's stage set is not visible to it."""
+        lane = ParkedLane(monkeypatch)
+        parked = DeflateCodec.compress
+        mark = contextvars.ContextVar("mark", default="unset")
+        seen = []
+
+        def marking(codec, data, cuts=None):
+            if threading.current_thread() is lane.caller:
+                seen.append(mark.get())
+            else:
+                mark.set("lane")
+            return parked(codec, data, cuts)
+
+        monkeypatch.setattr(DeflateCodec, "compress", marking)
+        manager = CheckpointManager(float_registry(3), MemoryStore())
+        manager.checkpoint(0)
+        manager.close()
+        assert claimed("zlib") == 2
+        assert seen == ["unset", "unset"]
 
     @pytest.mark.parametrize("parity", [False, True], ids=["plain", "parity"])
     @pytest.mark.parametrize("mode", CRASH_KINDS)

@@ -65,19 +65,19 @@ class TestWithCompressor:
     def test_parity_over_compressed_rank_blobs(self, smooth3d):
         """The composition the paper's conclusion suggests: parity over
         *compressed* checkpoints, so redundancy overhead shrinks too."""
-        from repro.parallel import parallel_checkpoint, reassemble
         from repro.core.pipeline import WaveletCompressor
 
-        result = parallel_checkpoint(smooth3d, 4)
-        rank_blobs = [r.blob for r in result.ranks]
+        compressor = WaveletCompressor()
+        slabs = np.array_split(smooth3d, 4, axis=0)  # one slab per rank
+        rank_blobs = [compressor.compress(slab) for slab in slabs]
         parity = encode_parity(rank_blobs)
         # lose rank 2's checkpoint, rebuild it, decode the full array
         rebuilt = rebuild_member(parity, survivors_of(rank_blobs, 2), 4, 2)
-        blocks = []
-        for i, rank_ckpt in enumerate(result.ranks):
-            blob = rebuilt if i == 2 else rank_ckpt.blob
-            blocks.append(WaveletCompressor.decompress(blob))
-        restored = reassemble(result.decomposition, blocks)
+        blocks = [
+            WaveletCompressor.decompress(rebuilt if i == 2 else blob)
+            for i, blob in enumerate(rank_blobs)
+        ]
+        restored = np.concatenate(blocks, axis=0)
         assert restored.shape == smooth3d.shape
         # redundancy cost is ~1/N of the *compressed* size, far below raw
         assert (len(rank_blobs) + 1) * len(parity) < smooth3d.nbytes

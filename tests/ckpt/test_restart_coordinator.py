@@ -8,6 +8,7 @@ import pytest
 from repro.apps.base import run_steps
 from repro.apps.heat import HeatDiffusionProxy
 from repro.ckpt.faults import CRASH_KINDS, FaultInjectingStore, FaultPlan
+from repro.ckpt.journal import committed_steps
 from repro.ckpt.manager import CheckpointManager
 from repro.ckpt.protocol import registry_from_checkpointable
 from repro.ckpt.recovery import RestartCoordinator
@@ -101,6 +102,19 @@ class TestCrashCampaign:
         np.testing.assert_array_equal(
             coord.app.temperature, _reference_final(12)
         )
+
+    def test_restart_rolls_back_to_newest_committed_generation(self):
+        """A process death tearing step 12's commit leaves 3, 6 and 9
+        committed: the next incarnation resumes from 9, not from the torn
+        generation and not from an older one."""
+        inner = MemoryStore()
+        crashing = FaultInjectingStore(inner, FaultPlan(schedule=[(13, "crash-torn")]))
+        with pytest.raises(CheckpointError, match="did not complete"):
+            _coordinator(crashing, max_restarts=0).run()
+        assert committed_steps(inner) == [3, 6, 9]
+        report = _coordinator(inner).run()
+        assert report.cycles[0].restored_step == 9
+        assert report.cycles[0].recovered_torn == (12,)
 
     def test_campaign_is_deterministic(self):
         points = [(3, "crash-torn"), (11, "crash-before"), (20, "crash-after")]

@@ -551,3 +551,17 @@ def test_lossless_shape_with_two_negative_dimensions():
     blob = wrap_envelope(write_body(header, {"data": np.zeros(12)}), "zlib")
     with pytest.raises(FormatError, match="negative dimension"):
         deserialize_array(blob)
+
+
+def test_pipeline_shape_with_two_negative_dimensions():
+    """A pipeline header whose shape [3, 4] is rewritten to [-3, -4] still
+    matches its 12 coefficients: the decoder must refuse the shape itself
+    rather than leak NumPy's reshape error."""
+    arr = np.arange(12, dtype=np.float64).reshape(3, 4)
+    blob = WaveletCompressor(CompressionConfig(n_bins=32)).compress(arr)
+    header, sections = read_body(unwrap_envelope(blob)[0])
+    assert header["shape"] == [3, 4] and header["n_coefficients"] == 12
+    header["shape"] = [-3, -4]
+    forged = wrap_envelope(bytes(write_body(header, sections)), "zlib")
+    with pytest.raises(FormatError, match="negative dimension"):
+        WaveletCompressor.decompress(forged)

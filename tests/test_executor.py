@@ -7,7 +7,6 @@ import pytest
 
 from repro import CompressionConfig, WaveletCompressor
 from repro.exceptions import ConfigurationError
-from repro.parallel import parallel_checkpoint, parallel_restore
 from repro.parallel.executor import (
     MultiprocessExecutor,
     SerialExecutor,
@@ -164,43 +163,3 @@ class TestAggregateStats:
         agg = aggregate_stats([])
         assert agg.original_bytes == 0
         assert agg.timings == {}
-
-
-class TestDriverWorkers:
-    def test_blobs_byte_identical_to_serial(self, smooth3d):
-        serial = parallel_checkpoint(smooth3d, 4)
-        parallel = parallel_checkpoint(smooth3d, 4, workers=2)
-        assert [r.blob for r in serial.ranks] == [r.blob for r in parallel.ranks]
-
-    def test_restore_roundtrip(self, smooth3d):
-        result = parallel_checkpoint(smooth3d, 4, workers=2)
-        back = parallel_restore(result)
-        assert back.shape == smooth3d.shape
-
-    def test_measured_wall_clock_reported(self, smooth3d):
-        serial = parallel_checkpoint(smooth3d, 4)
-        assert serial.measured_wall_seconds > 0
-        assert serial.executor_name == "serial"
-        parallel = parallel_checkpoint(smooth3d, 4, workers=2)
-        assert parallel.measured_wall_seconds > 0
-        assert parallel.executor_name in ("multiprocess", "serial")
-
-    def test_per_rank_times_come_from_workers(self, smooth3d):
-        result = parallel_checkpoint(smooth3d, 4, workers=2)
-        assert all(r.compress_seconds > 0 for r in result.ranks)
-        assert result.compute_seconds == max(
-            r.compress_seconds for r in result.ranks
-        )
-
-    def test_custom_factory_incompatible_with_workers(self, smooth3d):
-        with pytest.raises(ConfigurationError, match="compressor_factory"):
-            parallel_checkpoint(
-                smooth3d, 2, workers=2,
-                compressor_factory=lambda cfg: WaveletCompressor(cfg),
-            )
-
-    def test_explicit_executor(self, smooth3d):
-        result = parallel_checkpoint(smooth3d, 4, executor=SerialExecutor())
-        assert result.executor_name == "serial"
-        back = parallel_restore(result)
-        assert back.shape == smooth3d.shape

@@ -2,7 +2,7 @@
 
 These mirror the paper's actual experimental setup at test-friendly sizes:
 a NICAM-like application checkpointed through the lossy pipeline into a
-store, hit by failures, restored, and measured.
+store, restored, and measured.
 """
 
 from __future__ import annotations
@@ -14,10 +14,8 @@ import repro
 from repro import CompressionConfig, WaveletCompressor
 from repro.apps.climate import ClimateProxy
 from repro.ckpt.manager import CheckpointManager
-from repro.ckpt.multilevel import CheckpointLevel, MultiLevelCheckpointManager
 from repro.ckpt.protocol import registry_from_checkpointable
-from repro.ckpt.store import CountingStore, DirectoryStore, MemoryStore, ThrottledStore
-from repro.failure.simulator import run_app_with_failures
+from repro.ckpt.store import CountingStore, DirectoryStore, MemoryStore
 
 SHAPE = (64, 16, 2)
 
@@ -66,27 +64,6 @@ class TestClimateCheckpointCycle:
         err = repro.mean_relative_error(ref.temperature, restarted.temperature)
         assert 0 < err < 0.01  # diverged, but mildly
 
-    def test_multilevel_hierarchy_with_failures(self):
-        app = ClimateProxy(shape=SHAPE, seed=9)
-        registry = registry_from_checkpointable(app)
-        local = CheckpointLevel("local", MemoryStore(), interval=2, retention=1)
-        pfs_store = ThrottledStore(MemoryStore(), bandwidth_bytes_per_sec=20e9)
-        pfs = CheckpointLevel("pfs", pfs_store, interval=10, retention=2)
-        mlm = MultiLevelCheckpointManager(registry, [local, pfs])
-
-        for _ in range(13):
-            app.step()
-            mlm.maybe_checkpoint(app.step_index)
-        assert mlm.managers["local"].steps() == [12]
-        assert mlm.managers["pfs"].steps() == [10]
-        assert pfs_store.simulated_seconds > 0
-
-        app.temperature[:] = 0.0  # "failure"
-        name, manifest = mlm.restore_newest()
-        assert (name, manifest.step) == ("local", 12)
-        assert app.step_index == 12
-        assert app.temperature.mean() > 100.0
-
 
 class TestFailureRecoveryEconomics:
     def test_counting_store_shows_compression_wins_bytes(self):
@@ -98,20 +75,6 @@ class TestFailureRecoveryEconomics:
         manager.checkpoint(0)
         raw = sum(arr.nbytes for arr in registry.snapshot().values())
         assert counting.bytes_written < raw * 0.6
-
-    def test_run_with_failures_end_to_end(self):
-        app = ClimateProxy(shape=(32, 8, 2), seed=3)
-        registry = registry_from_checkpointable(app)
-        manager = CheckpointManager(
-            registry, MemoryStore(), config=CompressionConfig(n_bins=128)
-        )
-        result = run_app_with_failures(
-            app, manager, total_steps=20, checkpoint_interval=5,
-            fail_at_steps=[7, 13],
-        )
-        assert result.final_step == 20
-        assert result.n_failures == 2
-        assert np.isfinite(app.temperature).all()
 
 
 class TestHeadlineNumbers:
