@@ -146,11 +146,11 @@ def _run_on(cpus: set[int] | None) -> None:
 
 
 class _Handoff:
-    """A stage handed to the lane (:meth:`CheckpointManager._defer`), which
-    the calling thread may :meth:`claim` while the lane has not started it."""
+    """A stage handed to the lane (:meth:`_Run.defer`), which the calling
+    thread may :meth:`claim` while the lane has not started it."""
 
-    def __init__(self, future: Future, here: Callable[[], Any], counter: str, codec: str) -> None:
-        self.future, self._here, self._counter, self._codec = future, here, counter, codec
+    def __init__(self, run: "_Run", future: Future, here: Callable[[], Any], codec: str) -> None:
+        self.run, self.future, self._here, self._codec = run, future, here, codec
         self.claimed = False
 
     def claim(self) -> bool:
@@ -159,35 +159,115 @@ class _Handoff:
             return False
         future: Future = Future()
         try:
-            future.set_result(self._here())
+            future.set_result((self._here()[0], 0.0))  # no seconds on the lane
         except Exception as exc:  # noqa: BLE001
             future.set_exception(exc)
         self.future, self.claimed = future, True
+        self.run.claimed += 1
         get_registry().counter("ckpt.pipeline.claimed", codec=self._codec).inc()
         return True
 
-    def result(self) -> tuple[Any, float]:
-        """The stage's result (or error) and the seconds the lane ran it."""
+    def result(self) -> Any:
+        """The stage's result (or error); its lane seconds and the caller's
+        wait for them go to the run's account."""
         self._here = None  # a stage may refer back to its array: no cycle past here
         if not self.claimed:
-            get_registry().counter(self._counter, codec=self._codec).inc()
+            get_registry().counter(self.run.counter, codec=self._codec).inc()
+        t0 = time.perf_counter()
         value, seconds = self.future.result()
-        return value, 0.0 if self.claimed else seconds
+        self.run.busy += seconds
+        # a wait past the stage's own seconds is the lane waking up, not
+        # lane work: so waited <= busy and the overlap is never below 0
+        self.run.waited += min(time.perf_counter() - t0, seconds)
+        return value
 
 
-def _settle(handles: list[Any], spans: list[Any]) -> None:
-    """A generation failed on the calling thread: cancel the lane tasks
-    among ``handles`` that have not started, wait for the one that has,
-    close the arrays' open ``spans`` (the links of one chain name their
-    array's span once each).  Nothing runs on the lane once the error
-    leaves."""
-    futures = [h.future for h in handles if isinstance(h, _Handoff)]
-    for future in futures:
-        future.cancel()
-    wait(futures)
-    for span in spans:
-        if span.end is None:
-            get_tracer().finish(span)
+class _Run:
+    """The lane account of one generation written or restored: the stages
+    it hands off (:meth:`defer`), the lane seconds they took (``busy``),
+    the caller's wait on them (``waited``) and the claims (``claimed``),
+    reported as the generation's overlap (:meth:`report`).  ``counter``
+    counts the stages the lane ran (``ckpt.pipeline.deferred`` on writes,
+    ``ckpt.pipeline.prefetched`` on restores)."""
+
+    def __init__(self, manager: "CheckpointManager", counter: str) -> None:
+        self.manager, self.counter = manager, counter
+        # Copied here, not per hand-off: what the lane runs belongs to the
+        # generation, which outlives every stage.  The lane enters ``ctx``;
+        # a claim runs in a copy of ``unentered``: a copy of ``ctx`` taken
+        # while the lane runs in it would carry what the lane's stage set
+        # there, such as its open span.
+        self.ctx, self.unentered = contextvars.copy_context(), contextvars.copy_context()
+        self.started = time.perf_counter()
+        self.busy, self.waited, self.claimed = 0.0, 0.0, 0
+
+    def defer(
+        self, codec: str, data: Any, stage: Callable[[Any], Any], min_bytes: int, span: Any
+    ) -> _Handoff | None:
+        """Run ``stage(data)`` -- on a write the backend stage of a body
+        (``wrap_envelope``/``Codec.compress``) or a temporal array's whole
+        ``TemporalEngine.encode``, on a restore ``WaveletCompressor.unseal``
+        of a link's blob; no decisions -- on the lane, in :attr:`ctx` under
+        the array's ``span``; returns its :class:`_Handoff`, or None where
+        the caller runs the stage itself, at its turn.
+
+        The lane is the manager's own thread, never the shared deflate
+        pool: a ``*-mt`` seal parks there waiting for block tasks that an
+        outer task on the same pool could starve.  ``workers > 1`` starts
+        none (the process pool forks lazily and must not fork a process
+        with a live thread) and ``data`` of under ``min_bytes`` is not worth
+        the hand-off; where no thread can start nothing is,
+        counted under ``fallbacks{kind=serial}``.  The lane keeps off the
+        CPU its caller is on at each hand-off (:func:`_run_on`).
+        """
+        manager = self.manager
+        if manager.workers > 1 or memoryview(data).nbytes < min_bytes:
+            return None
+
+        beside = _cpus_beside_caller()
+
+        def run(cpus: set[int] | None) -> tuple[Any, float]:
+            _run_on(cpus)
+            t0 = time.perf_counter()
+            with get_tracer().attached(span):
+                return stage(data), time.perf_counter() - t0
+
+        try:
+            if manager._lane is None:
+                manager._lane = ThreadPoolExecutor(
+                    max_workers=1, thread_name_prefix="repro-backend"
+                )
+            future = manager._lane.submit(self.ctx.run, run, beside)
+        except (RuntimeError, OSError):  # thread-limited sandbox
+            manager.close()
+            get_registry().counter("fallbacks", kind="serial").inc()
+            return None
+        return _Handoff(self, future, lambda: self.unentered.copy().run(run, None), codec)
+
+    @staticmethod
+    def settle(handles: list[Any], spans: list[Any]) -> None:
+        """The generation failed on the calling thread: cancel the lane
+        tasks among ``handles`` that have not started, wait for the one
+        that has, close the arrays' open ``spans`` (the links of one chain
+        name their array's span once each).  Nothing runs on the lane once
+        the error leaves."""
+        futures = [h.future for h in handles if isinstance(h, _Handoff)]
+        for future in futures:
+            future.cancel()
+        wait(futures)
+        for span in spans:
+            if span.end is None:
+                get_tracer().finish(span)
+
+    def report(self, root: Any) -> float:
+        """Set ``backend_lane_busy_s`` and ``overlap_share`` on the span
+        ``root`` (if any) and return the overlap: 1 - wall / (stage seconds
+        of both threads), 0 when serial, never below 0."""
+        wall = time.perf_counter() - self.started
+        overlap = 1.0 - wall / (wall - self.waited + self.busy)
+        if root is not None:
+            root.set(backend_lane_busy_s=self.busy, overlap_share=overlap)
+        return overlap
 
 
 def _is_count(value: Any) -> bool:
@@ -454,54 +534,6 @@ class CheckpointManager:
         if lane is not None:
             lane.shutdown(wait=True, cancel_futures=True)
 
-    def _defer(
-        self, ctx: contextvars.Context, counter: str, codec: str, data: Any,
-        stage: Callable[[Any], Any], min_bytes: int, span: Any,
-        unentered: contextvars.Context | None = None,
-    ) -> _Handoff | None:
-        """Run ``stage(data)`` -- on a write the backend stage of a body
-        (``wrap_envelope``/``Codec.compress``) or a temporal array's whole
-        ``TemporalEngine.encode``, on a restore ``WaveletCompressor.unseal``
-        of a link's blob; no decisions -- on the lane, in the caller's
-        ``ctx`` under the array's ``span``; returns its :class:`_Handoff`,
-        or None where the caller runs the stage itself, at its turn.
-        A claim runs in a copy of ``unentered`` (default ``ctx``): a copy
-        of ``ctx`` taken while the lane runs in it would carry what the
-        lane's stage set there, such as its open span.
-
-        The lane is this manager's own thread, never the shared deflate
-        pool: a ``*-mt`` seal parks there waiting for block tasks that an
-        outer task on the same pool could starve.  ``workers > 1`` starts
-        none (the process pool forks lazily and must not fork a process
-        with a live thread) and ``data`` of under ``min_bytes`` is not worth
-        the hand-off; where no thread can start nothing is,
-        counted under ``fallbacks{kind=serial}``.  The lane keeps off the
-        CPU its caller is on at each hand-off (:func:`_run_on`).
-        """
-        if self.workers > 1 or memoryview(data).nbytes < min_bytes:
-            return None
-
-        beside = _cpus_beside_caller()
-
-        def run(cpus: set[int] | None) -> tuple[Any, float]:
-            _run_on(cpus)
-            t0 = time.perf_counter()
-            with get_tracer().attached(span):
-                return stage(data), time.perf_counter() - t0
-
-        try:
-            if self._lane is None:
-                self._lane = ThreadPoolExecutor(
-                    max_workers=1, thread_name_prefix="repro-backend"
-                )
-            future = self._lane.submit(ctx.run, run, beside)
-        except (RuntimeError, OSError):  # thread-limited sandbox
-            self.close()
-            get_registry().counter("fallbacks", kind="serial").inc()
-            return None
-        claim_ctx = ctx if unentered is None else unentered
-        return _Handoff(future, lambda: claim_ctx.copy().run(run, None), counter, codec)
-
     def __enter__(self) -> "CheckpointManager":
         return self
 
@@ -654,23 +686,16 @@ class CheckpointManager:
         entries: list[ArrayEntry] = []
         blob_by_name: dict[str, bytes] = {}
         inflight: deque[_Pending] = deque()  # encoded, not landed
-        started = time.perf_counter()
-        busy, waited, claimed = 0.0, 0.0, 0  # lane sealing; blocked on it; claimed
 
         def sealing(p: _Pending) -> bool:
             return isinstance(p.sealed, _Handoff) and not p.sealed.future.done()
 
         def land() -> None:
-            nonlocal busy, waited, claimed
             p = inflight[0]  # popped once landed: a failure closes its span
             with tracer.attached(p.span):
                 blob = p.sealed
                 if isinstance(blob, _Handoff):
-                    t0 = time.perf_counter()
-                    claimed += blob.claimed
-                    blob, seal_s = blob.result()
-                    waited += time.perf_counter() - t0
-                    busy += seal_s
+                    blob = blob.result()
                 if isinstance(blob, EncodedGeneration):
                     p.codec, p.params = blob.codec, blob.params
                     p.span.set(temporal_reason=blob.reason, chain_index=blob.chain_index)
@@ -699,20 +724,14 @@ class CheckpointManager:
             )
 
         with tracer.span("checkpoint", step=step) as root:
-            # Copied here, not inside the encode call: what the lane runs
-            # belongs to the generation, which outlives every seal.  The lane
-            # enters ``ctx``; a claim runs in a copy of ``unentered``.
-            ctx, unentered = contextvars.copy_context(), contextvars.copy_context()
+            run = _Run(self, "ckpt.pipeline.deferred")
 
             def defer(codec: str, data: Any, stage: Callable, idle_only: bool = False) -> Any:
                 # ``idle_only``: a whole encode never queues behind the lane's
                 # work -- while the lane is busy this thread is the free one
                 p, handoff = inflight[-1], None  # the array being encoded
                 if not (idle_only and any(map(sealing, inflight))):
-                    handoff = self._defer(
-                        ctx, "ckpt.pipeline.deferred", codec, data, stage, _DEFER_MIN_BYTES,
-                        p.span, unentered,
-                    )
+                    handoff = run.defer(codec, data, stage, _DEFER_MIN_BYTES, p.span)
                 p.body = not idle_only
                 return stage(data) if handoff is None else handoff
 
@@ -765,7 +784,7 @@ class CheckpointManager:
             except BaseException as exc:
                 # only once the lane is settled may the transaction be
                 # rolled back (the lane holds no store handle)
-                _settle([p.sealed for p in inflight], [p.span for p in inflight])
+                run.settle([p.sealed for p in inflight], [p.span for p in inflight])
                 if not isinstance(exc, SimulatedCrash):
                     # a live failure (bad input, compression error, full
                     # store): reap the pending generation so no orphan
@@ -785,16 +804,12 @@ class CheckpointManager:
                 self._temporal_engine.commit(
                     step, {e.name: (e.crc32, e.stored_bytes) for e in entries}
                 )
-            wall = time.perf_counter() - started
-            # 1 - wall / (stage seconds of both threads): 0 when serial
-            overlap = 1.0 - wall / (wall - waited + busy)
+            overlap = run.report(root)
             root.set(
                 n_arrays=len(entries),
                 raw_bytes=sum(e.raw_bytes for e in entries),
                 stored_bytes=sum(e.stored_bytes for e in entries),
-                backend_lane_busy_s=busy,
-                overlap_share=overlap,
-                claimed=claimed,
+                claimed=run.claimed,
             )
         registry = get_registry()
         registry.gauge("ckpt.pipeline.overlap_share").set(overlap)
@@ -1058,14 +1073,12 @@ class CheckpointManager:
         Lossless and chunked blobs decode here, at their turn.
         """
         tracer = get_tracer()
-        started = time.perf_counter()
-        busy = waited = 0.0  # the lane inflating; this thread blocked on it
+        run = _Run(self, "ckpt.pipeline.prefetched")
         if manifest is None:
             manifest = self.read_manifest(step)
         blobs = self._collect_verified_blobs(step, manifest, manifest.entries, repair=repair)
         arrays: dict[str, np.ndarray] = {}
         chains: dict[str, tuple[ChainLink, ...]] = {}
-        ctx = contextvars.copy_context()
         stream = self._links(step, manifest, blobs, repair, chains)
         ahead: deque[_Link] = deque()  # [0] is being decoded, the rest inflate
 
@@ -1077,9 +1090,7 @@ class CheckpointManager:
                     codec == CODEC_DELTA
                     or (codec in _PIPELINE_CODECS and link.blob[:4] != CHUNK_MAGIC)
                 ):
-                    link.front = self._defer(
-                        ctx,
-                        "ckpt.pipeline.prefetched",
+                    link.front = run.defer(
                         str(params.get("backend")) if codec == _LOSSY_CODEC else codec,
                         link.blob,
                         partial(WaveletCompressor.unseal, parent=link.span),
@@ -1088,12 +1099,7 @@ class CheckpointManager:
                     )
 
         def inflated(_blob: bytes) -> tuple[dict, dict]:
-            nonlocal busy, waited
-            t0 = time.perf_counter()
-            body, inflate_s = ahead[0].front.result()
-            waited += time.perf_counter() - t0
-            busy += inflate_s
-            return body
+            return ahead[0].front.result()
 
         try:
             look_ahead()
@@ -1124,14 +1130,9 @@ class CheckpointManager:
                     arrays[link.array.name] = arr
                 look_ahead()  # outside the span: the next array's is its sibling
         except BaseException:
-            _settle([link.front for link in ahead], [link.span for link in ahead])
+            run.settle([link.front for link in ahead], [link.span for link in ahead])
             raise
-        if root is not None:
-            wall = time.perf_counter() - started
-            root.set(
-                backend_lane_busy_s=busy,
-                overlap_share=1.0 - wall / (wall - waited + busy),
-            )
+        run.report(root)
         return arrays, chains
 
     def restore(

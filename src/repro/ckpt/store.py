@@ -23,7 +23,6 @@ __all__ = [
     "DirectoryStore",
     "StoreWrapper",
     "CountingStore",
-    "ThrottledStore",
     "LatencyStore",
 ]
 
@@ -435,47 +434,14 @@ class CountingStore(StoreWrapper):
             self.syncs += 1
 
 
-class ThrottledStore(StoreWrapper):
-    """Wrapper that *accounts* simulated transfer time against a bandwidth.
-
-    Stands in for the shared parallel filesystem of paper Section IV-D: no
-    real sleeping happens, but every put/get accrues
-    ``latency + nbytes / bandwidth`` seconds into :attr:`simulated_seconds`,
-    for a caller to read as modelled transfer time.  Metadata
-    operations (``exists``/``delete``/``list_keys``/``sync``) move no
-    payload but still cost a round trip, so each accrues ``latency``
-    seconds -- without it the Section IV-D model undercounts manifest
-    traffic.
-    """
-
-    def __init__(
-        self,
-        inner: Store,
-        bandwidth_bytes_per_sec: float,
-        latency_sec: float = 0.0,
-    ) -> None:
-        if bandwidth_bytes_per_sec <= 0:
-            raise StorageError(
-                f"bandwidth must be positive, got {bandwidth_bytes_per_sec}"
-            )
-        if latency_sec < 0:
-            raise StorageError(f"latency must be >= 0, got {latency_sec}")
-        super().__init__(inner)
-        self.bandwidth = float(bandwidth_bytes_per_sec)
-        self.latency = float(latency_sec)
-        self.simulated_seconds = 0.0
-
-    def _after(self, op: str, nbytes: int) -> None:
-        self.simulated_seconds += self.latency + nbytes / self.bandwidth
-
-
 class LatencyStore(StoreWrapper):
     """Wrapper that *really sleeps* to model a slower tier's latencies.
 
-    Where :class:`ThrottledStore` only accounts simulated seconds (for the
-    analytic Section IV-D model), this wrapper makes the cost physical so
-    wall-clock benchmarks of the ingest service measure honest ratios on
-    media (tmpfs, CI runners) whose own barriers are nearly free.  Each
+    The analytic Section IV-D model of a shared filesystem is
+    :class:`~repro.iomodel.storage.StorageModel`; this wrapper makes the
+    cost physical so wall-clock benchmarks of the ingest service measure
+    honest ratios on media (tmpfs, CI runners) whose own barriers are
+    nearly free.  Each
     operation sleeps ``op latency + nbytes / bandwidth``; ``sync`` sleeps
     ``sync_latency`` -- the device write-barrier cost whose amortization
     is exactly what the group-commit path buys.

@@ -9,9 +9,9 @@ envelope.  Peak additional memory is one slab.
 
 Because the slabs are independent they can also be compressed in
 *parallel*: pass ``workers=N`` (or an explicit
-:class:`~repro.parallel.executor.SlabExecutor`) and the per-slab pipeline
-runs fan out to worker processes.  The pipeline is deterministic, so the
-emitted stream is byte-identical regardless of the worker count.
+:class:`~repro.parallel.executor.MultiprocessExecutor`) and the per-slab
+pipeline runs fan out to worker processes.  The pipeline is deterministic,
+so the emitted stream is byte-identical regardless of the worker count.
 
 Process-level slab parallelism composes with the thread-parallel block
 backends (``backend="gzip-mt"``/``"zlib-mt"`` with ``backend_threads``):
@@ -56,7 +56,7 @@ from .container import CHUNK_MAGIC
 from .pipeline import CompressionStats, WaveletCompressor
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (parallel -> core)
-    from ..parallel.executor import SlabExecutor
+    from ..parallel.executor import MultiprocessExecutor
 
 __all__ = [
     "chunked_compress",
@@ -90,7 +90,7 @@ def chunked_compress(
     *,
     chunk_rows: int = 256,
     workers: int | None = None,
-    executor: "SlabExecutor | None" = None,
+    executor: "MultiprocessExecutor | None" = None,
 ) -> bytes:
     """Compress ``arr`` slab-by-slab along axis 0.
 
@@ -111,7 +111,7 @@ def chunked_compress_with_stats(
     *,
     chunk_rows: int = 256,
     workers: int | None = None,
-    executor: "SlabExecutor | None" = None,
+    executor: "MultiprocessExecutor | None" = None,
 ) -> tuple[bytes, CompressionStats]:
     """Like :func:`chunked_compress`, also returning aggregated stats.
 
@@ -125,7 +125,7 @@ def chunked_compress_with_stats(
         raise CompressionError("cannot chunk a 0-dimensional array")
     if not isinstance(chunk_rows, int) or isinstance(chunk_rows, bool) or chunk_rows < 1:
         raise CompressionError(f"chunk_rows must be an int >= 1, got {chunk_rows!r}")
-    from ..parallel.executor import aggregate_stats, resolve_executor
+    from ..parallel.executor import MultiprocessExecutor, aggregate_stats
 
     cfg = config if config is not None else CompressionConfig()
     tracer = get_tracer()
@@ -133,11 +133,11 @@ def chunked_compress_with_stats(
         "chunked_compress", rows=int(a.shape[0]), chunk_rows=chunk_rows
     ) as root:
         slabs = _slice_slabs(a, chunk_rows)
-        exec_, owned = resolve_executor(workers, executor)
+        exec_ = executor or MultiprocessExecutor(1 if workers is None else workers)
         try:
             results = exec_.compress_slabs(slabs, cfg)
         finally:
-            if owned:
+            if exec_ is not executor:
                 exec_.close()
         with tracer.span("framing"):
             parts = [CHUNK_MAGIC, _HEAD.pack(_VERSION, len(results), a.shape[0])]

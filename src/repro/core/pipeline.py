@@ -170,10 +170,10 @@ class WaveletCompressor:
         base = config if config is not None else CompressionConfig()
         self._config = base.replace(**overrides) if overrides else base
         # Wavelet work buffer, reused across same-shaped compress calls of
-        # one thread (the slabs of ``SerialExecutor``, the analysis sweeps).
-        # Because of it an instance is not safe for concurrent use from
-        # multiple threads: build one per thread, as worker *processes* and
-        # temporal keyframes (one per encode) do.
+        # one thread (the slabs an executor runs in-process, the analysis
+        # sweeps).  Because of it an instance is not safe for concurrent use
+        # from multiple threads: build one per thread, as worker *processes*
+        # and temporal keyframes (one per encode) do.
         self._scratch: np.ndarray | None = None
 
     @property

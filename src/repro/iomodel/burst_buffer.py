@@ -31,10 +31,6 @@ class BurstBufferTiming:
     drain_seconds: float
     blocking_seconds: float
 
-    @property
-    def hidden_seconds(self) -> float:
-        return self.drain_seconds
-
 
 @dataclass(frozen=True)
 class BurstBufferModel:

@@ -83,12 +83,6 @@ class TraceReport:
                     spans.append(event)
         return cls(spans, metrics, meta)
 
-    @classmethod
-    def from_tracer(cls, tracer: Any, metrics: Mapping[str, Any] | None = None
-                    ) -> "TraceReport":
-        """Build a report from a live tracer's buffered spans."""
-        return cls(tracer.spans, metrics)
-
     # -- aggregation -------------------------------------------------------
 
     def stage_breakdown(self) -> dict[str, float]:

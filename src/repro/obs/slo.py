@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 from ..exceptions import ConfigurationError
 
@@ -215,10 +215,3 @@ class SLOTracker:
             registry.gauge(
                 f"{prefix}.burn_rate", window=f"{window['seconds']:g}s"
             ).set(window["burn_rate"])
-
-
-def tracker_from_mapping(data: Mapping[str, Any], **overrides: Any) -> SLOTracker:
-    """Build a tracker from a plain config mapping (CLI/benchmark glue)."""
-    kwargs: dict[str, Any] = dict(data)
-    kwargs.update(overrides)
-    return SLOTracker(**kwargs)

@@ -1,19 +1,5 @@
 """Slab compression across worker processes."""
 
-from .executor import (
-    MultiprocessExecutor,
-    SerialExecutor,
-    SlabExecutor,
-    aggregate_stats,
-    default_worker_count,
-    resolve_executor,
-)
+from .executor import MultiprocessExecutor, aggregate_stats
 
-__all__ = [
-    "SlabExecutor",
-    "SerialExecutor",
-    "MultiprocessExecutor",
-    "resolve_executor",
-    "aggregate_stats",
-    "default_worker_count",
-]
+__all__ = ["MultiprocessExecutor", "aggregate_stats"]

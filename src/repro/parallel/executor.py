@@ -1,34 +1,31 @@
-"""Process-parallel slab compression executors.
+"""Process-parallel slab compression.
 
 The paper's scaling argument (Section IV-D, Fig. 9) rests on every rank
 compressing its slab independently -- "compression of checkpoints of each
 process can be done in an embarrassingly parallel fashion".  The I/O model
 (:mod:`repro.iomodel.scaling`) *models* that parallelism as a constant
 per-process cost.  This module makes the parallelism real on one node: a
-:class:`SlabExecutor` maps a list of slabs through the wavelet pipeline and
-returns ``(blob, CompressionStats)`` per slab, either in-process
-(:class:`SerialExecutor`) or fanned out to worker processes
-(:class:`MultiprocessExecutor`, built on
-:class:`concurrent.futures.ProcessPoolExecutor`).
+:class:`MultiprocessExecutor` maps a list of slabs through the wavelet
+pipeline on a :class:`concurrent.futures.ProcessPoolExecutor` and returns
+``(blob, CompressionStats)`` per slab.
 
 Two guarantees shape the design:
 
 * **Determinism** -- the pipeline is a pure function of ``(slab, config)``,
-  so executors return results in submission order and the bytes are
-  identical no matter how many workers ran.  ``chunked_compress(...,
-  workers=N)`` therefore produces byte-identical streams for every ``N``.
+  so results come back in submission order and the bytes are identical no
+  matter how many workers ran.  ``chunked_compress(..., workers=N)``
+  therefore produces byte-identical streams for every ``N``.
 * **Graceful degradation** -- sandboxes, restricted containers and
   single-core boxes may refuse to start a process pool.  When that happens
-  (or a started pool breaks mid-flight) the multiprocess executor falls
-  back to serial execution instead of failing the checkpoint, recording
-  why in :attr:`MultiprocessExecutor.fallback_reason`.
+  (or a started pool breaks mid-flight) the executor runs the slabs in its
+  own process instead of failing the checkpoint, recording why in
+  :attr:`MultiprocessExecutor.fallback_reason`.  One worker or one slab
+  runs there too: there is nothing to overlap.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from abc import ABC, abstractmethod
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,45 +37,29 @@ from ..obs import trace as _trace
 from ..obs.metrics import get_registry
 from ..obs.trace import Span, get_tracer
 
-__all__ = [
-    "SlabExecutor",
-    "SerialExecutor",
-    "MultiprocessExecutor",
-    "resolve_executor",
-    "aggregate_stats",
-    "default_worker_count",
-]
-
-
-def default_worker_count() -> int:
-    """Worker count used when a pool size is not given: one per core."""
-    return max(1, os.cpu_count() or 1)
+__all__ = ["MultiprocessExecutor", "aggregate_stats"]
 
 
 def _compress_slab(
-    config: CompressionConfig, slab: np.ndarray
-) -> tuple[bytes, CompressionStats]:
-    """Worker-side unit of work; module-level so it pickles."""
-    return WaveletCompressor(config).compress_with_stats(slab)
-
-
-def _compress_slab_traced(
     config: CompressionConfig,
     slab: np.ndarray,
     index: int,
     parent_ctx: dict | None,
 ) -> tuple[bytes, CompressionStats, list[Span]]:
-    """Traced worker-side unit of work: compress one slab under a fresh
-    local tracer and ship the finished spans home with the result.
+    """Worker-side unit of work (module-level so it pickles): compress one
+    slab and ship its finished spans home with the result -- none while
+    the caller's tracer is off (``parent_ctx`` is None).
 
     A brand-new :class:`~repro.obs.trace.Tracer` is swapped in for the
-    duration of the call so state inherited across ``fork`` -- an enabled
-    parent tracer, buffered spans, sink file descriptors shared with the
-    parent process -- can never leak into (or out of) the worker.  The
-    ``slab`` span is parented on the caller's span context, so adopted
+    duration of a traced call so state inherited across ``fork`` -- an
+    enabled parent tracer, buffered spans, sink file descriptors shared
+    with the parent process -- can never leak into (or out of) the worker.
+    The ``slab`` span is parented on the caller's span context, so adopted
     spans slot under the parent's ``chunked_compress``/``compress`` tree;
     ids embed the worker PID, so they cannot collide with parent ids.
     """
+    if parent_ctx is None:
+        return (*WaveletCompressor(config).compress_with_stats(slab), [])
     tracer = _trace.Tracer()
     tracer.enable()
     previous = _trace.swap_tracer(tracer)
@@ -90,81 +71,37 @@ def _compress_slab_traced(
     return blob, stats, tracer.drain()
 
 
-class SlabExecutor(ABC):
-    """Maps slabs through the compression pipeline, preserving order.
-
-    Implementations are context managers; :meth:`close` releases any
-    worker processes and is idempotent.
-    """
-
-    name: str = "abstract"
-
-    @abstractmethod
-    def compress_slabs(
-        self, slabs: Sequence[np.ndarray], config: CompressionConfig
-    ) -> list[tuple[bytes, CompressionStats]]:
-        """Compress every slab; result ``i`` corresponds to ``slabs[i]``."""
-
-    def close(self) -> None:
-        """Release worker resources (no-op for in-process executors)."""
-
-    def __enter__(self) -> "SlabExecutor":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-class SerialExecutor(SlabExecutor):
-    """Compress slabs one after another in the calling process."""
-
-    name = "serial"
-
-    def compress_slabs(
-        self, slabs: Sequence[np.ndarray], config: CompressionConfig
-    ) -> list[tuple[bytes, CompressionStats]]:
-        tracer = get_tracer()
-        compressor = WaveletCompressor(config)
-        results = []
-        for index, slab in enumerate(slabs):
-            with tracer.span("slab", index=index):
-                results.append(compressor.compress_with_stats(slab))
-        return results
-
-
-class MultiprocessExecutor(SlabExecutor):
-    """Fan slab compression out to a :class:`ProcessPoolExecutor`.
+class MultiprocessExecutor:
+    """Map slabs through the compression pipeline, preserving order.
 
     Parameters
     ----------
     workers:
-        Pool size; defaults to one worker per core.
-    fallback:
-        When True (the default), any failure to start or keep a pool --
-        ``PermissionError`` in sandboxes, a fork bomb limit, a worker
-        killed by the OOM killer -- downgrades to serial execution for
-        the affected call instead of raising.  The reason is recorded in
-        :attr:`fallback_reason` so callers can report it.
+        Pool size.  With one worker or one slab, and for a call whose pool
+        will not start or breaks mid-flight (``PermissionError`` in
+        sandboxes, a fork limit, a worker killed by the OOM killer), the
+        slabs run one after another in this process -- the same bytes --
+        and a pool failure is recorded in :attr:`fallback_reason`.
+
+    A context manager; :meth:`close` releases the worker processes (the
+    next call restarts them) and is idempotent.
     """
 
-    name = "multiprocess"
-
     def __init__(
-        self,
-        workers: int | None = None,
-        *,
-        fallback: bool = True,
-        _pool_factory: Callable[..., object] | None = None,
+        self, workers: int, *, _pool_factory: Callable[..., object] | None = None
     ) -> None:
-        if workers is None:
-            workers = default_worker_count()
         if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
             raise ConfigurationError(f"workers must be an int >= 1, got {workers!r}")
         self.workers = workers
-        self._fallback = fallback
         self._pool_factory = _pool_factory
         self._pool: object | None = None
         self.fallback_reason: str | None = None
+
+    def __enter__(self) -> "MultiprocessExecutor":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     def _make_pool(self) -> object:
         if self._pool_factory is not None:
@@ -174,70 +111,49 @@ class MultiprocessExecutor(SlabExecutor):
         return ProcessPoolExecutor(max_workers=self.workers)
 
     def _ensure_pool(self) -> object | None:
-        """Start (or reuse) the pool; None means 'run serially'."""
-        if self._pool is not None:
-            return self._pool
-        try:
-            self._pool = self._make_pool()
-        except Exception as exc:  # sandboxed/locked-down environments
-            if not self._fallback:
-                raise ConfigurationError(
-                    f"cannot start a {self.workers}-worker process pool: {exc}"
-                ) from exc
-            self.fallback_reason = f"pool start failed: {exc}"
-            self._pool = None
+        """Start (or reuse) the pool; None means 'run in this process'."""
+        if self._pool is None:
+            try:
+                self._pool = self._make_pool()
+            except Exception as exc:  # sandboxed/locked-down environments
+                self.fallback_reason = f"pool start failed: {exc}"
         return self._pool
 
     def compress_slabs(
         self, slabs: Sequence[np.ndarray], config: CompressionConfig
     ) -> list[tuple[bytes, CompressionStats]]:
-        if len(slabs) <= 1:
-            # Nothing to overlap; skip pickling the slab to a worker.
-            return SerialExecutor().compress_slabs(slabs, config)
-        pool = self._ensure_pool()
-        if pool is not None:
-            tracer = get_tracer()
-            traced = tracer.enabled
+        """Compress every slab; result ``i`` corresponds to ``slabs[i]``."""
+        tracer = get_tracer()
+        if self.workers > 1 and len(slabs) > 1 and (pool := self._ensure_pool()) is not None:
+            parent_ctx = tracer.context()
             wall_start = time.perf_counter()
             futures = []
             try:
-                if traced:
-                    ctx = tracer.context()
-                    futures = [
-                        pool.submit(_compress_slab_traced, config, slab, i, ctx)
-                        for i, slab in enumerate(slabs)
-                    ]
-                else:
-                    futures = [
-                        pool.submit(_compress_slab, config, slab) for slab in slabs
-                    ]
-                if traced:
-                    results = []
-                    worker_spans: list[list[Span]] = []
-                    for f in futures:
-                        blob, stats, spans = f.result()
-                        results.append((blob, stats))
-                        worker_spans.append(spans)
-                    # Adopt in slab order so the parent trace lists slab
-                    # spans deterministically, not in completion order.
-                    for spans in worker_spans:
-                        tracer.adopt(spans)
-                else:
-                    results = [f.result() for f in futures]
+                futures = [
+                    pool.submit(_compress_slab, config, slab, i, parent_ctx)
+                    for i, slab in enumerate(slabs)
+                ]
+                done = [f.result() for f in futures]
             except Exception as exc:  # BrokenProcessPool and friends
                 for f in futures:
                     f.cancel()
                 self.close()
-                if not self._fallback:
-                    raise ConfigurationError(
-                        f"process pool failed while compressing slabs: {exc}"
-                    ) from exc
                 self.fallback_reason = f"pool broke mid-flight: {exc}"
             else:
+                # Adopt in slab order so the parent trace lists slab spans
+                # deterministically, not in completion order.
+                for _blob, _stats, spans in done:
+                    tracer.adopt(spans)
+                results = [(blob, stats) for blob, stats, _spans in done]
                 self._observe_pool_run(results, time.perf_counter() - wall_start)
                 return results
-        # Determinism makes the serial fallback transparent: same bytes.
-        return SerialExecutor().compress_slabs(slabs, config)
+        # Determinism makes the in-process loop transparent: same bytes.
+        compressor = WaveletCompressor(config)
+        results = []
+        for index, slab in enumerate(slabs):
+            with tracer.span("slab", index=index):
+                results.append(compressor.compress_with_stats(slab))
+        return results
 
     def _observe_pool_run(
         self,
@@ -265,29 +181,6 @@ class MultiprocessExecutor(SlabExecutor):
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
-
-
-def resolve_executor(
-    workers: int | None, executor: SlabExecutor | None = None
-) -> tuple[SlabExecutor, bool]:
-    """Pick an executor for a ``workers=N`` request.
-
-    Returns ``(executor, owned)`` where ``owned`` tells the caller whether
-    it created the executor (and must close it) or borrowed one.
-    ``workers`` of ``None`` or ``1`` means serial; ``N > 1`` builds a
-    multiprocess executor with graceful serial fallback.
-    """
-    if executor is not None:
-        if not isinstance(executor, SlabExecutor):
-            raise ConfigurationError(f"not a SlabExecutor: {executor!r}")
-        return executor, False
-    if workers is None:
-        return SerialExecutor(), True
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-        raise ConfigurationError(f"workers must be an int >= 1, got {workers!r}")
-    if workers == 1:
-        return SerialExecutor(), True
-    return MultiprocessExecutor(workers), True
 
 
 def aggregate_stats(

@@ -147,10 +147,6 @@ class BurstDrain:
     def used_bytes(self) -> int:
         return self._used
 
-    @property
-    def queue_depth(self) -> int:
-        return 0 if self._queue is None else self._queue.qsize()
-
     # -- absorb path ---------------------------------------------------------
 
     async def absorb(

@@ -1385,6 +1385,29 @@ class TestRestoreObservability:
         assert get_registry().counter("fallbacks", kind="serial").value == 5
         assert prefetched() == 0
 
+    def test_overlap_stays_non_negative_when_the_lane_is_slow_to_wake(self, monkeypatch):
+        # Every stage starts 50 ms late on the lane: the caller waits that
+        # long for an inflate of well under a millisecond.  Only the stage's
+        # own seconds of that wait count against the lane.
+        run_on = manager_module._run_on
+
+        def slow_run_on(cpus):
+            time.sleep(0.05)
+            run_on(cpus)
+
+        monkeypatch.setattr(manager_module, "_run_on", slow_run_on)
+        tracer = get_tracer()
+        tracer.enable()
+        with CheckpointManager(
+            float_registry(4), MemoryStore(), config=CompressionConfig(backend="gzip")
+        ) as manager:
+            manager.checkpoint(0)
+            manager.restore(0)
+        write, read = [s for s in tracer.spans if s.name in ("checkpoint", "restore")]
+        assert read.attrs["backend_lane_busy_s"] > 0.0
+        assert write.attrs["overlap_share"] >= 0.0
+        assert read.attrs["overlap_share"] >= 0.0
+
     @pytest.mark.parametrize("fails", [False, True])
     def test_traced_restore_has_no_orphan_spans(self, fails, monkeypatch):
         import repro.core.pipeline as pipeline_module

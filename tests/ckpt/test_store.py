@@ -22,7 +22,6 @@ from repro.ckpt.store import (
     DirectoryStore,
     LatencyStore,
     MemoryStore,
-    ThrottledStore,
 )
 from repro.exceptions import StorageError
 from repro.service.sharded import NamespacedStore
@@ -140,28 +139,6 @@ class TestCountingStore:
         assert store.bytes_read == 4
 
 
-class TestThrottledStore:
-    def test_accounts_simulated_time(self):
-        store = ThrottledStore(MemoryStore(), bandwidth_bytes_per_sec=100.0, latency_sec=0.5)
-        store.put("k", b"x" * 200)  # 0.5 + 2.0
-        store.get("k")  # another 2.5
-        assert store.simulated_seconds == pytest.approx(5.0)
-
-    def test_passthrough_data(self):
-        store = ThrottledStore(MemoryStore(), 1e9)
-        store.put("k", b"data")
-        assert store.get("k") == b"data"
-        assert store.list_keys() == ["k"]
-        store.delete("k")
-        assert not store.exists("k")
-
-    def test_validation(self):
-        with pytest.raises(StorageError):
-            ThrottledStore(MemoryStore(), 0.0)
-        with pytest.raises(StorageError):
-            ThrottledStore(MemoryStore(), 10.0, latency_sec=-1)
-
-
 class TestDirectoryStoreCollisions:
     def test_key_under_existing_file_key_is_pointed(self, tmp_path):
         store = DirectoryStore(str(tmp_path))
@@ -240,28 +217,9 @@ class TestDirectoryStoreDurability:
         _fsync_dir(str(tmp_path))
 
 
-class TestThrottledStoreMetadataLatency:
-    def test_metadata_ops_each_cost_one_latency(self):
-        store = ThrottledStore(MemoryStore(), 1e9, latency_sec=0.01)
-        store.put("k", b"x" * 1000)
-        after_put = store.simulated_seconds
-        store.exists("k")
-        store.list_keys()
-        store.delete("k")
-        assert store.simulated_seconds == pytest.approx(after_put + 0.03)
-
-    def test_zero_latency_metadata_is_free(self):
-        store = ThrottledStore(MemoryStore(), 1e9)
-        store.exists("k")
-        store.list_keys()
-        store.delete("k")
-        assert store.simulated_seconds == 0.0
-
-
 #: every wrapper in the configuration where it should change nothing
 NEUTRAL_WRAPPERS = {
     "counting": CountingStore,
-    "throttled": lambda inner: ThrottledStore(inner, 1e9),
     "latency": LatencyStore,
     "resilient": lambda inner: ResilientStore(
         inner, RetryPolicy(max_attempts=2, base_delay=0.0), sleep=lambda _s: None
@@ -340,11 +298,6 @@ class TestWrapperAccounting:
         )
         assert (store.bytes_written, store.bytes_read) == (1005, 1005)
 
-    def test_throttled_store(self):
-        store = ThrottledStore(MemoryStore(), 1000.0, 0.25)
-        _accounting_script(store)
-        assert store.simulated_seconds == 5.51
-
     def test_latency_store(self, monkeypatch):
         sleeps: list[float] = []
         monkeypatch.setattr(time, "sleep", sleeps.append)
@@ -361,11 +314,9 @@ class TestWrapperAccounting:
     def test_a_verified_read_is_accounted_as_a_get(self, monkeypatch):
         monkeypatch.setattr(time, "sleep", lambda _s: None)
         counting = CountingStore(MemoryStore())
-        throttled = ThrottledStore(MemoryStore(), 100.0, 0.5)
         latency = LatencyStore(MemoryStore(), op_latency_sec=0.5)
-        for store in (counting, throttled, latency):
+        for store in (counting, latency):
             store.inner.put("k", b"x" * 200)
             assert store.get_verified("k", 0) == b"x" * 200
         assert (counting.gets, counting.bytes_read) == (1, 200)
-        assert throttled.simulated_seconds == 2.5
         assert latency.slept_seconds == 0.5

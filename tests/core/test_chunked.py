@@ -129,15 +129,15 @@ class TestWorkers:
         assert chunked_compress(a, workers=2) == chunked_compress(a)
 
     def test_explicit_executor_is_borrowed_not_closed(self, smooth2d):
-        from repro.parallel.executor import SerialExecutor
+        from repro.parallel.executor import MultiprocessExecutor
 
-        class Recording(SerialExecutor):
+        class Recording(MultiprocessExecutor):
             closed = False
 
             def close(self):
                 self.closed = True
 
-        ex = Recording()
+        ex = Recording(1)
         blob = chunked_compress(smooth2d, chunk_rows=16, executor=ex)
         assert not ex.closed
         assert blob == chunked_compress(smooth2d, chunk_rows=16)

@@ -148,17 +148,16 @@ class TestProcessPoolPropagation:
     def _traced_run(self, arr, workers=2, chunk_rows=16):
         tracer = get_tracer()
         tracer.enable()
-        with MultiprocessExecutor(workers, fallback=False) as executor:
+        with MultiprocessExecutor(workers) as executor:
             blob, stats = chunked_compress_with_stats(
                 arr, chunk_rows=chunk_rows, executor=executor
             )
+        if executor.fallback_reason is not None:  # pool-less sandboxes
+            pytest.skip(f"process pool unavailable: {executor.fallback_reason}")
         return blob, stats, tracer.spans
 
     def test_worker_spans_nest_under_parent_root(self, smooth2d):
-        try:
-            _blob, _stats, spans = self._traced_run(smooth2d)
-        except Exception as exc:  # pool-less sandboxes
-            pytest.skip(f"process pool unavailable: {exc}")
+        _blob, _stats, spans = self._traced_run(smooth2d)
         (root,) = _by_name(spans, "chunked_compress")
         slabs = _by_name(spans, "slab")
         assert len(slabs) == 3
@@ -176,35 +175,23 @@ class TestProcessPoolPropagation:
             assert len(_by_name(spans, stage)) == 3
 
     def test_adopted_spans_keep_slab_order(self, smooth2d):
-        try:
-            _blob, _stats, spans = self._traced_run(smooth2d)
-        except Exception as exc:
-            pytest.skip(f"process pool unavailable: {exc}")
+        _blob, _stats, spans = self._traced_run(smooth2d)
         indices = [s.attrs["index"] for s in _by_name(spans, "slab")]
         assert indices == sorted(indices) == [0, 1, 2]
 
     def test_no_duplicate_span_ids_across_processes(self, smooth2d):
-        try:
-            _blob, _stats, spans = self._traced_run(smooth2d)
-        except Exception as exc:
-            pytest.skip(f"process pool unavailable: {exc}")
+        _blob, _stats, spans = self._traced_run(smooth2d)
         ids = [s.span_id for s in spans]
         assert len(ids) == len(set(ids))
 
     def test_traced_pool_bytes_match_untraced(self, smooth2d):
         baseline, _ = chunked_compress_with_stats(smooth2d, chunk_rows=16)
-        try:
-            blob, _stats, _spans = self._traced_run(smooth2d)
-        except Exception as exc:
-            pytest.skip(f"process pool unavailable: {exc}")
+        blob, _stats, _spans = self._traced_run(smooth2d)
         assert blob == baseline
 
     def test_pool_records_executor_metrics(self, smooth2d):
         registry = get_registry()
-        try:
-            self._traced_run(smooth2d)
-        except Exception as exc:
-            pytest.skip(f"process pool unavailable: {exc}")
+        self._traced_run(smooth2d)
         snap = registry.snapshot()
         assert snap["executor.slabs"] == 3
         assert snap["executor.pool_runs"] == 1
@@ -216,13 +203,10 @@ class TestProcessPoolPropagation:
 
     def test_untraced_pool_still_records_metrics(self, smooth2d):
         registry = get_registry()
-        with MultiprocessExecutor(2, fallback=False) as executor:
-            try:
-                chunked_compress_with_stats(
-                    smooth2d, chunk_rows=16, executor=executor
-                )
-            except Exception as exc:
-                pytest.skip(f"process pool unavailable: {exc}")
+        with MultiprocessExecutor(2) as executor:
+            chunked_compress_with_stats(smooth2d, chunk_rows=16, executor=executor)
+        if executor.fallback_reason is not None:
+            pytest.skip(f"process pool unavailable: {executor.fallback_reason}")
         assert registry.snapshot()["executor.slabs"] == 3
         assert get_tracer().spans == []
 

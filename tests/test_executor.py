@@ -5,16 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.parallel.executor as executor_module
 from repro import CompressionConfig, WaveletCompressor
+from repro.core.chunked import chunked_compress
 from repro.exceptions import ConfigurationError
-from repro.parallel.executor import (
-    MultiprocessExecutor,
-    SerialExecutor,
-    SlabExecutor,
-    aggregate_stats,
-    default_worker_count,
-    resolve_executor,
-)
+from repro.parallel.executor import MultiprocessExecutor, aggregate_stats
 
 
 @pytest.fixture
@@ -22,10 +17,20 @@ def slabs(smooth3d):
     return [np.ascontiguousarray(smooth3d[i : i + 16]) for i in range(0, 64, 16)]
 
 
+def in_process(slabs, cfg):
+    """The slabs through the executor's own loop (one worker, no pool)."""
+    with MultiprocessExecutor(1) as ex:
+        results = ex.compress_slabs(slabs, cfg)
+        assert ex._pool is None
+    return results
+
+
 class TestSerialExecutor:
+    """One worker: the executor's own in-process loop, the reference."""
+
     def test_matches_direct_pipeline(self, slabs):
         cfg = CompressionConfig()
-        results = SerialExecutor().compress_slabs(slabs, cfg)
+        results = in_process(slabs, cfg)
         assert len(results) == len(slabs)
         direct = WaveletCompressor(cfg)
         for slab, (blob, stats) in zip(slabs, results):
@@ -34,17 +39,18 @@ class TestSerialExecutor:
             assert stats.compressed_bytes == len(blob)
 
     def test_empty_list(self):
-        assert SerialExecutor().compress_slabs([], CompressionConfig()) == []
+        assert in_process([], CompressionConfig()) == []
 
     def test_context_manager(self):
-        with SerialExecutor() as ex:
-            assert isinstance(ex, SlabExecutor)
+        ex = MultiprocessExecutor(1)
+        with ex as entered:
+            assert entered is ex
 
 
 class TestMultiprocessExecutor:
     def test_byte_identical_to_serial(self, slabs):
         cfg = CompressionConfig()
-        serial = SerialExecutor().compress_slabs(slabs, cfg)
+        serial = in_process(slabs, cfg)
         with MultiprocessExecutor(2) as ex:
             parallel = ex.compress_slabs(slabs, cfg)
         assert [b for b, _ in parallel] == [b for b, _ in serial]
@@ -84,16 +90,8 @@ class TestMultiprocessExecutor:
         results = ex.compress_slabs(slabs, cfg)
         assert ex.fallback_reason is not None
         assert "sandbox forbids fork" in ex.fallback_reason
-        serial = SerialExecutor().compress_slabs(slabs, cfg)
+        serial = in_process(slabs, cfg)
         assert [b for b, _ in results] == [b for b, _ in serial]
-
-    def test_no_fallback_raises(self, slabs):
-        def broken(**_kw):
-            raise PermissionError("nope")
-
-        ex = MultiprocessExecutor(2, fallback=False, _pool_factory=broken)
-        with pytest.raises(ConfigurationError, match="cannot start"):
-            ex.compress_slabs(slabs, CompressionConfig())
 
     @pytest.mark.parametrize("workers", [0, -1, 1.5, True])
     def test_validation(self, workers):
@@ -107,41 +105,58 @@ class TestMultiprocessExecutor:
 
 
 class TestResolveExecutor:
-    def test_serial_for_one_or_none(self):
+    """``chunked_compress`` resolves ``workers=``/``executor=`` to one
+    executor: its own, built and closed per call, or the caller's."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        made = []
+
+        class Recording(MultiprocessExecutor):
+            pools = 0
+            closed = False
+
+            def __init__(self, workers, **kwargs):
+                super().__init__(workers, **kwargs)
+                made.append(self)
+
+            def _make_pool(self):
+                self.pools += 1
+                return super()._make_pool()
+
+            def close(self):
+                self.closed = True
+                super().close()
+
+        monkeypatch.setattr(executor_module, "MultiprocessExecutor", Recording)
+        return made
+
+    def test_serial_for_one_or_none(self, built, smooth2d):
         for workers in (None, 1):
-            ex, owned = resolve_executor(workers)
-            assert isinstance(ex, SerialExecutor) and owned
+            chunked_compress(smooth2d, chunk_rows=16, workers=workers)
+        assert [(ex.workers, ex.pools, ex.closed) for ex in built] == [(1, 0, True)] * 2
 
-    def test_multiprocess_for_many(self):
-        ex, owned = resolve_executor(3)
-        try:
-            assert isinstance(ex, MultiprocessExecutor) and owned
-            assert ex.workers == 3
-        finally:
-            ex.close()
+    def test_multiprocess_for_many(self, built, smooth2d):
+        blob = chunked_compress(smooth2d, chunk_rows=16, workers=3)
+        (ex,) = built
+        assert ex.workers == 3 and ex.closed and ex._pool is None
+        assert blob == chunked_compress(smooth2d, chunk_rows=16)
 
-    def test_explicit_executor_borrowed(self):
-        mine = SerialExecutor()
-        ex, owned = resolve_executor(4, mine)
-        assert ex is mine and not owned
-
-    def test_rejects_non_executor(self):
-        with pytest.raises(ConfigurationError):
-            resolve_executor(2, object())
+    def test_explicit_executor_borrowed(self, built, smooth2d):
+        mine = MultiprocessExecutor(1)
+        chunked_compress(smooth2d, chunk_rows=16, workers=4, executor=mine)
+        assert built == []
 
     @pytest.mark.parametrize("workers", [0, -3, "two"])
-    def test_rejects_bad_counts(self, workers):
+    def test_rejects_bad_counts(self, workers, smooth2d):
         with pytest.raises(ConfigurationError):
-            resolve_executor(workers)
-
-    def test_default_worker_count_positive(self):
-        assert default_worker_count() >= 1
+            chunked_compress(smooth2d, workers=workers)
 
 
 class TestAggregateStats:
     def test_sums_sizes_and_timings(self, slabs):
         cfg = CompressionConfig()
-        results = SerialExecutor().compress_slabs(slabs, cfg)
+        results = in_process(slabs, cfg)
         per_slab = [s for _, s in results]
         agg = aggregate_stats(per_slab)
         assert agg.original_bytes == sum(s.original_bytes for s in per_slab)
@@ -155,7 +170,7 @@ class TestAggregateStats:
         assert agg.config is cfg or agg.config == cfg
 
     def test_stream_bytes_override(self, slabs):
-        results = SerialExecutor().compress_slabs(slabs, CompressionConfig())
+        results = in_process(slabs, CompressionConfig())
         agg = aggregate_stats([s for _, s in results], stream_bytes=12345)
         assert agg.compressed_bytes == 12345
 
