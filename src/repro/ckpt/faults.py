@@ -278,7 +278,10 @@ class FaultInjectingStore(StoreWrapper):
     pass through untouched -- the interesting failure surface is the data
     path, and a directory listing cannot tear a commit.  A verified read
     is a ``get``: it draws one decision and suffers the same effects, so
-    no caller reads around the injection.  Every injection is appended to
+    no caller reads around the injection; a bit it flips is caught by the
+    check :meth:`StoreWrapper.get_verified` runs again on the bytes a
+    ``_read`` replaced, and never comes back as a verified read.  Every
+    injection is appended to
     :attr:`events`; media faults are counted in the global metrics
     registry under ``store.faults.<kind>``, process deaths under
     ``store.crashes``.
@@ -522,7 +525,9 @@ class StormInjectingStore(StoreWrapper):
     forces failover.  ``sync`` passes through even while down: the
     wrapper simulates an unreachable shard, not lost history, and the
     group-commit barrier syncing a shard it never wrote to must not
-    explode the whole batch.
+    explode the whole batch.  A ``bitflip`` window's flipped read fails a
+    verified read (the check :meth:`StoreWrapper.get_verified` runs again
+    on replaced bytes) rather than passing for the stored payload.
     """
 
     def __init__(self, inner: Store, shard_id: str, plan: ShardStormPlan, *, sleep=None) -> None:

@@ -892,15 +892,16 @@ class CheckpointManager:
             # The CRC and length go down the store stack with the read, so
             # whichever layer can heal a mismatch does (a retrying store
             # re-reads before it counts as corruption at rest, a replicated
-            # one fails over); a plain store reads once.
+            # one fails over); a plain store reads and checks once.  What
+            # comes back matches the entry.
             for entry in entries:
                 if entry.name not in blobs and entry.name not in bad:
                     key = array_key(step, entry.name)
                     try:
-                        blob = self.store.get_verified(key, entry.crc32, entry.stored_bytes)
-                        entry.verify(blob)
-                        blobs[entry.name] = blob
-                    except (StorageError, FormatError, IntegrityError) as exc:
+                        blobs[entry.name] = self.store.get_verified(
+                            key, entry.crc32, entry.stored_bytes
+                        )
+                    except (StorageError, IntegrityError) as exc:
                         bad[entry.name] = exc
 
         fetch(entries)

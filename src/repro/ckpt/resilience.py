@@ -6,8 +6,9 @@ a checkpoint even though the write would have succeeded a moment later.
 bounded retry under a :class:`RetryPolicy` -- exponential backoff with
 deterministic, seeded jitter, so test runs and the CI fault-injection
 matrix reproduce exactly -- and adds :meth:`ResilientStore.get_verified`,
-which treats a CRC mismatch like any other transient read failure and
-re-reads before anyone concludes the blob is corrupt at rest.
+which treats the CRC mismatch its inner store reports like any other
+transient read failure and re-reads before anyone concludes the blob is
+corrupt at rest.
 
 Retry counts surface in the global metrics registry (``store.retry.*``)
 and each retried operation opens a ``store.retry`` span, so traces show
@@ -17,7 +18,6 @@ where a run burned time waiting out faults.
 from __future__ import annotations
 
 import time
-import zlib
 from dataclasses import dataclass
 from typing import Callable, TypeVar
 
@@ -141,7 +141,8 @@ class ResilientStore(StoreWrapper):
     ) -> bytes:
         """Read ``key`` and require the payload to match ``crc32``.
 
-        A mismatch (or wrong length, when ``nbytes`` is given) counts as a
+        The inner store checks (:meth:`Store.get_verified`); a mismatch it
+        reports (or wrong length, when ``nbytes`` is given) counts as a
         failed attempt and triggers a re-read under the same backoff
         budget -- the cheap remedy for transient read corruption.  When
         every attempt mismatches, raises
@@ -150,16 +151,11 @@ class ResilientStore(StoreWrapper):
         """
 
         def read() -> bytes:
-            data = self.inner.get_verified(key, crc32, nbytes)
-            got = (zlib.crc32(data) & 0xFFFFFFFF, len(data))
-            want = (crc32 & 0xFFFFFFFF, len(data) if nbytes is None else nbytes)
-            if got != want:
+            try:
+                return self.inner.get_verified(key, crc32, nbytes)
+            except IntegrityError as exc:
                 get_registry().counter("store.retry.crc_rereads").inc()
-                raise _ReadMismatch(
-                    f"blob {key!r} read back CRC {got[0]:#010x} over {got[1]} "
-                    f"bytes, expected CRC {want[0]:#010x} over {want[1]} bytes"
-                )
-            return data
+                raise _ReadMismatch(str(exc)) from None
 
         try:
             return self._run("get", key, read)

@@ -12,10 +12,11 @@ import os
 import tempfile
 import threading
 import time
+import zlib
 from abc import ABC, abstractmethod
 from typing import Callable
 
-from ..exceptions import StorageError
+from ..exceptions import IntegrityError, StorageError
 
 __all__ = [
     "Store",
@@ -40,11 +41,15 @@ class Store(ABC):
 
     def get_verified(self, key: str, crc32: int, nbytes: int | None = None) -> bytes:
         """Read ``key`` for a caller that knows the payload's CRC-32 (and
-        length).  A store that can do better than one read with that
-        knowledge -- re-read a transient mismatch, fail over to another
-        replica -- overrides this; the default is a plain :meth:`get`, so
-        the caller still verifies what comes back."""
-        return self.get(key)
+        length), and return only bytes that match them.
+
+        A mismatch raises :class:`~repro.exceptions.IntegrityError`, a
+        missing key :class:`~repro.exceptions.StorageError`; the caller
+        does not check again.  The default is :meth:`get` plus one check.
+        A store that can do better with that knowledge -- re-read a
+        transient mismatch, fail over to another replica -- overrides it.
+        """
+        return _check_payload(key, self.get(key), crc32, nbytes)
 
     @abstractmethod
     def exists(self, key: str) -> bool: ...
@@ -68,6 +73,20 @@ class Store(ABC):
         :class:`DirectoryStore` with its per-write fsync).  Backends that
         buffer writes should override it.
         """
+
+
+def _check_payload(key: str, data: bytes, crc32: int, nbytes: int | None = None) -> bytes:
+    """``data``, read from ``key``, if its CRC-32 is ``crc32`` and (when
+    given) its length ``nbytes``; otherwise :class:`IntegrityError`
+    naming what came back.  The one check of a verified read."""
+    got = (zlib.crc32(data), len(data))
+    want = (crc32 & 0xFFFFFFFF, len(data) if nbytes is None else nbytes)
+    if got != want:
+        raise IntegrityError(
+            f"blob {key!r} read back CRC {got[0]:#010x} over {got[1]} "
+            f"bytes, expected CRC {want[0]:#010x} over {want[1]} bytes"
+        )
+    return data
 
 
 def _check_key(key: str) -> str:
@@ -353,8 +372,12 @@ class StoreWrapper(Store):
     succeeded, with the payload bytes it moved (0 for metadata
     operations).  ``get`` and the verified read are one path,
     :meth:`_read`, taking the inner reader -- both report as a ``get``,
-    and a wrapper that alters reads sees each exactly once.  A wrapper
-    that changes a key or a written payload overrides the method itself.
+    and a wrapper that alters reads sees each exactly once.  A verified
+    read trusts the bytes the inner store verified; only bytes a
+    :meth:`_read` put in their place (an injected bit flip) are checked
+    again, so nothing a wrapper does to a read reaches the caller
+    unverified.  A wrapper that changes a key or a written payload
+    overrides the method itself.
     """
 
     def __init__(self, inner: Store) -> None:
@@ -381,7 +404,16 @@ class StoreWrapper(Store):
         return self._read(key, lambda: self.inner.get(key))
 
     def get_verified(self, key: str, crc32: int, nbytes: int | None = None) -> bytes:
-        return self._read(key, lambda: self.inner.get_verified(key, crc32, nbytes))
+        verified: list[bytes] = []
+
+        def read() -> bytes:
+            verified.append(self.inner.get_verified(key, crc32, nbytes))
+            return verified[0]
+
+        data = self._read(key, read)
+        if verified and data is verified[0]:
+            return data
+        return _check_payload(key, data, crc32, nbytes)
 
     def exists(self, key: str) -> bool:
         self._before("exists", key)

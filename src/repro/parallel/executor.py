@@ -81,7 +81,9 @@ class MultiprocessExecutor:
         will not start or breaks mid-flight (``PermissionError`` in
         sandboxes, a fork limit, a worker killed by the OOM killer), the
         slabs run one after another in this process -- the same bytes --
-        and a pool failure is recorded in :attr:`fallback_reason`.
+        and the pool failure is recorded in :attr:`fallback_reason`, which
+        describes the last call only (``None`` when it ran on the pool or
+        needed none).
 
     A context manager; :meth:`close` releases the worker processes (the
     next call restarts them) and is idempotent.
@@ -123,6 +125,7 @@ class MultiprocessExecutor:
         self, slabs: Sequence[np.ndarray], config: CompressionConfig
     ) -> list[tuple[bytes, CompressionStats]]:
         """Compress every slab; result ``i`` corresponds to ``slabs[i]``."""
+        self.fallback_reason = None
         tracer = get_tracer()
         if self.workers > 1 and len(slabs) > 1 and (pool := self._ensure_pool()) is not None:
             parent_ctx = tracer.context()

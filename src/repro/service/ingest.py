@@ -554,12 +554,11 @@ class CheckpointIngestService:
         for entry in manifest.entries:
             # get_verified routes the CRC down into the sharded store, so a
             # replica corrupt at rest fails over to a good copy (and is
-            # repaired) instead of surfacing IntegrityError to the tenant.
-            payload = view.get_verified(
-                array_key(step, entry.name), entry.crc32, entry.stored_bytes or None
+            # repaired) instead of surfacing IntegrityError to the tenant;
+            # its acceptance test is the one hash each blob gets.
+            out[entry.name] = view.get_verified(
+                array_key(step, entry.name), entry.crc32, entry.stored_bytes
             )
-            entry.verify(payload)
-            out[entry.name] = payload
         return out
 
     def recover_tenants(self) -> dict[str, RecoveryReport]:

@@ -35,7 +35,7 @@ import asyncio
 import json
 import struct
 import time
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from ..exceptions import (
     CheckpointNotFoundError,
@@ -150,23 +150,34 @@ async def _read_message(
 
 
 async def _write_message(
-    writer: asyncio.StreamWriter, header: dict[str, Any], payload: bytes = b""
+    writer: asyncio.StreamWriter,
+    header: dict[str, Any],
+    parts: Sequence[bytes] = (),
 ) -> None:
-    if payload:
-        header = {**header, "payload_bytes": len(payload)}
+    """Frame ``header`` and a payload of ``parts``, back to back.
+
+    Each part goes to the transport as the caller's own buffer: a payload
+    of megabyte blobs is never joined into one, nor glued to its header.
+    """
+    payload_bytes = sum(len(part) for part in parts)
+    if payload_bytes:
+        header = {**header, "payload_bytes": payload_bytes}
     body = json.dumps(header, sort_keys=True).encode("utf-8")
-    writer.write(_LEN.pack(len(body)) + body + payload)
+    writer.write(_LEN.pack(len(body)) + body)
+    for part in parts:
+        writer.write(part)
     await writer.drain()
 
 
-def _pack_blobs(blobs: Mapping[str, bytes]) -> tuple[list[list[Any]], bytes]:
+def _pack_blobs(blobs: Mapping[str, bytes]) -> tuple[list[list[Any]], list[bytes]]:
+    """The blob index of a header and the payload parts it slices, by name."""
     index: list[list[Any]] = []
     parts: list[bytes] = []
     for name in sorted(blobs):
         data = blobs[name]
         index.append([name, len(data)])
         parts.append(data)
-    return index, b"".join(parts)
+    return index, parts
 
 
 def _unpack_blobs(index: list[list[Any]], payload: bytes) -> dict[str, bytes]:
@@ -244,7 +255,7 @@ class ServiceServer:
                     with get_tracer().span(
                         "service.request", parent=ctx, op=op
                     ) as req_span:
-                        resp, resp_payload = await self._dispatch(
+                        resp, resp_parts = await self._dispatch(
                             header, payload, parent=req_span
                         )
                     registry.counter("service.requests", op=op).inc()
@@ -256,7 +267,7 @@ class ServiceServer:
                         "service.request_errors", type=type(exc).__name__
                     ).inc()
                     resp = _error_frame(exc)
-                    resp_payload = b""
+                    resp_parts = ()
                 except (KeyError, TypeError, ValueError) as exc:
                     # A header missing required fields (or carrying the
                     # wrong types) is the client's fault, not a server
@@ -267,8 +278,8 @@ class ServiceServer:
                     resp = _error_frame(
                         FormatError(f"malformed request header: {exc!r}")
                     )
-                    resp_payload = b""
-                await _write_message(writer, resp, resp_payload)
+                    resp_parts = ()
+                await _write_message(writer, resp, resp_parts)
         finally:
             writer.close()
             try:
@@ -280,14 +291,14 @@ class ServiceServer:
 
     async def _dispatch(
         self, header: dict[str, Any], payload: bytes, parent: Any = None
-    ) -> tuple[dict[str, Any], bytes]:
+    ) -> tuple[dict[str, Any], Sequence[bytes]]:
         op = header.get("op")
         svc = self.service
         # Only a real recorded span can parent downstream work; when
         # tracing is off the request "span" is a _NullSpan with no ids.
         trace_parent = parent if isinstance(parent, Span) else None
         if op == "ping":
-            return {"ok": True, "pong": True}, b""
+            return {"ok": True, "pong": True}, ()
         if op == "submit":
             blobs = _unpack_blobs(header.get("blobs", []), payload)
             ack = await svc.submit(
@@ -297,7 +308,7 @@ class ServiceServer:
                 app_meta=header.get("app_meta"),
                 trace_parent=trace_parent,
             )
-            return {"ok": True, "ack": ack.to_dict()}, b""
+            return {"ok": True, "ack": ack.to_dict()}, ()
         if op == "restore":
             step = header.get("step")
             blobs = await asyncio.to_thread(
@@ -305,16 +316,16 @@ class ServiceServer:
                 str(header["tenant"]),
                 None if step is None else int(step),
             )
-            index, blob_payload = _pack_blobs(blobs)
-            return {"ok": True, "blobs": index}, blob_payload
+            index, parts = _pack_blobs(blobs)
+            return {"ok": True, "blobs": index}, parts
         if op == "steps":
             steps = await asyncio.to_thread(svc.committed_steps, str(header["tenant"]))
-            return {"ok": True, "steps": steps}, b""
+            return {"ok": True, "steps": steps}, ()
         if op == "stats":
-            return {"ok": True, "stats": svc.stats()}, b""
+            return {"ok": True, "stats": svc.stats()}, ()
         if op == "metrics":
             text = await asyncio.to_thread(svc.metrics_text)
-            return {"ok": True}, text.encode("utf-8")
+            return {"ok": True}, [text.encode("utf-8")]
         if op == "drain":
             worker = self._migration_worker()
             summary = await asyncio.to_thread(worker.drain, str(header["shard"]))
@@ -323,14 +334,14 @@ class ServiceServer:
                     worker.sharded.remove_shard, str(header["shard"])
                 )
                 summary = {**summary, "removed": True}
-            return {"ok": True, "drain": summary}, b""
+            return {"ok": True, "drain": summary}, ()
         if op == "rebalance":
             worker = self._migration_worker()
             summary = await asyncio.to_thread(worker.rebalance)
-            return {"ok": True, "rebalance": summary}, b""
+            return {"ok": True, "rebalance": summary}, ()
         if op == "repair":
             summary = await asyncio.to_thread(svc.repair_replication)
-            return {"ok": True, "repair": summary}, b""
+            return {"ok": True, "repair": summary}, ()
         raise FormatError(f"unknown wire op {op!r}")
 
     def _migration_worker(self):
@@ -444,7 +455,7 @@ class ServiceClient:
         await self.close()
 
     async def _call(
-        self, header: dict[str, Any], payload: bytes = b""
+        self, header: dict[str, Any], parts: Sequence[bytes] = ()
     ) -> tuple[dict[str, Any], bytes]:
         if self._reader is None or self._writer is None:
             raise ServiceError("client is not connected; call connect() first")
@@ -458,7 +469,7 @@ class ServiceClient:
                 }
             try:
                 async def _exchange() -> tuple[dict[str, Any], bytes]:
-                    await _write_message(self._writer, header, payload)
+                    await _write_message(self._writer, header, parts)
                     return await _read_message(self._reader)
 
                 if self.op_timeout is not None:
@@ -497,7 +508,7 @@ class ServiceClient:
         *,
         app_meta: Mapping[str, Any] | None = None,
     ) -> dict[str, Any]:
-        index, payload = _pack_blobs(blobs)
+        index, parts = _pack_blobs(blobs)
         header = {
             "op": "submit",
             "tenant": tenant,
@@ -506,7 +517,7 @@ class ServiceClient:
         }
         if app_meta:
             header["app_meta"] = dict(app_meta)
-        resp, _ = await self._call(header, payload)
+        resp, _ = await self._call(header, parts)
         return resp["ack"]
 
     async def restore(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import zlib
+
 import pytest
 
 from repro.ckpt.faults import (
@@ -20,6 +22,7 @@ from repro.ckpt.faults import (
 from repro.ckpt.store import MemoryStore
 from repro.exceptions import (
     ConfigurationError,
+    IntegrityError,
     SimulatedCrash,
     StorageError,
     TransientStorageError,
@@ -145,9 +148,13 @@ class TestCrashKinds:
         assert plan.op_index == 2
 
 
+_PAYLOAD_CRC = zlib.crc32(b"payload")
+
+
 class TestVerifiedReadIsAGet:
     """A verified read draws one ``get`` decision and suffers its effects:
-    nothing reads around the injection."""
+    nothing reads around the injection, and a flipped read never passes
+    for the payload."""
 
     def _store(self, kind):
         inner = MemoryStore()
@@ -158,29 +165,31 @@ class TestVerifiedReadIsAGet:
         store = FaultInjectingStore(MemoryStore(), FaultPlan())
         store.put("k", b"payload")
         before = store.plan.op_index
-        assert store.get_verified("k", 0) == b"payload"
+        assert store.get_verified("k", _PAYLOAD_CRC) == b"payload"
         assert store.plan.op_index == before + 1
 
     def test_transient(self):
         with pytest.raises(TransientStorageError):
-            self._store(FAULT_TRANSIENT).get_verified("k", 0)
+            self._store(FAULT_TRANSIENT).get_verified("k", _PAYLOAD_CRC)
 
     def test_missing(self):
         with pytest.raises(StorageError, match="spurious miss"):
-            self._store(FAULT_MISSING).get_verified("k", 0)
+            self._store(FAULT_MISSING).get_verified("k", _PAYLOAD_CRC)
 
     def test_bitflip(self):
         store = self._store(FAULT_BITFLIP)
-        assert store.get_verified("k", 0) != b"payload"
-        assert store.get_verified("k", 0) == b"payload"
+        with pytest.raises(IntegrityError, match="read back CRC"):
+            store.get_verified("k", _PAYLOAD_CRC)
+        assert store.events[0].kind == FAULT_BITFLIP
+        assert store.get_verified("k", _PAYLOAD_CRC) == b"payload"
 
     @pytest.mark.parametrize("kind", CRASH_KINDS)
     def test_crash_kinds(self, kind):
         store = self._store(kind)
         with pytest.raises(SimulatedCrash):
-            store.get_verified("k", 0)
+            store.get_verified("k", _PAYLOAD_CRC)
         assert store.events[0].op == "get" and store.events[0].kind == kind
-        assert store.get_verified("k", 0) == b"payload"
+        assert store.get_verified("k", _PAYLOAD_CRC) == b"payload"
 
 
 class TestFaultInjectingStore:

@@ -13,8 +13,11 @@ from repro.ckpt.faults import (
     FaultInjectingStore,
     FaultPlan,
 )
+from repro.ckpt.manager import CheckpointManager
+from repro.ckpt.manifest import array_key, manifest_key
+from repro.ckpt.protocol import ArrayRegistry
 from repro.ckpt.resilience import ResilientStore, RetryPolicy
-from repro.ckpt.store import MemoryStore
+from repro.ckpt.store import DirectoryStore, MemoryStore
 from repro.exceptions import (
     ConfigurationError,
     IntegrityError,
@@ -140,6 +143,26 @@ class TestResilientStore:
         inner.put("k", b"short")
         with pytest.raises(IntegrityError, match="bytes"):
             store.get_verified("k", crc(b"short"), 100)
+
+    def test_a_restore_hashes_each_stored_byte_once(self, tmp_path, crc_bytes):
+        """The verified read is the one check of a blob and of the
+        manifest; only the container's own section CRCs (inside the
+        inflated body) are hashed besides."""
+        rng = np.random.default_rng(3)
+        registry = ArrayRegistry()
+        registry.register("field", np.cumsum(rng.standard_normal((64, 32)), axis=0))
+        registry.register("steps", np.arange(500, dtype=np.int64))
+        store = ResilientStore(DirectoryStore(str(tmp_path)), _fast_policy())
+        manager = CheckpointManager(registry, store)
+        manager.checkpoint(1)
+        stored = sum(
+            len(store.get(key))
+            for key in (array_key(1, "field"), array_key(1, "steps"), manifest_key(1))
+        )
+        crc_bytes.clear()
+        assert manager.restore(1).step == 1
+        hashed = {m: n for m, n in crc_bytes.items() if m != "repro.core.container"}
+        assert sum(hashed.values()) == stored, hashed
 
     def test_retry_metrics_reach_registry(self):
         from repro.obs.metrics import get_registry

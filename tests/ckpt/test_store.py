@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ckpt.faults import (
+    FAULT_BITFLIP,
     FaultInjectingStore,
     FaultPlan,
     ShardStormPlan,
@@ -23,8 +24,8 @@ from repro.ckpt.store import (
     LatencyStore,
     MemoryStore,
 )
-from repro.exceptions import StorageError
-from repro.service.sharded import NamespacedStore
+from repro.exceptions import IntegrityError, StorageError
+from repro.service.sharded import NamespacedStore, ShardedStore
 
 
 @pytest.fixture(params=["memory", "directory"])
@@ -270,6 +271,63 @@ class TestWrapperTransparency:
         }
 
 
+#: every store the suite builds, bare and wrapped, by how it is built
+VERIFYING_STORES = {
+    "memory": lambda tmp: MemoryStore(),
+    "directory": lambda tmp: DirectoryStore(str(tmp / "store")),
+    **{
+        f"{name}-wrapper": lambda tmp, wrap=wrap: wrap(MemoryStore())
+        for name, wrap in NEUTRAL_WRAPPERS.items()
+    },
+    "namespaced-sharded": lambda tmp: NamespacedStore(
+        ShardedStore(
+            {"s0": MemoryStore(), "s1": MemoryStore()},
+            placement=MemoryStore(),
+            replication=2,
+        ),
+        "tenants/a",
+    ),
+}
+
+
+class TestVerifiedReadContract:
+    @pytest.mark.parametrize("kind", sorted(VERIFYING_STORES))
+    def test_only_matching_bytes_come_back(self, kind, tmp_path):
+        """What a verified read returns matches the CRC and length it was
+        given, so no caller checks again."""
+        store = VERIFYING_STORES[kind](tmp_path)
+        key, payload = "ckpt/0000000001/u.bin", b"verified payload"
+        store.put(key, payload)
+        crc = zlib.crc32(payload)
+        assert store.get_verified(key, crc, len(payload)) == payload
+        assert store.get_verified(key, crc) == payload
+        with pytest.raises(IntegrityError):
+            store.get_verified(key, crc ^ 1, len(payload))
+        with pytest.raises(IntegrityError):
+            store.get_verified(key, crc, len(payload) + 1)
+        with pytest.raises(StorageError):
+            store.get_verified("ckpt/0000000001/missing.bin", crc, len(payload))
+        assert store.get(key) == payload  # a failed check changes nothing
+
+    def test_a_flipped_read_under_a_resilient_store_is_right_or_raises(self):
+        inner = MemoryStore()
+        inner.put("k", b"payload" * 10)
+        flipping = FaultInjectingStore(inner, FaultPlan(seed=5, rates={FAULT_BITFLIP: 0.5}))
+        store = ResilientStore(
+            flipping, RetryPolicy(max_attempts=2, base_delay=0.0), sleep=lambda _s: None
+        )
+        crc = zlib.crc32(b"payload" * 10)
+        outcomes = set()
+        for _ in range(40):
+            try:
+                assert store.get_verified("k", crc, 70) == b"payload" * 10
+                outcomes.add("right")
+            except IntegrityError:
+                outcomes.add("raised")
+        assert outcomes == {"right", "raised"}
+        assert len(flipping.events) > 20  # flips were injected, none came back
+
+
 def _accounting_script(store):
     store.put("a/x", b"12345")
     store.put("a/y", b"0" * 1000)
@@ -317,6 +375,6 @@ class TestWrapperAccounting:
         latency = LatencyStore(MemoryStore(), op_latency_sec=0.5)
         for store in (counting, latency):
             store.inner.put("k", b"x" * 200)
-            assert store.get_verified("k", 0) == b"x" * 200
+            assert store.get_verified("k", zlib.crc32(b"x" * 200), 200) == b"x" * 200
         assert (counting.gets, counting.bytes_read) == (1, 200)
         assert latency.slept_seconds == 0.5

@@ -1,5 +1,7 @@
 """Shard-level fault storms: windowed plans and the injecting wrapper."""
 
+import zlib
+
 import pytest
 
 from repro.ckpt.faults import (
@@ -15,6 +17,7 @@ from repro.ckpt.faults import (
 from repro.ckpt.store import MemoryStore
 from repro.exceptions import (
     ConfigurationError,
+    IntegrityError,
     StorageError,
     TransientStorageError,
 )
@@ -150,7 +153,8 @@ class TestBitflipStorm:
         got = store.get("k")
         assert got != payload
         assert len(got) == len(payload)
-        assert store.get_verified("k", 0) != payload  # no reading around it
+        with pytest.raises(IntegrityError):  # no reading around it
+            store.get_verified("k", zlib.crc32(payload), len(payload))
         assert inner.get("k") == payload  # read-side only: rest intact
 
     def test_writes_never_corrupted(self):

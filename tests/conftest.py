@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+import zlib
+
 import numpy as np
 import pytest
 
@@ -33,6 +37,23 @@ def smooth1d(rng) -> np.ndarray:
 def nicam_small() -> dict[str, np.ndarray]:
     """The five NICAM-like variables at a test-friendly shape."""
     return nicam_like_variables((72, 20, 2), rng=7)
+
+
+@pytest.fixture
+def crc_bytes(monkeypatch) -> dict[str, int]:
+    """Bytes ``zlib.crc32`` hashes from here on, by calling module."""
+    seen: dict[str, int] = {}
+    lock = threading.Lock()
+    crc32 = zlib.crc32
+
+    def counting(data, value=0):
+        module = sys._getframe(1).f_globals.get("__name__", "?")
+        with lock:
+            seen[module] = seen.get(module, 0) + memoryview(data).nbytes
+        return crc32(data, value)
+
+    monkeypatch.setattr(zlib, "crc32", counting)
+    return seen
 
 
 def pytest_make_parametrize_id(config, val, argname):

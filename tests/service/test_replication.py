@@ -2,6 +2,7 @@
 read-repair, degraded writes and the replication-debt ledger."""
 
 import asyncio
+import os
 import zlib
 
 import numpy as np
@@ -349,6 +350,27 @@ class TestRestorePathCost:
         assert gets <= parent_gets and exists <= parent_exists
         # one read serves it; a second replica costs that copy's audit read
         assert manifest_reads == (2 if stack == "replicated" else 1)
+
+    def test_a_service_restore_hashes_each_byte_once(self, crc_bytes):
+        """The replica read's CRC test is the only hash a restored blob
+        gets; the audit of the second copy compares bytes."""
+        store = ShardedStore(
+            {f"s{i}": MemoryStore() for i in range(4)},
+            placement=MemoryStore(),
+            replication=2,
+        )
+        svc = CheckpointIngestService(store, TenantRegistry([TenantSpec("alice")]))
+        blobs = {"a": os.urandom(4096), "b": os.urandom(1000), "c": b"x", "d": b""}
+
+        async def submit():
+            async with svc:
+                await svc.submit("alice", 1, blobs)
+
+        asyncio.run(submit())
+        manifest = store.get(f"tenants/alice/{manifest_key(1)}")
+        crc_bytes.clear()
+        assert svc.restore_blobs("alice", 1) == blobs
+        assert sum(crc_bytes.values()) == sum(map(len, blobs.values())) + len(manifest)
 
 
 class TestDegradedWrites:

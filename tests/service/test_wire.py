@@ -52,8 +52,8 @@ def _run_with_server(coro_factory):
 class TestFraming:
     def test_pack_unpack_round_trip(self):
         blobs = {"u": b"abc", "v": b"", "w": os.urandom(100)}
-        index, payload = _pack_blobs(blobs)
-        assert _unpack_blobs(index, payload) == blobs
+        index, parts = _pack_blobs(blobs)
+        assert _unpack_blobs(index, b"".join(parts)) == blobs
 
     def test_unpack_length_mismatch(self):
         with pytest.raises(FormatError, match="payload carries"):
@@ -69,19 +69,25 @@ class TestRoundTrips:
         assert _run_with_server(go) is True
 
     def test_submit_restore_steps_stats(self):
-        blobs = {"u": os.urandom(1024), "v": b"small"}
+        # small blobs under alice's quota, then frames of several parts
+        # (three 1 MiB blobs and an empty one) for bob, who has none
+        inputs = [
+            ("alice", {"u": os.urandom(1024), "v": b"small"}),
+            ("bob", {**{f"m{i}": os.urandom(1 << 20) for i in range(3)}, "z": b""}),
+        ]
 
         async def go(sock, svc):
-            async with ServiceClient(sock) as client:
-                ack = await client.submit(
-                    "alice", 4, blobs, app_meta={"epoch": 1}
-                )
-                assert ack["step"] == 4 and ack["n_blobs"] == 2
-                assert await client.steps("alice") == [4]
-                restored = await client.restore("alice")
-                stats = await client.stats()
-            assert restored == blobs
-            assert stats["commits"] == 1
+            for commits, (tenant, blobs) in enumerate(inputs, start=1):
+                async with ServiceClient(sock) as client:
+                    ack = await client.submit(
+                        tenant, 4, blobs, app_meta={"epoch": 1}
+                    )
+                    assert ack["step"] == 4 and ack["n_blobs"] == len(blobs)
+                    assert await client.steps(tenant) == [4]
+                    restored = await client.restore(tenant)
+                    stats = await client.stats()
+                assert restored == blobs
+                assert stats["commits"] == commits
 
         _run_with_server(go)
 

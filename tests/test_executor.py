@@ -93,6 +93,27 @@ class TestMultiprocessExecutor:
         serial = in_process(slabs, cfg)
         assert [b for b, _ in results] == [b for b, _ in serial]
 
+    def test_fallback_reason_describes_the_last_call(self, slabs):
+        """A call that runs on the pool reports no fallback, even after an
+        earlier call whose pool would not start."""
+        from concurrent.futures import ProcessPoolExecutor
+
+        starts = []
+
+        def refuses_first(**kw):
+            starts.append(kw)
+            if len(starts) == 1:
+                raise PermissionError("first start refused")
+            return ProcessPoolExecutor(**kw)
+
+        cfg = CompressionConfig()
+        with MultiprocessExecutor(2, _pool_factory=refuses_first) as ex:
+            ex.compress_slabs(slabs, cfg)
+            assert "first start refused" in ex.fallback_reason
+            ex.compress_slabs(slabs, cfg)
+            assert ex._pool is not None  # the second call ran on the pool
+            assert ex.fallback_reason is None
+
     @pytest.mark.parametrize("workers", [0, -1, 1.5, True])
     def test_validation(self, workers):
         with pytest.raises(ConfigurationError):
