@@ -37,6 +37,7 @@ from repro.ckpt.faults import (
     StormWindow,
 )
 from repro.ckpt.store import MemoryStore
+from repro.config import ServiceConfig
 from repro.exceptions import ReproError
 from repro.obs import JsonlSink, TraceReport, get_tracer
 from repro.obs.metrics import get_registry
@@ -93,7 +94,7 @@ def _build(windows=None, *, plan=None, clock, failure_threshold=2):
         health=health,
     )
     registry = TenantRegistry([TenantSpec(t) for t in TENANTS])
-    svc = CheckpointIngestService(store, registry, max_batch=8)
+    svc = CheckpointIngestService(store, registry, ServiceConfig(max_batch=8))
     return svc, store, plan
 
 

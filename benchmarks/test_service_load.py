@@ -42,6 +42,7 @@ import sys
 import time
 
 from repro.ckpt.store import DirectoryStore, LatencyStore
+from repro.config import ServiceConfig
 from repro.iomodel.burst_buffer import BurstBufferModel
 from repro.iomodel.storage import StorageModel
 from repro.obs import JsonlSink, SLOTracker, TraceReport, get_tracer
@@ -100,9 +101,7 @@ def _build_service(
     return CheckpointIngestService(
         store,
         registry,
-        buffer_capacity_bytes=BUFFER_CAPACITY,
-        max_batch=max_batch,
-        max_batch_delay=0.002,
+        ServiceConfig(buffer_capacity_bytes=BUFFER_CAPACITY, max_batch=max_batch),
         slo=slo,
     )
 

@@ -119,12 +119,11 @@ def _fsync_dir(path: str) -> None:
 class MemoryStore(Store):
     """Dict-backed store (unit tests and in-memory checkpointing).
 
-    Thread- and task-safe: it doubles as the burst buffer's *fast tier*,
-    where asyncio drain workers delete keys while ingest handlers are
-    still putting others, so every operation -- including the
-    :attr:`total_bytes` aggregation backpressure reads -- runs under one
-    lock.  Python's dict ops are individually atomic under the GIL, but
-    ``total_bytes`` iterates the dict and would otherwise race a
+    Thread-safe: a service over it puts from drain worker threads while
+    readers list and restore from others, so every operation -- including
+    the :attr:`total_bytes` aggregation -- runs under one lock.  Python's
+    dict ops are individually atomic under the GIL, but ``total_bytes``
+    and ``list_keys`` iterate the dict and would otherwise race a
     concurrent ``put``/``delete`` mid-iteration.
     """
 

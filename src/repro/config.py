@@ -470,19 +470,15 @@ class ServiceConfig(_Config):
     shards:
         Backend store count the consistent-hash ring places generations
         across.
-    vnodes:
-        Virtual nodes per shard on the ring (placement smoothness).
     buffer_capacity_bytes:
-        Burst-buffer absorb-tier capacity; beyond it submits feel
-        backpressure and oversized blobs write through to the slow tier.
+        Burst-buffer capacity (bytes queued for the drain); beyond it
+        submits feel backpressure and oversized blobs write through to the
+        slow tier.
     drain_workers:
         Background workers moving absorbed blobs to the slow tier.
     max_batch:
         Most generations one group commit may seal; ``1`` disables
         batching (per-generation barriers).
-    max_batch_delay:
-        Seconds the committer lingers for more ready generations after
-        the first one, trading latency for batch depth.
     rate_max_wait:
         Longest a submit may wait on a tenant's rate-quota token before
         being refused with a quota error.
@@ -509,7 +505,6 @@ class ServiceConfig(_Config):
     shards: int = knob(
         4, int, ge=1, metavar="N", help="backend store shards under the service root"
     )
-    vnodes: int = knob(128, int, ge=1)
     buffer_capacity_bytes: int = knob(
         "64m", int, ge=1, flag="buffer-bytes", metavar="B", parse=parse_size,
         help="burst-buffer absorb capacity (suffixes k/m/g)",
@@ -521,7 +516,6 @@ class ServiceConfig(_Config):
         32, int, ge=1, metavar="G",
         help="most generations one group commit may seal (1 = no batching)",
     )
-    max_batch_delay: float = knob(0.002, float, ge=0)
     rate_max_wait: float = knob(0.5, float, ge=0)
     durability: str = knob(
         "batch", str, choices=("batch", "always"),

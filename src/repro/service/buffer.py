@@ -1,12 +1,12 @@
-"""Asyncio burst-buffer drain stage: fast-tier absorb, background drain.
+"""Asyncio burst-buffer drain stage: bounded absorb, background drain.
 
 This turns :class:`repro.iomodel.burst_buffer.BurstBufferModel` from a
 cost model into a working component.  The model predicts three things;
 this stage implements and *measures* all three so the service benchmark
 can validate prediction against behaviour:
 
-* **absorb** -- ``put`` into a fast tier (a :class:`MemoryStore`) blocks
-  the client only for the fast-tier write;
+* **absorb** -- the blob itself joins the drain queue once the buffer's
+  capacity can hold it, so absorbing costs no slow-tier write;
 * **drain** -- background workers move absorbed blobs to the slow tier;
   each blob's drain completion is exposed as a future so commit logic
   can wait for durability without blocking ingest;
@@ -68,26 +68,22 @@ class DrainStats:
 
 
 class BurstDrain:
-    """Fast-tier absorb with background drain to a slow tier.
+    """Bounded absorb queue with background drain to a slow tier.
 
     Parameters
     ----------
-    fast:
-        The absorb tier (typically a :class:`MemoryStore`); must be
-        thread/task safe.
     slow:
         The drain target (sharded directory stores); its ``put`` runs in
         worker threads.
     capacity_bytes:
-        Absorb-tier capacity.  Blobs larger than this write through to
-        the slow tier directly; total buffered bytes never exceed it.
+        Buffer capacity.  Blobs larger than this write through to the
+        slow tier directly; total buffered bytes never exceed it.
     drain_workers:
         Concurrent background drain tasks.
     """
 
     def __init__(
         self,
-        fast: Store,
         slow: Store,
         *,
         capacity_bytes: int,
@@ -101,7 +97,6 @@ class BurstDrain:
             raise ConfigurationError(
                 f"drain_workers must be >= 1, got {drain_workers}"
             )
-        self.fast = fast
         self.slow = slow
         self.capacity_bytes = capacity_bytes
         self.stats = DrainStats()
@@ -154,8 +149,8 @@ class BurstDrain:
     ) -> "asyncio.Future[None]":
         """Accept one blob; return a future resolved when it is on ``slow``.
 
-        Returns as soon as the blob is in the fast tier (or written
-        through), which is the only part the submitting client blocks on.
+        Returns as soon as the blob is queued for the drain (or written
+        through); the future tells when it reached ``slow``.
         ``parent`` (a span or trace context) parents the write-through
         and drain spans explicitly -- the drain runs on a worker task
         whose implicit span stack has nothing to do with this submit.
@@ -210,13 +205,12 @@ class BurstDrain:
         if self._crashed is not None:
             raise self._crashed
 
-        self.fast.put(key, data)
         self.stats.absorbed_blobs += 1
         self.stats.absorbed_bytes += nbytes
         self.stats.absorb_seconds += time.monotonic() - t0
         self._metrics.counter("service.absorbed_bytes", tenant=tenant).inc(nbytes)
         self._metrics.gauge("service.buffer_used_bytes").set(self._used)
-        self._queue.put_nowait((key, nbytes, time.monotonic(), done, parent))
+        self._queue.put_nowait((key, data, time.monotonic(), done, parent))
         return done
 
     # -- drain path ----------------------------------------------------------
@@ -224,20 +218,20 @@ class BurstDrain:
     async def _drain_loop(self, worker_id: int) -> None:
         assert self._queue is not None and self._cond is not None
         while True:
-            key, nbytes, enqueued, done, parent = await self._queue.get()
+            key, data, enqueued, done, parent = await self._queue.get()
+            nbytes = len(data)
             try:
                 if self._crashed is not None:
                     if not done.done():
                         done.set_exception(self._crashed)
                         done.exception()
-                    await self._release(key, nbytes)
+                    await self._release(nbytes)
                     continue
                 t0 = time.monotonic()
                 try:
                     with self._tracer.span(
                         "service.drain", parent=parent, key=key, nbytes=nbytes
                     ):
-                        data = self.fast.get(key)
                         await asyncio.to_thread(self.slow.put, key, data)
                 except BaseException as exc:  # noqa: BLE001 - reach the future
                     self._note_failure(exc)
@@ -250,7 +244,7 @@ class BurstDrain:
                     # notify also wakes parked absorbers so they see a
                     # crash instead of waiting for drain progress that
                     # will never come.
-                    await self._release(key, nbytes)
+                    await self._release(nbytes)
                     continue
                 now = time.monotonic()
                 self.stats.drain_seconds += now - t0
@@ -264,18 +258,14 @@ class BurstDrain:
                 ).observe(lag)
                 self.stats.drained_blobs += 1
                 self.stats.drained_bytes += nbytes
-                await self._release(key, nbytes)
+                await self._release(nbytes)
                 if not done.done():
                     done.set_result(None)
             finally:
                 self._queue.task_done()
 
-    async def _release(self, key: str, nbytes: int) -> None:
-        """Drop the fast-tier copy and return the blob's reservation."""
-        try:
-            self.fast.delete(key)
-        except Exception:  # noqa: BLE001 - releasing must not mask the cause
-            pass
+    async def _release(self, nbytes: int) -> None:
+        """Return a drained (or failed) blob's reservation."""
         async with self._cond:
             self._used -= nbytes
             self._cond.notify_all()

@@ -192,14 +192,6 @@ class ShardHealth:
         with self._lock:
             return any(b.state != STATE_CLOSED for b in self._breakers.values())
 
-    def open_shards(self) -> list[str]:
-        with self._lock:
-            return sorted(
-                sid
-                for sid, b in self._breakers.items()
-                if b.state != STATE_CLOSED
-            )
-
     def snapshot(self) -> dict[str, Any]:
         """The per-shard health block ``svc-stats`` serves."""
         with self._lock:

@@ -7,16 +7,16 @@ service layer together.  One submit travels:
    strangers), rate-quota token (bounded wait, then
    :class:`QuotaExceededError`), byte-quota reservation (refused *before*
    any payload is absorbed);
-2. **absorb** -- each blob goes into the burst buffer
+2. **absorb** -- each blob is queued in the burst buffer
    (:class:`~repro.service.buffer.BurstDrain`) under the tenant's
-   namespaced generation key; the client blocks only for fast-tier
-   writes, with backpressure when the buffer is full;
+   namespaced generation key, with backpressure when the buffer is full;
 3. **drain** -- background workers move the blobs to the slow (typically
    sharded) tier;
 4. **group commit** -- once a generation's blobs have all drained, its
-   manifest joins the committer's batch; :func:`repro.ckpt.journal.group_seal`
-   seals the whole batch with two shared sync barriers, and only after
-   the second barrier returns is the submit acknowledged.
+   manifest joins the committer's queue; the committer seals whatever is
+   ready (up to ``max_batch`` generations) with
+   :func:`repro.ckpt.journal.group_seal` and two shared sync barriers, and
+   only after the second barrier returns is the submit acknowledged.
 
 An acknowledged submit is therefore durably committed under exactly the
 same two-phase marker protocol a single-writer
@@ -50,11 +50,10 @@ from ..ckpt.manifest import (
     validate_app_meta,
 )
 from ..ckpt.recovery import RecoveryReport, recover
-from ..ckpt.store import MemoryStore, Store
+from ..ckpt.store import Store
 from ..config import ServiceConfig
 from ..exceptions import (
     CommitError,
-    ConfigurationError,
     QuotaExceededError,
     ServiceUnavailableError,
     SimulatedCrash,
@@ -127,59 +126,39 @@ class CheckpointIngestService:
     tenants:
         The :class:`~repro.service.tenants.TenantRegistry` holding
         namespaces and quotas.
-    buffer_capacity_bytes / drain_workers:
-        Burst-buffer absorb tier sizing (see
-        :class:`~repro.service.buffer.BurstDrain`).
-    max_batch:
-        Most generations one group commit may seal; ``1`` degenerates to
-        per-generation commits (the benchmark's baseline arm).
-    max_batch_delay:
-        How long the committer lingers for more ready generations after
-        the first, trading a little latency for batch depth.
-    rate_max_wait:
-        Longest a submit may wait for a rate-quota token before being
-        refused.
+    config:
+        The service's sizing (:class:`~repro.config.ServiceConfig`, which
+        validates it): burst-buffer capacity and drain workers, the most
+        generations one group commit may seal (``max_batch=1`` is the
+        benchmark's per-generation baseline arm), the longest a submit
+        waits for a rate-quota token, and the metrics flush interval.
     slo:
         Optional :class:`~repro.obs.slo.SLOTracker` fed one good/bad
         observation per submit; its verdict surfaces in :meth:`stats`
         and :meth:`metrics_text`.
-    flush_sink / flush_interval:
-        When both are set, :meth:`start` launches a
-        :class:`~repro.obs.flush.MetricsFlusher` that emits registry
-        (and SLO) snapshots to the sink every ``flush_interval`` seconds
-        for offline ``repro report`` analysis.
+    flush_sink:
+        When set and ``config.metrics_flush_interval`` is positive,
+        :meth:`start` launches a :class:`~repro.obs.flush.MetricsFlusher`
+        that emits registry (and SLO) snapshots to the sink at that
+        interval for offline ``repro report`` analysis.
     """
 
     def __init__(
         self,
         store: Store,
         tenants: TenantRegistry,
+        config: ServiceConfig | None = None,
         *,
-        buffer_capacity_bytes: int = ServiceConfig.buffer_capacity_bytes,
-        drain_workers: int = ServiceConfig.drain_workers,
-        max_batch: int = ServiceConfig.max_batch,
-        max_batch_delay: float = ServiceConfig.max_batch_delay,
-        rate_max_wait: float = ServiceConfig.rate_max_wait,
         slo: SLOTracker | None = None,
         flush_sink: Any = None,
-        flush_interval: float = 0.0,
     ) -> None:
-        if max_batch < 1:
-            raise ConfigurationError(f"max_batch must be >= 1, got {max_batch}")
-        if max_batch_delay < 0:
-            raise ConfigurationError(
-                f"max_batch_delay must be >= 0, got {max_batch_delay}"
-            )
         self.store = store
         self.tenants = tenants
-        self.max_batch = max_batch
-        self.max_batch_delay = max_batch_delay
-        self.rate_max_wait = rate_max_wait
+        self.config = config if config is not None else ServiceConfig()
         self.buffer = BurstDrain(
-            MemoryStore(),
             store,
-            capacity_bytes=buffer_capacity_bytes,
-            drain_workers=drain_workers,
+            capacity_bytes=self.config.buffer_capacity_bytes,
+            drain_workers=self.config.drain_workers,
         )
         self._views: dict[str, NamespacedStore] = {}
         self._commit_queue: asyncio.Queue[_PendingCommit] | None = None
@@ -192,7 +171,6 @@ class CheckpointIngestService:
         self.slo = slo
         self._flusher: MetricsFlusher | None = None
         self._flush_sink = flush_sink
-        self._flush_interval = float(flush_interval)
         self.commits = 0
         self.group_commits = 0
 
@@ -202,10 +180,11 @@ class CheckpointIngestService:
         await self.buffer.start()
         self._commit_queue = asyncio.Queue()
         self._committer = asyncio.create_task(self._commit_loop(), name="committer")
-        if self._flush_sink is not None and self._flush_interval > 0:
+        interval = self.config.metrics_flush_interval
+        if self._flush_sink is not None and interval > 0:
             self._flusher = MetricsFlusher(
                 self._flush_sink,
-                interval=self._flush_interval,
+                interval=interval,
                 registry=self._metrics,
                 slo=self.slo,
             )
@@ -232,20 +211,9 @@ class CheckpointIngestService:
             except asyncio.CancelledError:
                 pass
             self._committer = None
-        if self._commit_queue is not None:
-            # Nothing should still be enqueued, but never strand a
-            # submitter awaiting a future the committer can no longer
-            # resolve.
-            while True:
-                try:
-                    p = self._commit_queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if not p.future.done():
-                    p.future.set_exception(
-                        ServiceUnavailableError("service is shutting down")
-                    )
-                self._commit_queue.task_done()
+        # Nothing should still be enqueued, but never strand a submitter
+        # awaiting a future the committer can no longer resolve.
+        self._fail_queued(ServiceUnavailableError("service is shutting down"))
         await self.buffer.close()
         if self._crashed is None:
             await asyncio.to_thread(self.store.sync)
@@ -354,7 +322,9 @@ class CheckpointIngestService:
         meta = validate_app_meta(app_meta)
         total = sum(len(data) for data in blobs.values())
 
-        delay = self.tenants.reserve_rate(tenant, max_wait=self.rate_max_wait)
+        delay = self.tenants.reserve_rate(
+            tenant, max_wait=self.config.rate_max_wait
+        )
         if delay > 0.0:
             await asyncio.sleep(delay)
         self.tenants.reserve_bytes(tenant, total)
@@ -475,13 +445,13 @@ class CheckpointIngestService:
     async def _commit_loop(self) -> None:
         assert self._commit_queue is not None
         queue = self._commit_queue
+        max_batch = self.config.max_batch
         while True:
+            # Seal what is ready: the first generation plus whatever else
+            # queued; generations that drain while this seal runs in its
+            # worker thread form the next batch.
             batch = [await queue.get()]
-            if self.max_batch > 1 and self.max_batch_delay > 0.0:
-                # linger briefly so concurrently-draining generations can
-                # join this batch instead of paying their own barriers
-                await asyncio.sleep(self.max_batch_delay)
-            while len(batch) < self.max_batch:
+            while len(batch) < max_batch:
                 try:
                     batch.append(queue.get_nowait())
                 except asyncio.QueueEmpty:
@@ -526,15 +496,20 @@ class CheckpointIngestService:
         if self._crashed is None:
             self._crashed = exc
             self._metrics.counter("service.crashes").inc()
-        if self._commit_queue is not None:
-            while True:
-                try:
-                    p = self._commit_queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if not p.future.done():
-                    p.future.set_exception(exc)
-                self._commit_queue.task_done()
+        self._fail_queued(exc)
+
+    def _fail_queued(self, exc: BaseException) -> None:
+        """Fail every commit still queued with ``exc``."""
+        if self._commit_queue is None:
+            return
+        while True:
+            try:
+                p = self._commit_queue.get_nowait()
+            except asyncio.QueueEmpty:
+                return
+            if not p.future.done():
+                p.future.set_exception(exc)
+            self._commit_queue.task_done()
 
     # -- read / recovery side ------------------------------------------------
 
@@ -660,7 +635,6 @@ def build_service(
     store = ShardedStore(
         shards,
         placement=placement,
-        vnodes=config.vnodes,
         replication=config.replication,
         health=ShardHealth(),
     )
@@ -672,14 +646,5 @@ def build_service(
             histogram=get_registry().histogram("service.ingest_seconds"),
         )
     return CheckpointIngestService(
-        store,
-        tenants,
-        buffer_capacity_bytes=config.buffer_capacity_bytes,
-        drain_workers=config.drain_workers,
-        max_batch=config.max_batch,
-        max_batch_delay=config.max_batch_delay,
-        rate_max_wait=config.rate_max_wait,
-        slo=slo,
-        flush_sink=flush_sink,
-        flush_interval=config.metrics_flush_interval,
+        store, tenants, config, slo=slo, flush_sink=flush_sink
     )

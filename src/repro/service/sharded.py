@@ -48,7 +48,7 @@ from typing import Any, Callable, Iterable, Mapping
 from ..ckpt.store import Store, StoreWrapper
 from ..exceptions import ConfigurationError, IntegrityError, StorageError
 from ..obs.metrics import get_registry
-from .hashring import DEFAULT_VNODES, HashRing
+from .hashring import HashRing
 from .health import ShardHealth
 from .replication import ReplicationDebt, decode_replicas, encode_replicas
 
@@ -124,8 +124,6 @@ class ShardedStore(Store):
         restarts and shard-set changes; ``None`` keeps the map in memory
         only and relies on the ring + probe fallback.  Records written
         before replication existed (a single shard id) load unchanged.
-    vnodes:
-        Virtual nodes per shard for the ring.
     replication:
         Distinct shards each placement unit is written to (successor
         walk).  Clamped by the number of shards actually on the ring; a
@@ -143,7 +141,6 @@ class ShardedStore(Store):
         shards: Mapping[str, Store],
         *,
         placement: Store | None = None,
-        vnodes: int = DEFAULT_VNODES,
         replication: int = 1,
         health: ShardHealth | None = None,
     ) -> None:
@@ -155,7 +152,7 @@ class ShardedStore(Store):
                 f"replication must be an int >= 1, got {replication!r}"
             )
         self.shards: dict[str, Store] = dict(shards)
-        self.ring = HashRing(list(self.shards), vnodes=vnodes)
+        self.ring = HashRing(list(self.shards))
         self.placement = placement
         self.replication = replication
         self.health = health
@@ -423,7 +420,10 @@ class ShardedStore(Store):
         Live replicas first; shards with open breakers only as a last
         resort (they may hold the only copy of a degraded write); the
         full probe sweep last (lost placement map).  Shards in ``skip``
-        are left out of every tier.  ``accept`` is the test a copy must
+        are left out of every tier.  Every shard the read touches reports
+        one outcome to its breaker -- a success whenever it answered,
+        whatever it held -- so a half-open probe granted here always
+        ends here.  ``accept`` is the test a copy must
         pass to be served (``None``: any copy that reads).  A copy that
         fails it is re-read once -- a misread is cheaper to rule out than
         a failover -- and if it fails again it is corrupt at rest *on
@@ -445,28 +445,30 @@ class ShardedStore(Store):
             for i, sid in enumerate(order):
                 store = self.shards[sid]
                 try:
-                    if not store.exists(key):
-                        if order is live:
-                            missing.append(sid)
-                        continue
-                    data = store.get(key)
-                    good = accept is None or accept(data)
-                    if not good:
-                        metrics.counter("store.retry.crc_rereads").inc()
+                    held = store.exists(key)
+                    if held:
                         data = store.get(key)
-                        good = accept(data)
+                        good = accept is None or accept(data)
+                        if not good:
+                            metrics.counter("store.retry.crc_rereads").inc()
+                            data = store.get(key)
+                            good = accept(data)
                 except StorageError as exc:
                     self._note_failure(sid, exc)
                     failed = True
                     metrics.counter("service.failover_reads", shard=sid).inc()
                     continue
+                self._note_success(sid)
+                if not held:
+                    if order is live:
+                        missing.append(sid)
+                    continue
                 if not good:
                     # data corruption on one replica, not shard
-                    # unavailability: the breaker is not told
+                    # unavailability: the walk moves on
                     corrupt.append(sid)
                     metrics.counter("service.failover_reads", shard=sid).inc()
                     continue
-                self._note_success(sid)
                 if order is live:
                     # Audit the replicas behind the serving one, so a copy
                     # lost or silently corrupted *behind* it is healed
@@ -484,6 +486,8 @@ class ShardedStore(Store):
                                 corrupt.append(other)
                         except StorageError as exc:
                             self._note_failure(other, exc)
+                            continue
+                        self._note_success(other)
                 self._read_repair(key, data, corrupt, reason="crc")
                 self._read_repair(key, data, missing, reason="missing")
                 if failed and order is not live:

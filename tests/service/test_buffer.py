@@ -42,15 +42,14 @@ class CrashOnPut(StoreWrapper):
 
 def test_absorb_then_drain_moves_blob_to_slow_tier():
     async def run():
-        fast, slow = MemoryStore(), MemoryStore()
-        drain = BurstDrain(fast, slow, capacity_bytes=1 << 20)
+        slow = MemoryStore()
+        drain = BurstDrain(slow, capacity_bytes=1 << 20)
         await drain.start()
         done = await drain.absorb("tenants/a/ckpt/0000000001/u.bin", b"payload")
         await done
         await drain.close()
         assert slow.get("tenants/a/ckpt/0000000001/u.bin") == b"payload"
-        # the fast tier released the space once drained
-        assert fast.total_bytes == 0
+        # the buffer released the space once drained
         assert drain.used_bytes == 0
         assert drain.stats.drained_blobs == 1
 
@@ -59,14 +58,14 @@ def test_absorb_then_drain_moves_blob_to_slow_tier():
 
 def test_oversized_blob_writes_through():
     async def run():
-        fast, slow = MemoryStore(), MemoryStore()
-        drain = BurstDrain(fast, slow, capacity_bytes=100)
+        slow = MemoryStore()
+        drain = BurstDrain(slow, capacity_bytes=100)
         await drain.start()
         big = b"x" * 500
         done = await drain.absorb("k", big)
         await done  # already resolved: write-through is synchronous
         assert slow.get("k") == big
-        assert fast.total_bytes == 0
+        assert drain.used_bytes == 0
         assert drain.stats.through_blobs == 1
         assert drain.stats.absorbed_blobs == 0
         await drain.close()
@@ -76,9 +75,8 @@ def test_oversized_blob_writes_through():
 
 def test_backpressure_bounds_buffer_and_engages():
     async def run():
-        fast = MemoryStore()
         slow = SlowStore(MemoryStore(), delay=0.005)
-        drain = BurstDrain(fast, slow, capacity_bytes=250, drain_workers=1)
+        drain = BurstDrain(slow, capacity_bytes=250, drain_workers=1)
         await drain.start()
         peak = 0
 
@@ -100,9 +98,8 @@ def test_backpressure_bounds_buffer_and_engages():
 
 def test_ingest_does_not_block_on_slow_tier():
     async def run():
-        fast = MemoryStore()
         slow = SlowStore(MemoryStore(), delay=0.02)
-        drain = BurstDrain(fast, slow, capacity_bytes=1 << 20, drain_workers=2)
+        drain = BurstDrain(slow, capacity_bytes=1 << 20, drain_workers=2)
         await drain.start()
         t0 = time.monotonic()
         dones = [await drain.absorb(f"k{i}", b"x" * 64) for i in range(8)]
@@ -110,7 +107,7 @@ def test_ingest_does_not_block_on_slow_tier():
         await asyncio.gather(*dones)
         await drain.close()
         # 8 x 20 ms of slow-tier writes happened, but absorbing took a
-        # small fraction of that: the client only paid the fast tier.
+        # small fraction of that: the client paid none of them.
         assert absorb_elapsed < 0.08
         assert drain.stats.drained_blobs == 8
 
@@ -119,9 +116,8 @@ def test_ingest_does_not_block_on_slow_tier():
 
 def test_crash_in_drain_poisons_stage():
     async def run():
-        fast = MemoryStore()
         slow = CrashOnPut(MemoryStore(), crash_at=2)
-        drain = BurstDrain(fast, slow, capacity_bytes=1 << 20, drain_workers=1)
+        drain = BurstDrain(slow, capacity_bytes=1 << 20, drain_workers=1)
         await drain.start()
         first = await drain.absorb("a", b"1")
         second = await drain.absorb("b", b"2")
@@ -138,9 +134,8 @@ def test_crash_in_drain_poisons_stage():
 
 def test_crash_wakes_backpressured_absorbers():
     async def run():
-        fast = MemoryStore()
         slow = CrashOnPut(SlowStore(MemoryStore(), delay=0.01), crash_at=1)
-        drain = BurstDrain(fast, slow, capacity_bytes=150, drain_workers=1)
+        drain = BurstDrain(slow, capacity_bytes=150, drain_workers=1)
         await drain.start()
         first = await drain.absorb("a", b"x" * 100)
 
@@ -176,17 +171,15 @@ class FlakyStore(StoreWrapper):
 
 def test_transient_drain_failure_returns_capacity():
     async def run():
-        fast = MemoryStore()
         slow = FlakyStore(MemoryStore(), fail_first=1)
-        drain = BurstDrain(fast, slow, capacity_bytes=150, drain_workers=1)
+        drain = BurstDrain(slow, capacity_bytes=150, drain_workers=1)
         await drain.start()
         first = await drain.absorb("a", b"x" * 100)
         with pytest.raises(StorageError):
             await first
         # the blob never reached the slow tier, so its reservation came
-        # back and the fast-tier copy was dropped -- no capacity leak
+        # back -- no capacity leak
         assert drain.used_bytes == 0
-        assert fast.total_bytes == 0
         assert drain.crashed is None
         # with the capacity returned, an equally large blob absorbs
         # without deadlocking in the backpressure wait
@@ -203,8 +196,6 @@ def test_transient_drain_failure_returns_capacity():
 
 def test_validation():
     with pytest.raises(ConfigurationError):
-        BurstDrain(MemoryStore(), MemoryStore(), capacity_bytes=0)
+        BurstDrain(MemoryStore(), capacity_bytes=0)
     with pytest.raises(ConfigurationError):
-        BurstDrain(
-            MemoryStore(), MemoryStore(), capacity_bytes=1, drain_workers=0
-        )
+        BurstDrain(MemoryStore(), capacity_bytes=1, drain_workers=0)

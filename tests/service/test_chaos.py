@@ -23,6 +23,7 @@ from repro.ckpt.faults import (
     StormWindow,
 )
 from repro.ckpt.store import MemoryStore
+from repro.config import ServiceConfig
 from repro.exceptions import ReproError
 from repro.obs.slo import SLOTracker
 from repro.service import (
@@ -240,7 +241,9 @@ class TestSeededStormMatrix:
                 replication=2,
                 health=health,
             )
-            svc = CheckpointIngestService(store, _registry(), max_batch=8)
+            svc = CheckpointIngestService(
+                store, _registry(), ServiceConfig(max_batch=8)
+            )
             acked = {}
             async with svc:
                 for wave in range(6):

@@ -19,6 +19,7 @@ from repro.ckpt.faults import CRASH_AFTER, CRASH_BEFORE, FaultInjectingStore, Fa
 from repro.ckpt.journal import is_committed
 from repro.ckpt.recovery import GEN_COMMITTED, scan_generations
 from repro.ckpt.store import DirectoryStore
+from repro.config import ServiceConfig
 from repro.exceptions import ServiceUnavailableError
 from repro.service import (
     CheckpointIngestService,
@@ -103,7 +104,7 @@ def test_crash_sweep_sequential(tmp_path, crash_op, mode):
         plan = FaultPlan(schedule=[(crash_op, mode)])
         store = FaultInjectingStore(_sharded(tmp_path), plan)
         service = CheckpointIngestService(
-            store, _registry(), drain_workers=1, max_batch=4
+            store, _registry(), ServiceConfig(drain_workers=1, max_batch=4)
         )
         async with service:
             acked, crashed = await _ingest_until_crash(service, n_steps=4)
@@ -125,7 +126,7 @@ def test_crash_mid_concurrent_batch(tmp_path):
     async def run():
         store = FaultInjectingStore(_sharded(tmp_path), FaultPlan())
         service = CheckpointIngestService(
-            store, _registry(), max_batch=32, max_batch_delay=0.01
+            store, _registry(), ServiceConfig(max_batch=32)
         )
         acked = set()
 
@@ -162,7 +163,9 @@ def test_crash_between_commit_barriers_keeps_marked_generations(tmp_path):
         # placement records); crash deep enough that some markers landed
         plan = FaultPlan(schedule=[(38, CRASH_BEFORE)])
         store = FaultInjectingStore(_sharded(tmp_path), plan)
-        service = CheckpointIngestService(store, _registry(), drain_workers=1)
+        service = CheckpointIngestService(
+            store, _registry(), ServiceConfig(drain_workers=1)
+        )
         async with service:
             acked, _ = await _ingest_until_crash(service, n_steps=6)
         return acked

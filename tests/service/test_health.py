@@ -50,7 +50,7 @@ class TestBreakerStateMachine:
         assert h.state("s0") == STATE_OPEN
         assert not h.available("s0")
         assert h.degraded
-        assert h.open_shards() == ["s0"]
+        assert h.state("s1") == STATE_CLOSED
 
     def test_success_resets_the_failure_count(self):
         h, _ = _health(threshold=3)
@@ -105,7 +105,7 @@ class TestBreakerStateMachine:
         h.record_failure("s0")
         assert not h.available("s0")
         assert h.available("s1")
-        assert h.open_shards() == ["s0"]
+        assert (h.state("s0"), h.state("s1")) == (STATE_OPEN, STATE_CLOSED)
 
     def test_snapshot_shape(self):
         h, _ = _health(threshold=1)

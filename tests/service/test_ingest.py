@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import asyncio
 import os
+import threading
 
 import pytest
 
 from repro.ckpt.journal import is_committed
-from repro.ckpt.store import DirectoryStore, MemoryStore
+from repro.ckpt.store import DirectoryStore, MemoryStore, StoreWrapper
 from repro.config import ServiceConfig
 from repro.exceptions import (
     CommitError,
@@ -58,7 +59,7 @@ def test_submit_commits_and_restores_bit_identically():
 
 def test_concurrent_submits_all_commit():
     async def run():
-        svc = _service(max_batch=16)
+        svc = _service(config=ServiceConfig(max_batch=16))
         payloads = {
             ("alice", s): {"u": os.urandom(512)} for s in range(10)
         } | {
@@ -81,7 +82,7 @@ def test_concurrent_submits_all_commit():
 
 def test_group_commit_batches_concurrent_generations():
     async def run():
-        svc = _service(max_batch=16, max_batch_delay=0.01)
+        svc = _service(config=ServiceConfig(max_batch=16))
         async with svc:
             acks = await asyncio.gather(
                 *[svc.submit("alice", s, {"u": b"x" * 256}) for s in range(12)]
@@ -95,9 +96,55 @@ def test_group_commit_batches_concurrent_generations():
     asyncio.run(run())
 
 
+class _GatedSync(StoreWrapper):
+    """A MemoryStore whose first ``sync`` -- the first seal's first
+    barrier -- blocks until the test sets ``release``."""
+
+    def __init__(self) -> None:
+        super().__init__(MemoryStore())
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def sync(self) -> None:
+        if not self.entered.is_set():
+            self.entered.set()
+            assert self.release.wait(5.0), "the test never released the seal"
+        super().sync()
+
+    async def wait_entered(self) -> None:
+        assert await asyncio.to_thread(self.entered.wait, 5.0)
+
+
+def test_generations_ready_during_a_seal_form_the_next_batch():
+    async def run():
+        store = _GatedSync()
+        svc = _service(store, config=ServiceConfig(max_batch=16))
+        async with svc:
+            first = asyncio.ensure_future(
+                svc.submit("alice", 0, {"u": b"x" * 64})
+            )
+            await store.wait_entered()
+            rest = [
+                asyncio.ensure_future(svc.submit("alice", s, {"u": b"x" * 64}))
+                for s in (1, 2, 3)
+            ]
+
+            async def queued(n):
+                while svc._commit_queue.qsize() < n:
+                    await asyncio.sleep(0.001)
+
+            await asyncio.wait_for(queued(3), 5.0)
+            store.release.set()
+            acks = [await first, *await asyncio.gather(*rest)]
+        assert [a.batch_size for a in acks] == [1, 3, 3, 3]
+        assert (svc.commits, svc.group_commits) == (4, 2)
+
+    asyncio.run(run())
+
+
 def test_max_batch_one_degenerates_to_per_generation():
     async def run():
-        svc = _service(max_batch=1)
+        svc = _service(config=ServiceConfig(max_batch=1))
         async with svc:
             await asyncio.gather(
                 *[svc.submit("alice", s, {"u": b"x" * 64}) for s in range(6)]
@@ -145,7 +192,9 @@ def test_rate_quota_refusal():
         registry = TenantRegistry(
             [TenantSpec("alice", rate_quota=5.0, rate_burst=2)]
         )
-        svc = _service(MemoryStore(), registry, rate_max_wait=0.0)
+        svc = _service(
+            MemoryStore(), registry, config=ServiceConfig(rate_max_wait=0.0)
+        )
         async with svc:
             await svc.submit("alice", 0, {"u": b"x"})
             await svc.submit("alice", 1, {"u": b"x"})
@@ -157,14 +206,17 @@ def test_rate_quota_refusal():
 
 def test_duplicate_inflight_step_refused():
     async def run():
-        svc = _service(max_batch_delay=0.05)
+        store = _GatedSync()
+        svc = _service(store)
         async with svc:
             first = asyncio.ensure_future(
                 svc.submit("alice", 7, {"u": b"x" * 128})
             )
-            await asyncio.sleep(0.01)
+            # the first submit's seal is parked in its barrier: in flight
+            await store.wait_entered()
             with pytest.raises(CommitError, match="in flight"):
                 await svc.submit("alice", 7, {"u": b"y" * 128})
+            store.release.set()
             await first
 
     asyncio.run(run())
@@ -226,7 +278,7 @@ def test_tenant_isolation():
 
 def test_oversized_blob_writes_through_and_still_commits():
     async def run():
-        svc = _service(buffer_capacity_bytes=1024)
+        svc = _service(config=ServiceConfig(buffer_capacity_bytes=1024))
         big = os.urandom(4096)
         async with svc:
             await svc.submit("alice", 0, {"big": big, "small": b"s" * 16})

@@ -18,7 +18,7 @@ from repro.config import ResilienceConfig
 from repro.exceptions import CheckpointNotFoundError, IntegrityError, StorageError
 from repro.obs.metrics import get_registry
 from repro.service import CheckpointIngestService, TenantRegistry, TenantSpec
-from repro.service.health import ShardHealth
+from repro.service.health import STATE_CLOSED, ShardHealth
 from repro.service.replication import (
     ReplicationDebt,
     decode_replicas,
@@ -126,6 +126,28 @@ class TestReplicatedPlacement:
         shards[holders[0]].inner.delete(KEY)  # lose one copy out-of-band
         assert store.get(KEY) == b"payload"
         assert _holders(shards, KEY) == holders  # repaired in place
+
+    def test_a_read_ends_the_half_open_probe_it_grants(self):
+        # The read asks every replica's breaker up front, which grants the
+        # recovered second replica its one half-open probe; the first
+        # replica serves, so the second is only audited -- and that audit
+        # must end the probe, or the breaker stays half-open for good and
+        # every later write to the unit turns into replication debt.
+        clock = FakeClock()
+        health = ShardHealth(failure_threshold=1, open_seconds=1.0, clock=clock)
+        store = ShardedStore(
+            {"s0": MemoryStore(), "s1": MemoryStore()},
+            replication=2,
+            health=health,
+        )
+        store.put(KEY, b"payload")
+        second = store.replicas_for(KEY)[1]
+        health.record_failure(second, "blip")
+        clock.t = 5.0
+        assert store.get(KEY) == b"payload"
+        assert health.state(second) == STATE_CLOSED
+        clock.t = 100.0
+        assert health.available(second)
 
     def test_single_replica_keeps_old_semantics(self):
         store, shards = _fresh(replication=1)

@@ -13,6 +13,7 @@ import asyncio
 import pytest
 
 from repro.ckpt.store import MemoryStore
+from repro.config import ServiceConfig
 from repro.exceptions import CommitError, QuotaExceededError, UnknownTenantError
 from repro.obs import MemorySink, SLOTracker, get_registry
 from repro.obs.flush import MetricsFlusher
@@ -249,7 +250,7 @@ class TestFlusher:
             svc = _service(
                 slo=SLOTracker(latency_threshold_seconds=1.0),
                 flush_sink=sink,
-                flush_interval=0.01,
+                config=ServiceConfig(metrics_flush_interval=0.01),
             )
             async with svc:
                 await svc.submit("alice", 0, {"u": b"x" * 64})
