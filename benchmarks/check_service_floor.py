@@ -5,6 +5,9 @@ fails (exit 1) when any of the recorded acceptance floors regress:
 
 * ``speedup`` -- group commit vs per-generation sync must clear
   ``floor_speedup`` (the fsync-amortization headline, default 2.0x).
+  Like ``telemetry_ratio`` it is the median over ``pairs``, the
+  alternating runs of the arms the benchmark records one by one; both
+  medians are recomputed here from those records.
   The comparison is over a latency-modelled slow tier whose barrier
   cost is fixed by the benchmark itself, so unlike raw wall-clock
   floors it is meaningful on any runner.
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import sys
 
 DEFAULT_PATH = os.path.join(
@@ -60,8 +64,17 @@ def check(path: str) -> int:
         )
         return 1
 
+    pairs = bench.get("pairs")
+    if not isinstance(pairs, list) or not pairs:
+        print(
+            "service floor: BENCH_service.json records no arm pairs -- "
+            "regenerate it with benchmarks/test_service_load.py",
+            file=sys.stderr,
+        )
+        return 1
+
     failures: list[str] = []
-    speedup = float(bench.get("speedup", 0.0))
+    speedup = statistics.median(float(p.get("speedup", 0.0)) for p in pairs)
     floor = float(bench.get("floor_speedup", 2.0))
     if speedup < floor:
         failures.append(
@@ -89,7 +102,7 @@ def check(path: str) -> int:
             f"only {restored}/{gens} generations restored bit-identically"
         )
 
-    ratio = float(bench.get("telemetry_ratio", 0.0))
+    ratio = statistics.median(float(p.get("telemetry_ratio", 0.0)) for p in pairs)
     ratio_floor = float(bench.get("telemetry_floor_ratio", 0.95))
     if ratio < ratio_floor:
         failures.append(
@@ -144,7 +157,8 @@ def check(path: str) -> int:
             print(f"service floor: FAIL -- {line}", file=sys.stderr)
         return 1
     print(
-        f"service floor: OK ({mode} mode) -- speedup {speedup:.2f}x "
+        f"service floor: OK ({mode} mode, medians of {len(pairs)} pairs) -- "
+        f"speedup {speedup:.2f}x "
         f"(floor {floor}x), p99 {p99 * 1e3:.0f} ms, "
         f"drain lag {lag * 1e3:.0f} ms, {restored} restores verified, "
         f"telemetry ratio {ratio:.3f} (floor {ratio_floor}), "

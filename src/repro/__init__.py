@@ -22,7 +22,6 @@ from .config import (
     QUANTIZER_PROPOSED,
     QUANTIZER_SIMPLE,
     CompressionConfig,
-    ObservabilityConfig,
     TemporalConfig,
 )
 from .core import (
@@ -67,7 +66,6 @@ __all__ = [
     "__version__",
     # configuration
     "CompressionConfig",
-    "ObservabilityConfig",
     "TemporalConfig",
     "MAX_LEVELS",
     "QUANTIZER_SIMPLE",

@@ -103,6 +103,8 @@ _LOSSLESS_KIND = "lossless-array"
 _FLOAT_DTYPES = (np.float32, np.float64)
 #: Manifest codecs whose blob is one self-describing pipeline blob.
 _LOSSY_CODEC = "wavelet-lossy"
+#: The backend of every lossless array this writer stores.
+_LOSSLESS_BACKEND = "zlib"
 _PIPELINE_CODECS = (_LOSSY_CODEC, CODEC_KEYFRAME)
 #: Bodies under two deflate windows are sealed in place: the hand-off
 #: costs what their deflate does, and a step counter would hold a slot of
@@ -394,10 +396,10 @@ class CheckpointManager:
     store:
         Blob destination.
     config:
-        Lossy configuration used for float arrays by default.
-    lossless_codec:
-        Codec name used for non-float arrays (and for explicit
-        ``"lossless"`` policy entries).
+        Lossy configuration used for float arrays by default.  Non-float
+        arrays (and explicit ``"lossless"`` policy entries) are deflated
+        by ``zlib`` at ``config.backend_level``; a reader takes the
+        backend from the blob, never from here.
     policy:
         Optional per-array overrides: map an array name to ``"lossy"``,
         ``"lossless"``, or a :class:`CompressionConfig` of its own.  Arrays
@@ -448,7 +450,6 @@ class CheckpointManager:
         store: Store,
         *,
         config: CompressionConfig | None = None,
-        lossless_codec: str = "zlib",
         policy: Mapping[str, Any] | None = None,
         retention: int | None = None,
         workers: int = 1,
@@ -473,8 +474,6 @@ class CheckpointManager:
         self.config = config if config is not None else CompressionConfig()
         if backend_threads is not None:
             self.config = self.config.replace(backend_threads=backend_threads)
-        self.lossless_codec = lossless_codec
-        get_codec(lossless_codec)  # fail fast on unknown codec
         self.policy = dict(policy or {})
         for name, spec in self.policy.items():
             if not (
@@ -488,13 +487,11 @@ class CheckpointManager:
             raise CheckpointError(
                 f"temporal must be a TemporalConfig or None, got {temporal!r}"
             )
-        # a compression or temporal backend that cannot write (unknown, or
-        # retired to decode-only) fails here, with the error its first write
-        # would raise; lossless_codec may name a retired one a reader needs
+        # a compression backend that cannot write (unknown, or retired to
+        # decode-only) fails here, with the error its first write would raise
         for backend in dict.fromkeys([
             self.config.backend,
             *(s.backend for s in self.policy.values() if isinstance(s, CompressionConfig)),
-            *([temporal.codec] if temporal is not None else []),
         ]):
             get_codec(backend).check_writable()
         # a float or bool count fails here, not in _prune after a commit
@@ -594,10 +591,10 @@ class CheckpointManager:
         if spec == "lossy":
             return "lossy", self.config
         if spec == "lossless":
-            return "lossless", self.lossless_codec
+            return "lossless", _LOSSLESS_BACKEND
         if arr.dtype in [np.dtype(d) for d in _FLOAT_DTYPES]:
             return "lossy", self.config
-        return "lossless", self.lossless_codec
+        return "lossless", _LOSSLESS_BACKEND
 
     def checkpoint(
         self, step: int, app_meta: Mapping[str, Any] | None = None
@@ -670,13 +667,7 @@ class CheckpointManager:
                 p.sealed = defer(
                     how,
                     _lossless_body(arr),
-                    partial(
-                        container.wrap_envelope,
-                        backend=how,
-                        level=self.config.backend_level,
-                        threads=self.config.backend_threads,
-                        block_bytes=self.config.backend_block_bytes,
-                    ),
+                    partial(container.wrap_envelope, backend=how, level=self.config.backend_level),
                 )
 
     def _checkpoint_txn(
@@ -911,8 +902,7 @@ class CheckpointManager:
             if not bad.keys().isdisjoint(pe.members):
                 fetch(map(manifest.entry, pe.members))  # survivors nobody asked for
                 self.repair_log.append(heal(
-                    self.store, step, manifest, pe, blobs, bad,
-                    rewrite=self.resilience.repair_rewrite,
+                    self.store, step, manifest, pe, blobs, bad
                 ))
         lost = sorted(bad.keys() - blobs.keys())  # in no parity group, or not repaired
         if not lost:
@@ -1186,8 +1176,7 @@ class CheckpointManager:
                     ) from exc
                 fault = exc
             self.repair_log.append(heal(
-                self.store, step, manifest, pe, blobs, {pe.key: fault},
-                rewrite=self.resilience.repair_rewrite,
+                self.store, step, manifest, pe, blobs, {pe.key: fault}
             ))
         return manifest
 

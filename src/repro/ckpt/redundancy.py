@@ -175,8 +175,6 @@ def heal(
     pe: ParityEntry,
     blobs: dict[str, bytes],
     faults: Mapping[str, Exception],
-    *,
-    rewrite: bool,
 ) -> RepairEvent:
     """Rebuild the single bad block of parity group ``pe`` of generation
     ``step`` from the group's other N blocks, and write it back.
@@ -190,11 +188,10 @@ def heal(
     must match its manifest record (:class:`ArrayEntry` or
     :class:`ParityEntry`) before it is used.
 
-    Write-back follows the kind of block.  A member is written back when
-    ``rewrite``, best effort: its reader has the healed copy, and a failed
-    put only leaves the event's ``rewritten`` false.  A parity blob is
-    rebuilt only to repair the store, so it is always written back and a
-    failed put raises.  A group that cannot heal raises
+    Write-back follows the kind of block.  A member is written back best
+    effort: its reader has the healed copy, and a failed put only leaves
+    the event's ``rewritten`` false.  A parity blob is rebuilt only to
+    repair the store, so a failed put of it raises.  A group that cannot heal raises
     :class:`~repro.exceptions.CorruptionError`.
     """
     lost = [n for n in pe.members if n in faults]
@@ -235,14 +232,13 @@ def heal(
             record.verify(healed)
         except (RestoreError, FormatError) as exc:
             raise CorruptionError(f"checkpoint {step}: {what} ({exc}); {why}") from exc
-        rewritten = rewrite or not member
-        if rewritten:
-            try:
-                store.put(key, healed)
-            except StorageError:
-                if not member:
-                    raise
-                rewritten = False
+        rewritten = True
+        try:
+            store.put(key, healed)
+        except StorageError:
+            if not member:
+                raise
+            rewritten = False
         sp.set(reason=str(fault), rewritten=rewritten)
     blobs[name] = healed
     registry = get_registry()

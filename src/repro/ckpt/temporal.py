@@ -143,19 +143,23 @@ _FILTER_MIN_GAIN = 1.0 / 16.0
 ChainLink = tuple[int, int, int]
 
 
-def predict(prev_recon: np.ndarray, config: TemporalConfig) -> np.ndarray:
+def predict(
+    prev_recon: np.ndarray, predictor: str, lowband_levels: int
+) -> np.ndarray:
     """The float64 prediction of the next generation from ``prev_recon``.
 
-    Pure function of the previous reconstruction and the config, so the
-    encoder and every future decoder compute bit-identical predictions.
+    Pure function of the previous reconstruction, the ``predictor`` and the
+    ``"lowband"`` predictor's decomposition depth -- the three a delta
+    header records -- so the encoder and every future decoder compute
+    bit-identical predictions.
     Read-only for the caller: with ``predictor="previous"`` and a float64
     ``prev_recon`` the prediction *is* that array, not a copy of it.
     """
     prev = np.asarray(prev_recon, dtype=np.float64)
-    if config.predictor == PREDICTOR_PREVIOUS:
+    if predictor == PREDICTOR_PREVIOUS:
         return prev
-    assert config.predictor == PREDICTOR_LOWBAND
-    coeffs, applied = wavelet_forward(prev, config.lowband_levels, "haar")
+    assert predictor == PREDICTOR_LOWBAND
+    coeffs, applied = wavelet_forward(prev, lowband_levels, "haar")
     coeffs[high_band_mask(coeffs.shape, applied)] = 0.0
     return wavelet_inverse(coeffs, applied, "haar")
 
@@ -318,7 +322,7 @@ def _encode_delta(
     must be written instead.
     """
     eb = float(config.error_bound)
-    pred = predict(prev_recon, config)
+    pred = predict(prev_recon, config.predictor, config.lowband_levels)
     arr64 = arr.astype(np.float64, copy=False)
     # One float64 buffer holds q, then (in place, once the indices are
     # taken) the reconstruction: the decoder's operations in its order.
@@ -387,11 +391,11 @@ def decode_delta(
         dtype = np.dtype(header["dtype"])
         index_dtype = np.dtype(header["index_dtype"])
         eb = float(header["error_bound"])
-        config = TemporalConfig(
-            error_bound=eb,
-            predictor=str(header["predictor"]),
-            lowband_levels=int(header["lowband_levels"]),
-        )
+        predictor = str(header["predictor"])
+        lowband_levels = int(header["lowband_levels"])
+        TemporalConfig(error_bound=eb, predictor=predictor)  # refuses bad ones
+        if lowband_levels < 1:
+            raise ValueError(f"lowband_levels must be >= 1, got {lowband_levels}")
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"temporal delta header is malformed: {exc}") from exc
     if index_dtype not in _INDEX_DTYPES:
@@ -418,7 +422,7 @@ def decode_delta(
     # order (IEEE addition commutes), without its full-array temporaries
     recon = q.astype(np.float64)
     recon *= 2.0 * eb
-    recon += predict(prev, config)
+    recon += predict(prev, predictor, lowband_levels)
     return recon.astype(dtype, copy=False)
 
 

@@ -102,7 +102,6 @@ import numpy as np
 from . import __version__
 from .config import (
     CompressionConfig,
-    ObservabilityConfig,
     ResilienceConfig,
     ServiceConfig,
     TemporalConfig,
@@ -137,19 +136,19 @@ def _tracing(args: argparse.Namespace) -> Iterator[Any]:
     if not trace_path:
         yield None
         return
-    from .obs import configure, get_registry, get_tracer
+    from .obs import JsonlSink, get_registry, get_tracer
 
     tracer = get_tracer()
-    sink = configure(ObservabilityConfig(enabled=True, trace_path=trace_path))
+    sink = JsonlSink(trace_path)
+    tracer.enable(sink)
     try:
         yield sink
     finally:
         tracer.disable()
-        if sink is not None:
-            snapshot = get_registry().snapshot()
-            if snapshot:
-                sink.emit_metrics(snapshot)
-            sink.close()
+        snapshot = get_registry().snapshot()
+        if snapshot:
+            sink.emit_metrics(snapshot)
+        sink.close()
         print(f"trace written: {trace_path}", file=sys.stderr)
 
 
@@ -743,7 +742,9 @@ def _cmd_restart(args: argparse.Namespace) -> int:
             raise ReproError(
                 f"--crash-mtbf-ops must be positive, got {args.crash_mtbf_ops}"
             )
-        horizon = args.crash_horizon_ops or int(args.crash_mtbf_ops * 20)
+        horizon = args.crash_horizon_ops
+        if horizon is None:
+            horizon = int(args.crash_mtbf_ops * 20)
         plan = FaultPlan.from_distribution(
             ExponentialFailures(args.crash_mtbf_ops),
             horizon_ops=horizon,

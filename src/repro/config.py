@@ -17,13 +17,12 @@ import dataclasses
 import math
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, ClassVar, Mapping
 
 from .exceptions import ConfigurationError
 
 __all__ = [
     "CompressionConfig",
-    "ObservabilityConfig",
     "ResilienceConfig",
     "ServiceConfig",
     "TemporalConfig",
@@ -354,23 +353,25 @@ class TemporalConfig(_Config):
         N-1 verbatim; ``"lowband"`` predicts by its wavelet low band
         (high-frequency coefficients zeroed), which shrinks residuals
         when the field moves smoothly under per-step noise.
-    lowband_levels:
-        Decomposition depth of the ``"lowband"`` predictor (ignored by
-        ``"previous"``).
     keyframe_every:
         Longest allowed chain: after this many generations since the
         last keyframe a fresh self-contained keyframe is forced,
         bounding restore cost (see
         :func:`repro.ckpt.interval.plan_keyframe_interval`).
-    drift_slack:
-        Fractional tolerance on the *measured* per-generation error
-        before a drift fallback forces a keyframe; covers float rounding
-        of the residual arithmetic, nothing more.
-    codec:
-        Lossless codec that deflates each residual container.
-    codec_level:
-        Compression level forwarded to ``codec``.
+
+    Constants of the temporal path, not settings: every blob, keyframe or
+    delta, is deflated by ``codec`` at ``codec_level``; the ``"lowband"``
+    predictor decomposes ``lowband_levels`` deep (a delta records the
+    depth it was written with, and its decoder reads it from there); and
+    ``drift_slack`` is the fractional tolerance on the *measured*
+    per-generation error before a drift fallback forces a keyframe --
+    float rounding of the residual arithmetic, nothing more.
     """
+
+    codec: ClassVar[str] = "zlib"
+    codec_level: ClassVar[int] = 6
+    lowband_levels: ClassVar[int] = 2
+    drift_slack: ClassVar[float] = 1e-6
 
     error_bound: float = knob(
         1e-3, float, gt=0, flag="bound", metavar="E",
@@ -381,14 +382,10 @@ class TemporalConfig(_Config):
         help="predict generation N from the previous reconstruction "
              "verbatim, or from its wavelet low band",
     )
-    lowband_levels: int = knob(2, int, ge=1)
     keyframe_every: int = knob(
         8, int, ge=1, metavar="K",
         help="force a self-contained keyframe after K generations",
     )
-    drift_slack: float = knob(1e-6, float, ge=0)
-    codec: str = knob("zlib", str)
-    codec_level: int = knob(6, int, ge=0, le=9)
 
     def keyframe_config(self) -> "CompressionConfig":
         """The bounded-quantizer pipeline configuration keyframes use."""
@@ -407,11 +404,10 @@ class ResilienceConfig(_Config):
 
     Bundles the two independent remedies of the self-healing store: bounded
     retry with exponential backoff (transient I/O errors) and XOR-parity
-    redundancy (corrupt-or-missing blobs at rest).  Like
-    :class:`ObservabilityConfig`, nothing here changes the bytes of any
-    array blob -- a parity-enabled checkpoint stores *extra* parity blobs
-    and records them in the manifest, but every array blob is identical to
-    a parity-free write.
+    redundancy (corrupt-or-missing blobs at rest).  Nothing here changes
+    the bytes of any array blob -- a parity-enabled checkpoint stores
+    *extra* parity blobs and records them in the manifest, but every array
+    blob is identical to a parity-free write.
 
     Parameters
     ----------
@@ -430,9 +426,9 @@ class ResilienceConfig(_Config):
         array of the checkpoint into one group.  Smaller groups tolerate
         more simultaneous failures (one per group) at proportionally more
         parity storage.
-    repair_rewrite:
-        After a successful parity reconstruction, write the healed blob
-        back to the store so the next reader finds it intact.
+
+    A healed blob is always written back to the store, so the next
+    reader finds it intact.
     """
 
     retries: int = knob(
@@ -453,7 +449,6 @@ class ResilienceConfig(_Config):
         None, int, ge=1, optional=True, metavar="G",
         help="arrays per parity group; unset = all arrays in one group",
     )
-    repair_rewrite: bool = knob(True, bool)
 
 
 @dataclass(frozen=True)
@@ -461,8 +456,7 @@ class ServiceConfig(_Config):
     """Sizing of the multi-tenant checkpoint ingest service.
 
     Consumed by :func:`repro.service.ingest.build_service` and the
-    ``repro-ckpt serve`` CLI.  Like :class:`ObservabilityConfig`, nothing
-    here changes stored bytes -- only how the service shards, buffers and
+    ``repro-ckpt serve`` CLI.  Nothing here changes stored bytes -- only how the service shards, buffers and
     batches them.
 
     Parameters
@@ -479,9 +473,6 @@ class ServiceConfig(_Config):
     max_batch:
         Most generations one group commit may seal; ``1`` disables
         batching (per-generation barriers).
-    rate_max_wait:
-        Longest a submit may wait on a tenant's rate-quota token before
-        being refused with a quota error.
     durability:
         Shard-store durability mode: ``"batch"`` defers fsyncs to the
         group commit's sync barriers (the amortization the service
@@ -516,7 +507,6 @@ class ServiceConfig(_Config):
         32, int, ge=1, metavar="G",
         help="most generations one group commit may seal (1 = no batching)",
     )
-    rate_max_wait: float = knob(0.5, float, ge=0)
     durability: str = knob(
         "batch", str, choices=("batch", "always"),
         help="shard fsync mode: 'batch' defers fsyncs to commit barriers, "
@@ -543,35 +533,3 @@ class ServiceConfig(_Config):
              "any single shard loss",
     )
 
-
-@dataclass(frozen=True)
-class ObservabilityConfig(_Config):
-    """How a run reports on itself (see :mod:`repro.obs`).
-
-    Unlike :class:`CompressionConfig`, nothing here can change emitted
-    bytes -- it is never serialized into container headers or manifests.
-    ``repro.obs.configure`` applies it to the process-global tracer; the
-    CLI builds one from ``--trace``.
-
-    Parameters
-    ----------
-    enabled:
-        Master switch for span recording.  Disabled tracing costs two
-        monotonic clock reads per would-be span (the pipeline's stats
-        need the durations either way).
-    trace_path:
-        When set, finished spans stream to this JSONL file (see
-        :class:`repro.obs.sink.JsonlSink` for the schema).  Requires
-        ``enabled=True``.
-    """
-
-    enabled: bool = knob(False, bool)
-    trace_path: str | None = knob(None, str, optional=True)
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.trace_path is not None and not self.enabled:
-            raise ConfigurationError(
-                "trace_path is set but observability is disabled; pass "
-                "enabled=True to record a trace"
-            )

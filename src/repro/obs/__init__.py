@@ -26,7 +26,6 @@ Quickstart::
 
 from __future__ import annotations
 
-from ..config import ObservabilityConfig
 from .flush import MetricsFlusher
 from .metrics import (
     STAGE_PARENT,
@@ -47,8 +46,6 @@ from .slo import DEFAULT_BURN_WINDOWS, SLOTracker
 from .trace import Span, Tracer, get_tracer, swap_tracer, traced
 
 __all__ = [
-    "ObservabilityConfig",
-    "configure",
     # trace
     "Span",
     "Tracer",
@@ -81,20 +78,3 @@ __all__ = [
     "load_trace",
     "render_tree",
 ]
-
-
-def configure(config: ObservabilityConfig) -> JsonlSink | None:
-    """Apply an :class:`~repro.config.ObservabilityConfig` to the global
-    tracer.
-
-    Returns the opened :class:`JsonlSink` when ``config.trace_path`` is
-    set (the caller owns closing it), else ``None``.  A disabled config
-    turns tracing off.
-    """
-    tracer = get_tracer()
-    if not config.enabled:
-        tracer.disable()
-        return None
-    sink = JsonlSink(config.trace_path) if config.trace_path else None
-    tracer.enable(*([sink] if sink is not None else []))
-    return sink

@@ -67,6 +67,10 @@ from .tenants import TenantRegistry
 
 __all__ = ["CheckpointIngestService", "IngestAck", "build_service"]
 
+#: Longest a submit waits for a tenant's rate-quota token, in seconds,
+#: before it is refused with a quota error.
+_RATE_MAX_WAIT = 0.5
+
 
 class IngestAck:
     """What a successful submit returns: the commit, timed."""
@@ -130,8 +134,8 @@ class CheckpointIngestService:
         The service's sizing (:class:`~repro.config.ServiceConfig`, which
         validates it): burst-buffer capacity and drain workers, the most
         generations one group commit may seal (``max_batch=1`` is the
-        benchmark's per-generation baseline arm), the longest a submit
-        waits for a rate-quota token, and the metrics flush interval.
+        benchmark's per-generation baseline arm) and the metrics flush
+        interval.
     slo:
         Optional :class:`~repro.obs.slo.SLOTracker` fed one good/bad
         observation per submit; its verdict surfaces in :meth:`stats`
@@ -322,9 +326,7 @@ class CheckpointIngestService:
         meta = validate_app_meta(app_meta)
         total = sum(len(data) for data in blobs.values())
 
-        delay = self.tenants.reserve_rate(
-            tenant, max_wait=self.config.rate_max_wait
-        )
+        delay = self.tenants.reserve_rate(tenant, max_wait=_RATE_MAX_WAIT)
         if delay > 0.0:
             await asyncio.sleep(delay)
         self.tenants.reserve_bytes(tenant, total)

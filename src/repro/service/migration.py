@@ -92,8 +92,7 @@ class MigrationWorker:
             sharded.shards[sid].sync()
         # 3: the atomic switch -- one placement-record write.
         sharded._record(unit, tuple(targets), force=True)
-        if sharded.placement is not None:
-            sharded.placement.sync()
+        sharded.placement.sync()
         sharded.debt.forget(unit)
         # 4: retire copies on every shard outside the new replica set --
         # not just the previously recorded homes, so a re-run after a

@@ -118,12 +118,13 @@ class ShardedStore(Store):
         ``{shard_id: store}`` backends.  Ids are the ring identity --
         reuse the same ids across restarts.
     placement:
-        Optional small store persisting first-placement records (unit ->
-        ordered replica list).  Point it at a durable location (e.g. a
+        Small store persisting first-placement records (unit -> ordered
+        replica list).  Point it at a durable location (e.g. a
         ``DirectoryStore`` next to the shard roots) so placement survives
-        restarts and shard-set changes; ``None`` keeps the map in memory
-        only and relies on the ring + probe fallback.  Records written
-        before replication existed (a single shard id) load unchanged.
+        restarts and shard-set changes; a ``MemoryStore`` keeps the map
+        for the process only, after which the ring + probe fallback find
+        the data.  Records written before replication existed (a single
+        shard id) load unchanged.
     replication:
         Distinct shards each placement unit is written to (successor
         walk).  Clamped by the number of shards actually on the ring; a
@@ -140,7 +141,7 @@ class ShardedStore(Store):
         self,
         shards: Mapping[str, Store],
         *,
-        placement: Store | None = None,
+        placement: Store,
         replication: int = 1,
         health: ShardHealth | None = None,
     ) -> None:
@@ -217,21 +218,19 @@ class ShardedStore(Store):
             if known == replicas and not force:
                 return
             self._cache[unit] = replicas
-        if self.placement is not None:
-            self.placement.put(_PLACEMENT_PREFIX + unit, encode_replicas(list(replicas)))
+        self.placement.put(_PLACEMENT_PREFIX + unit, encode_replicas(list(replicas)))
 
     def _drop_record(self, unit: str) -> None:
         with self._lock:
             self._cache.pop(unit, None)
-        if self.placement is not None:
-            self.placement.delete(_PLACEMENT_PREFIX + unit)
+        self.placement.delete(_PLACEMENT_PREFIX + unit)
         self.debt.forget(unit)
 
     def _recorded(self, unit: str) -> tuple[str, ...] | None:
         """The unit's recorded replica list, filtered to live shard ids."""
         with self._lock:
             replicas = self._cache.get(unit)
-        if replicas is None and self.placement is not None:
+        if replicas is None:
             pkey = _PLACEMENT_PREFIX + unit
             if self.placement.exists(pkey):
                 replicas = tuple(decode_replicas(self.placement.get(pkey)))
@@ -274,13 +273,6 @@ class ShardedStore(Store):
         ``placement_map(f"tenants/{name}")`` is one tenant's map -- the
         record of where every one of its generations lives.
         """
-        if self.placement is None:
-            with self._lock:
-                return {
-                    u: list(reps)
-                    for u, reps in self._cache.items()
-                    if u.startswith(prefix)
-                }
         out: dict[str, list[str]] = {}
         for key in self.placement.list_keys(_PLACEMENT_PREFIX + prefix):
             unit = key[len(_PLACEMENT_PREFIX):]
@@ -552,8 +544,7 @@ class ShardedStore(Store):
         """Barrier over every backend (and the placement map)."""
         for store in self.shards.values():
             store.sync()
-        if self.placement is not None:
-            self.placement.sync()
+        self.placement.sync()
 
     # -- diagnostics ---------------------------------------------------------
 

@@ -181,11 +181,22 @@ def _pack_blobs(blobs: Mapping[str, bytes]) -> tuple[list[list[Any]], list[bytes
 
 
 def _unpack_blobs(index: list[list[Any]], payload: bytes) -> dict[str, bytes]:
+    """Slice ``payload`` by ``index``: each name once, each length >= 0, and
+    together the whole payload -- anything else is a :class:`FormatError`,
+    never blobs holding bytes that belong to another."""
     out: dict[str, bytes] = {}
     offset = 0
-    for name, nbytes in index:
-        nbytes = int(nbytes)
-        out[str(name)] = payload[offset : offset + nbytes]
+    for entry in index:
+        try:
+            name, nbytes = entry
+            name, nbytes = str(name), int(nbytes)
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"blob index entry {entry!r} is not [name, nbytes]") from exc
+        if nbytes < 0:
+            raise FormatError(f"blob index gives {name!r} a negative length {nbytes}")
+        if name in out:
+            raise FormatError(f"blob index names {name!r} twice")
+        out[name] = payload[offset : offset + nbytes]
         offset += nbytes
     if offset != len(payload):
         raise FormatError(

@@ -15,7 +15,6 @@ from repro.ckpt.manifest import array_key
 from repro.ckpt.protocol import ArrayRegistry
 from repro.ckpt.journal import commit_key
 from repro.ckpt.store import CountingStore, MemoryStore
-from repro.config import TemporalConfig
 from repro.exceptions import (
     CheckpointError,
     CheckpointNotFoundError,
@@ -129,8 +128,10 @@ class TestCheckpointWrite:
             CheckpointManager(registry, MemoryStore(), **{knob: value})
 
     def test_unknown_codec_fails_fast(self, registry):
-        with pytest.raises(Exception):
-            CheckpointManager(registry, MemoryStore(), lossless_codec="bogus")
+        with pytest.raises(ConfigurationError, match="bogus"):
+            CheckpointManager(
+                registry, MemoryStore(), config=CompressionConfig(backend="bogus")
+            )
 
     def test_bad_policy_value(self, registry):
         with pytest.raises(CheckpointError, match="policy"):
@@ -141,10 +142,9 @@ class TestCheckpointWrite:
         [
             ({"config": CompressionConfig(backend="lz4")}, "lz4"),
             ({"policy": {"temperature": CompressionConfig(backend="lz4")}}, "lz4"),
-            ({"temporal": TemporalConfig(codec="zstd")}, "zstd"),
             ({"config": CompressionConfig(backend="no-such-codec")}, "no-such-codec"),
         ],
-        ids=["config", "policy", "temporal", "unknown"],
+        ids=["config", "policy", "unknown"],
     )
     def test_backend_that_cannot_write_is_refused_at_construction(
         self, registry, kwargs, backend
@@ -191,13 +191,10 @@ class TestBackendLane:
 
     def test_deferred_lossless_blob_is_serialize_array_lossless(self, big_registry):
         store = MemoryStore()
-        with CheckpointManager(
-            big_registry, store, lossless_codec="gzip-mt", backend_threads=2
-        ) as manager:
+        with CheckpointManager(big_registry, store) as manager:
             manager.checkpoint(0)
         assert store.get(array_key(0, "words")) == serialize_array_lossless(
-            big_registry.get("words"), "gzip-mt", manager.config.backend_level,
-            threads=2, block_bytes=manager.config.backend_block_bytes,
+            big_registry.get("words"), "zlib", manager.config.backend_level
         )
 
 
@@ -412,7 +409,6 @@ class TestBackendThreadPlumbing:
             config=CompressionConfig(
                 quantizer="none", backend="gzip-mt", backend_block_bytes=8_192
             ),
-            lossless_codec="gzip-mt",
             backend_threads=2,
         )
         before = registry.snapshot()

@@ -31,7 +31,7 @@ from repro.ckpt.temporal import TemporalEngine
 from repro.config import ResilienceConfig, TemporalConfig
 from repro.core import container
 from repro.core.pipeline import WaveletCompressor
-from repro.exceptions import CompressionError, NonFiniteDataError, ReproError
+from repro.exceptions import CompressionError, NonFiniteDataError, ReproError, StorageError
 from repro.lossless import DeflateCodec
 from repro.obs import get_registry, get_tracer
 
@@ -1067,18 +1067,23 @@ class TestRestoreLane:
             assert lane_threads() == []
         assert prefetched() == 0
 
-    def test_parity_repaired_blob_is_decoded_from_the_repaired_bytes(self):
+    def test_parity_repaired_blob_is_decoded_from_the_repaired_bytes(self, monkeypatch):
         from repro.ckpt.manifest import array_key
 
-        with written(resilience=ResilienceConfig(parity=True, repair_rewrite=False)) as manager:
+        def refuse(key, data):
+            raise StorageError("read-only")
+
+        with written(resilience=ResilienceConfig(parity=True)) as manager:
             reference = manager.load_arrays(0)
             key = array_key(0, "f2")
             blob = bytearray(manager.store.get(key))
             blob[len(blob) // 2] ^= 0xFF
             manager.store.put(key, bytes(blob))
+            monkeypatch.setattr(manager.store, "put", refuse)  # no write-back
             get_registry().reset()
             healed = manager.load_arrays(0)
-            assert [event.name for event in manager.repair_log] == ["f2"]
+            (event,) = manager.repair_log
+            assert (event.name, event.rewritten) == ("f2", False)
             assert manager.store.get(key) == bytes(blob)  # still rotten at rest
             assert prefetched() == 5
         for name in reference:

@@ -146,16 +146,6 @@ class TestRepairOnRestore:
         (event,) = manager.repair_log
         assert event.name == "temperature" and event.rewritten
 
-    def test_rewrite_can_be_disabled(self, registry):
-        manager = make_manager(registry, repair_rewrite=False)
-        manager.checkpoint(1)
-        key = array_key(1, "counter")
-        manager.store.delete(key)
-        manager.load_arrays(1)
-        assert not manager.store.exists(key)
-        (event,) = manager.repair_log
-        assert not event.rewritten
-
     def test_one_loss_per_group_is_repairable(self, registry):
         manager = make_manager(registry, parity_group_size=1)
         manager.checkpoint(1)

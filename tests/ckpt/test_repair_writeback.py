@@ -107,15 +107,6 @@ class TestParityWriteBack:
             1, "parity", parity_key(1, 0), True,
         )
 
-    def test_parity_is_written_back_even_without_repair_rewrite(self, registry, store):
-        manager = make_manager(registry, store, repair_rewrite=False)
-        manifest = manager.checkpoint(1)
-        store.delete(parity_key(1, 0))
-        manager.verify(1, repair=True)
-        manifest.parity[0].verify(store.get(parity_key(1, 0)))
-        (event,) = manager.repair_log
-        assert event.rewritten
-
     def test_failed_put_raises_out_of_verify(self, registry, store):
         manager = make_manager(registry, store)
         manager.checkpoint(1)

@@ -92,10 +92,10 @@ class TestTemporalConfig:
             {"error_bound": -1e-3},
             {"error_bound": True},
             {"predictor": "oracle"},
-            {"lowband_levels": 0},
+            {"error_bound": float("nan")},
             {"keyframe_every": 0},
-            {"drift_slack": -0.1},
-            {"codec": ""},
+            {"keyframe_every": 2.5},
+            {"predictor": ""},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -122,7 +122,7 @@ class TestTemporalConfig:
 class TestPredict:
     def test_previous_is_identity_in_float64(self):
         prev = np.linspace(0, 1, 24, dtype=np.float32).reshape(6, 4)
-        out = predict(prev, TemporalConfig(predictor="previous"))
+        out = predict(prev, "previous", 2)
         assert out.dtype == np.float64
         np.testing.assert_array_equal(out, prev.astype(np.float64))
 
@@ -130,16 +130,16 @@ class TestPredict:
         """Neither coder writes to the prediction; a 1.5 MB pass per array
         and generation is not spent on guarding against it."""
         prev = np.zeros(8)
-        assert predict(prev, TemporalConfig(predictor="previous")) is prev
+        assert predict(prev, "previous", 2) is prev
         narrow = np.zeros(8, dtype=np.float32)
-        out = predict(narrow, TemporalConfig(predictor="previous"))
+        out = predict(narrow, "previous", 2)
         assert out.dtype == np.float64 and not np.shares_memory(out, narrow)
 
     def test_lowband_smooths_high_frequency(self):
         rng = np.random.default_rng(0)
         smooth = np.sin(np.linspace(0, 3, 64))
         noisy = smooth + rng.standard_normal(64)
-        out = predict(noisy, TemporalConfig(predictor="lowband"))
+        out = predict(noisy, "lowband", 2)
         assert out.shape == noisy.shape
         # zeroing the high bands must bring the field closer to its
         # smooth component than the raw noisy input is
@@ -147,8 +147,33 @@ class TestPredict:
 
     def test_lowband_is_deterministic(self):
         arr = np.cumsum(np.random.default_rng(1).standard_normal((8, 8)))
-        cfg = TemporalConfig(predictor="lowband", lowband_levels=3)
-        np.testing.assert_array_equal(predict(arr, cfg), predict(arr, cfg))
+        np.testing.assert_array_equal(
+            predict(arr, "lowband", 3), predict(arr, "lowband", 3)
+        )
+
+
+class TestDecodeReadsThePredictorFromTheHeader:
+    """A delta decodes with the predictor and low-band depth its header
+    records, whatever depth today's writer uses: stored blobs decode
+    forever."""
+
+    def _delta(self, levels):
+        header = {
+            "kind": "temporal-delta", "shape": [8, 8], "dtype": "<f8",
+            "base_step": 0, "chain_index": 1, "predictor": "lowband",
+            "lowband_levels": levels, "error_bound": 0.5, "index_dtype": "<i2",
+        }
+        indices = np.arange(64, dtype=np.int16).reshape(8, 8)
+        return container.wrap_envelope(
+            container.write_body(header, {"indices": indices}), "zlib"
+        )
+
+    @pytest.mark.parametrize("levels", [1, 3])
+    def test_depth_comes_from_the_header(self, levels):
+        prev = np.cumsum(np.random.default_rng(2).standard_normal((8, 8)), axis=0)
+        expected = np.arange(64.0).reshape(8, 8) + predict(prev, "lowband", levels)
+        assert levels != TemporalConfig.lowband_levels
+        np.testing.assert_array_equal(decode_delta(self._delta(levels), prev), expected)
 
 
 # -- engine: encode/commit semantics -------------------------------------------

@@ -462,6 +462,16 @@ class TestCraftedTemporalDeltas:
         with pytest.raises(FormatError, match="missing its indices section"):
             self._decode(self._delta(section="filtered"))
 
+    @pytest.mark.parametrize(
+        "header",
+        [{"lowband_levels": 0}, {"lowband_levels": "x"}, {"predictor": "oracle"},
+         {"error_bound": -1.0}],
+        ids=repr,
+    )
+    def test_prediction_fields_the_encoder_never_writes(self, header):
+        with pytest.raises(FormatError, match="header is malformed"):
+            self._decode(self._delta(section="indices", **header))
+
     @pytest.mark.parametrize("index_dtype", ["<u2", "<f2", "<i8", "|b1", "<U1"])
     def test_index_dtype_the_encoder_never_writes(self, index_dtype):
         """``<u2`` has the item size of the ``<i2`` written: without the

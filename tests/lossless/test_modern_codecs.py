@@ -275,6 +275,9 @@ class TestPipelineIntegration:
 
     @pytest.mark.parametrize("backend", IDS)
     def test_checkpoint_manager_lossless_policy(self, backend, tmp_path, monkeypatch):
+        """A lossless array a retired backend wrote still restores: the
+        reader takes the backend from the blob."""
+        import repro.ckpt.manager as manager_module
         from repro.ckpt import ArrayRegistry, CheckpointManager
         from repro.ckpt.store import DirectoryStore
 
@@ -286,10 +289,10 @@ class TestPipelineIntegration:
             return CheckpointManager(
                 registry,
                 DirectoryStore(str(tmp_path)),
-                lossless_codec=backend,
                 policy={"field": "lossless"},
             )
 
+        monkeypatch.setattr(manager_module, "_LOSSLESS_BACKEND", backend)
         with pytest.raises(ConfigurationError, match="retired"):
             manager().checkpoint(1)
         install_retired_encoder(monkeypatch, backend)

@@ -157,7 +157,9 @@ class TestPlacementEdgeCases:
         from repro.ckpt.store import MemoryStore
         from repro.service import ShardedStore
 
-        store = ShardedStore({"solo": MemoryStore()}, replication=2)
+        store = ShardedStore(
+            {"solo": MemoryStore()}, placement=MemoryStore(), replication=2
+        )
         key = "tenants/a/ckpt/0000000001/u.bin"
         store.put(key, b"payload")
         assert store.get(key) == b"payload"

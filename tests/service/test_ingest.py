@@ -190,11 +190,9 @@ def test_byte_quota_refusal_leaves_no_state_and_charges_nothing():
 def test_rate_quota_refusal():
     async def run():
         registry = TenantRegistry(
-            [TenantSpec("alice", rate_quota=5.0, rate_burst=2)]
+            [TenantSpec("alice", rate_quota=1.0, rate_burst=2)]
         )
-        svc = _service(
-            MemoryStore(), registry, config=ServiceConfig(rate_max_wait=0.0)
-        )
+        svc = _service(MemoryStore(), registry)
         async with svc:
             await svc.submit("alice", 0, {"u": b"x"})
             await svc.submit("alice", 1, {"u": b"x"})

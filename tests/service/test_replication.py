@@ -137,6 +137,7 @@ class TestReplicatedPlacement:
         health = ShardHealth(failure_threshold=1, open_seconds=1.0, clock=clock)
         store = ShardedStore(
             {"s0": MemoryStore(), "s1": MemoryStore()},
+            placement=MemoryStore(),
             replication=2,
             health=health,
         )

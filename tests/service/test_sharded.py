@@ -62,11 +62,9 @@ def _gen_keys(tenant: str, step: int) -> list[str]:
 
 
 class TestShardedStore:
-    def _fresh(self, n=4, placement=True):
+    def _fresh(self, n=4):
         shards = {f"s{i}": MemoryStore() for i in range(n)}
-        return ShardedStore(
-            shards, placement=MemoryStore() if placement else None
-        ), shards
+        return ShardedStore(shards, placement=MemoryStore()), shards
 
     def test_round_trip(self):
         store, _ = self._fresh()
@@ -134,14 +132,18 @@ class TestShardedStore:
 
     def test_probe_fallback_without_placement_map(self, tmp_path):
         roots = {f"s{i}": str(tmp_path / f"s{i}") for i in range(3)}
-        store = ShardedStore({sid: DirectoryStore(r) for sid, r in roots.items()})
+        store = ShardedStore(
+            {sid: DirectoryStore(r) for sid, r in roots.items()},
+            placement=MemoryStore(),
+        )
         store.put("tenants/a/ckpt/0000000001/u.bin", b"payload")
 
-        # A different shard-id set changes every ring lookup; with no
-        # placement map the probe fallback must still find the data.
+        # A different shard-id set changes every ring lookup; with the
+        # placement map lost the probe fallback must still find the data.
         renamed = dict(zip(["x", "y", "z"], roots.values()))
         reopened = ShardedStore(
-            {sid: DirectoryStore(r) for sid, r in renamed.items()}
+            {sid: DirectoryStore(r) for sid, r in renamed.items()},
+            placement=MemoryStore(),
         )
         assert reopened.get("tenants/a/ckpt/0000000001/u.bin") == b"payload"
 
@@ -196,4 +198,4 @@ class TestShardedStore:
 
     def test_needs_a_shard(self):
         with pytest.raises(ConfigurationError, match="at least one shard"):
-            ShardedStore({})
+            ShardedStore({}, placement=MemoryStore())

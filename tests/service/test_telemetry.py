@@ -50,7 +50,9 @@ def _service(store=None, registry=None, **kw) -> CheckpointIngestService:
 
 
 def _sharded(n: int = 4) -> ShardedStore:
-    return ShardedStore({f"s{i}": MemoryStore() for i in range(n)})
+    return ShardedStore(
+        {f"s{i}": MemoryStore() for i in range(n)}, placement=MemoryStore()
+    )
 
 
 class TestAdmissionSeries:

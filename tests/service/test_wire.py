@@ -22,7 +22,7 @@ from repro.service import (
     TenantRegistry,
     TenantSpec,
 )
-from repro.service.wire import _pack_blobs, _unpack_blobs
+from repro.service.wire import _pack_blobs, _unpack_blobs, _write_message
 
 
 def _service() -> CheckpointIngestService:
@@ -58,6 +58,59 @@ class TestFraming:
     def test_unpack_length_mismatch(self):
         with pytest.raises(FormatError, match="payload carries"):
             _unpack_blobs([["u", 3]], b"abcdef")
+
+
+#: Blob indexes whose lengths sum to the payload but slice it wrongly:
+#: two empty blobs out of nothing, ``c`` handed the bytes of ``a``, and
+#: one name given the bytes of another.
+BAD_INDEXES = [
+    pytest.param([["a", -5], ["b", 5]], b"", id="negative-over-empty"),
+    pytest.param([["a", 3], ["b", -3], ["c", 3]], b"xyz", id="negative-rewinds"),
+    pytest.param([["a", 1], ["a", 1]], b"xy", id="duplicate-name"),
+]
+
+
+class TestBlobIndex:
+    @pytest.mark.parametrize("index, payload", BAD_INDEXES)
+    def test_unpack_refuses(self, index, payload):
+        with pytest.raises(FormatError, match="negative length|twice"):
+            _unpack_blobs(index, payload)
+
+    @pytest.mark.parametrize("entry", [["a"], ["a", 1, 2], ["a", "one"], 7])
+    def test_unpack_refuses_an_entry_that_is_not_a_pair(self, entry):
+        with pytest.raises(FormatError, match="is not"):
+            _unpack_blobs([entry], b"x")
+
+    @pytest.mark.parametrize("index, payload", BAD_INDEXES)
+    def test_submit_refused_by_the_server(self, index, payload):
+        async def go(sock, svc):
+            async with ServiceClient(sock) as client:
+                with pytest.raises(FormatError, match="negative length|twice"):
+                    await client._call(
+                        {"op": "submit", "tenant": "alice", "step": 0, "blobs": index},
+                        [payload],
+                    )
+            return svc.committed_steps("alice")
+
+        assert _run_with_server(go) == []
+
+    @pytest.mark.parametrize("index, payload", BAD_INDEXES)
+    def test_restore_refused_by_the_client(self, index, payload):
+        async def answer(reader, writer):
+            await reader.read(1 << 16)  # the restore request
+            await _write_message(writer, {"ok": True, "blobs": index}, [payload])
+            writer.close()
+
+        async def run(sock):
+            server = await asyncio.start_unix_server(answer, path=sock)
+            async with server, ServiceClient(sock) as client:
+                with pytest.raises(FormatError, match="negative length|twice"):
+                    await client.restore("alice")
+
+        import tempfile
+
+        with tempfile.TemporaryDirectory() as tmp:
+            asyncio.run(run(os.path.join(tmp, "svc.sock")))
 
 
 class TestRoundTrips:

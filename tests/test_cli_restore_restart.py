@@ -180,6 +180,23 @@ class TestRestart:
         assert "cycle   1: resumed from 4, crashed at step 8 (1 torn reaped)" in out
         assert "cycle   5: completed at step 10 (1 torn reaped)" in out
 
+    def test_zero_crash_horizon_injects_no_crash(self, tmp_path, capsys):
+        """``--crash-horizon-ops 0`` draws the schedule over no operation,
+        not over the 20 x MTBF default."""
+        rc = main(
+            [
+                "restart",
+                str(tmp_path / "ckpts"),
+                "--steps", "10",
+                "--interval", "2",
+                "--shape", "8,8,4",
+                "--crash-mtbf-ops", "5",
+                "--crash-horizon-ops", "0",
+            ]
+        )
+        assert rc == 0
+        assert "completed 10 steps after 0 restart(s)" in capsys.readouterr().out
+
     def test_bad_shape_fails(self, tmp_path, capsys):
         rc = main(
             [

@@ -138,12 +138,7 @@ def _numeric_and_bool_fields():
     import dataclasses
 
     from repro.ckpt.resilience import RetryPolicy
-    from repro.config import (
-        ObservabilityConfig,
-        ResilienceConfig,
-        ServiceConfig,
-        TemporalConfig,
-    )
+    from repro.config import ResilienceConfig, ServiceConfig, TemporalConfig
 
     nan, inf = float("nan"), float("inf")
     wrong = {
@@ -152,8 +147,7 @@ def _numeric_and_bool_fields():
         "bool": (nan, "no", 1),
     }
     for cls in (
-        CompressionConfig, TemporalConfig, ResilienceConfig, ServiceConfig,
-        ObservabilityConfig, RetryPolicy,
+        CompressionConfig, TemporalConfig, ResilienceConfig, ServiceConfig, RetryPolicy,
     ):
         for f in dataclasses.fields(cls):
             for bad in wrong.get(f.type.split(" | ")[0], ()):
@@ -161,7 +155,7 @@ def _numeric_and_bool_fields():
 
 
 class TestEveryKnobChecksItsType:
-    """One validator for all six classes: an int knob refuses a bool, a
+    """One validator for all five classes: an int knob refuses a bool, a
     float knob refuses NaN and infinities (an infinite "guaranteed" error
     bound guarantees nothing), a bool knob refuses truthy strings."""
 
@@ -172,4 +166,38 @@ class TestEveryKnobChecksItsType:
 
     def test_every_class_is_covered(self):
         covered = {p.values[0].__name__ for p in _numeric_and_bool_fields()}
-        assert len(covered) == 6
+        assert len(covered) == 5
+
+
+class TestEverySettingHasAFlag:
+    """A setting that no flag sets and no caller passes is a constant, not
+    a field: every field of every config dataclass declares ``help``, which
+    gives it its command-line option."""
+
+    @staticmethod
+    def _config_classes():
+        import dataclasses
+
+        from repro import config
+
+        return [
+            cls for cls in vars(config).values()
+            if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+            and cls.__module__ == config.__name__
+        ]
+
+    def test_the_config_classes(self):
+        assert sorted(cls.__name__ for cls in self._config_classes()) == [
+            "CompressionConfig", "ResilienceConfig", "ServiceConfig", "TemporalConfig",
+        ]
+
+    def test_every_field_declares_help(self):
+        import dataclasses
+
+        unflagged = [
+            f"{cls.__name__}.{f.name}"
+            for cls in self._config_classes()
+            for f in dataclasses.fields(cls)
+            if "help" not in f.metadata
+        ]
+        assert unflagged == []
