@@ -19,7 +19,7 @@ from .quality import (
     spectral_distortion,
 )
 from .random_walk import SqrtFit, expected_random_walk_error, fit_sqrt_growth
-from .tables import format_bytes, render_bars, render_series, render_table
+from .tables import render_bars, render_series, render_table
 
 __all__ = [
     "BandDistribution",
@@ -44,5 +44,4 @@ __all__ = [
     "render_table",
     "render_series",
     "render_bars",
-    "format_bytes",
 ]

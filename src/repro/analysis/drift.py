@@ -52,12 +52,6 @@ class DriftResult:
     immediate_errors: dict[str, float]
     field: str
 
-    def final_errors(self) -> dict[str, float]:
-        return {k: float(v[-1]) for k, v in self.series.items()}
-
-    def max_errors(self) -> dict[str, float]:
-        return {k: float(v.max()) for k, v in self.series.items()}
-
 
 def lossy_roundtrip_state(
     state: Mapping[str, np.ndarray], config: CompressionConfig

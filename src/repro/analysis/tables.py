@@ -14,7 +14,7 @@ import numpy as np
 
 from ..exceptions import ReproError
 
-__all__ = ["render_table", "render_series", "render_bars", "format_bytes"]
+__all__ = ["render_table", "render_series", "render_bars"]
 
 
 def _fmt(value: object, floatfmt: str) -> str:
@@ -97,15 +97,3 @@ def render_bars(
         bar = "#" * max(0, round(width * val / peak))
         lines.append(f"{key.ljust(label_width)}  {bar} {val:.4g}{unit}")
     return "\n".join(lines)
-
-
-def format_bytes(nbytes: float) -> str:
-    """Human-readable byte count (binary units)."""
-    if nbytes < 0:
-        raise ReproError(f"byte count must be >= 0, got {nbytes}")
-    value = float(nbytes)
-    for unit in ("B", "KiB", "MiB", "GiB", "TiB"):
-        if value < 1024.0 or unit == "TiB":
-            return f"{value:.4g} {unit}" if unit != "B" else f"{int(value)} B"
-        value /= 1024.0
-    raise AssertionError("unreachable")

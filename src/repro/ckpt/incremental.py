@@ -157,9 +157,6 @@ class IncrementalArrayStore:
 
     # -- read ------------------------------------------------------------------
 
-    def records(self) -> list[DeltaRecord]:
-        return [rec for rec, _ in self._blobs]
-
     def restore(self, step: int | None = None) -> np.ndarray:
         """Reconstruct the array at ``step`` (default: the newest).
 

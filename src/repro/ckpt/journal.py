@@ -70,7 +70,6 @@ __all__ = [
     "CommitMarker",
     "CommitTransaction",
     "CommitJournal",
-    "load_marker",
     "GEN_COMMITTED",
     "GEN_TORN",
     "GEN_ORPHANED",
@@ -143,27 +142,6 @@ class CommitMarker:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"commit marker is missing fields: {exc}") from exc
-
-    def matches(self, manifest_payload: bytes) -> bool:
-        """Whether ``manifest_payload`` is the exact manifest this marker
-        sealed."""
-        return (
-            len(manifest_payload) == self.manifest_bytes
-            and (zlib.crc32(manifest_payload) & 0xFFFFFFFF) == self.manifest_crc32
-        )
-
-
-def load_marker(store: Store, step: int) -> CommitMarker:
-    """Read and parse the commit marker of ``step``.
-
-    Raises :class:`CheckpointNotFoundError` when no marker exists and
-    :class:`FormatError` when the marker bytes are damaged (a crash while
-    the marker itself was being written on a non-atomic medium).
-    """
-    key = commit_key(step)
-    if not store.exists(key):
-        raise CheckpointNotFoundError(f"no commit marker for step {step}")
-    return CommitMarker.from_json(store.get(key))
 
 
 GEN_COMMITTED = "committed"

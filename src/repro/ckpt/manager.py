@@ -841,12 +841,6 @@ class CheckpointManager:
         """
         return committed_steps(self.store)
 
-    def latest_step(self) -> int | None:
-        try:
-            return load_committed(self.store).step
-        except CheckpointNotFoundError:
-            return None
-
     def read_manifest(self, step: int) -> CheckpointManifest:
         """The manifest of committed generation ``step``, read the one way
         every generation is opened (:func:`~repro.ckpt.journal.load_committed`,

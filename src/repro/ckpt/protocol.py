@@ -10,7 +10,7 @@ them in place (so the application keeps its own references).
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Mapping, Protocol, runtime_checkable
+from typing import Iterator, Mapping, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -35,27 +35,26 @@ class Checkpointable(Protocol):
 class ArrayRegistry:
     """Named live arrays with snapshot/restore.
 
-    Arrays are registered either directly (restore copies into the same
-    buffer, preserving application references) or through getter/setter
-    callables for state the application rebuilds on load.
+    Restore copies into the registered buffer, preserving application
+    references.  State the application rebuilds on load goes through
+    :func:`registry_from_checkpointable` instead.
     """
 
     def __init__(self) -> None:
-        self._direct: dict[str, np.ndarray] = {}
-        self._accessors: dict[str, tuple[Callable[[], np.ndarray], Callable[[np.ndarray], None]]] = {}
+        self._arrays: dict[str, np.ndarray] = {}
 
     def __len__(self) -> int:
-        return len(self._direct) + len(self._accessors)
+        return len(self._arrays)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._direct or name in self._accessors
+        return name in self._arrays
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.names())
 
     def names(self) -> list[str]:
         """Registered array names in registration-stable sorted order."""
-        return sorted([*self._direct, *self._accessors])
+        return sorted(self._arrays)
 
     def _check_name(self, name: str) -> None:
         if not isinstance(name, str) or not name:
@@ -71,33 +70,14 @@ class ArrayRegistry:
         arr = np.asarray(array)
         if arr.ndim == 0:
             raise CheckpointError(f"array {name!r} is 0-dimensional; wrap scalars")
-        self._direct[name] = arr
-
-    def register_accessor(
-        self,
-        name: str,
-        getter: Callable[[], np.ndarray],
-        setter: Callable[[np.ndarray], None],
-    ) -> None:
-        """Register state reached through callables instead of a live buffer."""
-        self._check_name(name)
-        self._accessors[name] = (getter, setter)
-
-    def unregister(self, name: str) -> None:
-        if name in self._direct:
-            del self._direct[name]
-        elif name in self._accessors:
-            del self._accessors[name]
-        else:
-            raise CheckpointError(f"array {name!r} is not registered")
+        self._arrays[name] = arr
 
     def get(self, name: str) -> np.ndarray:
         """The current live value of one registered array."""
-        if name in self._direct:
-            return self._direct[name]
-        if name in self._accessors:
-            return np.asarray(self._accessors[name][0]())
-        raise CheckpointError(f"array {name!r} is not registered")
+        try:
+            return self._arrays[name]
+        except KeyError:
+            raise CheckpointError(f"array {name!r} is not registered") from None
 
     def snapshot(self) -> dict[str, np.ndarray]:
         """Consistent copies of every registered array (name -> copy)."""
@@ -107,8 +87,8 @@ class ArrayRegistry:
         """Write a snapshot back into the live application state.
 
         Every registered array must be present with a matching shape;
-        direct registrations are restored with an in-place copy so
-        references held by the application stay valid.  dtype conversions
+        each is restored with an in-place copy so references held by the
+        application stay valid.  dtype conversions
         follow NumPy same-kind casting (a float64 snapshot restores into a
         float64 buffer bit-exactly).
         """
@@ -117,26 +97,22 @@ class ArrayRegistry:
             raise RestoreError(f"snapshot is missing arrays: {missing}")
         for name in self.names():
             value = np.asarray(arrays[name])
-            if name in self._direct:
-                target = self._direct[name]
-                if target.shape != value.shape:
-                    raise RestoreError(
-                        f"array {name!r}: snapshot shape {value.shape} does not "
-                        f"match live shape {target.shape}"
-                    )
-                np.copyto(target, value, casting="same_kind")
-            else:
-                self._accessors[name][1](value)
+            target = self._arrays[name]
+            if target.shape != value.shape:
+                raise RestoreError(
+                    f"array {name!r}: snapshot shape {value.shape} does not "
+                    f"match live shape {target.shape}"
+                )
+            np.copyto(target, value, casting="same_kind")
 
 
 def registry_from_checkpointable(app: Checkpointable) -> ArrayRegistry:
     """Build a registry backed by an application's protocol methods.
 
-    A single accessor pair per array keeps the registry live: getters call
-    :meth:`Checkpointable.state_arrays` on demand, and restore pushes the
-    whole snapshot through :meth:`Checkpointable.load_state_arrays` exactly
-    once (not per-array), preserving any invariants the application
-    re-establishes on load.
+    The registry stays live: reads call :meth:`Checkpointable.state_arrays`
+    on demand, and restore pushes the whole snapshot through
+    :meth:`Checkpointable.load_state_arrays` exactly once (not per-array),
+    preserving any invariants the application re-establishes on load.
     """
     registry = _CheckpointableRegistry(app)
     return registry
@@ -181,11 +157,6 @@ class _CheckpointableRegistry(ArrayRegistry):
         self._app.load_state_arrays({n: np.asarray(arrays[n]) for n in self._names})
 
     def register(self, name: str, array: np.ndarray) -> None:  # pragma: no cover
-        raise CheckpointError(
-            "cannot register extra arrays on a Checkpointable-backed registry"
-        )
-
-    def register_accessor(self, name, getter, setter) -> None:  # pragma: no cover
         raise CheckpointError(
             "cannot register extra arrays on a Checkpointable-backed registry"
         )

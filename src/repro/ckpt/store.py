@@ -120,10 +120,9 @@ class MemoryStore(Store):
     """Dict-backed store (unit tests and in-memory checkpointing).
 
     Thread-safe: a service over it puts from drain worker threads while
-    readers list and restore from others, so every operation -- including
-    the :attr:`total_bytes` aggregation -- runs under one lock.  Python's
-    dict ops are individually atomic under the GIL, but ``total_bytes``
-    and ``list_keys`` iterate the dict and would otherwise race a
+    readers list and restore from others, so every operation runs under
+    one lock.  Python's dict ops are individually atomic under the GIL,
+    but ``list_keys`` iterates the dict and would otherwise race a
     concurrent ``put``/``delete`` mid-iteration.
     """
 
@@ -159,11 +158,6 @@ class MemoryStore(Store):
         with self._lock:
             return sorted(k for k in self._blobs if k.startswith(prefix))
 
-    @property
-    def total_bytes(self) -> int:
-        with self._lock:
-            return sum(len(v) for v in self._blobs.values())
-
 
 class DirectoryStore(Store):
     """Files under a root directory, written atomically (tmp + rename).
@@ -176,7 +170,8 @@ class DirectoryStore(Store):
 
     ``"always"`` (default)
         Every ``put`` fsyncs its file, its directory and the parent of
-        every directory it had to create before returning -- ``put`` is
+        every directory it had to create before returning, and every
+        ``delete`` that removes a file fsyncs its directory -- both are
         durable on return, ``sync`` only flushes the root's entry table.
     ``"batch"``
         ``put`` writes and renames but defers every fsync; dirty files
@@ -294,6 +289,11 @@ class DirectoryStore(Store):
             pass
         except OSError as exc:
             raise StorageError(f"delete of {key!r} failed: {exc}") from exc
+        else:
+            if self.durability == "always":
+                # an unlink, like a rename, survives a crash only once its
+                # directory is flushed
+                _fsync_dir(os.path.dirname(path))
         if self.durability == "batch":
             with self._dirty_lock:
                 self._dirty_files.discard(path)

@@ -336,10 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="restore this step instead of the newest committed generation",
     )
     _add_restore_flags(p)
-    p.add_argument(
-        "--no-fallback", action="store_true",
-        help="never fall back: restore the requested/newest generation or fail",
-    )
     add_flags(p, ResilienceConfig, ("retries", "retry_base_delay"))
     _add_trace_arg(p)
 
@@ -703,13 +699,12 @@ def _cmd_restore(args: argparse.Namespace) -> int:
         DirectoryStore(args.directory),
         resilience=from_flags(ResilienceConfig, args),
     )
-    max_fallback = 0 if args.no_fallback else args.fallback
     with _tracing(args):
         result = restore_with_fallback(
             manager,
             step=args.step,
             repair=True if args.repair else None,
-            max_fallback=max_fallback,
+            max_fallback=args.fallback,
         )
     np.savez(args.output, **registry.arrays)
     print(

@@ -356,8 +356,7 @@ class TemporalConfig(_Config):
     keyframe_every:
         Longest allowed chain: after this many generations since the
         last keyframe a fresh self-contained keyframe is forced,
-        bounding restore cost (see
-        :func:`repro.ckpt.interval.plan_keyframe_interval`).
+        bounding restore cost.
 
     Constants of the temporal path, not settings: every blob, keyframe or
     delta, is deflated by ``codec`` at ``codec_level``; the ``"lowband"``

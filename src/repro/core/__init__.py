@@ -1,6 +1,6 @@
 """The paper's primary contribution: the wavelet lossy compression pipeline."""
 
-from .bands import Band, band_summary, final_low_shape, high_band_mask, iter_bands
+from .bands import final_low_shape, high_band_mask
 from .chunked import (
     chunked_compress,
     chunked_compress_with_stats,
@@ -29,19 +29,16 @@ from .pipeline import (
 from .quantization import (
     QuantizationResult,
     bounded_quantize,
-    dequantize,
     detect_spiked_partitions,
     proposed_quantize,
     simple_quantize,
 )
 from .tuning import (
     TuningResult,
-    bounded_config_for_relative_error,
     tune_division_number,
     tune_for_tolerance,
 )
 from .wavelet import (
-    available_wavelets,
     haar_forward,
     haar_forward_axis,
     haar_inverse,
@@ -54,11 +51,8 @@ from .wavelet import (
 )
 
 __all__ = [
-    "Band",
-    "band_summary",
     "final_low_shape",
     "high_band_mask",
-    "iter_bands",
     "chunked_compress",
     "chunked_compress_with_stats",
     "chunked_decompress",
@@ -82,15 +76,12 @@ __all__ = [
     "inspect",
     "QuantizationResult",
     "bounded_quantize",
-    "dequantize",
     "detect_spiked_partitions",
     "proposed_quantize",
     "simple_quantize",
     "TuningResult",
-    "bounded_config_for_relative_error",
     "tune_division_number",
     "tune_for_tolerance",
-    "available_wavelets",
     "wavelet_forward",
     "wavelet_inverse",
     "haar_forward",

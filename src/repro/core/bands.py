@@ -8,54 +8,17 @@ applies only to high-frequency coefficients, so the pipeline needs to know
 
 Because every level's high bands are disjoint and their union with the
 final low block tiles the whole array, the high-frequency region is simply
-"everything outside the final low block" -- a fact this module exposes both
-as a boolean mask and as per-band slices (useful for diagnostics and
-per-band statistics).
+"everything outside the final low block" -- a fact this module exposes as
+a boolean mask.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-
 import numpy as np
 
-from .wavelet import level_shapes, low_band_shape
+from .wavelet import low_band_shape
 
-__all__ = ["Band", "high_band_mask", "final_low_shape", "iter_bands", "band_summary"]
-
-
-@dataclass(frozen=True)
-class Band:
-    """One sub-band of the packed decomposition.
-
-    Attributes
-    ----------
-    level:
-        1-based decomposition level that produced the band.
-    code:
-        Per-axis letters, e.g. ``"LH"`` = low along axis 0, high along
-        axis 1.  The all-``L`` band only appears as the final low block.
-    slices:
-        Index expression selecting the band inside the coefficient array.
-    """
-
-    level: int
-    code: str
-    slices: tuple[slice, ...]
-
-    @property
-    def is_low(self) -> bool:
-        return set(self.code) <= {"L"}
-
-    def shape(self) -> tuple[int, ...]:
-        return tuple(s.stop - s.start for s in self.slices)
-
-    def size(self) -> int:
-        n = 1
-        for s in self.shape():
-            n *= s
-        return n
+__all__ = ["high_band_mask", "final_low_shape"]
 
 
 def final_low_shape(shape: tuple[int, ...], applied_levels: int) -> tuple[int, ...]:
@@ -76,53 +39,3 @@ def high_band_mask(shape: tuple[int, ...], applied_levels: int) -> np.ndarray:
     low = final_low_shape(shape, applied_levels)
     mask[tuple(slice(0, s) for s in low)] = False
     return mask
-
-
-def iter_bands(shape: tuple[int, ...], applied_levels: int) -> list[Band]:
-    """Enumerate every band of the decomposition, coarsest level last.
-
-    For each level the ``2**ndim - 1`` high combinations are emitted (axes
-    of length < 2 at that level cannot split and always contribute ``L``);
-    the final low block is emitted once at the end with ``level`` equal to
-    ``applied_levels``.
-    """
-    bands: list[Band] = []
-    ndim = len(shape)
-    for lev_idx, region in enumerate(level_shapes(shape, applied_levels), start=1):
-        lows = low_band_shape(region)
-        choices: list[list[tuple[str, slice]]] = []
-        for ax in range(ndim):
-            lo = lows[ax]
-            opts = [("L", slice(0, lo))]
-            if region[ax] >= 2:
-                opts.append(("H", slice(lo, region[ax])))
-            choices.append(opts)
-        for combo in itertools.product(*choices):
-            code = "".join(c for c, _ in combo)
-            if set(code) <= {"L"}:
-                continue  # the low block recurses; only the final one is a band
-            bands.append(Band(lev_idx, code, tuple(s for _, s in combo)))
-    low = final_low_shape(shape, applied_levels)
-    bands.append(
-        Band(applied_levels, "L" * ndim, tuple(slice(0, s) for s in low))
-    )
-    return bands
-
-
-def band_summary(coeffs: np.ndarray, applied_levels: int) -> list[dict]:
-    """Per-band statistics (size, min/max/mean/std) for diagnostics."""
-    rows = []
-    for band in iter_bands(coeffs.shape, applied_levels):
-        vals = coeffs[band.slices]
-        rows.append(
-            {
-                "level": band.level,
-                "code": band.code,
-                "size": int(vals.size),
-                "min": float(vals.min()) if vals.size else float("nan"),
-                "max": float(vals.max()) if vals.size else float("nan"),
-                "mean": float(vals.mean()) if vals.size else float("nan"),
-                "std": float(vals.std()) if vals.size else float("nan"),
-            }
-        )
-    return rows

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Callable
 
 import numpy as np
 
@@ -62,8 +62,7 @@ class CompressionStats:
 
     The object is a typed view over the same quantities the metrics
     registry aggregates: :meth:`to_metrics` folds one call into a
-    registry, :meth:`from_metrics` rebuilds an aggregate view from a
-    registry snapshot (counters named ``<prefix>.*``).
+    registry (counters named ``<prefix>.*``).
     """
 
     original_bytes: int = 0
@@ -118,36 +117,6 @@ class CompressionStats:
         by default)."""
         (registry if registry is not None else get_registry()).observe_stats(
             self, prefix
-        )
-
-    @classmethod
-    def from_metrics(
-        cls, snapshot: Mapping[str, Any], prefix: str = "pipeline"
-    ) -> "CompressionStats":
-        """Aggregate stats view over a registry snapshot.
-
-        Reads the counters :meth:`to_metrics` writes; timings hold the
-        summed per-stage seconds across every observed call.
-        """
-        def _num(name: str) -> float:
-            value = snapshot.get(f"{prefix}.{name}", 0.0)
-            return float(value) if isinstance(value, (int, float)) else 0.0
-
-        stage_prefix = f"{prefix}.stage."
-        timings = {
-            name[len(stage_prefix):-len(".seconds")]: float(value)
-            for name, value in snapshot.items()
-            if name.startswith(stage_prefix)
-            and name.endswith(".seconds")
-            and isinstance(value, (int, float))
-        }
-        return cls(
-            original_bytes=int(_num("bytes_in")),
-            formatted_bytes=int(_num("formatted_bytes")),
-            compressed_bytes=int(_num("bytes_out")),
-            n_coefficients=int(_num("coefficients")),
-            n_quantized=int(_num("quantized")),
-            timings=timings,
         )
 
 

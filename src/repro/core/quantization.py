@@ -41,7 +41,6 @@ __all__ = [
     "simple_quantize",
     "proposed_quantize",
     "bounded_quantize",
-    "dequantize",
     "detect_spiked_partitions",
     "non_finite_error",
 ]
@@ -84,10 +83,6 @@ class QuantizationResult:
     @property
     def n_quantized(self) -> int:
         return int(self.quantized_mask.sum())
-
-    @property
-    def n_total(self) -> int:
-        return int(self.quantized_mask.size)
 
 
 def non_finite_error(arr: np.ndarray, context: str) -> NonFiniteDataError:
@@ -346,20 +341,3 @@ def bounded_quantize(
         bin_width=width,
         spiked_partitions=spiked,
     )
-
-
-def dequantize(result: QuantizationResult, original: np.ndarray) -> np.ndarray:
-    """Apply a quantization result to ``original``, returning the lossy copy.
-
-    Mostly a testing/diagnostic helper: positions flagged in
-    ``quantized_mask`` take their partition average, everything else is
-    copied verbatim.
-    """
-    v = np.asarray(original, dtype=np.float64)
-    if v.shape != result.quantized_mask.shape:
-        raise CompressionError(
-            "dequantize: original shape does not match quantized_mask"
-        )
-    out = v.copy()
-    out[result.quantized_mask] = result.averages[result.indices]
-    return out

@@ -23,7 +23,6 @@ __all__ = [
     "TuningResult",
     "tune_division_number",
     "tune_for_tolerance",
-    "bounded_config_for_relative_error",
 ]
 
 _METRICS = {"mean": mean_relative_error, "max": max_relative_error}
@@ -91,42 +90,6 @@ def tune_division_number(
         f"<= {tolerance} (best achieved {last_err:.3g}); consider the "
         "proposed quantizer, deeper wavelet levels, or a lossless codec"
     )
-
-
-def bounded_config_for_relative_error(
-    arr: np.ndarray,
-    tolerance: float,
-    *,
-    base: CompressionConfig | None = None,
-) -> TuningResult:
-    """Error-bounded configuration meeting a *max relative* error tolerance.
-
-    Unlike the trial-compression search of :func:`tune_division_number`,
-    this converts the relative tolerance into the absolute bound the
-    ``bounded`` quantizer guarantees (``tolerance x value range``, paper
-    Eq. 6's denominator), so a single compression suffices and the result
-    carries a hard guarantee rather than a measured error.
-    """
-    if tolerance <= 0:
-        raise TuningError(f"tolerance must be positive, got {tolerance}")
-    from .errors import value_range
-
-    span = value_range(arr)
-    if span == 0.0:
-        raise TuningError(
-            "array is constant; relative error is degenerate (any lossless "
-            "configuration preserves it exactly)"
-        )
-    cfg = (base if base is not None else CompressionConfig()).replace(
-        quantizer="bounded", error_bound=tolerance * span
-    )
-    err, rate = _evaluate(arr, cfg, "max")
-    if err > tolerance * (1 + 1e-9):
-        raise TuningError(
-            f"bounded mode exceeded its guarantee ({err} > {tolerance}); "
-            "this indicates a library bug"
-        )
-    return TuningResult(cfg, err, tolerance, rate, 1)
 
 
 def tune_for_tolerance(

@@ -39,7 +39,6 @@ __all__ = [
     "haar_inverse",
     "wavelet_forward",
     "wavelet_inverse",
-    "available_wavelets",
     "plan_levels",
     "low_band_shape",
     "level_shapes",
@@ -175,11 +174,6 @@ def _axis_transforms(wavelet: str):
         raise CompressionError(
             f"unknown wavelet {wavelet!r}; available: {sorted(table)}"
         ) from None
-
-
-def available_wavelets() -> list[str]:
-    """Names of the supported transform families."""
-    return ["cdf53", "haar"]
 
 
 def _resolve_scratch(

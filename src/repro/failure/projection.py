@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from ..ckpt.interval import daly_interval, expected_runtime
 from ..exceptions import ConfigurationError
 
-__all__ = ["EfficiencyPoint", "efficiency_at", "efficiency_sweep", "mtbf_at_scale"]
+__all__ = ["EfficiencyPoint", "efficiency_at", "mtbf_at_scale"]
 
 
 @dataclass(frozen=True)
@@ -44,15 +44,6 @@ def efficiency_at(
         interval=tau,
         efficiency=work / wall,
     )
-
-
-def efficiency_sweep(
-    mtbfs: list[float] | tuple[float, ...],
-    checkpoint_cost: float,
-    restart_cost: float,
-) -> list[EfficiencyPoint]:
-    """Efficiency across an MTBF ladder (the exascale-degradation curve)."""
-    return [efficiency_at(m, checkpoint_cost, restart_cost) for m in mtbfs]
 
 
 def mtbf_at_scale(node_mtbf: float, n_nodes: int) -> float:

@@ -8,9 +8,7 @@ empties.
 
 The model answers the question the paper's conclusion raises (combining
 lossy compression "with ... harnessing storage hierarchy"): compression
-shrinks both the blocking absorb *and* the background drain, and it is the
-drain constraint -- not the absorb -- that limits how often one may
-checkpoint.
+shrinks both the blocking absorb *and* the background drain.
 """
 
 from __future__ import annotations
@@ -81,28 +79,3 @@ class BurstBufferModel:
         return BurstBufferTiming(
             absorb_seconds=absorb, drain_seconds=drain, blocking_seconds=blocking
         )
-
-    def min_checkpoint_interval(self, nbytes: int | float) -> float:
-        """Shortest sustainable interval between checkpoints.
-
-        The buffer must finish draining one checkpoint before the next
-        arrives, so the drain time is the floor -- the constraint that
-        compression (fewer bytes to drain) directly relaxes.
-        """
-        return self.checkpoint_timing(nbytes).drain_seconds
-
-    def effective_blocking_cost(
-        self, nbytes: int | float, interval_seconds: float
-    ) -> float:
-        """Blocking cost per checkpoint at a requested cadence.
-
-        At intervals shorter than the drain floor the application stalls
-        for the remainder of the drain; beyond it only the absorb blocks.
-        """
-        if interval_seconds <= 0:
-            raise ConfigurationError(
-                f"interval must be positive, got {interval_seconds}"
-            )
-        timing = self.checkpoint_timing(nbytes)
-        stall = max(0.0, timing.drain_seconds - interval_seconds)
-        return timing.blocking_seconds + stall

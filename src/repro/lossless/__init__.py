@@ -4,7 +4,7 @@ Importing this package registers every built-in codec; use
 :func:`get_codec` to instantiate one by name.
 """
 
-from .base import Codec, NullCodec, available_codecs, get_codec, register_codec
+from .base import Codec, NullCodec, get_codec, register_codec
 from .deflate import DeflateCodec, lz4_available, zstd_available
 from .fpc import XorDeltaCodec
 from .pool import get_shared_pool, shutdown_shared_pool
@@ -18,7 +18,6 @@ __all__ = [
     "TempfileGzipCodec",
     "RleCodec",
     "XorDeltaCodec",
-    "available_codecs",
     "get_codec",
     "register_codec",
     "get_shared_pool",

@@ -17,7 +17,7 @@ from typing import Callable, Iterator, Sequence
 
 from ..exceptions import ConfigurationError
 
-__all__ = ["Codec", "register_codec", "get_codec", "available_codecs", "NullCodec"]
+__all__ = ["Codec", "register_codec", "get_codec", "NullCodec"]
 
 _REGISTRY: dict[str, Callable[..., "Codec"]] = {}
 
@@ -100,11 +100,6 @@ def get_codec(name: str, **kwargs) -> Codec:
             }
             kwargs = {k: v for k, v in kwargs.items() if k in accepted}
     return factory(**kwargs)
-
-
-def available_codecs() -> list[str]:
-    """Sorted names of every registered codec."""
-    return sorted(_REGISTRY)
 
 
 class NullCodec(Codec):

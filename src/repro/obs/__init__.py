@@ -36,11 +36,10 @@ from .metrics import (
     MetricsRegistry,
     get_registry,
     labels_suffix,
-    split_labels,
     stage_parent,
     top_level_seconds,
 )
-from .report import TraceReport, load_trace, render_tree
+from .report import TraceReport, render_tree
 from .sink import JsonlSink, MemorySink, Sink, read_events
 from .slo import DEFAULT_BURN_WINDOWS, SLOTracker
 from .trace import Span, Tracer, get_tracer, swap_tracer, traced
@@ -63,7 +62,6 @@ __all__ = [
     "MetricsRegistry",
     "get_registry",
     "labels_suffix",
-    "split_labels",
     # slo / flushing
     "SLOTracker",
     "DEFAULT_BURN_WINDOWS",
@@ -75,6 +73,5 @@ __all__ = [
     "read_events",
     # report
     "TraceReport",
-    "load_trace",
     "render_tree",
 ]

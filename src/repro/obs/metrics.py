@@ -17,8 +17,7 @@ Prometheus text exposition format for scrape-style consumers.
 
 :class:`Histogram` is a streaming summary: alongside count/total/min/max
 it maintains log-scaled buckets (about 7 % relative width) so p50/p95/p99
-are answerable at any time without storing observations, and snapshots
-from different workers combine with :meth:`Histogram.merge`.
+are answerable at any time without storing observations.
 
 The module also owns the **stage taxonomy**: the paper's Fig. 9 stage
 names and the parent/child relation between a stage and its sub-stages
@@ -42,7 +41,6 @@ __all__ = [
     "stage_parent",
     "top_level_seconds",
     "labels_suffix",
-    "split_labels",
     "Counter",
     "Gauge",
     "Histogram",
@@ -113,19 +111,6 @@ def labels_suffix(labels: Mapping[str, Any]) -> str:
             )
         items.append(f"{key}={value}")
     return "{" + ",".join(items) + "}"
-
-
-def split_labels(full_name: str) -> tuple[str, dict[str, str]]:
-    """Invert :func:`labels_suffix`: ``"a.b{t=x}"`` -> ``("a.b", {"t": "x"})``."""
-    base, brace, rest = full_name.partition("{")
-    if not brace:
-        return full_name, {}
-    labels: dict[str, str] = {}
-    for item in rest.rstrip("}").split(","):
-        if item:
-            key, _, value = item.partition("=")
-            labels[key] = value
-    return base, labels
 
 
 class Counter:
@@ -212,8 +197,7 @@ class Histogram:
     ``[min, max]``, which makes the edge cases exact by construction: an
     empty histogram reports ``0.0`` for every quantile (never a raise or
     a NaN), and a single-observation histogram reports exactly that
-    observation.  Snapshots from different workers combine losslessly
-    with :meth:`merge` (bucket counts add).
+    observation.
     """
 
     __slots__ = (
@@ -297,37 +281,6 @@ class Histogram:
         hi = self.max if self.max is not None else estimate
         return min(max(estimate, lo), hi)
 
-    def merge(self, other: "Histogram") -> "Histogram":
-        """Fold another histogram's observations into this one (in place).
-
-        Combining is exact for count/total/min/max and lossless at bucket
-        granularity for quantiles -- the tool for aggregating per-worker
-        or per-window snapshots.  Returns ``self`` for chaining.
-        """
-        if not isinstance(other, Histogram):
-            raise ValueError(
-                f"can only merge another Histogram, got {type(other).__name__}"
-            )
-        if other is self:
-            return self
-        with other._lock:
-            count = other.count
-            total = other.total
-            omin, omax = other.min, other.max
-            underflow = other._underflow
-            buckets = dict(other._buckets)
-        with self._lock:
-            self.count += count
-            self.total += total
-            if omin is not None and (self.min is None or omin < self.min):
-                self.min = omin
-            if omax is not None and (self.max is None or omax > self.max):
-                self.max = omax
-            self._underflow += underflow
-            for idx, n in buckets.items():
-                self._buckets[idx] = self._buckets.get(idx, 0) + n
-        return self
-
     def snapshot(self) -> dict[str, float | int | None]:
         with self._lock:
             return {
@@ -374,9 +327,6 @@ class NullMetric:
 
     def quantile(self, q: float) -> float:
         return 0.0
-
-    def merge(self, other: Any) -> "NullMetric":
-        return self
 
     def snapshot(self) -> float:
         return 0.0
@@ -560,10 +510,6 @@ class MetricsRegistry:
     def observe_stats(self, stats: Any, prefix: str = "pipeline") -> None:
         """Fold one :class:`~repro.core.pipeline.CompressionStats` into the
         registry (the typed-stats <-> registry bridge).
-
-        Counter/histogram names written here are exactly the names
-        :meth:`CompressionStats.from_metrics
-        <repro.core.pipeline.CompressionStats.from_metrics>` reads back.
         """
         self.counter(f"{prefix}.calls").inc()
         self.counter(f"{prefix}.bytes_in").inc(stats.original_bytes)

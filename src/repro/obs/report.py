@@ -20,7 +20,7 @@ from .metrics import STAGES, stage_parent
 from .sink import read_events
 from .trace import Span
 
-__all__ = ["TraceReport", "load_trace", "render_tree"]
+__all__ = ["TraceReport", "render_tree"]
 
 _BAR_WIDTH = 40
 
@@ -248,11 +248,6 @@ class TraceReport:
             "orphans": len(self.orphans()),
             "cross_process_links": self.cross_process_links(),
         }
-
-
-def load_trace(path: str, *more: str) -> TraceReport:
-    """Shorthand for :meth:`TraceReport.from_jsonl`."""
-    return TraceReport.from_jsonl(path, *more)
 
 
 def render_tree(spans: Iterable[Any], *, max_children: int = 12) -> str:

@@ -50,10 +50,10 @@ from ..ckpt.manifest import (
     validate_app_meta,
 )
 from ..ckpt.recovery import RecoveryReport, recover
-from ..ckpt.store import Store
 from ..config import ServiceConfig
 from ..exceptions import (
     CommitError,
+    ConfigurationError,
     QuotaExceededError,
     ServiceUnavailableError,
     SimulatedCrash,
@@ -123,8 +123,8 @@ class CheckpointIngestService:
     Parameters
     ----------
     store:
-        The slow/durable tier all tenants share -- usually a
-        :class:`~repro.service.sharded.ShardedStore` over
+        The slow/durable tier all tenants share: a
+        :class:`~repro.service.sharded.ShardedStore`, usually over
         ``DirectoryStore(durability="batch")`` backends so the group
         commit's sync barriers amortize real fsyncs.
     tenants:
@@ -149,13 +149,17 @@ class CheckpointIngestService:
 
     def __init__(
         self,
-        store: Store,
+        store: ShardedStore,
         tenants: TenantRegistry,
         config: ServiceConfig | None = None,
         *,
         slo: SLOTracker | None = None,
         flush_sink: Any = None,
     ) -> None:
+        if not isinstance(store, ShardedStore):
+            raise ConfigurationError(
+                f"the ingest service needs a ShardedStore, got {type(store).__name__}"
+            )
         self.store = store
         self.tenants = tenants
         self.config = config if config is not None else ServiceConfig()
@@ -542,14 +546,13 @@ class CheckpointIngestService:
         """Startup recovery pass over every registered tenant's namespace.
 
         Reaps torn/orphaned generations per tenant and prunes stale
-        placement records when the shared store is sharded.  Run this on a
-        *fresh* service incarnation before accepting submits.
+        placement records.  Run this on a *fresh* service incarnation
+        before accepting submits.
         """
         reports: dict[str, RecoveryReport] = {}
         for name in self.tenants.names():
             reports[name] = recover(self.view(name), reap=True)
-        if isinstance(self.store, ShardedStore):
-            self.store.prune_placement()
+        self.store.prune_placement()
         return reports
 
     def repair_replication(self) -> dict[str, Any]:
@@ -560,14 +563,6 @@ class CheckpointIngestService:
         units onto their missing replicas (verify-before-trust) and
         retires exactly the debt that was actually repaid.
         """
-        if not isinstance(self.store, ShardedStore):
-            return {
-                "repaired_units": 0,
-                "attempted_units": 0,
-                "keys_copied": 0,
-                "bytes_copied": 0,
-                "remaining_debt": {"units": 0, "missing_copies": 0},
-            }
         from .replication import repair_debt
 
         return repair_debt(self.store)
@@ -582,10 +577,9 @@ class CheckpointIngestService:
             "buffer": self.buffer.stats.as_dict(),
             "tenants": self.tenants.stats(),
             "crashed": self.crashed is not None,
+            "shards": self.store.shard_stats(),
+            "degraded": self.store.degraded,
         }
-        if isinstance(self.store, ShardedStore):
-            out["shards"] = self.store.shard_stats()
-            out["degraded"] = self.store.degraded
         if self.slo is not None:
             out["slo"] = self.slo.status()
         return out
@@ -597,8 +591,7 @@ class CheckpointIngestService:
         first so a scrape always sees current values, not whatever the
         last submit left behind.
         """
-        if isinstance(self.store, ShardedStore):
-            self.store.shard_stats()
+        self.store.shard_stats()
         if self.slo is not None:
             self.slo.export(self._metrics)
         return self._metrics.to_prometheus()

@@ -52,6 +52,7 @@ from ..exceptions import (
 from ..obs.metrics import get_registry
 from ..obs.trace import Span, get_tracer
 from .ingest import CheckpointIngestService
+from .migration import MigrationWorker
 
 __all__ = [
     "ServiceServer",
@@ -338,7 +339,7 @@ class ServiceServer:
             text = await asyncio.to_thread(svc.metrics_text)
             return {"ok": True}, [text.encode("utf-8")]
         if op == "drain":
-            worker = self._migration_worker()
+            worker = MigrationWorker(svc.store)
             summary = await asyncio.to_thread(worker.drain, str(header["shard"]))
             if header.get("remove") and summary["remaining"] == 0:
                 await asyncio.to_thread(
@@ -347,24 +348,13 @@ class ServiceServer:
                 summary = {**summary, "removed": True}
             return {"ok": True, "drain": summary}, ()
         if op == "rebalance":
-            worker = self._migration_worker()
+            worker = MigrationWorker(svc.store)
             summary = await asyncio.to_thread(worker.rebalance)
             return {"ok": True, "rebalance": summary}, ()
         if op == "repair":
             summary = await asyncio.to_thread(svc.repair_replication)
             return {"ok": True, "repair": summary}, ()
         raise FormatError(f"unknown wire op {op!r}")
-
-    def _migration_worker(self):
-        from .migration import MigrationWorker
-        from .sharded import ShardedStore
-
-        store = self.service.store
-        if not isinstance(store, ShardedStore):
-            raise ConfigurationError(
-                "drain/rebalance require a sharded store backend"
-            )
-        return MigrationWorker(store)
 
 
 class ServiceClient:

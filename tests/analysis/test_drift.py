@@ -168,13 +168,6 @@ class TestDriftExperiment:
         )
         assert result.series["proposed"].mean() < result.series["simple"].mean()
 
-    def test_helpers(self):
-        result = error_drift_experiment(
-            heat_factory, 2, 5, {"c": CompressionConfig(n_bins=4)}
-        )
-        assert result.final_errors()["c"] == result.series["c"][-1]
-        assert result.max_errors()["c"] == result.series["c"].max()
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             error_drift_experiment(heat_factory, -1, 5, {"c": CompressionConfig()})

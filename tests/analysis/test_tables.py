@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.tables import format_bytes, render_bars, render_series, render_table
+from repro.analysis.tables import render_bars, render_series, render_table
 from repro.exceptions import ReproError
 
 
@@ -67,16 +67,3 @@ class TestRenderBars:
             render_bars({})
         with pytest.raises(ReproError):
             render_bars({"a": -1.0})
-
-
-class TestFormatBytes:
-    @pytest.mark.parametrize(
-        "n,expected",
-        [(0, "0 B"), (512, "512 B"), (2048, "2 KiB"), (1572864, "1.5 MiB")],
-    )
-    def test_values(self, n, expected):
-        assert format_bytes(n) == expected
-
-    def test_negative(self):
-        with pytest.raises(ReproError):
-            format_bytes(-1)

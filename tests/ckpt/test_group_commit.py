@@ -6,11 +6,11 @@ import pytest
 
 from repro.ckpt.journal import (
     COMMIT_FORMAT_VERSION,
+    CommitMarker,
     GroupSealItem,
     commit_key,
     group_seal,
     is_committed,
-    load_marker,
 )
 from repro.ckpt.manifest import ArrayEntry, CheckpointManifest, array_key
 from repro.ckpt.store import MemoryStore, Store, StoreWrapper
@@ -58,7 +58,8 @@ def test_group_seal_commits_every_generation():
     for step in range(5):
         assert is_committed(store, step)
         # the stored marker matches the one returned
-        assert load_marker(store, step).manifest_crc32 == markers[step].manifest_crc32
+        stored = CommitMarker.from_json(store.get(commit_key(step)))
+        assert stored.manifest_crc32 == markers[step].manifest_crc32
 
 
 def test_exactly_two_barriers_per_batch():

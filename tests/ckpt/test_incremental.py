@@ -89,9 +89,7 @@ class TestRoundtrip:
 class TestChainStructure:
     def test_full_every(self, drifting_arrays):
         store = IncrementalArrayStore(full_every=3)
-        for step, arr in enumerate(drifting_arrays):
-            store.append(step, arr)
-        fulls = [r.is_full for r in store.records()]
+        fulls = [store.append(step, arr).is_full for step, arr in enumerate(drifting_arrays)]
         assert fulls == [True, False, False, True, False, False, True]
 
     def test_chain_length(self, drifting_arrays):

@@ -8,41 +8,27 @@ import numpy as np
 import pytest
 
 from repro.ckpt.interval import (
-    checkpoint_overhead_fraction,
     compare_compression_intervals,
     daly_interval,
     expected_runtime,
     optimal_interval_with_compression,
-    plan_keyframe_interval,
-    temporal_checkpoint_cost,
-    temporal_restart_cost,
-    young_interval,
 )
 from repro.exceptions import ConfigurationError
 
 
-class TestYoung:
-    def test_formula(self):
-        assert young_interval(50.0, 3600.0) == pytest.approx(math.sqrt(2 * 50 * 3600))
-
-    def test_monotone_in_cost(self):
-        assert young_interval(10, 1000) < young_interval(40, 1000)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            young_interval(0, 100)
-        with pytest.raises(ConfigurationError):
-            young_interval(10, -1)
+def young(c: float, m: float) -> float:
+    """Young's first-order optimum ``sqrt(2CM)``, the limit Daly refines."""
+    return math.sqrt(2.0 * c * m)
 
 
 class TestDaly:
     def test_close_to_young_for_small_cost(self):
         c, m = 1.0, 1e6
-        assert daly_interval(c, m) == pytest.approx(young_interval(c, m), rel=1e-2)
+        assert daly_interval(c, m) == pytest.approx(young(c, m), rel=1e-2)
 
     def test_below_young_for_big_cost(self):
         # the -C correction bites when C is non-negligible
-        assert daly_interval(500.0, 3600.0) < young_interval(500.0, 3600.0)
+        assert daly_interval(500.0, 3600.0) < young(500.0, 3600.0)
 
     def test_degenerate_regime(self):
         assert daly_interval(250.0, 100.0) == 100.0  # C >= 2M
@@ -112,20 +98,6 @@ class TestMonteCarloAgreement:
         assert mc == pytest.approx(analytic, rel=0.15)
 
 
-class TestOverheadFraction:
-    def test_formula(self):
-        assert checkpoint_overhead_fraction(100.0, 10.0, 1000.0) == pytest.approx(
-            10 / 100 + 100 / 2000
-        )
-
-    def test_minimized_at_young(self):
-        c, m = 20.0, 2000.0
-        tau_star = young_interval(c, m)
-        best = checkpoint_overhead_fraction(tau_star, c, m)
-        for tau in np.linspace(tau_star / 3, tau_star * 3, 31):
-            assert best <= checkpoint_overhead_fraction(tau, c, m) + 1e-12
-
-
 class TestCompressionCoupling:
     def test_cheaper_checkpoints_mean_shorter_intervals(self):
         tau_without, tau_with = optimal_interval_with_compression(
@@ -165,77 +137,3 @@ class TestCompressionCoupling:
             mtbf=3600.0,
         )
         assert cmp_result.runtime_saving_fraction < 0
-
-
-class TestTemporalCosts:
-    def test_chain_of_one_is_keyframe_only(self):
-        assert temporal_checkpoint_cost(100.0, 5.0, 1) == 100.0
-        assert temporal_restart_cost(40.0, 2.0, 1) == 40.0
-
-    def test_checkpoint_cost_amortizes_toward_delta_cost(self):
-        costs = [temporal_checkpoint_cost(100.0, 5.0, k) for k in (1, 2, 8, 64)]
-        assert costs == sorted(costs, reverse=True)
-        assert costs[-1] > 5.0  # never drops below the delta cost
-
-    def test_restart_cost_grows_with_chain_length(self):
-        costs = [temporal_restart_cost(40.0, 2.0, k) for k in (1, 4, 16)]
-        assert costs == sorted(costs)
-        # k links: keyframe plus (k-1)/2 expected delta replays
-        assert temporal_restart_cost(40.0, 2.0, 5) == 40.0 + 2.0 * 2.0
-
-    def test_base_cost_is_additive(self):
-        assert temporal_restart_cost(40.0, 2.0, 3, base_cost=7.0) == (
-            temporal_restart_cost(40.0, 2.0, 3) + 7.0
-        )
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            temporal_checkpoint_cost(100.0, 5.0, 0)
-        with pytest.raises(ConfigurationError):
-            temporal_checkpoint_cost(100.0, -1.0, 4)
-        with pytest.raises(ConfigurationError):
-            temporal_restart_cost(40.0, -2.0, 4)
-
-
-class TestKeyframePlan:
-    def test_never_loses_to_the_independent_baseline(self):
-        plan = plan_keyframe_interval(1e6, 100.0, 5.0, 3600.0)
-        baseline_tau = daly_interval(100.0, 3600.0)
-        baseline = expected_runtime(1e6, baseline_tau, 100.0, 100.0, 3600.0)
-        assert plan.runtime <= baseline
-
-    def test_cheap_deltas_favor_longer_chains(self):
-        cheap = plan_keyframe_interval(1e6, 100.0, 1.0, 3600.0)
-        dear = plan_keyframe_interval(1e6, 100.0, 99.0, 3600.0)
-        assert cheap.keyframe_every > dear.keyframe_every
-        assert cheap.checkpoint_cost < dear.checkpoint_cost
-
-    def test_equal_costs_degenerate_to_chain_of_one(self):
-        # deltas as expensive as keyframes buy nothing and cost restarts
-        plan = plan_keyframe_interval(1e6, 100.0, 100.0, 3600.0)
-        assert plan.keyframe_every == 1
-
-    def test_plan_is_internally_consistent(self):
-        plan = plan_keyframe_interval(
-            1e6, 100.0, 5.0, 3600.0, base_restart_cost=30.0
-        )
-        k = plan.keyframe_every
-        assert plan.checkpoint_cost == temporal_checkpoint_cost(100.0, 5.0, k)
-        assert plan.restart_cost == temporal_restart_cost(
-            100.0, 5.0, k, 30.0
-        )
-        assert plan.interval == daly_interval(plan.checkpoint_cost, 3600.0)
-
-    def test_respects_max_keyframe_every(self):
-        plan = plan_keyframe_interval(
-            1e6, 100.0, 0.1, 3600.0, max_keyframe_every=4
-        )
-        assert plan.keyframe_every <= 4
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            plan_keyframe_interval(0.0, 100.0, 5.0, 3600.0)
-        with pytest.raises(ConfigurationError):
-            plan_keyframe_interval(1e6, 100.0, -5.0, 3600.0)
-        with pytest.raises(ConfigurationError):
-            plan_keyframe_interval(1e6, 100.0, 5.0, 3600.0, max_keyframe_every=0)

@@ -12,18 +12,15 @@ from repro.ckpt.journal import (
     CommitJournal,
     CommitMarker,
     commit_key,
+    GEN_COMMITTED,
+    classify,
     generation_prefix,
     is_committed,
-    load_marker,
     reap_generation,
 )
 from repro.ckpt.manifest import ArrayEntry, CheckpointManifest, manifest_key
 from repro.ckpt.store import CountingStore, DirectoryStore, MemoryStore, StoreWrapper
-from repro.exceptions import (
-    CheckpointNotFoundError,
-    CommitError,
-    FormatError,
-)
+from repro.exceptions import CommitError, FormatError
 
 
 def _manifest(step: int, payload: bytes = b"x" * 16) -> CheckpointManifest:
@@ -56,16 +53,14 @@ class TestCommitMarker:
             CommitMarker.from_json(blob)
 
     def test_matches_pins_crc_and_length(self):
-        payload = b"manifest-bytes"
-        m = CommitMarker(
-            step=1,
-            manifest_crc32=zlib.crc32(payload) & 0xFFFFFFFF,
-            manifest_bytes=len(payload),
-            n_entries=1,
-        )
-        assert m.matches(payload)
-        assert not m.matches(payload + b"!")
-        assert not m.matches(b"manifest-bytez")
+        store = MemoryStore()
+        CommitJournal(store).begin(1).seal(_manifest(1))
+        sealed = store.get(manifest_key(1))
+        assert classify(store, 1).state == GEN_COMMITTED
+        flipped = sealed[:-1] + bytes([sealed[-1] ^ 1])
+        for damaged in (sealed + b"!", flipped):
+            store.put(manifest_key(1), damaged)
+            assert "does not match" in classify(store, 1).reason
 
 
 class TestCommitProtocol:
@@ -77,7 +72,7 @@ class TestCommitProtocol:
         assert not is_committed(store, 7)  # pending until the marker lands
         marker = txn.seal(_manifest(7, blob))
         assert is_committed(store, 7)
-        assert load_marker(store, 7) == marker
+        assert CommitMarker.from_json(store.get(commit_key(7))) == marker
         # two sync barriers: post-manifest (blobs and manifest durable) and
         # post-marker (the commit durable before seal returns)
         assert store.syncs == 2
@@ -129,7 +124,10 @@ class TestCommitProtocol:
         manifest = _manifest(1)
         txn.put_blob("ckpt/0000000001/a.bin", b"x" * 16)
         marker = txn.seal(manifest)
-        assert marker.matches(store.get(manifest_key(1)))
+        assert classify(store, 1).state == GEN_COMMITTED
+        sealed = store.get(manifest_key(1))
+        assert marker.manifest_crc32 == zlib.crc32(sealed)
+        assert marker.manifest_bytes == len(sealed)
         assert marker.n_entries == 1
         assert marker.step == 1
 
@@ -222,8 +220,7 @@ class TestCommittedPredicate:
         store = MemoryStore()
         store.put(manifest_key(1), _manifest(1).to_json())
         assert not is_committed(store, 1)
-        with pytest.raises(CheckpointNotFoundError):
-            load_marker(store, 1)
+        assert classify(store, 1).reason == "no commit marker was published"
 
     def test_torn_marker_bytes(self):
         store = MemoryStore()

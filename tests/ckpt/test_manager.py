@@ -103,11 +103,9 @@ class TestCheckpointWrite:
         for step in (3, 1, 7):
             manager.checkpoint(step)
         assert manager.steps() == [1, 3, 7]
-        assert manager.latest_step() == 7
 
     def test_empty_store(self, manager):
         assert manager.steps() == []
-        assert manager.latest_step() is None
 
     def test_retention_prunes_oldest(self, registry):
         manager = CheckpointManager(registry, MemoryStore(), retention=2)

@@ -148,7 +148,6 @@ class TestClassification:
         assert (gens[1].state, gens[2].state) == (GEN_COMMITTED, GEN_TORN)
         assert reason in gens[2].reason
         assert mgr.steps() == [1]
-        assert mgr.latest_step() == 1
         assert is_committed(store, 1) and not is_committed(store, 2)
         for read in (mgr.restore, mgr.load_arrays, mgr.verify, mgr.read_manifest):
             with pytest.raises(CheckpointNotFoundError, match=reason):

@@ -82,12 +82,6 @@ class TestStoreContract:
 
 
 class TestMemoryStore:
-    def test_total_bytes(self):
-        store = MemoryStore()
-        store.put("a", b"12345")
-        store.put("b", b"12")
-        assert store.total_bytes == 7
-
     def test_put_copies(self):
         store = MemoryStore()
         data = bytearray(b"abc")
@@ -210,6 +204,21 @@ class TestDirectoryStoreDurability:
         assert flushed_by_put("ckpt/1/a.bin") == [root, ckpt, gen1]
         assert flushed_by_put("ckpt/1/b.bin") == [gen1]
         assert flushed_by_put("ckpt/2/a.bin") == [ckpt, gen2]
+
+    def test_delete_fsyncs_the_parent_directory(self, tmp_path, monkeypatch):
+        """A reap deletes the marker first; that order only protects a
+        power loss if each unlink is durable before the next one starts."""
+        from repro.ckpt import store as store_mod
+
+        store = DirectoryStore(str(tmp_path))
+        store.put("ckpt/1/COMMIT", b"x")
+        synced: list[str] = []
+        monkeypatch.setattr(store_mod, "_fsync_dir", synced.append)
+        store.delete("ckpt/1/COMMIT")
+        assert synced == [os.path.join(store.root, "ckpt", "1")]
+        synced.clear()
+        store.delete("ckpt/1/COMMIT")  # nothing removed, nothing to flush
+        assert synced == []
 
     def test_fsync_dir_is_best_effort(self, tmp_path):
         from repro.ckpt.store import _fsync_dir

@@ -43,21 +43,6 @@ class TestMemoryStoreThreadSafety:
             t.join()
         assert not errors, errors
 
-    def test_total_bytes_consistent_under_churn(self):
-        store = MemoryStore()
-
-        def churn(wid: int) -> None:
-            for i in range(200):
-                store.put(f"w{wid}/{i}", b"x" * 10)
-
-        threads = [threading.Thread(target=churn, args=(w,)) for w in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert store.total_bytes == 4 * 200 * 10
-        assert len(store.list_keys("")) == 800
-
 
 class TestDirectoryStorePrunedListing:
     def test_prefix_scopes_to_subtree(self, tmp_path):

@@ -28,7 +28,7 @@ import pytest
 
 import repro.ckpt.temporal as temporal_module
 from repro.ckpt.manager import CheckpointManager
-from repro.ckpt.protocol import ArrayRegistry
+from repro.ckpt.protocol import ArrayRegistry, registry_from_checkpointable
 from repro.ckpt.store import MemoryStore
 from repro.ckpt.temporal import CODEC_KEYFRAME
 from repro.config import TemporalConfig
@@ -61,18 +61,19 @@ def held_bytes() -> float:
 
 
 class Fields:
-    """Application state behind accessors: the application keeps whatever
-    array a restore hands it, and may change an array's shape."""
+    """Application state behind the ``Checkpointable`` protocol: the
+    application keeps whatever array a restore hands it, and may change an
+    array's shape."""
 
     def __init__(self, **arrays: np.ndarray) -> None:
         self.state = dict(arrays)
-        self.registry = ArrayRegistry()
-        for name in arrays:
-            self.registry.register_accessor(
-                name,
-                lambda name=name: self.state[name],
-                lambda value, name=name: self.state.__setitem__(name, value),
-            )
+        self.registry = registry_from_checkpointable(self)
+
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        return dict(self.state)
+
+    def load_state_arrays(self, arrays) -> None:
+        self.state.update(arrays)
 
 
 def drifting(n_rows: int = 48, seed: int = 3) -> np.ndarray:

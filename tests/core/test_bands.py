@@ -3,14 +3,8 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.core.bands import (
-    band_summary,
-    final_low_shape,
-    high_band_mask,
-    iter_bands,
-)
+from repro.core.bands import final_low_shape, high_band_mask
 from repro.core.wavelet import haar_forward
 
 
@@ -50,60 +44,3 @@ class TestHighBandMask:
         mask = high_band_mask(a.shape, applied)
         np.testing.assert_allclose(coeffs[mask], 0.0, atol=1e-12)
         assert np.all(np.abs(coeffs[~mask]) > 0)
-
-
-class TestIterBands:
-    def test_1d_codes(self):
-        bands = iter_bands((8,), 2)
-        codes = [(b.level, b.code) for b in bands]
-        assert codes == [(1, "H"), (2, "H"), (2, "L")]
-
-    def test_2d_level1_codes(self):
-        bands = iter_bands((8, 8), 1)
-        assert {b.code for b in bands} == {"LH", "HL", "HH", "LL"}
-
-    def test_3d_band_count(self):
-        bands = iter_bands((8, 8, 8), 1)
-        # 2^3 - 1 high bands + final low block
-        assert len(bands) == 8
-
-    def test_sizes_tile_array(self):
-        shape = (12, 7, 3)
-        bands = iter_bands(shape, 2)
-        assert sum(b.size() for b in bands) == np.prod(shape)
-
-    def test_bands_disjoint(self):
-        shape = (8, 6)
-        hit = np.zeros(shape, dtype=int)
-        for b in iter_bands(shape, 2):
-            hit[b.slices] += 1
-        np.testing.assert_array_equal(hit, 1)
-
-    def test_is_low_only_final(self):
-        bands = iter_bands((8, 8), 2)
-        lows = [b for b in bands if b.is_low]
-        assert len(lows) == 1
-        assert lows[0].code == "LL"
-        assert lows[0].shape() == (2, 2)
-
-    def test_short_axis_never_splits(self):
-        bands = iter_bands((8, 1), 1)
-        assert {b.code for b in bands} == {"HL", "LL"}
-
-
-class TestBandSummary:
-    def test_rows_and_stats(self, rng):
-        a = rng.standard_normal((16, 8))
-        coeffs, applied = haar_forward(a, 2)
-        rows = band_summary(coeffs, applied)
-        assert sum(r["size"] for r in rows) == a.size
-        for row in rows:
-            assert row["min"] <= row["mean"] <= row["max"]
-            assert row["std"] >= 0
-
-    def test_high_bands_smaller_than_low_for_smooth(self, smooth2d):
-        coeffs, applied = haar_forward(smooth2d, 2)
-        rows = band_summary(coeffs, applied)
-        low = [r for r in rows if set(r["code"]) <= {"L"}][0]
-        highs = [r for r in rows if not set(r["code"]) <= {"L"}]
-        assert all(abs(r["mean"]) < abs(low["mean"]) for r in highs)

@@ -41,7 +41,7 @@ class TestBoundedQuantize:
 
     def test_empty(self):
         r = bounded_quantize(np.zeros(0), 0.1)
-        assert r.n_total == 0
+        assert r.quantized_mask.size == 0
 
     @pytest.mark.parametrize("bound", [0.0, -1.0])
     def test_validation(self, bound, rng):

@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 import repro
 from repro import CompressionConfig, WaveletCompressor
 from repro.core.lifting import cdf53_forward_axis, cdf53_inverse_axis
-from repro.core.wavelet import available_wavelets, wavelet_forward, wavelet_inverse
+from repro.core.wavelet import wavelet_forward, wavelet_inverse
 from repro.exceptions import CompressionError, ConfigurationError
 
 from .test_wavelet import PEEL_SHAPES, check_peeled_equals_unpeeled, kernel_calls
@@ -77,9 +77,6 @@ class TestMultiLevel:
     def test_unknown_wavelet(self, rng):
         with pytest.raises(CompressionError, match="unknown wavelet"):
             wavelet_forward(rng.standard_normal(8), 1, "db4")
-
-    def test_available(self):
-        assert available_wavelets() == ["cdf53", "haar"]
 
     SETTINGS = settings(max_examples=40, deadline=None)
 

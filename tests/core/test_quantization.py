@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core.quantization import (
-    dequantize,
     detect_spiked_partitions,
     proposed_quantize,
     simple_quantize,
@@ -67,7 +66,7 @@ class TestSimpleQuantize:
 
     def test_empty_input(self):
         r = simple_quantize(np.zeros(0), 4)
-        assert r.n_total == 0
+        assert r.quantized_mask.size == 0
         assert r.indices.size == 0
         assert r.averages.shape == (4,)
 
@@ -183,7 +182,7 @@ class TestProposedQuantize:
 
     def test_empty(self):
         r = proposed_quantize(np.zeros(0), 8, 64)
-        assert r.n_total == 0 and r.n_quantized == 0
+        assert r.quantized_mask.size == 0 and r.n_quantized == 0
 
     def test_indices_align_with_mask_order(self, rng):
         v = spiked_values(rng)
@@ -193,22 +192,3 @@ class TestProposedQuantize:
     def test_rejects_non_finite(self):
         with pytest.raises(CompressionError):
             proposed_quantize(np.array([np.nan, 1.0]), 4, 8)
-
-
-class TestDequantize:
-    def test_applies_averages(self, rng):
-        v = rng.standard_normal(100)
-        r = simple_quantize(v, 4)
-        out = dequantize(r, v)
-        np.testing.assert_allclose(out, r.averages[r.indices])
-
-    def test_preserves_unquantized(self, rng):
-        v = spiked_values(rng)
-        r = proposed_quantize(v, 4, 64)
-        out = dequantize(r, v)
-        np.testing.assert_array_equal(out[~r.quantized_mask], v[~r.quantized_mask])
-
-    def test_shape_mismatch(self, rng):
-        r = simple_quantize(rng.standard_normal(10), 4)
-        with pytest.raises(CompressionError):
-            dequantize(r, rng.standard_normal(11))

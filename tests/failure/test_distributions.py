@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.failure.distributions import ExponentialFailures, WeibullFailures
+from repro.failure.distributions import ExponentialFailures
 
 
 class TestExponential:
@@ -31,34 +31,6 @@ class TestExponential:
             ExponentialFailures(-5.0)
 
 
-class TestWeibull:
-    def test_mean_matches_request(self):
-        dist = WeibullFailures(100.0, shape=0.7)
-        rng = np.random.default_rng(0)
-        samples = [dist.sample(rng) for _ in range(20000)]
-        assert np.mean(samples) == pytest.approx(100.0, rel=0.1)
-
-    def test_shape1_equals_exponential_statistics(self):
-        dist = WeibullFailures(50.0, shape=1.0)
-        rng = np.random.default_rng(0)
-        samples = np.array([dist.sample(rng) for _ in range(10000)])
-        # exponential: std == mean
-        assert samples.std() == pytest.approx(samples.mean(), rel=0.1)
-
-    def test_small_shape_clusters(self):
-        """shape < 1 has heavier tails and more short gaps -> larger CV."""
-        rng = np.random.default_rng(0)
-        w = WeibullFailures(100.0, shape=0.5)
-        samples = np.array([w.sample(rng) for _ in range(20000)])
-        assert samples.std() / samples.mean() > 1.5
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            WeibullFailures(-1.0)
-        with pytest.raises(ConfigurationError):
-            WeibullFailures(10.0, shape=0.0)
-
-
 class TestFailureTimes:
     def test_within_horizon_sorted(self):
         dist = ExponentialFailures(10.0)
@@ -76,9 +48,3 @@ class TestFailureTimes:
     def test_deterministic_by_seed(self):
         dist = ExponentialFailures(5.0)
         assert dist.failure_times(50.0, rng=7) == dist.failure_times(50.0, rng=7)
-
-    def test_iter_times_monotone(self):
-        dist = ExponentialFailures(1.0)
-        it = dist.iter_times(rng=0)
-        times = [next(it) for _ in range(10)]
-        assert all(a < b for a, b in zip(times, times[1:]))

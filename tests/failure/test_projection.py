@@ -7,7 +7,6 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.failure.projection import (
     efficiency_at,
-    efficiency_sweep,
     mtbf_at_scale,
 )
 
@@ -19,7 +18,7 @@ class TestEfficiency:
 
     def test_degrades_as_mtbf_shrinks(self):
         """The paper's Section I argument in one assertion."""
-        sweep = efficiency_sweep([86400.0, 7200.0, 1800.0, 600.0], 60.0, 120.0)
+        sweep = [efficiency_at(m, 60.0, 120.0) for m in (86400.0, 7200.0, 1800.0, 600.0)]
         effs = [p.efficiency for p in sweep]
         assert all(a > b for a, b in zip(effs, effs[1:]))
 

@@ -41,25 +41,11 @@ class TestTiming:
 
 
 class TestCadence:
-    def test_min_interval_is_drain_time(self, model):
-        assert model.min_checkpoint_interval(10**8) == pytest.approx(0.1)
-
-    def test_stall_below_drain_floor(self, model):
-        nbytes = 10**8
-        relaxed = model.effective_blocking_cost(nbytes, interval_seconds=1.0)
-        pressed = model.effective_blocking_cost(nbytes, interval_seconds=0.05)
-        assert relaxed == pytest.approx(nbytes / 10e9)
-        assert pressed == pytest.approx(nbytes / 10e9 + (0.1 - 0.05))
-
-    def test_interval_validation(self, model):
-        with pytest.raises(ConfigurationError):
-            model.effective_blocking_cost(10, 0.0)
-
     def test_compression_relaxes_the_drain_floor(self, model):
-        """The composition claim: 19 % of the bytes -> 19 % of the minimum
-        checkpoint interval."""
-        raw = model.min_checkpoint_interval(10**9)
-        compressed = model.min_checkpoint_interval(0.19 * 10**9)
+        """The composition claim: 19 % of the bytes -> 19 % of the drain,
+        the floor under the checkpoint interval."""
+        raw = model.checkpoint_timing(10**9).drain_seconds
+        compressed = model.checkpoint_timing(0.19 * 10**9).drain_seconds
         assert compressed == pytest.approx(0.19 * raw)
 
 

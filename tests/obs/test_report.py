@@ -11,7 +11,6 @@ from repro.obs import (
     JsonlSink,
     TraceReport,
     get_tracer,
-    load_trace,
     render_tree,
 )
 
@@ -35,10 +34,6 @@ class TestFromJsonl:
         breakdown = report.stage_breakdown()
         assert list(breakdown)[: len(STAGES)] == list(STAGES)
         assert all(v >= 0 for v in breakdown.values())
-
-    def test_load_trace_shorthand(self, tmp_path, smooth2d):
-        report = load_trace(_compress_trace(tmp_path, smooth2d))
-        assert report.span_count() > 0
 
     def test_rejects_span_without_name(self, tmp_path):
         path = tmp_path / "bad.jsonl"

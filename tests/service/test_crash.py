@@ -44,14 +44,16 @@ def _registry() -> TenantRegistry:
     return TenantRegistry([TenantSpec(t) for t in TENANTS])
 
 
-def _sharded(tmp_path, n=3) -> ShardedStore:
-    return ShardedStore(
-        {
-            f"s{i}": DirectoryStore(str(tmp_path / f"s{i}"), durability="batch")
-            for i in range(n)
-        },
-        placement=DirectoryStore(str(tmp_path / "placement")),
-    )
+def _sharded(tmp_path, n=3, plan: FaultPlan | None = None) -> ShardedStore:
+    """Three batch-durability shards; with ``plan``, every shard acts it
+    out (one shared operation counter across them)."""
+    shards = {
+        f"s{i}": DirectoryStore(str(tmp_path / f"s{i}"), durability="batch")
+        for i in range(n)
+    }
+    if plan is not None:
+        shards = {sid: FaultInjectingStore(s, plan) for sid, s in shards.items()}
+    return ShardedStore(shards, placement=DirectoryStore(str(tmp_path / "placement")))
 
 
 async def _ingest_until_crash(service, n_steps=8):
@@ -102,9 +104,10 @@ def _check_invariants(tmp_path, acked):
 def test_crash_sweep_sequential(tmp_path, crash_op, mode):
     async def run():
         plan = FaultPlan(schedule=[(crash_op, mode)])
-        store = FaultInjectingStore(_sharded(tmp_path), plan)
         service = CheckpointIngestService(
-            store, _registry(), ServiceConfig(drain_workers=1, max_batch=4)
+            _sharded(tmp_path, plan=plan),
+            _registry(),
+            ServiceConfig(drain_workers=1, max_batch=4),
         )
         async with service:
             acked, crashed = await _ingest_until_crash(service, n_steps=4)
@@ -124,9 +127,8 @@ def test_crash_mid_concurrent_batch(tmp_path):
     survive it (the sweep covers a crash before any ack)."""
 
     async def run():
-        store = FaultInjectingStore(_sharded(tmp_path), FaultPlan())
         service = CheckpointIngestService(
-            store, _registry(), ServiceConfig(max_batch=32)
+            _sharded(tmp_path, plan=FaultPlan()), _registry(), ServiceConfig(max_batch=32)
         )
         acked = set()
 
@@ -141,7 +143,9 @@ def test_crash_mid_concurrent_batch(tmp_path):
             await one(TENANTS[0], 0)
             assert acked == {(TENANTS[0], 0)}
             # 60 store operations after that ack, inside the concurrent batch
-            store.plan = FaultPlan(schedule=[(60, CRASH_BEFORE)])
+            crash = FaultPlan(schedule=[(60, CRASH_BEFORE)])
+            for shard in service.store.shards.values():
+                shard.plan = crash
             await asyncio.gather(
                 *[one(t, s) for s in range(8) for t in TENANTS if (t, s) != (TENANTS[0], 0)]
             )
@@ -162,9 +166,8 @@ def test_crash_between_commit_barriers_keeps_marked_generations(tmp_path):
         # many puts happen per generation (2 blobs + manifest + marker +
         # placement records); crash deep enough that some markers landed
         plan = FaultPlan(schedule=[(38, CRASH_BEFORE)])
-        store = FaultInjectingStore(_sharded(tmp_path), plan)
         service = CheckpointIngestService(
-            store, _registry(), ServiceConfig(drain_workers=1)
+            _sharded(tmp_path, plan=plan), _registry(), ServiceConfig(drain_workers=1)
         )
         async with service:
             acked, _ = await _ingest_until_crash(service, n_steps=6)

@@ -13,6 +13,7 @@ from repro.ckpt.store import DirectoryStore, MemoryStore, StoreWrapper
 from repro.config import ServiceConfig
 from repro.exceptions import (
     CommitError,
+    ConfigurationError,
     QuotaExceededError,
     ServiceUnavailableError,
     StorageError,
@@ -37,11 +38,19 @@ def _registry(**quotas) -> TenantRegistry:
 
 
 def _service(store=None, registry=None, **kw) -> CheckpointIngestService:
+    """A service over one shard: ``store`` (a fresh ``MemoryStore`` by
+    default) behind a ``ShardedStore``."""
+    shard = store if store is not None else MemoryStore()
     return CheckpointIngestService(
-        store if store is not None else MemoryStore(),
+        ShardedStore({"s0": shard}, placement=MemoryStore()),
         registry if registry is not None else _registry(),
         **kw,
     )
+
+
+def test_service_needs_a_sharded_store():
+    with pytest.raises(ConfigurationError, match="needs a ShardedStore, got MemoryStore"):
+        CheckpointIngestService(MemoryStore(), _registry())
 
 
 def test_submit_commits_and_restores_bit_identically():

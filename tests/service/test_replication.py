@@ -256,7 +256,9 @@ class TestManifestFailsOverLikeABlob:
         # ... and both replicas hold the manifest the marker seals again
         marker = CommitMarker.from_json(store.get("tenants/a/" + commit_key(1)))
         for sid in store.replicas_for(mkey):
-            assert marker.matches(shards[sid].inner.get(mkey))
+            shards[sid].inner.get_verified(
+                mkey, marker.manifest_crc32, marker.manifest_bytes
+            )
 
     def test_manifest_corrupt_on_every_replica_is_still_torn_and_reaped(self):
         service, store, shards = self._acked()

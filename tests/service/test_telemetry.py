@@ -43,7 +43,7 @@ def _registry(**quotas) -> TenantRegistry:
 
 def _service(store=None, registry=None, **kw) -> CheckpointIngestService:
     return CheckpointIngestService(
-        store if store is not None else MemoryStore(),
+        store if store is not None else _sharded(1),
         registry if registry is not None else _registry(),
         **kw,
     )

@@ -19,6 +19,7 @@ from repro.service import (
     CheckpointIngestService,
     ServiceClient,
     ServiceServer,
+    ShardedStore,
     TenantRegistry,
     TenantSpec,
 )
@@ -27,7 +28,7 @@ from repro.service.wire import _pack_blobs, _unpack_blobs, _write_message
 
 def _service() -> CheckpointIngestService:
     return CheckpointIngestService(
-        MemoryStore(),
+        ShardedStore({"s0": MemoryStore()}, placement=MemoryStore()),
         TenantRegistry(
             [TenantSpec("alice", byte_quota=10_000), TenantSpec("bob")]
         ),
@@ -386,8 +387,6 @@ class TestClientTimeouts:
 
 class TestAdminOps:
     def _sharded_service(self):
-        from repro.service import ShardedStore
-
         shards = {f"s{i}": MemoryStore() for i in range(3)}
         store = ShardedStore(shards, placement=MemoryStore(), replication=2)
         svc = CheckpointIngestService(
@@ -443,25 +442,6 @@ class TestAdminOps:
                 assert summary["remaining_debt"]["units"] == 0
 
         self._run_sharded(go)
-
-    def test_admin_ops_refused_on_unsharded_backend(self):
-        from repro.exceptions import ConfigurationError
-
-        async def go(sock, svc):
-            async with ServiceClient(sock) as client:
-                with pytest.raises(
-                    ConfigurationError, match="sharded store backend"
-                ):
-                    await client.rebalance()
-                with pytest.raises(
-                    ConfigurationError, match="sharded store backend"
-                ):
-                    await client.drain("s0")
-                # the connection survives the refusal
-                assert await client.ping()
-
-        _run_with_server(go)
-
 
 class TestMetricsOp:
     def test_metrics_op_serves_prometheus_text(self):

@@ -69,7 +69,7 @@ class TestRestore:
     def test_no_fallback_fails_with_diagnosis(self, ckpt_dir, tmp_path, capsys):
         _corrupt(ckpt_dir, 3)
         out_npz = tmp_path / "state.npz"
-        rc = main(["restore", str(ckpt_dir), str(out_npz), "--no-fallback"])
+        rc = main(["restore", str(ckpt_dir), str(out_npz), "--fallback", "0"])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
