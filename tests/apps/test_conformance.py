@@ -8,6 +8,8 @@ lossless and lossy configurations, and (4) stay finite over a long run.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,34 @@ APP_FACTORIES = {
     "nbody": lambda: NBodyProxy(n_particles=24, seed=9),
     "shallow-water": lambda: ShallowWaterProxy(shape=(16, 16), seed=9),
 }
+
+
+#: sha256 over ``name:dtype:shape`` and the bytes of every state array, in
+#: name order, after three steps of the factory's app.  The physics
+#: constants of each app shape these bytes, so a constant that changes
+#: value shows here.  ``ClimateProxy``'s trajectory is pinned by the store
+#: digests of ``tests/ckpt/test_manager_pipeline.py``.
+TRAJECTORY_SHA256 = {
+    "advection": "fff2ce9c925448a547e103c59da9ea65951008ee06357d5825ac35fbd29b40ae",
+    "heat": "cf1ef3c17fe845cd0dc103dee1e9bcb226d0c96f3efb739690b12ee91a437114",
+    "nbody": "c140656e322ade80bbdfd13c528f85616a3ffd13a0cfccea73171191d318e37f",
+    "shallow-water": "10164df8eda0a4aa60f0d2f6113d3cf10ff2d510e6d137f9dde6fb5925ac9dec",
+}
+
+
+def state_sha256(app) -> str:
+    digest = hashlib.sha256()
+    for name, value in sorted(app.state_arrays().items()):
+        value = np.ascontiguousarray(value)
+        digest.update(f"{name}:{value.dtype.str}:{value.shape}".encode())
+        digest.update(value.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(TRAJECTORY_SHA256))
+def test_trajectory_is_pinned(name):
+    app = run_steps(APP_FACTORIES[name](), 3)
+    assert state_sha256(app) == TRAJECTORY_SHA256[name]
 
 
 @pytest.fixture(params=sorted(APP_FACTORIES), ids=sorted(APP_FACTORIES))
