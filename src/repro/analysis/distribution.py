@@ -81,13 +81,15 @@ def high_band_distribution(
     )
 
 
-def render_histogram(
-    dist: BandDistribution, *, width: int = 50, max_rows: int = 24
-) -> str:
+#: Characters in a full-height row of :func:`render_histogram`.
+HISTOGRAM_WIDTH = 50
+
+
+def render_histogram(dist: BandDistribution, *, max_rows: int = 24) -> str:
     """Text rendering of the Fig. 4 distribution (one row per partition
     group, spiked partitions marked with ``*``)."""
-    if width < 1 or max_rows < 1:
-        raise ReproError("width and max_rows must be >= 1")
+    if max_rows < 1:
+        raise ReproError("max_rows must be >= 1")
     d = dist.counts.size
     group = max(1, int(np.ceil(d / max_rows)))
     peak = max(1, int(dist.counts.max()))
@@ -98,7 +100,7 @@ def render_histogram(
         spiked = bool(dist.spiked[start:stop].any())
         lo = dist.edges[start]
         hi = dist.edges[stop]
-        bar = "#" * max(0, round(width * count / (peak * group)))
+        bar = "#" * max(0, round(HISTOGRAM_WIDTH * count / (peak * group)))
         marker = "*" if spiked else " "
         lines.append(f"[{lo:+10.3e}, {hi:+10.3e}) {marker} {bar} {count}")
     lines.append(

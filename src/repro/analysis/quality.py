@@ -29,7 +29,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from ..config import CompressionConfig, TemporalConfig
+from ..config import TemporalConfig
 from ..core.errors import rmse, value_range
 from ..core.pipeline import WaveletCompressor
 from ..ckpt.temporal import TemporalEngine
@@ -152,17 +152,13 @@ class QualityReport:
         }
 
 
-def assess(
-    original: np.ndarray, decompressed: np.ndarray, *, max_lag: int = 8
-) -> QualityReport:
+def assess(original: np.ndarray, decompressed: np.ndarray) -> QualityReport:
     """Score ``decompressed`` against ``original`` on all four axes."""
     return QualityReport(
         psnr_db=psnr(original, decompressed),
         max_abs_error=max_pointwise_error(original, decompressed),
         spectral_distortion=spectral_distortion(original, decompressed),
-        autocorrelation_distortion=autocorrelation_distortion(
-            original, decompressed, max_lag=max_lag
-        ),
+        autocorrelation_distortion=autocorrelation_distortion(original, decompressed),
     )
 
 
@@ -286,7 +282,6 @@ def rate_distortion_sweep(
     generations: int = 8,
     steps_per_generation: int = 2,
     temporal: TemporalConfig | None = None,
-    max_lag: int = 8,
 ) -> list[AppSweepResult]:
     """Sweep every app x bound cell through both compression arms.
 
@@ -328,13 +323,7 @@ def rate_distortion_sweep(
                     blob = compressor.compress(arr)
                     ind_stored += len(blob)
                     ind_key += 1
-                    ind_reports.append(
-                        assess(
-                            arr,
-                            WaveletCompressor.decompress(blob),
-                            max_lag=max_lag,
-                        )
-                    )
+                    ind_reports.append(assess(arr, WaveletCompressor.decompress(blob)))
                     encoded = engine.encode(name, arr, gen)
                     t_stored += len(encoded.blob)
                     if encoded.is_keyframe:
@@ -347,7 +336,7 @@ def rate_distortion_sweep(
                 for name, arr in fields.items():
                     recon = engine.committed_recon(name)
                     assert recon is not None
-                    t_reports.append(assess(arr, recon, max_lag=max_lag))
+                    t_reports.append(assess(arr, recon))
                 floors.append(_psnr_floor(list(fields.values()), eb))
             results.append(
                 AppSweepResult(

@@ -78,10 +78,13 @@ def render_series(
     return render_table(headers, rows, floatfmt=floatfmt, title=title)
 
 
+#: Characters in the longest bar of :func:`render_bars`.
+BAR_WIDTH = 40
+
+
 def render_bars(
     values: Mapping[str, float],
     *,
-    width: int = 40,
     unit: str = "",
     title: str | None = None,
 ) -> str:
@@ -94,6 +97,6 @@ def render_bars(
     label_width = max(len(k) for k in values)
     lines = [title] if title else []
     for key, val in values.items():
-        bar = "#" * max(0, round(width * val / peak))
+        bar = "#" * max(0, round(BAR_WIDTH * val / peak))
         lines.append(f"{key.ljust(label_width)}  {bar} {val:.4g}{unit}")
     return "\n".join(lines)

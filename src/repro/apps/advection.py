@@ -23,44 +23,30 @@ __all__ = ["AdvectionProxy"]
 class AdvectionProxy:
     """``dq/dt + v . grad(q) = 0`` with constant ``v``, upwind, periodic.
 
+    Upwinding is stable for the CFL number ``sum(|v_ax|) * DT < 1``; the
+    constants give 0.6.
+
     Parameters
     ----------
     shape:
         3D grid shape.
     seed:
         Seed of the initial smooth scalar field.
-    velocity:
-        Per-axis velocities; CFL requires ``sum(|v_ax|) * dt < 1``.
-    dt:
-        Time step.
     """
 
-    def __init__(
-        self,
-        shape: tuple[int, int, int] = (64, 32, 8),
-        seed: int = 0,
-        *,
-        velocity: tuple[float, float, float] = (0.8, 0.3, 0.1),
-        dt: float = 0.5,
-    ) -> None:
+    #: Per-axis velocities, all non-negative (upwind differences look back).
+    VELOCITY = (0.8, 0.3, 0.1)
+    #: Time step.
+    DT = 0.5
+
+    def __init__(self, shape: tuple[int, int, int] = (64, 32, 8), seed: int = 0) -> None:
         shape = tuple(int(s) for s in shape)
         if len(shape) != 3 or any(s < 2 for s in shape):
             raise ConfigurationError(
                 f"AdvectionProxy needs a 3D shape with axes >= 2, got {shape}"
             )
-        if len(velocity) != 3:
-            raise ConfigurationError("velocity must have one component per axis")
-        if dt <= 0:
-            raise ConfigurationError("dt must be positive")
-        cfl = sum(abs(float(v)) for v in velocity) * dt
-        if cfl >= 1.0:
-            raise ConfigurationError(
-                f"CFL number {cfl:.3f} violates upwind stability (< 1)"
-            )
         self.shape = shape
         self.seed = int(seed)
-        self.velocity = tuple(float(v) for v in velocity)
-        self.dt = float(dt)
         self.step_index = 0
         self.scalar = smooth_field(
             shape, np.random.default_rng(self.seed), amplitude=1.0, offset=2.0
@@ -69,12 +55,9 @@ class AdvectionProxy:
     def step(self) -> None:
         q = self.scalar
         dq = np.zeros_like(q)
-        for ax, v in enumerate(self.velocity):
-            if v >= 0:
-                dq -= v * (q - np.roll(q, 1, axis=ax))
-            else:
-                dq -= v * (np.roll(q, -1, axis=ax) - q)
-        self.scalar = q + self.dt * dq
+        for ax, v in enumerate(self.VELOCITY):
+            dq -= v * (q - np.roll(q, 1, axis=ax))
+        self.scalar = q + self.DT * dq
         self.step_index += 1
 
     def total_mass(self) -> float:

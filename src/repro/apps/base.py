@@ -8,7 +8,7 @@ drive any of them interchangeably.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Mapping, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Mapping, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -52,11 +52,9 @@ def run_with_checkpoints(
     *,
     total_steps: int,
     interval: int,
-    final: bool = True,
-    app_meta: Mapping[str, Any] | None = None,
 ) -> list[int]:
     """Step ``app`` to ``total_steps``, committing a checkpoint every
-    ``interval`` steps (and at the final step when ``final`` is set).
+    ``interval`` steps and at the final step.
 
     Restart-aware: the app may already be mid-run (restored from a
     committed generation), and steps whose generation is already committed
@@ -72,9 +70,9 @@ def run_with_checkpoints(
     while app.step_index < total_steps:
         app.step()
         s = int(app.step_index)
-        due = s % interval == 0 or (final and s == total_steps)
+        due = s % interval == 0 or s == total_steps
         if due and not is_committed(manager.store, s):
-            manager.checkpoint(s, app_meta)
+            manager.checkpoint(s)
             written.append(s)
     return written
 

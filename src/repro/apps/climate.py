@@ -80,41 +80,29 @@ class ClimateProxy:
         forcing both derive from it, so two instances holding identical
         state arrays and step counters evolve identically -- the property
         restart experiments rely on.
-    dt:
-        Nondimensional step size; the default keeps the CFL number of the
-        strongest winds comfortably below 1/2.
-    diffusion:
-        Horizontal/vertical diffusivity of temperature and winds.
-    nonlinearity:
-        Scales the self-advection of the horizontal wind (the term that
-        makes lossy-restart perturbations grow instead of decay); 0
-        degenerates to a linear, strongly damped model.
-    forcing_amplitude:
-        Amplitude (kelvin per unit time) of the diurnal heating wave.
-    noise_amplitude:
-        Amplitude of the per-step stochastic forcing (identical for a
-        given (seed, step), hence replayed exactly after restart).
-    diurnal_period:
-        Steps per forcing cycle; the paper's NICAM steps 1200 s, so 72
-        steps make one simulated day.
-    chaos:
-        Strength of the Lorenz-63 modulation of the heating (0 disables
-        the chaotic coupling entirely; restart perturbations then decay).
     """
 
-    def __init__(
-        self,
-        shape: tuple[int, int, int] = NICAM_SHAPE,
-        seed: int = 0,
-        *,
-        dt: float = 0.02,
-        diffusion: float = 0.08,
-        nonlinearity: float = 1.0,
-        forcing_amplitude: float = 1.5,
-        noise_amplitude: float = 0.02,
-        diurnal_period: int = 72,
-        chaos: float = 1.0,
-    ) -> None:
+    #: Nondimensional step size; keeps the CFL number of the strongest
+    #: winds comfortably below 1/2, and ``DIFFUSION * DT`` below the
+    #: explicit stability bound of 1/4.
+    DT = 0.02
+    #: Horizontal/vertical diffusivity of temperature and winds.
+    DIFFUSION = 0.08
+    #: Scales the self-advection of the horizontal wind (the term that
+    #: makes lossy-restart perturbations grow instead of decay).
+    NONLINEARITY = 1.0
+    #: Amplitude (kelvin per unit time) of the diurnal heating wave.
+    FORCING_AMPLITUDE = 1.5
+    #: Amplitude of the per-step stochastic forcing (identical for a given
+    #: (seed, step), hence replayed exactly after restart).
+    NOISE_AMPLITUDE = 0.02
+    #: Steps per forcing cycle; the paper's NICAM steps 1200 s, so 72
+    #: steps make one simulated day.
+    DIURNAL_PERIOD = 72
+    #: Strength of the Lorenz-63 modulation of the heating.
+    CHAOS = 1.0
+
+    def __init__(self, shape: tuple[int, int, int] = NICAM_SHAPE, seed: int = 0) -> None:
         shape = tuple(int(s) for s in shape)
         if len(shape) != 3:
             raise ConfigurationError(f"ClimateProxy needs a 3D shape, got {shape}")
@@ -122,28 +110,8 @@ class ClimateProxy:
             raise ConfigurationError(
                 f"grid too small for the stencils: {shape} (need >= (4, 2, 1))"
             )
-        if dt <= 0:
-            raise ConfigurationError(f"dt must be positive, got {dt}")
-        if diffusion < 0 or forcing_amplitude < 0 or noise_amplitude < 0:
-            raise ConfigurationError("physical coefficients must be >= 0")
-        if diffusion * dt >= 0.25:
-            raise ConfigurationError(
-                f"diffusion * dt = {diffusion * dt:.3f} violates the explicit "
-                "stability bound (< 0.25)"
-            )
-        if diurnal_period < 1:
-            raise ConfigurationError(f"diurnal_period must be >= 1, got {diurnal_period}")
         self.shape = shape
         self.seed = int(seed)
-        self.dt = float(dt)
-        self.diffusion = float(diffusion)
-        self.nonlinearity = float(nonlinearity)
-        self.forcing_amplitude = float(forcing_amplitude)
-        self.noise_amplitude = float(noise_amplitude)
-        self.diurnal_period = int(diurnal_period)
-        if chaos < 0:
-            raise ConfigurationError(f"chaos must be >= 0, got {chaos}")
-        self.chaos = float(chaos)
         self.step_index = 0
         # Lorenz-63 modulator, started on the attractor.
         self.modulator = np.array([1.0, 1.0, 25.0], dtype=np.float64)
@@ -182,7 +150,7 @@ class ClimateProxy:
         x = np.linspace(0.0, 2.0 * np.pi, self.shape[0], endpoint=False)
         z = np.linspace(0.0, np.pi, self.shape[1])
         pattern = np.cos(k * x + phase)[:, None, None] * np.cos(z + vert_phase)[None, :, None]
-        return self.noise_amplitude * pattern
+        return self.NOISE_AMPLITUDE * pattern
 
     #: Lorenz time advanced per application step; sets the divergence rate
     #: of lossy-restart trajectories (e-folding ~ 1 / (0.9 * dt) steps).
@@ -216,7 +184,7 @@ class ClimateProxy:
 
     def step(self) -> None:
         """Advance one time step (upwind advection, explicit diffusion)."""
-        dt = self.dt
+        dt = self.DT
         u, v, w = self.wind_u, self.wind_v, self.wind_w
         T, p = self.temperature, self.pressure
 
@@ -226,17 +194,17 @@ class ClimateProxy:
         signal = float(np.mean(anomaly * self._heating_pattern))
         self._advance_modulator(signal)
 
-        phase = 2.0 * np.pi * self.step_index / self.diurnal_period
-        modulation = 1.0 + self.chaos * (self.modulator[0] / 10.0)
+        phase = 2.0 * np.pi * self.step_index / self.DIURNAL_PERIOD
+        modulation = 1.0 + self.CHAOS * (self.modulator[0] / 10.0)
         heating = (
-            self.forcing_amplitude * np.sin(phase) * modulation
+            self.FORCING_AMPLITUDE * np.sin(phase) * modulation
             * self._heating_pattern
         )
         noise = self._step_noise()
 
         dT = (
             -u * _ddx(T)
-            + self.diffusion * _laplacian(T)
+            + self.DIFFUSION * _laplacian(T)
             + heating
             + noise
             - 0.005 * (T - self._t_base)
@@ -245,28 +213,28 @@ class ClimateProxy:
         # for typical winds but caps strongly forced gusts below the
         # central-difference stability limit u < sqrt(2 kappa / dt).
         du = (
-            -self.nonlinearity * u * _upwind_ddx(u, u)
+            -self.NONLINEARITY * u * _upwind_ddx(u, u)
             - 0.02 * _ddx(p)
             + 0.05 * _ddx(T)
-            + self.diffusion * _laplacian(u)
+            + self.DIFFUSION * _laplacian(u)
             - 0.01 * u
             - 0.02 * u * u * u
         )
         dv = (
-            -self.nonlinearity * u * _ddx(v)
-            + self.diffusion * _laplacian(v)
+            -self.NONLINEARITY * u * _ddx(v)
+            + self.DIFFUSION * _laplacian(v)
             - 0.01 * v
         )
         dw = (
-            -self.nonlinearity * u * _ddx(w)
+            -self.NONLINEARITY * u * _ddx(w)
             + 0.01 * (T - self._t_base)
-            + self.diffusion * _laplacian(w)
+            + self.DIFFUSION * _laplacian(w)
             - 0.02 * w
         )
         dp = (
             -10.0 * _ddx(u)
             - u * _ddx(p)
-            + self.diffusion * _laplacian(p)
+            + self.DIFFUSION * _laplacian(p)
             - 0.02 * (p - self._p_base)
         )
 

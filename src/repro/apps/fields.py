@@ -32,6 +32,12 @@ __all__ = [
 #: levels x 2 (inner/outer halo slabs), ~1.5 MB per double array.
 NICAM_SHAPE = (1156, 82, 2)
 
+#: Cosine modes :func:`smooth_field` sums.
+SMOOTH_MODES = 6
+#: Largest per-axis wavenumber :func:`smooth_field` draws; small values
+#: mean smoother fields.
+MAX_WAVENUMBER = 4
+
 
 def as_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
     """Coerce a seed or Generator into a Generator."""
@@ -51,21 +57,15 @@ def smooth_field(
     shape: tuple[int, ...],
     rng: int | np.random.Generator | None = None,
     *,
-    modes: int = 6,
-    max_wavenumber: int = 4,
     amplitude: float = 1.0,
     offset: float = 0.0,
     noise: float = 0.0,
 ) -> np.ndarray:
-    """Superposition of random low-wavenumber cosine modes.
+    """Superposition of :data:`SMOOTH_MODES` random cosine modes, per-axis
+    wavenumbers drawn from ``[0, MAX_WAVENUMBER]``.
 
     Parameters
     ----------
-    modes:
-        Number of cosine modes summed.
-    max_wavenumber:
-        Per-axis wavenumbers are drawn from ``[0, max_wavenumber]``; small
-        values mean smoother fields.
     amplitude, offset:
         The field is scaled to roughly ``offset +- amplitude``.
     noise:
@@ -74,14 +74,10 @@ def smooth_field(
     """
     shape = _check_shape(shape)
     gen = as_rng(rng)
-    if modes < 1:
-        raise ConfigurationError(f"modes must be >= 1, got {modes}")
-    if max_wavenumber < 0:
-        raise ConfigurationError(f"max_wavenumber must be >= 0, got {max_wavenumber}")
     coords = [np.linspace(0.0, 1.0, s, endpoint=False) for s in shape]
     out = np.zeros(shape, dtype=np.float64)
-    for _ in range(modes):
-        k = gen.integers(0, max_wavenumber + 1, size=len(shape))
+    for _ in range(SMOOTH_MODES):
+        k = gen.integers(0, MAX_WAVENUMBER + 1, size=len(shape))
         phase = gen.uniform(0.0, 2.0 * np.pi)
         weight = gen.uniform(0.3, 1.0)
         arg = np.zeros(shape, dtype=np.float64)

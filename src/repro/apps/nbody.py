@@ -40,32 +40,20 @@ class NBodyProxy:
     seed:
         Seed of the initial phase-space distribution (a virialised-ish
         Plummer-like blob).
-    dt:
-        Leapfrog time step.
-    softening:
-        Plummer softening length; keeps close encounters bounded.
-    g_constant:
-        Gravitational constant in simulation units.
     """
 
-    def __init__(
-        self,
-        n_particles: int = 256,
-        seed: int = 0,
-        *,
-        dt: float = 0.005,
-        softening: float = 0.05,
-        g_constant: float = 1.0,
-    ) -> None:
+    #: Leapfrog time step.
+    DT = 0.005
+    #: Plummer softening length; keeps close encounters bounded.
+    SOFTENING = 0.05
+    #: Gravitational constant in simulation units.
+    G = 1.0
+
+    def __init__(self, n_particles: int = 256, seed: int = 0) -> None:
         if n_particles < 2:
             raise ConfigurationError(f"need >= 2 particles, got {n_particles}")
-        if dt <= 0 or softening <= 0 or g_constant <= 0:
-            raise ConfigurationError("dt, softening and g_constant must be positive")
         self.n = int(n_particles)
         self.seed = int(seed)
-        self.dt = float(dt)
-        self.softening = float(softening)
-        self.g = float(g_constant)
         self.step_index = 0
 
         rng = np.random.default_rng(self.seed)
@@ -81,19 +69,19 @@ class NBodyProxy:
     def _accelerations(self, pos: np.ndarray) -> np.ndarray:
         # pairwise displacements r_ij = x_j - x_i, shape (n, n, 3)
         disp = pos[None, :, :] - pos[:, None, :]
-        dist2 = np.sum(disp * disp, axis=-1) + self.softening**2
+        dist2 = np.sum(disp * disp, axis=-1) + self.SOFTENING**2
         inv_r3 = dist2 ** (-1.5)
         np.fill_diagonal(inv_r3, 0.0)
         # a_i = G * sum_j m_j r_ij / |r_ij|^3
-        return self.g * np.einsum("ij,ijk,j->ik", inv_r3, disp, self.masses)
+        return self.G * np.einsum("ij,ijk,j->ik", inv_r3, disp, self.masses)
 
     def step(self) -> None:
         """One kick-drift-kick leapfrog step."""
         acc = self._accelerations(self.positions)
-        v_half = self.velocities + 0.5 * self.dt * acc
-        self.positions = self.positions + self.dt * v_half
+        v_half = self.velocities + 0.5 * self.DT * acc
+        self.positions = self.positions + self.DT * v_half
         acc_new = self._accelerations(self.positions)
-        self.velocities = v_half + 0.5 * self.dt * acc_new
+        self.velocities = v_half + 0.5 * self.DT * acc_new
         self.step_index += 1
 
     # -- diagnostics ---------------------------------------------------------
@@ -109,9 +97,9 @@ class NBodyProxy:
             np.sum(self.masses * np.sum(self.velocities**2, axis=-1))
         )
         disp = self.positions[None, :, :] - self.positions[:, None, :]
-        dist = np.sqrt(np.sum(disp * disp, axis=-1) + self.softening**2)
+        dist = np.sqrt(np.sum(disp * disp, axis=-1) + self.SOFTENING**2)
         mm = self.masses[:, None] * self.masses[None, :]
-        potential = -0.5 * self.g * float(
+        potential = -0.5 * self.G * float(
             np.sum(np.triu(mm / dist, k=1)) * 2.0
         )
         return kinetic + potential

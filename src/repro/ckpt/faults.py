@@ -162,10 +162,8 @@ class FaultPlan:
       of the commit protocol; :meth:`from_distribution` builds one from a
       failure-time distribution.  Each placement fires at most once.
 
-    The two modes are mutually exclusive.  ``max_faults`` bounds the total
-    number of injections in either mode (``None`` = unbounded).  One plan
-    may drive several injecting stores: they then share its operation
-    counter.
+    The two modes are mutually exclusive.  One plan may drive several
+    injecting stores: they then share its operation counter.
     """
 
     def __init__(
@@ -174,7 +172,6 @@ class FaultPlan:
         seed: int = 0,
         rates: Mapping[str, float] | None = None,
         schedule: Iterable[tuple[int, str]] | None = None,
-        max_faults: int | None = None,
     ) -> None:
         if rates is not None and schedule is not None:
             raise ConfigurationError(
@@ -198,10 +195,6 @@ class FaultPlan:
                     f"scheduled op index must be >= 0, got {op_index}"
                 )
             self._schedule[int(op_index)] = kind
-        if max_faults is not None and max_faults < 0:
-            raise ConfigurationError(f"max_faults must be >= 0, got {max_faults}")
-        self.max_faults = max_faults
-        self.injected = 0
         #: index of the last decided operation (-1 before any)
         self.op_index = -1
 
@@ -211,29 +204,24 @@ class FaultPlan:
         dist: FailureDistribution,
         *,
         horizon_ops: int,
-        op_cost_sec: float = 1.0,
         kinds: tuple[str, ...] = FAULT_KINDS,
         seed: int = 0,
-        max_faults: int | None = None,
     ) -> "FaultPlan":
         """Convert a failure-time distribution into a per-operation schedule.
 
-        Each store operation advances a simulated clock by ``op_cost_sec``;
-        a failure at time ``t`` hits operation ``floor(t / op_cost_sec)``.
-        The fault kind at each hit is drawn uniformly from ``kinds``
-        (pass :data:`CRASH_KINDS` for process deaths).
+        Each store operation advances a simulated clock by one time unit
+        (the distribution's MTBF is in operations); a failure at time
+        ``t`` hits operation ``floor(t)``.  The fault kind at each hit is
+        drawn uniformly from ``kinds`` (pass :data:`CRASH_KINDS` for
+        process deaths).
         """
         if horizon_ops < 0:
             raise ConfigurationError(f"horizon_ops must be >= 0, got {horizon_ops}")
-        if op_cost_sec <= 0:
-            raise ConfigurationError(f"op_cost_sec must be > 0, got {op_cost_sec}")
         _check_kinds(kinds, FAULT_KINDS + CRASH_KINDS)
         rng = np.random.default_rng(seed)
-        times = dist.failure_times(horizon_ops * op_cost_sec, rng)
-        schedule = [
-            (int(t // op_cost_sec), str(rng.choice(kinds))) for t in times
-        ]
-        return cls(seed=seed, schedule=schedule, max_faults=max_faults)
+        times = dist.failure_times(float(horizon_ops), rng)
+        schedule = [(int(t), str(rng.choice(kinds))) for t in times]
+        return cls(seed=seed, schedule=schedule)
 
     # -- decision ----------------------------------------------------------
 
@@ -246,8 +234,6 @@ class FaultPlan:
         """
         self.op_index += 1
         hit: str | None = self._schedule.pop(self.op_index, None)
-        if self.max_faults is not None and self.injected >= self.max_faults:
-            return None
         if hit is not None and not _eligible(hit, op):
             hit = None
         if self._rates:
@@ -257,8 +243,6 @@ class FaultPlan:
                 if rate and _eligible(kind, op) and draws[kind] < rate:
                     hit = kind
                     break
-        if hit is not None:
-            self.injected += 1
         return hit
 
     def position(self, n: int) -> int:
@@ -461,7 +445,6 @@ class ShardStormPlan:
         seed: int = 0,
         duration: float = 2.0,
         storms: int = 4,
-        kinds: tuple[str, ...] = STORM_KINDS,
         rate: float = 0.5,
         delay: float = 0.001,
         clock=None,
@@ -469,12 +452,11 @@ class ShardStormPlan:
         shard_ids = sorted(shards)
         if not shard_ids:
             raise ConfigurationError("a storm plan needs at least one shard")
-        _check_kinds(kinds, STORM_KINDS, "storm")
         rng = np.random.default_rng(seed)
         windows = []
         for _ in range(int(storms)):
             shard = str(rng.choice(shard_ids))
-            kind = str(rng.choice(list(kinds)))
+            kind = str(rng.choice(list(STORM_KINDS)))
             start = float(rng.uniform(0.0, duration * 0.6))
             length = float(rng.uniform(duration * 0.1, duration * 0.4))
             windows.append(

@@ -56,10 +56,10 @@ class DeltaRecord:
 class IncrementalArrayStore:
     """Chain of full + delta checkpoints of one array.
 
+    Every full image and delta is deflated with :data:`CODEC`.
+
     Parameters
     ----------
-    codec:
-        Lossless codec applied to every full image and delta.
     differencer:
         ``"xor"`` or ``"subtract"``.
     full_every:
@@ -68,9 +68,11 @@ class IncrementalArrayStore:
         paper raises about incremental schemes.
     """
 
+    #: Lossless codec applied to every full image and delta.
+    CODEC = "zlib"
+
     def __init__(
         self,
-        codec: str = "zlib",
         differencer: str = "xor",
         full_every: int = 8,
     ) -> None:
@@ -80,7 +82,7 @@ class IncrementalArrayStore:
             )
         if full_every < 1:
             raise CheckpointError(f"full_every must be >= 1, got {full_every}")
-        self.codec = get_codec(codec)
+        self.codec = get_codec(self.CODEC)
         self.differencer = differencer
         self.full_every = full_every
         self._blobs: list[tuple[DeltaRecord, bytes]] = []
@@ -183,9 +185,9 @@ class IncrementalArrayStore:
             current = self._apply_delta(current, self.codec.decompress(payload))
         return current.copy()
 
-    def chain_length(self, step: int | None = None) -> int:
-        """Number of stored images a restore of ``step`` must read."""
-        idx = self._index_of(step)
+    def chain_length(self) -> int:
+        """Number of stored images a restore of the newest step must read."""
+        idx = self._index_of(None)
         start = idx
         while not self._blobs[start][0].is_full:
             start -= 1

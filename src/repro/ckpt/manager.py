@@ -977,24 +977,16 @@ class CheckpointManager:
             chain.append((gen, entry, blobs[name]))
         return chain[::-1]
 
-    def load_arrays(
-        self,
-        step: int,
-        *,
-        repair: bool | None = None,
-        manifest: CheckpointManifest | None = None,
-    ) -> dict[str, np.ndarray]:
+    def load_arrays(self, step: int) -> dict[str, np.ndarray]:
         """Decode every array of checkpoint ``step`` after verifying CRCs.
 
-        ``repair`` controls parity reconstruction of corrupt-or-missing
-        blobs, of this generation and of every ancestor its delta chains
-        run through; the default (``None``) enables it per generation,
-        exactly when that generation's manifest carries parity groups, so
-        parity-enabled checkpoints heal transparently and plain ones keep
-        failing fast.  A caller that has already read the step's
-        ``manifest`` passes it in.
+        Parity reconstruction of corrupt-or-missing blobs, of this
+        generation and of every ancestor its delta chains run through, is
+        enabled per generation exactly when that generation's manifest
+        carries parity groups, so parity-enabled checkpoints heal
+        transparently and plain ones keep failing fast.
         """
-        return self._load(step, repair, manifest, None)[0]
+        return self._load(step, None, None, None)[0]
 
     def _links(
         self,

@@ -38,6 +38,12 @@ _T = TypeVar("_T")
 class RetryPolicy:
     """Bounded exponential backoff with deterministic jitter.
 
+    Each delay is ``base_delay * MULTIPLIER**retry``, capped at
+    ``MAX_DELAY``, plus a fraction drawn uniformly from
+    ``[0, JITTER * delay)`` that decorrelates concurrent retriers; the
+    jitter RNG is seeded with ``SEED``, so test runs and the CI fault
+    matrix reproduce exactly.
+
     Parameters
     ----------
     max_attempts:
@@ -45,25 +51,19 @@ class RetryPolicy:
         retry).  Bounded by construction -- there is no retry-forever mode.
     base_delay:
         Sleep before the first retry, in seconds.
-    multiplier:
-        Backoff factor between consecutive retries.
-    max_delay:
-        Cap on any single sleep.
-    jitter:
-        Fraction of each delay drawn uniformly from ``[0, jitter * delay)``
-        and added, decorrelating concurrent retriers.  Deterministic under
-        ``seed``.
-    seed:
-        Seed of the jitter RNG; ``None`` draws fresh entropy (production),
-        an int reproduces exactly (tests, CI fault matrix).
     """
+
+    #: Backoff factor between consecutive retries.
+    MULTIPLIER = 2.0
+    #: Cap on any single sleep, in seconds.
+    MAX_DELAY = 2.0
+    #: Largest jitter, as a fraction of the delay it is added to.
+    JITTER = 0.1
+    #: Seed of the jitter RNG.
+    SEED = 0
 
     max_attempts: int = knob(3, int, ge=1)
     base_delay: float = knob(0.05, float, ge=0)
-    multiplier: float = knob(2.0, float, ge=1)
-    max_delay: float = knob(2.0, float, ge=0)
-    jitter: float = knob(0.1, float, ge=0, le=1)
-    seed: int | None = knob(0, int, optional=True)
 
     def __post_init__(self) -> None:
         validate_knobs(self)
@@ -72,10 +72,9 @@ class RetryPolicy:
         """The sleep before each retry (length ``max_attempts - 1``)."""
         out = []
         for attempt in range(self.max_attempts - 1):
-            delay = min(self.base_delay * self.multiplier**attempt, self.max_delay)
-            if self.jitter:
-                delay += float(rng.random()) * self.jitter * delay
-            out.append(min(delay, self.max_delay))
+            delay = min(self.base_delay * self.MULTIPLIER**attempt, self.MAX_DELAY)
+            delay += float(rng.random()) * self.JITTER * delay
+            out.append(min(delay, self.MAX_DELAY))
         return out
 
 
@@ -102,7 +101,7 @@ class ResilientStore(StoreWrapper):
         super().__init__(inner)
         self.policy = policy if policy is not None else RetryPolicy()
         self._sleep = sleep
-        self._rng = np.random.default_rng(self.policy.seed)
+        self._rng = np.random.default_rng(RetryPolicy.SEED)
         self.retries = 0
         self.giveups = 0
         self.slept_seconds = 0.0

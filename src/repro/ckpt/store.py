@@ -473,7 +473,7 @@ class LatencyStore(StoreWrapper):
     cost physical so wall-clock benchmarks of the ingest service measure
     honest ratios on media (tmpfs, CI runners) whose own barriers are
     nearly free.  Each
-    operation sleeps ``op latency + nbytes / bandwidth``; ``sync`` sleeps
+    operation sleeps ``nbytes / bandwidth``; ``sync`` sleeps
     ``sync_latency`` -- the device write-barrier cost whose amortization
     is exactly what the group-commit path buys.
 
@@ -485,27 +485,22 @@ class LatencyStore(StoreWrapper):
         self,
         inner: Store,
         *,
-        op_latency_sec: float = 0.0,
         sync_latency_sec: float = 0.0,
         bandwidth_bytes_per_sec: float | None = None,
     ) -> None:
-        if op_latency_sec < 0 or sync_latency_sec < 0:
-            raise StorageError(
-                f"latencies must be >= 0, got op={op_latency_sec}, "
-                f"sync={sync_latency_sec}"
-            )
+        if sync_latency_sec < 0:
+            raise StorageError(f"sync latency must be >= 0, got {sync_latency_sec}")
         if bandwidth_bytes_per_sec is not None and bandwidth_bytes_per_sec <= 0:
             raise StorageError(
                 f"bandwidth must be positive, got {bandwidth_bytes_per_sec}"
             )
         super().__init__(inner)
-        self.op_latency = float(op_latency_sec)
         self.sync_latency = float(sync_latency_sec)
         self.bandwidth = bandwidth_bytes_per_sec
         self.slept_seconds = 0.0
 
     def _after(self, op: str, nbytes: int) -> None:
-        cost = self.sync_latency if op == "sync" else self.op_latency
+        cost = self.sync_latency if op == "sync" else 0.0
         if self.bandwidth is not None:
             cost += nbytes / self.bandwidth
         if cost > 0:

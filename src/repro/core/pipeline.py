@@ -112,12 +112,9 @@ class CompressionStats:
 
     # -- metrics-registry bridge ------------------------------------------
 
-    def to_metrics(self, registry=None, prefix: str = "pipeline") -> None:
-        """Fold this call's stats into a metrics registry (the global one
-        by default)."""
-        (registry if registry is not None else get_registry()).observe_stats(
-            self, prefix
-        )
+    def to_metrics(self) -> None:
+        """Fold this call's stats into the global metrics registry."""
+        get_registry().observe_stats(self)
 
 
 class WaveletCompressor:

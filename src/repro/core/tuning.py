@@ -27,6 +27,9 @@ __all__ = [
 
 _METRICS = {"mean": mean_relative_error, "max": max_relative_error}
 
+#: The paper's power-of-two division numbers, in the order they are tried.
+CANDIDATES = (1, 2, 4, 8, 16, 32, 64, 128, 256)
+
 
 @dataclass(frozen=True)
 class TuningResult:
@@ -57,14 +60,14 @@ def tune_division_number(
     tolerance: float,
     *,
     metric: str = "mean",
-    base: CompressionConfig | None = None,
-    candidates: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256),
+    base: CompressionConfig,
 ) -> TuningResult:
     """Smallest division number ``n`` whose error meets ``tolerance``.
 
-    Sweeps the paper's power-of-two candidates in increasing order (larger
-    ``n`` monotonically reduces error but worsens the rate, Figs. 7-8) and
-    returns the first satisfying configuration.
+    Sweeps :data:`CANDIDATES` in increasing order (larger ``n``
+    monotonically reduces error but worsens the rate, Figs. 7-8) and
+    returns the first satisfying configuration: ``base`` with that
+    ``n_bins``.
 
     Raises
     ------
@@ -75,18 +78,17 @@ def tune_division_number(
         raise TuningError(f"metric must be one of {sorted(_METRICS)}, got {metric!r}")
     if tolerance <= 0:
         raise TuningError(f"tolerance must be positive, got {tolerance}")
-    cfg = base if base is not None else CompressionConfig()
     evaluations = 0
     last_err = float("inf")
-    for n in candidates:
-        candidate = cfg.replace(n_bins=n)
+    for n in CANDIDATES:
+        candidate = base.replace(n_bins=n)
         err, rate = _evaluate(arr, candidate, metric)
         evaluations += 1
         last_err = err
         if err <= tolerance:
             return TuningResult(candidate, err, tolerance, rate, evaluations)
     raise TuningError(
-        f"no division number in {candidates} meets {metric} relative error "
+        f"no division number in {CANDIDATES} meets {metric} relative error "
         f"<= {tolerance} (best achieved {last_err:.3g}); consider the "
         "proposed quantizer, deeper wavelet levels, or a lossless codec"
     )
@@ -97,7 +99,6 @@ def tune_for_tolerance(
     tolerance: float,
     *,
     metric: str = "mean",
-    base: CompressionConfig | None = None,
 ) -> TuningResult:
     """Best-rate configuration across both quantizers meeting ``tolerance``.
 
@@ -105,13 +106,12 @@ def tune_for_tolerance(
     error at a slightly worse rate, Figs. 7-8) and returns whichever
     satisfying configuration compresses harder.
     """
-    cfg = base if base is not None else CompressionConfig()
     best: TuningResult | None = None
     total_evals = 0
     for quantizer in (QUANTIZER_PROPOSED, QUANTIZER_SIMPLE):
         try:
             result = tune_division_number(
-                arr, tolerance, metric=metric, base=cfg.replace(quantizer=quantizer)
+                arr, tolerance, metric=metric, base=CompressionConfig(quantizer=quantizer)
             )
         except TuningError:
             continue

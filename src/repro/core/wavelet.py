@@ -177,10 +177,7 @@ def _axis_transforms(wavelet: str):
 
 
 def _resolve_scratch(
-    scratch: np.ndarray | None,
-    ref: np.ndarray,
-    source: np.ndarray,
-    error_cls: type,
+    scratch: np.ndarray | None, ref: np.ndarray, source: np.ndarray
 ) -> np.ndarray:
     """The per-call ping-pong buffer: caller-provided (reusable across
     calls of the same shape) or one fresh allocation."""
@@ -188,12 +185,12 @@ def _resolve_scratch(
         return np.empty_like(ref)
     s = np.asarray(scratch)
     if s.shape != ref.shape or s.dtype != ref.dtype:
-        raise error_cls(
+        raise CompressionError(
             f"scratch must be a {ref.dtype} array of shape {ref.shape}, "
             f"got {s.dtype} {s.shape}"
         )
     if np.may_share_memory(s, ref) or np.may_share_memory(s, source):
-        raise error_cls("scratch must not share memory with the input array")
+        raise CompressionError("scratch must not share memory with the input array")
     return s
 
 
@@ -277,7 +274,7 @@ def wavelet_forward(
     if applied == 0:
         return np.array(a, dtype=np.float64, copy=True), applied
     out = np.empty(a.shape, dtype=np.float64)
-    buf = _resolve_scratch(scratch, out, a, CompressionError)
+    buf = _resolve_scratch(scratch, out, a)
     source = np.asarray(a, dtype=np.float64)  # view when already float64
     region = a.shape
     for level in range(applied):
@@ -309,12 +306,8 @@ def wavelet_inverse(
     wavelet: str = "haar",
     *,
     copy: bool = True,
-    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Invert :func:`wavelet_forward` given the recorded level count.
-
-    ``scratch`` follows the same contract as in :func:`wavelet_forward`.
-    """
+    """Invert :func:`wavelet_forward` given the recorded level count."""
     _, inverse_axis = _axis_transforms(wavelet)
     a = np.asarray(coeffs, dtype=np.float64)
     if a.ndim == 0:
@@ -330,7 +323,7 @@ def wavelet_inverse(
     out = np.array(a, copy=True) if copy else a
     if applied_levels == 0:
         return out
-    buf = _resolve_scratch(scratch, out, a, DecompressionError)
+    buf = np.empty_like(out)
     regions = level_shapes(a.shape, applied_levels)
     for region in reversed(regions):
         sl = tuple(slice(0, s) for s in region)

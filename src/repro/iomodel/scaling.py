@@ -70,7 +70,6 @@ def estimate_point(
     breakdown: PhaseBreakdown,
     storage: StorageModel = PAPER_PFS,
     *,
-    per_process_bytes: int | None = None,
     rate_fraction: float | None = None,
 ) -> ScalingPoint:
     """Estimate checkpoint times at one parallelism.
@@ -78,19 +77,16 @@ def estimate_point(
     Parameters
     ----------
     breakdown:
-        Measured per-process compression cost (constant in ``parallelism``).
-    per_process_bytes:
-        Uncompressed checkpoint bytes per process; defaults to the
-        breakdown's measured array, falling back to the paper's 1.5 MB.
+        Measured per-process compression cost (constant in ``parallelism``)
+        and uncompressed checkpoint bytes per process (the paper's 1.5 MB
+        when it measured none).
     rate_fraction:
         Compression rate as a fraction; defaults to the breakdown's
         measured rate.
     """
     if parallelism < 1:
         raise ConfigurationError(f"parallelism must be >= 1, got {parallelism}")
-    nbytes = per_process_bytes
-    if nbytes is None:
-        nbytes = breakdown.per_process_bytes or PAPER_PER_PROCESS_BYTES
+    nbytes = breakdown.per_process_bytes or PAPER_PER_PROCESS_BYTES
     rate = rate_fraction
     if rate is None:
         rate = breakdown.compression_rate_percent / 100.0
@@ -115,41 +111,23 @@ def estimate_series(
     parallelisms: tuple[int, ...] | list[int],
     breakdown: PhaseBreakdown,
     storage: StorageModel = PAPER_PFS,
-    *,
-    per_process_bytes: int | None = None,
-    rate_fraction: float | None = None,
 ) -> list[ScalingPoint]:
     """Fig. 9's x-axis sweep."""
-    return [
-        estimate_point(
-            p,
-            breakdown,
-            storage,
-            per_process_bytes=per_process_bytes,
-            rate_fraction=rate_fraction,
-        )
-        for p in parallelisms
-    ]
+    return [estimate_point(p, breakdown, storage) for p in parallelisms]
 
 
 def crossover_parallelism(
     breakdown: PhaseBreakdown,
     storage: StorageModel = PAPER_PFS,
-    *,
-    per_process_bytes: int | None = None,
-    rate_fraction: float | None = None,
 ) -> float:
     """Parallelism beyond which compression wins (paper: ~768 processes).
 
     Solves ``C + rate * B * P / W = B * P / W`` for ``P``:
-    ``P* = C * W / (B * (1 - rate))``.
+    ``P* = C * W / (B * (1 - rate))``, with the breakdown's measured rate
+    and bytes.
     """
-    nbytes = per_process_bytes
-    if nbytes is None:
-        nbytes = breakdown.per_process_bytes or PAPER_PER_PROCESS_BYTES
-    rate = rate_fraction
-    if rate is None:
-        rate = breakdown.compression_rate_percent / 100.0
+    nbytes = breakdown.per_process_bytes or PAPER_PER_PROCESS_BYTES
+    rate = breakdown.compression_rate_percent / 100.0
     if not 0 < rate < 1:
         raise ConfigurationError(
             f"rate fraction must be in (0, 1) for a crossover, got {rate}"

@@ -507,26 +507,27 @@ class MetricsRegistry:
 
     # -- pipeline integration ----------------------------------------------
 
-    def observe_stats(self, stats: Any, prefix: str = "pipeline") -> None:
+    def observe_stats(self, stats: Any) -> None:
         """Fold one :class:`~repro.core.pipeline.CompressionStats` into the
-        registry (the typed-stats <-> registry bridge).
+        registry's ``pipeline.*`` series (the typed-stats <-> registry
+        bridge).
         """
-        self.counter(f"{prefix}.calls").inc()
-        self.counter(f"{prefix}.bytes_in").inc(stats.original_bytes)
-        self.counter(f"{prefix}.bytes_out").inc(stats.compressed_bytes)
-        self.counter(f"{prefix}.formatted_bytes").inc(stats.formatted_bytes)
-        self.counter(f"{prefix}.coefficients").inc(stats.n_coefficients)
-        self.counter(f"{prefix}.quantized").inc(stats.n_quantized)
+        self.counter("pipeline.calls").inc()
+        self.counter("pipeline.bytes_in").inc(stats.original_bytes)
+        self.counter("pipeline.bytes_out").inc(stats.compressed_bytes)
+        self.counter("pipeline.formatted_bytes").inc(stats.formatted_bytes)
+        self.counter("pipeline.coefficients").inc(stats.n_coefficients)
+        self.counter("pipeline.quantized").inc(stats.n_quantized)
         for key, seconds in stats.timings.items():
-            self.counter(f"{prefix}.stage.{key}.seconds").inc(max(0.0, seconds))
-        self.histogram(f"{prefix}.seconds").observe(stats.total_compression_seconds)
+            self.counter(f"pipeline.stage.{key}.seconds").inc(max(0.0, seconds))
+        self.histogram("pipeline.seconds").observe(stats.total_compression_seconds)
         if stats.n_coefficients:
-            self.histogram(f"{prefix}.quantized_fraction").observe(
+            self.histogram("pipeline.quantized_fraction").observe(
                 stats.quantized_fraction
             )
         mb_s = stats.backend_mb_s
         if mb_s == mb_s and mb_s not in (float("inf"), float("-inf")):  # finite
-            self.histogram(f"{prefix}.backend_mb_s").observe(mb_s)
+            self.histogram("pipeline.backend_mb_s").observe(mb_s)
 
 
 _PROM_BAD = re.compile(r"[^a-zA-Z0-9_:]")

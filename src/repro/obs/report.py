@@ -23,6 +23,8 @@ from .trace import Span
 __all__ = ["TraceReport", "render_tree"]
 
 _BAR_WIDTH = 40
+#: Children of one span :func:`render_tree` shows before eliding the rest.
+MAX_CHILDREN = 12
 
 
 def _as_span_dict(span: Any) -> dict[str, Any]:
@@ -206,9 +208,9 @@ class TraceReport:
             return False
         return any(s.get("span_id") == parent for s in self.spans)
 
-    def render_tree(self, max_children: int = 12) -> str:
+    def render_tree(self) -> str:
         """Indented span tree (see :func:`render_tree`)."""
-        return render_tree(self.spans, max_children=max_children)
+        return render_tree(self.spans)
 
     def render_metrics(self) -> str:
         """Flat metric lines from the trace's metrics snapshots."""
@@ -250,12 +252,12 @@ class TraceReport:
         }
 
 
-def render_tree(spans: Iterable[Any], *, max_children: int = 12) -> str:
+def render_tree(spans: Iterable[Any]) -> str:
     """Render spans as an indented forest, children sorted by start time.
 
     Spans whose parent is absent from the set (or ``None``) are roots.
-    Sibling lists longer than ``max_children`` are elided with a count so
-    a 1000-chunk stream stays readable.
+    Sibling lists longer than :data:`MAX_CHILDREN` are elided with a count
+    so a 1000-chunk stream stays readable.
     """
     span_dicts = [_as_span_dict(s) for s in spans]
     by_id = {s["span_id"]: s for s in span_dicts if s.get("span_id")}
@@ -283,7 +285,7 @@ def render_tree(spans: Iterable[Any], *, max_children: int = 12) -> str:
             f"{extra}  [pid {pid}]"
         )
         kids = children.get(span.get("span_id"), [])
-        shown = kids if len(kids) <= max_children else kids[:max_children]
+        shown = kids[:MAX_CHILDREN]
         for kid in shown:
             _walk(kid, depth + 1)
         if len(kids) > len(shown):

@@ -17,8 +17,9 @@ Health is judged over *multiple* windows (the multiwindow burn-rate
 alert from the SRE workbook): a short window with a high threshold
 catches fast burns without paging on ancient history, a long window with
 a lower threshold catches slow leaks without paging on blips.  The
-tracker only reports **burning** (unhealthy) when every configured
-window exceeds its threshold; a subset burning reports **warn**.
+tracker only reports **burning** (unhealthy) when every window of
+:data:`DEFAULT_BURN_WINDOWS` exceeds its threshold; a subset burning
+reports **warn**.
 
 Counting is bucketed by wall-clock second in a small dict, so
 :meth:`SLOTracker.record` is O(1) and the memory bound is the longest
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Sequence
+from typing import Any
 
 from ..exceptions import ConfigurationError
 
@@ -60,9 +61,6 @@ class SLOTracker:
     objective:
         Target good fraction in ``(0, 1)``; ``1 - objective`` is the
         error budget.
-    windows:
-        ``(seconds, max_burn_rate)`` pairs; unhealthy only when every
-        window burns past its threshold.
     histogram:
         Optional latency :class:`~repro.obs.metrics.Histogram` whose
         p50/p95/p99 are included in :meth:`status` (the "evaluated from
@@ -76,7 +74,6 @@ class SLOTracker:
         *,
         latency_threshold_seconds: float = 1.0,
         objective: float = 0.995,
-        windows: Sequence[tuple[float, float]] = DEFAULT_BURN_WINDOWS,
         histogram: Any = None,
         clock=time.monotonic,
     ) -> None:
@@ -89,22 +86,11 @@ class SLOTracker:
             raise ConfigurationError(
                 f"objective must be in (0, 1), got {objective!r}"
             )
-        if not windows:
-            raise ConfigurationError("at least one burn window is required")
-        for seconds, burn in windows:
-            if not seconds > 0 or not burn > 0:
-                raise ConfigurationError(
-                    f"burn windows need positive seconds and rate, "
-                    f"got ({seconds!r}, {burn!r})"
-                )
         self.latency_threshold_seconds = float(latency_threshold_seconds)
         self.objective = float(objective)
-        self.windows = tuple(
-            (float(s), float(b)) for s, b in windows
-        )
         self.histogram = histogram
         self._clock = clock
-        self._horizon = max(s for s, _ in self.windows)
+        self._horizon = max(s for s, _ in DEFAULT_BURN_WINDOWS)
         self._lock = threading.Lock()
         self._buckets: dict[int, list[int]] = {}  # second -> [good, bad]
         self.good = 0
@@ -165,7 +151,7 @@ class SLOTracker:
         """
         windows = []
         burning = 0
-        for seconds, max_burn in self.windows:
+        for seconds, max_burn in DEFAULT_BURN_WINDOWS:
             rate = self.burn_rate(seconds)
             hot = rate >= max_burn
             burning += hot
@@ -202,16 +188,16 @@ class SLOTracker:
             }
         return out
 
-    def export(self, registry: Any, prefix: str = "service.slo") -> None:
+    def export(self, registry: Any) -> None:
         """Mirror the verdict into gauges so scrapes see it.
 
-        ``<prefix>.healthy`` is 1/0, ``<prefix>.burn_rate{window=...}``
+        ``service.slo.healthy`` is 1/0, ``service.slo.burn_rate{window=...}``
         one gauge per window -- the Prometheus face of :meth:`status`.
         """
         status = self.status()
-        registry.gauge(f"{prefix}.healthy").set(1.0 if status["healthy"] else 0.0)
-        registry.gauge(f"{prefix}.error_rate").set(status["error_rate"])
+        registry.gauge("service.slo.healthy").set(1.0 if status["healthy"] else 0.0)
+        registry.gauge("service.slo.error_rate").set(status["error_rate"])
         for window in status["windows"]:
             registry.gauge(
-                f"{prefix}.burn_rate", window=f"{window['seconds']:g}s"
+                "service.slo.burn_rate", window=f"{window['seconds']:g}s"
             ).set(window["burn_rate"])

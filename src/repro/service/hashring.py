@@ -48,16 +48,11 @@ class HashRing:
     ----------
     shard_ids:
         Initial shard names (order-insensitive: the ring is a pure
-        function of the *set* of ids and ``vnodes``).
-    vnodes:
-        Virtual nodes per shard; more vnodes -> smoother spread, larger
-        ring.
+        function of the *set* of ids).  Each shard owns
+        :data:`DEFAULT_VNODES` virtual nodes.
     """
 
-    def __init__(self, shard_ids: list[str] | tuple[str, ...], *, vnodes: int = DEFAULT_VNODES) -> None:
-        if not isinstance(vnodes, int) or isinstance(vnodes, bool) or vnodes < 1:
-            raise ConfigurationError(f"vnodes must be an int >= 1, got {vnodes!r}")
-        self.vnodes = vnodes
+    def __init__(self, shard_ids: list[str] | tuple[str, ...]) -> None:
         self._points: list[int] = []  # sorted vnode hashes
         self._owner: dict[int, str] = {}  # vnode hash -> shard id
         self._shards: set[str] = set()
@@ -81,7 +76,7 @@ class HashRing:
         if shard_id in self._shards:
             raise ConfigurationError(f"shard {shard_id!r} is already on the ring")
         self._shards.add(shard_id)
-        for v in range(self.vnodes):
+        for v in range(DEFAULT_VNODES):
             point = stable_hash(f"{shard_id}#{v}")
             if self._owner.setdefault(point, shard_id) != shard_id:
                 continue  # 64-bit collision: first owner keeps the point

@@ -83,7 +83,6 @@ class ReplicationDebt:
         with self._lock:
             self._owed.setdefault(unit, set()).update(missing)
             self._refresh_gauge()
-        get_registry().counter("service.degraded_writes").inc()
 
     def resolve(self, unit: str, repaired: list[str] | set[str] | None = None) -> None:
         """Retire ``repaired`` shards of ``unit``'s debt (all when None)."""

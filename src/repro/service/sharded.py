@@ -267,40 +267,48 @@ class ShardedStore(Store):
         probes = [sid for sid in sorted(self.shards) if sid not in candidates]
         return candidates, probes
 
-    def placement_map(self, prefix: str = "") -> dict[str, list[str]]:
-        """Persisted ``{unit: [replica ids]}`` records under ``prefix``.
-
-        ``placement_map(f"tenants/{name}")`` is one tenant's map -- the
-        record of where every one of its generations lives.
-        """
+    def placement_map(self) -> dict[str, list[str]]:
+        """Every persisted ``{unit: [replica ids]}`` record: where each
+        generation of every tenant lives."""
         out: dict[str, list[str]] = {}
-        for key in self.placement.list_keys(_PLACEMENT_PREFIX + prefix):
+        for key in self.placement.list_keys(_PLACEMENT_PREFIX):
             unit = key[len(_PLACEMENT_PREFIX):]
             out[unit] = decode_replicas(self.placement.get(key))
         return out
 
     def prune_placement(self) -> int:
         """Drop placement records whose unit no longer holds any object
-        (generations reaped by recovery or retention); returns removals.
+        (generations reaped by recovery or retention), and rebuild the
+        replication-debt ledger from what is left; returns removals.
 
         :meth:`delete` already retires a unit's record when its last key
-        goes, so this pass only catches records orphaned out-of-band --
-        crash debris, or keys reaped directly on a backend store.
+        goes, so the pruning only catches records orphaned out-of-band --
+        crash debris, or keys reaped directly on a backend store.  The
+        ledger lives in memory, so a restarted service would otherwise
+        forget the copies its predecessor's degraded writes still owe: a
+        recorded replica that holds fewer of the unit's keys than another
+        recorded replica is recorded as owing them, and so is one that
+        cannot be listed; a unit with such a replica is never dropped.
         """
         removed = 0
         for unit, replicas in self.placement_map().items():
-            occupied = False
+            held: dict[str, int] = {}
+            unreachable: list[str] = []
             for sid in replicas:
                 store = self.shards.get(sid)
                 if store is None:
                     continue
-                if store.list_keys(unit + "/") or store.exists(unit):
-                    occupied = True
-                    break
-            if occupied:
-                continue
-            self._drop_record(unit)
-            removed += 1
+                try:
+                    held[sid] = len(store.list_keys(unit + "/")) + store.exists(unit)
+                except StorageError:
+                    unreachable.append(sid)
+            most = max(held.values(), default=0)
+            if most:
+                owed = [sid for sid, n in held.items() if n < most]
+                self.debt.record(unit, owed + unreachable)
+            elif not unreachable:
+                self._drop_record(unit)
+                removed += 1
         return removed
 
     # -- replica helpers -----------------------------------------------------
@@ -394,6 +402,7 @@ class ShardedStore(Store):
             # are up; the shortfall is recorded as replication debt for
             # the repair pass, never surfaced as a tenant error.
             self.debt.record(unit, missed)
+            get_registry().counter("service.degraded_writes").inc()
         metrics = get_registry()
         with self._lock:
             for sid in wrote:
@@ -555,22 +564,22 @@ class ShardedStore(Store):
             return True
         return len(self.debt) > 0
 
-    def shard_key_counts(self, prefix: str = "") -> dict[str, int]:
+    def shard_key_counts(self) -> dict[str, int]:
         out: dict[str, int] = {}
         for sid, store in sorted(self.shards.items()):
             try:
-                out[sid] = len(store.list_keys(prefix))
+                out[sid] = len(store.list_keys(""))
             except StorageError:
                 out[sid] = -1  # unreachable shard; occupancy unknown
         return out
 
-    def shard_stats(self, prefix: str = "") -> dict[str, Any]:
+    def shard_stats(self) -> dict[str, Any]:
         """Per-shard occupancy plus imbalance and health, gauges refreshed.
 
         ``imbalance`` is max/mean key count across shards (1.0 = perfectly
         even); the value the rebalancing worker watches.
         """
-        counts = self.shard_key_counts(prefix)
+        counts = self.shard_key_counts()
         with self._lock:
             put_bytes = dict(self._put_bytes)
         reachable = {sid: n for sid, n in counts.items() if n >= 0}

@@ -32,21 +32,23 @@ __all__ = ["TenantSpec", "TenantRegistry", "TokenBucket"]
 #: conservative identifier alphabet so keys stay clean on every backend.
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 
+#: Depth of every tenant's rate bucket: how many submits may arrive
+#: back-to-back before the sustained ``rate_quota`` applies.
+RATE_BURST = 8
+
 
 @dataclass(frozen=True)
 class TenantSpec:
     """Declared limits for one tenant.
 
     ``byte_quota``/``rate_quota`` of ``None`` mean unlimited.
-    ``rate_quota`` is sustained submits per second; ``rate_burst`` is the
-    bucket depth (how many submits may arrive back-to-back before the
-    sustained rate applies).
+    ``rate_quota`` is sustained submits per second, after a burst of
+    :data:`RATE_BURST`.
     """
 
     name: str
     byte_quota: int | None = None
     rate_quota: float | None = None
-    rate_burst: int = 8
 
     def __post_init__(self) -> None:
         if not _NAME_RE.match(self.name):
@@ -60,10 +62,6 @@ class TenantSpec:
         if self.rate_quota is not None and self.rate_quota <= 0:
             raise ConfigurationError(
                 f"rate_quota must be > 0 or None, got {self.rate_quota!r}"
-            )
-        if self.rate_burst < 1:
-            raise ConfigurationError(
-                f"rate_burst must be >= 1, got {self.rate_burst!r}"
             )
 
 
@@ -112,7 +110,7 @@ class _TenantState:
         self.spec = spec
         self.used_bytes = 0
         self.bucket = (
-            TokenBucket(spec.rate_quota, spec.rate_burst, clock=clock)
+            TokenBucket(spec.rate_quota, RATE_BURST, clock=clock)
             if spec.rate_quota is not None
             else None
         )
@@ -233,7 +231,7 @@ class TenantRegistry:
             raise QuotaExceededError(
                 f"tenant {name!r} ingest-rate quota exceeded: next admission "
                 f"in {delay:.3f}s > max wait {max_wait:.3f}s "
-                f"(limit {state.spec.rate_quota:g}/s, burst {state.spec.rate_burst})"
+                f"(limit {state.spec.rate_quota:g}/s, burst {RATE_BURST})"
             )
         with self._lock:
             state.submits += 1

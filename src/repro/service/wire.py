@@ -121,9 +121,7 @@ def _parse_trace_context(header: Mapping[str, Any]) -> dict[str, Any] | None:
     return {"span_id": span_id, "trace_id": trace_id}
 
 
-async def _read_message(
-    reader: asyncio.StreamReader, *, max_payload: int = MAX_PAYLOAD_BYTES
-) -> tuple[dict[str, Any], bytes]:
+async def _read_message(reader: asyncio.StreamReader) -> tuple[dict[str, Any], bytes]:
     raw_len = await reader.readexactly(_LEN.size)
     (header_len,) = _LEN.unpack(raw_len)
     if header_len > MAX_HEADER_BYTES:
@@ -142,9 +140,9 @@ async def _read_message(
         raise FormatError(f"payload_bytes is not an integer: {exc}") from exc
     if payload_len < 0:
         raise FormatError(f"payload_bytes must be >= 0, got {payload_len}")
-    if payload_len > max_payload:
+    if payload_len > MAX_PAYLOAD_BYTES:
         raise FormatError(
-            f"wire payload of {payload_len} bytes exceeds limit {max_payload}"
+            f"wire payload of {payload_len} bytes exceeds limit {MAX_PAYLOAD_BYTES}"
         )
     payload = await reader.readexactly(payload_len) if payload_len else b""
     return header, payload
@@ -214,12 +212,10 @@ class ServiceServer:
         service: CheckpointIngestService,
         path: str,
         *,
-        max_payload_bytes: int = MAX_PAYLOAD_BYTES,
         on_disconnect=None,
     ) -> None:
         self.service = service
         self.path = path
-        self.max_payload_bytes = max_payload_bytes
         self.on_disconnect = on_disconnect
         self._server: asyncio.AbstractServer | None = None
 
@@ -245,9 +241,7 @@ class ServiceServer:
         try:
             while True:
                 try:
-                    header, payload = await _read_message(
-                        reader, max_payload=self.max_payload_bytes
-                    )
+                    header, payload = await _read_message(reader)
                 except (asyncio.IncompleteReadError, ConnectionResetError):
                     break
                 except FormatError as exc:
@@ -365,8 +359,8 @@ class ServiceClient:
     does).  Service refusals arrive as the original typed exceptions.
 
     Every blocking step is bounded: connection attempts time out after
-    ``connect_timeout`` and are retried ``connect_retries`` times with
-    exponential backoff (a server restarting mid-deploy), and each
+    ``CONNECT_TIMEOUT`` seconds and are retried ``CONNECT_RETRIES`` times
+    with exponential backoff (a server restarting mid-deploy), and each
     request/response exchange times out after ``op_timeout`` -- a dead or
     wedged server surfaces as a typed
     :class:`~repro.exceptions.ServiceUnavailableError` instead of a
@@ -378,44 +372,31 @@ class ServiceClient:
 
     Parameters
     ----------
-    connect_timeout:
-        Seconds one connection attempt may take.
-    connect_retries:
-        Extra connection attempts after the first fails.
-    retry_backoff:
-        Base seconds between connection attempts, doubled each retry.
     op_timeout:
         Seconds one request/response round trip may take, or ``None``.
     sleep:
         Backoff sleeper, injectable for deterministic tests.
     """
 
+    #: Seconds one connection attempt may take.
+    CONNECT_TIMEOUT = 5.0
+    #: Extra connection attempts after the first fails.
+    CONNECT_RETRIES = 2
+    #: Base seconds between connection attempts, doubled each retry.
+    RETRY_BACKOFF = 0.2
+
     def __init__(
         self,
         path: str,
         *,
-        connect_timeout: float = 5.0,
-        connect_retries: int = 2,
-        retry_backoff: float = 0.2,
         op_timeout: float | None = 60.0,
         sleep=asyncio.sleep,
     ) -> None:
-        if connect_timeout <= 0:
-            raise ConfigurationError(
-                f"connect_timeout must be > 0, got {connect_timeout!r}"
-            )
-        if connect_retries < 0:
-            raise ConfigurationError(
-                f"connect_retries must be >= 0, got {connect_retries!r}"
-            )
         if op_timeout is not None and op_timeout <= 0:
             raise ConfigurationError(
                 f"op_timeout must be > 0 or None, got {op_timeout!r}"
             )
         self.path = path
-        self.connect_timeout = connect_timeout
-        self.connect_retries = connect_retries
-        self.retry_backoff = retry_backoff
         self.op_timeout = op_timeout
         self._sleep = sleep
         self._reader: asyncio.StreamReader | None = None
@@ -423,13 +404,13 @@ class ServiceClient:
 
     async def connect(self) -> "ServiceClient":
         last: Exception | None = None
-        for attempt in range(self.connect_retries + 1):
+        for attempt in range(self.CONNECT_RETRIES + 1):
             if attempt:
-                await self._sleep(self.retry_backoff * (2 ** (attempt - 1)))
+                await self._sleep(self.RETRY_BACKOFF * (2 ** (attempt - 1)))
             try:
                 self._reader, self._writer = await asyncio.wait_for(
                     asyncio.open_unix_connection(self.path),
-                    timeout=self.connect_timeout,
+                    timeout=self.CONNECT_TIMEOUT,
                 )
                 return self
             except (OSError, asyncio.TimeoutError) as exc:
@@ -437,7 +418,7 @@ class ServiceClient:
         detail = "timed out" if isinstance(last, asyncio.TimeoutError) else str(last)
         raise ServiceUnavailableError(
             f"cannot connect to service socket {self.path!r} after "
-            f"{self.connect_retries + 1} attempt(s): {detail}"
+            f"{self.CONNECT_RETRIES + 1} attempt(s): {detail}"
         ) from last
 
     async def close(self) -> None:

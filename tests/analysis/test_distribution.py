@@ -64,4 +64,4 @@ class TestRenderHistogram:
     def test_validation(self, smooth2d):
         dist = high_band_distribution(smooth2d)
         with pytest.raises(ReproError):
-            render_histogram(dist, width=0)
+            render_histogram(dist, max_rows=0)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.tables import render_bars, render_series, render_table
+from repro.analysis.tables import BAR_WIDTH, render_bars, render_series, render_table
 from repro.exceptions import ReproError
 
 
@@ -53,10 +53,10 @@ class TestRenderSeries:
 
 class TestRenderBars:
     def test_scaled_to_peak(self):
-        out = render_bars({"a": 10.0, "b": 5.0}, width=10)
+        out = render_bars({"a": 10.0, "b": 5.0})
         lines = out.splitlines()
-        assert lines[0].count("#") == 10
-        assert lines[1].count("#") == 5
+        assert lines[0].count("#") == BAR_WIDTH
+        assert lines[1].count("#") == BAR_WIDTH // 2
 
     def test_zero_values_ok(self):
         out = render_bars({"a": 0.0})

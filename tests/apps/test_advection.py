@@ -36,13 +36,11 @@ class TestPhysics:
         assert app.total_mass() != before
 
     def test_peak_travels_downstream(self):
-        app = AdvectionProxy(
-            shape=(64, 4, 2), velocity=(1.0, 0.0, 0.0), dt=0.5, seed=0
-        )
+        app = AdvectionProxy(shape=(64, 4, 2), seed=0)
         # place a bump and watch its center of mass move along axis 0
         app.scalar = np.zeros(app.shape)
         app.scalar[10, :, :] = 1.0
-        run_steps(app, 40)  # 40 * 0.5 * v=1 -> 20 cells
+        run_steps(app, 50)  # 50 * DT 0.5 * v_0 0.8 -> 20 cells
         profile = app.scalar.sum(axis=(1, 2))
         assert 25 <= int(np.argmax(profile)) <= 35  # upwind diffuses but moves
 
@@ -53,11 +51,6 @@ class TestPhysics:
         assert app.scalar.max() <= hi + 1e-9
         assert app.scalar.min() >= lo - 1e-9
 
-    def test_negative_velocity_supported(self):
-        app = make_app(velocity=(-0.5, 0.2, -0.1))
-        before = app.total_mass()
-        run_steps(app, 50)
-        assert app.total_mass() == pytest.approx(before, rel=1e-12)
 
 
 class TestProtocol:
@@ -80,9 +73,6 @@ class TestProtocol:
 class TestValidation:
     @pytest.mark.parametrize("kwargs", [
         {"shape": (4, 4)},
-        {"velocity": (1.0, 1.0)},
-        {"velocity": (2.0, 0.0, 0.0), "dt": 0.5},  # CFL violation
-        {"dt": 0.0},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ConfigurationError):

@@ -62,13 +62,6 @@ class TestFaultPlan:
         plan = FaultPlan(schedule=[(0, FAULT_TORN)])
         assert plan.draw("get") is None
 
-    def test_max_faults_bounds_injection(self):
-        plan = FaultPlan(seed=0, rates={FAULT_TRANSIENT: 1.0}, max_faults=2)
-        kinds = [plan.draw("put") for _ in range(10)]
-        assert kinds[:2] == [FAULT_TRANSIENT, FAULT_TRANSIENT]
-        assert kinds[2:] == [None] * 8
-        assert plan.injected == 2
-
     def test_rates_and_schedule_are_exclusive(self):
         with pytest.raises(ConfigurationError):
             FaultPlan(rates={FAULT_TORN: 0.1}, schedule=[(0, FAULT_TORN)])

@@ -94,12 +94,12 @@ class TestChainStructure:
 
     def test_chain_length(self, drifting_arrays):
         store = IncrementalArrayStore(full_every=3)
+        lengths = []
         for step, arr in enumerate(drifting_arrays):
             store.append(step, arr)
-        assert store.chain_length(0) == 1
-        assert store.chain_length(2) == 3  # full at 0 plus two deltas
-        assert store.chain_length(3) == 1  # fresh full image
-        assert store.chain_length() == 1  # step 6 is a full image
+            lengths.append(store.chain_length())
+        # a full image, then one more link per delta until the next full
+        assert lengths == [1, 2, 3, 1, 2, 3, 1]
 
     def test_identical_checkpoints_store_tiny_deltas(self, rng):
         """Unchanged state is incremental checkpointing's best case."""

@@ -179,7 +179,7 @@ class TestRepairOnRestore:
         manager.checkpoint(1)
         corrupt(manager.store, array_key(1, "temperature"))
         with pytest.raises(CorruptionError):
-            manager.load_arrays(1, repair=False)
+            manager.restore(1, repair=False)
 
     def test_restore_heals_transparently(self, registry, smooth2d):
         manager = make_manager(registry)

@@ -31,22 +31,22 @@ def crc(data: bytes) -> int:
 
 class TestRetryPolicy:
     def test_delays_are_exponential_and_capped(self):
-        policy = RetryPolicy(
-            max_attempts=5, base_delay=0.1, multiplier=2.0, max_delay=0.3,
-            jitter=0.0,
+        # base 0.5 s doubling: 0.5, 1.0, then the 2.0 s cap
+        delays = RetryPolicy(max_attempts=5, base_delay=0.5).delays(
+            np.random.default_rng(0)
         )
-        delays = policy.delays(np.random.default_rng(0))
-        assert delays == [0.1, 0.2, 0.3, 0.3]
+        for delay, raw in zip(delays, [0.5, 1.0]):
+            assert raw <= delay < raw * (1 + RetryPolicy.JITTER)
+        assert delays[2:] == [RetryPolicy.MAX_DELAY] * 2
 
     def test_jitter_is_deterministic_under_a_seed(self):
-        policy = RetryPolicy(max_attempts=4, base_delay=0.1, jitter=0.5, seed=9)
-        a = policy.delays(np.random.default_rng(policy.seed))
-        b = policy.delays(np.random.default_rng(policy.seed))
+        policy = RetryPolicy(max_attempts=4, base_delay=0.1)
+        a = policy.delays(np.random.default_rng(RetryPolicy.SEED))
+        b = policy.delays(np.random.default_rng(RetryPolicy.SEED))
         assert a == b
-        base = RetryPolicy(
-            max_attempts=4, base_delay=0.1, jitter=0.0
-        ).delays(np.random.default_rng(0))
-        assert all(d >= raw for d, raw in zip(a, base))
+        raw = [0.1 * RetryPolicy.MULTIPLIER**i for i in range(3)]
+        assert all(r <= d < r * (1 + RetryPolicy.JITTER) for d, r in zip(a, raw))
+        assert a != raw
 
     def test_single_attempt_means_no_retry(self):
         assert RetryPolicy(max_attempts=1).delays(np.random.default_rng(0)) == []
@@ -56,9 +56,6 @@ class TestRetryPolicy:
         [
             {"max_attempts": 0},
             {"base_delay": -1.0},
-            {"multiplier": 0.5},
-            {"max_delay": -0.1},
-            {"jitter": 1.5},
         ],
     )
     def test_validation(self, kwargs):
@@ -67,7 +64,7 @@ class TestRetryPolicy:
 
 
 def _fast_policy(attempts: int = 3) -> RetryPolicy:
-    return RetryPolicy(max_attempts=attempts, base_delay=0.0, jitter=0.0)
+    return RetryPolicy(max_attempts=attempts, base_delay=0.0)
 
 
 class TestResilientStore:
@@ -103,11 +100,11 @@ class TestResilientStore:
                     raise StorageError("blip")
                 super().put(key, data)
 
-        policy = RetryPolicy(max_attempts=2, base_delay=0.25, jitter=0.0)
+        policy = RetryPolicy(max_attempts=2, base_delay=0.25)
         store = ResilientStore(FlakyOnce(), policy, sleep=naps.append)
         store.put("k", b"x")
-        assert naps == [0.25]
-        assert store.slept_seconds == pytest.approx(0.25)
+        assert naps == policy.delays(np.random.default_rng(RetryPolicy.SEED))
+        assert store.slept_seconds == pytest.approx(naps[0])
 
     def test_metadata_ops_fail_fast(self):
         class BrokenMeta(MemoryStore):

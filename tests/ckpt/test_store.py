@@ -370,18 +370,18 @@ class TestWrapperAccounting:
         monkeypatch.setattr(time, "sleep", sleeps.append)
         store = LatencyStore(
             MemoryStore(),
-            op_latency_sec=0.001,
             sync_latency_sec=0.01,
             bandwidth_bytes_per_sec=1e6,
         )
         _accounting_script(store)
-        assert store.slept_seconds == sum(sleeps) == 0.034010000000000006
-        assert len(sleeps) == 14
+        # the four reads and writes that move bytes, and the two syncs
+        assert store.slept_seconds == sum(sleeps) == pytest.approx(0.02201)
+        assert len(sleeps) == 6
 
     def test_a_verified_read_is_accounted_as_a_get(self, monkeypatch):
         monkeypatch.setattr(time, "sleep", lambda _s: None)
         counting = CountingStore(MemoryStore())
-        latency = LatencyStore(MemoryStore(), op_latency_sec=0.5)
+        latency = LatencyStore(MemoryStore(), bandwidth_bytes_per_sec=400.0)
         for store in (counting, latency):
             store.inner.put("k", b"x" * 200)
             assert store.get_verified("k", zlib.crc32(b"x" * 200), 200) == b"x" * 200

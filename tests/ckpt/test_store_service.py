@@ -142,25 +142,24 @@ class TestDirectoryStoreBatchDurability:
 
 class TestLatencyStore:
     def test_validation(self):
-        with pytest.raises(StorageError, match="latencies"):
-            LatencyStore(MemoryStore(), op_latency_sec=-1.0)
+        with pytest.raises(StorageError, match="sync latency"):
+            LatencyStore(MemoryStore(), sync_latency_sec=-1.0)
         with pytest.raises(StorageError, match="bandwidth"):
             LatencyStore(MemoryStore(), bandwidth_bytes_per_sec=0)
 
     def test_sleeps_are_accounted_and_real(self):
         store = LatencyStore(
             MemoryStore(),
-            op_latency_sec=0.002,
             sync_latency_sec=0.005,
             bandwidth_bytes_per_sec=1e6,
         )
         t0 = time.monotonic()
-        store.put("k", b"x" * 1000)  # 2 ms op + 1 ms transfer
+        store.put("k", b"x" * 1000)  # 1 ms transfer
         store.sync()  # 5 ms barrier
         elapsed = time.monotonic() - t0
         assert store.get("k") == b"x" * 1000
-        assert store.slept_seconds == pytest.approx(0.011, rel=0.01)
-        assert elapsed >= 0.008
+        assert store.slept_seconds == pytest.approx(0.007, rel=0.01)
+        assert elapsed >= 0.006
 
     def test_zero_latency_is_free(self):
         store = LatencyStore(MemoryStore())

@@ -13,6 +13,7 @@ from repro.obs import (
     get_tracer,
     render_tree,
 )
+from repro.obs.report import MAX_CHILDREN
 
 
 def _compress_trace(tmp_path, arr, config=None):
@@ -236,8 +237,8 @@ class TestRendering:
              "start": float(i), "duration": 0.1, "pid": 1, "attrs": {}}
             for i in range(20)
         ]
-        text = render_tree(spans, max_children=5)
-        assert "... 15 more" in text
+        text = render_tree(spans)
+        assert f"... {20 - MAX_CHILDREN} more" in text
 
     def test_orphan_parent_becomes_root(self):
         spans = [{"type": "span", "name": "lost", "span_id": "1-2",

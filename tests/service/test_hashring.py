@@ -222,9 +222,5 @@ class TestMembershipErrors:
         with pytest.raises(ConfigurationError, match="at least one shard"):
             HashRing([])
 
-    def test_bad_vnodes_refused(self):
-        with pytest.raises(ConfigurationError, match="vnodes"):
-            HashRing(SHARDS, vnodes=0)
-
     def test_shards_property_sorted(self):
         assert HashRing(list(reversed(SHARDS))).shards == sorted(SHARDS)

@@ -26,6 +26,7 @@ from repro.service import (
     TenantSpec,
 )
 from repro.service.ingest import build_service
+from repro.service.tenants import RATE_BURST
 
 
 def _registry(**quotas) -> TenantRegistry:
@@ -198,15 +199,13 @@ def test_byte_quota_refusal_leaves_no_state_and_charges_nothing():
 
 def test_rate_quota_refusal():
     async def run():
-        registry = TenantRegistry(
-            [TenantSpec("alice", rate_quota=1.0, rate_burst=2)]
-        )
+        registry = TenantRegistry([TenantSpec("alice", rate_quota=1.0)])
         svc = _service(MemoryStore(), registry)
         async with svc:
-            await svc.submit("alice", 0, {"u": b"x"})
-            await svc.submit("alice", 1, {"u": b"x"})
+            for step in range(RATE_BURST):
+                await svc.submit("alice", step, {"u": b"x"})
             with pytest.raises(QuotaExceededError, match="ingest-rate"):
-                await svc.submit("alice", 2, {"u": b"x"})
+                await svc.submit("alice", RATE_BURST, {"u": b"x"})
 
     asyncio.run(run())
 

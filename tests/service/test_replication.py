@@ -97,7 +97,7 @@ class TestReplicatedPlacement:
         store, shards = _fresh(replication=2)
         store.put(KEY, b"payload")
         assert len(_holders(shards, KEY)) == 2
-        assert store.placement_map(UNIT)[UNIT] == store.replicas_for(KEY)
+        assert store.placement_map()[UNIT] == store.replicas_for(KEY)
 
     def test_replication_clamped_by_shard_count(self):
         store, shards = _fresh(n=2, replication=3)
@@ -161,7 +161,7 @@ class TestReplicatedPlacement:
         store.put(KEY, b"payload")
         store.delete(KEY)
         assert _holders(shards, KEY) == []
-        assert store.placement_map(UNIT) == {}
+        assert UNIT not in store.placement_map()
 
     def test_missing_key_message_unchanged(self):
         store, _ = _fresh()
@@ -409,6 +409,37 @@ class TestDegradedWrites:
         assert store.debt.owed() == {UNIT: [intended[1]]}
         assert store.degraded
         assert store.get(KEY) == b"payload"
+
+    def test_debt_survives_a_restart(self):
+        # The ledger lives in memory: a restarted service rebuilds it in
+        # the recovery pass that walks every placement record.
+        health = ShardHealth(failure_threshold=1, clock=FakeClock())
+        store, shards = _fresh(replication=2, health=health)
+        store.put("tenants/a/ckpt/0000000002/u.bin", b"fully replicated")
+        intended = store.replicas_for(KEY)
+        health.mark_down(intended[1], "test outage")
+        store.put(KEY, b"payload")
+        restarted = ShardedStore(shards, placement=store.placement, replication=2)
+        assert restarted.prune_placement() == 0
+        assert restarted.debt.owed() == {UNIT: [intended[1]]}
+        assert restarted.degraded
+        summary = repair_debt(restarted)
+        assert summary["keys_copied"] == 1
+        assert shards[intended[1]].inner.get(KEY) == b"payload"
+        assert not restarted.degraded
+
+    def test_debt_rebuild_survives_a_replica_still_down(self):
+        store, shards = _fresh(replication=2)
+        intended = store.replicas_for(KEY)
+        shards[intended[1]].down = True
+        store.put(KEY, b"payload")
+        restarted = ShardedStore(shards, placement=store.placement, replication=2)
+        assert restarted.prune_placement() == 0
+        assert restarted.debt.owed() == {UNIT: [intended[1]]}
+        for shard in shards.values():
+            shard.down = True
+        assert restarted.prune_placement() == 0  # unknown, so kept
+        assert UNIT in restarted.placement_map()
 
     def test_put_fails_only_when_every_replica_fails(self):
         store, shards = _fresh(n=2, replication=2)

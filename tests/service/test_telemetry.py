@@ -23,6 +23,7 @@ from repro.service import (
     TenantRegistry,
     TenantSpec,
 )
+from repro.service.tenants import RATE_BURST
 
 
 @pytest.fixture(autouse=True)
@@ -124,11 +125,12 @@ class TestQuotaGauges:
     def test_rejections_are_labeled_by_kind(self):
         reg = _registry(
             alice={"byte_quota": 100},
-            bob={"rate_quota": 1.0, "rate_burst": 1},
+            bob={"rate_quota": 1.0},
         )
         with pytest.raises(QuotaExceededError):
             reg.reserve_bytes("alice", 200)
-        reg.reserve_rate("bob")
+        for _ in range(RATE_BURST):
+            reg.reserve_rate("bob")
         with pytest.raises(QuotaExceededError):
             reg.reserve_rate("bob")
         m = get_registry()

@@ -12,6 +12,7 @@ from repro.exceptions import (
     UnknownTenantError,
 )
 from repro.service import TenantRegistry, TenantSpec, TokenBucket
+from repro.service.tenants import RATE_BURST
 
 
 class FakeClock:
@@ -37,8 +38,6 @@ class TestTenantSpec:
             TenantSpec("a", byte_quota=-1)
         with pytest.raises(ConfigurationError):
             TenantSpec("a", rate_quota=0.0)
-        with pytest.raises(ConfigurationError):
-            TenantSpec("a", rate_burst=0)
 
 
 class TestRegistryBasics:
@@ -99,45 +98,39 @@ class TestByteQuota:
 class TestRateQuota:
     def test_burst_admits_instantly(self):
         clock = FakeClock()
-        reg = TenantRegistry(
-            [TenantSpec("a", rate_quota=10.0, rate_burst=3)], clock=clock
-        )
-        for _ in range(3):
+        reg = TenantRegistry([TenantSpec("a", rate_quota=10.0)], clock=clock)
+        for _ in range(RATE_BURST):
             assert reg.reserve_rate("a") == 0.0
 
     def test_refusal_beyond_max_wait(self):
         clock = FakeClock()
-        reg = TenantRegistry(
-            [TenantSpec("a", rate_quota=10.0, rate_burst=1)], clock=clock
-        )
-        assert reg.reserve_rate("a") == 0.0
+        reg = TenantRegistry([TenantSpec("a", rate_quota=10.0)], clock=clock)
+        for _ in range(RATE_BURST):
+            assert reg.reserve_rate("a") == 0.0
         with pytest.raises(QuotaExceededError, match="ingest-rate quota"):
             reg.reserve_rate("a", max_wait=0.05)
 
     def test_bounded_wait_returned(self):
         clock = FakeClock()
-        reg = TenantRegistry(
-            [TenantSpec("a", rate_quota=10.0, rate_burst=1)], clock=clock
-        )
-        reg.reserve_rate("a")
+        reg = TenantRegistry([TenantSpec("a", rate_quota=10.0)], clock=clock)
+        for _ in range(RATE_BURST):
+            reg.reserve_rate("a")
         delay = reg.reserve_rate("a", max_wait=1.0)
         assert delay == pytest.approx(0.1)
 
     def test_tokens_refill_with_time(self):
         clock = FakeClock()
-        reg = TenantRegistry(
-            [TenantSpec("a", rate_quota=10.0, rate_burst=1)], clock=clock
-        )
-        reg.reserve_rate("a")
+        reg = TenantRegistry([TenantSpec("a", rate_quota=10.0)], clock=clock)
+        for _ in range(RATE_BURST):
+            reg.reserve_rate("a")
         clock.now += 0.2
         assert reg.reserve_rate("a") == 0.0
 
     def test_refused_request_returns_its_token(self):
         clock = FakeClock()
-        reg = TenantRegistry(
-            [TenantSpec("a", rate_quota=10.0, rate_burst=1)], clock=clock
-        )
-        reg.reserve_rate("a")
+        reg = TenantRegistry([TenantSpec("a", rate_quota=10.0)], clock=clock)
+        for _ in range(RATE_BURST):
+            reg.reserve_rate("a")
         for _ in range(3):
             with pytest.raises(QuotaExceededError):
                 reg.reserve_rate("a", max_wait=0.0)
