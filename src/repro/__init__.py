@@ -15,93 +15,20 @@ Quickstart
 True
 """
 
-from .config import (
-    MAX_LEVELS,
-    QUANTIZER_BOUNDED,
-    QUANTIZER_NONE,
-    QUANTIZER_PROPOSED,
-    QUANTIZER_SIMPLE,
-    CompressionConfig,
-    TemporalConfig,
-)
-from .core import (
-    CompressionStats,
-    ErrorReport,
-    TuningResult,
-    WaveletCompressor,
-    compress,
-    compression_rate,
-    decompress,
-    error_report,
-    haar_forward,
-    haar_inverse,
-    inspect,
-    max_relative_error,
-    mean_relative_error,
-    relative_errors,
-    rmse,
-    tune_division_number,
-    tune_for_tolerance,
-)
-from .exceptions import (
-    CheckpointError,
-    CheckpointNotFoundError,
-    CompressionError,
-    ConfigurationError,
-    DecompressionError,
-    FormatError,
-    IntegrityError,
-    ReproError,
-    RestoreError,
-    StorageError,
-    TuningError,
-)
-
-# Subpackages, importable as attributes (repro.apps.ClimateProxy, ...).
-from . import analysis, apps, ckpt, failure, iomodel, lossless, obs, parallel  # noqa: E402
+from .config import CompressionConfig
+from .core.errors import error_report, mean_relative_error
+from .core.pipeline import WaveletCompressor, compress, decompress
+from .core.tuning import tune_for_tolerance
 
 __version__ = "1.0.0"
 
 __all__ = [
     "__version__",
-    # configuration
     "CompressionConfig",
-    "TemporalConfig",
-    "MAX_LEVELS",
-    "QUANTIZER_SIMPLE",
-    "QUANTIZER_PROPOSED",
-    "QUANTIZER_BOUNDED",
-    "QUANTIZER_NONE",
-    # pipeline
     "WaveletCompressor",
-    "CompressionStats",
     "compress",
     "decompress",
-    "inspect",
-    "haar_forward",
-    "haar_inverse",
-    # metrics
-    "compression_rate",
-    "relative_errors",
-    "mean_relative_error",
-    "max_relative_error",
-    "rmse",
     "error_report",
-    "ErrorReport",
-    # tuning
-    "tune_division_number",
+    "mean_relative_error",
     "tune_for_tolerance",
-    "TuningResult",
-    # exceptions
-    "ReproError",
-    "ConfigurationError",
-    "CompressionError",
-    "DecompressionError",
-    "FormatError",
-    "IntegrityError",
-    "CheckpointError",
-    "CheckpointNotFoundError",
-    "RestoreError",
-    "StorageError",
-    "TuningError",
 ]

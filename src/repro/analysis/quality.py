@@ -48,6 +48,9 @@ __all__ = [
     "default_quality_apps",
 ]
 
+#: The autocorrelation axis compares lags ``1..MAX_LAG``.
+MAX_LAG = 8
+
 
 def _as_pair(
     original: np.ndarray, decompressed: np.ndarray
@@ -115,20 +118,16 @@ def _autocorr(x: np.ndarray, max_lag: int) -> np.ndarray:
     return out
 
 
-def autocorrelation_distortion(
-    original: np.ndarray, decompressed: np.ndarray, max_lag: int = 8
-) -> float:
+def autocorrelation_distortion(original: np.ndarray, decompressed: np.ndarray) -> float:
     """Largest absolute deviation between autocorrelation functions.
 
     Compares normalized autocorrelations of the flattened fields at lags
-    ``1..max_lag`` -- a compressor that smooths (inflates short-lag
+    ``1..MAX_LAG`` -- a compressor that smooths (inflates short-lag
     correlation) or rings (deflates it) shows up here even when PSNR
     looks fine.
     """
-    if max_lag < 1:
-        raise ConfigurationError(f"max_lag must be >= 1, got {max_lag}")
     a, b = _as_pair(original, decompressed)
-    lags = min(max_lag, a.size - 1)
+    lags = min(MAX_LAG, a.size - 1)
     if lags < 1:
         return 0.0
     return float(np.abs(_autocorr(a, lags) - _autocorr(b, lags)).max())

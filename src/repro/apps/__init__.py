@@ -1,35 +1,6 @@
 """Proxy applications and synthetic workload generators."""
 
-from .advection import AdvectionProxy
-from .base import ProxyApp, run_steps, state_allclose
 from .climate import ClimateProxy
-from .fields import (
-    NICAM_SHAPE,
-    as_rng,
-    layered_field,
-    nicam_like_variables,
-    rough_field,
-    smooth_field,
-    trend_field,
-)
-from .heat import HeatDiffusionProxy
-from .nbody import NBodyProxy
-from .shallow_water import ShallowWaterProxy
+from .fields import smooth_field
 
-__all__ = [
-    "ProxyApp",
-    "run_steps",
-    "state_allclose",
-    "ClimateProxy",
-    "HeatDiffusionProxy",
-    "AdvectionProxy",
-    "NBodyProxy",
-    "ShallowWaterProxy",
-    "NICAM_SHAPE",
-    "as_rng",
-    "smooth_field",
-    "layered_field",
-    "trend_field",
-    "rough_field",
-    "nicam_like_variables",
-]
+__all__ = ["ClimateProxy", "smooth_field"]

@@ -1,146 +1,7 @@
 """Application-level checkpoint/restart framework."""
 
-from .interval import (
-    IntervalComparison,
-    compare_compression_intervals,
-    daly_interval,
-    expected_runtime,
-    optimal_interval_with_compression,
-)
-from .faults import (
-    CRASH_KINDS,
-    FAULT_KINDS,
-    FaultEvent,
-    FaultInjectingStore,
-    FaultPlan,
-)
-from .incremental import DeltaRecord, IncrementalArrayStore
-from .temporal import (
-    CODEC_DELTA,
-    CODEC_KEYFRAME,
-    EncodedGeneration,
-    TemporalEngine,
-    chain_closure,
-    decode_delta,
-    predict,
-)
-from .journal import (
-    COMMIT_FORMAT_VERSION,
-    CommitJournal,
-    CommitMarker,
-    CommitTransaction,
-    GroupSealItem,
-    group_seal,
-    is_committed,
-    reap_generation,
-)
-from .manager import (
-    CheckpointManager,
-    RepairEvent,
-    deserialize_array,
-    serialize_array_lossless,
-)
-from .manifest import (
-    COMMIT_FILENAME,
-    ArrayEntry,
-    CheckpointManifest,
-    ParityEntry,
-    array_key,
-    commit_key,
-    generation_prefix,
-    manifest_key,
-    parity_key,
-)
-from .protocol import ArrayRegistry, Checkpointable, registry_from_checkpointable
-from .recovery import (
-    GEN_COMMITTED,
-    GEN_ORPHANED,
-    GEN_TORN,
-    FallbackResult,
-    GenerationInfo,
-    RecoveryReport,
-    RestartCoordinator,
-    RestartCycle,
-    RestartReport,
-    recover,
-    restore_with_fallback,
-    scan_generations,
-)
-from .redundancy import encode_parity, rebuild_member
-from .resilience import ResilientStore, RetryPolicy
-from .store import (
-    CountingStore,
-    DirectoryStore,
-    LatencyStore,
-    MemoryStore,
-    Store,
-    StoreWrapper,
-)
+from .manager import CheckpointManager
+from .protocol import registry_from_checkpointable
+from .store import DirectoryStore
 
-__all__ = [
-    "ArrayRegistry",
-    "Checkpointable",
-    "registry_from_checkpointable",
-    "ArrayEntry",
-    "CheckpointManifest",
-    "ParityEntry",
-    "array_key",
-    "manifest_key",
-    "parity_key",
-    "Store",
-    "MemoryStore",
-    "DirectoryStore",
-    "StoreWrapper",
-    "CountingStore",
-    "LatencyStore",
-    "FaultPlan",
-    "FaultEvent",
-    "FaultInjectingStore",
-    "FAULT_KINDS",
-    "CRASH_KINDS",
-    "COMMIT_FILENAME",
-    "COMMIT_FORMAT_VERSION",
-    "CommitMarker",
-    "CommitJournal",
-    "CommitTransaction",
-    "GroupSealItem",
-    "group_seal",
-    "commit_key",
-    "generation_prefix",
-    "is_committed",
-    "reap_generation",
-    "GEN_COMMITTED",
-    "GEN_TORN",
-    "GEN_ORPHANED",
-    "GenerationInfo",
-    "RecoveryReport",
-    "scan_generations",
-    "recover",
-    "FallbackResult",
-    "restore_with_fallback",
-    "RestartCycle",
-    "RestartReport",
-    "RestartCoordinator",
-    "ResilientStore",
-    "RetryPolicy",
-    "CheckpointManager",
-    "RepairEvent",
-    "IncrementalArrayStore",
-    "CODEC_DELTA",
-    "CODEC_KEYFRAME",
-    "EncodedGeneration",
-    "TemporalEngine",
-    "chain_closure",
-    "decode_delta",
-    "predict",
-    "DeltaRecord",
-    "encode_parity",
-    "rebuild_member",
-    "serialize_array_lossless",
-    "deserialize_array",
-    "daly_interval",
-    "expected_runtime",
-    "optimal_interval_with_compression",
-    "IntervalComparison",
-    "compare_compression_intervals",
-]
+__all__ = ["CheckpointManager", "DirectoryStore", "registry_from_checkpointable"]

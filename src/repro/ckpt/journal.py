@@ -53,20 +53,11 @@ from ..exceptions import (
 )
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
-from .manifest import (
-    COMMIT_FILENAME,
-    CheckpointManifest,
-    commit_key,
-    generation_prefix,
-    manifest_key,
-)
+from .manifest import CheckpointManifest, commit_key, generation_prefix, manifest_key
 from .store import Store
 
 __all__ = [
-    "COMMIT_FILENAME",
     "COMMIT_FORMAT_VERSION",
-    "commit_key",
-    "generation_prefix",
     "CommitMarker",
     "CommitTransaction",
     "CommitJournal",

@@ -45,7 +45,7 @@ import numpy as np
 
 from ..config import CompressionConfig, ResilienceConfig, TemporalConfig
 from ..core import container
-from ..core.chunked import CHUNK_MAGIC, chunked_compress, chunked_decompress
+from ..core.chunked import chunked_compress, chunked_decompress
 from ..core.pipeline import WaveletCompressor
 from ..exceptions import (
     CheckpointError,
@@ -94,7 +94,6 @@ from .temporal import (
 
 __all__ = [
     "CheckpointManager",
-    "RepairEvent",
     "serialize_array_lossless",
     "deserialize_array",
 ]
@@ -289,24 +288,13 @@ def _lossless_hint(name: str) -> Iterator[None]:
         ) from exc
 
 
-def serialize_array_lossless(
-    arr: np.ndarray,
-    codec_name: str,
-    level: int = 6,
-    *,
-    threads: int | None = None,
-    block_bytes: int | None = None,
-) -> bytes:
+def serialize_array_lossless(arr: np.ndarray, codec_name: str, level: int = 6) -> bytes:
     """Bit-exact serialization of any ndarray through a lossless codec.
 
     The array is handed to the container as is (no ``tobytes()``
-    materialization; its item width selects the byte-plane layout);
-    ``threads``/``block_bytes`` reach the block-parallel backends and are
-    ignored by single-threaded ones.
+    materialization; its item width selects the byte-plane layout).
     """
-    return container.wrap_envelope(
-        _lossless_body(arr), codec_name, level, threads=threads, block_bytes=block_bytes
-    )
+    return container.wrap_envelope(_lossless_body(arr), codec_name, level)
 
 
 def _lossless_body(arr: np.ndarray) -> container.Body:
@@ -329,7 +317,7 @@ def deserialize_array(blob: bytes, codec: str | None = None) -> np.ndarray:
     it the kind is read off the magic and the container header.  Either
     way every blob is inflated and parsed once.
     """
-    if blob[:4] == CHUNK_MAGIC:
+    if blob[:4] == container.CHUNK_MAGIC:
         return chunked_decompress(blob)
     if codec in _PIPELINE_CODECS:
         return WaveletCompressor.decompress(blob)
@@ -1065,7 +1053,7 @@ class CheckpointManager:
                 codec, params = link.entry.codec, link.entry.codec_params
                 if link.recon is None and (
                     codec == CODEC_DELTA
-                    or (codec in _PIPELINE_CODECS and link.blob[:4] != CHUNK_MAGIC)
+                    or (codec in _PIPELINE_CODECS and link.blob[:4] != container.CHUNK_MAGIC)
                 ):
                     link.front = run.defer(
                         str(params.get("backend")) if codec == _LOSSY_CODEC else codec,

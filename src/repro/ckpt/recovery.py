@@ -42,7 +42,7 @@ from ..exceptions import (
 )
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
-from .journal import (  # the GEN_* states and GenerationInfo are re-exported
+from .journal import (
     GEN_COMMITTED,
     GEN_ORPHANED,
     GEN_TORN,
@@ -59,12 +59,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .manager import CheckpointManager
 
 __all__ = [
-    "GEN_COMMITTED",
-    "GEN_TORN",
-    "GEN_ORPHANED",
-    "GenerationInfo",
     "RecoveryReport",
-    "scan_generations",
     "recover",
     "FallbackResult",
     "restore_with_fallback",

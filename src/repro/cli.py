@@ -95,7 +95,7 @@ import contextlib
 import dataclasses
 import json
 import sys
-from typing import Any, Iterator, Sequence
+from typing import Any, Awaitable, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -615,7 +615,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     from .ckpt.manager import CheckpointManager
     from .ckpt.protocol import ArrayRegistry
-    from .ckpt.recovery import GEN_COMMITTED, scan_generations
+    from .ckpt.journal import GEN_COMMITTED, scan_generations
     from .ckpt.store import DirectoryStore
 
     if not os.path.isdir(args.directory):
@@ -990,11 +990,28 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return asyncio.run(_run(sink))
 
 
-def _cmd_svc_put(args: argparse.Namespace) -> int:
+def _svc_call(
+    args: argparse.Namespace, request: Callable[[Any], Awaitable[Any]], migration: bool = False
+) -> Any:
+    """``await request(client)`` over one connection to the service at ``args.socket``."""
     import asyncio
 
     from .service import ServiceClient
 
+    async def _run():
+        # a migration copies every key of every unit it moves: give it a
+        # generous per-request bound instead of the default
+        if migration:
+            client = ServiceClient(args.socket, op_timeout=600.0)
+        else:
+            client = ServiceClient(args.socket)
+        async with client:
+            return await request(client)
+
+    return asyncio.run(_run())
+
+
+def _cmd_svc_put(args: argparse.Namespace) -> int:
     blobs: dict[str, bytes] = {}
     for pair in args.blobs:
         name, sep, path = pair.partition("=")
@@ -1006,63 +1023,46 @@ def _cmd_svc_put(args: argparse.Namespace) -> int:
         except OSError as exc:
             raise ReproError(f"cannot read blob {path!r}: {exc}") from exc
 
-    async def _run() -> int:
-        async with ServiceClient(args.socket) as client:
-            ack = await client.submit(args.tenant, args.step, blobs)
-        print(
-            f"committed {args.tenant}/{ack['step']}: {ack['n_blobs']} blob(s), "
-            f"{ack['nbytes']} bytes in {ack['latency_seconds'] * 1e3:.1f} ms "
-            f"(batch of {ack['batch_size']})"
-        )
-        return 0
-
     with _tracing(args):
         from .obs import get_tracer
 
         # one root span so the per-request client spans (and, via wire
         # propagation, every server-side span) hang off a single tree
         with get_tracer().span("svc-put", tenant=args.tenant, step=args.step):
-            return asyncio.run(_run())
+            ack = _svc_call(args, lambda client: client.submit(args.tenant, args.step, blobs))
+            print(
+                f"committed {args.tenant}/{ack['step']}: {ack['n_blobs']} blob(s), "
+                f"{ack['nbytes']} bytes in {ack['latency_seconds'] * 1e3:.1f} ms "
+                f"(batch of {ack['batch_size']})"
+            )
+            return 0
 
 
 def _cmd_svc_get(args: argparse.Namespace) -> int:
-    import asyncio
     import os
 
-    from .service import ServiceClient
-
-    async def _run() -> int:
-        async with ServiceClient(args.socket) as client:
-            steps = await client.steps(args.tenant)
-            blobs = await client.restore(args.tenant, args.step)
-        os.makedirs(args.outdir, exist_ok=True)
-        for name, data in sorted(blobs.items()):
-            with open(os.path.join(args.outdir, name), "wb") as fh:
-                fh.write(data)
-        step = args.step if args.step is not None else (steps[-1] if steps else "?")
-        print(
-            f"restored {args.tenant}/{step}: {len(blobs)} blob(s), "
-            f"{sum(len(b) for b in blobs.values())} bytes -> {args.outdir}"
-        )
-        return 0
+    async def fetch(client):
+        return await client.steps(args.tenant), await client.restore(args.tenant, args.step)
 
     with _tracing(args):
         from .obs import get_tracer
 
         with get_tracer().span("svc-get", tenant=args.tenant):
-            return asyncio.run(_run())
+            steps, blobs = _svc_call(args, fetch)
+            os.makedirs(args.outdir, exist_ok=True)
+            for name, data in sorted(blobs.items()):
+                with open(os.path.join(args.outdir, name), "wb") as fh:
+                    fh.write(data)
+            step = args.step if args.step is not None else (steps[-1] if steps else "?")
+            print(
+                f"restored {args.tenant}/{step}: {len(blobs)} blob(s), "
+                f"{sum(len(b) for b in blobs.values())} bytes -> {args.outdir}"
+            )
+            return 0
 
 
 def _cmd_svc_stats(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from .service import ServiceClient
-
-    async def _run():
-        async with ServiceClient(args.socket) as client:
-            return await client.stats()
-
-    stats = asyncio.run(_run())
+    stats = _svc_call(args, lambda client: client.stats())
     print(json.dumps(stats, indent=2, sort_keys=True))
     if args.health:
         if stats.get("crashed"):
@@ -1087,15 +1087,7 @@ def _cmd_svc_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_svc_metrics(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from .service import ServiceClient
-
-    async def _run():
-        async with ServiceClient(args.socket) as client:
-            return await client.metrics()
-
-    text = asyncio.run(_run())
+    text = _svc_call(args, lambda client: client.metrics())
     sys.stdout.write(text)
     if text and not text.endswith("\n"):
         sys.stdout.write("\n")
@@ -1103,17 +1095,9 @@ def _cmd_svc_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_svc_drain(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from .service import ServiceClient
-
-    async def _run():
-        # Migration copies every key of every unit on the shard; give it
-        # a generous per-request bound instead of the default.
-        async with ServiceClient(args.socket, op_timeout=600.0) as client:
-            return await client.drain(args.shard, remove=args.remove)
-
-    summary = asyncio.run(_run())
+    summary = _svc_call(
+        args, lambda client: client.drain(args.shard, remove=args.remove), migration=True
+    )
     tail = " and removed from the ring" if summary.get("removed") else ""
     print(
         f"drained {summary['shard']}: {summary['units_moved']} unit(s), "
@@ -1124,15 +1108,7 @@ def _cmd_svc_drain(args: argparse.Namespace) -> int:
 
 
 def _cmd_svc_rebalance(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from .service import ServiceClient
-
-    async def _run():
-        async with ServiceClient(args.socket, op_timeout=600.0) as client:
-            return await client.rebalance()
-
-    summary = asyncio.run(_run())
+    summary = _svc_call(args, lambda client: client.rebalance(), migration=True)
     print(
         f"rebalanced: {summary['units_moved']} unit(s) moved "
         f"({summary['keys_copied']} key(s), {summary['bytes_copied']} bytes), "
@@ -1142,15 +1118,7 @@ def _cmd_svc_rebalance(args: argparse.Namespace) -> int:
 
 
 def _cmd_svc_repair(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from .service import ServiceClient
-
-    async def _run():
-        async with ServiceClient(args.socket, op_timeout=600.0) as client:
-            return await client.repair()
-
-    summary = asyncio.run(_run())
+    summary = _svc_call(args, lambda client: client.repair(), migration=True)
     remaining = summary.get("remaining_debt", {}) or {}
     print(
         f"repaired {summary.get('repaired_units', 0)}/"

@@ -64,7 +64,6 @@ __all__ = [
     "chunked_decompress",
     "inspect_chunked",
     "iter_chunks",
-    "CHUNK_MAGIC",
 ]
 
 _HEAD = struct.Struct("<HQQ")  # version, n_chunks, leading-axis length

@@ -374,25 +374,18 @@ def wrap_envelope(
     backend: str,
     level: int = 6,
     *,
-    threads: int | None = None,
-    block_bytes: int | None = None,
     codec: Codec | None = None,
 ) -> bytes:
     """Deflate ``body`` with the named backend and prepend the envelope.
 
     ``body`` may be any bytes-like object; a :class:`Body` straight from
-    :func:`write_body` also hands the codec its ``cuts``.  ``threads`` and
-    ``block_bytes`` reach the
-    block-parallel backends (``gzip-mt``/``zlib-mt``);
-    single-threaded codecs ignore them.  A caller that reads the codec's
-    per-call reports afterwards passes the ``codec`` it built for
-    ``backend`` instead of the knobs.
+    :func:`write_body` also hands the codec its ``cuts``.  A caller that
+    sets the block-parallel backends' threads, or reads the codec's
+    per-call reports afterwards, passes the ``codec`` it built for
+    ``backend`` instead of the ``level``.
     """
     if codec is None:
-        kwargs: dict[str, Any] = {"level": level, "threads": threads}
-        if block_bytes is not None:
-            kwargs["block_bytes"] = block_bytes
-        codec = get_codec(backend, **kwargs)
+        codec = get_codec(backend, level=level)
     name_bytes = backend.encode("ascii")
     if not 0 < len(name_bytes) < 256:
         raise FormatError(f"backend name must be 1..255 ascii bytes: {backend!r}")

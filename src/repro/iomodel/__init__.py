@@ -1,40 +1,1 @@
 """Checkpoint I/O cost modelling (measured breakdown + analytic storage)."""
-
-from .breakdown import BREAKDOWN_PHASES, PhaseBreakdown, measure_breakdown
-from .burst_buffer import BurstBufferModel, BurstBufferTiming
-from .scaling import (
-    PAPER_PARALLELISMS,
-    ScalingPoint,
-    asymptotic_saving_fraction,
-    crossover_parallelism,
-    estimate_point,
-    estimate_series,
-)
-from .storage import (
-    GB,
-    MB,
-    PAPER_NFS,
-    PAPER_PER_PROCESS_BYTES,
-    PAPER_PFS,
-    StorageModel,
-)
-
-__all__ = [
-    "PhaseBreakdown",
-    "measure_breakdown",
-    "BREAKDOWN_PHASES",
-    "BurstBufferModel",
-    "BurstBufferTiming",
-    "ScalingPoint",
-    "estimate_point",
-    "estimate_series",
-    "crossover_parallelism",
-    "asymptotic_saving_fraction",
-    "PAPER_PARALLELISMS",
-    "StorageModel",
-    "PAPER_PFS",
-    "PAPER_NFS",
-    "PAPER_PER_PROCESS_BYTES",
-    "MB",
-    "GB",
-]

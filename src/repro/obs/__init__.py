@@ -27,51 +27,18 @@ Quickstart::
 from __future__ import annotations
 
 from .flush import MetricsFlusher
-from .metrics import (
-    STAGE_PARENT,
-    STAGES,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_registry,
-    labels_suffix,
-    stage_parent,
-    top_level_seconds,
-)
-from .report import TraceReport, render_tree
-from .sink import JsonlSink, MemorySink, Sink, read_events
-from .slo import DEFAULT_BURN_WINDOWS, SLOTracker
-from .trace import Span, Tracer, get_tracer, swap_tracer, traced
+from .metrics import MetricsRegistry, get_registry
+from .report import TraceReport
+from .sink import JsonlSink
+from .slo import SLOTracker
+from .trace import get_tracer
 
 __all__ = [
-    # trace
-    "Span",
-    "Tracer",
     "get_tracer",
-    "swap_tracer",
-    "traced",
-    # metrics
-    "STAGES",
-    "STAGE_PARENT",
-    "stage_parent",
-    "top_level_seconds",
-    "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "get_registry",
-    "labels_suffix",
-    # slo / flushing
     "SLOTracker",
-    "DEFAULT_BURN_WINDOWS",
     "MetricsFlusher",
-    # sinks
-    "Sink",
     "JsonlSink",
-    "MemorySink",
-    "read_events",
-    # report
     "TraceReport",
-    "render_tree",
 ]

@@ -11,41 +11,18 @@ circuit breakers, degraded-write debt, and crash-safe live migration
 for draining and rebalancing shards.  See DESIGN.md sections 11 and 14.
 """
 
-from .buffer import BurstDrain, DrainStats
-from .hashring import DEFAULT_VNODES, HashRing, stable_hash
 from .health import ShardHealth
-from .ingest import CheckpointIngestService, IngestAck
-from .migration import MigrationWorker
-from .replication import ReplicationDebt, repair_debt, repair_unit
-from .sharded import (
-    NamespacedStore,
-    ShardedStore,
-    TENANT_PREFIX,
-    placement_unit,
-)
-from .tenants import TenantRegistry, TenantSpec, TokenBucket
+from .ingest import CheckpointIngestService
+from .sharded import ShardedStore
+from .tenants import TenantRegistry, TenantSpec
 from .wire import ServiceClient, ServiceServer
 
 __all__ = [
-    "BurstDrain",
-    "DrainStats",
-    "DEFAULT_VNODES",
-    "HashRing",
-    "stable_hash",
     "ShardHealth",
     "CheckpointIngestService",
-    "IngestAck",
-    "MigrationWorker",
-    "ReplicationDebt",
-    "repair_debt",
-    "repair_unit",
-    "NamespacedStore",
     "ShardedStore",
-    "TENANT_PREFIX",
-    "placement_unit",
     "TenantRegistry",
     "TenantSpec",
-    "TokenBucket",
     "ServiceClient",
     "ServiceServer",
 ]

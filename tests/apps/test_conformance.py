@@ -14,14 +14,12 @@ import numpy as np
 import pytest
 
 from repro import CompressionConfig
-from repro.apps import (
-    AdvectionProxy,
-    ClimateProxy,
-    HeatDiffusionProxy,
-    NBodyProxy,
-    ShallowWaterProxy,
-)
+from repro.apps import ClimateProxy
+from repro.apps.advection import AdvectionProxy
 from repro.apps.base import run_steps
+from repro.apps.heat import HeatDiffusionProxy
+from repro.apps.nbody import NBodyProxy
+from repro.apps.shallow_water import ShallowWaterProxy
 from repro.ckpt.manager import CheckpointManager
 from repro.ckpt.protocol import Checkpointable, registry_from_checkpointable
 from repro.ckpt.store import MemoryStore

@@ -18,9 +18,10 @@ from repro.ckpt.faults import (
     FaultInjectingStore,
     FaultPlan,
 )
+from repro.ckpt.journal import GEN_COMMITTED, scan_generations
 from repro.ckpt.manager import CheckpointManager
 from repro.ckpt.protocol import ArrayRegistry
-from repro.ckpt.recovery import GEN_COMMITTED, recover, restore_with_fallback, scan_generations
+from repro.ckpt.recovery import recover, restore_with_fallback
 from repro.ckpt.store import CountingStore, MemoryStore
 from repro.config import ResilienceConfig
 from repro.exceptions import SimulatedCrash

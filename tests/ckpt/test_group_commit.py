@@ -8,11 +8,10 @@ from repro.ckpt.journal import (
     COMMIT_FORMAT_VERSION,
     CommitMarker,
     GroupSealItem,
-    commit_key,
     group_seal,
     is_committed,
 )
-from repro.ckpt.manifest import ArrayEntry, CheckpointManifest, array_key
+from repro.ckpt.manifest import ArrayEntry, CheckpointManifest, array_key, commit_key
 from repro.ckpt.store import MemoryStore, Store, StoreWrapper
 from repro.exceptions import CommitError
 
@@ -73,7 +72,7 @@ def test_exactly_two_barriers_per_batch():
 def test_batches_across_namespaced_views():
     """Generations of different tenants (namespaced views over one physical
     store) seal in one batch with the physical store as the barrier."""
-    from repro.service import NamespacedStore
+    from repro.service.sharded import NamespacedStore
 
     counting = SyncCountingStore(MemoryStore())
     views = [NamespacedStore(counting, f"tenants/t{i}") for i in range(3)]

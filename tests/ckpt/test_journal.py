@@ -11,14 +11,18 @@ from repro.ckpt.journal import (
     COMMIT_FORMAT_VERSION,
     CommitJournal,
     CommitMarker,
-    commit_key,
     GEN_COMMITTED,
     classify,
-    generation_prefix,
     is_committed,
     reap_generation,
 )
-from repro.ckpt.manifest import ArrayEntry, CheckpointManifest, manifest_key
+from repro.ckpt.manifest import (
+    ArrayEntry,
+    CheckpointManifest,
+    commit_key,
+    generation_prefix,
+    manifest_key,
+)
 from repro.ckpt.store import CountingStore, DirectoryStore, MemoryStore, StoreWrapper
 from repro.exceptions import CommitError, FormatError
 
@@ -106,7 +110,8 @@ class TestCommitProtocol:
     def test_batch_durability_checkpoint_leaves_nothing_dirty(self, tmp_path):
         """A batch-durability store defers every flush to ``sync()``; when
         ``checkpoint()`` returns, the marker and its directory are flushed."""
-        from repro.ckpt import ArrayRegistry, CheckpointManager
+        from repro.ckpt import CheckpointManager
+        from repro.ckpt.protocol import ArrayRegistry
 
         registry = ArrayRegistry()
         registry.register("field", np.linspace(0.0, 1.0, 64).reshape(8, 8))

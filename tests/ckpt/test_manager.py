@@ -8,13 +8,14 @@ import pytest
 from repro import CompressionConfig
 from repro.ckpt.manager import (
     CheckpointManager,
+    _lossless_body,
     deserialize_array,
     serialize_array_lossless,
 )
-from repro.ckpt.manifest import array_key
+from repro.ckpt.manifest import array_key, commit_key
 from repro.ckpt.protocol import ArrayRegistry
-from repro.ckpt.journal import commit_key
 from repro.ckpt.store import CountingStore, MemoryStore
+from repro.core import container
 from repro.exceptions import (
     CheckpointError,
     CheckpointNotFoundError,
@@ -22,6 +23,12 @@ from repro.exceptions import (
     FormatError,
 )
 from repro.lossless import get_codec
+
+
+def _serialize_threaded(arr, backend, threads):
+    """A lossless array blob through a block-parallel codec of *threads*."""
+    codec = get_codec(backend, threads=threads, block_bytes=4_096)
+    return container.wrap_envelope(_lossless_body(arr), backend, codec=codec)
 
 
 @pytest.fixture
@@ -64,15 +71,13 @@ class TestLosslessSerialization:
     @pytest.mark.parametrize("codec", ["gzip-mt", "zlib-mt"])
     def test_threaded_codec_roundtrip(self, codec):
         arr = np.arange(20_000, dtype=np.float64).reshape(100, 200)
-        blob = serialize_array_lossless(
-            arr, codec, threads=2, block_bytes=4_096
-        )
+        blob = _serialize_threaded(arr, codec, threads=2)
         np.testing.assert_array_equal(deserialize_array(blob), arr)
 
     def test_threads_do_not_change_bytes(self):
         arr = np.arange(20_000, dtype=np.float64)
         blobs = [
-            serialize_array_lossless(arr, "gzip-mt", threads=t, block_bytes=4_096)
+            _serialize_threaded(arr, "gzip-mt", threads=t)
             for t in (1, 2, 8)
         ]
         assert blobs[0] == blobs[1] == blobs[2]
@@ -354,7 +359,7 @@ class TestRestoreDecodesEveryBlobOnce:
     def test_one_inflate_and_one_parse_per_blob(self, climate_like, monkeypatch):
         from repro.core import container
         from repro.core.pipeline import WaveletCompressor
-        from repro.lossless import DeflateCodec
+        from repro.lossless.deflate import DeflateCodec
 
         inflates = _count_calls(monkeypatch, DeflateCodec, "decompress")
         unwraps = _count_calls(monkeypatch, container, "unwrap_envelope")

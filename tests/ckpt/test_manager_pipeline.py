@@ -32,7 +32,7 @@ from repro.config import ResilienceConfig, TemporalConfig
 from repro.core import container
 from repro.core.pipeline import WaveletCompressor
 from repro.exceptions import CompressionError, NonFiniteDataError, ReproError, StorageError
-from repro.lossless import DeflateCodec
+from repro.lossless.deflate import DeflateCodec
 from repro.obs import get_registry, get_tracer
 
 from . import test_crash_points as crash_points

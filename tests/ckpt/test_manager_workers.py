@@ -9,7 +9,7 @@ from repro.ckpt.manager import CheckpointManager, deserialize_array
 from repro.ckpt.manifest import array_key
 from repro.ckpt.protocol import ArrayRegistry
 from repro.ckpt.store import MemoryStore
-from repro.core.chunked import CHUNK_MAGIC
+from repro.core.container import CHUNK_MAGIC
 from repro.exceptions import CheckpointError
 
 

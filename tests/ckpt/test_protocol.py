@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.apps import HeatDiffusionProxy
+from repro.apps.heat import HeatDiffusionProxy
 from repro.ckpt.protocol import (
     ArrayRegistry,
     Checkpointable,

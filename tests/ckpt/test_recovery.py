@@ -9,23 +9,18 @@ import numpy as np
 import pytest
 
 from repro.ckpt.journal import (
-    CommitJournal,
-    CommitMarker,
-    commit_key,
-    generation_prefix,
-    is_committed,
-)
-from repro.ckpt.manager import CheckpointManager
-from repro.ckpt.manifest import array_key, manifest_key
-from repro.ckpt.protocol import ArrayRegistry
-from repro.ckpt.recovery import (
     GEN_COMMITTED,
     GEN_ORPHANED,
     GEN_TORN,
-    recover,
-    restore_with_fallback,
+    CommitJournal,
+    CommitMarker,
+    is_committed,
     scan_generations,
 )
+from repro.ckpt.manager import CheckpointManager
+from repro.ckpt.manifest import array_key, commit_key, generation_prefix, manifest_key
+from repro.ckpt.protocol import ArrayRegistry
+from repro.ckpt.recovery import recover, restore_with_fallback
 from repro.ckpt.store import MemoryStore
 from repro.exceptions import (
     CheckpointError,

@@ -29,9 +29,8 @@ from hypothesis.extra import numpy as hnp
 
 from repro.ckpt import temporal
 from repro.ckpt.faults import CRASH_KINDS, FaultInjectingStore, FaultPlan
-from repro.ckpt.journal import COMMIT_FILENAME
 from repro.ckpt.manager import CheckpointManager, deserialize_array
-from repro.ckpt.manifest import MANIFEST_FILENAME, array_key, manifest_key
+from repro.ckpt.manifest import COMMIT_FILENAME, MANIFEST_FILENAME, array_key, manifest_key
 from repro.ckpt.protocol import ArrayRegistry
 from repro.ckpt.recovery import recover
 from repro.ckpt.store import CountingStore, MemoryStore
@@ -45,9 +44,9 @@ from repro.ckpt.temporal import (
     decode_delta,
     predict,
 )
+from repro.config import TemporalConfig
 from repro.core import container
 from repro.core.pipeline import WaveletCompressor
-from repro.config import TemporalConfig
 from repro.exceptions import (
     CheckpointError,
     CheckpointNotFoundError,

@@ -10,13 +10,14 @@ import struct
 import repro
 from repro import CompressionConfig
 from repro.core.chunked import (
-    CHUNK_MAGIC,
     chunked_compress,
     chunked_compress_with_stats,
     chunked_decompress,
     inspect_chunked,
     iter_chunks,
 )
+from repro.core.container import CHUNK_MAGIC
+from repro.core.pipeline import inspect
 from repro.exceptions import CompressionError, FormatError
 
 
@@ -181,7 +182,7 @@ class TestInspect:
 
     def test_pipeline_inspect_dispatches(self, smooth3d):
         blob = chunked_compress(smooth3d, chunk_rows=16)
-        info = repro.inspect(blob)
+        info = inspect(blob)
         assert info["container"] == "chunked"
 
     def test_envelope_error_is_pointed(self, smooth2d):

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import container
 from repro.exceptions import FormatError, IntegrityError
-from repro.lossless import NullCodec
+from repro.lossless.base import NullCodec, get_codec
 
 
 HEADER = {"shape": [4, 2], "dtype": "float64", "n": 7}
@@ -232,9 +232,8 @@ class TestEnvelope:
     @pytest.mark.parametrize("backend", ["gzip-mt", "zlib-mt"])
     def test_roundtrip_mt_backends(self, backend):
         body = container.write_body(HEADER, SECTIONS)
-        blob = container.wrap_envelope(
-            body, backend, threads=2, block_bytes=1_024
-        )
+        codec = get_codec(backend, threads=2, block_bytes=1_024)
+        blob = container.wrap_envelope(body, backend, codec=codec)
         out, name = container.unwrap_envelope(blob)
         assert out == body
         assert name == backend

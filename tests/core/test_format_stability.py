@@ -36,12 +36,13 @@ import numpy as np
 import pytest
 
 from repro import CompressionConfig, WaveletCompressor
-from repro.ckpt.manager import deserialize_array, serialize_array_lossless
+from repro.ckpt.manager import _lossless_body, deserialize_array, serialize_array_lossless
 from repro.ckpt.temporal import TemporalEngine, decode_delta
 from repro.config import TemporalConfig
 from repro.core import container
 from repro.core.chunked import chunked_compress, chunked_decompress
 from repro.core.pipeline import inspect
+from repro.lossless import get_codec
 
 
 def golden_array() -> np.ndarray:
@@ -766,7 +767,8 @@ class TestEnvelopePayloadIsAStandardStream:
 
     def test_lossless_blob_with_small_blocks(self, backend):
         arr = rough_array().astype(np.float32)
-        blob = serialize_array_lossless(arr, backend, threads=2, block_bytes=256)
+        codec = get_codec(backend, threads=2, block_bytes=256)
+        blob = container.wrap_envelope(_lossless_body(arr), backend, codec=codec)
         body = STOCK_INFLATE[backend](self._payload(blob, backend))
         _header, sections = container.read_body(body)
         assert sections["data"] == arr.tobytes()

@@ -7,6 +7,7 @@ import pytest
 
 import repro
 from repro import CompressionConfig, WaveletCompressor
+from repro.core.errors import max_relative_error
 from repro.core.pipeline import compress, decompress, inspect
 from repro.exceptions import CompressionError, FormatError
 
@@ -34,7 +35,7 @@ class TestRoundtrip:
         outs = {}
         for q in ("simple", "proposed"):
             comp = WaveletCompressor(CompressionConfig(n_bins=16, quantizer=q))
-            outs[q] = repro.max_relative_error(
+            outs[q] = max_relative_error(
                 smooth3d, comp.decompress(comp.compress(smooth3d))
             )
         assert outs["proposed"] < outs["simple"]

@@ -8,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro import CompressionConfig, WaveletCompressor
+from repro.core import container
 from repro.core.encoding import decode_coefficients, encode_coefficients
 from repro.core.quantization import proposed_quantize, simple_quantize
 from repro.core.wavelet import haar_forward, haar_inverse
-from repro.core import container
+from repro.lossless import get_codec
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -169,7 +170,8 @@ class TestContainerProperties:
         """Whatever item width a section has, and however the backend cuts
         the body up, the caller gets its bytes back in item order."""
         body = container.write_body({"k": 1}, arrays)
-        blob = container.wrap_envelope(body, backend, threads=2, block_bytes=64)
+        codec = get_codec(backend, threads=2, block_bytes=64)
+        blob = container.wrap_envelope(body, backend, codec=codec)
         h, s = container.read_body(container.unwrap_envelope(blob)[0])
         assert h == {"k": 1}
         assert s == {name: arr.tobytes() for name, arr in arrays.items()}

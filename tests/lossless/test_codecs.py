@@ -6,16 +6,12 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, DecompressionError, StorageError
-from repro.lossless import (
-    DeflateCodec,
-    NullCodec,
-    RleCodec,
-    TempfileGzipCodec,
-    XorDeltaCodec,
-    get_codec,
-    register_codec,
-)
-from repro.lossless.base import Codec
+from repro.lossless import get_codec
+from repro.lossless.base import Codec, NullCodec, register_codec
+from repro.lossless.deflate import DeflateCodec
+from repro.lossless.fpc import XorDeltaCodec
+from repro.lossless.rle import RleCodec
+from repro.lossless.tempfile_gzip import TempfileGzipCodec
 
 from .test_modern_codecs import MAGIC as RETIRED, retired_frame
 

@@ -22,8 +22,8 @@ from repro.config import CompressionConfig
 from repro.core import container
 from repro.core.pipeline import WaveletCompressor
 from repro.exceptions import ConfigurationError, DecompressionError, FormatError
-from repro.lossless import DeflateCodec, base, get_codec
-from repro.lossless.deflate import DEFAULT_BLOCK_BYTES
+from repro.lossless import base, get_codec
+from repro.lossless.deflate import DEFAULT_BLOCK_BYTES, DeflateCodec
 
 from ..core.test_format_stability import RETIRED_BACKEND_BLOBS_B64
 
@@ -277,7 +277,8 @@ class TestPipelineIntegration:
         """A lossless array a retired backend wrote still restores: the
         reader takes the backend from the blob."""
         import repro.ckpt.manager as manager_module
-        from repro.ckpt import ArrayRegistry, CheckpointManager
+        from repro.ckpt import CheckpointManager
+        from repro.ckpt.protocol import ArrayRegistry
         from repro.ckpt.store import DirectoryStore
 
         arr = np.arange(512, dtype=np.float64).reshape(32, 16)

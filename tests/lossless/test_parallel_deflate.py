@@ -13,8 +13,8 @@ import pytest
 from repro.config import CompressionConfig
 from repro.core.pipeline import WaveletCompressor
 from repro.exceptions import DecompressionError
-from repro.lossless import DeflateCodec, get_codec
-from repro.lossless.deflate import DEFAULT_BLOCK_BYTES, default_thread_count
+from repro.lossless import get_codec
+from repro.lossless.deflate import DEFAULT_BLOCK_BYTES, DeflateCodec, default_thread_count
 
 BODY = np.random.default_rng(7).bytes(10_000) + bytes(5_000) + b"tail" * 500
 gzip_mt = partial(DeflateCodec, "gzip-mt")

@@ -14,7 +14,8 @@ import pytest
 from repro.config import CompressionConfig
 from repro.core.chunked import chunked_compress_with_stats, chunked_decompress
 from repro.core.pipeline import WaveletCompressor
-from repro.obs import STAGES, get_registry, get_tracer
+from repro.obs import get_registry, get_tracer
+from repro.obs.metrics import STAGES
 from repro.parallel.executor import MultiprocessExecutor
 
 

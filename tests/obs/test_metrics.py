@@ -7,15 +7,8 @@ import threading
 import pytest
 
 from repro.core.pipeline import CompressionStats, WaveletCompressor
-from repro.obs import (
-    STAGES,
-    MetricsRegistry,
-    get_registry,
-    labels_suffix,
-    stage_parent,
-    top_level_seconds,
-)
-from repro.obs.metrics import NullMetric
+from repro.obs import MetricsRegistry, get_registry
+from repro.obs.metrics import STAGES, NullMetric, labels_suffix, stage_parent, top_level_seconds
 
 
 class TestStageTaxonomy:

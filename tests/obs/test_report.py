@@ -6,14 +6,9 @@ import pytest
 
 from repro.core.pipeline import WaveletCompressor
 from repro.exceptions import FormatError
-from repro.obs import (
-    STAGES,
-    JsonlSink,
-    TraceReport,
-    get_tracer,
-    render_tree,
-)
-from repro.obs.report import MAX_CHILDREN
+from repro.obs import JsonlSink, TraceReport, get_tracer
+from repro.obs.metrics import STAGES
+from repro.obs.report import MAX_CHILDREN, render_tree
 
 
 def _compress_trace(tmp_path, arr, config=None):

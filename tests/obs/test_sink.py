@@ -8,8 +8,9 @@ import json
 import pytest
 
 from repro.exceptions import FormatError
-from repro.obs import JsonlSink, MemorySink, Tracer, read_events
-from repro.obs.sink import TRACE_FORMAT_VERSION
+from repro.obs import JsonlSink
+from repro.obs.sink import TRACE_FORMAT_VERSION, MemorySink, read_events
+from repro.obs.trace import Tracer
 
 
 class TestJsonlSink:

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.obs import DEFAULT_BURN_WINDOWS, MetricsRegistry, SLOTracker
+from repro.obs import MetricsRegistry, SLOTracker
+from repro.obs.slo import DEFAULT_BURN_WINDOWS
 
 
 class FakeClock:

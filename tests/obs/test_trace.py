@@ -7,8 +7,9 @@ import threading
 
 import pytest
 
-from repro.obs import MemorySink, Span, Tracer, get_tracer, traced
-from repro.obs.trace import _NullSpan, swap_tracer
+from repro.obs import get_tracer
+from repro.obs.sink import MemorySink
+from repro.obs.trace import Span, Tracer, _NullSpan, swap_tracer, traced
 
 
 class TestDisabled:

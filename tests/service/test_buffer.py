@@ -9,7 +9,7 @@ import pytest
 
 from repro.ckpt.store import MemoryStore, Store, StoreWrapper
 from repro.exceptions import ConfigurationError, SimulatedCrash, StorageError
-from repro.service import BurstDrain
+from repro.service.buffer import BurstDrain
 
 
 class SlowStore(StoreWrapper):

@@ -16,18 +16,12 @@ import asyncio
 import pytest
 
 from repro.ckpt.faults import CRASH_AFTER, CRASH_BEFORE, FaultInjectingStore, FaultPlan
-from repro.ckpt.journal import is_committed
-from repro.ckpt.recovery import GEN_COMMITTED, scan_generations
+from repro.ckpt.journal import GEN_COMMITTED, is_committed, scan_generations
 from repro.ckpt.store import DirectoryStore
 from repro.config import ServiceConfig
 from repro.exceptions import ServiceUnavailableError
-from repro.service import (
-    CheckpointIngestService,
-    NamespacedStore,
-    ShardedStore,
-    TenantRegistry,
-    TenantSpec,
-)
+from repro.service import CheckpointIngestService, ShardedStore, TenantRegistry, TenantSpec
+from repro.service.sharded import NamespacedStore
 
 TENANTS = ("alice", "bob")
 

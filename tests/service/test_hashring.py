@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.service import HashRing, stable_hash
+from repro.service.hashring import HashRing, stable_hash
 
 SHARDS = ["shard-00", "shard-01", "shard-02", "shard-03"]
 

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from repro.ckpt.faults import FaultInjectingStore, FaultPlan
-from repro.ckpt.journal import CommitMarker, commit_key
+from repro.ckpt.journal import CommitMarker
 from repro.ckpt.manager import CheckpointManager
-from repro.ckpt.manifest import MANIFEST_FILENAME, array_key, manifest_key
+from repro.ckpt.manifest import MANIFEST_FILENAME, array_key, commit_key, manifest_key
 from repro.ckpt.protocol import ArrayRegistry
 from repro.ckpt.store import CountingStore, MemoryStore, StoreWrapper
 from repro.config import ResilienceConfig

@@ -8,7 +8,8 @@ import pytest
 
 from repro.ckpt.store import DirectoryStore, MemoryStore
 from repro.exceptions import ConfigurationError, StorageError
-from repro.service import NamespacedStore, ShardedStore, placement_unit
+from repro.service import ShardedStore
+from repro.service.sharded import NamespacedStore, placement_unit
 
 
 class TestPlacementUnit:

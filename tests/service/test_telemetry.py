@@ -15,8 +15,9 @@ import pytest
 from repro.ckpt.store import MemoryStore
 from repro.config import ServiceConfig
 from repro.exceptions import CommitError, QuotaExceededError, UnknownTenantError
-from repro.obs import MemorySink, SLOTracker, get_registry
+from repro.obs import SLOTracker, get_registry
 from repro.obs.flush import MetricsFlusher
+from repro.obs.sink import MemorySink
 from repro.service import (
     CheckpointIngestService,
     ShardedStore,

@@ -11,8 +11,8 @@ from repro.exceptions import (
     ServiceError,
     UnknownTenantError,
 )
-from repro.service import TenantRegistry, TenantSpec, TokenBucket
-from repro.service.tenants import RATE_BURST
+from repro.service import TenantRegistry, TenantSpec
+from repro.service.tenants import RATE_BURST, TokenBucket
 
 
 class FakeClock:

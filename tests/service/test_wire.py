@@ -258,7 +258,8 @@ class TestTypedErrorsAcrossTheWire:
 
 class TestTraceContext:
     def test_trace_context_propagates_across_the_wire(self):
-        from repro.obs import MemorySink, TraceReport, get_tracer
+        from repro.obs import TraceReport, get_tracer
+        from repro.obs.sink import MemorySink
 
         sink = MemorySink()
         tracer = get_tracer()

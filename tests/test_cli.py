@@ -67,7 +67,8 @@ class TestCompressDecompress:
     def test_decompress_blobs_of_a_checkpoint(self, tmp_path, smooth2d):
         """``decompress`` reads each single-blob kind the manager writes: a
         lossless int64 array bit for bit, a lossy field as a restore does."""
-        from repro.ckpt import ArrayRegistry, CheckpointManager, DirectoryStore
+        from repro.ckpt import CheckpointManager, DirectoryStore
+        from repro.ckpt.protocol import ArrayRegistry
 
         counts = np.arange(60, dtype=np.int64).reshape(6, 10)
         registry = ArrayRegistry()
@@ -147,7 +148,7 @@ class TestWorkers:
         assert np.load(out_npy).shape == smooth2d.shape
 
     def test_workers_write_chunked_stream(self, tmp_path, npy):
-        from repro.core.chunked import CHUNK_MAGIC
+        from repro.core.container import CHUNK_MAGIC
 
         rpz = tmp_path / "f.rpz"
         main(["compress", npy, str(rpz), "--workers", "2", "--chunk-rows", "16"])

@@ -10,12 +10,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cli import main
-from repro.ckpt.journal import commit_key
 from repro.ckpt.manager import CheckpointManager
-from repro.ckpt.manifest import array_key
+from repro.ckpt.manifest import array_key, commit_key
 from repro.ckpt.protocol import ArrayRegistry
 from repro.ckpt.store import DirectoryStore
+from repro.cli import main
 
 from .ckpt.test_recovery import DAMAGE_AFTER_SEAL
 

@@ -92,12 +92,10 @@ class TestHeadlineNumbers:
         """Abstract: 81 % checkpoint-time reduction at scale.  Using the
         analytic model with measured compression cost, large parallelism
         must approach 1 - rate."""
-        from repro.iomodel import (
-            PAPER_PFS,
-            estimate_point,
-            measure_breakdown,
-        )
         from repro.apps.fields import nicam_like_variables
+        from repro.iomodel.breakdown import measure_breakdown
+        from repro.iomodel.scaling import estimate_point
+        from repro.iomodel.storage import PAPER_PFS
 
         arr = nicam_like_variables((128, 32, 2), 0)["temperature"]
         breakdown = measure_breakdown(arr, repeats=1)

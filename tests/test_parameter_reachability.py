@@ -12,18 +12,26 @@ match by spelling: ``f(...)`` and ``x.f(...)`` call every definition named
 ``f``, a class name calls that class's ``__init__`` (or the nearest one it
 inherits from a class of ``src/repro``), and ``cls(...)`` inside a class
 calls that class.  The first argument of ``partial``, ``to_thread`` and
-``submit`` is a call too, with the remaining arguments.
+``submit`` is a call too, with the remaining arguments; a partial is
+called again later with the positional arguments it lacks, so it also
+passes every positional parameter, but no keyword-only one.
 
 A definition whose name is used other than as a call target (stored,
 passed or returned as a value) is skipped: the callers of such a value
 cannot be seen.  Annotations, ``isinstance`` checks, ``except`` clauses,
-base classes and ``Name.attr`` lookups do not count as such uses.
+base classes and ``Name.attr`` lookups do not count as such uses.  A
+function or class is used as a value by its bare name or as an attribute
+of an imported name (``module.f``); a method by any attribute of its
+name.  So ``report.f``, a field that shares a function's spelling, does
+not hide the function.
 
 An argument that forwards a defaulted parameter of the enclosing function
 unchanged (``g(x=x)``) passes it only if the enclosing parameter is itself
 passed; this is computed to a fixpoint.  Parameters of the definitions the
-definition lint allows are exempt, and ``ALLOWED`` names the injected
-fakes the tests pass in place of the real thing, each with its reason.
+definition lint allows are exempt, but are not passed by being there: what
+such a definition forwards counts only if its own callers pass it.
+``ALLOWED`` names the injected fakes the tests pass in place of the real
+thing, each with its reason.
 
 A second rule keeps imports honest: every name a non-``__init__`` module
 under ``src/repro`` imports must be named in that module or listed in its
@@ -33,6 +41,7 @@ under ``src/repro`` imports must be named in that module or listed in its
 from __future__ import annotations
 
 import ast
+import sys
 from collections import defaultdict
 from functools import lru_cache
 from pathlib import Path
@@ -67,6 +76,7 @@ class Param(NamedTuple):
 class Definition(NamedTuple):
     names: tuple[str, ...]  # the spellings that call it
     params: tuple[Param, ...]  # defaulted parameters only
+    method: bool  # reached as an attribute of an instance or class
 
 
 def _modules():
@@ -108,16 +118,19 @@ def definitions() -> dict[str, Definition]:
     for module, _path, tree in _modules():
         for node in tree.body:
             if isinstance(node, FUNCTIONS):
-                found[f"{module}.{node.name}"] = Definition((node.name,), _defaulted(node, 0))
+                found[f"{module}.{node.name}"] = Definition(
+                    (node.name,), _defaulted(node, 0), method=False
+                )
             elif isinstance(node, ast.ClassDef):
                 for sub in node.body:
                     if not isinstance(sub, FUNCTIONS):
                         continue
-                    names = (sub.name,)
+                    names, method = (sub.name,), True
                     if sub.name == "__init__":
                         names = tuple(c for c in classes if _init_owner(c, classes) == node.name)
+                        method = False
                     found[f"{module}.{node.name}.{sub.name}"] = Definition(
-                        names, _defaulted(sub, 0 if _is_static(sub) else 1)
+                        names, _defaulted(sub, 0 if _is_static(sub) else 1), method
                     )
     return found
 
@@ -155,7 +168,9 @@ class _Scanner(ast.NodeVisitor):
     def __init__(self, module: str | None):
         self.module = module
         self.calls: list[_Call] = []
-        self.escaped: set[str] = set()
+        self.escaped: set[str] = set()  # bare names, and attributes of imported names
+        self.escaped_attrs: set[str] = set()  # every other attribute
+        self._imported: set[str] = set()
         self._scope: list[tuple[str | None, frozenset[str]]] = []  # (qual, defaulted params)
         self._class: list[tuple[str, str | None]] = []  # (name, first base)
         self._quiet: set[int] = set()  # ids of name nodes that are not value uses
@@ -202,11 +217,18 @@ class _Scanner(ast.NodeVisitor):
         self._quiet_name(node.type)
         self.generic_visit(node)
 
+    def visit_Import(self, node):
+        self._imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+
+    def visit_ImportFrom(self, node):
+        self._imported.update(a.asname or a.name for a in node.names)
+
     def visit_Attribute(self, node):
+        of_import = isinstance(node.value, ast.Name) and node.value.id in self._imported
         if isinstance(node.value, ast.Name):
             self._quiet_name(node.value)
         if id(node) not in self._quiet and isinstance(node.ctx, ast.Load):
-            self.escaped.add(node.attr)
+            (self.escaped if of_import else self.escaped_attrs).add(node.attr)
         self.generic_visit(node)
 
     def visit_Name(self, node):
@@ -229,7 +251,7 @@ class _Scanner(ast.NodeVisitor):
                 self._record(name, node.args, node.keywords)
         if name in INDIRECT and node.args and _callee(node.args[0]) is not None:
             self._quiet_name(node.args[0])
-            # A partial is called later, by code that may pass the rest.
+            # A partial is called later, with the positional arguments it lacks.
             self._record(
                 _callee(node.args[0]), node.args[1:], node.keywords, rest=name == "partial"
             )
@@ -239,7 +261,7 @@ class _Scanner(ast.NodeVisitor):
         enclosing, mine = self._scope[-1] if self._scope else (None, frozenset())
         forwards = []
         positional = 0
-        unpacks = rest
+        unpacks = False
         for i, arg in enumerate(args):
             if isinstance(arg, ast.Starred):
                 unpacks = True
@@ -255,6 +277,8 @@ class _Scanner(ast.NodeVisitor):
                 forwards.append((kw.value.id, kw.arg))
             else:
                 named.add(kw.arg)
+        if rest:
+            positional = sys.maxsize
         self.calls.append(
             _Call(callee, positional, frozenset(named), unpacks, tuple(forwards), enclosing)
         )
@@ -279,10 +303,11 @@ def unpassed_parameters() -> frozenset[str]:
     """``qual.param`` for every covered parameter no caller passes."""
     defs = definitions()
     escaped = set().union(*(scan.escaped for scan in _scans()))
+    escaped_attrs = escaped.union(*(scan.escaped_attrs for scan in _scans()))
     seen = {
         qual
         for qual, definition in defs.items()
-        if not set(definition.names) & escaped and qual not in DEFINITIONS_ALLOWED
+        if not set(definition.names) & (escaped_attrs if definition.method else escaped)
     }
     callees = defaultdict(list)
     for qual in seen:
@@ -313,7 +338,11 @@ def unpassed_parameters() -> frozenset[str]:
         if grown == passed:
             break
         passed = grown
-    covered = {f"{qual}.{param.name}" for qual in seen for param in defs[qual].params}
+    covered = {
+        f"{qual}.{param.name}"
+        for qual in seen - set(DEFINITIONS_ALLOWED)
+        for param in defs[qual].params
+    }
     return frozenset(covered - passed)
 
 
@@ -367,3 +396,10 @@ def test_every_import_is_named():
                     if bound not in named:
                         unused.append(f"{module}: {bound}")
     assert not unused, "imported and never named: " + ", ".join(unused)
+
+
+def test_a_same_named_attribute_does_not_hide_a_function():
+    scan = _Scanner(None)
+    scan.visit(ast.parse("import mod\nfrom pkg import g\nreport.f\nmod.h\ng\n"))
+    assert "f" in scan.escaped_attrs and "f" not in scan.escaped
+    assert {"g", "h"} <= scan.escaped
