@@ -94,7 +94,7 @@ def _achieved_parallelism(body: bytes, threads: int) -> float:
     instrumentation is a lock-guarded accumulator, cheap but not free.
     """
     codec = get_codec("gzip-mt", level=LEVEL, threads=threads)
-    inner = codec._iter_map_blocks
+    inner = codec._map_blocks
     busy = [0.0]
     lock = threading.Lock()
 
@@ -110,7 +110,7 @@ def _achieved_parallelism(body: bytes, threads: int) -> float:
         return timed_block
 
     # instance-level override: time every block the pool runs
-    codec._iter_map_blocks = lambda fn, blocks: inner(timed(fn), blocks)
+    codec._map_blocks = lambda fn, blocks: inner(timed(fn), blocks)
     wall0 = time.perf_counter()
     codec.compress(body)
     wall = time.perf_counter() - wall0

@@ -30,10 +30,6 @@ class SqrtFit:
     coeff: float
     r_squared: float
 
-    def predict(self, steps: np.ndarray) -> np.ndarray:
-        k = np.asarray(steps, dtype=np.float64)
-        return self.intercept + self.coeff * np.sqrt(np.maximum(k - self.k0, 0.0))
-
 
 def fit_sqrt_growth(steps: np.ndarray, errors: np.ndarray) -> SqrtFit:
     """Fit the sqrt-growth model to a drift series.

@@ -249,11 +249,6 @@ class FaultPlan:
         """A deterministic position in ``[0, n)``, ``n > 0`` (bit/cut placement)."""
         return int(self._rng.integers(0, n))
 
-    @property
-    def pending(self) -> int:
-        """Scheduled placements whose operation index is still ahead."""
-        return len(self._schedule)
-
 
 class FaultInjectingStore(StoreWrapper):
     """Store wrapper that acts out a :class:`FaultPlan` on ``put``/``get``.

@@ -632,11 +632,6 @@ class TemporalEngine:
         self._roots.clear()
         self._report()
 
-    def chain_index(self, name: str) -> int | None:
-        """Committed chain position of ``name`` (None before the first)."""
-        entry = self._state.get(name)
-        return None if entry is None else entry.chain_index
-
     def committed_recon(self, name: str) -> np.ndarray | None:
         """The committed reconstruction of ``name`` -- bit-identical to
         what a chained restore of the last committed generation decodes."""

@@ -51,8 +51,10 @@ _QUANTIZERS = (QUANTIZER_SIMPLE, QUANTIZER_PROPOSED, QUANTIZER_BOUNDED, QUANTIZE
 #: Sentinel accepted by ``levels`` meaning "recurse until no axis can halve".
 MAX_LEVELS = "max"
 
-#: Default block size of the thread-parallel backends (1 MiB), mirrored
-#: from :mod:`repro.lossless.deflate` to avoid an import cycle.
+#: Default cap on the block size of the thread-parallel backends (1 MiB):
+#: large enough to amortize per-block deflate reset cost (< 1 % rate
+#: loss), small enough that a checkpoint-sized body yields work for every
+#: core (:meth:`repro.lossless.deflate.DeflateCodec.effective_block_bytes`).
 DEFAULT_BACKEND_BLOCK_BYTES = 1 << 20
 
 
@@ -315,11 +317,6 @@ class CompressionConfig(_Config):
                 f"error_bound only applies to quantizer='bounded', not "
                 f"{self.quantizer!r}"
             )
-
-    @property
-    def lossless(self) -> bool:
-        """True when the configuration performs no quantization."""
-        return self.quantizer == QUANTIZER_NONE
 
 
 #: Predictor that uses the previous generation's reconstruction directly.

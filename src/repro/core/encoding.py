@@ -49,15 +49,6 @@ class EncodedPayload:
     raw_values: np.ndarray
     size: int
 
-    def nbytes(self) -> int:
-        """Formatted payload size in bytes (before the gzip backend)."""
-        return (
-            self.bitmap.nbytes
-            + self.averages.nbytes
-            + self.indices.nbytes
-            + self.raw_values.nbytes
-        )
-
 
 def encode_coefficients(
     coeffs: np.ndarray,

@@ -55,25 +55,6 @@ class PhaseBreakdown:
     def as_dict(self) -> dict[str, float]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    def scaled(self, factor: float) -> "PhaseBreakdown":
-        """Breakdown for a checkpoint ``factor`` times larger.
-
-        Valid because every stage of the pipeline is O(n) in checkpoint
-        size (paper Section III) -- the property Section IV-D leans on to
-        extrapolate beyond the 1.5 MB NICAM arrays.
-        """
-        if factor <= 0:
-            raise ConfigurationError(f"factor must be positive, got {factor}")
-        return PhaseBreakdown(
-            wavelet=self.wavelet * factor,
-            quantization_encoding=self.quantization_encoding * factor,
-            temp_write=self.temp_write * factor,
-            gzip=self.gzip * factor,
-            other=self.other * factor,
-            compression_rate_percent=self.compression_rate_percent,
-            per_process_bytes=int(self.per_process_bytes * factor),
-        )
-
 
 def measure_breakdown(
     arr: np.ndarray,

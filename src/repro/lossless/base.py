@@ -11,15 +11,18 @@ with a string.
 
 from __future__ import annotations
 
-import inspect
 from abc import ABC, abstractmethod
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
+from ..config import DEFAULT_BACKEND_BLOCK_BYTES
 from ..exceptions import ConfigurationError
 
 __all__ = ["Codec", "register_codec", "get_codec", "NullCodec"]
 
-_REGISTRY: dict[str, Callable[..., "Codec"]] = {}
+#: What :func:`get_codec` calls: ``factory(level, threads, block_bytes)``.
+Factory = Callable[[int, "int | None", int], "Codec"]
+
+_REGISTRY: dict[str, Factory] = {}
 
 
 class Codec(ABC):
@@ -47,59 +50,34 @@ class Codec(ABC):
         """Raise :class:`~repro.exceptions.ConfigurationError` -- the one
         :meth:`compress` would -- where this codec only decodes."""
 
-    def iter_compress(self, data, cuts: Sequence[int] | None = None) -> Iterator[bytes]:
-        """Yield the compressed stream as in-order fragments.
-
-        ``b"".join(iter_compress(data, cuts))`` equals
-        ``compress(data, cuts)`` for every codec.  The base implementation
-        yields the whole stream in one piece; the block-parallel codecs
-        override it to stream length-bounded fragments as their pool
-        finishes each block, so consumers that write straight to storage
-        never materialize the full compressed body.
-        """
-        yield self.compress(data, cuts)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"
 
 
-def register_codec(factory: Callable[..., Codec], *, name: str | None = None) -> None:
-    """Register ``factory`` (usually the class itself) under its name."""
-    codec_name = name or getattr(factory, "name", "")
-    if not codec_name:
+def register_codec(name: str, factory: Factory) -> None:
+    """Register ``factory`` under ``name``; a codec without the threaded
+    knobs registers a factory that drops them."""
+    if not name:
         raise ConfigurationError("codec factory must define a non-empty name")
-    _REGISTRY[codec_name] = factory
+    _REGISTRY[name] = factory
 
 
-def get_codec(name: str, **kwargs) -> Codec:
-    """Instantiate the codec registered under ``name``.
-
-    Extra keyword arguments are forwarded to the factory *filtered by its
-    signature*: kwargs the factory does not accept (e.g. ``threads`` for
-    the single-threaded codecs) are dropped, so callers can pass the whole
-    backend knob set (``level``, ``threads``, ``block_bytes``) uniformly
-    and every codec picks up what it understands.
-    """
+def get_codec(
+    name: str,
+    level: int = 6,
+    threads: int | None = None,
+    block_bytes: int = DEFAULT_BACKEND_BLOCK_BYTES,
+) -> Codec:
+    """Instantiate the codec registered under ``name`` with the backend
+    knob set; ``threads`` and ``block_bytes`` matter to the ``-mt`` names
+    only, and ``threads=None`` means one per effective core."""
     try:
         factory = _REGISTRY[name]
     except KeyError:
         raise ConfigurationError(
             f"unknown codec {name!r}; available: {sorted(_REGISTRY)}"
         ) from None
-    if kwargs:
-        try:
-            params = inspect.signature(factory).parameters.values()
-        except (TypeError, ValueError):  # C callables without a signature
-            return factory(**kwargs)
-        if not any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params):
-            accepted = {
-                p.name
-                for p in params
-                if p.kind
-                in (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY)
-            }
-            kwargs = {k: v for k, v in kwargs.items() if k in accepted}
-    return factory(**kwargs)
+    return factory(level, threads, block_bytes)
 
 
 class NullCodec(Codec):
@@ -117,4 +95,4 @@ class NullCodec(Codec):
         return bytes(data)
 
 
-register_codec(NullCodec)
+register_codec(NullCodec.name, lambda level, threads, block_bytes: NullCodec(level))

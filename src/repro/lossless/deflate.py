@@ -22,11 +22,10 @@ Execution model of the ``-mt`` names
 * **Shared long-lived pool** -- all calls (and all concurrent callers)
   submit to one process-wide executor that stays warm across the
   checkpoint loop.
-* **Streaming submit/collect pipeline** -- blocks are submitted ahead
-  through a bounded in-flight window (2x the call's thread budget) and
-  collected in block order as they finish, so splitting, compressing and
-  joining overlap and at most a window's worth of compressed blocks is
-  ever held alongside the growing output.
+* **At most ``threads`` blocks deflating, results in block order** -- a
+  call never has more of its blocks on the pool than its thread budget,
+  and it returns the whole stream once the last block is in: there is no
+  partial stream to consume.
 * **Auto-tuned block size** -- the effective block size shrinks for small
   bodies so every core gets work (:meth:`DeflateCodec.effective_block_bytes`).
   The tuning is a pure function of the body length -- *never* of the
@@ -64,35 +63,27 @@ from __future__ import annotations
 
 import gzip
 import importlib.util
-import os
 import struct
 import threading
 import time
 import zlib
-from collections import deque
 from functools import partial
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from ..exceptions import ConfigurationError, DecompressionError
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from .base import Codec, register_codec
-from .pool import get_shared_pool
-from .segments import GZIP_FRAMING, ZLIB_FRAMING, SegmentTally, byte_view, iter_stream
+from .pool import effective_cores, get_shared_pool
+from .segments import GZIP_FRAMING, ZLIB_FRAMING, SegmentTally, byte_view, deflate_stream
 
 __all__ = [
     "DeflateCodec",
-    "DEFAULT_BLOCK_BYTES",
     "MIN_AUTO_BLOCK_BYTES",
     "AUTO_TARGET_BLOCKS",
     "zstd_available",
     "lz4_available",
 ]
-
-#: Upper bound on the auto-tuned block size: large enough to amortize
-#: per-block deflate reset cost (< 1 % rate loss), small enough that a
-#: checkpoint-sized body yields work for every core.
-DEFAULT_BLOCK_BYTES = 1 << 20
 
 #: Auto-tuning never splits below this (64 KiB): smaller blocks spend more
 #: time in per-call Python/framing overhead than in released-GIL deflate.
@@ -133,37 +124,24 @@ def lz4_available() -> bool:
     return importlib.util.find_spec("lz4") is not None
 
 
-def default_thread_count() -> int:
-    """Thread count used when ``threads`` is not given: one per *effective*
-    core (container CPU affinity respected when the platform exposes it)."""
-    try:
-        return max(1, len(os.sched_getaffinity(0)))
-    except (AttributeError, OSError):  # non-Linux / restricted platforms
-        return max(1, os.cpu_count() or 1)
-
-
 class DeflateCodec(Codec):
     """Segmented deflate under one of the registered names (see the module
-    docstring); ``threads`` and ``block_bytes`` matter to the ``-mt``
-    names only."""
+    docstring); ``threads`` (None: one per effective core) and
+    ``block_bytes`` (the cap of :meth:`effective_block_bytes`) matter to
+    the ``-mt`` names only.  Built by :func:`~repro.lossless.base.get_codec`,
+    which holds the defaults."""
 
     #: Strategy split of this instance's last compress call.
     last_segments: SegmentTally | None = None
 
-    def __init__(
-        self,
-        name: str = "zlib",
-        level: int = 6,
-        threads: int | None = None,
-        block_bytes: int = DEFAULT_BLOCK_BYTES,
-    ):
+    def __init__(self, name: str, level: int, threads: int | None, block_bytes: int):
         if name not in _FRAMINGS and name not in _FRAME_MAGIC:
             raise ValueError(f"no deflate codec is named {name!r}")
         self.name = name
         if not isinstance(level, int) or isinstance(level, bool) or not 0 <= level <= 9:
             raise ValueError(f"{name} level must be an int in [0, 9], got {level!r}")
         if threads is None:
-            threads = default_thread_count()
+            threads = effective_cores()
         if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
             raise ValueError(f"{name} threads must be an int >= 1, got {threads!r}")
         if (
@@ -248,53 +226,43 @@ class DeflateCodec(Codec):
 
         return traced
 
-    def _iter_map_blocks(
-        self, fn: Callable[[memoryview], bytes], blocks: Sequence
-    ) -> Iterator[bytes]:
-        """Yield ``fn(block)`` for every block, in block order.
+    def _map_blocks(self, fn: Callable, blocks: Sequence) -> list:
+        """``[fn(block) for block in blocks]``, with at most ``threads``
+        blocks inside ``fn`` at once on the shared pool.
 
-        The pipelined core: up to ``2 x threads`` blocks are in flight on
-        the shared pool while earlier results are yielded, so compression
-        overlaps with whatever the consumer does (framing, joining,
-        writing to storage) and at most a window's worth of compressed
-        blocks exists at once.  Results are collected strictly in submit
-        order, so the emitted stream does not depend on scheduling; a
-        pool that cannot start (or dies mid-call) degrades to the serial
-        loop over the remaining blocks -- same bytes.
+        Each block takes a slot before it is submitted and frees it when
+        ``fn`` returns, so a free slot goes to the next block whichever
+        block finished.  A pool that cannot start (or rejects work
+        mid-call) degrades to a serial loop over the blocks not yet
+        submitted -- same results, in the same order.
         """
         fn = self._traced(fn)
         n_workers = min(self.threads, len(blocks))
         if n_workers <= 1:
-            for block in blocks:
-                yield fn(block)
-            return
+            return [fn(block) for block in blocks]
         try:
             pool = get_shared_pool()
         except (RuntimeError, OSError) as exc:  # thread-limited sandboxes
             self._record_fallback(f"thread pool unavailable: {exc}")
-            for block in blocks:
-                yield fn(block)
-            return
-        window = 2 * n_workers
-        pending: deque = deque()
-        iterator = iter(blocks)
-        serial_rest = False
-        for block in iterator:
-            if not serial_rest:
-                try:
-                    pending.append(pool.submit(fn, block))
-                except RuntimeError as exc:  # pool shut down concurrently
-                    self._record_fallback(f"thread pool rejected work: {exc}")
-                    serial_rest = True
-            if serial_rest:
-                while pending:  # preserve block order before going serial
-                    yield pending.popleft().result()
-                yield fn(block)
-                continue
-            if len(pending) >= window:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
+            return [fn(block) for block in blocks]
+        slots = threading.Semaphore(n_workers)
+
+        def run(block):
+            try:
+                return fn(block)
+            finally:
+                slots.release()
+
+        futures = []
+        for i, block in enumerate(blocks):
+            slots.acquire()
+            try:
+                futures.append(pool.submit(run, block))
+            except RuntimeError as exc:  # pool shut down concurrently
+                slots.release()
+                self._record_fallback(f"thread pool rejected work: {exc}")
+                return [f.result() for f in futures] + [fn(b) for b in blocks[i:]]
+        return [f.result() for f in futures]
 
     # -- codec interface ---------------------------------------------------
 
@@ -306,31 +274,22 @@ class DeflateCodec(Codec):
                 f"write with 'zlib' or 'zlib-mt' instead"
             )
 
-    def iter_compress(self, data, cuts: Sequence[int] | None = None) -> Iterator[bytes]:
-        """Stream header, pieces in order, then the trailer (bounded
-        memory).
-
-        Consumers that write straight to storage never hold more than the
-        in-flight window of compressed blocks; :meth:`compress` is the
-        materialized join of exactly these fragments.
-        """
+    def compress(self, data, cuts: Sequence[int] | None = None) -> bytes:
         self.check_writable()
         self._reset_fallback()
         view = byte_view(data)
         tally = SegmentTally()
-        yield from iter_stream(
+        stream = deflate_stream(
             view,
             cuts,
             self.level,
             self.framing,
             tally,
-            block_bytes=self.effective_block_bytes(view.nbytes) if self.blocked else None,
-            map_blocks=self._iter_map_blocks if self.blocked else map,
+            self.effective_block_bytes(view.nbytes) if self.blocked else None,
+            self._map_blocks if self.blocked else map,
         )
         self.last_segments = tally
-
-    def compress(self, data: bytes, cuts: Sequence[int] | None = None) -> bytes:
-        return b"".join(self.iter_compress(data, cuts))
+        return stream
 
     def decompress(self, data: bytes) -> bytes:
         blob = byte_view(data)
@@ -380,10 +339,10 @@ class DeflateCodec(Codec):
             )
         self._reset_fallback()
         try:
-            return b"".join(self._iter_map_blocks(zlib.decompress, blocks))
+            return b"".join(self._map_blocks(zlib.decompress, blocks))
         except zlib.error as exc:
             raise DecompressionError(f"corrupt {name} block: {exc}") from exc
 
 
 for _name in (*_FRAMINGS, "zstd", "lz4"):
-    register_codec(partial(DeflateCodec, _name), name=_name)
+    register_codec(_name, partial(DeflateCodec, _name))

@@ -120,4 +120,6 @@ class XorDeltaCodec(Codec):
         return words.tobytes() + tail
 
 
-register_codec(XorDeltaCodec)
+register_codec(
+    XorDeltaCodec.name, lambda level, threads, block_bytes: XorDeltaCodec(level)
+)

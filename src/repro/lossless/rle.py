@@ -64,4 +64,4 @@ class RleCodec(Codec):
         return out.tobytes()
 
 
-register_codec(RleCodec)
+register_codec(RleCodec.name, lambda level, threads, block_bytes: RleCodec(level))

@@ -33,7 +33,7 @@ segment, between LZ77 at the configured level and ``Z_HUFFMAN_ONLY``:
   ``gzip.decompress``/``zlib.decompress`` -- every existing reader --
   inflates it unchanged, and it does not record (or need) the cuts.
 
-:func:`iter_stream` is the one assembler of such a stream; the serial and
+:func:`deflate_stream` is the one assembler of such a stream; the serial and
 the block-parallel codecs differ only in the ``map`` they hand it.
 DESIGN.md section 15 has the measurements behind the constants.
 """
@@ -44,7 +44,7 @@ import struct
 import threading
 import zlib
 from functools import partial
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from ..obs.metrics import get_registry
 
@@ -63,7 +63,7 @@ __all__ = [
     "byte_view",
     "plan_segments",
     "deflate_segment",
-    "iter_stream",
+    "deflate_stream",
 ]
 
 #: Bytes of one probe slice, coded both ways.  With its history primed a
@@ -313,29 +313,28 @@ def _deflate_block(block: Block, level: int, tally: SegmentTally) -> bytes:
     )
 
 
-def iter_stream(
+def deflate_stream(
     view: memoryview,
     cuts: Sequence[int] | None,
     level: int,
     framing: Framing,
     tally: SegmentTally,
-    *,
-    block_bytes: int | None = None,
-    map_blocks: Callable[[Callable[[Block], bytes], list[Block]], Iterable[bytes]] = map,
-) -> Iterator[bytes]:
-    """Yield the stream for ``view``: header, raw-deflate pieces in order,
+    block_bytes: int | None,
+    map_blocks: Callable[[Callable[[Block], bytes], list[Block]], Iterable[bytes]],
+) -> bytes:
+    """The stream for ``view``: header, raw-deflate pieces in order,
     trailer; ``tally`` is filled and published on the way.
 
     ``map_blocks(fn, blocks)`` applies the block coder and returns the
     results in order -- the builtin ``map`` over one block for the serial
-    codecs, a thread pool over ``block_bytes``-sized blocks for the
+    codecs, the shared pool over ``block_bytes``-sized blocks for the
     parallel ones.  How segments are grouped into blocks never shows in
     the output: every segment is coded on its own.
     """
-    yield framing.header(level)
-    yield from map_blocks(
+    pieces = map_blocks(
         partial(_deflate_block, level=level, tally=tally),
         _blocks(view, cuts, block_bytes),
     )
-    yield framing.trailer(view)
+    stream = b"".join((framing.header(level), *pieces, framing.trailer(view)))
     tally.publish()
+    return stream

@@ -6,8 +6,8 @@ will be mostly eliminated by compressing the temporary checkpoint data with
 zlib in memory."  Figure 9's cost breakdown therefore has *two* bars for
 the backend: the temporary file write and the gzip pass itself.
 
-This codec routes every (de)compression through real files in a scratch
-directory and records the wall-clock split between the temp write and the
+This codec routes every (de)compression through real files in the system
+temp directory and records the wall-clock split between the temp write and the
 gzip pass in :attr:`last_timings`, which the Fig. 9 breakdown harness reads.
 """
 
@@ -26,24 +26,17 @@ __all__ = ["TempfileGzipCodec"]
 
 
 class TempfileGzipCodec(Codec):
-    """Gzip via temporary files on a real filesystem.
-
-    Parameters
-    ----------
-    level:
-        gzip compression level.
-    scratch_dir:
-        Directory for the temporary files; defaults to the system temp
-        directory.  Must exist and be writable.
-    """
+    """Gzip at ``level`` via temporary files in the system temp directory
+    (``tempfile.gettempdir()``, which ``TMPDIR`` sets); it must exist and
+    be writable."""
 
     name = "tempfile-gzip"
 
-    def __init__(self, level: int = 6, scratch_dir: str | None = None):
+    def __init__(self, level: int = 6):
         if not 0 <= level <= 9:
             raise ValueError(f"gzip level must be in [0, 9], got {level}")
         self.level = level
-        self.scratch_dir = scratch_dir or tempfile.gettempdir()
+        self.scratch_dir = tempfile.gettempdir()
         if not os.path.isdir(self.scratch_dir):
             raise StorageError(f"scratch directory does not exist: {self.scratch_dir}")
         #: Wall-clock seconds of the last compress() call, split by phase.
@@ -96,4 +89,7 @@ class TempfileGzipCodec(Codec):
                 pass
 
 
-register_codec(TempfileGzipCodec)
+register_codec(
+    TempfileGzipCodec.name,
+    lambda level, threads, block_bytes: TempfileGzipCodec(level),
+)

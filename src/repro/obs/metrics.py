@@ -415,14 +415,6 @@ class MetricsRegistry:
         with self._lock:
             return sorted(self._metrics)
 
-    def family(self, name: str) -> list[Any]:
-        """Every child metric of one base name (labeled and unlabeled)."""
-        with self._lock:
-            return sorted(
-                (m for m in self._metrics.values() if m.family == name),
-                key=lambda m: m.name,
-            )
-
     def reset(self) -> None:
         with self._lock:
             self._metrics = {}

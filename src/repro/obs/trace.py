@@ -39,17 +39,14 @@ import os
 import threading
 import time
 from contextlib import contextmanager
-from typing import Any, Callable, Iterable, Mapping, TypeVar
+from typing import Any, Iterable, Mapping
 
 __all__ = [
     "Span",
     "Tracer",
     "get_tracer",
     "swap_tracer",
-    "traced",
 ]
-
-_F = TypeVar("_F", bound=Callable[..., Any])
 
 #: Process-wide id sequence.  Shared by every Tracer instance so a fresh
 #: tracer in a reused pool worker (one per traced slab call) can never
@@ -398,25 +395,3 @@ def swap_tracer(tracer: Tracer) -> Tracer:
     return previous
 
 
-def traced(name: str | None = None, **attrs: Any) -> Callable[[_F], _F]:
-    """Decorator form of :meth:`Tracer.span`.
-
-    >>> @traced("flush")
-    ... def flush(store):
-    ...     ...
-    """
-
-    def decorate(fn: _F) -> _F:
-        span_name = name if name is not None else fn.__name__
-
-        def wrapper(*args: Any, **kwargs: Any):
-            with get_tracer().span(span_name, **attrs):
-                return fn(*args, **kwargs)
-
-        wrapper.__name__ = fn.__name__
-        wrapper.__qualname__ = fn.__qualname__
-        wrapper.__doc__ = fn.__doc__
-        wrapper.__wrapped__ = fn  # type: ignore[attr-defined]
-        return wrapper  # type: ignore[return-value]
-
-    return decorate

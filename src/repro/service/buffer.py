@@ -138,10 +138,6 @@ class BurstDrain:
     def crashed(self) -> BaseException | None:
         return self._crashed
 
-    @property
-    def used_bytes(self) -> int:
-        return self._used
-
     # -- absorb path ---------------------------------------------------------
 
     async def absorb(

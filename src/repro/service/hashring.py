@@ -97,19 +97,12 @@ class HashRing:
 
     # -- placement -----------------------------------------------------------
 
-    def lookup(self, unit: str) -> str:
-        """The shard owning ``unit`` (first vnode clockwise of its hash)."""
-        h = stable_hash(unit)
-        i = bisect.bisect_right(self._points, h)
-        if i == len(self._points):
-            i = 0  # wrap around the ring
-        return self._owner[self._points[i]]
-
     def successors(self, unit: str, n: int, *, exclude: set[str] | frozenset[str] = frozenset()) -> list[str]:
         """The first ``n`` *distinct* shards clockwise of ``unit``'s hash.
 
-        This is the classic replica-placement rule: replica 0 is
-        :meth:`lookup`, replica 1 the next distinct shard clockwise, and
+        This is the classic replica-placement rule: replica 0 is the
+        owner of the first vnode clockwise, replica 1 the next distinct
+        shard clockwise, and
         so on -- so when a shard leaves the ring, each unit's replica set
         changes by exactly the departed member.  Shards in ``exclude``
         are skipped (used when draining a shard for removal).  Returns
@@ -131,10 +124,3 @@ class HashRing:
             if len(out) == n:
                 break
         return out
-
-    def spread(self, units: list[str] | tuple[str, ...]) -> dict[str, int]:
-        """Units per shard for a key population (diagnostics/tests)."""
-        counts = {sid: 0 for sid in self._shards}
-        for u in units:
-            counts[self.lookup(u)] += 1
-        return counts

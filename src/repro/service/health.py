@@ -181,11 +181,6 @@ class ShardHealth:
                 return True
             return False
 
-    def state(self, shard_id: str) -> str:
-        with self._lock:
-            b = self._breakers.get(shard_id)
-            return b.state if b is not None else STATE_CLOSED
-
     @property
     def degraded(self) -> bool:
         """True while any shard's breaker is not closed."""

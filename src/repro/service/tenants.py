@@ -201,9 +201,6 @@ class TenantRegistry:
                 used / quota
             )
 
-    def used_bytes(self, name: str) -> int:
-        return self._state(name).used_bytes
-
     # -- rate quota ----------------------------------------------------------
 
     def reserve_rate(self, name: str, *, max_wait: float = 0.0) -> float:

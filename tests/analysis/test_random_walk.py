@@ -29,11 +29,6 @@ class TestFit:
         assert fit.coeff == pytest.approx(0.01, rel=0.15)
         assert fit.r_squared > 0.7
 
-    def test_predict(self):
-        steps = np.arange(11, 20)
-        fit = fit_sqrt_growth(steps, 1.0 + 0.0 * steps)
-        np.testing.assert_allclose(fit.predict(steps), 1.0, atol=1e-9)
-
     def test_flat_series_zero_coeff(self):
         steps = np.arange(5, 50)
         fit = fit_sqrt_growth(steps, np.full(steps.size, 3.0))

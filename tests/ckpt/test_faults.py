@@ -93,16 +93,6 @@ class TestCrashKinds:
         with pytest.raises(ConfigurationError, match="op index"):
             FaultPlan(schedule=[(-1, CRASH_BEFORE)])
 
-    def test_pending_counts_placements_not_reached_yet(self):
-        plan = FaultPlan(schedule=[(1, CRASH_BEFORE), (3, FAULT_TORN)])
-        assert plan.pending == 2
-        assert plan.draw("put") is None
-        assert plan.draw("put") == CRASH_BEFORE
-        assert plan.pending == 1
-        plan.draw("get")
-        plan.draw("get")  # op 3 is a get: torn is not eligible, still consumed
-        assert plan.pending == 0
-
     def test_from_distribution_draws_the_requested_kinds(self):
         plan = FaultPlan.from_distribution(
             ExponentialFailures(mtbf=5.0), horizon_ops=200, kinds=CRASH_KINDS, seed=3

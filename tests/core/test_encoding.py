@@ -55,13 +55,6 @@ class TestEncode:
         payload = encode_coefficients(coeffs, mask, indices, averages)
         assert payload.bitmap.size == (100 + 7) // 8
 
-    def test_nbytes(self, rng):
-        coeffs, mask, indices, averages = make_payload(rng, size=64)
-        payload = encode_coefficients(coeffs, mask, indices, averages)
-        n_q = int(mask.sum())
-        expected = 8 + averages.nbytes + n_q + (64 - n_q) * 8
-        assert payload.nbytes() == expected
-
     def test_mask_length_mismatch(self, rng):
         with pytest.raises(ValueError):
             encode_coefficients(

@@ -18,17 +18,6 @@ class TestPhaseBreakdown:
         bd = PhaseBreakdown()
         assert set(BREAKDOWN_PHASES) <= set(bd.as_dict())
 
-    def test_scaled(self):
-        bd = PhaseBreakdown(1.0, 1.0, 1.0, 1.0, 1.0, 19.0, 1000)
-        big = bd.scaled(3.0)
-        assert big.total_seconds == pytest.approx(15.0)
-        assert big.per_process_bytes == 3000
-        assert big.compression_rate_percent == 19.0
-
-    def test_scaled_validation(self):
-        with pytest.raises(ConfigurationError):
-            PhaseBreakdown().scaled(0.0)
-
 
 class TestMeasure:
     def test_positive_phases_and_rate(self, smooth3d):

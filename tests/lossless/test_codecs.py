@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,11 @@ class TestRegistry:
         codec = get_codec("zlib-mt", threads=2)
         assert codec.threads == 2
 
+    @pytest.mark.parametrize("knob", [{"thread": 2}, {"blok_bytes": 256}])
+    def test_misspelled_knob_raises(self, knob):
+        with pytest.raises(TypeError):
+            get_codec("gzip-mt", **knob)
+
     def test_unknown_name(self):
         with pytest.raises(ConfigurationError, match="unknown codec"):
             get_codec("lz77-imaginary")
@@ -84,7 +91,7 @@ class TestRegistry:
                 return data
 
         with pytest.raises(ConfigurationError):
-            register_codec(Anon)
+            register_codec(Anon.name, lambda level, threads, block_bytes: Anon())
 
     def test_register_custom(self):
         class Upper(Codec):
@@ -96,7 +103,7 @@ class TestRegistry:
             def decompress(self, data):
                 return data.lower()
 
-        register_codec(Upper)
+        register_codec(Upper.name, lambda level, threads, block_bytes: Upper())
         assert get_codec("test-upper").compress(b"ab") == b"AB"
 
 
@@ -204,28 +211,34 @@ class TestXorDelta:
 
 
 class TestTempfileGzip:
-    def test_roundtrip_and_timings(self, tmp_path):
-        codec = TempfileGzipCodec(scratch_dir=str(tmp_path))
+    @pytest.fixture
+    def scratch(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        return tmp_path
+
+    def test_roundtrip_and_timings(self, scratch):
+        codec = TempfileGzipCodec()
         data = b"checkpoint" * 1000
         out = codec.compress(data)
         assert codec.decompress(out) == data
         assert codec.last_timings["temp_write"] > 0
         assert codec.last_timings["gzip"] > 0
 
-    def test_scratch_cleaned_up(self, tmp_path):
-        codec = TempfileGzipCodec(scratch_dir=str(tmp_path))
+    def test_scratch_cleaned_up(self, scratch):
+        codec = TempfileGzipCodec()
         codec.decompress(codec.compress(b"data" * 100))
-        assert list(tmp_path.iterdir()) == []
+        assert list(scratch.iterdir()) == []
 
-    def test_missing_scratch_dir(self):
+    def test_missing_scratch_dir(self, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", "/nonexistent/place")
         with pytest.raises(StorageError):
-            TempfileGzipCodec(scratch_dir="/nonexistent/place")
+            TempfileGzipCodec()
 
-    def test_matches_in_memory_gzip(self, tmp_path):
+    def test_matches_in_memory_gzip(self, scratch):
         data = b"same bytes" * 200
-        via_files = TempfileGzipCodec(scratch_dir=str(tmp_path)).compress(data)
+        via_files = TempfileGzipCodec().compress(data)
         assert get_codec("gzip").decompress(via_files) == data
 
-    def test_level_validation(self, tmp_path):
+    def test_level_validation(self, scratch):
         with pytest.raises(ValueError):
-            TempfileGzipCodec(level=11, scratch_dir=str(tmp_path))
+            TempfileGzipCodec(level=11)

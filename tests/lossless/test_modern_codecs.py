@@ -23,7 +23,8 @@ from repro.core import container
 from repro.core.pipeline import WaveletCompressor
 from repro.exceptions import ConfigurationError, DecompressionError, FormatError
 from repro.lossless import base, get_codec
-from repro.lossless.deflate import DEFAULT_BLOCK_BYTES, DeflateCodec
+from repro.config import DEFAULT_BACKEND_BLOCK_BYTES
+from repro.lossless.deflate import DeflateCodec
 
 from ..core.test_format_stability import RETIRED_BACKEND_BLOBS_B64
 
@@ -37,15 +38,13 @@ def retired_frame(
     body: bytes,
     *,
     level: int = 6,
-    block_bytes: int = DEFAULT_BLOCK_BYTES,
+    block_bytes: int = DEFAULT_BACKEND_BLOCK_BYTES,
     inner: int = 2,
 ) -> bytes:
     """What the retired ``name`` encoder wrote for ``body``: magic | u8
     version | u8 inner coder | u32 n_blocks, then a u64 length and a zlib
     stream per block, blocks auto-tuned as the ``-mt`` codecs still do."""
-    step = DeflateCodec("zlib-mt", block_bytes=block_bytes).effective_block_bytes(
-        len(body)
-    )
+    step = get_codec("zlib-mt", block_bytes=block_bytes).effective_block_bytes(len(body))
     blocks = [zlib.compress(body[i : i + step], level) for i in range(0, len(body), step)]
     head = MAGIC[name] + struct.pack("<BBI", 1, inner, len(blocks))
     return head + b"".join(struct.pack("<Q", len(b)) + b for b in blocks)
@@ -132,12 +131,10 @@ def test_deterministic_across_thread_counts(name):
 
 @pytest.mark.parametrize("name", IDS)
 def test_iter_compress_matches_compress(name):
-    """Both ways to write refuse, naming what to use instead."""
+    """The one way to write refuses, naming what to use instead."""
     codec = get_codec(name, threads=3, block_bytes=2_048)
     with pytest.raises(ConfigurationError, match="retired.*'zlib'"):
         codec.compress(BODY)
-    with pytest.raises(ConfigurationError, match="retired.*'zlib'"):
-        b"".join(codec.iter_compress(BODY))
 
 
 class TestCorruptStreams:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import gzip
 import struct
+import threading
+import time
 import zlib
 from functools import partial
 
@@ -14,11 +16,14 @@ from repro.config import CompressionConfig
 from repro.core.pipeline import WaveletCompressor
 from repro.exceptions import DecompressionError
 from repro.lossless import get_codec
-from repro.lossless.deflate import DEFAULT_BLOCK_BYTES, DeflateCodec, default_thread_count
+from repro.config import DEFAULT_BACKEND_BLOCK_BYTES
+from repro.lossless import segments
+from repro.lossless.deflate import DeflateCodec
+from repro.lossless.pool import effective_cores
 
 BODY = np.random.default_rng(7).bytes(10_000) + bytes(5_000) + b"tail" * 500
-gzip_mt = partial(DeflateCodec, "gzip-mt")
-zlib_mt = partial(DeflateCodec, "zlib-mt")
+gzip_mt = partial(get_codec, "gzip-mt")
+zlib_mt = partial(get_codec, "zlib-mt")
 MT_CLASSES = [gzip_mt, zlib_mt]
 MT_IDS = ["gzip-mt", "zlib-mt"]
 
@@ -28,8 +33,8 @@ class TestConstruction:
     def test_defaults(self, cls):
         codec = cls()
         assert codec.level == 6
-        assert codec.threads == default_thread_count()
-        assert codec.block_bytes == DEFAULT_BLOCK_BYTES
+        assert codec.threads == effective_cores()
+        assert codec.block_bytes == DEFAULT_BACKEND_BLOCK_BYTES
         assert codec.fallback_reason is None
 
     @pytest.mark.parametrize("cls", MT_CLASSES, ids=MT_IDS)
@@ -52,7 +57,7 @@ class TestConstruction:
 
     def test_name_validation(self):
         with pytest.raises(ValueError, match="no deflate codec"):
-            DeflateCodec("brotli")
+            DeflateCodec("brotli", 6, None, DEFAULT_BACKEND_BLOCK_BYTES)
 
     @pytest.mark.parametrize("cls", MT_CLASSES, ids=MT_IDS)
     def test_block_bytes_validation(self, cls):
@@ -198,13 +203,13 @@ class TestLegacyZlibMTFrames:
         """The frame records block boundaries, so blobs already in stores
         keep their block-parallel restore."""
         fanned_out = []
-        inner = DeflateCodec._iter_map_blocks
+        inner = DeflateCodec._map_blocks
 
         def spy(self, fn, blocks):
             fanned_out.append(len(blocks))
             return inner(self, fn, blocks)
 
-        monkeypatch.setattr(DeflateCodec, "_iter_map_blocks", spy)
+        monkeypatch.setattr(DeflateCodec, "_map_blocks", spy)
         blob = legacy_zlib_mt_frames(BODY, 2_000)
         assert zlib_mt(threads=4).decompress(blob) == BODY
         assert fanned_out == [-(-len(BODY) // 2_000)]
@@ -419,7 +424,35 @@ class TestSharedPool:
     def test_pool_sized_for_machine(self):
         from repro.lossless import pool as pool_mod
 
-        assert pool_mod.max_pool_workers() >= 4
+        pool_mod.get_shared_pool()
+        assert pool_mod.shared_pool_size() >= max(4, effective_cores())
+
+
+class TestThreadsMeansThreads:
+    def test_never_more_blocks_deflating_than_threads(self, monkeypatch):
+        """A ``threads=2`` call keeps at most two of its blocks inside the
+        block coder, however many workers the shared pool holds."""
+        inside = [0]
+        peak = [0]
+        lock = threading.Lock()
+        inner = segments._deflate_block
+
+        def counting(*args, **kwargs):
+            with lock:
+                inside[0] += 1
+                peak[0] = max(peak[0], inside[0])
+            try:
+                time.sleep(0.005)  # long enough for the pool to overlap blocks
+                return inner(*args, **kwargs)
+            finally:
+                with lock:
+                    inside[0] -= 1
+
+        monkeypatch.setattr(segments, "_deflate_block", counting)
+        body = bytes(8 << 20)
+        blob = get_codec("gzip-mt", level=1, threads=2).compress(body)
+        assert gzip.decompress(blob) == body
+        assert peak[0] <= 2
 
 
 class TestAutoBlockTuning:
@@ -457,33 +490,3 @@ class TestAutoBlockTuning:
         body = np.random.default_rng(11).bytes(3 << 20)
         codec = cls(threads=4)
         assert codec.decompress(codec.compress(body)) == body
-
-
-class TestStreamingCompress:
-    @pytest.mark.parametrize("cls", MT_CLASSES, ids=MT_IDS)
-    def test_iter_compress_matches_compress(self, cls):
-        codec = cls(threads=3, block_bytes=2_048)
-        assert b"".join(codec.iter_compress(BODY)) == codec.compress(BODY)
-
-    def test_iter_compress_bounded_memory(self):
-        """The peak-RSS regression (satellite): streaming consumption must
-        not hold every compressed block plus the joined output.  An 8 MB
-        incompressible body compresses to ~8 MB; the streaming path's
-        tracked peak stays a small fraction of that."""
-        import tracemalloc
-
-        body = np.random.default_rng(5).bytes(8 << 20)  # incompressible
-        codec = gzip_mt(threads=2)
-        codec.compress(body[: 1 << 20])  # warm the pool outside the window
-        total = 0
-        tracemalloc.start()
-        baseline, _ = tracemalloc.get_traced_memory()
-        for part in codec.iter_compress(body):
-            total += len(part)  # e.g. stream to storage, hash, socket...
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        extra = peak - baseline
-        assert total > 7 << 20  # really was incompressible
-        # Eager materialization would hold ~8 MB of blocks; the bounded
-        # window holds 2 x threads blocks (auto-tuned to 256 KiB here).
-        assert extra < 4 << 20, f"streaming peak {extra} bytes"

@@ -131,15 +131,6 @@ class TestLabels:
         with pytest.raises(ValueError, match="is a counter"):
             registry.histogram("f")
 
-    def test_family_lists_all_children(self):
-        registry = MetricsRegistry()
-        registry.counter("f")
-        registry.counter("f", tenant="a")
-        registry.counter("f", tenant="b")
-        registry.counter("other")
-        names = [m.name for m in registry.family("f")]
-        assert names == ["f", "f{tenant=a}", "f{tenant=b}"]
-
     def test_snapshot_and_nested_keep_label_suffix(self):
         registry = MetricsRegistry()
         registry.counter("a.b", tenant="x").inc(3)

@@ -9,7 +9,7 @@ import pytest
 
 from repro.obs import get_tracer
 from repro.obs.sink import MemorySink
-from repro.obs.trace import Span, Tracer, _NullSpan, swap_tracer, traced
+from repro.obs.trace import Span, Tracer, _NullSpan, swap_tracer
 
 
 class TestDisabled:
@@ -189,29 +189,6 @@ class TestGlobals:
         finally:
             swap_tracer(previous)
         assert get_tracer() is original
-
-    def test_traced_decorator(self):
-        tracer = get_tracer()
-        tracer.enable()
-
-        @traced("flush")
-        def flush(x):
-            return x + 1
-
-        assert flush(1) == 2
-        assert [s.name for s in tracer.spans] == ["flush"]
-        assert flush.__name__ == "flush"
-
-    def test_traced_defaults_to_function_name(self):
-        tracer = get_tracer()
-        tracer.enable()
-
-        @traced()
-        def do_work():
-            pass
-
-        do_work()
-        assert [s.name for s in tracer.spans] == ["do_work"]
 
 
 class TestSinks:

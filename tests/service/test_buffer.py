@@ -9,7 +9,13 @@ import pytest
 
 from repro.ckpt.store import MemoryStore, Store, StoreWrapper
 from repro.exceptions import ConfigurationError, SimulatedCrash, StorageError
+from repro.obs.metrics import get_registry
 from repro.service.buffer import BurstDrain
+
+
+def buffered_bytes() -> float:
+    """What the buffer holds, as the metrics it serves say."""
+    return get_registry().gauge("service.buffer_used_bytes").value
 
 
 class SlowStore(StoreWrapper):
@@ -50,7 +56,7 @@ def test_absorb_then_drain_moves_blob_to_slow_tier():
         await drain.close()
         assert slow.get("tenants/a/ckpt/0000000001/u.bin") == b"payload"
         # the buffer released the space once drained
-        assert drain.used_bytes == 0
+        assert buffered_bytes() == 0
         assert drain.stats.drained_blobs == 1
 
     asyncio.run(run())
@@ -65,7 +71,7 @@ def test_oversized_blob_writes_through():
         done = await drain.absorb("k", big)
         await done  # already resolved: write-through is synchronous
         assert slow.get("k") == big
-        assert drain.used_bytes == 0
+        assert drain.stats.peak_used_bytes == 0  # never buffered
         assert drain.stats.through_blobs == 1
         assert drain.stats.absorbed_blobs == 0
         await drain.close()
@@ -78,15 +84,7 @@ def test_backpressure_bounds_buffer_and_engages():
         slow = SlowStore(MemoryStore(), delay=0.005)
         drain = BurstDrain(slow, capacity_bytes=250, drain_workers=1)
         await drain.start()
-        peak = 0
-
-        async def submit(i):
-            nonlocal peak
-            done = await drain.absorb(f"k{i:03d}", b"x" * 100)
-            peak = max(peak, drain.used_bytes)
-            return done
-
-        dones = [await submit(i) for i in range(10)]
+        dones = [await drain.absorb(f"k{i:03d}", b"x" * 100) for i in range(10)]
         await asyncio.gather(*dones)
         await drain.close()
         assert drain.stats.peak_used_bytes <= 250
@@ -179,7 +177,7 @@ def test_transient_drain_failure_returns_capacity():
             await first
         # the blob never reached the slow tier, so its reservation came
         # back -- no capacity leak
-        assert drain.used_bytes == 0
+        assert buffered_bytes() == 0
         assert drain.crashed is None
         # with the capacity returned, an equally large blob absorbs
         # without deadlocking in the backpressure wait

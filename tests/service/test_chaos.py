@@ -114,7 +114,7 @@ class TestSingleShardDown:
 
                 stats = svc.stats()
                 assert stats["degraded"]
-                assert health.state("s1") == "open"
+                assert health.snapshot()["s1"]["state"] == "open"
                 # reads fail over MID-STORM: every acked generation,
                 # including ones whose replica set contains s1, restores
                 # bit-identically while the shard is dark
@@ -126,7 +126,7 @@ class TestSingleShardDown:
                 summary = repair_debt(store)
                 assert summary["remaining_debt"]["units"] == 0
                 assert not svc.stats()["degraded"]
-                assert health.state("s1") == "closed"
+                assert health.snapshot()["s1"]["state"] == "closed"
                 for (tenant, step), blobs in acked.items():
                     assert svc.restore_blobs(tenant, step) == blobs
                 # the repaired shard holds real copies again: killing the

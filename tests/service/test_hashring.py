@@ -10,6 +10,11 @@ from repro.service.hashring import HashRing, stable_hash
 SHARDS = ["shard-00", "shard-01", "shard-02", "shard-03"]
 
 
+def _owner(ring: HashRing, unit: str) -> str:
+    """The shard owning ``unit``: its first replica."""
+    return ring.successors(unit, 1)[0]
+
+
 def _units(n: int) -> list[str]:
     """A realistic key population: tenants x generations."""
     tenants = ["alice", "bob", "carol", "dave", "erin"]
@@ -38,44 +43,46 @@ class TestPlacementStability:
         a = HashRing(SHARDS)
         b = HashRing(list(reversed(SHARDS)))  # order-insensitive
         for unit in _units(500):
-            assert a.lookup(unit) == b.lookup(unit)
+            assert _owner(a, unit) == _owner(b, unit)
 
     def test_lookup_stable_under_repeated_queries(self):
         ring = HashRing(SHARDS)
         units = _units(200)
-        first = [ring.lookup(u) for u in units]
-        assert [ring.lookup(u) for u in units] == first
+        first = [_owner(ring, u) for u in units]
+        assert [_owner(ring, u) for u in units] == first
 
 
 class TestBoundedRemap:
     def test_add_shard_remaps_bounded_fraction(self):
         units = _units(2000)
-        before = {u: HashRing(SHARDS).lookup(u) for u in units}
+        before = {u: _owner(HashRing(SHARDS), u) for u in units}
         grown = HashRing(SHARDS + ["shard-04"])
-        moved = [u for u in units if grown.lookup(u) != before[u]]
+        moved = [u for u in units if _owner(grown, u) != before[u]]
         # Ideal consistent hashing moves 1/(N+1) = 20%; allow slack for
         # vnode granularity but stay far from modulo hashing's ~80%.
         assert len(moved) / len(units) < 0.35
         # ... and every moved unit moved TO the new shard, not between
         # old shards.
-        assert all(grown.lookup(u) == "shard-04" for u in moved)
+        assert all(_owner(grown, u) == "shard-04" for u in moved)
 
     def test_remove_shard_only_remaps_its_units(self):
         units = _units(2000)
         ring = HashRing(SHARDS)
-        before = {u: ring.lookup(u) for u in units}
+        before = {u: _owner(ring, u) for u in units}
         ring.remove("shard-02")
         for u in units:
             if before[u] == "shard-02":
-                assert ring.lookup(u) != "shard-02"
+                assert _owner(ring, u) != "shard-02"
             else:
-                assert ring.lookup(u) == before[u]
+                assert _owner(ring, u) == before[u]
 
 
 class TestSpread:
     def test_even_spread(self):
         ring = HashRing(SHARDS)
-        counts = ring.spread(_units(4000))
+        counts = dict.fromkeys(SHARDS, 0)
+        for unit in _units(4000):
+            counts[_owner(ring, unit)] += 1
         assert sum(counts.values()) == 4000
         mean = 4000 / len(SHARDS)
         for shard, n in counts.items():
@@ -85,10 +92,11 @@ class TestSpread:
 
 class TestSuccessors:
     def test_first_successor_is_lookup(self):
+        """The owner does not depend on how many replicas are asked for."""
         ring = HashRing(SHARDS)
         for unit in _units(300):
-            assert ring.successors(unit, 1) == [ring.lookup(unit)]
-            assert ring.successors(unit, 2)[0] == ring.lookup(unit)
+            assert ring.successors(unit, 2)[0] == _owner(ring, unit)
+            assert ring.successors(unit, 3)[0] == _owner(ring, unit)
 
     def test_distinct_and_bounded_by_ring_size(self):
         ring = HashRing(SHARDS)
@@ -100,7 +108,7 @@ class TestSuccessors:
     def test_exclude_skips_shards(self):
         ring = HashRing(SHARDS)
         for unit in _units(100):
-            primary = ring.lookup(unit)
+            primary = _owner(ring, unit)
             reps = ring.successors(unit, 2, exclude={primary})
             assert primary not in reps
             assert len(reps) == 2

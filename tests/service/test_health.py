@@ -22,6 +22,12 @@ class FakeClock:
         self.t += dt
 
 
+def _state(h: ShardHealth, shard: str) -> str:
+    """``shard``'s breaker state as ``svc-stats`` serves it; a shard that
+    never failed has no breaker yet, which is a closed one."""
+    return h.snapshot().get(shard, {"state": STATE_CLOSED})["state"]
+
+
 def _health(threshold=3, open_seconds=5.0):
     clock = FakeClock()
     return ShardHealth(
@@ -33,7 +39,8 @@ class TestBreakerStateMachine:
     def test_unknown_shard_is_closed_and_available(self):
         h, _ = _health()
         assert h.available("s0")
-        assert h.state("s0") == STATE_CLOSED
+        assert "s0" not in h.snapshot()
+        assert _state(h, "s0") == STATE_CLOSED
         assert not h.degraded
 
     def test_failures_below_threshold_stay_closed(self):
@@ -41,16 +48,16 @@ class TestBreakerStateMachine:
         h.record_failure("s0")
         h.record_failure("s0")
         assert h.available("s0")
-        assert h.state("s0") == STATE_CLOSED
+        assert _state(h, "s0") == STATE_CLOSED
 
     def test_threshold_consecutive_failures_open(self):
         h, _ = _health(threshold=3)
         for _ in range(3):
             h.record_failure("s0", "boom")
-        assert h.state("s0") == STATE_OPEN
+        assert _state(h, "s0") == STATE_OPEN
         assert not h.available("s0")
         assert h.degraded
-        assert h.state("s1") == STATE_CLOSED
+        assert _state(h, "s1") == STATE_CLOSED
 
     def test_success_resets_the_failure_count(self):
         h, _ = _health(threshold=3)
@@ -59,7 +66,7 @@ class TestBreakerStateMachine:
         h.record_success("s0")
         h.record_failure("s0")
         h.record_failure("s0")
-        assert h.state("s0") == STATE_CLOSED  # never 3 *consecutive*
+        assert _state(h, "s0") == STATE_CLOSED  # never 3 *consecutive*
 
     def test_open_breaker_admits_one_probe_after_timeout(self):
         h, clock = _health(threshold=1, open_seconds=5.0)
@@ -67,7 +74,7 @@ class TestBreakerStateMachine:
         assert not h.available("s0")
         clock.advance(5.0)
         assert h.available("s0")  # the single half-open probe
-        assert h.state("s0") == STATE_HALF_OPEN
+        assert _state(h, "s0") == STATE_HALF_OPEN
         assert not h.available("s0")  # a second caller is refused
         assert not h.available("s0")
 
@@ -77,7 +84,7 @@ class TestBreakerStateMachine:
         clock.advance(1.0)
         assert h.available("s0")
         h.record_success("s0")
-        assert h.state("s0") == STATE_CLOSED
+        assert _state(h, "s0") == STATE_CLOSED
         assert h.available("s0")
         assert not h.degraded
 
@@ -88,7 +95,7 @@ class TestBreakerStateMachine:
         clock.advance(2.0)
         assert h.available("s0")  # probe admitted
         h.record_failure("s0")  # probe failed: re-open immediately
-        assert h.state("s0") == STATE_OPEN
+        assert _state(h, "s0") == STATE_OPEN
         clock.advance(1.0)
         assert not h.available("s0")  # fresh timer, not the stale one
         clock.advance(1.0)
@@ -105,7 +112,7 @@ class TestBreakerStateMachine:
         h.record_failure("s0")
         assert not h.available("s0")
         assert h.available("s1")
-        assert (h.state("s0"), h.state("s1")) == (STATE_OPEN, STATE_CLOSED)
+        assert (_state(h, "s0"), _state(h, "s1")) == (STATE_OPEN, STATE_CLOSED)
 
     def test_snapshot_shape(self):
         h, _ = _health(threshold=1)

@@ -192,7 +192,7 @@ def test_byte_quota_refusal_leaves_no_state_and_charges_nothing():
                 k for k in store.list_keys("") if "0000000001" in k
             ]
             # quota accounting kept only the committed generation
-            assert registry.used_bytes("alice") == 600
+            assert registry.stats()["alice"]["used_bytes"] == 600
 
     asyncio.run(run())
 
@@ -356,7 +356,7 @@ def test_submit_before_start_refused_without_state():
             await svc.submit("alice", 0, {"u": b"x"})
         # refused at admission: nothing absorbed, nothing charged
         assert store.list_keys("") == []
-        assert svc.tenants.used_bytes("alice") == 0
+        assert svc.tenants.stats()["alice"]["used_bytes"] == 0
 
     asyncio.run(run())
 

@@ -146,7 +146,7 @@ class TestReplicatedPlacement:
         health.record_failure(second, "blip")
         clock.t = 5.0
         assert store.get(KEY) == b"payload"
-        assert health.state(second) == STATE_CLOSED
+        assert health.snapshot()[second]["state"] == STATE_CLOSED
         clock.t = 100.0
         assert health.available(second)
 

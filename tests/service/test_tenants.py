@@ -66,7 +66,7 @@ class TestByteQuota:
         reg = TenantRegistry([TenantSpec("a", byte_quota=100)])
         reg.reserve_bytes("a", 60)
         reg.reserve_bytes("a", 40)
-        assert reg.used_bytes("a") == 100
+        assert reg.stats()["a"]["used_bytes"] == 100
 
     def test_refusal_is_atomic(self):
         reg = TenantRegistry([TenantSpec("a", byte_quota=100)])
@@ -74,7 +74,7 @@ class TestByteQuota:
         with pytest.raises(QuotaExceededError, match="byte quota exceeded"):
             reg.reserve_bytes("a", 50)
         # the refused reservation charged nothing
-        assert reg.used_bytes("a") == 60
+        assert reg.stats()["a"]["used_bytes"] == 60
 
     def test_release_returns_bytes(self):
         reg = TenantRegistry([TenantSpec("a", byte_quota=100)])

@@ -21,10 +21,6 @@ class TestDefaults:
         with pytest.raises(AttributeError):
             cfg.n_bins = 4
 
-    def test_lossless_property(self):
-        assert CompressionConfig(quantizer="none").lossless
-        assert not CompressionConfig(quantizer="simple").lossless
-
 
 class TestValidation:
     @pytest.mark.parametrize("n", [1, 2, 128, 256])
