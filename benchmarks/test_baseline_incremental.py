@@ -13,8 +13,6 @@ stored bytes plus the incremental scheme's restore-chain cost.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro import CompressionConfig, WaveletCompressor
 from repro.analysis.tables import render_table
 from repro.apps.climate import ClimateProxy

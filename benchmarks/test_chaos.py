@@ -8,7 +8,7 @@ replays the *same* storm matrix on every commit:
   restore bit-identically both mid-storm (reads fail over) and after
   ``repair_debt`` repays the degraded writes; the ``degraded`` surface
   must flip while the shard is dark and recover afterwards.
-* **Seeded storm matrix** -- ``ShardStormPlan.from_seed`` mixes down,
+* **Seeded storm matrix** -- ``FaultPlan.from_seed`` mixes down,
   slow, flaky and bitflip windows across all shards under concurrent
   wave load.  Refused submits are allowed (nothing was promised); acked
   ones are not -- zero acked-generation loss, bit-identical restores.
@@ -30,12 +30,7 @@ from __future__ import annotations
 import asyncio
 import os
 
-from repro.ckpt.faults import (
-    STORM_DOWN,
-    ShardStormPlan,
-    StormInjectingStore,
-    StormWindow,
-)
+from repro.ckpt.faults import FAULT_DOWN, FaultInjectingStore, FaultPlan, FaultWindow
 from repro.ckpt.store import MemoryStore
 from repro.config import ServiceConfig
 from repro.exceptions import ReproError
@@ -80,9 +75,9 @@ def _payload(tenant: str, step: int) -> dict[str, bytes]:
 def _build(windows=None, *, plan=None, clock, failure_threshold=2):
     backends = {f"s{i}": MemoryStore() for i in range(N_SHARDS)}
     if plan is None:
-        plan = ShardStormPlan(windows or [], clock=clock)
+        plan = FaultPlan(windows=windows or [], clock=clock)
     wrapped = {
-        sid: StormInjectingStore(b, sid, plan) for sid, b in backends.items()
+        sid: FaultInjectingStore(b, plan, sid) for sid, b in backends.items()
     }
     health = ShardHealth(
         failure_threshold=failure_threshold, open_seconds=0.25, clock=clock
@@ -137,7 +132,7 @@ def _kill_one_shard(victim: str) -> dict[str, object]:
     async def run():
         clock = _Clock()
         svc, store, _ = _build(
-            [StormWindow(shard=victim, kind=STORM_DOWN, start=1.0, end=2.0)],
+            [FaultWindow(FAULT_DOWN, 1.0, shard=victim, start=1.0, end=2.0)],
             clock=clock,
             failure_threshold=1,
         )
@@ -180,7 +175,7 @@ def _storm_campaign(seed: int) -> dict[str, object]:
 
     async def run():
         clock = _Clock()
-        plan = ShardStormPlan.from_seed(
+        plan = FaultPlan.from_seed(
             [f"s{i}" for i in range(N_SHARDS)],
             seed=seed,
             duration=3.0,
@@ -222,7 +217,7 @@ def _write_trace() -> None:
             async def run():
                 clock = _Clock()
                 svc, store, _ = _build(
-                    [StormWindow(shard="s0", kind=STORM_DOWN, start=1.0,
+                    [FaultWindow(FAULT_DOWN, 1.0, shard="s0", start=1.0,
                                  end=2.0)],
                     clock=clock,
                     failure_threshold=1,
@@ -263,6 +258,7 @@ def test_chaos_campaign():
     # Arm 2: the seeded storm matrix, each seed replayed for determinism.
     campaigns = []
     deterministic = True
+    divergent = {}  # seed -> generations only one replay acked
     for seed in SEEDS:
         first = _storm_campaign(seed)
         second = _storm_campaign(seed)
@@ -270,10 +266,13 @@ def test_chaos_campaign():
         assert first["acked"], f"seed {seed}: the storm refused every submit"
         if first["acked"] != second["acked"]:
             deterministic = False
+            divergent[seed] = sorted(set(first["acked"]) ^ set(second["acked"]))
         assert first["debt_after_repair"] == 0, first
         assert not first["degraded_after_repair"], first
         campaigns.append(first)
-    assert deterministic, "same seed acked different sets across replays"
+    assert deterministic, (
+        f"same seed acked different sets across replays: {divergent}"
+    )
 
     _write_trace()
 

@@ -13,8 +13,6 @@ and the improvement is most dramatic in the *maximum* error.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro import CompressionConfig, WaveletCompressor
 from repro.analysis.tables import render_series, render_table
 from repro.core.errors import max_relative_error, mean_relative_error

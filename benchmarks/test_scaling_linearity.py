@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
 from repro import CompressionConfig, WaveletCompressor
 from repro.analysis.tables import render_series
 from repro.apps.fields import smooth_field

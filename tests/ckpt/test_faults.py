@@ -30,16 +30,29 @@ from repro.exceptions import (
 from repro.failure.distributions import ExponentialFailures
 
 
+def _kinds(plan, n, op="put"):
+    """The fault kind the plan draws for each of ``n`` first ``op``s of
+    distinct keys."""
+    return [plan.draw(op, f"k{i}", None, 0)[1] for i in range(n)]
+
+
+def _decisions(store):
+    """What a store's faults were, without the arrival-order op index."""
+    return sorted(
+        (e.op, e.key, e.kind, sorted(e.detail.items())) for e in store.events
+    )
+
+
 class TestFaultPlan:
     def test_no_rates_no_schedule_never_faults(self):
         plan = FaultPlan(seed=1)
-        assert all(plan.draw("put") is None for _ in range(100))
+        assert all(kind is None for kind in _kinds(plan, 100))
 
     def test_rate_mode_is_deterministic(self):
         outcomes = []
         for _ in range(2):
             plan = FaultPlan(seed=7, rates={FAULT_TRANSIENT: 0.3})
-            outcomes.append([plan.draw("put") for _ in range(50)])
+            outcomes.append(_kinds(plan, 50))
         assert outcomes[0] == outcomes[1]
         assert FAULT_TRANSIENT in outcomes[0]
         assert None in outcomes[0]
@@ -47,24 +60,57 @@ class TestFaultPlan:
     def test_different_seeds_differ(self):
         plan_a = FaultPlan(seed=1, rates={FAULT_BITFLIP: 0.5})
         plan_b = FaultPlan(seed=2, rates={FAULT_BITFLIP: 0.5})
-        a = [plan_a.draw("put") for _ in range(64)]
-        b = [plan_b.draw("put") for _ in range(64)]
+        a = _kinds(plan_a, 64, "get")  # a rate's bitflip is read-side only
+        b = _kinds(plan_b, 64, "get")
         assert a != b
 
     def test_schedule_mode_hits_exact_ops(self):
         plan = FaultPlan(schedule=[(0, FAULT_TORN), (2, FAULT_MISSING)])
-        assert plan.draw("put") == FAULT_TORN
-        assert plan.draw("put") is None
-        assert plan.draw("put") == FAULT_MISSING
+        assert plan.draw("put", "k", None, 0)[1] == FAULT_TORN
+        assert plan.draw("put", "k", None, 1)[1] is None
+        assert plan.draw("put", "k", None, 2)[1] == FAULT_MISSING
 
     def test_schedule_respects_eligibility(self):
         # torn writes cannot hit a get
         plan = FaultPlan(schedule=[(0, FAULT_TORN)])
-        assert plan.draw("get") is None
+        assert plan.draw("get", "k", None, 0)[1] is None
 
-    def test_rates_and_schedule_are_exclusive(self):
-        with pytest.raises(ConfigurationError):
-            FaultPlan(rates={FAULT_TORN: 0.1}, schedule=[(0, FAULT_TORN)])
+    def test_rates_and_schedule_fire_together(self):
+        plan = FaultPlan(
+            seed=3, rates={FAULT_TRANSIENT: 0.5}, schedule=[(0, FAULT_MISSING)]
+        )
+        store = FaultInjectingStore(MemoryStore(), plan)
+        for i in range(20):
+            try:
+                store.put(f"k{i}", b"x")
+            except TransientStorageError:
+                pass
+        first = store.events[0]
+        assert (first.index, first.key, first.kind) == (0, "k0", FAULT_MISSING)
+        assert {e.kind for e in store.events} == {FAULT_MISSING, FAULT_TRANSIENT}
+
+    def test_shared_rate_plan_decides_by_key_not_arrival_order(self):
+        """Two stores on one plan, driven in two interleavings: every key
+        meets the same faults, so a seed fixes them under concurrency."""
+
+        def run(order):
+            plan = FaultPlan(seed=11, rates={FAULT_TRANSIENT: 0.3, FAULT_BITFLIP: 0.4})
+            stores = {sid: FaultInjectingStore(MemoryStore(), plan, sid) for sid in ("s0", "s1")}
+            for sid, key in order:
+                for op in ("put", "get", "get"):
+                    try:
+                        if op == "put":
+                            stores[sid].put(key, bytes(range(32)))
+                        else:
+                            stores[sid].get(key)
+                    except StorageError:
+                        pass
+            return {sid: _decisions(store) for sid, store in stores.items()}
+
+        calls = [(sid, f"k{i}") for i in range(24) for sid in ("s0", "s1")]
+        first = run(calls)
+        assert first == run(calls[::-1])
+        assert all(first.values()), "each store must meet some faults"
 
     @pytest.mark.parametrize("bad", [{"nope": 0.5}, {FAULT_TORN: 1.5}])
     def test_rate_validation(self, bad):
@@ -75,8 +121,8 @@ class TestFaultPlan:
         dist = ExponentialFailures(mtbf=10.0)
         a = FaultPlan.from_distribution(dist, horizon_ops=200, seed=3)
         b = FaultPlan.from_distribution(dist, horizon_ops=200, seed=3)
-        hits_a = [a.draw("put") for _ in range(200)]
-        hits_b = [b.draw("put") for _ in range(200)]
+        hits_a = [a.draw("put", "k", None, i)[1] for i in range(200)]
+        hits_b = [b.draw("put", "k", None, i)[1] for i in range(200)]
         assert hits_a == hits_b
         injected = [k for k in hits_a if k is not None]
         assert injected, "an MTBF of 10 ops over 200 ops should fault"
@@ -97,7 +143,8 @@ class TestCrashKinds:
         plan = FaultPlan.from_distribution(
             ExponentialFailures(mtbf=5.0), horizon_ops=200, kinds=CRASH_KINDS, seed=3
         )
-        hits = [k for k in (plan.draw("put") for _ in range(200)) if k is not None]
+        drawn = (plan.draw("put", "k", None, i)[1] for i in range(200))
+        hits = [k for k in drawn if k is not None]
         assert hits and set(hits) <= set(CRASH_KINDS)
 
     @pytest.mark.parametrize(

@@ -12,7 +12,6 @@ from repro.ckpt.journal import (
     GEN_COMMITTED,
     GEN_ORPHANED,
     GEN_TORN,
-    CommitJournal,
     CommitMarker,
     is_committed,
     scan_generations,

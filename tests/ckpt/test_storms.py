@@ -5,14 +5,14 @@ import zlib
 import pytest
 
 from repro.ckpt.faults import (
-    STORM_BITFLIP,
-    STORM_DOWN,
-    STORM_FLAKY,
+    FAULT_BITFLIP,
+    FAULT_DOWN,
+    FAULT_FLAKY,
+    FAULT_SLOW,
     STORM_KINDS,
-    STORM_SLOW,
-    ShardStormPlan,
-    StormInjectingStore,
-    StormWindow,
+    FaultInjectingStore,
+    FaultPlan,
+    FaultWindow,
 )
 from repro.ckpt.store import MemoryStore
 from repro.exceptions import (
@@ -31,27 +31,27 @@ class FakeClock:
         return self.t
 
 
-def _storm(kind, start=1.0, end=2.0, shard="s0", **kw):
+def _storm(kind, start=1.0, end=2.0, shard="s0", rate=1.0, **kw):
     clock = FakeClock()
-    plan = ShardStormPlan(
-        [StormWindow(shard=shard, kind=kind, start=start, end=end, **kw)],
+    plan = FaultPlan(
+        windows=[FaultWindow(kind, rate, shard=shard, start=start, end=end, **kw)],
         clock=clock,
     )
     inner = MemoryStore()
-    return StormInjectingStore(inner, shard, plan), inner, clock
+    return FaultInjectingStore(inner, plan, shard), inner, clock
 
 
 class TestWindows:
     def test_validation(self):
-        with pytest.raises(ConfigurationError, match="unknown storm kind"):
-            StormWindow(shard="s0", kind="hurricane", start=0, end=1)
+        with pytest.raises(ConfigurationError, match="unknown fault kind"):
+            FaultWindow("hurricane", 1.0, shard="s0", start=0, end=1)
         with pytest.raises(ConfigurationError, match="start < end"):
-            StormWindow(shard="s0", kind=STORM_DOWN, start=2, end=1)
+            FaultWindow(FAULT_DOWN, 1.0, shard="s0", start=2, end=1)
         with pytest.raises(ConfigurationError, match="rate"):
-            StormWindow(shard="s0", kind=STORM_FLAKY, start=0, end=1, rate=2.0)
+            FaultWindow(FAULT_FLAKY, 2.0, shard="s0", start=0, end=1)
 
     def test_active_respects_time_and_shard(self):
-        store, _, clock = _storm(STORM_DOWN, start=1.0, end=2.0)
+        store, _, clock = _storm(FAULT_DOWN, start=1.0, end=2.0)
         plan = store.plan
         assert plan.active("s0") == []
         clock.t = 1.5
@@ -61,36 +61,36 @@ class TestWindows:
         assert plan.active("s0") == []
 
     def test_from_seed_is_deterministic(self):
-        a = ShardStormPlan.from_seed(
+        a = FaultPlan.from_seed(
             ["s0", "s1", "s2"], seed=42, duration=3.0, storms=6,
             clock=FakeClock(),
         )
-        b = ShardStormPlan.from_seed(
+        b = FaultPlan.from_seed(
             ["s0", "s1", "s2"], seed=42, duration=3.0, storms=6,
             clock=FakeClock(),
         )
         assert a.windows == b.windows
-        c = ShardStormPlan.from_seed(
+        c = FaultPlan.from_seed(
             ["s0", "s1", "s2"], seed=43, duration=3.0, storms=6,
             clock=FakeClock(),
         )
         assert a.windows != c.windows
 
     def test_horizon(self):
-        plan = ShardStormPlan(
-            [
-                StormWindow(shard="s0", kind=STORM_DOWN, start=0.5, end=1.5),
-                StormWindow(shard="s1", kind=STORM_SLOW, start=1.0, end=2.5),
+        plan = FaultPlan(
+            windows=[
+                FaultWindow(FAULT_DOWN, 1.0, shard="s0", start=0.5, end=1.5),
+                FaultWindow(FAULT_SLOW, 1.0, shard="s1", start=1.0, end=2.5),
             ],
             clock=FakeClock(),
         )
         assert plan.horizon == 2.5
-        assert ShardStormPlan(clock=FakeClock()).horizon == 0.0
+        assert FaultPlan(clock=FakeClock()).horizon == 0.0
 
 
 class TestDownStorm:
     def test_every_data_op_fails_during_the_window(self):
-        store, inner, clock = _storm(STORM_DOWN)
+        store, inner, clock = _storm(FAULT_DOWN)
         store.put("k", b"v")  # before the window: fine
         clock.t = 1.5
         for op in (
@@ -108,21 +108,21 @@ class TestDownStorm:
         assert store.get("k") == b"v"  # storm passed: shard is back
 
     def test_sync_passes_through_while_down(self):
-        store, _, clock = _storm(STORM_DOWN)
+        store, _, clock = _storm(FAULT_DOWN)
         clock.t = 1.5
         store.sync()  # must not raise: barriers span all shards
 
 
 class TestFlakyStorm:
     def test_fails_transiently_at_the_given_rate(self):
-        store, _, clock = _storm(STORM_FLAKY, rate=1.0)
+        store, _, clock = _storm(FAULT_FLAKY, rate=1.0)
         store.put("k", b"v")
         clock.t = 1.5
         with pytest.raises(TransientStorageError, match="flaked"):
             store.get("k")
 
     def test_zero_rate_never_fires(self):
-        store, _, clock = _storm(STORM_FLAKY, rate=0.0)
+        store, _, clock = _storm(FAULT_FLAKY, rate=0.0)
         store.put("k", b"v")
         clock.t = 1.5
         assert store.get("k") == b"v"
@@ -131,14 +131,14 @@ class TestFlakyStorm:
 class TestSlowStorm:
     def test_delays_via_injected_sleeper(self):
         clock = FakeClock()
-        plan = ShardStormPlan(
-            [StormWindow(shard="s0", kind=STORM_SLOW, start=0.0, end=1.0,
-                         delay=0.25)],
+        plan = FaultPlan(
+            windows=[FaultWindow(FAULT_SLOW, 1.0, shard="s0", start=0.0, end=1.0,
+                                 delay=0.25)],
             clock=clock,
         )
         slept = []
-        store = StormInjectingStore(
-            MemoryStore(), "s0", plan, sleep=slept.append
+        store = FaultInjectingStore(
+            MemoryStore(), plan, "s0", sleep=slept.append
         )
         store.put("k", b"v")
         assert slept == [0.25]
@@ -146,7 +146,7 @@ class TestSlowStorm:
 
 class TestBitflipStorm:
     def test_reads_corrupt_but_store_stays_intact(self):
-        store, inner, clock = _storm(STORM_BITFLIP, rate=1.0)
+        store, inner, clock = _storm(FAULT_BITFLIP, rate=1.0)
         payload = bytes(64)
         store.put("k", payload)
         clock.t = 1.5
@@ -158,7 +158,7 @@ class TestBitflipStorm:
         assert inner.get("k") == payload  # read-side only: rest intact
 
     def test_writes_never_corrupted(self):
-        store, inner, clock = _storm(STORM_BITFLIP, rate=1.0)
+        store, inner, clock = _storm(FAULT_BITFLIP, rate=1.0)
         clock.t = 1.5
         store.put("k", b"precious")
         assert inner.get("k") == b"precious"
@@ -166,14 +166,14 @@ class TestBitflipStorm:
 
 class TestEvents:
     def test_events_recorded_with_kinds(self):
-        store, _, clock = _storm(STORM_DOWN)
+        store, _, clock = _storm(FAULT_DOWN)
         clock.t = 1.5
         with pytest.raises(StorageError):
             store.get("k")
-        assert store.events[0].kind == "storm-down"
+        assert store.events[0].kind == "down"
         assert store.events[0].op == "get"
 
     def test_all_kinds_covered(self):
         assert set(STORM_KINDS) == {
-            STORM_DOWN, STORM_SLOW, STORM_FLAKY, STORM_BITFLIP
+            FAULT_DOWN, FAULT_SLOW, FAULT_FLAKY, FAULT_BITFLIP
         }

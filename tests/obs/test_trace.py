@@ -5,8 +5,6 @@ from __future__ import annotations
 import pickle
 import threading
 
-import pytest
-
 from repro.obs import get_tracer
 from repro.obs.sink import MemorySink
 from repro.obs.trace import Span, Tracer, _NullSpan, swap_tracer

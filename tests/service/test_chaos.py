@@ -16,12 +16,7 @@ import os
 
 import pytest
 
-from repro.ckpt.faults import (
-    STORM_DOWN,
-    ShardStormPlan,
-    StormInjectingStore,
-    StormWindow,
-)
+from repro.ckpt.faults import FAULT_DOWN, FaultInjectingStore, FaultPlan, FaultWindow
 from repro.ckpt.store import MemoryStore
 from repro.config import ServiceConfig
 from repro.exceptions import ReproError
@@ -59,9 +54,9 @@ def _chaos_service(
     slo=None,
 ):
     backends = {f"s{i}": MemoryStore() for i in range(n_shards)}
-    plan = ShardStormPlan(windows, clock=clock)
+    plan = FaultPlan(windows=windows, clock=clock)
     wrapped = {
-        sid: StormInjectingStore(b, sid, plan) for sid, b in backends.items()
+        sid: FaultInjectingStore(b, plan, sid) for sid, b in backends.items()
     }
     health = ShardHealth(
         failure_threshold=failure_threshold,
@@ -90,7 +85,7 @@ class TestSingleShardDown:
         async def run():
             clock = FakeClock()
             svc, store, health, _ = _chaos_service(
-                [StormWindow(shard="s1", kind=STORM_DOWN, start=1.0, end=2.0)],
+                [FaultWindow(FAULT_DOWN, 1.0, shard="s1", start=1.0, end=2.0)],
                 clock=clock,
             )
             acked: dict[tuple[str, int], dict[str, bytes]] = {}
@@ -141,7 +136,7 @@ class TestSingleShardDown:
         async def run(victim):
             clock = FakeClock()
             svc, store, _, _ = _chaos_service(
-                [StormWindow(shard=victim, kind=STORM_DOWN, start=1.0,
+                [FaultWindow(FAULT_DOWN, 1.0, shard=victim, start=1.0,
                              end=2.0)],
                 clock=clock,
             )
@@ -177,7 +172,7 @@ class TestTotalOutageBurnsSLO:
                 clock=clock,
             )
             windows = [
-                StormWindow(shard=f"s{i}", kind=STORM_DOWN, start=1.0, end=2.0)
+                FaultWindow(FAULT_DOWN, 1.0, shard=f"s{i}", start=1.0, end=2.0)
                 for i in range(4)
             ]
             svc, store, health, _ = _chaos_service(
@@ -219,7 +214,7 @@ class TestSeededStormMatrix:
         async def run(seed):
             clock = FakeClock()
             backends = {f"s{i}": MemoryStore() for i in range(4)}
-            plan = ShardStormPlan.from_seed(
+            plan = FaultPlan.from_seed(
                 backends,
                 seed=seed,
                 duration=3.0,
@@ -229,7 +224,7 @@ class TestSeededStormMatrix:
                 clock=clock,
             )
             wrapped = {
-                sid: StormInjectingStore(b, sid, plan)
+                sid: FaultInjectingStore(b, plan, sid)
                 for sid, b in backends.items()
             }
             health = ShardHealth(

@@ -9,7 +9,7 @@ import threading
 import pytest
 
 from repro.ckpt.journal import is_committed
-from repro.ckpt.store import DirectoryStore, MemoryStore, StoreWrapper
+from repro.ckpt.store import MemoryStore, StoreWrapper
 from repro.config import ServiceConfig
 from repro.exceptions import (
     CommitError,

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.ckpt.store import DirectoryStore, MemoryStore

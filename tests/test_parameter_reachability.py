@@ -34,8 +34,8 @@ such a definition forwards counts only if its own callers pass it.
 thing, each with its reason.
 
 A second rule keeps imports honest: every name a non-``__init__`` module
-under ``src/repro`` imports must be named in that module or listed in its
-``__all__``.
+under ``src/repro``, ``tests/``, ``benchmarks/`` or ``examples/`` imports
+must be named in that module or listed in its ``__all__``.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ INDIRECT = {"partial", "to_thread", "submit"}
 
 _FAKE = "injected fake: tests pass a fake in place of the real one"
 ALLOWED = {
-    "repro.ckpt.faults.StormInjectingStore.__init__.sleep": _FAKE,
+    "repro.ckpt.faults.FaultInjectingStore.__init__.sleep": _FAKE,
     "repro.ckpt.resilience.ResilientStore.__init__.sleep": _FAKE,
     "repro.obs.slo.SLOTracker.__init__.clock": _FAKE,
     "repro.parallel.executor.MultiprocessExecutor.__init__._pool_factory": _FAKE,
@@ -381,9 +381,17 @@ def _exported(tree: ast.Module) -> set[str]:
     return set()
 
 
+def _importers():
+    for _module, path, tree in _modules():
+        yield path, tree
+    for top in ("tests", "benchmarks", "examples"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            yield path, ast.parse(path.read_text(), str(path))
+
+
 def test_every_import_is_named():
     unused = []
-    for module, path, tree in _modules():
+    for path, tree in _importers():
         if path.name == "__init__.py":
             continue
         named = _names_in(tree) | _exported(tree)
@@ -394,7 +402,7 @@ def test_every_import_is_named():
                 for alias in node.names:
                     bound = alias.asname or alias.name.split(".")[0]
                     if bound not in named:
-                        unused.append(f"{module}: {bound}")
+                        unused.append(f"{path.relative_to(ROOT)}: {bound}")
     assert not unused, "imported and never named: " + ", ".join(unused)
 
 
