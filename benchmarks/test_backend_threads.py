@@ -56,6 +56,9 @@ MT_THREADS = 4  # the headline configuration the assertions check
 #: this factor on any machine with >= 4 effective cores (mirrored by
 #: benchmarks/check_backend_floor.py, which gates on the JSON artifact).
 FLOOR_SPEEDUP = 1.5
+#: Timed passes per codec, best kept: the t=4 speedup the floor gates is
+#: then not one sample on a shared runner.
+REPEATS = 5
 
 TRACE_PATH = os.path.join(RESULTS_DIR, "TRACE_backend.jsonl")
 
@@ -76,9 +79,14 @@ def _workload() -> bytes:
 
 
 def _time_compress(codec, body: bytes) -> tuple[float, bytes]:
-    t0 = time.perf_counter()
-    blob = codec.compress(body)
-    return time.perf_counter() - t0, blob
+    """The best wall time of :data:`REPEATS` passes, and the stream (the
+    same bytes every pass)."""
+    best = float("inf")
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        blob = codec.compress(body)
+        best = min(best, time.perf_counter() - t0)
+    return best, blob
 
 
 def _achieved_parallelism(body: bytes, threads: int) -> float:
@@ -157,7 +165,7 @@ def test_backend_thread_speedup():
 
     lines = [
         f"body: {mb:.0f} MB smooth float64 bytes, level={LEVEL}, "
-        f"cores={cores}, effective_cores={eff_cores}",
+        f"cores={cores}, effective_cores={eff_cores}, best of {REPEATS} passes",
         f"gzip           : {serial_s:8.2f} s   {serial_mb_s:8.1f} MB/s   "
         f"{len(serial_blob)} B",
     ]

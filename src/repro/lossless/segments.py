@@ -12,30 +12,46 @@ and entropy-codes quantized wavelet coefficients with no LZ stage at all.
 So the deflate family (``gzip``, ``zlib``, ``gzip-mt``, ``zlib-mt``) codes a
 body as a sequence of *segments* -- the stretches between the ``cuts`` the
 container passes down (section and byte-plane boundaries) -- and picks, per
-segment, between LZ77 at the configured level and ``Z_HUFFMAN_ONLY``:
+segment, one of three strategies, cheapest first: *stored* (raw bytes in
+deflate's stored blocks, which cost nothing to code), ``Z_HUFFMAN_ONLY`` and
+LZ77 at the configured level:
 
-* **Probe.**  Both strategies code the same :data:`PROBE_BYTES` slices, one
-  from the middle of every :data:`PROBE_STRIDE_BYTES` of the segment; the
-  smaller total wins, ties go to Huffman (the cheaper of two equals).
-  LZ77 codes each slice with the bytes that precede it in the segment, up
-  to deflate's :data:`WINDOW_BYTES`, as its history -- exactly what it
-  would have in the full pass, so a row that repeats 6 or 30 KB back is a
-  match in the probe too, however short the slice.  A segment no longer
-  than one slice is simply coded both ways and the smaller piece kept.
-  The decision is a pure function of (segment bytes, level): no clock, no
-  thread count, no state -- the emitted stream is reproducible across
-  runs and processes.
-* **Stitching.**  Every segment is a raw-deflate piece from its own
-  ``compressobj``, ended with ``Z_FULL_FLUSH`` (byte-aligned, no history
-  across the seam) or, for the last one, ``Z_FINISH``; the pieces sit
-  behind one gzip/zlib header and one CRC32/Adler-32 trailer over the
-  whole body.  The result is a **single standard stream**: stock
-  ``gzip.decompress``/``zlib.decompress`` -- every existing reader --
-  inflates it unchanged, and it does not record (or need) the cuts.
+* **Probe.**  Huffman-only and LZ77 code the same :data:`PROBE_BYTES`
+  slices, one from the middle of every :data:`PROBE_STRIDE_BYTES` of the
+  segment; a stored slice's size is known without coding it.  The smallest
+  total wins, ties go to the cheaper strategy.  LZ77 codes each slice with
+  the bytes that precede it in the segment, up to deflate's
+  :data:`WINDOW_BYTES`, as its history -- exactly what it would have in the
+  full pass, so a row that repeats 6 or 30 KB back is a match in the probe
+  too, however short the slice.  A segment no longer than one slice is
+  simply coded both ways and the smallest of the three pieces kept.
+* **Confirmation.**  LZ77 costs five to ten times Huffman-only, so a
+  segment longer than two windows that the first slices give to LZ77 is
+  probed again, one slice per :data:`CONFIRM_STRIDE_BYTES`, each with its
+  full window of history, and the new totals decide: one repetitive
+  stretch under the middle slice no longer buys the whole segment LZ77.
+* **Stored.**  A 2 KiB slice pays a whole Huffman table where the full
+  pass pays one per :data:`HUFFMAN_BLOCK_BYTES`, so a slice that comes out
+  no smaller than stored does not prove the segment would.  Stored is
+  chosen only where the segment's byte entropy plus :data:`TABLE_BYTES`
+  per block -- what Huffman-only could at best get -- does not beat it
+  either; otherwise the better of the other two is coded.
 
-:func:`deflate_stream` is the one assembler of such a stream; the serial and
-the block-parallel codecs differ only in the ``map`` they hand it.
-DESIGN.md section 15 has the measurements behind the constants.
+* **Stitching.**  Every segment is a raw-deflate piece -- stored blocks, or
+  the output of its own ``compressobj`` ended with ``Z_FULL_FLUSH``
+  (byte-aligned, no history across the seam) or, for the last one,
+  ``Z_FINISH``; the pieces sit behind one gzip/zlib header and one
+  CRC32/Adler-32 trailer over the whole body.  The result is a **single
+  standard stream**: stock ``gzip.decompress``/``zlib.decompress`` -- every
+  existing reader -- inflates it unchanged, and it does not record (or
+  need) the cuts.
+
+The choice is a pure function of (segment bytes, level): no clock, no
+thread count, no state -- the emitted stream is reproducible across runs
+and processes.  :func:`deflate_stream` is the one assembler of such a
+stream; the serial and the block-parallel codecs differ only in the
+``map`` they hand it.  DESIGN.md section 15 has the measurements behind
+the constants.
 """
 
 from __future__ import annotations
@@ -46,13 +62,19 @@ import zlib
 from functools import partial
 from typing import Callable, Iterable, NamedTuple, Sequence
 
+import numpy as np
+
 from ..obs.metrics import get_registry
 
 __all__ = [
     "PROBE_BYTES",
     "PROBE_STRIDE_BYTES",
+    "CONFIRM_STRIDE_BYTES",
     "WINDOW_BYTES",
+    "HUFFMAN_BLOCK_BYTES",
+    "TABLE_BYTES",
     "MIN_SEGMENT_BYTES",
+    "STORED",
     "LZ77",
     "HUFFMAN",
     "Framing",
@@ -80,13 +102,34 @@ PROBE_STRIDE_BYTES = 256 * 1024
 #: Deflate's match window: the most history LZ77 gets for a probe slice.
 WINDOW_BYTES = 1 << zlib.MAX_WBITS
 
+#: One confirming slice per this many bytes of a segment longer than two
+#: windows that the first slices give to LZ77: one per window, so every
+#: stretch the real pass codes with its own history gets a say.
+CONFIRM_STRIDE_BYTES = WINDOW_BYTES
+
+#: Literals per Huffman-only block at zlib's default memory level: each
+#: block carries its own Huffman table.
+HUFFMAN_BLOCK_BYTES = 16 * 1024
+
+#: The table allowance per block when the byte histogram bounds what
+#: Huffman-only could get: below what a table for ~256 literals costs, so
+#: stored is never chosen where Huffman-only would code smaller.
+TABLE_BYTES = 32
+
+#: Payload bytes of one stored block (its LEN field is 16 bits).
+_STORED_BLOCK_BYTES = 0xFFFF
+
 #: Cuts closer together than this are dropped: a seam costs a flush marker
 #: and a fresh Huffman table (~10-40 bytes) and a probe, which a 128-byte
 #: plane of an ``averages`` table can never earn back.
 MIN_SEGMENT_BYTES = 1024
 
-LZ77 = "lz77"
+STORED = "stored"
 HUFFMAN = "huffman"
+LZ77 = "lz77"
+
+#: Every strategy, cheapest first: the order ties are broken in.
+_STRATEGIES = (STORED, HUFFMAN, LZ77)
 
 
 def byte_view(data) -> memoryview:
@@ -149,7 +192,7 @@ class SegmentTally:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._rows = {LZ77: [0, 0, 0], HUFFMAN: [0, 0, 0]}
+        self._rows = {strategy: [0, 0, 0] for strategy in _STRATEGIES}
 
     def add(self, strategy: str, in_bytes: int, out_bytes: int) -> None:
         with self._lock:
@@ -231,20 +274,32 @@ def _raw_deflate(
     return coder.compress(data) + coder.flush(flush)
 
 
-def _probe(segment: memoryview, level: int) -> str:
-    """The strategy that codes the probe slices of a segment longer than
-    one slice smaller (see the module docstring).
+def _stored_size(nbytes: int) -> int:
+    """Bytes of :func:`_stored` for ``nbytes``: 5 per block, at least one."""
+    return nbytes + 5 * max(1, -(-nbytes // _STORED_BLOCK_BYTES))
 
-    The slice in the middle of a segment shorter than two windows has half
-    the segment behind it, not a whole window: it sees any repeat that can
-    cover more than half of the segment, and what it misses (a repeat from
-    further back than that) costs less than that half.
-    """
+
+def _stored(data: memoryview, final: bool) -> bytes:
+    """``data`` as stored blocks: a header byte (``BFINAL`` on the last
+    block of the stream, type 00, padded to the byte), ``LEN`` and its
+    complement, the bytes.  Starts and ends byte-aligned like every piece."""
+    nbytes = data.nbytes
+    parts: list = []
+    for start in range(0, max(nbytes, 1), _STORED_BLOCK_BYTES):
+        chunk = data[start : start + _STORED_BLOCK_BYTES]
+        last = final and start + _STORED_BLOCK_BYTES >= nbytes
+        parts.append(struct.pack("<BHH", last, len(chunk), len(chunk) ^ 0xFFFF))
+        parts.append(chunk)
+    return b"".join(parts)
+
+
+def _probe_sizes(segment: memoryview, level: int, count: int) -> dict[str, int]:
+    """What each strategy makes of ``count`` slices, one from the middle of
+    each of ``count`` equal parts of the segment; LZ77 gets the bytes before
+    a slice, up to a window, as its history."""
     nbytes = segment.nbytes
-    count = max(1, nbytes // PROBE_STRIDE_BYTES)
-    sizes = {HUFFMAN: 0, LZ77: 0}
+    sizes = {STORED: count * _stored_size(PROBE_BYTES), HUFFMAN: 0, LZ77: 0}
     for i in range(count):
-        # the middle of the i-th of ``count`` equal parts
         at = (2 * i + 1) * nbytes // (2 * count) - PROBE_BYTES // 2
         sample = segment[at : at + PROBE_BYTES]
         history = segment[max(0, at - WINDOW_BYTES) : at]
@@ -252,24 +307,62 @@ def _probe(segment: memoryview, level: int) -> str:
         sizes[LZ77] += len(
             _raw_deflate(sample, level, LZ77, zlib.Z_FULL_FLUSH, history)
         )
-    return HUFFMAN if sizes[HUFFMAN] <= sizes[LZ77] else LZ77
+    return sizes
+
+
+def _smallest(sizes: dict[str, int]) -> str:
+    """The strategy with the fewest bytes; ties go to the cheaper one."""
+    return min((s for s in _STRATEGIES if s in sizes), key=sizes.__getitem__)
+
+
+def _huffman_floor(segment: memoryview) -> float:
+    """Roughly the fewest bytes Huffman-only can code ``segment`` in: its
+    byte entropy, plus :data:`TABLE_BYTES` per block."""
+    counts = np.bincount(np.frombuffer(segment, np.uint8), minlength=256)
+    counts = counts[counts > 0]
+    nbytes = segment.nbytes
+    bits = nbytes * np.log2(nbytes) - float(counts @ np.log2(counts))
+    return bits / 8 + TABLE_BYTES * -(-nbytes // HUFFMAN_BLOCK_BYTES)
+
+
+def _probe(segment: memoryview, level: int) -> str:
+    """The strategy for a segment longer than one slice (see the module
+    docstring).
+
+    The slice in the middle of a segment shorter than two windows has half
+    the segment behind it, not a whole window: it sees any repeat that can
+    cover more than half of the segment, and what it misses (a repeat from
+    further back than that) costs less than that half.
+    """
+    nbytes = segment.nbytes
+    sizes = _probe_sizes(segment, level, max(1, nbytes // PROBE_STRIDE_BYTES))
+    strategy = _smallest(sizes)
+    if strategy == LZ77 and nbytes > 2 * WINDOW_BYTES:
+        sizes = _probe_sizes(segment, level, nbytes // CONFIRM_STRIDE_BYTES)
+        strategy = _smallest(sizes)
+    if strategy == STORED and _huffman_floor(segment) < _stored_size(nbytes):
+        del sizes[STORED]
+        strategy = _smallest(sizes)
+    return strategy
 
 
 def deflate_segment(
     segment: memoryview, level: int, tally: SegmentTally, final: bool = False
 ) -> bytes:
     """One raw-deflate piece for ``segment``, in the strategy the probe
-    measures as smaller (see the module docstring).  The piece ends
-    byte-aligned with ``Z_FULL_FLUSH``; the ``final`` one ends the stream
-    (``Z_FINISH``) instead, so a body that is one LZ77 segment costs
-    exactly what plain ``zlib.compress`` would."""
+    measures as smallest (see the module docstring).  The piece ends
+    byte-aligned; the ``final`` one ends the stream instead (``BFINAL``),
+    so a body that is one LZ77 segment costs exactly what plain
+    ``zlib.compress`` would."""
     flush = zlib.Z_FINISH if final else zlib.Z_FULL_FLUSH
     if segment.nbytes <= PROBE_BYTES:
         pieces = {s: _raw_deflate(segment, level, s, flush) for s in (HUFFMAN, LZ77)}
-        strategy = HUFFMAN if len(pieces[HUFFMAN]) <= len(pieces[LZ77]) else LZ77
+        pieces[STORED] = _stored(segment, final)
+        strategy = _smallest({s: len(piece) for s, piece in pieces.items()})
         piece = pieces[strategy]
+    elif (strategy := _probe(segment, level)) == STORED:
+        piece = _stored(segment, final)
     else:
-        strategy = _probe(segment, level)
         piece = _raw_deflate(segment, level, strategy, flush)
     tally.add(strategy, segment.nbytes, len(piece))
     return piece

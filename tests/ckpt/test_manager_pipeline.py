@@ -41,12 +41,14 @@ from . import test_temporal
 LANE_PREFIX = "repro-backend"
 
 #: sha256 over ``key \0 sha256(object)`` of every object the replay below
-#: leaves in its store, recorded at the commit before the pipeline (d6346f8)
+#: leaves in its store: first recorded at the commit before the pipeline
+#: (d6346f8), re-recorded from the serial write (``ThreadPoolExecutor``
+#: patched to ``refuse_threads``) when deflate gained its stored strategy
 PARENT_STORE_DIGESTS = {
-    "gzip": "42f993a036021b296fa81c36243ca507f5fac18e2415c6da9f20208a58288c99",
-    "zlib": "e7eaad5569da268c1115905f3cba1f9cc88f2253ab3decdaa00ddb5d1bc2c3d7",
-    "gzip-mt": "0e4948618d0263b915c18b17605aff3de94f9873a7e71cd99e28fbd0ac29a0ac",
-    "gzip+parity": "a32b7c5b8c6ac75096640ada88e836e649faef7ffa5254867d6d348838ceedd4",
+    "gzip": "06d6516b9995d2e326b3d1f346984158244aaa12d3702455dec2f638cac3303b",
+    "zlib": "e67c446ec60fe458cbe07cdf37ba4e724121c97456cde016dbb57c41939dbc75",
+    "gzip-mt": "4febf7b41d9299a185a9e5f06a3e627e4cbc9edb60b3c069a3b6849085cb2339",
+    "gzip+parity": "ea0d278e0a116d4c1d7804213fe0beaba73f49b8ba67a35ae140e935ccee41f2",
 }
 
 

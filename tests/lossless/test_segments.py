@@ -14,13 +14,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
-from repro.lossless import get_codec
+import repro.ckpt.temporal as temporal
+from repro.apps.climate import ClimateProxy
+from repro.config import TemporalConfig
+from repro.exceptions import DecompressionError
+from repro.lossless import get_codec, segments
 from repro.lossless.segments import (
     HUFFMAN,
     LZ77,
     MIN_SEGMENT_BYTES,
     PROBE_BYTES,
     PROBE_STRIDE_BYTES,
+    STORED,
     WINDOW_BYTES,
     SegmentTally,
     deflate_segment,
@@ -131,15 +136,34 @@ class TestStrategyChoice:
         assert len(piece) < len(LZ77_FRIENDLY) // 50
 
     def test_incompressible_tie_goes_to_the_cheaper_strategy(self):
-        _piece, split = self._code(INCOMPRESSIBLE)
+        piece, split = self._code(INCOMPRESSIBLE)
+        assert split["stored_segments"] == 1
+        assert len(piece) == len(INCOMPRESSIBLE) + 5  # one stored block
+
+    def test_nearly_incompressible_plane_that_huffman_shrinks_is_not_stored(self):
+        """Every 2 KiB slice comes out stored -- its Huffman table is too
+        dear for 2 KiB -- but over the whole segment Huffman-only saves 2 %:
+        the byte histogram keeps it from being stored."""
+        rng = np.random.default_rng(11)
+        weights = np.ones(256)
+        weights[:64] = 3.0  # a quarter of the byte values, three times as often
+        plane = rng.choice(256, 40_000, p=weights / weights.sum()).astype(np.uint8)
+        data = plane.tobytes()
+        slice_huffman = zlib.compressobj(6, zlib.DEFLATED, -15, 8, zlib.Z_HUFFMAN_ONLY)
+        middle = data[20_000 - PROBE_BYTES // 2 :][:PROBE_BYTES]
+        sliced = slice_huffman.compress(middle) + slice_huffman.flush(zlib.Z_FULL_FLUSH)
+        assert len(sliced) > PROBE_BYTES + 5  # the slice alone says "stored"
+        piece, split = self._code(data)
         assert split["huffman_segments"] == 1
+        assert len(piece) < 0.99 * len(data)
 
     @pytest.mark.parametrize("nbytes", [0, 1, 7, 100, PROBE_BYTES - 1, PROBE_BYTES])
     @pytest.mark.parametrize("source", [HUFFMAN_FRIENDLY, LZ77_FRIENDLY])
     def test_segment_shorter_than_the_probe_ships_the_smaller_coding(
         self, nbytes, source
     ):
-        """No estimate involved: the whole segment was coded both ways."""
+        """No estimate involved: the whole segment was coded both ways, and
+        a stored block's size is known."""
         data = source[:nbytes]
         piece, _ = self._code(data)
         both = [
@@ -149,7 +173,7 @@ class TestStrategyChoice:
                 for strategy in (zlib.Z_DEFAULT_STRATEGY, zlib.Z_HUFFMAN_ONLY)
             )
         ]
-        assert len(piece) == min(map(len, both))
+        assert len(piece) == min(*map(len, both), nbytes + 5)
 
     @pytest.mark.parametrize("level", [0, 1, 9])
     def test_every_level_roundtrips(self, level):
@@ -240,6 +264,60 @@ class TestProbeSeesWhatTheRealPassSees:
         assert len(blob) <= len(zlib.compress(body, 6))
 
 
+class TestProbeJudgesTheWholeSegment:
+    """A segment longer than two windows that the middle slice gives to
+    LZ77 is probed again along all of it before LZ77 is paid for."""
+
+    def test_no_temporal_delta_ships_lz77_where_huffman_is_smaller(self, monkeypatch):
+        """One keyframe interval of the climate proxy through the temporal
+        path: the filtered ``temperature`` delta is one ~190 KB segment
+        whose middle holds its one repetitive stretch; Huffman-only codes
+        the whole of it 2-9 % smaller from chain position 4 on."""
+        coded: list[tuple[str, bytes]] = []
+        code_segment = segments.deflate_segment
+
+        def recording_segment(segment, level, tally, final=False):
+            own = SegmentTally()
+            piece = code_segment(segment, level, own, final)
+            (strategy,) = [
+                key.removesuffix("_segments")
+                for key, count in own.attrs().items()
+                if key.endswith("_segments") and count
+            ]
+            tally.add(strategy, segment.nbytes, len(piece))
+            coded.append((strategy, bytes(segment)))
+            return piece
+
+        monkeypatch.setattr(segments, "deflate_segment", recording_segment)
+        app = ClimateProxy(seed=2015)
+        for _ in range(8):
+            app.step()
+        config = TemporalConfig(error_bound=1e-3, keyframe_every=8)
+        engine = temporal.TemporalEngine(config)
+        shipped: list[tuple[str, str, bytes]] = []
+        for step in range(1, config.keyframe_every + 1):
+            app.step()
+            for name, arr in app.state_arrays().items():
+                if name not in ("modulator", "step"):
+                    coded.clear()
+                    if not engine.encode(name, arr, step).is_keyframe:
+                        shipped += [(name, strategy, data) for strategy, data in coded]
+            engine.commit(step)
+        assert len({name for name, _, _ in shipped}) == 5
+
+        def size(data: bytes, strategy: int) -> int:
+            coder = zlib.compressobj(6, zlib.DEFLATED, -15, 8, strategy)
+            return len(coder.compress(data) + coder.flush(zlib.Z_FULL_FLUSH))
+
+        mispicked = [
+            (name, len(data))
+            for name, strategy, data in shipped
+            if strategy == LZ77
+            and size(data, zlib.Z_HUFFMAN_ONLY) <= 0.98 * size(data, zlib.Z_DEFAULT_STRATEGY)
+        ]
+        assert mispicked == []
+
+
 BODIES = {
     "all-huffman": (HUFFMAN_FRIENDLY, [20_000, 40_000]),
     "all-lz77": (LZ77_FRIENDLY, [20_000, 40_000]),
@@ -254,6 +332,8 @@ BODIES = {
     ),
     "empty": (b"", [0]),
     "one-byte": (b"x", None),
+    #: over one stored block's 65535 bytes, cut once
+    "incompressible": (RNG.bytes(150_000), [70_000]),
 }
 
 
@@ -272,15 +352,19 @@ class TestOneStandardStream:
         codec = get_codec(backend, threads=2, block_bytes=1 << 20)
         codec.compress(body, cuts)
         split = codec.last_segments.attrs()
-        assert split["lz77_in_bytes"] + split["huffman_in_bytes"] == len(body)
+        assert sum(split[f"{s}_in_bytes"] for s in (STORED, HUFFMAN, LZ77)) == len(body)
         if body_id == "all-huffman":
             assert split["lz77_segments"] == 0 and split["huffman_segments"] == 3
         if body_id == "all-lz77":
             assert split["huffman_segments"] == 0 and split["lz77_segments"] == 3
         if body_id == "single-segment":
-            assert split["lz77_segments"] + split["huffman_segments"] == 1
+            assert sum(split[f"{s}_segments"] for s in (STORED, HUFFMAN, LZ77)) == 1
         if body_id == "mixed":
-            assert split["lz77_segments"] == 2 and split["huffman_segments"] == 2
+            assert split["lz77_segments"] == 2 and split["huffman_segments"] == 1
+            assert split["stored_segments"] == 1
+        if body_id == "incompressible":
+            assert split["stored_segments"] == 2
+            assert split["stored_out_bytes"] == len(body) + 5 * 4  # 2 + 2 blocks
 
 
 class TestCutsAreOnlyAHint:
@@ -320,6 +404,17 @@ class TestDeterminism:
             get_codec(backend, threads=t, block_bytes=block_bytes).compress(body, cuts)
             for t in (1, 2, 4)
         }
+        assert len(blobs) == 1
+
+    @pytest.mark.parametrize("backend", ["gzip-mt", "zlib-mt"])
+    @pytest.mark.parametrize("block_bytes", [4_096, 1 << 20])
+    def test_stored_bytes_identical_across_thread_counts(self, backend, block_bytes):
+        body, cuts = BODIES["incompressible"]
+        blobs = set()
+        for threads in (1, 2, 4):
+            codec = get_codec(backend, threads=threads, block_bytes=block_bytes)
+            blobs.add(codec.compress(body, cuts))
+            assert codec.last_segments.attrs()["stored_segments"] >= 1
         assert len(blobs) == 1
 
     def test_mt_and_serial_agree_when_nothing_is_split(self):
@@ -371,7 +466,7 @@ class TestObservability:
                     "lossless.segment_in_bytes",
                     "lossless.segment_out_bytes",
                 )
-                for strategy in (LZ77, HUFFMAN)
+                for strategy in (STORED, HUFFMAN, LZ77)
             }
 
         before = snapshot()
@@ -380,9 +475,53 @@ class TestObservability:
         blob = codec.compress(body, cuts)
         delta = {k: v - before[k] for k, v in snapshot().items()}
         split = codec.last_segments.attrs()
-        for strategy in (LZ77, HUFFMAN):
+        for strategy in (STORED, HUFFMAN, LZ77):
             assert delta[("lossless.segments", strategy)] == split[f"{strategy}_segments"]
             assert delta[("lossless.segment_in_bytes", strategy)] == split[f"{strategy}_in_bytes"]
             assert delta[("lossless.segment_out_bytes", strategy)] == split[f"{strategy}_out_bytes"]
-        pieces = split["lz77_out_bytes"] + split["huffman_out_bytes"]
+        assert split["stored_segments"] >= 1
+        pieces = sum(split[f"{s}_out_bytes"] for s in (STORED, HUFFMAN, LZ77))
         assert pieces == len(blob) - 10 - 8  # gzip header, trailer
+
+
+class TestDamagedStoredStreams:
+    """Stored blocks carry no code to trip over: a damaged stream must
+    still fail loudly, on the length complement or the trailer."""
+
+    @staticmethod
+    def _stored_blob(backend: str) -> tuple[bytes, bytes]:
+        body, cuts = BODIES["incompressible"]
+        codec = get_codec(backend)
+        blob = codec.compress(body, cuts)
+        assert codec.last_segments.attrs()["stored_segments"] == 2
+        return body, blob
+
+    @pytest.mark.parametrize("backend", DEFLATE_FAMILY)
+    @pytest.mark.parametrize("damage", ["truncated", "flipped-data", "flipped-length"])
+    def test_codec_raises(self, backend, damage):
+        _body, blob = self._stored_blob(backend)
+        header = 10 if backend.startswith("gzip") else 2
+        bad = bytearray(blob)
+        if damage == "truncated":
+            bad = bad[: len(bad) // 2]
+        elif damage == "flipped-data":
+            bad[header + 5 + 1_000] ^= 0x10  # a payload byte: the trailer catches it
+        else:
+            bad[header + 1] ^= 0x01  # LEN no longer matches NLEN
+        with pytest.raises(DecompressionError):
+            get_codec(backend).decompress(bytes(bad))
+
+    @pytest.mark.parametrize("damage", ["truncated", "flipped"])
+    def test_container_raises(self, damage):
+        from repro.ckpt.manager import deserialize_array, serialize_array_lossless
+
+        arr = np.frombuffer(BODIES["incompressible"][0], np.uint8)
+        blob = serialize_array_lossless(arr, "zlib")
+        assert np.array_equal(deserialize_array(blob), arr)
+        bad = bytearray(blob)
+        if damage == "truncated":
+            bad = bad[:-40_000]
+        else:
+            bad[len(bad) // 2] ^= 0x04
+        with pytest.raises(DecompressionError):
+            deserialize_array(bytes(bad))
