@@ -1,91 +1,12 @@
 """Command-line interface: ``python -m repro`` / ``repro-ckpt``.
 
-Subcommands
------------
-compress
-    Compress a ``.npy`` array into a ``.rpz`` blob.  ``--workers N``
-    compresses leading-axis slabs in ``N`` worker processes (chunked
-    stream format, byte-identical to the serial stream);
-    ``--backend gzip-mt --backend-threads T`` (likewise ``zlib-mt``)
-    additionally compresses each body block-parallel on ``T`` threads
-    of a shared pool (composes with ``--workers``).
-decompress
-    Decode a ``.rpz`` blob back into a ``.npy`` array (single pipeline
-    blobs and chunked streams are auto-detected).
-inspect
-    Print the self-describing header of a blob; chunked streams report
-    chunk-level metadata.
-evaluate
-    Compress + decompress in memory and report rate and errors
-    (paper Eqs. 5-6) without writing anything.
-tune
-    Find the smallest division number meeting an error tolerance.
-checkpoint
-    Write one array as a complete checkpoint into a directory store.
-    ``--parity`` adds an XOR-parity blob per array group so any single
-    corrupt-or-missing blob is reconstructible; ``--retries N`` rides
-    over transient I/O errors with bounded exponential backoff;
-    ``--temporal`` stores lossy generations as delta chains predicted
-    from the previous generation (keyframes every ``K`` generations).
-verify
-    CRC-verify every checkpoint in a checkpoint directory.  With
-    ``--repair``, reconstruct any single corrupt-or-missing blob per
-    parity group, rewrite the healed bytes, and exit 0 once the store
-    verifies clean (a blob healed but not written back still fails).
-    Torn and orphaned generations (crash debris the commit journal never
-    published) are reported but do not fail the run.
-restore
-    Restore the newest committed checkpoint (or ``--step``) from a
-    directory store into a ``.npz`` file, walking the fallback ladder of
-    older committed generations when the newest cannot be restored even
-    after retry/parity repair.  Prints a one-line diagnosis: generation
-    used, generations skipped, repairs applied.
-restart
-    Run a proxy application to completion with periodic checkpoint
-    commits, restarting from the newest committed generation after every
-    injected crash (``--crash-mtbf-ops`` schedules process deaths from an
-    exponential MTBF over store operations).  Demonstrates the crash/
-    restart loop end to end: torn generations are reaped at each startup,
-    rework is bounded by the checkpoint interval.
-quality
-    Rate-distortion sweep of independent vs temporal compression over
-    the proxy apps at a ladder of error bounds, scoring each arm on the
-    Z-checker quality axes (PSNR, max pointwise error, spectral and
-    autocorrelation distortion).  ``--out`` writes the JSON document
-    that CI regression-gates.
-report
-    Render the profiling report of ``--trace`` JSONL file(s): the Fig. 9
-    stage breakdown, recorded metrics and (optionally) the span tree.
-    Several files merge -- pass a client-side and a server-side trace to
-    see one stitched cross-process span tree (``--check-parentage``
-    fails on orphaned spans).
-serve
-    Run the multi-tenant checkpoint ingest service on a unix socket:
-    sharded stores, per-tenant namespaces and quotas, burst-buffer
-    absorb/drain and batched group commits (see DESIGN.md section 11).
-svc-put
-    Submit files as one checkpoint generation to a running service.
-svc-get
-    Fetch a committed generation's blobs back from a running service.
-svc-stats
-    Print a JSON stats/health snapshot of a running service
-    (``--health`` exits 2 while the SLO error budget is burning).
-svc-metrics
-    Print a running service's metric registry in Prometheus text format.
-svc-drain
-    Migrate every generation off one shard (crash-safe, unit by unit) so
-    it can be removed; ``--remove`` retires the emptied shard from the
-    ring in the same call.
-svc-rebalance
-    Converge recorded placements onto the current hash ring after a
-    shard was added, moving only the units whose replica set changed.
-svc-repair
-    Re-replicate generations that accepted a degraded write while a
-    replica shard was down (repays the replication-debt ledger).
-
-``compress``, ``decompress`` and ``checkpoint`` accept ``--trace PATH``
-to stream a span/metrics trace of the run to a JSONL file, readable with
-``repro report`` (or any JSONL tool).
+Every subcommand is one row of :data:`COMMANDS`: its name, help, the
+arguments it declares and the handler that runs it.  :func:`build_parser`
+turns each row into a subparser; :func:`main` runs the row's handler
+inside the ``--trace`` the row declares (if any).  A handler reports a
+failure by raising :class:`~repro.exceptions.ReproError`, which ``main``
+prints as one ``error:`` line with exit code 1; a file that cannot be
+read or written is such a failure, never a traceback.
 """
 
 from __future__ import annotations
@@ -93,7 +14,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
+import os
+import pathlib
 import sys
 from typing import Any, Awaitable, Callable, Iterator, Sequence
 
@@ -115,13 +39,22 @@ from .exceptions import ReproError, ServiceUnavailableError
 
 __all__ = ["main", "build_parser", "add_flags", "from_flags"]
 
+#: What a row declares: one call that adds arguments to a subparser.
+Spec = Callable[[argparse.ArgumentParser], Any]
 
-def _add_trace_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="record a span/metrics trace of this run to a JSONL file "
-             "(render it with 'repro report PATH')",
-    )
+
+@dataclasses.dataclass(frozen=True)
+class Command:
+    """One subcommand: what :func:`build_parser` declares and :func:`main` runs."""
+
+    name: str
+    help: str
+    run: Callable[[argparse.Namespace], int]
+    arguments: tuple[Spec, ...]
+    #: what ``<name> --help`` says beyond ``help``
+    description: str | None = None
+    #: a service request that moves units between shards
+    migrates: bool = False
 
 
 @contextlib.contextmanager
@@ -139,7 +72,7 @@ def _tracing(args: argparse.Namespace) -> Iterator[Any]:
     from .obs import JsonlSink, get_registry, get_tracer
 
     tracer = get_tracer()
-    sink = JsonlSink(trace_path)
+    sink = _write(trace_path, lambda path: JsonlSink(str(path)))
     tracer.enable(sink)
     try:
         yield sink
@@ -209,350 +142,137 @@ def _config_from_args(args: argparse.Namespace) -> CompressionConfig:
     return from_flags(CompressionConfig, args)
 
 
-def _add_temporal_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--temporal", action="store_true",
-        help="encode lossy float arrays as temporal deltas against the "
-             "previous committed generation (periodic keyframes bound the "
-             "restore chain; restores replay the chain transparently)",
-    )
-    add_flags(parser, TemporalConfig, prefix="temporal-")
-
-
 def _temporal_from_flags(args: argparse.Namespace) -> TemporalConfig | None:
     if not args.temporal:
         return None
     return from_flags(TemporalConfig, args, prefix="temporal-")
 
 
-def _add_worker_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="compress leading-axis slabs in N worker processes (chunked "
-             "stream format; 1 = single-blob pipeline) [default: %(default)s]",
-    )
-    parser.add_argument(
-        "--chunk-rows", type=int, default=256, metavar="R",
-        help="slab height for --workers > 1 [default: %(default)s]",
-    )
+def _arg(*names: str, **kwargs: Any) -> Spec:
+    """One ``add_argument`` call; a default shows in the help, as a knob's does."""
+    if kwargs.get("default") is not None:
+        kwargs["help"] += f" [default: {kwargs['default']}]"
+    return lambda parser: parser.add_argument(*names, **kwargs)
 
 
-def _add_restore_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--repair", action="store_true",
-        help="force parity repair of corrupt-or-missing blobs during a "
-             "restore (default: repair exactly when the manifest has parity)",
-    )
-    parser.add_argument(
-        "--fallback", type=int, default=None, metavar="N",
-        help="a restore tries at most N older committed generations when "
-             "the newest fails [default: all older generations]",
-    )
+def _config(config_cls: type, *names: str, prefix: str = "") -> Spec:
+    """The flags of ``config_cls``'s knobs (only ``names`` when given)."""
+    return lambda parser: add_flags(parser, config_cls, names or None, prefix=prefix)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-ckpt",
-        description=(
-            "Wavelet-based lossy compression for application-level "
-            "checkpoint/restart (Sasaki et al., IPDPS 2015)."
-        ),
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+_INPUT_NPY = _arg("input", help="input .npy file")
+_INPUT_RPZ = _arg("input", help="input .rpz file")
+_DIRECTORY = _arg("directory", help="checkpoint directory (DirectoryStore root)")
+_SOCKET = _arg("socket", help="unix socket of a running 'serve'")
+_RETRIES = _config(ResilienceConfig, "retries", "retry_base_delay")
+_TRACE = _arg(
+    "--trace", metavar="PATH",
+    help="record a span/metrics trace of this run to a JSONL file "
+         "(render it with 'repro report PATH')",
+)
+_WORKERS = (
+    _arg("--workers", type=int, default=1, metavar="N",
+         help="compress leading-axis slabs in N worker processes (chunked "
+              "stream format; 1 = single-blob pipeline)"),
+    _arg("--chunk-rows", type=int, default=256, metavar="R",
+         help="slab height for --workers > 1"),
+)
+_TEMPORAL = (
+    _arg("--temporal", action="store_true",
+         help="encode lossy float arrays as temporal deltas against the "
+              "previous committed generation (periodic keyframes bound the "
+              "restore chain; restores replay the chain transparently)"),
+    _config(TemporalConfig, prefix="temporal-"),
+)
+_RESTORE = (
+    _arg("--repair", action="store_true",
+         help="force parity repair of corrupt-or-missing blobs during a "
+              "restore (default: repair exactly when the manifest has parity)"),
+    _arg("--fallback", type=int, metavar="N",
+         help="a restore tries at most N older committed generations when "
+              "the newest fails [default: all older generations]"),
+)
 
-    p = sub.add_parser("compress", help="compress a .npy array into a .rpz blob")
-    p.add_argument("input", help="input .npy file (float32/float64 array)")
-    p.add_argument("output", help="output .rpz file")
-    add_flags(p, CompressionConfig)
-    _add_worker_flags(p)
-    _add_trace_arg(p)
 
-    p = sub.add_parser("decompress", help="decode a .rpz blob into a .npy array")
-    p.add_argument("input", help="input .rpz file")
-    p.add_argument("output", help="output .npy file")
-    _add_trace_arg(p)
+def _csv(text: str, flag: str, kind: Callable[[str], Any] = str) -> list:
+    """The comma-separated items of a ``flag`` value, each parsed by ``kind``."""
+    try:
+        return [kind(tok.strip()) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ReproError(f"cannot parse {flag} {text!r}: {exc}") from exc
 
-    p = sub.add_parser("inspect", help="print the header of a .rpz blob")
-    p.add_argument("input", help="input .rpz file")
 
-    p = sub.add_parser(
-        "evaluate", help="report compression rate and errors for an array"
-    )
-    p.add_argument("input", help="input .npy file")
-    add_flags(p, CompressionConfig)
+def _read(path: str, load: Callable[[pathlib.Path], Any]) -> Any:
+    """``load(path)``, with a file it cannot read reported as a :class:`ReproError`."""
+    try:
+        return load(pathlib.Path(path))
+    except (OSError, ValueError) as exc:
+        raise ReproError(f"cannot read {path!r}: {exc}") from exc
 
-    p = sub.add_parser(
-        "tune", help="find the smallest n meeting an error tolerance"
-    )
-    p.add_argument("input", help="input .npy file")
-    p.add_argument(
-        "--tolerance", type=float, required=True,
-        help="relative-error tolerance as a fraction (0.01 = 1%%)",
-    )
-    p.add_argument(
-        "--metric", choices=("mean", "max"), default="mean",
-        help="which relative error the tolerance bounds [default: mean]",
-    )
 
-    p = sub.add_parser(
-        "checkpoint", help="write a .npy array as a checkpoint into a directory"
-    )
-    p.add_argument("input", help="input .npy file")
-    p.add_argument("directory", help="checkpoint directory (DirectoryStore root)")
-    p.add_argument(
-        "--step", type=int, required=True, metavar="S",
-        help="logical step number of the checkpoint",
-    )
-    p.add_argument(
-        "--name", default="array", metavar="NAME",
-        help="registry name the array is stored under [default: array]",
-    )
-    add_flags(p, CompressionConfig)
-    _add_worker_flags(p)
-    _add_temporal_flags(p)
-    add_flags(p, ResilienceConfig)
-    _add_trace_arg(p)
-
-    p = sub.add_parser(
-        "verify", help="CRC-verify every checkpoint in a directory store"
-    )
-    p.add_argument("directory", help="checkpoint directory (DirectoryStore root)")
-    p.add_argument(
-        "--repair", action="store_true",
-        help="parity-reconstruct any single corrupt-or-missing blob per "
-             "group, rewrite the healed bytes, and report the store clean",
-    )
-    add_flags(p, ResilienceConfig, ("retries", "retry_base_delay"))
-
-    p = sub.add_parser(
-        "restore",
-        help="restore the newest committed checkpoint into a .npz file",
-    )
-    p.add_argument("directory", help="checkpoint directory (DirectoryStore root)")
-    p.add_argument("output", help="output .npz file for the restored arrays")
-    p.add_argument(
-        "--step", type=int, default=None, metavar="S",
-        help="restore this step instead of the newest committed generation",
-    )
-    _add_restore_flags(p)
-    add_flags(p, ResilienceConfig, ("retries", "retry_base_delay"))
-    _add_trace_arg(p)
-
-    p = sub.add_parser(
-        "restart",
-        help="run a proxy app across injected crashes with checkpoint/restart",
-    )
-    p.add_argument("directory", help="checkpoint directory (DirectoryStore root)")
-    p.add_argument(
-        "--app", choices=("heat", "advection"), default="heat",
-        help="proxy application to run [default: heat]",
-    )
-    p.add_argument(
-        "--steps", type=int, required=True, metavar="N",
-        help="total simulation steps to complete",
-    )
-    p.add_argument(
-        "--interval", type=int, required=True, metavar="K",
-        help="commit a checkpoint every K steps",
-    )
-    p.add_argument(
-        "--seed", type=int, default=0, metavar="S",
-        help="seed of the app's initial state [default: 0]",
-    )
-    p.add_argument(
-        "--shape", default="16,16,8", metavar="X,Y,Z",
-        help="3D grid shape of the proxy app [default: 16,16,8]",
-    )
-    p.add_argument(
-        "--crash-mtbf-ops", type=float, default=None, metavar="M",
-        help="mean store operations between injected process deaths "
-             "(exponential MTBF); omit to run without crash injection",
-    )
-    p.add_argument(
-        "--crash-horizon-ops", type=int, default=None, metavar="H",
-        help="operation horizon the crash schedule is drawn over "
-             "[default: 20 x MTBF]",
-    )
-    p.add_argument(
-        "--crash-seed", type=int, default=0, metavar="S",
-        help="seed of the crash schedule [default: 0]",
-    )
-    p.add_argument(
-        "--max-restarts", type=int, default=100, metavar="R",
-        help="give up after R crash/restart cycles [default: 100]",
-    )
-    _add_restore_flags(p)
-    add_flags(p, CompressionConfig)
-    _add_temporal_flags(p)
-    add_flags(p, ResilienceConfig)
-    _add_trace_arg(p)
-
-    p = sub.add_parser(
-        "quality",
-        help="rate-distortion sweep: Z-checker quality metrics for "
-             "independent vs temporal compression over the proxy apps",
-    )
-    p.add_argument(
-        "--bounds", default="1e-2,1e-3,1e-4", metavar="E1,E2,...",
-        help="comma-separated absolute error bounds to sweep "
-             "[default: 1e-2,1e-3,1e-4]",
-    )
-    p.add_argument(
-        "--apps", default=None, metavar="A,B,...",
-        help="subset of apps to sweep (heat, advection, nbody, "
-             "shallow_water, climate) [default: all five]",
-    )
-    p.add_argument(
-        "--generations", type=int, default=8, metavar="G",
-        help="checkpoint generations per app [default: 8]",
-    )
-    p.add_argument(
-        "--steps-per-generation", type=int, default=2, metavar="S",
-        help="simulation steps between checkpoints [default: 2]",
-    )
-    p.add_argument(
-        "--scale", type=int, default=1, metavar="X",
-        help="multiply the apps' leading dimension [default: 1]",
-    )
-    add_flags(p, TemporalConfig, ("predictor", "keyframe_every"))
-    p.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="also write the full sweep as JSON (BENCH_quality.json shape)",
-    )
-
-    p = sub.add_parser(
-        "report", help="render the profiling report of --trace JSONL file(s)"
-    )
-    p.add_argument(
-        "trace_file", nargs="+",
-        help="JSONL trace(s) written by --trace; several files (e.g. a "
-             "client-side and a server-side trace) merge into one report",
-    )
-    p.add_argument(
-        "--tree", action="store_true",
-        help="also print the indented span tree",
-    )
-    p.add_argument(
-        "--json", action="store_true", dest="as_json",
-        help="emit the report as JSON instead of text",
-    )
-    p.add_argument(
-        "--check-parentage", action="store_true",
-        help="fail (exit 1) if any span references a parent the trace "
-             "does not contain (broken cross-process stitching)",
-    )
-
-    p = sub.add_parser(
-        "serve",
-        help="run the multi-tenant checkpoint ingest service on a unix socket",
-    )
-    p.add_argument("directory", help="service root (shards live under it)")
-    p.add_argument(
-        "--socket", default=None, metavar="PATH",
-        help="unix socket path [default: <directory>/service.sock]",
-    )
-    p.add_argument(
-        "--tenant", action="append", required=True, metavar="NAME[:BYTES[:RATE]]",
-        help="register a tenant, optionally with a byte quota (suffixes "
-             "k/m/g) and a sustained submits-per-second rate quota; repeat "
-             "per tenant (e.g. --tenant alice:512m:20 --tenant bob)",
-    )
-    p.add_argument(
-        "--once", action="store_true",
-        help="exit after the first client disconnects (tests/smoke runs)",
-    )
-    add_flags(p, ServiceConfig)
-    _add_trace_arg(p)
-
-    p = sub.add_parser(
-        "svc-put", help="submit files as one checkpoint generation to a service"
-    )
-    p.add_argument("socket", help="unix socket of a running 'serve'")
-    p.add_argument("tenant", help="tenant name the generation belongs to")
-    p.add_argument(
-        "--step", type=int, required=True, metavar="S",
-        help="generation number to commit",
-    )
-    p.add_argument(
-        "blobs", nargs="+", metavar="NAME=PATH",
-        help="blobs of the generation, as name=file pairs",
-    )
-    _add_trace_arg(p)
-
-    p = sub.add_parser(
-        "svc-get", help="fetch a committed generation's blobs from a service"
-    )
-    p.add_argument("socket", help="unix socket of a running 'serve'")
-    p.add_argument("tenant", help="tenant name to read from")
-    p.add_argument("outdir", help="directory the blobs are written into")
-    p.add_argument(
-        "--step", type=int, default=None, metavar="S",
-        help="generation to fetch [default: newest committed]",
-    )
-    _add_trace_arg(p)
-
-    p = sub.add_parser(
-        "svc-stats", help="print a JSON stats/health snapshot of a service"
-    )
-    p.add_argument("socket", help="unix socket of a running 'serve'")
-    p.add_argument(
-        "--health", action="store_true",
-        help="exit 2 when the service's SLO error budget is burning",
-    )
-
-    p = sub.add_parser(
-        "svc-metrics",
-        help="print a service's metrics in Prometheus text format",
-    )
-    p.add_argument("socket", help="unix socket of a running 'serve'")
-
-    p = sub.add_parser(
-        "svc-drain",
-        help="migrate every generation off one shard so it can be removed",
-    )
-    p.add_argument("socket", help="unix socket of a running 'serve'")
-    p.add_argument("shard", help="shard id to drain (e.g. shard-02)")
-    p.add_argument(
-        "--remove", action="store_true",
-        help="also remove the shard from the ring once it drains empty",
-    )
-
-    p = sub.add_parser(
-        "svc-rebalance",
-        help="converge placements onto the current hash ring (after a "
-             "shard was added)",
-    )
-    p.add_argument("socket", help="unix socket of a running 'serve'")
-
-    p = sub.add_parser(
-        "svc-repair",
-        help="re-replicate generations written degraded while a replica "
-             "shard was down",
-    )
-    p.add_argument("socket", help="unix socket of a running 'serve'")
-    return parser
+def _write(path: str, save: Callable[[pathlib.Path], Any]) -> Any:
+    """``save(path)``, with a file it cannot write reported as a :class:`ReproError`."""
+    try:
+        return save(pathlib.Path(path))
+    except OSError as exc:
+        raise ReproError(f"cannot write {path!r}: {exc}") from exc
 
 
 def _load_array(path: str) -> np.ndarray:
-    try:
-        return np.load(path, allow_pickle=False)
-    except (OSError, ValueError) as exc:
-        raise ReproError(f"cannot load array from {path!r}: {exc}") from exc
+    return _read(path, functools.partial(np.load, allow_pickle=False))
+
+
+def _manager_factory(
+    args: argparse.Namespace, *, read_only: bool = False, plan: Any = None
+) -> Callable[..., Any]:
+    """``make(registry, **options)``: a ``CheckpointManager`` over the one
+    ``DirectoryStore`` at ``args.directory`` (so a crash ``FaultPlan`` counts
+    operations across restarts), with the command's resilience flags.  A
+    read-only command refuses a directory that is not there."""
+    from .ckpt.manager import CheckpointManager
+    from .ckpt.store import DirectoryStore
+
+    if read_only and not os.path.isdir(args.directory):
+        raise ReproError(f"not a directory: {args.directory!r}")
+    store = DirectoryStore(args.directory)
+    if plan is not None:
+        from .ckpt.faults import FaultInjectingStore
+
+        store = FaultInjectingStore(store, plan)
+    return functools.partial(
+        CheckpointManager, store=store, resilience=from_flags(ResilienceConfig, args)
+    )
+
+
+def _svc_call(args: argparse.Namespace, request: Callable[[Any], Awaitable[Any]]) -> Any:
+    """``await request(client)`` over one connection to the service at ``args.socket``."""
+    import asyncio
+
+    from .service import ServiceClient
+
+    async def _run():
+        # a migration copies every key of every unit it moves: give it a
+        # generous per-request bound instead of the client's default
+        if COMMANDS[args.command].migrates:
+            client = ServiceClient(args.socket, op_timeout=600.0)
+        else:
+            client = ServiceClient(args.socket)
+        async with client:
+            return await request(client)
+
+    return asyncio.run(_run())
 
 
 def _cmd_compress(args: argparse.Namespace) -> int:
     arr = _load_array(args.input)
     config = _config_from_args(args)
-    with _tracing(args):
-        if args.workers != 1:  # the chunked path checks the count
-            blob, stats = chunked_compress_with_stats(
-                arr, config, chunk_rows=args.chunk_rows, workers=args.workers
-            )
-        else:
-            blob, stats = WaveletCompressor(config).compress_with_stats(arr)
-    with open(args.output, "wb") as fh:
-        fh.write(blob)
+    if args.workers != 1:  # the chunked path checks the count
+        blob, stats = chunked_compress_with_stats(
+            arr, config, chunk_rows=args.chunk_rows, workers=args.workers
+        )
+    else:
+        blob, stats = WaveletCompressor(config).compress_with_stats(arr)
+    _write(args.output, lambda path: path.write_bytes(blob))
     print(
         f"{args.input}: {stats.original_bytes} -> {stats.compressed_bytes} bytes "
         f"(rate {stats.compression_rate_percent:.2f}%, "
@@ -564,11 +284,8 @@ def _cmd_compress(args: argparse.Namespace) -> int:
 def _cmd_decompress(args: argparse.Namespace) -> int:
     from .ckpt.manager import deserialize_array
 
-    with open(args.input, "rb") as fh:
-        blob = fh.read()
-    with _tracing(args):
-        arr = deserialize_array(blob)
-    np.save(args.output, arr)
+    arr = deserialize_array(_read(args.input, pathlib.Path.read_bytes))
+    _write(args.output, lambda path: np.save(path, arr))
     print(f"{args.output}: shape {arr.shape}, dtype {arr.dtype}")
     return 0
 
@@ -576,9 +293,7 @@ def _cmd_decompress(args: argparse.Namespace) -> int:
 def _cmd_inspect(args: argparse.Namespace) -> int:
     from .ckpt.temporal import DELTA_KIND, FILTER_NONE
 
-    with open(args.input, "rb") as fh:
-        blob = fh.read()
-    info = inspect_blob(blob)
+    info = inspect_blob(_read(args.input, pathlib.Path.read_bytes))
     if info.get("kind") == DELTA_KIND:
         # an unfiltered delta carries no "filter" key; say so in words
         info.setdefault("filter", FILTER_NONE)
@@ -610,37 +325,45 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    import os
-
-    from .ckpt.manager import CheckpointManager
+def _cmd_checkpoint(args: argparse.Namespace) -> int:
     from .ckpt.protocol import ArrayRegistry
-    from .ckpt.journal import GEN_COMMITTED, scan_generations
-    from .ckpt.store import DirectoryStore
 
-    if not os.path.isdir(args.directory):
-        raise ReproError(f"not a directory: {args.directory!r}")
-    store = DirectoryStore(args.directory)
-    # verify never touches the registry, so an empty one suffices
-    manager = CheckpointManager(
-        ArrayRegistry(),
-        store,
-        resilience=from_flags(ResilienceConfig, args),
+    registry = ArrayRegistry()
+    registry.register(args.name, _load_array(args.input))
+    with _manager_factory(args)(
+        registry,
+        config=_config_from_args(args),
+        workers=args.workers,
+        chunk_rows=args.chunk_rows,
+        temporal=_temporal_from_flags(args),
+    ) as manager:
+        manifest = manager.checkpoint(args.step)
+    parity_note = f", {len(manifest.parity)} parity group(s)" if manifest.parity else ""
+    print(
+        f"step {manifest.step}: {len(manifest.entries)} array(s), "
+        f"{manifest.total_stored_bytes} bytes stored "
+        f"(rate {manifest.compression_rate_percent:.2f}%){parity_note}"
     )
+    return 0
+
+
+def _cmd_verify(args: argparse.Namespace) -> int:
+    from .ckpt.journal import GEN_COMMITTED, scan_generations
+    from .ckpt.protocol import ArrayRegistry
+
+    # verify never touches the registry, so an empty one suffices
+    manager = _manager_factory(args, read_only=True)(ArrayRegistry())
     # one scan names the torn generations and reads each committed manifest
-    generations = scan_generations(store)
+    generations = scan_generations(manager.store)
     committed = [g for g in generations if g.state == GEN_COMMITTED]
     uncommitted = [g for g in generations if g.state != GEN_COMMITTED]
     for gen in uncommitted:
         print(f"step {gen.step:10d}: {gen.state.upper()} ({gen.reason})")
     if not committed:
-        if uncommitted:
-            print(
-                f"no committed checkpoints; {len(uncommitted)} torn/orphaned "
-                f"generation(s) await recovery"
-            )
-        else:
-            print("no checkpoints found")
+        print(
+            f"no committed checkpoints; {len(uncommitted)} torn/orphaned "
+            f"generation(s) await recovery" if uncommitted else "no checkpoints found"
+        )
         return 0
     failures = 0
     for gen in committed:
@@ -672,65 +395,40 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_restore(args: argparse.Namespace) -> int:
-    import os
-
-    from .ckpt.manager import CheckpointManager
     from .ckpt.protocol import ArrayRegistry
     from .ckpt.recovery import restore_with_fallback
-    from .ckpt.store import DirectoryStore
-
-    if not os.path.isdir(args.directory):
-        raise ReproError(f"not a directory: {args.directory!r}")
 
     class _CaptureRegistry(ArrayRegistry):
-        """Registry that captures restored arrays instead of writing them
-        into live application buffers (the CLI has none)."""
-
-        def __init__(self) -> None:
-            super().__init__()
-            self.arrays: dict[str, np.ndarray] = {}
+        """Keeps the restored arrays: the CLI has no live buffers to write into."""
 
         def restore(self, arrays) -> None:  # type: ignore[override]
             self.arrays = {k: np.asarray(v) for k, v in arrays.items()}
 
     registry = _CaptureRegistry()
-    manager = CheckpointManager(
-        registry,
-        DirectoryStore(args.directory),
-        resilience=from_flags(ResilienceConfig, args),
+    result = restore_with_fallback(
+        _manager_factory(args, read_only=True)(registry),
+        step=args.step,
+        repair=True if args.repair else None,
+        max_fallback=args.fallback,
     )
-    with _tracing(args):
-        result = restore_with_fallback(
-            manager,
-            step=args.step,
-            repair=True if args.repair else None,
-            max_fallback=args.fallback,
-        )
-    np.savez(args.output, **registry.arrays)
-    print(
-        f"{args.output}: {len(registry.arrays)} array(s); {result.describe()}"
-    )
+    _write(args.output, lambda path: np.savez(path, **registry.arrays))
+    print(f"{args.output}: {len(registry.arrays)} array(s); {result.describe()}")
     return 0
 
 
 def _cmd_restart(args: argparse.Namespace) -> int:
     from .apps.advection import AdvectionProxy
     from .apps.heat import HeatDiffusionProxy
-    from .ckpt.manager import CheckpointManager
     from .ckpt.protocol import registry_from_checkpointable
     from .ckpt.recovery import RestartCoordinator
-    from .ckpt.store import DirectoryStore
 
-    try:
-        shape = tuple(int(x) for x in args.shape.split(","))
-    except ValueError as exc:
-        raise ReproError(f"--shape must be X,Y,Z integers: {exc}") from exc
+    shape = tuple(_csv(args.shape, "--shape", int))
     config = _config_from_args(args)
-    resilience = from_flags(ResilienceConfig, args)
+    temporal = _temporal_from_flags(args)
 
-    store = DirectoryStore(args.directory)
+    plan = None
     if args.crash_mtbf_ops is not None:
-        from .ckpt.faults import CRASH_KINDS, FaultInjectingStore, FaultPlan
+        from .ckpt.faults import CRASH_KINDS, FaultPlan
         from .failure.distributions import ExponentialFailures
 
         if args.crash_mtbf_ops <= 0:
@@ -746,50 +444,28 @@ def _cmd_restart(args: argparse.Namespace) -> int:
             kinds=CRASH_KINDS,
             seed=args.crash_seed,
         )
-        store = FaultInjectingStore(store, plan)
-
+    make_manager = _manager_factory(args, plan=plan)
     app_cls = HeatDiffusionProxy if args.app == "heat" else AdvectionProxy
-
-    def app_factory():
-        return app_cls(shape, args.seed)
-
-    temporal = _temporal_from_flags(args)
-
-    def manager_factory(app):
-        return CheckpointManager(
-            registry_from_checkpointable(app),
-            store,
-            config=config,
-            resilience=resilience,
-            temporal=temporal,
-        )
-
     coordinator = RestartCoordinator(
-        app_factory,
-        manager_factory,
+        functools.partial(app_cls, shape, args.seed),
+        lambda app: make_manager(
+            registry_from_checkpointable(app), config=config, temporal=temporal
+        ),
         total_steps=args.steps,
         interval=args.interval,
         max_restarts=args.max_restarts,
         repair=True if args.repair else None,
         max_fallback=args.fallback,
     )
-    with _tracing(args):
-        report = coordinator.run()
+    report = coordinator.run()
     for c in report.cycles:
-        if c.crashed:
-            resumed = (
-                f"resumed from {c.restored_step}" if c.restored_step is not None
-                else "cold start"
-            )
-            print(
-                f"cycle {c.attempt:3d}: {resumed}, crashed at step "
-                f"{c.crash_step} ({len(c.recovered_torn)} torn reaped)"
-            )
+        if not c.crashed:
+            outcome = f"completed at step {report.final_step}"
+        elif c.restored_step is None:
+            outcome = f"cold start, crashed at step {c.crash_step}"
         else:
-            print(
-                f"cycle {c.attempt:3d}: completed at step "
-                f"{report.final_step} ({len(c.recovered_torn)} torn reaped)"
-            )
+            outcome = f"resumed from {c.restored_step}, crashed at step {c.crash_step}"
+        print(f"cycle {c.attempt:3d}: {outcome} ({len(c.recovered_torn)} torn reaped)")
     print(
         f"completed {args.steps} steps after {report.restarts} restart(s); "
         f"{report.rework_steps} step(s) of rework"
@@ -797,49 +473,15 @@ def _cmd_restart(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_checkpoint(args: argparse.Namespace) -> int:
-    from .ckpt.manager import CheckpointManager
-    from .ckpt.protocol import ArrayRegistry
-    from .ckpt.store import DirectoryStore
-
-    arr = _load_array(args.input)
-    config = _config_from_args(args)
-    registry = ArrayRegistry()
-    registry.register(args.name, arr)
-    with _tracing(args):
-        with CheckpointManager(
-            registry,
-            DirectoryStore(args.directory),
-            config=config,
-            workers=args.workers,
-            chunk_rows=args.chunk_rows,
-            resilience=from_flags(ResilienceConfig, args),
-            temporal=_temporal_from_flags(args),
-        ) as manager:
-            manifest = manager.checkpoint(args.step)
-    parity_note = (
-        f", {len(manifest.parity)} parity group(s)" if manifest.parity else ""
-    )
-    print(
-        f"step {manifest.step}: {len(manifest.entries)} array(s), "
-        f"{manifest.total_stored_bytes} bytes stored "
-        f"(rate {manifest.compression_rate_percent:.2f}%){parity_note}"
-    )
-    return 0
-
-
 def _cmd_quality(args: argparse.Namespace) -> int:
     from .analysis.quality import default_quality_apps, rate_distortion_sweep
 
-    try:
-        bounds = [float(tok) for tok in args.bounds.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ReproError(f"cannot parse --bounds {args.bounds!r}: {exc}") from exc
+    bounds = _csv(args.bounds, "--bounds", float)
     if not bounds:
         raise ReproError("--bounds must name at least one error bound")
     apps = default_quality_apps(args.scale)
     if args.apps is not None:
-        wanted = [tok.strip() for tok in args.apps.split(",") if tok.strip()]
+        wanted = _csv(args.apps, "--apps")
         unknown = sorted(set(wanted) - set(apps))
         if unknown:
             raise ReproError(
@@ -887,9 +529,8 @@ def _cmd_quality(args: argparse.Namespace) -> int:
             "keyframe_every": args.keyframe_every,
             "results": [r.to_dict() for r in results],
         }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        _write(args.out, lambda path: path.write_text(text, encoding="utf-8"))
         print(f"wrote {args.out}")
     return 0
 
@@ -919,20 +560,23 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _parse_tenant_spec(spec: str):
     from .service import TenantSpec
 
-    parts = spec.split(":")
-    if len(parts) > 3:
-        raise ReproError(
-            f"tenant spec {spec!r} has too many fields; "
-            f"expected NAME[:BYTES[:RATE]]"
+    name, *quotas = spec.split(":")
+    try:
+        if len(quotas) > 2:
+            raise ValueError("too many fields; expected NAME[:BYTES[:RATE]]")
+        size, rate = quotas + [""] * (2 - len(quotas))
+        return TenantSpec(
+            name,
+            byte_quota=parse_size(size) if size else None,
+            rate_quota=float(rate) if rate else None,
         )
-    byte_quota = parse_size(parts[1]) if len(parts) > 1 and parts[1] else None
-    rate_quota = float(parts[2]) if len(parts) > 2 and parts[2] else None
-    return TenantSpec(parts[0], byte_quota=byte_quota, rate_quota=rate_quota)
+    except ValueError as exc:  # a ConfigurationError is one too
+        raise ReproError(f"tenant spec {spec!r}: {exc}") from exc
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
-    import os
+    import signal
 
     from .service import ServiceServer, TenantRegistry
     from .service.ingest import build_service
@@ -943,8 +587,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if os.path.exists(socket_path):
         os.unlink(socket_path)
 
-    async def _run(sink: Any) -> int:
-        service = build_service(args.directory, registry, config, flush_sink=sink)
+    async def _run() -> int:
+        # the service's background flusher emits periodic metric snapshots
+        # into the same sink the command's spans go to
+        service = build_service(
+            args.directory, registry, config, flush_sink=args.trace_sink
+        )
         reports = await asyncio.to_thread(service.recover_tenants)
         for name, rep in reports.items():
             if rep.reaped:
@@ -967,8 +615,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 flush=True,
             )
             loop = asyncio.get_running_loop()
-            import signal
-
             for sig in (signal.SIGINT, signal.SIGTERM):
                 try:
                     loop.add_signal_handler(sig, stop.set)
@@ -984,106 +630,71 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             )
         return 0
 
-    # the service's background flusher emits periodic metric snapshots
-    # into the same sink the command's spans go to
-    with _tracing(args) as sink:
-        return asyncio.run(_run(sink))
-
-
-def _svc_call(
-    args: argparse.Namespace, request: Callable[[Any], Awaitable[Any]], migration: bool = False
-) -> Any:
-    """``await request(client)`` over one connection to the service at ``args.socket``."""
-    import asyncio
-
-    from .service import ServiceClient
-
-    async def _run():
-        # a migration copies every key of every unit it moves: give it a
-        # generous per-request bound instead of the default
-        if migration:
-            client = ServiceClient(args.socket, op_timeout=600.0)
-        else:
-            client = ServiceClient(args.socket)
-        async with client:
-            return await request(client)
-
     return asyncio.run(_run())
 
 
 def _cmd_svc_put(args: argparse.Namespace) -> int:
+    from .obs import get_tracer
+
     blobs: dict[str, bytes] = {}
     for pair in args.blobs:
         name, sep, path = pair.partition("=")
         if not sep or not name or not path:
             raise ReproError(f"blob spec {pair!r} is not NAME=PATH")
-        try:
-            with open(path, "rb") as fh:
-                blobs[name] = fh.read()
-        except OSError as exc:
-            raise ReproError(f"cannot read blob {path!r}: {exc}") from exc
-
-    with _tracing(args):
-        from .obs import get_tracer
-
-        # one root span so the per-request client spans (and, via wire
-        # propagation, every server-side span) hang off a single tree
-        with get_tracer().span("svc-put", tenant=args.tenant, step=args.step):
-            ack = _svc_call(args, lambda client: client.submit(args.tenant, args.step, blobs))
-            print(
-                f"committed {args.tenant}/{ack['step']}: {ack['n_blobs']} blob(s), "
-                f"{ack['nbytes']} bytes in {ack['latency_seconds'] * 1e3:.1f} ms "
-                f"(batch of {ack['batch_size']})"
-            )
-            return 0
+        blobs[name] = _read(path, pathlib.Path.read_bytes)
+    # one root span so the per-request client spans (and, via wire
+    # propagation, every server-side span) hang off a single tree
+    with get_tracer().span(args.command, tenant=args.tenant, step=args.step):
+        ack = _svc_call(args, lambda client: client.submit(args.tenant, args.step, blobs))
+        print(
+            f"committed {args.tenant}/{ack['step']}: {ack['n_blobs']} blob(s), "
+            f"{ack['nbytes']} bytes in {ack['latency_seconds'] * 1e3:.1f} ms "
+            f"(batch of {ack['batch_size']})"
+        )
+    return 0
 
 
 def _cmd_svc_get(args: argparse.Namespace) -> int:
-    import os
+    from .obs import get_tracer
 
     async def fetch(client):
         return await client.steps(args.tenant), await client.restore(args.tenant, args.step)
 
-    with _tracing(args):
-        from .obs import get_tracer
+    def save(outdir: pathlib.Path) -> None:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, data in sorted(blobs.items()):
+            (outdir / name).write_bytes(data)
 
-        with get_tracer().span("svc-get", tenant=args.tenant):
-            steps, blobs = _svc_call(args, fetch)
-            os.makedirs(args.outdir, exist_ok=True)
-            for name, data in sorted(blobs.items()):
-                with open(os.path.join(args.outdir, name), "wb") as fh:
-                    fh.write(data)
-            step = args.step if args.step is not None else (steps[-1] if steps else "?")
-            print(
-                f"restored {args.tenant}/{step}: {len(blobs)} blob(s), "
-                f"{sum(len(b) for b in blobs.values())} bytes -> {args.outdir}"
-            )
-            return 0
+    with get_tracer().span(args.command, tenant=args.tenant):
+        steps, blobs = _svc_call(args, fetch)
+        _write(args.outdir, save)
+        step = args.step if args.step is not None else (steps[-1] if steps else "?")
+        print(
+            f"restored {args.tenant}/{step}: {len(blobs)} blob(s), "
+            f"{sum(len(b) for b in blobs.values())} bytes -> {args.outdir}"
+        )
+    return 0
 
 
 def _cmd_svc_stats(args: argparse.Namespace) -> int:
     stats = _svc_call(args, lambda client: client.stats())
     print(json.dumps(stats, indent=2, sort_keys=True))
-    if args.health:
-        if stats.get("crashed"):
-            print("health: CRASHED", file=sys.stderr)
-            return 2
-        slo = stats.get("slo")
-        if slo is None:
-            print(
-                "health: unknown (service runs without an SLO tracker)",
-                file=sys.stderr,
-            )
-            return 0
-        if not slo.get("healthy", True):
-            print(
-                f"health: BURNING (state={slo.get('state')}, "
-                f"error_rate={slo.get('error_rate', 0.0):.4f})",
-                file=sys.stderr,
-            )
-            return 2
-        print(f"health: ok (state={slo.get('state')})", file=sys.stderr)
-    return 0
+    if not args.health:
+        return 0
+    slo = stats.get("slo")
+    if stats.get("crashed"):
+        health, code = "CRASHED", 2
+    elif slo is None:
+        health, code = "unknown (service runs without an SLO tracker)", 0
+    elif not slo.get("healthy", True):
+        health, code = (
+            f"BURNING (state={slo.get('state')}, "
+            f"error_rate={slo.get('error_rate', 0.0):.4f})", 2
+        )
+    else:
+        health, code = f"ok (state={slo.get('state')})", 0
+    print(f"health: {health}", file=sys.stderr)
+    return code
 
 
 def _cmd_svc_metrics(args: argparse.Namespace) -> int:
@@ -1095,9 +706,7 @@ def _cmd_svc_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_svc_drain(args: argparse.Namespace) -> int:
-    summary = _svc_call(
-        args, lambda client: client.drain(args.shard, remove=args.remove), migration=True
-    )
+    summary = _svc_call(args, lambda client: client.drain(args.shard, remove=args.remove))
     tail = " and removed from the ring" if summary.get("removed") else ""
     print(
         f"drained {summary['shard']}: {summary['units_moved']} unit(s), "
@@ -1108,7 +717,7 @@ def _cmd_svc_drain(args: argparse.Namespace) -> int:
 
 
 def _cmd_svc_rebalance(args: argparse.Namespace) -> int:
-    summary = _svc_call(args, lambda client: client.rebalance(), migration=True)
+    summary = _svc_call(args, lambda client: client.rebalance())
     print(
         f"rebalanced: {summary['units_moved']} unit(s) moved "
         f"({summary['keys_copied']} key(s), {summary['bytes_copied']} bytes), "
@@ -1118,7 +727,7 @@ def _cmd_svc_rebalance(args: argparse.Namespace) -> int:
 
 
 def _cmd_svc_repair(args: argparse.Namespace) -> int:
-    summary = _svc_call(args, lambda client: client.repair(), migration=True)
+    summary = _svc_call(args, lambda client: client.repair())
     remaining = summary.get("remaining_debt", {}) or {}
     print(
         f"repaired {summary.get('repaired_units', 0)}/"
@@ -1130,46 +739,201 @@ def _cmd_svc_repair(args: argparse.Namespace) -> int:
     return 0 if remaining.get("units", 0) == 0 else 1
 
 
-_COMMANDS = {
-    "compress": _cmd_compress,
-    "decompress": _cmd_decompress,
-    "inspect": _cmd_inspect,
-    "evaluate": _cmd_evaluate,
-    "tune": _cmd_tune,
-    "checkpoint": _cmd_checkpoint,
-    "verify": _cmd_verify,
-    "restore": _cmd_restore,
-    "restart": _cmd_restart,
-    "quality": _cmd_quality,
-    "report": _cmd_report,
-    "serve": _cmd_serve,
-    "svc-put": _cmd_svc_put,
-    "svc-get": _cmd_svc_get,
-    "svc-stats": _cmd_svc_stats,
-    "svc-metrics": _cmd_svc_metrics,
-    "svc-drain": _cmd_svc_drain,
-    "svc-rebalance": _cmd_svc_rebalance,
-    "svc-repair": _cmd_svc_repair,
-}
+COMMANDS: dict[str, Command] = {c.name: c for c in (
+    Command("compress", "compress a .npy array into a .rpz blob", _cmd_compress, (
+        _arg("input", help="input .npy file (float32/float64 array)"),
+        _arg("output", help="output .rpz file"),
+        _config(CompressionConfig), *_WORKERS, _TRACE,
+    ), description="The chunked stream --workers writes is byte-identical for every "
+        "N, and the -mt backends' threads compose with the worker processes."),
+    Command("decompress", "decode a .rpz blob into a .npy array", _cmd_decompress, (
+        _INPUT_RPZ, _arg("output", help="output .npy file"), _TRACE,
+    ), description="Single pipeline blobs and chunked streams are told apart by their "
+        "magic; the .bin blobs of a checkpoint directory decode too."),
+    Command("inspect", "print the header of a .rpz blob", _cmd_inspect, (_INPUT_RPZ,),
+            description="Print a blob's self-describing header as JSON; a chunked "
+            "stream reports chunk-level metadata."),
+    Command("evaluate", "report compression rate and errors for an array", _cmd_evaluate,
+            (_INPUT_NPY, _config(CompressionConfig)),
+            description="Compress and decompress in memory and report the rate and "
+            "errors of paper Eqs. 5-6; nothing is written."),
+    Command("tune", "find the smallest n meeting an error tolerance", _cmd_tune, (
+        _INPUT_NPY,
+        _arg("--tolerance", type=float, required=True,
+             help="relative-error tolerance as a fraction (0.01 = 1%%)"),
+        _arg("--metric", choices=("mean", "max"), default="mean",
+             help="which relative error the tolerance bounds"),
+    )),
+    Command("checkpoint", "write a .npy array as a checkpoint into a directory",
+            _cmd_checkpoint, (
+        _INPUT_NPY, _DIRECTORY,
+        _arg("--step", type=int, required=True, metavar="S",
+             help="logical step number of the checkpoint"),
+        _arg("--name", default="array", metavar="NAME",
+             help="registry name the array is stored under"),
+        _config(CompressionConfig), *_WORKERS, *_TEMPORAL, _config(ResilienceConfig), _TRACE,
+    )),
+    Command("verify", "CRC-verify every checkpoint in a directory store", _cmd_verify, (
+        _DIRECTORY,
+        _arg("--repair", action="store_true",
+             help="parity-reconstruct any single corrupt-or-missing blob per group, "
+                  "rewrite the healed bytes, and report the store clean"),
+        _RETRIES,
+    ), description="Exit 1 if a committed generation fails, including a blob --repair "
+        "healed but could not write back. Torn and orphaned generations (crash debris "
+        "the commit journal never published) are listed but do not fail the run."),
+    Command("restore", "restore the newest committed checkpoint into a .npz file",
+            _cmd_restore, (
+        _DIRECTORY,
+        _arg("output", help="output .npz file for the restored arrays"),
+        _arg("--step", type=int, metavar="S",
+             help="restore this step instead of the newest committed generation"),
+        *_RESTORE, _RETRIES, _TRACE,
+    ), description="A generation that fails even after retries and parity repair "
+        "falls back to older committed ones; one line names the generation used, "
+        "those skipped and the repairs applied."),
+    Command("restart", "run a proxy app across injected crashes with checkpoint/restart",
+            _cmd_restart, (
+        _DIRECTORY,
+        _arg("--app", choices=("heat", "advection"), default="heat",
+             help="proxy application to run"),
+        _arg("--steps", type=int, required=True, metavar="N",
+             help="total simulation steps to complete"),
+        _arg("--interval", type=int, required=True, metavar="K",
+             help="commit a checkpoint every K steps"),
+        _arg("--seed", type=int, default=0, metavar="S", help="seed of the app's initial state"),
+        _arg("--shape", default="16,16,8", metavar="X,Y,Z", help="3D grid shape of the proxy app"),
+        _arg("--crash-mtbf-ops", type=float, metavar="M",
+             help="mean store operations between injected process deaths "
+                  "(exponential MTBF); omit to run without crash injection"),
+        _arg("--crash-horizon-ops", type=int, metavar="H",
+             help="operation horizon the crash schedule is drawn over [default: 20 x MTBF]"),
+        _arg("--crash-seed", type=int, default=0, metavar="S", help="seed of the crash schedule"),
+        _arg("--max-restarts", type=int, default=100, metavar="R",
+             help="give up after R crash/restart cycles"),
+        *_RESTORE, _config(CompressionConfig), *_TEMPORAL, _config(ResilienceConfig), _TRACE,
+    ), description="Each restart resumes from the newest committed generation and "
+        "reaps the torn ones; rework is bounded by --interval."),
+    Command("quality", "rate-distortion sweep: Z-checker quality metrics for independent "
+            "vs temporal compression over the proxy apps", _cmd_quality, (
+        _arg("--bounds", default="1e-2,1e-3,1e-4", metavar="E1,E2,...",
+             help="comma-separated absolute error bounds to sweep"),
+        _arg("--apps", metavar="A,B,...",
+             help="subset of apps to sweep (heat, advection, nbody, shallow_water, "
+                  "climate) [default: all five]"),
+        _arg("--generations", type=int, default=8, metavar="G",
+             help="checkpoint generations per app"),
+        _arg("--steps-per-generation", type=int, default=2, metavar="S",
+             help="simulation steps between checkpoints"),
+        _arg("--scale", type=int, default=1, metavar="X",
+             help="multiply the apps' leading dimension"),
+        _config(TemporalConfig, "predictor", "keyframe_every"),
+        _arg("--out", metavar="PATH",
+             help="also write the full sweep as JSON (BENCH_quality.json shape)"),
+    ), description="Each arm is scored on the Z-checker quality axes: PSNR, max "
+        "pointwise error, spectral and autocorrelation distortion."),
+    Command("report", "render the profiling report of --trace JSONL file(s)", _cmd_report, (
+        _arg("trace_file", nargs="+",
+             help="JSONL trace(s) written by --trace; several files (e.g. a client-side "
+                  "and a server-side trace) merge into one report"),
+        _arg("--tree", action="store_true", help="also print the indented span tree"),
+        _arg("--json", action="store_true", dest="as_json",
+             help="emit the report as JSON instead of text"),
+        _arg("--check-parentage", action="store_true",
+             help="fail (exit 1) if any span references a parent the trace does not "
+                  "contain (broken cross-process stitching)"),
+    ), description="The report holds the Fig. 9 stage breakdown and the recorded metrics."),
+    Command("serve", "run the multi-tenant checkpoint ingest service on a unix socket",
+            _cmd_serve, (
+        _arg("directory", help="service root (shards live under it)"),
+        _arg("--socket", metavar="PATH",
+             help="unix socket path [default: <directory>/service.sock]"),
+        _arg("--tenant", action="append", required=True, metavar="NAME[:BYTES[:RATE]]",
+             help="register a tenant, optionally with a byte quota (suffixes k/m/g) and "
+                  "a sustained submits-per-second rate quota; repeat per tenant (e.g. "
+                  "--tenant alice:512m:20 --tenant bob)"),
+        _arg("--once", action="store_true",
+             help="exit after the first client disconnects (tests/smoke runs)"),
+        _config(ServiceConfig), _TRACE,
+    ), description="Sharded stores, per-tenant namespaces and quotas, burst-buffer "
+        "absorb and drain, batched group commits (DESIGN.md section 11)."),
+    Command("svc-put", "submit files as one checkpoint generation to a service",
+            _cmd_svc_put, (
+        _SOCKET,
+        _arg("tenant", help="tenant name the generation belongs to"),
+        _arg("--step", type=int, required=True, metavar="S", help="generation number to commit"),
+        _arg("blobs", nargs="+", metavar="NAME=PATH",
+             help="blobs of the generation, as name=file pairs"),
+        _TRACE,
+    )),
+    Command("svc-get", "fetch a committed generation's blobs from a service",
+            _cmd_svc_get, (
+        _SOCKET,
+        _arg("tenant", help="tenant name to read from"),
+        _arg("outdir", help="directory the blobs are written into"),
+        _arg("--step", type=int, metavar="S",
+             help="generation to fetch [default: newest committed]"),
+        _TRACE,
+    )),
+    Command("svc-stats", "print a JSON stats/health snapshot of a service", _cmd_svc_stats, (
+        _SOCKET,
+        _arg("--health", action="store_true",
+             help="exit 2 when the service's SLO error budget is burning"),
+    )),
+    Command("svc-metrics", "print a service's metrics in Prometheus text format",
+            _cmd_svc_metrics, (_SOCKET,)),
+    Command("svc-drain", "migrate every generation off one shard so it can be removed",
+            _cmd_svc_drain, (
+        _SOCKET,
+        _arg("shard", help="shard id to drain (e.g. shard-02)"),
+        _arg("--remove", action="store_true",
+             help="also remove the shard from the ring once it drains empty"),
+    ), description="The shard is drained unit by unit, crash-safe.", migrates=True),
+    Command("svc-rebalance",
+            "converge placements onto the current hash ring (after a shard was added)",
+            _cmd_svc_rebalance, (_SOCKET,),
+            description="Only the units whose replica set changed move.", migrates=True),
+    Command("svc-repair",
+            "re-replicate generations written degraded while a replica shard was down",
+            _cmd_svc_repair, (_SOCKET,),
+            description="Repays the replication-debt ledger.", migrates=True),
+)}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro-ckpt",
+        description=(
+            "Wavelet-based lossy compression for application-level "
+            "checkpoint/restart (Sasaki et al., IPDPS 2015)."
+        ),
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command in COMMANDS.values():
+        p = sub.add_parser(command.name, help=command.help, description=command.description)
+        for spec in command.arguments:
+            spec(p)
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except ServiceUnavailableError as exc:
-        # The one failure a human hits constantly: nothing is listening.
-        # Say what was tried and the likeliest fix, in one line each.
-        print(f"error: {exc}", file=sys.stderr)
-        print(
-            "hint: is 'repro-ckpt serve' running and the socket path "
-            "correct? the client gave up after bounded retries instead "
-            "of hanging",
-            file=sys.stderr,
-        )
-        return 1
+        # serve hands the sink to its metrics flusher
+        with _tracing(args) as args.trace_sink:
+            return COMMANDS[args.command].run(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, ServiceUnavailableError):
+            # The one failure a human hits constantly: nothing is listening.
+            # Say what was tried and the likeliest fix, in one line each.
+            print(
+                "hint: is 'repro-ckpt serve' running and the socket path "
+                "correct? the client gave up after bounded retries instead "
+                "of hanging",
+                file=sys.stderr,
+            )
         return 1
     except BrokenPipeError:  # e.g. `repro report ... | head`
         try:

@@ -10,6 +10,7 @@ still meets the tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,13 @@ def _evaluate(
     return err, stats.compression_rate_percent
 
 
+def _check(tolerance: float, metric: str) -> None:
+    if metric not in _METRICS:
+        raise TuningError(f"metric must be one of {sorted(_METRICS)}, got {metric!r}")
+    if not (tolerance > 0 and math.isfinite(tolerance)):  # NaN fails both
+        raise TuningError(f"tolerance must be positive and finite, got {tolerance}")
+
+
 def tune_division_number(
     arr: np.ndarray,
     tolerance: float,
@@ -72,12 +80,10 @@ def tune_division_number(
     Raises
     ------
     TuningError
-        If even the largest candidate misses the tolerance.
+        If the metric is unknown, the tolerance is not positive and finite,
+        or even the largest candidate misses the tolerance.
     """
-    if metric not in _METRICS:
-        raise TuningError(f"metric must be one of {sorted(_METRICS)}, got {metric!r}")
-    if tolerance <= 0:
-        raise TuningError(f"tolerance must be positive, got {tolerance}")
+    _check(tolerance, metric)
     evaluations = 0
     last_err = float("inf")
     for n in CANDIDATES:
@@ -106,6 +112,8 @@ def tune_for_tolerance(
     error at a slightly worse rate, Figs. 7-8) and returns whichever
     satisfying configuration compresses harder.
     """
+    # checked here too: the loop takes a TuningError for "this quantizer misses"
+    _check(tolerance, metric)
     best: TuningResult | None = None
     total_evals = 0
     for quantizer in (QUANTIZER_PROPOSED, QUANTIZER_SIMPLE):

@@ -59,7 +59,7 @@ class TenantSpec:
             raise ConfigurationError(
                 f"byte_quota must be >= 0 or None, got {self.byte_quota!r}"
             )
-        if self.rate_quota is not None and self.rate_quota <= 0:
+        if self.rate_quota is not None and not self.rate_quota > 0:  # NaN too
             raise ConfigurationError(
                 f"rate_quota must be > 0 or None, got {self.rate_quota!r}"
             )

@@ -64,3 +64,9 @@ class TestTuneForTolerance:
         noise = rng.standard_normal((32, 32))
         with pytest.raises(TuningError):
             tune_for_tolerance(noise, 1e-18)
+
+    @pytest.mark.parametrize("tolerance", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_rejects_a_tolerance_before_sweeping(self, smooth3d, tolerance):
+        # not swallowed as "neither quantizer meets ..." after two sweeps
+        with pytest.raises(TuningError, match="positive and finite"):
+            tune_for_tolerance(smooth3d, tolerance)

@@ -38,6 +38,9 @@ class TestTenantSpec:
             TenantSpec("a", byte_quota=-1)
         with pytest.raises(ConfigurationError):
             TenantSpec("a", rate_quota=0.0)
+        for rate in (-1.0, float("nan")):
+            with pytest.raises(ConfigurationError, match="rate_quota"):
+                TenantSpec("a", rate_quota=rate)
 
 
 class TestRegistryBasics:
