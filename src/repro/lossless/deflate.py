@@ -5,8 +5,8 @@ the temporary checkpoint data with zlib in memory" eliminates the dominant
 temp-file cost, Section IV-D); ``gzip`` produces the same deflate stream
 with the gzip framing the paper's measured implementation used.  Every
 name writes one standard stream assembled from independently coded
-segments (:mod:`repro.lossless.segments`), each stored, Huffman-only or
-LZ77 -- whichever its probe measures smallest: stock
+segments (:mod:`repro.lossless.segments`), each stored, Huffman-only, RLE
+or LZ77 -- whichever its probe measures smallest: stock
 :func:`zlib.decompress` / :func:`gzip.decompress` read it, and every name
 reads any stock stream of its framing.
 

@@ -88,7 +88,7 @@ class TestPipelineSpans:
         _blob, stats = WaveletCompressor(config).compress_with_stats(smooth2d)
         (span,) = _by_name(tracer.spans, "backend")
         attrs = span.attrs
-        strategies = ("stored", "huffman", "lz77")
+        strategies = ("stored", "huffman", "rle", "lz77")
         assert sum(attrs[f"{s}_segments"] for s in strategies) >= 1
         assert sum(attrs[f"{s}_in_bytes"] for s in strategies) == stats.formatted_bytes
         assert 0 < sum(attrs[f"{s}_out_bytes"] for s in strategies) < stats.compressed_bytes
