@@ -33,37 +33,11 @@ from functools import lru_cache, partial
 from pathlib import Path
 from typing import NamedTuple
 
-ROOT = Path(__file__).resolve().parents[1]
-SRC = ROOT / "src"
-USERS = ("src", "benchmarks", "examples")
-SHIM = re.compile(r"^(?:repro[\w.]*)?:(\w+(?:\.\w+)*)$")
-FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+# ALLOWED sits in the index because the parameter lint reads it too.
+from tests.source_index import DEFINITIONS_ALLOWED as ALLOWED
+from tests.source_index import SRC, USERS, SourceFile, files, members
 
-_ORACLE = "test oracle: a conservation law or closed form the tests check the code against"
-ALLOWED = {
-    "repro.apps.advection.AdvectionProxy.total_mass": _ORACLE,
-    "repro.apps.shallow_water.ShallowWaterProxy.total_mass": _ORACLE,
-    "repro.apps.shallow_water.ShallowWaterProxy.total_momentum": _ORACLE,
-    "repro.apps.shallow_water.ShallowWaterProxy.total_energy": _ORACLE,
-    "repro.apps.nbody.NBodyProxy.total_momentum": _ORACLE,
-    "repro.apps.nbody.NBodyProxy.total_energy": _ORACLE,
-    "repro.apps.heat.HeatDiffusionProxy.total_heat": _ORACLE,
-    "repro.apps.climate.ClimateProxy.energy_proxy": _ORACLE,
-    "repro.apps.base.state_allclose": "test oracle: restored state equals the saved state",
-    "repro.analysis.random_walk.expected_random_walk_error": _ORACLE,
-    "repro.core.errors.compression_rate": "test oracle: paper Eq. 5 as the paper states it",
-    "repro.apps.fields.trend_field": "test input: fields with a known wavelet response",
-    "repro.apps.fields.rough_field": "test input: fields with a known wavelet response",
-    "repro.obs.sink.MemorySink": "fake: a sink the tests read spans back from",
-    "repro.obs.sink.MemorySink.spans": "fake: a sink the tests read spans back from",
-    "repro.lossless.pool.shared_pool_size": "isolation: tests check and reset the shared pool",
-    "repro.lossless.pool.shutdown_shared_pool": "isolation: tests check and reset the shared pool",
-    "repro.ckpt.manager.serialize_array_lossless": "golden and fuzz fixture: the lossless blob format",
-    "repro.service.sharded.ShardedStore.add_shard": (
-        "reachable subsystem: the membership change svc-rebalance exists for"
-    ),
-    "repro.service.wire.ServiceClient.ping": "reachable subsystem: the client side of the wire's ping op",
-}
+SHIM = re.compile(r"^(?:repro[\w.]*)?:(\w+(?:\.\w+)*)$")
 
 
 class Definition(NamedTuple):
@@ -85,10 +59,6 @@ def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
-def _module(path: Path) -> str:
-    return ".".join(path.relative_to(SRC).with_suffix("").parts).removesuffix(".__init__")
-
-
 def _is_property(node) -> bool:
     return any(
         (isinstance(d, ast.Name) and d.id in ("property", "cached_property"))
@@ -98,34 +68,15 @@ def _is_property(node) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _src_trees() -> list[tuple[str, Path, ast.Module]]:
-    return [
-        (_module(path), path, ast.parse(path.read_text(), str(path)))
-        for path in sorted((SRC / "repro").rglob("*.py"))
-    ]
-
-
-@lru_cache(maxsize=None)
 def definitions() -> dict[str, Definition]:
     """Qualified name -> definition, for every definition the rule covers."""
     found = {}
-    for module, path, tree in _src_trees():
-        for node in tree.body:
-            if not isinstance(node, (*FUNCTIONS, ast.ClassDef)):
-                continue
-            top = f"{module}.{node.name}"
-            members = [(top, node, None)]
-            if isinstance(node, ast.ClassDef):
-                members += [
-                    (f"{top}.{sub.name}", sub, top)
-                    for sub in node.body
-                    if isinstance(sub, FUNCTIONS) and not _is_dunder(sub.name)
-                ]
-            for qual, member, owner in members:
-                first = min([member.lineno] + [d.lineno for d in member.decorator_list])
-                found[qual] = Definition(
-                    member.name, path, first, member.end_lineno, owner, _is_property(member)
-                )
+    for qual, (node, source, owner) in members().items():
+        if owner is None or not _is_dunder(node.name):
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            found[qual] = Definition(
+                node.name, source.path, first, node.end_lineno, owner, _is_property(node)
+            )
     return found
 
 
@@ -133,39 +84,37 @@ def definitions() -> dict[str, Definition]:
 def data_holders() -> dict[str, frozenset[str]]:
     """Attribute name -> the ``src/repro`` classes that hold it as data."""
     held = defaultdict(set)
-    for module, _path, tree in _src_trees():
-        for node in tree.body:
-            if not isinstance(node, ast.ClassDef):
-                continue
-            qual = f"{module}.{node.name}"
-            for sub in node.body:
-                if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name):
-                    held[sub.target.id].add(qual)
-                elif isinstance(sub, ast.Assign):
-                    for target in sub.targets:
-                        if isinstance(target, ast.Name):
-                            held[target.id].add(qual)
-            for sub in ast.walk(node):
-                if (
-                    isinstance(sub, ast.Attribute)
-                    and isinstance(sub.ctx, ast.Store)
-                    and isinstance(sub.value, ast.Name)
-                    and sub.value.id == "self"
-                ):
-                    held[sub.attr].add(qual)
+    for qual, (node, _source, owner) in members().items():
+        if owner is not None or not isinstance(node, ast.ClassDef):
+            continue
+        for sub in node.body:
+            if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name):
+                held[sub.target.id].add(qual)
+            elif isinstance(sub, ast.Assign):
+                for target in sub.targets:
+                    if isinstance(target, ast.Name):
+                        held[target.id].add(qual)
+        for sub in ast.walk(node):
+            if (
+                isinstance(sub, ast.Attribute)
+                and isinstance(sub.ctx, ast.Store)
+                and isinstance(sub.value, ast.Name)
+                and sub.value.id == "self"
+            ):
+                held[sub.attr].add(qual)
     return {name: frozenset(classes) for name, classes in held.items()}
 
 
-def _used_names(path: Path, shims: bool):
-    """``(name, line, kind)`` for every use of a name in *path*."""
-    tree = ast.parse(path.read_text(), str(path))
-    callees = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
-    for node in ast.walk(tree):
+def _used_names(source: SourceFile):
+    """``(name, line, kind)`` for every use of a name in *source*."""
+    shims = source.top == "benchmarks"
+    callees = {id(node.func) for node in source.nodes if isinstance(node, ast.Call)}
+    for node in source.nodes:
         if isinstance(node, ast.Name):
             yield node.id, node.lineno, "name"
         elif isinstance(node, ast.Attribute):
             yield node.attr, node.lineno, "callee" if id(node) in callees else "attribute"
-        elif isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
+        elif isinstance(node, ast.ImportFrom) and not source.package:
             yield from ((alias.name, node.lineno, "import") for alias in node.names)
         elif shims and isinstance(node, ast.Constant) and isinstance(node.value, str):
             match = SHIM.match(node.value)
@@ -190,15 +139,14 @@ def unused_definitions() -> frozenset[str]:
     for qual, definition in defs.items():
         in_file[definition.path].append(qual)
     uses = defaultdict(list)
-    for top in USERS:
-        for path in sorted((ROOT / top).rglob("*.py")):
-            for name, line, kind in _used_names(path, shims=top == "benchmarks"):
-                around = frozenset(
-                    qual
-                    for qual in in_file.get(path, ())
-                    if defs[qual].first <= line <= defs[qual].last
-                )
-                uses[name].append(Use(kind, path, around))
+    for source in files(*USERS):
+        for name, line, kind in _used_names(source):
+            around = frozenset(
+                qual
+                for qual in in_file.get(source.path, ())
+                if defs[qual].first <= line <= defs[qual].last
+            )
+            uses[name].append(Use(kind, source.path, around))
     reaching = {
         qual: [use.around for use in uses[d.name] if _reaches(use, d)]
         for qual, d in defs.items()

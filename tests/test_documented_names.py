@@ -3,7 +3,8 @@
 Every import of ``repro`` in a ``python`` code block of README.md runs, and
 every attribute the block reads through a module it imports exists.  Each
 block runs in a fresh interpreter, so a name that resolves only because
-some other module happened to import its package first still fails.
+some other module happened to import its package first still fails; the
+interpreters of all blocks start together.
 Every backticked ``repro``-qualified name in README.md and DESIGN.md
 (``repro.core.chunked``, ``repro.ckpt.manager.decode_delta``,
 ``repro.ckpt.temporal:TemporalEngine.encode``) imports and resolves too.
@@ -13,16 +14,15 @@ from __future__ import annotations
 
 import ast
 import importlib
-import os
 import re
 import subprocess
-import sys
-from pathlib import Path
+from functools import lru_cache
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
-CODE_BLOCK = re.compile(r"^```python\n(.*?)^```", re.MULTILINE | re.DOTALL)
+from tests.source_index import attribute_chain, doc_text, python, readme_blocks
+from tests.source_index import imports as index_imports
+
 QUALIFIED = re.compile(r"`(repro(?:\.\w+)*(?::\w+(?:\.\w+)*)?)`")
 
 # Runs a block's repro imports, then reads each attribute chain it names
@@ -46,50 +46,40 @@ for chain in CHAINS:
 """
 
 
-def _blocks() -> list[str]:
-    return CODE_BLOCK.findall((ROOT / "README.md").read_text())
-
-
-def _imports_and_chains(block: str):
-    imports = []
-    tree = ast.parse(block)
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imports += [
-                (alias.name, None, alias.asname or alias.name.split(".")[0])
-                for alias in node.names
-                if alias.name.split(".")[0] == "repro"
-            ]
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "repro":
-            imports += [
-                (node.module, alias.name, alias.asname or alias.name) for alias in node.names
-            ]
+def _imports_and_chains(tree: ast.Module):
+    imports = [
+        tuple(imported) for imported in index_imports(ast.walk(tree))
+        if imported.module.split(".")[0] == "repro"
+    ]
     bound = {local for _module, _attr, local in imports}
     chains = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
-            chain, value = [node.attr], node.value
-            while isinstance(value, ast.Attribute):
-                chain.append(value.attr)
-                value = value.value
+            value, chain = attribute_chain(node)
             if isinstance(value, ast.Name) and value.id in bound:
-                chains.add((value.id, *reversed(chain)))
+                chains.add((value.id, *chain))
     return imports, sorted(chains)
 
 
-@pytest.mark.parametrize("index", range(len(_blocks())))
+@lru_cache(maxsize=None)
+def _checks() -> dict[int, subprocess.Popen]:
+    """Block index -> its running check, for every block that imports repro."""
+    checks = {}
+    for index, block in enumerate(readme_blocks()):
+        imports, chains = _imports_and_chains(block)
+        if imports:
+            script = f"IMPORTS = {imports!r}\nCHAINS = {chains!r}\n{_CHECK}"
+            checks[index] = python("-c", script, stderr=subprocess.PIPE)
+    return checks
+
+
+@pytest.mark.parametrize("index", range(len(readme_blocks())))
 def test_readme_block_imports_resolve(index):
-    imports, chains = _imports_and_chains(_blocks()[index])
-    if not imports:
+    if index not in _checks():
         pytest.skip("the block imports nothing from repro")
-    script = f"IMPORTS = {imports!r}\nCHAINS = {chains!r}\n{_CHECK}"
-    done = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-    )
-    assert done.returncode == 0, done.stderr
+    check = _checks()[index]
+    _, stderr = check.communicate(timeout=120)
+    assert check.returncode == 0, stderr
 
 
 def _resolve(name: str) -> object:
@@ -108,7 +98,7 @@ def _resolve(name: str) -> object:
 
 @pytest.mark.parametrize("doc", ["README.md", "DESIGN.md"])
 def test_backticked_names_resolve(doc):
-    names = sorted(set(QUALIFIED.findall((ROOT / doc).read_text())))
+    names = sorted(set(QUALIFIED.findall(doc_text(doc))))
     assert names
     unresolved = []
     for name in names:

@@ -32,10 +32,6 @@ definition lint allows are exempt, but are not passed by being there: what
 such a definition forwards counts only if its own callers pass it.
 ``ALLOWED`` names the injected fakes the tests pass in place of the real
 thing, each with its reason.
-
-A second rule keeps imports honest: every name a non-``__init__`` module
-under ``src/repro``, ``tests/``, ``benchmarks/`` or ``examples/`` imports
-must be named in that module or listed in its ``__all__``.
 """
 
 from __future__ import annotations
@@ -44,15 +40,10 @@ import ast
 import sys
 from collections import defaultdict
 from functools import lru_cache
-from pathlib import Path
 from typing import NamedTuple
 
-from tests.test_definition_reachability import ALLOWED as DEFINITIONS_ALLOWED
+from tests.source_index import DEFINITIONS_ALLOWED, FUNCTIONS, USERS, files, members
 
-ROOT = Path(__file__).resolve().parents[1]
-SRC = ROOT / "src"
-USERS = ("src", "benchmarks", "examples")
-FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 #: Callables whose first argument is the function they call.
 INDIRECT = {"partial", "to_thread", "submit"}
 
@@ -79,12 +70,6 @@ class Definition(NamedTuple):
     method: bool  # reached as an attribute of an instance or class
 
 
-def _modules():
-    for path in sorted((SRC / "repro").rglob("*.py")):
-        module = ".".join(path.relative_to(SRC).with_suffix("").parts).removesuffix(".__init__")
-        yield module, path, ast.parse(path.read_text(), str(path))
-
-
 def _defaulted(node: ast.FunctionDef | ast.AsyncFunctionDef, skip: int) -> tuple[Param, ...]:
     args = node.args
     positional = args.posonlyargs + args.args
@@ -109,29 +94,19 @@ def _is_static(node) -> bool:
 @lru_cache(maxsize=None)
 def definitions() -> dict[str, Definition]:
     """Qualified name -> definition, for every definition the rule covers."""
-    classes = {}
-    for module, _path, tree in _modules():
-        for node in tree.body:
-            if isinstance(node, ast.ClassDef):
-                classes[node.name] = node
+    classes = {m.node.name: m.node for m in members().values() if isinstance(m.node, ast.ClassDef)}
     found = {}
-    for module, _path, tree in _modules():
-        for node in tree.body:
+    for qual, (node, _source, owner) in members().items():
+        if owner is None:
             if isinstance(node, FUNCTIONS):
-                found[f"{module}.{node.name}"] = Definition(
-                    (node.name,), _defaulted(node, 0), method=False
-                )
-            elif isinstance(node, ast.ClassDef):
-                for sub in node.body:
-                    if not isinstance(sub, FUNCTIONS):
-                        continue
-                    names, method = (sub.name,), True
-                    if sub.name == "__init__":
-                        names = tuple(c for c in classes if _init_owner(c, classes) == node.name)
-                        method = False
-                    found[f"{module}.{node.name}.{sub.name}"] = Definition(
-                        names, _defaulted(sub, 0 if _is_static(sub) else 1), method
-                    )
+                found[qual] = Definition((node.name,), _defaulted(node, 0), method=False)
+            continue
+        names, method = (node.name,), True
+        if node.name == "__init__":
+            cls = owner.rpartition(".")[2]
+            names = tuple(c for c in classes if _init_owner(c, classes) == cls)
+            method = False
+        found[qual] = Definition(names, _defaulted(node, 0 if _is_static(node) else 1), method)
     return found
 
 
@@ -287,14 +262,10 @@ class _Scanner(ast.NodeVisitor):
 @lru_cache(maxsize=None)
 def _scans() -> list[_Scanner]:
     scans = []
-    for top in USERS:
-        for path in sorted((ROOT / top).rglob("*.py")):
-            module = None
-            if path.is_relative_to(SRC / "repro"):
-                module = ".".join(path.relative_to(SRC).with_suffix("").parts).removesuffix(".__init__")
-            scanner = _Scanner(module)
-            scanner.visit(ast.parse(path.read_text(), str(path)))
-            scans.append(scanner)
+    for source in files(*USERS):
+        scanner = _Scanner(source.module)
+        scanner.visit(source.tree)
+        scans.append(scanner)
     return scans
 
 
@@ -354,56 +325,6 @@ def test_every_defaulted_parameter_has_a_caller():
 def test_allow_list_names_only_parameters_no_caller_passes():
     assert set(ALLOWED) <= unpassed_parameters()
     assert all(reason for reason in ALLOWED.values())
-
-
-def _names_in(tree: ast.Module) -> set[str]:
-    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    annotations = [
-        getattr(node, "returns" if isinstance(node, FUNCTIONS) else "annotation")
-        for node in ast.walk(tree)
-        if isinstance(node, (*FUNCTIONS, ast.arg, ast.AnnAssign))
-    ]
-    for annotation in filter(None, annotations):
-        for node in ast.walk(annotation):
-            if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                # a string annotation such as "CheckpointManager"
-                parsed = ast.parse(node.value, mode="eval")
-                named |= {sub.id for sub in ast.walk(parsed) if isinstance(sub, ast.Name)}
-    return named
-
-
-def _exported(tree: ast.Module) -> set[str]:
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            return set(ast.literal_eval(node.value))
-    return set()
-
-
-def _importers():
-    for _module, path, tree in _modules():
-        yield path, tree
-    for top in ("tests", "benchmarks", "examples"):
-        for path in sorted((ROOT / top).rglob("*.py")):
-            yield path, ast.parse(path.read_text(), str(path))
-
-
-def test_every_import_is_named():
-    unused = []
-    for path, tree in _importers():
-        if path.name == "__init__.py":
-            continue
-        named = _names_in(tree) | _exported(tree)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-                continue
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                for alias in node.names:
-                    bound = alias.asname or alias.name.split(".")[0]
-                    if bound not in named:
-                        unused.append(f"{path.relative_to(ROOT)}: {bound}")
-    assert not unused, "imported and never named: " + ", ".join(unused)
 
 
 def test_a_same_named_attribute_does_not_hide_a_function():

@@ -22,103 +22,60 @@ exceptions, each with its reason.
 from __future__ import annotations
 
 import ast
-import re
 from functools import lru_cache
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-SRC = ROOT / "src"
-USERS = ("src", "benchmarks", "examples")
-CODE_BLOCK = re.compile(r"^```python\n(.*?)^```", re.MULTILINE | re.DOTALL)
+from tests.source_index import (
+    USERS,
+    attribute_chain,
+    exported,
+    files,
+    imports,
+    modules,
+    readme_blocks,
+)
 
 ALLOWED: dict[str, str] = {}
-
-FILES = {
-    ".".join(path.relative_to(SRC).with_suffix("").parts).removesuffix(".__init__"): path
-    for path in sorted((SRC / "repro").rglob("*.py"))
-}
-
-
-def _module_of(path: Path) -> str | None:
-    if path.is_relative_to(SRC / "repro"):
-        return ".".join(path.relative_to(SRC).with_suffix("").parts).removesuffix(".__init__")
-    return None
-
-
-def _source(node: ast.ImportFrom, module: str | None, is_package: bool) -> str:
-    """The absolute module a ``from ... import`` reads from."""
-    if not node.level:
-        return node.module or ""
-    base = (module or "").split(".")
-    base = base[: len(base) - node.level + (1 if is_package else 0)]
-    return ".".join(base + ([node.module] if node.module else []))
-
-
-def _exported(tree: ast.Module) -> list[str]:
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            return list(ast.literal_eval(node.value))
-    return []
 
 
 @lru_cache(maxsize=None)
 def reexports() -> frozenset[str]:
     """``module.name`` for every re-export under ``src/repro``."""
     found = set()
-    for module, path in FILES.items():
-        tree = ast.parse(path.read_text(), str(path))
-        package = path.name == "__init__.py"
-        imported = set()
-        for node in tree.body:
-            if isinstance(node, ast.ImportFrom):
-                source = _source(node, module, package)
-                if not source.startswith("repro"):
-                    continue
-                for alias in node.names:
-                    if f"{source}.{alias.name}" not in FILES:
-                        imported.add(alias.asname or alias.name)
-        if package:
+    for module, file in modules().items():
+        imported = {
+            local
+            for source, name, local in imports(file.tree.body, module, file.package)
+            if name is not None
+            and source.startswith("repro")
+            and f"{source}.{name}" not in modules()
+        }
+        if file.package:
             found |= {f"{module}.{name}" for name in imported}
         else:
-            found |= {f"{module}.{name}" for name in _exported(tree) if name in imported}
+            found |= {f"{module}.{name}" for name in exported(file.tree) if name in imported}
     return frozenset(found)
 
 
-def _reads(tree: ast.Module, module: str | None, package: bool):
-    """``module.name`` for every name *tree* reads through a module."""
+def _reads(nodes, module: str | None, package: bool):
+    """``module.name`` for every name *nodes* read through a module."""
     bound = {}  # local name -> the module it is bound to
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.asname:
-                    bound[alias.asname] = alias.name
-                else:
-                    top = alias.name.split(".")[0]
-                    bound[top] = top
-        elif isinstance(node, ast.ImportFrom):
-            source = _source(node, module, package)
-            for alias in node.names:
-                target = f"{source}.{alias.name}"
-                if target in FILES:
-                    bound[alias.asname or alias.name] = target
-                elif not package:
-                    yield target
-    for node in ast.walk(tree):
+    for source, name, local in imports(nodes, module, package):
+        if name is None:  # import a.b binds a; import a.b as c binds a.b
+            bound[local] = local if local == source.split(".")[0] else source
+        elif f"{source}.{name}" in modules():
+            bound[local] = f"{source}.{name}"
+        elif not package:
+            yield f"{source}.{name}"
+    for node in nodes:
         if not isinstance(node, ast.Attribute):
             continue
-        chain = [node.attr]
-        value = node.value
-        while isinstance(value, ast.Attribute):
-            chain.append(value.attr)
-            value = value.value
+        value, chain = attribute_chain(node)
         if not isinstance(value, ast.Name) or value.id not in bound:
             continue
-        parts = bound[value.id].split(".") + chain[::-1]
+        parts = bound[value.id].split(".") + chain
         # the longest prefix that is a module; the part after it is read through it
         for end in range(len(parts) - 1, 0, -1):
-            if ".".join(parts[:end]) in FILES:
+            if ".".join(parts[:end]) in modules():
                 yield ".".join(parts[: end + 1])
                 break
 
@@ -127,17 +84,14 @@ def _reads(tree: ast.Module, module: str | None, package: bool):
 def read_through() -> frozenset[str]:
     """``module.name`` for every read outside the tests, the module's own aside."""
     reads = set()
-    for top in USERS:
-        for path in sorted((ROOT / top).rglob("*.py")):
-            module = _module_of(path)
-            tree = ast.parse(path.read_text(), str(path))
-            reads |= {
-                read
-                for read in _reads(tree, module, path.name == "__init__.py")
-                if read.rpartition(".")[0] != module
-            }
-    for block in CODE_BLOCK.findall((ROOT / "README.md").read_text()):
-        reads |= set(_reads(ast.parse(block), None, False))
+    for file in files(*USERS):
+        reads |= {
+            read
+            for read in _reads(file.nodes, file.module, file.package)
+            if read.rpartition(".")[0] != file.module
+        }
+    for block in readme_blocks():
+        reads |= set(_reads(tuple(ast.walk(block)), None, False))
     return frozenset(reads)
 
 
